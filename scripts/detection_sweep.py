@@ -4,9 +4,11 @@
 Runs every active attack strategy over a list of qudit dimensions and prints,
 per cell, the analytic per-decoy detection probability, the predicted
 run-abort probability 1 - (1 - p)^D (D = tapped-and-checked decoys per run),
-and the observed abort rate with its binomial standard error. Insider attacks
-are also run against the single-TP wiring, where they tap nothing and the
-predicted rate drops to zero.
+and the observed abort rate with its binomial standard error. Each cell is one
+experiment run by the harness with the seed ``derive_cell_seed(seed, cell)``,
+so any trial of any row replays with ``run_trial``. Insider attacks model the
+two-TP wiring and are skipped for ``one-tp``, as are dimensions below a
+variant's bound.
 
 Example:
     python3 scripts/detection_sweep.py --trials 400 --dims 2,4,8,13 --l 8
@@ -15,48 +17,66 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 
 from qpc_sim import (
-    ProtocolParams,
-    Variant,
-    analytic_abort_probability,
-    derive_rng,
-    estimate_detection_rate,
+    ConfigError,
+    ExperimentConfig,
+    derive_cell_seed,
     per_decoy_detection_probability,
-    strategy_from_id,
+    run_experiment,
     tapped_checked_decoys,
 )
 
 ACTIVE_ATTACKS = ("ir-fixed-t1", "ir-fixed-t2", "ir-random", "tp1-mr", "tp2-mr")
 
-COLUMNS = ("variant", "attack", "d", "l", "per_decoy", "tapped", "analytic", "observed", "stderr")
+COLUMNS = ("variant", "attack", "d", "l", "seed", "per_decoy", "tapped", "analytic", "observed", "stderr")
 
 
-def sweep_cells(variant: Variant, n: int, l: int, dims: list[int], trials: int, seed: int):
-    for attack_index, attack in enumerate(ACTIVE_ATTACKS):
-        strategy = strategy_from_id(attack)
-        for dim_index, d in enumerate(dims):
-            r = 1 if d < 3 else 2
-            try:
-                params = ProtocolParams(variant, n=n, d=d, r=r, l=l)
-            except ValueError:
-                continue
-            if variant is Variant.ONE_TP and attack.startswith("tp"):
-                continue  # rejected insider/variant combination
-            rng = derive_rng(seed, 0 if variant is Variant.TWO_TP else 1, attack_index, dim_index)
-            rate, stderr = estimate_detection_rate(strategy, params, trials, rng)
-            yield {
-                "variant": variant.value,
-                "attack": attack,
-                "d": d,
-                "l": l,
-                "per_decoy": per_decoy_detection_probability(strategy, d),
-                "tapped": tapped_checked_decoys(strategy, params),
-                "analytic": analytic_abort_probability(strategy, params),
-                "observed": rate,
-                "stderr": stderr,
-            }
+def sweep_cells(n: int, l: int, dims: list[int], trials: int, seed: int):
+    cells = [(variant, attack, d) for variant in ("two-tp", "one-tp") for attack in ACTIVE_ATTACKS for d in dims]
+    for index, (variant, attack, d) in enumerate(cells):
+        config = ExperimentConfig(
+            variant=variant,
+            n=n,
+            d=d,
+            r=1 if d < 3 else 2,
+            l=l,
+            attack=attack,
+            trials=trials,
+            seed=derive_cell_seed(seed, index),
+        )
+        try:
+            params, strategy = config.validate()
+        except ConfigError:
+            continue  # below the variant's dimension bound, or an insider attack on one-tp
+        report = run_experiment(config)
+        cfg = report.config
+        yield {
+            "variant": cfg["variant"],
+            "attack": cfg["attack"],
+            "d": cfg["d"],
+            "l": cfg["l"],
+            "seed": cfg["seed"],
+            "per_decoy": per_decoy_detection_probability(strategy, d),
+            "tapped": tapped_checked_decoys(strategy, params),
+            "analytic": report.analytic_abort,
+            "observed": report.abort_rate,
+            "stderr": report.abort_stderr,
+        }
+
+
+def deviation(observed: float, analytic: float, trials: int) -> float:
+    """|observed - analytic| in units of the analytic binomial sigma.
+
+    At an analytic rate of 0 or 1 the sigma is 0: an exact match scores 0 and
+    any other observation scores ``inf``.
+    """
+    sigma = math.sqrt(analytic * (1.0 - analytic) / trials)
+    if sigma == 0.0:
+        return 0.0 if observed == analytic else math.inf
+    return abs(observed - analytic) / sigma
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -68,11 +88,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="also write the table to this CSV path")
     args = parser.parse_args(argv)
+    if args.trials < 1:
+        parser.error(f"--trials must be >= 1, got {args.trials}")
 
     dims = [int(part) for part in args.dims.split(",") if part.strip()]
-    rows = []
-    for variant in (Variant.TWO_TP, Variant.ONE_TP):
-        rows.extend(sweep_cells(variant, args.n, args.l, dims, args.trials, args.seed))
+    rows = list(sweep_cells(args.n, args.l, dims, args.trials, args.seed))
 
     header = f"{'variant':8} {'attack':12} {'d':>3} {'l':>3} {'p/decoy':>8} {'tapped':>6} {'analytic':>9} {'observed':>9} {'stderr':>8}"
     print(header)
@@ -84,8 +104,8 @@ def main(argv: list[str] | None = None) -> int:
             f"{row['observed']:>9.4f} {row['stderr']:>8.4f}"
         )
 
-    worst = max((abs(r["observed"] - r["analytic"]) / max(r["stderr"], 1e-12) for r in rows if r["stderr"] > 0), default=0.0)
-    print(f"\ncells: {len(rows)}, trials per cell: {args.trials}, worst |observed-analytic|: {worst:.2f} stderr")
+    worst = max((deviation(r["observed"], r["analytic"], args.trials) for r in rows), default=0.0)
+    print(f"\ncells: {len(rows)}, trials per cell: {args.trials}, worst |observed-analytic|: {worst:.2f} analytic sigma")
 
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:

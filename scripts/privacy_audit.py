@@ -13,6 +13,9 @@ edge leaks explicitly:
   hence every pairwise difference of secrets, even though each individual
   secret keeps a key-sized uncertainty window.
 
+The runs of each variant are trials 0..runs-1 of one harness experiment
+seeded by ``--seed``, so any of them replays with ``run_trial``.
+
 Example:
     python3 scripts/privacy_audit.py --runs 200 --seed 7
 """
@@ -22,15 +25,11 @@ import argparse
 import collections
 import sys
 
-import numpy as np
-
 from qpc_sim import (
     Coalition,
-    ProtocolParams,
-    Variant,
+    ExperimentConfig,
     coalition_view,
-    run_one_tp_protocol,
-    run_two_tp_protocol,
+    run_trial,
     secret_support,
 )
 
@@ -42,13 +41,13 @@ def _histogram(sizes: list[int], r: int) -> str:
 
 
 def audit_two_tp(runs: int, seed: int) -> None:
-    params = ProtocolParams(Variant.TWO_TP, n=3, d=13, r=5, l=8)
-    seeder = np.random.default_rng(seed)
+    config = ExperimentConfig(variant="two-tp", n=3, d=13, r=5, l=8, trials=runs, seed=seed)
+    params, _ = config.validate()
     sizes: dict[str, list[int]] = {"TP1": [], "TP2": [], "parties": []}
     pinned = []
-    for _ in range(runs):
-        secrets = tuple(int(s) for s in seeder.integers(0, params.r, size=params.n))
-        transcript, _ = run_two_tp_protocol(params, secrets, None, np.random.default_rng(int(seeder.integers(2**32))))
+    for t in range(runs):
+        run = run_trial(config, t)
+        secrets, transcript = run.secrets, run.transcript
         for target in range(params.n):
             others = frozenset(f"P{i + 1}" for i in range(params.n) if i != target)
             for name, members in (("TP1", frozenset({"TP1"})), ("TP2", frozenset({"TP2"})), ("parties", others)):
@@ -58,22 +57,21 @@ def audit_two_tp(runs: int, seed: int) -> None:
                 sizes[name].append(len(support))
                 if name == "TP2" and len(support) == 1:
                     pinned.append((secrets[target], target))
-    print(f"two-tp (n=3, d=13, r=5), {runs} runs x 3 targets:")
+    print(f"two-tp (n=3, d=13, r=5, seed={seed}), {runs} runs x 3 targets:")
     for name in ("TP1", "parties", "TP2"):
         print(f"  {name:8} {_histogram(sizes[name], params.r)}")
     print(f"  TP2 pinned a secret exactly in {len(pinned)} of {runs * 3} cases (extreme measured values).")
 
 
 def audit_one_tp(runs: int, seed: int) -> None:
-    params = ProtocolParams(Variant.ONE_TP, n=3, d=17, r=5, l=8)
-    seeder = np.random.default_rng(seed + 1)
+    config = ExperimentConfig(variant="one-tp", n=3, d=17, r=5, l=8, trials=runs, seed=seed)
+    params, _ = config.validate()
     tp_sizes: list[int] = []
     party_sizes: list[int] = []
     diffs_exact = 0
-    for _ in range(runs):
-        secrets = tuple(int(s) for s in seeder.integers(0, params.r, size=params.n))
-        key = int(seeder.integers(0, params.r))
-        transcript, _ = run_one_tp_protocol(params, secrets, key, None, np.random.default_rng(int(seeder.integers(2**32))))
+    for t in range(runs):
+        run = run_trial(config, t)
+        secrets, transcript = run.secrets, run.transcript
         events = transcript.events()
         [prep] = [e for e in events if e["kind"] == "carrier_prep"]
         measured = {e["party"]: e["value"] for e in events if e["kind"] == "carrier_measurement"}
@@ -91,7 +89,7 @@ def audit_one_tp(runs: int, seed: int) -> None:
             others = frozenset(f"P{i + 1}" for i in range(params.n) if i != target)
             view = coalition_view(transcript, Coalition(others, target))
             party_sizes.append(len(secret_support(view, params).candidates))
-    print(f"\none-tp (n=3, d=17, r=5), {runs} runs x 3 targets:")
+    print(f"\none-tp (n=3, d=17, r=5, seed={seed}), {runs} runs x 3 targets:")
     print(f"  TP       {_histogram(tp_sizes, params.r)}")
     print(f"  parties  {_histogram(party_sizes, params.r)}")
     print(f"  pairwise secret differences were exactly recoverable by the TP in {diffs_exact}/{runs} runs.")
@@ -102,6 +100,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--runs", type=int, default=200, help="honest runs per variant (default 200)")
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
+    if args.runs < 1:
+        parser.error(f"--runs must be >= 1, got {args.runs}")
     audit_two_tp(args.runs, args.seed)
     audit_one_tp(args.runs, args.seed)
     return 0

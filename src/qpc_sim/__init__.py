@@ -9,10 +9,7 @@ from .adversary import (
     SecretSupport,
     View,
     analytic_abort_probability,
-    apply_tap,
-    attack_id_of,
     coalition_view,
-    estimate_detection_rate,
     per_decoy_detection_probability,
     secret_support,
     strategy_from_id,
@@ -26,7 +23,6 @@ from .channel import (
     Transcript,
     TransmissionError,
     TransmissionSequence,
-    broadcast,
     transmit,
 )
 from .harness import (
@@ -51,8 +47,6 @@ from .protocol import (
     DecoyEntry,
     DecoySpec,
     ProtocolParams,
-    SecretVector,
-    SharedKey,
     Variant,
     build_transmission,
     encode_secret,
@@ -60,7 +54,6 @@ from .protocol import (
     pad_sum_range,
     party_role,
     rank_descending,
-    run_decoy_check,
     run_one_tp_protocol,
     run_two_tp_protocol,
     tp_compute_result,

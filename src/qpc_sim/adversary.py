@@ -10,10 +10,8 @@ roles can infer about a single party's secret.
 from __future__ import annotations
 
 import enum
-import math
 import re
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -26,8 +24,6 @@ from .protocol import (
     Variant,
     pad_sum_range,
     party_role,
-    run_one_tp_protocol,
-    run_two_tp_protocol,
 )
 from .qudit import Basis, ParameterError, QuditState, measure
 
@@ -156,31 +152,6 @@ def strategy_from_id(attack_id: str) -> AttackStrategy:
         raise ParameterError(f"unknown attack id {attack_id!r}; valid ids: {', '.join(ATTACK_IDS)}") from None
 
 
-def attack_id_of(strategy: AttackStrategy) -> str:
-    for attack_id, known in _STRATEGIES.items():
-        if known == strategy:
-            return attack_id
-    raise ParameterError(f"strategy {strategy} has no registered id")
-
-
-def apply_tap(
-    strategy: AttackStrategy,
-    qudit: QuditState,
-    link_id: str,
-    rng: np.random.Generator,
-    position: int = 0,
-    transcript: Transcript | None = None,
-) -> QuditState:
-    """Pass one qudit through the strategy's tap on ``link_id``.
-
-    Passive strategies return the state unchanged; active ones must actually
-    tap the named link.
-    """
-    if strategy.active and not strategy.taps_link(link_id):
-        raise ParameterError(f"strategy {attack_id_of(strategy)} does not tap link {link_id!r}")
-    return strategy.tap(qudit, link_id, position, rng, transcript)
-
-
 # --------------------------------------------------------------------------
 # detection analytics
 # --------------------------------------------------------------------------
@@ -251,33 +222,6 @@ def analytic_abort_probability(strategy: AttackStrategy, params: ProtocolParams)
     return 1.0 - (1.0 - p) ** count
 
 
-def estimate_detection_rate(
-    strategy: AttackStrategy,
-    params: ProtocolParams,
-    trials: int,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Monte-Carlo abort rate over independent runs, with its binomial standard error.
-
-    Secrets (and the shared key, in the single-TP variant) are redrawn
-    uniformly every trial.
-    """
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
-    aborts = 0
-    for _ in range(trials):
-        secrets = [int(s) for s in rng.integers(0, params.r, size=params.n)]
-        if params.variant is Variant.TWO_TP:
-            _, outcome = run_two_tp_protocol(params, secrets, strategy, rng)
-        else:
-            key = int(rng.integers(0, params.r))
-            _, outcome = run_one_tp_protocol(params, secrets, key, strategy, rng)
-        aborts += not outcome.completed
-    rate = aborts / trials
-    stderr = math.sqrt(rate * (1.0 - rate) / trials)
-    return rate, stderr
-
-
 # --------------------------------------------------------------------------
 # coalitions and the brute-force privacy audit
 # --------------------------------------------------------------------------
@@ -321,7 +265,8 @@ class View:
 
 def coalition_view(transcript: Transcript, coalition: Coalition) -> View:
     """Merge the members' transcript views (public events included once, in order)."""
-    header = next((e for e in transcript.events() if e["kind"] == "run_header"), None)
+    events = transcript.events()
+    header = next((e for e in events if e["kind"] == "run_header"), None)
     if header is not None:
         n = header["n"]
         if coalition.target >= n:
@@ -331,7 +276,7 @@ def coalition_view(transcript: Transcript, coalition: Coalition) -> View:
                 raise ParameterError(f"coalition member {role} does not exist in an n={n} run")
     merged = [
         e
-        for e in transcript.events()
+        for e in events
         if PUBLIC in e["observers"] or not coalition.members.isdisjoint(e["observers"])
     ]
     return View(events=tuple(merged), members=coalition.members, target=coalition.target)

@@ -11,7 +11,7 @@ authenticated sender identity.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -134,17 +134,10 @@ class ClassicalBus:
     """Authenticated append-only broadcast channel; everyone (outsiders included) reads it."""
 
     transcript: Transcript
-    log: list[dict] = field(default_factory=list)
 
     def broadcast(self, sender: str, message: dict) -> None:
-        entry = {"sender": sender, "message": dict(message)}
-        self.log.append(entry)
+        """Append ``message`` to the transcript under ``sender``'s authenticated identity."""
         self.transcript.record(PUBLIC, "classical", sender=sender, message=dict(message))
-
-
-def broadcast(bus: ClassicalBus, sender: str, message: dict) -> None:
-    """Append ``message`` to the bus under ``sender``'s authenticated identity."""
-    bus.broadcast(sender, message)
 
 
 @dataclass
@@ -189,7 +182,6 @@ __all__ = [
     "Transcript",
     "TransmissionError",
     "TransmissionSequence",
-    "broadcast",
     "transmit",
     "NORM_TOL",
 ]

@@ -85,23 +85,6 @@ class ProtocolParams:
 
 
 @dataclass(frozen=True)
-class SecretVector:
-    """The parties' private inputs; entry i belongs to party i."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-
-
-@dataclass(frozen=True)
-class SharedKey:
-    """Key pre-shared among all parties (single-TP variant); hidden from the TP."""
-
-    value: int
-
-
-@dataclass(frozen=True)
 class CarrierRecord:
     """Preparer-private bookkeeping for one carrier: pad + pad_complement = pad_sum."""
 
@@ -236,31 +219,6 @@ def build_transmission(
     return TransmissionSequence(states), DecoySpec(entries=tuple(entries), carrier_position=carrier_position)
 
 
-def _measure_entries(
-    entries: Sequence[DecoyEntry], received: TransmissionSequence, rng: np.random.Generator
-) -> list[tuple[int, int]]:
-    """Measure each listed slot in its stated basis, consuming it; returns (position, outcome) pairs."""
-    return [(e.position, measure(received.take(e.position), e.basis, rng).value) for e in entries]
-
-
-def _count_mismatches(entries: Sequence[DecoyEntry], outcomes: Sequence[tuple[int, int]]) -> int:
-    return sum(1 for e, (_, value) in zip(entries, outcomes) if value != e.index)
-
-
-def run_decoy_check(
-    entries: Sequence[DecoyEntry], received: TransmissionSequence, rng: np.random.Generator
-) -> float:
-    """Measure the listed decoys in their preparation bases and return the mismatch fraction.
-
-    Measured slots are consumed from ``received``. An empty entry list checks
-    nothing and reports 0.0.
-    """
-    if not entries:
-        return 0.0
-    outcomes = _measure_entries(entries, received, rng)
-    return _count_mismatches(entries, outcomes) / len(entries)
-
-
 def encode_secret(carrier_state: QuditState, secret: int, offset: int) -> QuditState:
     """Shift-encode ``secret`` (plus a fixed ``offset``) onto the carrier.
 
@@ -341,8 +299,8 @@ def abort_message(step: str) -> dict:
 # orchestration
 # --------------------------------------------------------------------------
 
-def _normalize_secrets(secrets: Sequence[int] | SecretVector, params: ProtocolParams) -> tuple[int, ...]:
-    values = secrets.values if isinstance(secrets, SecretVector) else tuple(int(s) for s in secrets)
+def _normalize_secrets(secrets: Sequence[int], params: ProtocolParams) -> tuple[int, ...]:
+    values = tuple(int(s) for s in secrets)
     if len(values) != params.n:
         raise ParameterError(f"expected {params.n} secrets, got {len(values)}")
     for i, s in enumerate(values):
@@ -392,9 +350,9 @@ def _disclose_and_check(
     computes the mismatch rate.
     """
     bus.broadcast(checker, decoy_disclosure(transmission, phase, entries))
-    outcomes = _measure_entries(entries, received, rng)
+    outcomes = [(e.position, measure(received.take(e.position), e.basis, rng).value) for e in entries]
     bus.broadcast(measurer, measurement_report(transmission, outcomes))
-    mismatched = _count_mismatches(entries, outcomes)
+    mismatched = sum(1 for e, (_, value) in zip(entries, outcomes) if value != e.index)
     error_rate = mismatched / len(entries) if entries else 0.0
     bus.transcript.record(
         {checker},
@@ -535,7 +493,7 @@ def _run_protocol(
 
 def run_two_tp_protocol(
     params: ProtocolParams,
-    secrets: Sequence[int] | SecretVector,
+    secrets: Sequence[int],
     adversary: "AttackStrategy | None",
     rng: np.random.Generator,
 ) -> tuple[Transcript, ComparisonOutcome]:
@@ -553,8 +511,8 @@ def run_two_tp_protocol(
 
 def run_one_tp_protocol(
     params: ProtocolParams,
-    secrets: Sequence[int] | SecretVector,
-    shared_key: int | SharedKey,
+    secrets: Sequence[int],
+    shared_key: int,
     adversary: "AttackStrategy | None",
     rng: np.random.Generator,
 ) -> tuple[Transcript, ComparisonOutcome]:
@@ -567,7 +525,7 @@ def run_one_tp_protocol(
     if params.variant is not Variant.ONE_TP:
         raise ParameterError(f"params are for {params.variant.value}, expected one-tp")
     values = _normalize_secrets(secrets, params)
-    key = shared_key.value if isinstance(shared_key, SharedKey) else int(shared_key)
+    key = int(shared_key)
     if not 0 <= key < params.r:
         raise ParameterError(f"the shared key must lie in [0, r={params.r}), got {key}")
     return _run_protocol(params, values, key, key, adversary, rng, SOLO_TP_ROLE, SOLO_TP_ROLE)

@@ -65,7 +65,9 @@ class MeasurementOutcome:
     post_state: QuditState
 
 
-@lru_cache(maxsize=None)
+#: One run uses one dimension and the privacy audit alternates two; the bound
+#: keeps a sweep over d from holding every d x d matrix for the process's life.
+@lru_cache(maxsize=4)
 def fourier_matrix(d: int) -> np.ndarray:
     """d x d unitary with entries F[k, j] = exp(2*pi*i*j*k/d)/sqrt(d); column j is the j-th Fourier basis vector."""
     if d < 2:

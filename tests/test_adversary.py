@@ -11,18 +11,18 @@ from qpc_sim import (
     AttackStrategy,
     Basis,
     Coalition,
+    ConfigError,
+    ExperimentConfig,
     OUTSIDER,
     ParameterError,
     ProtocolParams,
     Variant,
     analytic_abort_probability,
-    apply_tap,
-    attack_id_of,
     basis_state,
     coalition_view,
-    estimate_detection_rate,
     overlap,
     per_decoy_detection_probability,
+    run_experiment,
     run_one_tp_protocol,
     run_two_tp_protocol,
     secret_support,
@@ -52,7 +52,9 @@ def test_registry_ids_are_stable():
 
 @pytest.mark.parametrize("attack_id", ATTACK_IDS)
 def test_ids_round_trip(attack_id):
-    assert attack_id_of(strategy_from_id(attack_id)) == attack_id
+    # every id names a distinct strategy, so a strategy maps back to its id
+    ids_by_strategy = {strategy_from_id(known): known for known in ATTACK_IDS}
+    assert ids_by_strategy[strategy_from_id(attack_id)] == attack_id
 
 
 def test_unknown_id_error_lists_the_valid_ones():
@@ -118,20 +120,26 @@ def test_passive_strategies_tap_nothing():
 
 def test_passive_tap_forwards_the_state_untouched():
     state = basis_state(5, Basis.FOURIER, 3)
-    out = apply_tap(strategy_from_id("none"), state, "TP1->P1", np.random.default_rng(0))
+    out = strategy_from_id("none").tap(state, "TP1->P1", 0, np.random.default_rng(0))
     assert out is state
 
 
-def test_active_tap_on_an_untapped_link_is_an_error():
-    state = basis_state(5, Basis.COMPUTATIONAL, 0)
-    with pytest.raises(ParameterError, match="tp1-mr"):
-        apply_tap(strategy_from_id("tp1-mr"), state, "TP1->P1", np.random.default_rng(0))
+def test_active_tap_fires_only_on_the_links_it_taps():
+    strategy = strategy_from_id("tp1-mr")
+    # full tolerance keeps the run alive through both hops
+    params = ProtocolParams(Variant.TWO_TP, n=3, d=13, r=5, l=8, error_threshold=1.0)
+    transcript, outcome = run_two_tp_protocol(params, (2, 4, 1), strategy, np.random.default_rng(3))
+    assert outcome.completed
+    taps = [e for e in transcript.events() if e["kind"] == "tap"]
+    # every second-hop qudit is measured, no first-hop one is
+    assert {e["link"] for e in taps} == {"P1->TP2", "P2->TP2", "P3->TP2"}
+    assert len(taps) == params.n * (params.l + 1)
 
 
 def test_measure_resend_collapses_to_the_measured_basis():
     rng = np.random.default_rng(7)
     state = basis_state(4, Basis.FOURIER, 1)
-    out = apply_tap(strategy_from_id("ir-fixed-t1"), state, "TP1->P1", rng)
+    out = strategy_from_id("ir-fixed-t1").tap(state, "TP1->P1", 0, rng)
     # the resent state is some computational eigenstate
     assert any(
         overlap(out, basis_state(4, Basis.COMPUTATIONAL, j)) == pytest.approx(1.0) for j in range(4)
@@ -141,7 +149,7 @@ def test_measure_resend_collapses_to_the_measured_basis():
 def test_measure_resend_in_the_preparation_basis_is_invisible():
     rng = np.random.default_rng(7)
     state = basis_state(4, Basis.COMPUTATIONAL, 2)
-    out = apply_tap(strategy_from_id("ir-fixed-t1"), state, "TP1->P1", rng)
+    out = strategy_from_id("ir-fixed-t1").tap(state, "TP1->P1", 0, rng)
     assert overlap(out, state) == pytest.approx(1.0)
 
 
@@ -228,36 +236,45 @@ def test_analytic_abort_probability_requires_zero_threshold():
         analytic_abort_probability(strategy_from_id("ir-random"), params)
 
 
-def test_estimate_detection_rate_degenerate_cases():
-    assert estimate_detection_rate(strategy_from_id("none"), TWO_TP, 5, np.random.default_rng(0)) == (0.0, 0.0)
-    with pytest.raises(ParameterError):
-        estimate_detection_rate(strategy_from_id("none"), TWO_TP, 0, np.random.default_rng(0))
+def test_detection_rate_degenerate_cases():
+    report = run_experiment(ExperimentConfig(variant="two-tp", n=3, d=13, r=5, l=8, trials=5, seed=0))
+    assert (report.abort_rate, report.abort_stderr) == (0.0, 0.0)
+    with pytest.raises(ConfigError, match="trials"):
+        run_experiment(ExperimentConfig(variant="two-tp", n=3, d=13, r=5, l=8, trials=0))
 
 
 def test_insiders_are_invisible_in_the_single_tp_variant():
     for attack_id in ("tp1-mr", "tp2-mr"):
-        rate, stderr = estimate_detection_rate(strategy_from_id(attack_id), ONE_TP, 20, np.random.default_rng(1))
-        assert (rate, stderr) == (0.0, 0.0)
+        strategy = strategy_from_id(attack_id)
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            secrets = [int(s) for s in rng.integers(0, ONE_TP.r, size=ONE_TP.n)]
+            key = int(rng.integers(0, ONE_TP.r))
+            transcript, outcome = run_one_tp_protocol(ONE_TP, secrets, key, strategy, rng)
+            assert outcome.completed
+            assert all(e["kind"] != "tap" for e in transcript.events())
 
 
 @pytest.mark.parametrize("attack_id", ["ir-fixed-t1", "ir-fixed-t2", "ir-random", "tp1-mr", "tp2-mr"])
 @pytest.mark.parametrize("d", [2, 4, 8])
 def test_monte_carlo_abort_rate_matches_the_analytic_form(attack_id, d):
     r = 1 if d < 3 else 2
-    params = ProtocolParams(Variant.TWO_TP, n=2, d=d, r=r, l=8)
-    strategy = strategy_from_id(attack_id)
-    expected = analytic_abort_probability(strategy, params)
     trials = 200
-    rate, _ = estimate_detection_rate(strategy, params, trials, np.random.default_rng(d * 1000 + len(attack_id)))
+    config = ExperimentConfig(
+        variant="two-tp", n=2, d=d, r=r, l=8, attack=attack_id, trials=trials, seed=d * 1000 + len(attack_id)
+    )
+    params, strategy = config.validate()
+    expected = analytic_abort_probability(strategy, params)
+    rate = run_experiment(config).abort_rate
     sigma = np.sqrt(expected * (1 - expected) / trials)
     assert abs(rate - expected) <= 4 * sigma + 1e-9
 
 
 def test_one_tp_outsider_abort_rate_matches_the_analytic_form():
-    params = ProtocolParams(Variant.ONE_TP, n=2, d=4, r=1, l=4)
-    strategy = strategy_from_id("ir-random")
+    config = ExperimentConfig(variant="one-tp", n=2, d=4, r=1, l=4, attack="ir-random", trials=200, seed=77)
+    params, strategy = config.validate()
     expected = analytic_abort_probability(strategy, params)  # 16 tapped decoys
-    rate, _ = estimate_detection_rate(strategy, params, 200, np.random.default_rng(77))
+    rate = run_experiment(config).abort_rate
     sigma = np.sqrt(expected * (1 - expected) / 200)
     assert abs(rate - expected) <= 4 * sigma + 1e-9
 

@@ -15,7 +15,6 @@ from qpc_sim import (
     TransmissionError,
     TransmissionSequence,
     basis_state,
-    broadcast,
     overlap,
     transmit,
 )
@@ -126,11 +125,11 @@ def test_views_contain_exactly_the_observable_events():
 def test_broadcast_is_append_only_and_public():
     transcript = Transcript()
     bus = ClassicalBus(transcript)
-    broadcast(bus, "TP1", {"kind": "pad_announcement", "values": [1, 2]})
-    broadcast(bus, "TP2", {"kind": "ordering_announcement", "ranking": [[0], [1]]})
-    assert [entry["sender"] for entry in bus.log] == ["TP1", "TP2"]
+    bus.broadcast("TP1", {"kind": "pad_announcement", "values": [1, 2]})
+    bus.broadcast("TP2", {"kind": "ordering_announcement", "ranking": [[0], [1]]})
     seen_by_outsider = [e for e in transcript.public_view() if e["kind"] == "classical"]
-    assert len(seen_by_outsider) == 2
+    assert [e["sender"] for e in seen_by_outsider] == ["TP1", "TP2"]
+    assert [e["seq"] for e in seen_by_outsider] == [0, 1]
     # delivered unmodified
     assert seen_by_outsider[0]["message"] == {"kind": "pad_announcement", "values": [1, 2]}
 

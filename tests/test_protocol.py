@@ -16,9 +16,9 @@ from qpc_sim import (
     ComparisonOutcome,
     DecoyEntry,
     DecoySpec,
+    ExperimentConfig,
     ParameterError,
     ProtocolParams,
-    TransmissionSequence,
     Variant,
     basis_state,
     build_transmission,
@@ -27,8 +27,9 @@ from qpc_sim import (
     overlap,
     pad_sum_range,
     rank_descending,
-    run_decoy_check,
+    run_experiment,
     run_one_tp_protocol,
+    run_trial,
     run_two_tp_protocol,
     strategy_from_id,
     tp_compute_result,
@@ -167,29 +168,33 @@ def test_decoys_are_uniform_over_the_2d_basis_states():
 
 
 def test_decoy_check_passes_untouched_transmissions():
-    rng = np.random.default_rng(3)
-    seq, spec = build_transmission(basis_state(4, Basis.COMPUTATIONAL, 1), l=50, rng=rng)
-    assert run_decoy_check(spec.entries, seq, rng) == 0.0
+    report = run_experiment(ExperimentConfig(variant="two-tp", n=2, d=4, r=2, l=50, trials=5, seed=3))
+    assert report.n_aborted == 0
+    assert all(report.decoy_stats[step]["checked"] > 0 for step in ("step3", "step5", "step6"))
+    assert all(report.decoy_stats[step]["mismatched"] == 0 for step in ("step3", "step5", "step6"))
 
 
 def test_decoy_check_on_empty_subset_reports_zero():
-    rng = np.random.default_rng(3)
-    seq, _ = build_transmission(basis_state(4, Basis.COMPUTATIONAL, 1), l=2, rng=rng)
-    assert run_decoy_check((), seq, rng) == 0.0
+    # one decoy per second hop: one of its two disclosure phases is always empty
+    config = ExperimentConfig(variant="two-tp", n=3, d=13, r=5, l=1, trials=1, seed=3)
+    run = run_trial(config, 0)
+    empty = [e for e in run.transcript.events() if e["kind"] == "decoy_check" and e["checked"] == 0]
+    assert len(empty) == config.n
+    assert all(e["mismatched"] == 0 and e["error_rate"] == 0.0 for e in empty)
+    assert run.outcome.completed
 
 
 def test_decoy_check_flags_replaced_fourier_decoys():
-    """All-Fourier decoys replaced by random computational states: mismatch ~ 1 - 1/d."""
-    d, count = 4, 10_000
-    rng = np.random.default_rng(8)
-    entries = tuple(
-        DecoyEntry(position=i, basis=Basis.FOURIER, index=int(rng.integers(0, d))) for i in range(count)
+    """Fourier decoys replaced by computational states: mismatch ~ 1 - 1/d, computational ones clean."""
+    d = 4
+    # full tolerance keeps every run going through the second-hop checks
+    config = ExperimentConfig(
+        variant="two-tp", n=5, d=d, r=2, l=32, attack="ir-fixed-t1", trials=125, seed=8, threshold=1.0
     )
-    states = [basis_state(d, Basis.COMPUTATIONAL, int(rng.integers(0, d))) for _ in range(count)]
-    states.append(basis_state(d, Basis.COMPUTATIONAL, 0))  # carrier slot, never checked
-    seq = TransmissionSequence(states)
-    rate = run_decoy_check(entries, seq, rng)
-    assert rate == pytest.approx(1 - 1 / d, abs=0.02)
+    stats = run_experiment(config).decoy_stats
+    assert stats["step5"]["checked"] > 8_000
+    assert stats["step5"]["mismatched"] / stats["step5"]["checked"] == pytest.approx(1 - 1 / d, abs=0.02)
+    assert stats["step6"]["checked"] > 0 and stats["step6"]["mismatched"] == 0
 
 
 def test_decoy_spec_rejects_carrier_on_a_decoy_slot():

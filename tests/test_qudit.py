@@ -14,6 +14,7 @@ from qpc_sim import (
     QuditState,
     apply_shift,
     basis_state,
+    fourier_matrix,
     iqft,
     measure,
     overlap,
@@ -135,6 +136,14 @@ def test_global_phase_is_invisible_to_overlap():
     state = random_state(5, seed=3)
     rotated = QuditState(np.exp(1j * 0.71) * state.amplitudes)
     assert overlap(state, rotated) == pytest.approx(1.0, abs=TOL)
+
+
+def test_fourier_matrix_cache_stays_bounded():
+    bound = fourier_matrix.cache_info().maxsize
+    assert bound is not None and bound >= 2
+    for d in range(2, bound + 8):
+        fourier_matrix(d)
+        assert fourier_matrix.cache_info().currsize <= bound
 
 
 # ---------------------------------------------------------------------------
