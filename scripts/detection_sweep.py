@@ -34,19 +34,20 @@ ACTIVE_ATTACKS = ("ir-fixed-t1", "ir-fixed-t2", "ir-random", "tp1-mr", "tp2-mr")
 COLUMNS = ("variant", "attack", "d", "l", "seed", "per_decoy", "tapped", "analytic", "observed", "stderr")
 
 
+def cell_config(variant: str, attack: str, d: int, n: int, l: int, trials: int, seed: int) -> ExperimentConfig:
+    return ExperimentConfig(
+        variant=variant, n=n, d=d, r=1 if d < 3 else 2, l=l, attack=attack, trials=trials, seed=seed
+    )
+
+
 def sweep_cells(n: int, l: int, dims: list[int], trials: int, seed: int):
+    """Yield one row per runnable cell; raise ConfigError on input no cell can run with."""
+    for d in dims:
+        # an honest two-tp run has the loosest dimension bound, so what it rejects is bad input, not a skip
+        cell_config("two-tp", "none", d, n, l, trials, seed).validate()
     cells = [(variant, attack, d) for variant in ("two-tp", "one-tp") for attack in ACTIVE_ATTACKS for d in dims]
     for index, (variant, attack, d) in enumerate(cells):
-        config = ExperimentConfig(
-            variant=variant,
-            n=n,
-            d=d,
-            r=1 if d < 3 else 2,
-            l=l,
-            attack=attack,
-            trials=trials,
-            seed=derive_cell_seed(seed, index),
-        )
+        config = cell_config(variant, attack, d, n, l, trials, derive_cell_seed(seed, index))
         try:
             params, strategy = config.validate()
         except ConfigError:
@@ -79,20 +80,29 @@ def deviation(observed: float, analytic: float, trials: int) -> float:
     return abs(observed - analytic) / sigma
 
 
+def _dims(text: str) -> list[int]:
+    try:
+        return [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--trials", type=int, default=400, help="runs per cell (default 400)")
     parser.add_argument("--n", type=int, default=2, help="comparing parties (default 2)")
     parser.add_argument("--l", type=int, default=8, help="decoys per transmission (default 8)")
-    parser.add_argument("--dims", default="2,4,8,13", help="comma-separated qudit dimensions")
+    parser.add_argument("--dims", type=_dims, default="2,4,8,13", help="comma-separated qudit dimensions")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="also write the table to this CSV path")
     args = parser.parse_args(argv)
     if args.trials < 1:
         parser.error(f"--trials must be >= 1, got {args.trials}")
 
-    dims = [int(part) for part in args.dims.split(",") if part.strip()]
-    rows = list(sweep_cells(args.n, args.l, dims, args.trials, args.seed))
+    try:
+        rows = list(sweep_cells(args.n, args.l, args.dims, args.trials, args.seed))
+    except ConfigError as exc:
+        parser.error(str(exc))
 
     header = f"{'variant':8} {'attack':12} {'d':>3} {'l':>3} {'p/decoy':>8} {'tapped':>6} {'analytic':>9} {'observed':>9} {'stderr':>8}"
     print(header)

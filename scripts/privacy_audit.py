@@ -27,6 +27,7 @@ import sys
 
 from qpc_sim import (
     Coalition,
+    ConfigError,
     ExperimentConfig,
     coalition_view,
     run_trial,
@@ -40,9 +41,9 @@ def _histogram(sizes: list[int], r: int) -> str:
     return "  ".join(f"|S|={k}: {counts.get(k, 0) / total:.2%}" for k in range(1, r + 1))
 
 
-def audit_two_tp(runs: int, seed: int) -> None:
-    config = ExperimentConfig(variant="two-tp", n=3, d=13, r=5, l=8, trials=runs, seed=seed)
+def audit_two_tp(config: ExperimentConfig) -> None:
     params, _ = config.validate()
+    runs, seed = config.trials, config.seed
     sizes: dict[str, list[int]] = {"TP1": [], "TP2": [], "parties": []}
     pinned = []
     for t in range(runs):
@@ -63,9 +64,9 @@ def audit_two_tp(runs: int, seed: int) -> None:
     print(f"  TP2 pinned a secret exactly in {len(pinned)} of {runs * 3} cases (extreme measured values).")
 
 
-def audit_one_tp(runs: int, seed: int) -> None:
-    config = ExperimentConfig(variant="one-tp", n=3, d=17, r=5, l=8, trials=runs, seed=seed)
+def audit_one_tp(config: ExperimentConfig) -> None:
     params, _ = config.validate()
+    runs, seed = config.trials, config.seed
     tp_sizes: list[int] = []
     party_sizes: list[int] = []
     diffs_exact = 0
@@ -102,8 +103,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error(f"--runs must be >= 1, got {args.runs}")
-    audit_two_tp(args.runs, args.seed)
-    audit_one_tp(args.runs, args.seed)
+    two_tp = ExperimentConfig(variant="two-tp", n=3, d=13, r=5, l=8, trials=args.runs, seed=args.seed)
+    one_tp = ExperimentConfig(variant="one-tp", n=3, d=17, r=5, l=8, trials=args.runs, seed=args.seed)
+    for config in (two_tp, one_tp):
+        try:
+            config.validate()
+        except ConfigError as exc:
+            parser.error(str(exc))
+    audit_two_tp(two_tp)
+    audit_one_tp(one_tp)
     return 0
 
 

@@ -6,8 +6,6 @@ from .adversary import (
     AttackKind,
     AttackStrategy,
     Coalition,
-    SecretSupport,
-    View,
     analytic_abort_probability,
     coalition_view,
     per_decoy_detection_probability,
@@ -30,8 +28,6 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     ExperimentReport,
-    SweepCell,
-    TrialRun,
     derive_cell_seed,
     derive_rng,
     run_experiment,
@@ -39,10 +35,6 @@ from .harness import (
     sweep,
 )
 from .protocol import (
-    SOLO_TP_ROLE,
-    TP1_ROLE,
-    TP2_ROLE,
-    CarrierRecord,
     ComparisonOutcome,
     DecoyEntry,
     DecoySpec,
@@ -50,9 +42,7 @@ from .protocol import (
     Variant,
     build_transmission,
     encode_secret,
-    make_carrier,
     pad_sum_range,
-    party_role,
     rank_descending,
     run_one_tp_protocol,
     run_two_tp_protocol,
@@ -61,9 +51,7 @@ from .protocol import (
     two_phase_disclosure,
 )
 from .qudit import (
-    NORM_TOL,
     Basis,
-    MeasurementOutcome,
     ParameterError,
     QuditState,
     apply_shift,

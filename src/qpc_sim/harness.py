@@ -28,6 +28,8 @@ from .protocol import (
     ComparisonOutcome,
     ProtocolParams,
     Variant,
+    _check_shared_key,
+    _normalize_secrets,
     rank_descending,
     run_one_tp_protocol,
     run_two_tp_protocol,
@@ -105,27 +107,21 @@ class ExperimentConfig:
                 variant=variant, n=self.n, d=self.d, r=self.r, l=self.l, error_threshold=self.threshold
             )
             strategy = strategy_from_id(self.attack)
+            if variant is Variant.ONE_TP and strategy.kind in (
+                AttackKind.TP1_MEASURE_RESEND,
+                AttackKind.TP2_MEASURE_RESEND,
+            ):
+                raise ConfigError(
+                    f"attack {self.attack!r} models a two-tp insider and does not apply to one-tp"
+                )
+            if self.secrets != "random":
+                _normalize_secrets(self.secrets, params)
+            if self.shared_key not in (None, "random"):
+                if variant is Variant.TWO_TP:
+                    raise ConfigError("a shared key (--c) applies to the one-tp variant only")
+                _check_shared_key(self.shared_key, params)
         except ParameterError as exc:
             raise ConfigError(str(exc)) from None
-        if variant is Variant.ONE_TP and strategy.kind in (
-            AttackKind.TP1_MEASURE_RESEND,
-            AttackKind.TP2_MEASURE_RESEND,
-        ):
-            raise ConfigError(
-                f"attack {self.attack!r} models a two-tp insider and does not apply to one-tp"
-            )
-        if self.secrets != "random":
-            values = tuple(self.secrets)
-            if len(values) != params.n:
-                raise ConfigError(f"expected {params.n} secrets, got {len(values)}")
-            for s in values:
-                if not 0 <= int(s) < params.r:
-                    raise ConfigError(f"every secret must lie in [0, r={params.r}), got {s}")
-        if variant is Variant.TWO_TP:
-            if self.shared_key not in (None, "random"):
-                raise ConfigError("a shared key (--c) applies to the one-tp variant only")
-        elif self.shared_key not in (None, "random") and not 0 <= int(self.shared_key) < params.r:
-            raise ConfigError(f"the shared key must lie in [0, r={params.r}), got {self.shared_key}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.seed < 2**64:
@@ -202,20 +198,7 @@ class ExperimentReport:
     wall_clock_s: float
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "trials": self.trials,
-            "n_trials": self.n_trials,
-            "n_completed": self.n_completed,
-            "n_aborted": self.n_aborted,
-            "n_correct": self.n_correct,
-            "correctness_rate": self.correctness_rate,
-            "abort_rate": self.abort_rate,
-            "abort_stderr": self.abort_stderr,
-            "analytic_abort": self.analytic_abort,
-            "decoy_stats": self.decoy_stats,
-            "wall_clock_s": self.wall_clock_s,
-        }
+        return _field_dict(self)
 
     def canonical_dict(self) -> dict:
         out = self.to_dict()
@@ -238,26 +221,22 @@ class ExperimentReport:
         return cls.from_dict(json.loads(text))
 
     def csv_row(self) -> list[str]:
-        cfg = self.config
-        return [
-            str(cfg["variant"]),
-            str(cfg["n"]),
-            str(cfg["d"]),
-            str(cfg["r"]),
-            str(cfg["l"]),
-            str(cfg["attack"]),
-            str(self.n_trials),
-            str(self.n_correct),
-            str(self.n_aborted),
-            _fmt_float(self.abort_rate),
-            _fmt_float(self.abort_stderr),
-            _fmt_float(self.analytic_abort),
-            "",
-        ]
+        rates = (self.abort_rate, self.abort_stderr, self.analytic_abort)
+        return _csv_row(self.config, [str(self.n_correct), str(self.n_aborted), *map(_fmt_float, rates)])
 
 
 def _fmt_float(x: float | None) -> str:
     return "" if x is None else f"{x:.12g}"
+
+
+def _field_dict(record: object) -> dict:
+    """A dataclass's fields by name, in declaration order: the JSON key order of the output."""
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+
+
+def _csv_row(config: dict, results: Sequence[str] = ("",) * 5, note: str = "") -> list[str]:
+    """One line in CSV_COLUMNS order: the seven config columns, the five results, then the note."""
+    return [str(config[name]) for name in CSV_COLUMNS[:7]] + [*results, note]
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -325,35 +304,12 @@ class SweepCell:
     skipped: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "axis": self.axis,
-            "value": self.value,
-            "seed": self.seed,
-            "config": self.config,
-            "report": self.report.to_dict() if self.report else None,
-            "skipped": self.skipped,
-        }
+        return {**_field_dict(self), "report": self.report.to_dict() if self.report else None}
 
     def csv_row(self) -> list[str]:
         if self.report is not None:
-            row = self.report.csv_row()
-            return row
-        cfg = self.config
-        return [
-            str(cfg["variant"]),
-            str(cfg["n"]),
-            str(cfg["d"]),
-            str(cfg["r"]),
-            str(cfg["l"]),
-            str(cfg["attack"]),
-            str(cfg["trials"]),
-            "",
-            "",
-            "",
-            "",
-            "",
-            f"skipped: {self.skipped}",
-        ]
+            return self.report.csv_row()
+        return _csv_row(self.config, note=f"skipped: {self.skipped}")
 
 
 def sweep(base: ExperimentConfig, axis: str, values: Sequence) -> list[SweepCell]:

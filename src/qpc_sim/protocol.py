@@ -85,28 +85,6 @@ class ProtocolParams:
 
 
 @dataclass(frozen=True)
-class CarrierRecord:
-    """Preparer-private bookkeeping for one carrier: pad + pad_complement = pad_sum."""
-
-    pad: int
-    pad_complement: int
-    pad_sum: int
-
-    def __post_init__(self) -> None:
-        if self.pad < 0 or self.pad_complement < 0:
-            raise ParameterError("pad and pad_complement must be non-negative")
-        if self.pad + self.pad_complement != self.pad_sum:
-            raise ParameterError(
-                f"carrier record inconsistent: {self.pad} + {self.pad_complement} != {self.pad_sum}"
-            )
-
-
-def make_carrier(pad: int, pad_sum: int) -> CarrierRecord:
-    """Carrier bookkeeping for a given pad and run constant (complement is forced)."""
-    return CarrierRecord(pad=pad, pad_complement=pad_sum - pad, pad_sum=pad_sum)
-
-
-@dataclass(frozen=True)
 class DecoyEntry:
     """One decoy slot: where it sits, which basis prepared it, and the basis index."""
 
@@ -176,17 +154,20 @@ def pad_sum_range(params: ProtocolParams) -> range:
 
 def tp_prepare_carriers(
     params: ProtocolParams, rng: np.random.Generator
-) -> tuple[int, tuple[CarrierRecord, ...], list[QuditState]]:
-    """Draw the run constant and one pad per party; carrier i starts as |pad_i>."""
+) -> tuple[int, tuple[int, ...], list[QuditState]]:
+    """Draw the run constant and one pad per party; carrier i starts as |pad_i>.
+
+    Each pad's complement is ``pad_sum - pad``, which ``pad_sum_range`` keeps in [0, d).
+    """
     sum_range = pad_sum_range(params)
     pad_sum = int(rng.integers(sum_range.start, sum_range.stop))
-    carriers = []
+    pads = []
     states = []
     for _ in range(params.n):
         pad = int(rng.integers(0, params.r))
-        carriers.append(make_carrier(pad, pad_sum))
+        pads.append(pad)
         states.append(basis_state(params.d, Basis.COMPUTATIONAL, pad))
-    return pad_sum, tuple(carriers), states
+    return pad_sum, tuple(pads), states
 
 
 def build_transmission(
@@ -309,6 +290,13 @@ def _normalize_secrets(secrets: Sequence[int], params: ProtocolParams) -> tuple[
     return values
 
 
+def _check_shared_key(shared_key: int, params: ProtocolParams) -> int:
+    key = int(shared_key)
+    if not 0 <= key < params.r:
+        raise ParameterError(f"the shared key must lie in [0, r={params.r}), got {key}")
+    return key
+
+
 def _make_link(
     sender: str,
     receiver: str,
@@ -321,14 +309,6 @@ def _make_link(
             return adversary.tap(state, label, position, rng, transcript)
         return QuantumLink(sender, receiver, transcript, tap)
     return QuantumLink(sender, receiver, transcript, None)
-
-
-def _undisclosed_position(length: int, disclosed: Sequence[int]) -> int:
-    """The single slot no disclosure named — that slot carries the encoded state."""
-    left = set(range(length)).difference(disclosed)
-    if len(left) != 1:
-        raise ParameterError(f"expected exactly one undisclosed slot, found {sorted(left)}")
-    return left.pop()
 
 
 def _disclose_and_check(
@@ -408,31 +388,36 @@ def _run_protocol(
     def aborted(step: str) -> tuple[Transcript, ComparisonOutcome]:
         return transcript, ComparisonOutcome(ranking=None, scores=None, aborted_at=step)
 
+    def hop(
+        sender: str, receiver: str, step: str, carrier: QuditState, sender_rng: np.random.Generator
+    ) -> tuple[TransmissionSequence, DecoySpec, str]:
+        """Hide the carrier among l fresh decoys, record the sender's recipe, and send it."""
+        seq, spec = build_transmission(carrier, l, sender_rng)
+        link = _make_link(sender, receiver, transcript, adversary)
+        transcript.record(
+            {sender},
+            "transmission_prep",
+            step=step,
+            link=link.label,
+            carrier_position=spec.carrier_position,
+            decoys=[[e.position, e.basis.value, e.index] for e in spec.entries],
+        )
+        return transmit(link, seq, adversary_rng), spec, link.label
+
     # stage 1: carriers
-    pad_sum, carriers, carrier_states = tp_prepare_carriers(params, prep_rng)
+    pad_sum, pads, carrier_states = tp_prepare_carriers(params, prep_rng)
+    complements = [pad_sum - pad for pad in pads]
     transcript.record(
         {preparer},
         "carrier_prep",
         step="step1",
         pad_sum=pad_sum,
-        pads=[c.pad for c in carriers],
-        complements=[c.pad_complement for c in carriers],
+        pads=list(pads),
+        complements=complements,
     )
 
     # stage 2: first hop (preparer -> party), decoys drawn by the preparer
-    first_hop = []
-    for i in range(n):
-        seq, spec = build_transmission(carrier_states[i], l, prep_rng)
-        link = _make_link(preparer, parties[i], transcript, adversary)
-        transcript.record(
-            {preparer},
-            "transmission_prep",
-            step="step2",
-            link=link.label,
-            carrier_position=spec.carrier_position,
-            decoys=[[e.position, e.basis.value, e.index] for e in spec.entries],
-        )
-        first_hop.append((transmit(link, seq, adversary_rng), spec, link.label))
+    first_hop = [hop(preparer, parties[i], "step2", carrier_states[i], prep_rng) for i in range(n)]
 
     # stage 3: full decoy check of every first hop
     for i in range(n):
@@ -442,47 +427,33 @@ def _run_protocol(
         ):
             return aborted("step3")
 
-    # stage 4: the party recovers the carrier (the one undisclosed slot),
-    # shift-encodes, and ships it under fresh decoys
+    # stage 4: the party takes the carrier from the one slot its recipe left
+    # undisclosed, shift-encodes, and ships it under fresh decoys
     second_hop = []
     for i in range(n):
-        received, spec, label = first_hop[i]
-        carrier_pos = _undisclosed_position(len(received), [e.position for e in spec.entries])
-        carrier = received.take(carrier_pos)
-        encoded = encode_secret(carrier, secrets[i], offset)
+        received, spec, _ = first_hop[i]
+        encoded = encode_secret(received.take(spec.carrier_position), secrets[i], offset)
         transcript.record({parties[i]}, "encode", step="step4", party=i, shift=secrets[i] + offset)
-        seq, spec2 = build_transmission(encoded, l, party_rngs[i])
-        link = _make_link(parties[i], measurer, transcript, adversary)
-        transcript.record(
-            {parties[i]},
-            "transmission_prep",
-            step="step4",
-            link=link.label,
-            carrier_position=spec2.carrier_position,
-            decoys=[[e.position, e.basis.value, e.index] for e in spec2.entries],
-        )
-        second_hop.append((transmit(link, seq, adversary_rng), spec2, link.label))
+        received, spec, label = hop(parties[i], measurer, "step4", encoded, party_rngs[i])
+        second_hop.append((received, spec.carrier_position, label, two_phase_disclosure(spec)))
 
     # stages 5 and 6: two-phase second-hop check, Fourier decoys strictly first
     for step, phase, selector in (("step5", "fourier", 0), ("step6", "computational", 1)):
         for i in range(n):
-            received, spec2, label = second_hop[i]
-            entries = two_phase_disclosure(spec2)[selector]
+            received, _, label, phases = second_hop[i]
             if _disclose_and_check(
-                bus, step, phase, label, entries, received, parties[i], measurer, measure_rng, threshold
+                bus, step, phase, label, phases[selector], received, parties[i], measurer, measure_rng, threshold
             ):
                 return aborted(step)
 
     # stage 7: measure carriers, form scores, announce the ordering only
     measured = []
     for i in range(n):
-        received, spec2, label = second_hop[i]
-        carrier_pos = _undisclosed_position(len(received), [e.position for e in spec2.entries])
-        outcome = measure(received.take(carrier_pos), Basis.COMPUTATIONAL, measure_rng)
+        received, carrier_position, _, _ = second_hop[i]
+        outcome = measure(received.take(carrier_position), Basis.COMPUTATIONAL, measure_rng)
         transcript.record({measurer}, "carrier_measurement", step="step7", party=i, value=outcome.value)
         measured.append(outcome.value)
 
-    complements = [c.pad_complement for c in carriers]
     if preparer != measurer:
         bus.broadcast(preparer, pad_announcement(complements))
     result = tp_compute_result(measured, complements)
@@ -525,7 +496,5 @@ def run_one_tp_protocol(
     if params.variant is not Variant.ONE_TP:
         raise ParameterError(f"params are for {params.variant.value}, expected one-tp")
     values = _normalize_secrets(secrets, params)
-    key = int(shared_key)
-    if not 0 <= key < params.r:
-        raise ParameterError(f"the shared key must lie in [0, r={params.r}), got {key}")
+    key = _check_shared_key(shared_key, params)
     return _run_protocol(params, values, key, key, adversary, rng, SOLO_TP_ROLE, SOLO_TP_ROLE)

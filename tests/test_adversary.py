@@ -256,12 +256,16 @@ def test_insiders_are_invisible_in_the_single_tp_variant():
 
 
 @pytest.mark.parametrize("attack_id", ["ir-fixed-t1", "ir-fixed-t2", "ir-random", "tp1-mr", "tp2-mr"])
-@pytest.mark.parametrize("d", [2, 4, 8])
-def test_monte_carlo_abort_rate_matches_the_analytic_form(attack_id, d):
+@pytest.mark.parametrize(
+    "d, l",
+    # at l=8 every case aborts with q >= 0.99; at l=1, q lies between 0.44 and 0.90
+    [pytest.param(d, 8, id=str(d)) for d in (2, 4, 8)] + [pytest.param(d, 1, id=f"{d}-l1") for d in (2, 4, 8)],
+)
+def test_monte_carlo_abort_rate_matches_the_analytic_form(attack_id, d, l):
     r = 1 if d < 3 else 2
     trials = 200
     config = ExperimentConfig(
-        variant="two-tp", n=2, d=d, r=r, l=8, attack=attack_id, trials=trials, seed=d * 1000 + len(attack_id)
+        variant="two-tp", n=2, d=d, r=r, l=l, attack=attack_id, trials=trials, seed=d * 1000 + len(attack_id)
     )
     params, strategy = config.validate()
     expected = analytic_abort_probability(strategy, params)

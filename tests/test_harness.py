@@ -231,7 +231,11 @@ def test_sweep_skips_invalid_cells_with_the_reason():
     cells = sweep(base, "d", [2, 13])
     assert cells[0].report is None
     assert "two-tp requires" in cells[0].skipped
-    assert cells[0].csv_row()[-1].startswith("skipped: ")
+    row = cells[0].csv_row()
+    assert len(row) == len(CSV_COLUMNS)
+    assert row[:7] == ["two-tp", "2", "2", "5", "2", "none", "3"]  # the seven config columns
+    assert row[7:12] == [""] * 5  # no results for a skipped cell
+    assert row[-1].startswith("skipped: ")
     assert cells[1].report is not None and cells[1].skipped is None
 
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from conftest import ranking_oracle
 from qpc_sim import (
     Basis,
-    CarrierRecord,
     ComparisonOutcome,
     DecoyEntry,
     DecoySpec,
@@ -23,7 +22,6 @@ from qpc_sim import (
     basis_state,
     build_transmission,
     encode_secret,
-    make_carrier,
     overlap,
     pad_sum_range,
     rank_descending,
@@ -85,41 +83,24 @@ def test_minimum_dimensions_are_accepted():
 # carriers
 # ---------------------------------------------------------------------------
 
-def test_make_carrier_frozen_example():
-    record = make_carrier(3, 7)
-    assert record == CarrierRecord(pad=3, pad_complement=4, pad_sum=7)
-
-
-def test_boundary_pad_equals_sum_gives_zero_complement():
-    assert make_carrier(4, 4).pad_complement == 0
-
-
-def test_inconsistent_carrier_record_is_rejected():
-    with pytest.raises(ParameterError):
-        CarrierRecord(pad=3, pad_complement=3, pad_sum=7)
-    with pytest.raises(ParameterError):
-        make_carrier(5, 3)
-
-
 def test_prepared_carriers_satisfy_the_sum_relation():
     rng = np.random.default_rng(0)
     for _ in range(200):
-        pad_sum, carriers, states = tp_prepare_carriers(TWO_TP, rng)
+        pad_sum, pads, states = tp_prepare_carriers(TWO_TP, rng)
         assert pad_sum in pad_sum_range(TWO_TP)
-        assert len(carriers) == len(states) == TWO_TP.n
-        for record, state in zip(carriers, states):
-            assert 0 <= record.pad < TWO_TP.r
-            assert 0 <= record.pad_complement < TWO_TP.d
-            assert record.pad + record.pad_complement == pad_sum
-            assert overlap(state, basis_state(TWO_TP.d, Basis.COMPUTATIONAL, record.pad)) == pytest.approx(1.0)
+        assert len(pads) == len(states) == TWO_TP.n
+        for pad, state in zip(pads, states):
+            assert 0 <= pad < TWO_TP.r
+            assert 0 <= pad_sum - pad < TWO_TP.d
+            assert overlap(state, basis_state(TWO_TP.d, Basis.COMPUTATIONAL, pad)) == pytest.approx(1.0)
 
 
 def test_pads_are_uniform_over_their_range():
     rng = np.random.default_rng(42)
     counts = collections.Counter()
     for _ in range(5_000):
-        _, carriers, _ = tp_prepare_carriers(TWO_TP, rng)
-        counts.update(record.pad for record in carriers)
+        _, pads, _ = tp_prepare_carriers(TWO_TP, rng)
+        counts.update(pads)
     total = sum(counts.values())
     for value in range(TWO_TP.r):
         assert counts[value] / total == pytest.approx(1 / TWO_TP.r, abs=0.02)

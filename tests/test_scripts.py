@@ -46,3 +46,24 @@ def test_deviation_at_zero_sigma_is_exact_or_infinite(detection_sweep):
 def test_privacy_audit_runs(capsys):
     assert _load("privacy_audit").main(["--runs", "3"]) == 0
     assert "pairwise secret differences" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "script, argv",
+    [
+        ("detection_sweep", ["--seed", "-1"]),
+        ("detection_sweep", ["--dims", "4,x"]),
+        ("detection_sweep", ["--dims", "1"]),
+        ("detection_sweep", ["--n", "1"]),
+        ("detection_sweep", ["--l", "0"]),
+        ("privacy_audit", ["--seed", "-1"]),
+    ],
+)
+def test_bad_input_exits_2_with_one_error_line(script, argv, capsys):
+    small = ["--trials", "2"] if script == "detection_sweep" else ["--runs", "1"]
+    with pytest.raises(SystemExit) as exc:
+        _load(script).main(small + argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
