@@ -25,7 +25,10 @@ from .protocol import (
     pad_sum_range,
     party_role,
 )
-from .qudit import Basis, ParameterError, QuditState, measure
+from .qudit import Basis, BasisLabel, ParameterError
+
+# taps collapse basis labels; the dense qudit.measure plugs in here as the oracle
+measure = BasisLabel.measure
 
 _TP_ROLES = frozenset({TP1_ROLE, TP2_ROLE, SOLO_TP_ROLE})
 _PARTY_RE = re.compile(r"^P\d+$")
@@ -108,12 +111,12 @@ class AttackStrategy:
 
     def tap(
         self,
-        state: QuditState,
+        state: BasisLabel,
         link_label: str,
         position: int,
         rng: np.random.Generator,
         transcript: Transcript | None = None,
-    ) -> QuditState:
+    ) -> BasisLabel:
         """Measure-and-resend one in-flight qudit; passive strategies forward untouched."""
         if not self.active:
             return state

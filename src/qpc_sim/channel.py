@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .qudit import NORM_TOL, QuditState
+from .qudit import NORM_TOL, BasisLabel
 
 #: Observer marker for events every role (and any outsider) can see.
 PUBLIC = "*"
@@ -24,7 +24,7 @@ PUBLIC = "*"
 #: Role id of a passive outside eavesdropper (sees exactly the public events).
 OUTSIDER = "EVE"
 
-TapFn = Callable[[QuditState, int, np.random.Generator], QuditState]
+TapFn = Callable[[BasisLabel, int, np.random.Generator], BasisLabel]
 
 
 class TransmissionError(RuntimeError):
@@ -36,17 +36,18 @@ class TransmissionSequence:
 
     Slots are addressed by their original position. Taking a slot consumes it,
     and transmitting the sequence consumes every slot on the sender's side:
-    a state is never both kept and sent.
+    a state is never both kept and sent. The sequence reads only a qudit's
+    ``dim``, so the dense engine's states travel the same way as labels.
     """
 
-    def __init__(self, states: Iterable[QuditState]):
+    def __init__(self, states: Iterable[BasisLabel]):
         slots = list(states)
         if not slots:
             raise ValueError("a transmission carries at least one qudit")
         dims = {s.dim for s in slots}
         if len(dims) != 1:
             raise ValueError(f"all qudits in a transmission share one dimension, got {sorted(dims)}")
-        self._slots: list[Optional[QuditState]] = slots
+        self._slots: list[Optional[BasisLabel]] = slots
         self._released = False
 
     def __len__(self) -> int:
@@ -62,7 +63,7 @@ class TransmissionSequence:
     def remaining_positions(self) -> tuple[int, ...]:
         return tuple(i for i, s in enumerate(self._slots) if s is not None)
 
-    def take(self, position: int) -> QuditState:
+    def take(self, position: int) -> BasisLabel:
         """Remove and return the qudit at ``position`` (original indexing)."""
         if self._released:
             raise TransmissionError("sequence was handed to a channel; sender keeps no copy")
@@ -74,7 +75,7 @@ class TransmissionSequence:
         self._slots[position] = None
         return state
 
-    def release_all(self) -> list[QuditState]:
+    def release_all(self) -> list[BasisLabel]:
         """Consume every slot at once (used by :func:`transmit`)."""
         if self._released or any(s is None for s in self._slots):
             raise TransmissionError("sequence already partially or fully consumed")

@@ -25,6 +25,7 @@ from .harness import (
     run_experiment,
     sweep,
 )
+from .protocol import MAX_DIM
 from .qudit import ParameterError
 
 EXIT_OK = 0
@@ -39,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--variant", required=True, choices=["two-tp", "one-tp"])
     parser.add_argument("--n", type=int, required=True, help="number of comparing parties")
-    parser.add_argument("--d", type=int, required=True, help="qudit dimension")
+    parser.add_argument("--d", type=int, required=True, help=f"qudit dimension, at most {MAX_DIM}")
     parser.add_argument("--r", type=int, required=True, help="secrets lie in [0, r)")
     parser.add_argument("--l", type=int, default=8, help="decoys per transmission (default 8)")
     parser.add_argument(

@@ -30,7 +30,14 @@ from .channel import (
     TransmissionSequence,
     transmit,
 )
-from .qudit import Basis, ParameterError, QuditState, apply_shift, basis_state, measure
+from .qudit import Basis, BasisLabel, ParameterError
+
+# Every qudit on the hot path is a basis label. These module names are the
+# seams where the dense engine's functions of the same names plug in as the
+# oracle, and where tracing wraps the primitives.
+basis_state = BasisLabel.prepare
+apply_shift = BasisLabel.shift
+measure = BasisLabel.measure
 
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
     from .adversary import AttackStrategy
@@ -38,6 +45,10 @@ if TYPE_CHECKING:  # pragma: no cover - import only for annotations
 TP1_ROLE = "TP1"
 TP2_ROLE = "TP2"
 SOLO_TP_ROLE = "TP"
+
+#: Largest accepted qudit dimension. An honest run is O(1) in d, but a
+#: measurement across bases builds the O(d) uniform table.
+MAX_DIM = 2**16
 
 
 def party_role(index: int) -> str:
@@ -54,10 +65,11 @@ class Variant(enum.Enum):
 class ProtocolParams:
     """Validated run parameters.
 
-    The dimension bounds are what keep the shift encoding wraparound-free on
-    the honest path: pads and secrets both live in [0, r), so the measured
-    carrier value is at most 2(r-1) with two third parties, and at most
-    3(r-1) when the pre-shared key is added in the single-TP variant.
+    The lower dimension bounds are what keep the shift encoding
+    wraparound-free on the honest path: pads and secrets both live in [0, r),
+    so the measured carrier value is at most 2(r-1) with two third parties,
+    and at most 3(r-1) when the pre-shared key is added in the single-TP
+    variant. The upper bound is MAX_DIM.
     """
 
     variant: Variant
@@ -74,8 +86,8 @@ class ProtocolParams:
             raise ParameterError(f"the secret range needs r >= 1, got r={self.r}")
         if self.l < 1:
             raise ParameterError(f"each transmission needs l >= 1 decoys, got l={self.l}")
-        if self.d < 2:
-            raise ParameterError(f"qudit dimension must be >= 2, got d={self.d}")
+        if not 2 <= self.d <= MAX_DIM:
+            raise ParameterError(f"qudit dimension must lie in [2, {MAX_DIM}], got d={self.d}")
         if not 0.0 <= self.error_threshold <= 1.0:
             raise ParameterError(f"error_threshold must lie in [0, 1], got {self.error_threshold}")
         if self.variant is Variant.TWO_TP and self.d < 2 * self.r - 1:
@@ -154,7 +166,7 @@ def pad_sum_range(params: ProtocolParams) -> range:
 
 def tp_prepare_carriers(
     params: ProtocolParams, rng: np.random.Generator
-) -> tuple[int, tuple[int, ...], list[QuditState]]:
+) -> tuple[int, tuple[int, ...], list[BasisLabel]]:
     """Draw the run constant and one pad per party; carrier i starts as |pad_i>.
 
     Each pad's complement is ``pad_sum - pad``, which ``pad_sum_range`` keeps in [0, d).
@@ -171,7 +183,7 @@ def tp_prepare_carriers(
 
 
 def build_transmission(
-    carrier_state: QuditState, l: int, rng: np.random.Generator
+    carrier_state: BasisLabel, l: int, rng: np.random.Generator
 ) -> tuple[TransmissionSequence, DecoySpec]:
     """Hide the carrier among l decoys drawn uniformly from the 2d basis states.
 
@@ -200,7 +212,7 @@ def build_transmission(
     return TransmissionSequence(states), DecoySpec(entries=tuple(entries), carrier_position=carrier_position)
 
 
-def encode_secret(carrier_state: QuditState, secret: int, offset: int) -> QuditState:
+def encode_secret(carrier_state: BasisLabel, secret: int, offset: int) -> BasisLabel:
     """Shift-encode ``secret`` (plus a fixed ``offset``) onto the carrier.
 
     The protocol's dimension bounds guarantee secret + offset never reaches d
@@ -305,7 +317,7 @@ def _make_link(
 ) -> QuantumLink:
     label = f"{sender}->{receiver}"
     if adversary is not None and adversary.taps_link(label):
-        def tap(state: QuditState, position: int, rng: np.random.Generator) -> QuditState:
+        def tap(state: BasisLabel, position: int, rng: np.random.Generator) -> BasisLabel:
             return adversary.tap(state, label, position, rng, transcript)
         return QuantumLink(sender, receiver, transcript, tap)
     return QuantumLink(sender, receiver, transcript, None)
@@ -389,7 +401,7 @@ def _run_protocol(
         return transcript, ComparisonOutcome(ranking=None, scores=None, aborted_at=step)
 
     def hop(
-        sender: str, receiver: str, step: str, carrier: QuditState, sender_rng: np.random.Generator
+        sender: str, receiver: str, step: str, carrier: BasisLabel, sender_rng: np.random.Generator
     ) -> tuple[TransmissionSequence, DecoySpec, str]:
         """Hide the carrier among l fresh decoys, record the sender's recipe, and send it."""
         seq, spec = build_transmission(carrier, l, sender_rng)

@@ -29,6 +29,7 @@ from qpc_sim import (
     strategy_from_id,
     tapped_checked_decoys,
 )
+from qpc_sim.qudit import BasisLabel
 
 TWO_TP = ProtocolParams(Variant.TWO_TP, n=3, d=13, r=5, l=8)
 ONE_TP = ProtocolParams(Variant.ONE_TP, n=3, d=17, r=5, l=8)
@@ -138,7 +139,7 @@ def test_active_tap_fires_only_on_the_links_it_taps():
 
 def test_measure_resend_collapses_to_the_measured_basis():
     rng = np.random.default_rng(7)
-    state = basis_state(4, Basis.FOURIER, 1)
+    state = BasisLabel.prepare(4, Basis.FOURIER, 1)
     out = strategy_from_id("ir-fixed-t1").tap(state, "TP1->P1", 0, rng)
     # the resent state is some computational eigenstate
     assert any(
@@ -148,7 +149,7 @@ def test_measure_resend_collapses_to_the_measured_basis():
 
 def test_measure_resend_in_the_preparation_basis_is_invisible():
     rng = np.random.default_rng(7)
-    state = basis_state(4, Basis.COMPUTATIONAL, 2)
+    state = BasisLabel.prepare(4, Basis.COMPUTATIONAL, 2)
     out = strategy_from_id("ir-fixed-t1").tap(state, "TP1->P1", 0, rng)
     assert overlap(out, state) == pytest.approx(1.0)
 

@@ -19,7 +19,9 @@ from qpc_sim import (
     run_trial,
     sweep,
 )
+from qpc_sim import cli
 from qpc_sim.cli import main
+from qpc_sim.protocol import MAX_DIM
 
 HONEST = ExperimentConfig(variant="two-tp", n=3, d=13, r=5, l=8, trials=20, seed=11)
 ATTACKED = ExperimentConfig(
@@ -39,6 +41,9 @@ def test_unknown_variant_is_a_config_error():
 def test_protocol_bounds_surface_as_config_errors():
     with pytest.raises(ConfigError, match="two-tp requires"):
         ExperimentConfig(variant="two-tp", n=2, d=8, r=5, l=4).validate()
+    ExperimentConfig(variant="two-tp", n=2, d=MAX_DIM, r=5, l=4).validate()
+    with pytest.raises(ConfigError, match=f"qudit dimension must lie in \\[2, {MAX_DIM}\\]"):
+        ExperimentConfig(variant="two-tp", n=2, d=MAX_DIM + 1, r=5, l=4).validate()
     with pytest.raises(ConfigError, match="attack id"):
         ExperimentConfig(variant="two-tp", n=2, d=5, r=2, l=4, attack="nope").validate()
 
@@ -311,6 +316,19 @@ def test_cli_exit_codes_for_bad_configs(capsys):
     assert main(BASE_ARGS + ["--axis", "l", "--values", "1,x"]) == 2
     assert main(BASE_ARGS + ["--secrets", "1,zebra"]) == 2
     assert main(BASE_ARGS + ["--c", "1"]) == 2
+
+
+def test_cli_rejects_a_dimension_above_the_cap_before_running(monkeypatch, capsys):
+    def must_not_run(*args):
+        raise AssertionError("a refused dimension reached the protocol")
+
+    monkeypatch.setattr(cli, "run_experiment", must_not_run)
+    monkeypatch.setattr(cli, "sweep", must_not_run)
+    args = ["--variant", "two-tp", "--n", "2", "--d", "1000000000", "--r", "2", "--attack", "ir-random"]
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"error: qudit dimension must lie in [2, {MAX_DIM}], got d=1000000000"]
 
 
 def test_cli_exit_codes_for_bad_flags(capsys):

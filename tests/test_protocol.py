@@ -34,6 +34,7 @@ from qpc_sim import (
     tp_prepare_carriers,
     two_phase_disclosure,
 )
+from qpc_sim.qudit import BasisLabel
 
 TWO_TP = ProtocolParams(Variant.TWO_TP, n=3, d=13, r=5, l=8)
 ONE_TP = ProtocolParams(Variant.ONE_TP, n=3, d=17, r=5, l=8)
@@ -188,14 +189,14 @@ def test_decoy_spec_rejects_carrier_on_a_decoy_slot():
 # ---------------------------------------------------------------------------
 
 def test_encode_secret_shifts_the_carrier():
-    carrier = basis_state(13, Basis.COMPUTATIONAL, 3)
+    carrier = BasisLabel.prepare(13, Basis.COMPUTATIONAL, 3)
     assert overlap(encode_secret(carrier, 2, 0), basis_state(13, Basis.COMPUTATIONAL, 5)) == pytest.approx(1.0)
-    carrier17 = basis_state(17, Basis.COMPUTATIONAL, 3)
+    carrier17 = BasisLabel.prepare(17, Basis.COMPUTATIONAL, 3)
     assert overlap(encode_secret(carrier17, 2, 4), basis_state(17, Basis.COMPUTATIONAL, 9)) == pytest.approx(1.0)
 
 
 def test_encode_zero_is_identity():
-    carrier = basis_state(5, Basis.COMPUTATIONAL, 4)
+    carrier = BasisLabel.prepare(5, Basis.COMPUTATIONAL, 4)
     assert overlap(encode_secret(carrier, 0, 0), carrier) == pytest.approx(1.0)
 
 
