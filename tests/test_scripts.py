@@ -54,10 +54,10 @@ def test_privacy_audit_runs(capsys):
         ("detection_sweep", ["--seed", "-1"]),
         ("detection_sweep", ["--dims", "4,x"]),
         ("detection_sweep", ["--dims", "1"]),
-        ("detection_sweep", ["--dims", "4,1000000000"]),
         ("detection_sweep", ["--n", "1"]),
         ("detection_sweep", ["--l", "0"]),
         ("privacy_audit", ["--seed", "-1"]),
+        ("detection_sweep", ["--dims", "4,1000000000"]),
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(script, argv, capsys):
