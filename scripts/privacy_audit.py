@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Privacy audit: what each allowed coalition can infer about one party's secret.
 
-For a batch of honest runs of both variants, the script brute-forces the
+For a batch of honest runs of both variants, the script computes the
 secret support (all candidate values consistent with the coalition's
-transcript view, with the announced ordering deliberately excluded) and
+transcript view, with the announced ordering deliberately excluded; a
+closed-form interval, whose brute-force enumeration is the test oracle) and
 prints a support-size histogram per coalition. It also reports the two known
 edge leaks explicitly:
 

@@ -4,12 +4,14 @@ Two families of adversary are modeled. Active ones measure qudits in flight
 and resend the collapsed state (an outsider doing this on every link, or one
 of the third parties doing it on the links it does not already control).
 Passive ones just read the public classical bus. On top of that, coalition
-views and a brute-force support analysis quantify what any allowed group of
-roles can infer about a single party's secret.
+views and a closed-form support interval quantify what any allowed group of
+roles can infer about a single party's secret; the brute-force enumeration
+of that support is the test oracle.
 """
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass
 
@@ -226,7 +228,7 @@ def analytic_abort_probability(strategy: AttackStrategy, params: ProtocolParams)
 
 
 # --------------------------------------------------------------------------
-# coalitions and the brute-force privacy audit
+# coalitions and the privacy audit
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -293,17 +295,22 @@ class SecretSupport:
     candidates: frozenset[int]
 
 
-def _observations(view: View) -> dict[str, int]:
+def _observations(view: View, params: ProtocolParams) -> dict[str, int]:
     """Numeric facts about the target that the view pins down.
 
     The ordering announcement is deliberately not extracted: the ranking is
     the protocol's declared output, so the audit measures leakage *beyond* it.
+    A run header that disagrees with ``params`` is an error, not a fact.
     """
     target = view.target
     obs: dict[str, int] = {}
     for event in view.events:
         kind = event["kind"]
-        if kind == "carrier_prep":
+        if kind == "run_header":
+            ran, given = (event["variant"], event["d"], event["r"]), (params.variant.value, params.d, params.r)
+            if ran != given:
+                raise ParameterError(f"params (variant, d, r) = {given} disagree with the view's run header {ran}")
+        elif kind == "carrier_prep":
             obs["pad"] = event["pads"][target]
             obs["pad_sum"] = event["pad_sum"]
             obs["complement"] = event["complements"][target]
@@ -319,45 +326,36 @@ def _observations(view: View) -> dict[str, int]:
 
 
 def secret_support(view: View, params: ProtocolParams) -> SecretSupport:
-    """Brute-force the target secrets consistent with the view's numeric facts.
+    """The target secrets consistent with the view's numeric facts: one closed-form interval.
 
-    Enumerates every admissible assignment of the unobserved private values
-    (target pad, run constant, shared key) and keeps the secrets some
-    assignment explains. Intended for desk-scale parameters only.
+    Unknowns: pad x in [0, r), run constant y in ``pad_sum_range``, key k (0 on
+    two-tp, [0, r) on one-tp) and secret s in [0, r); an observation pins its
+    unknown. With t = s + k the facts complement = y - x in [0, d),
+    measured = x + t < d and score = t + y are difference constraints over
+    (x, y, -t), so eliminating y, then x, leaves one integer interval of t.
+    The brute-force enumeration of pad x run constant x key is the test oracle.
     """
-    if params.r > 16 or params.d > 64:
-        raise ParameterError(
-            f"support brute force is limited to r <= 16 and d <= 64, got r={params.r}, d={params.d}"
-        )
-    obs = _observations(view)
-    one_tp = params.variant is Variant.ONE_TP
-    pads = [obs["pad"]] if "pad" in obs else list(range(params.r))
-    sums = [obs["pad_sum"]] if "pad_sum" in obs else list(pad_sum_range(params))
-    if not one_tp:
-        keys = [0]
-    elif "shared_key" in obs:
-        keys = [obs["shared_key"]]
-    else:
-        keys = list(range(params.r))
+    obs = _observations(view, params)
+    r, d = params.r, params.d
 
-    def consistent(secret: int) -> bool:
-        for pad in pads:
-            for pad_sum in sums:
-                complement = pad_sum - pad
-                if not 0 <= complement < params.d:
-                    continue
-                if "complement" in obs and complement != obs["complement"]:
-                    continue
-                for key in keys:
-                    measured = pad + secret + key
-                    if measured >= params.d:
-                        continue  # impossible on the honest path
-                    if "measured" in obs and measured != obs["measured"]:
-                        continue
-                    if "score" in obs and measured + complement != obs["score"]:
-                        continue
-                    return True
-        return False
+    def bounds(name: str, lo: float, hi: float) -> tuple[float, float]:
+        return (obs[name], obs[name]) if name in obs else (lo, hi)
 
-    candidates = frozenset(s for s in range(params.r) if consistent(s))
-    return SecretSupport(target=view.target, candidates=candidates)
+    sums = pad_sum_range(params)
+    x_lo, x_hi = bounds("pad", 0, r - 1)
+    y_lo, y_hi = bounds("pad_sum", sums.start, sums.stop - 1)
+    k_lo, k_hi = bounds("shared_key", 0, r - 1) if params.variant is Variant.ONE_TP else (0, 0)
+    c_lo, c_hi = bounds("complement", 0, d - 1)
+    m_lo, m_hi = bounds("measured", -math.inf, d - 1)
+    q_lo, q_hi = bounds("score", -math.inf, math.inf)
+    c_lo, c_hi, m_hi = max(c_lo, 0), min(c_hi, d - 1), min(m_hi, d - 1)
+    # eliminate y: it bounds x through the complement and x + t through the score
+    x_lo, x_hi = max(x_lo, y_lo - c_hi), min(x_hi, y_hi - c_lo)
+    m_lo, m_hi = max(m_lo, q_lo - c_hi), min(m_hi, q_hi - c_lo)
+    # eliminate x
+    t_lo = max(q_lo - y_hi, m_lo - x_hi)
+    t_hi = min(q_hi - y_lo, m_hi - x_lo)
+    lo, hi = max(0, t_lo - k_hi), min(r - 1, t_hi - k_lo)
+    if c_lo > c_hi or x_lo > x_hi or m_lo > m_hi or t_lo > t_hi:
+        hi = lo - 1  # no assignment explains the facts
+    return SecretSupport(target=view.target, candidates=frozenset(range(lo, hi + 1)))

@@ -1,9 +1,14 @@
 """Adversary tests: strategy registry, tap mechanics, analytic detection rates
-checked against Monte-Carlo runs, and the coalition privacy audit."""
+checked against Monte-Carlo runs, and the coalition privacy audit, whose
+closed-form support is checked against a brute-force oracle."""
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpc_sim import (
     ATTACK_IDS,
@@ -21,6 +26,7 @@ from qpc_sim import (
     basis_state,
     coalition_view,
     overlap,
+    pad_sum_range,
     per_decoy_detection_probability,
     run_experiment,
     run_one_tp_protocol,
@@ -29,6 +35,7 @@ from qpc_sim import (
     strategy_from_id,
     tapped_checked_decoys,
 )
+from qpc_sim.adversary import View
 from qpc_sim.qudit import BasisLabel
 
 TWO_TP = ProtocolParams(Variant.TWO_TP, n=3, d=13, r=5, l=8)
@@ -327,7 +334,7 @@ def test_coalition_view_rejects_roles_outside_the_run():
 
 
 # ---------------------------------------------------------------------------
-# brute-force support audit
+# secret support audit
 # ---------------------------------------------------------------------------
 
 def _two_tp_run(secrets, seed):
@@ -404,10 +411,187 @@ def test_single_tp_party_coalition_knows_only_the_key():
     assert _support_for(transcript, {"P2", "P3"}, 0, ONE_TP) == frozenset(range(5))
 
 
-def test_support_brute_force_guards_its_parameter_range():
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        ProtocolParams(Variant.ONE_TP, n=3, d=40, r=13, l=8),
+        ProtocolParams(Variant.TWO_TP, n=3, d=40, r=16, l=8),
+    ],
+)
+def test_support_rejects_params_that_disagree_with_the_run(wrong):
     transcript, _ = _two_tp_run((3, 1, 4), 0)
-    view = coalition_view(transcript, Coalition(frozenset({"TP1"}), 0))
-    with pytest.raises(ParameterError, match="r <= 16"):
-        secret_support(view, ProtocolParams(Variant.TWO_TP, n=3, d=64, r=17, l=8))
-    with pytest.raises(ParameterError, match="d <= 64"):
-        secret_support(view, ProtocolParams(Variant.TWO_TP, n=3, d=65, r=5, l=8))
+    view = coalition_view(transcript, Coalition(frozenset({"TP2"}), 0))
+    with pytest.raises(ParameterError, match="run header"):
+        secret_support(view, wrong)
+
+
+@pytest.mark.parametrize("variant, r", [(Variant.TWO_TP, 511), (Variant.ONE_TP, 340)], ids=["two-tp", "one-tp"])
+def test_support_at_paper_scale(variant, r):
+    # the paper's d-level scale, with r as large as each variant's dimension bound allows
+    params = ProtocolParams(variant, n=3, d=1021, r=r, l=2)
+    full = frozenset(range(r))
+    rng = np.random.default_rng(1021)
+    for _ in range(3):
+        secrets = tuple(int(s) for s in rng.integers(0, r, size=3))
+        if variant is Variant.TWO_TP:
+            transcript, _ = run_two_tp_protocol(params, secrets, None, rng)
+            tps = ["TP1", "TP2"]
+        else:
+            transcript, _ = run_one_tp_protocol(params, secrets, int(rng.integers(0, r)), None, rng)
+            tps = ["TP"]
+        for target in range(3):
+            others = [f"P{i + 1}" for i in range(3) if i != target]
+            coalitions = [{tp} for tp in tps] + [set(c) for size in (1, 2) for c in itertools.combinations(others, size)]
+            for members in coalitions:
+                assert secrets[target] in _support_for(transcript, members, target, params)
+            assert _support_for(transcript, set(others), target, params) == full
+            if variant is Variant.TWO_TP:
+                assert _support_for(transcript, {"TP1"}, target, params) == full
+
+
+def brute_force_support(obs: dict[str, int], params: ProtocolParams) -> frozenset[int]:
+    """Oracle: enumerate every pad x run constant x key and keep the secrets some assignment explains.
+
+    An observed value pins its unknown; the rest range over what a run can draw.
+    """
+    one_tp = params.variant is Variant.ONE_TP
+    pads = [obs["pad"]] if "pad" in obs else list(range(params.r))
+    sums = [obs["pad_sum"]] if "pad_sum" in obs else list(pad_sum_range(params))
+    if not one_tp:
+        keys = [0]
+    elif "shared_key" in obs:
+        keys = [obs["shared_key"]]
+    else:
+        keys = list(range(params.r))
+
+    def consistent(secret: int) -> bool:
+        for pad in pads:
+            for pad_sum in sums:
+                complement = pad_sum - pad
+                if not 0 <= complement < params.d:
+                    continue
+                if "complement" in obs and complement != obs["complement"]:
+                    continue
+                for key in keys:
+                    measured = pad + secret + key
+                    if measured >= params.d:
+                        continue  # impossible on the honest path
+                    if "measured" in obs and measured != obs["measured"]:
+                        continue
+                    if "score" in obs and measured + complement != obs["score"]:
+                        continue
+                    return True
+        return False
+
+    return frozenset(s for s in range(params.r) if consistent(s))
+
+
+def _synthetic_view(params: ProtocolParams, facts: dict) -> tuple[View, dict[str, int]]:
+    """A view of target 0 holding the given events, in run order, and the facts it pins.
+
+    ``facts`` maps each present event kind to its values; they need not be
+    mutually consistent. The pad announcement follows the carrier
+    preparation, so its complement is the one that counts.
+    """
+    events = [{"kind": "run_header", "variant": params.variant.value, "n": 2, "d": params.d, "r": params.r}]
+    obs: dict[str, int] = {}
+    if "shared_key" in facts:
+        events.append({"kind": "shared_key", "value": facts["shared_key"]})
+        obs["shared_key"] = facts["shared_key"]
+    if "carrier_prep" in facts:
+        pad, pad_sum, complement = facts["carrier_prep"]
+        events.append({"kind": "carrier_prep", "pads": [pad, 0], "pad_sum": pad_sum, "complements": [complement, 0]})
+        obs.update(pad=pad, pad_sum=pad_sum, complement=complement)
+    if "carrier_measurement" in facts:
+        events.append({"kind": "carrier_measurement", "party": 0, "value": facts["carrier_measurement"]})
+        events.append({"kind": "carrier_measurement", "party": 1, "value": 0})
+        obs["measured"] = facts["carrier_measurement"]
+    if "pad_announcement" in facts:
+        message = {"kind": "pad_announcement", "values": [facts["pad_announcement"], 0]}
+        events.append({"kind": "classical", "message": message})
+        obs["complement"] = facts["pad_announcement"]
+    if "score_computation" in facts:
+        events.append({"kind": "score_computation", "scores": [facts["score_computation"], 0]})
+        obs["score"] = facts["score_computation"]
+    return View(events=tuple(events), members=frozenset({"TP2"}), target=0), obs
+
+
+@pytest.mark.parametrize(
+    "variant, r, d",
+    [
+        (Variant.TWO_TP, 1, 2),
+        (Variant.TWO_TP, 1, 3),
+        (Variant.TWO_TP, 2, 3),
+        (Variant.TWO_TP, 2, 4),
+        (Variant.TWO_TP, 3, 5),
+        (Variant.ONE_TP, 1, 2),
+        (Variant.ONE_TP, 1, 3),
+        (Variant.ONE_TP, 2, 5),
+        (Variant.ONE_TP, 2, 6),
+    ],
+)
+def test_closed_form_support_equals_the_brute_force_exhaustively(variant, r, d):
+    # every subset of the five fact-bearing events, each with every value a run can record
+    params = ProtocolParams(variant, n=2, d=d, r=r, l=1)
+    choices = {
+        "shared_key": range(r),
+        "carrier_prep": list(itertools.product(range(r), pad_sum_range(params), range(d))),
+        "carrier_measurement": range(d),
+        "pad_announcement": range(d),
+        "score_computation": range(2 * d - 1),
+    }
+    for combo in itertools.product(*([None, *values] for values in choices.values())):
+        facts = {kind: value for kind, value in zip(choices, combo) if value is not None}
+        view, obs = _synthetic_view(params, facts)
+        assert secret_support(view, params).candidates == brute_force_support(obs, params), facts
+
+
+@pytest.mark.parametrize(
+    "facts",
+    [
+        {"carrier_prep": (-1, 2, 3)},  # complement = d
+        {"carrier_prep": (2, 1, -1)},  # complement = -1
+        {"carrier_prep": (3, 3, 0), "carrier_measurement": 3},  # measured = d
+    ],
+)
+def test_closed_form_support_equals_the_brute_force_on_facts_no_run_records(facts):
+    # a complement or measured value outside [0, d) is unexplainable even next to a pad
+    # and run constant that are themselves out of range
+    params = ProtocolParams(Variant.TWO_TP, n=2, d=3, r=2, l=1)
+    view, obs = _synthetic_view(params, facts)
+    assert secret_support(view, params).candidates == brute_force_support(obs, params) == frozenset()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_closed_form_support_equals_the_brute_force_at_larger_d(data):
+    variant = data.draw(st.sampled_from(Variant))
+    r = data.draw(st.integers(1, 10))
+    bound = 2 * r - 1 if variant is Variant.TWO_TP else 3 * r - 1
+    d = data.draw(st.integers(max(2, bound), bound + 30))
+    params = ProtocolParams(variant, n=2, d=d, r=r, l=1)
+    # a true assignment; each observed value is either its true value or any value
+    # a run can record, give or take two, so that impossible observations occur too
+    pad, secret, key = (data.draw(st.integers(0, r - 1)) for _ in range(3))
+    pad_sum = data.draw(st.integers(r - 1, d - 1))
+    if variant is Variant.TWO_TP:
+        key = 0
+
+    def value(true: int, lo: int, hi: int) -> int:
+        return data.draw(st.one_of(st.just(true), st.integers(lo - 2, hi + 2)))
+
+    draws = {
+        "shared_key": lambda: value(key, 0, r - 1),
+        "carrier_prep": lambda: (
+            value(pad, 0, r - 1),
+            value(pad_sum, r - 1, d - 1),
+            value(pad_sum - pad, 0, d - 1),
+        ),
+        "carrier_measurement": lambda: value(pad + secret + key, 0, d - 1),
+        "pad_announcement": lambda: value(pad_sum - pad, 0, d - 1),
+        "score_computation": lambda: value(secret + key + pad_sum, 0, 2 * d - 2),
+    }
+    present = data.draw(st.sets(st.sampled_from(sorted(draws))))
+    facts = {kind: draw() for kind, draw in draws.items() if kind in present}
+    view, obs = _synthetic_view(params, facts)
+    assert secret_support(view, params).candidates == brute_force_support(obs, params)

@@ -2,13 +2,18 @@
 serialization, sweeps, and the command-line contract (flags, formats, exit codes)."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import shutil
 import subprocess
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpc_sim import (
+    ATTACK_IDS,
     CSV_COLUMNS,
     ConfigError,
     ExperimentConfig,
@@ -336,6 +341,69 @@ def test_cli_exit_codes_for_bad_flags(capsys):
     assert main(["--n", "2", "--d", "5", "--r", "2"]) == 2  # --variant is required
     assert main(BASE_ARGS + ["--attack", "phish"]) == 2
     capsys.readouterr()
+
+
+def _unparsable(parse) -> st.SearchStrategy[str]:
+    """Short texts that ``parse`` rejects with ValueError."""
+
+    def rejected(text: str) -> bool:
+        try:
+            parse(text)
+        except ValueError:
+            return True
+        return False
+
+    return st.text(max_size=8).filter(rejected)
+
+
+def _ints(**bounds) -> st.SearchStrategy[str]:
+    return st.integers(**bounds).map(str)
+
+
+def _csv(values) -> str:
+    return ",".join(str(v) for v in values)
+
+
+def _not_random(text: str) -> bool:
+    return text.strip().lower() != "random"
+
+
+# Bad values per flag against BASE_ARGS (two-tp, n=2, d=5, r=2, l=2, trials=4).
+# --out is left out: an unwritable path is an I/O failure, exit code 3.
+_BAD_FLAG_VALUES = {
+    "--variant": st.text(max_size=8).filter(lambda v: v not in ("two-tp", "one-tp")),
+    "--n": st.one_of(_ints(max_value=1), _unparsable(int)),
+    "--d": st.one_of(_ints(max_value=2), _ints(min_value=MAX_DIM + 1), _unparsable(int)),
+    "--r": st.one_of(_ints(max_value=0), _ints(min_value=4), _unparsable(int)),
+    "--l": st.one_of(_ints(max_value=0), _unparsable(int)),
+    "--secrets": st.one_of(
+        st.lists(st.integers(0, 1), max_size=4).filter(lambda s: len(s) != 2).map(_csv),
+        st.tuples(st.integers(), st.integers()).filter(lambda s: not all(0 <= v < 2 for v in s)).map(_csv),
+        _unparsable(lambda t: [int(part) for part in t.split(",")]).filter(_not_random),
+    ),
+    "--c": st.text(max_size=8).filter(_not_random),  # two-tp takes no shared key
+    "--attack": st.text(max_size=12).filter(lambda v: v not in ATTACK_IDS),
+    "--trials": st.one_of(_ints(max_value=0), _unparsable(int)),
+    "--seed": st.one_of(_ints(max_value=-1), _ints(min_value=2**64), _unparsable(int)),
+    "--threshold": st.one_of(st.floats().filter(lambda v: not 0 <= v <= 1).map(str), _unparsable(float)),
+    "--format": st.text(max_size=8).filter(lambda v: v not in ("json", "csv")),
+    "--axis": st.text(max_size=8).filter(lambda v: v not in ("d", "l", "attack")),
+    "--values": st.text(max_size=8),  # without --axis
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_BAD_FLAG_VALUES)).flatmap(lambda flag: st.tuples(st.just(flag), _BAD_FLAG_VALUES[flag])))
+def test_cli_bad_flag_values_exit_2_with_one_error_line(case):
+    flag, value = case
+    args = dict(zip(BASE_ARGS[::2], BASE_ARGS[1::2]))
+    args[flag] = value
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([part for pair in args.items() for part in pair])
+    assert code == 2, (args, err.getvalue())
+    assert out.getvalue() == ""
+    assert len([line for line in err.getvalue().splitlines() if "error:" in line]) == 1, err.getvalue()
 
 
 def test_cli_io_failure_exit_code(tmp_path, capsys):
