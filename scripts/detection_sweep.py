@@ -8,7 +8,8 @@ and the observed abort rate with its binomial standard error. Each cell is one
 experiment run by the harness with the seed ``derive_cell_seed(seed, cell)``,
 so any trial of any row replays with ``run_trial``. Insider attacks model the
 two-TP wiring and are skipped for ``one-tp``, as are dimensions below a
-variant's bound.
+variant's bound. Bad input exits 2; an unwritable ``--out`` exits 3 before
+any cell runs.
 
 Example:
     python3 scripts/detection_sweep.py --trials 400 --dims 2,4,8,13 --l 8
@@ -41,10 +42,17 @@ def cell_config(variant: str, attack: str, d: int, n: int, l: int, trials: int, 
 
 
 def sweep_cells(n: int, l: int, dims: list[int], trials: int, seed: int):
-    """Yield one row per runnable cell; raise ConfigError on input no cell can run with."""
+    """Return an iterator of one row per runnable cell.
+
+    Input no cell can run with raises ConfigError here, before any cell runs.
+    """
     for d in dims:
         # an honest two-tp run has the loosest dimension bound, so what it rejects is bad input, not a skip
         cell_config("two-tp", "none", d, n, l, trials, seed).validate()
+    return _run_cells(n, l, dims, trials, seed)
+
+
+def _run_cells(n: int, l: int, dims: list[int], trials: int, seed: int):
     cells = [(variant, attack, d) for variant in ("two-tp", "one-tp") for attack in ACTIVE_ATTACKS for d in dims]
     for index, (variant, attack, d) in enumerate(cells):
         config = cell_config(variant, attack, d, n, l, trials, derive_cell_seed(seed, index))
@@ -82,9 +90,12 @@ def deviation(observed: float, analytic: float, trials: int) -> float:
 
 def _dims(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        dims = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+        dims = []
+    if not dims:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return dims
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -100,9 +111,17 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--trials must be >= 1, got {args.trials}")
 
     try:
-        rows = list(sweep_cells(args.n, args.l, args.dims, args.trials, args.seed))
+        cells = sweep_cells(args.n, args.l, args.dims, args.trials, args.seed)
     except ConfigError as exc:
         parser.error(str(exc))
+    out = None
+    if args.out:
+        try:
+            out = open(args.out, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 3
+    rows = list(cells)
 
     header = f"{'variant':8} {'attack':12} {'d':>3} {'l':>3} {'p/decoy':>8} {'tapped':>6} {'analytic':>9} {'observed':>9} {'stderr':>8}"
     print(header)
@@ -117,9 +136,9 @@ def main(argv: list[str] | None = None) -> int:
     worst = max((deviation(r["observed"], r["analytic"], args.trials) for r in rows), default=0.0)
     print(f"\ncells: {len(rows)}, trials per cell: {args.trials}, worst |observed-analytic|: {worst:.2f} analytic sigma")
 
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=COLUMNS, lineterminator="\n")
+    if out:
+        with out:
+            writer = csv.DictWriter(out, fieldnames=COLUMNS, lineterminator="\n")
             writer.writeheader()
             writer.writerows(rows)
         print(f"table written to {args.out}")

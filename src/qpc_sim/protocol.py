@@ -170,16 +170,13 @@ def tp_prepare_carriers(
     """Draw the run constant and one pad per party; carrier i starts as |pad_i>.
 
     Each pad's complement is ``pad_sum - pad``, which ``pad_sum_range`` keeps in [0, d).
+    All n+1 values come from one array-bound ``rng.integers`` call, which numpy
+    answers with the values and end state of the scalar calls in the same order
+    (pinned in tests/test_determinism.py).
     """
-    sum_range = pad_sum_range(params)
-    pad_sum = int(rng.integers(sum_range.start, sum_range.stop))
-    pads = []
-    states = []
-    for _ in range(params.n):
-        pad = int(rng.integers(0, params.r))
-        pads.append(pad)
-        states.append(basis_state(params.d, Basis.COMPUTATIONAL, pad))
-    return pad_sum, tuple(pads), states
+    sums, n = pad_sum_range(params), params.n
+    pad_sum, *pads = rng.integers([sums.start] + [0] * n, [sums.stop] + [params.r] * n).tolist()
+    return pad_sum, tuple(pads), [basis_state(params.d, Basis.COMPUTATIONAL, pad) for pad in pads]
 
 
 def build_transmission(
@@ -189,24 +186,24 @@ def build_transmission(
 
     Each decoy picks its basis and index independently and uniformly; the
     carrier slot is uniform over the l+1 positions. Only the returned
-    DecoySpec (sender-private) says which slot is which.
+    DecoySpec (sender-private) says which slot is which. One array-bound
+    ``rng.integers`` call draws every label in the scalar order (basis, then
+    index, per decoy, then the slot); numpy gives it the values and end state
+    of the 2l+1 scalar calls (pinned in tests/test_determinism.py).
     """
     if l < 1:
         raise ParameterError(f"each transmission needs l >= 1 decoys, got l={l}")
     d = carrier_state.dim
-    decoys = []
-    for _ in range(l):
-        basis = Basis.FOURIER if int(rng.integers(0, 2)) else Basis.COMPUTATIONAL
-        decoys.append((basis, int(rng.integers(0, d))))
-    carrier_position = int(rng.integers(0, l + 1))
+    *labels, carrier_position = rng.integers(0, [2, d] * l + [l + 1]).tolist()
+    decoys = zip(labels[::2], labels[1::2])
     entries = []
     states = []
-    decoy_iter = iter(decoys)
     for pos in range(l + 1):
         if pos == carrier_position:
             states.append(carrier_state)
         else:
-            basis, index = next(decoy_iter)
+            fourier, index = next(decoys)
+            basis = Basis.FOURIER if fourier else Basis.COMPUTATIONAL
             entries.append(DecoyEntry(position=pos, basis=basis, index=index))
             states.append(basis_state(d, basis, index))
     return TransmissionSequence(states), DecoySpec(entries=tuple(entries), carrier_position=carrier_position)

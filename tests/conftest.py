@@ -1,7 +1,8 @@
-"""Shared test helpers: independent oracles and state constructors."""
+"""Shared test helpers: independent oracles, state constructors and bad-flag strategies."""
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from qpc_sim import QuditState
 
@@ -31,3 +32,21 @@ def shift_matrix_oracle(d: int, m: int) -> np.ndarray:
     for k in range(d):
         mat[(k + m) % d, k] = 1.0
     return mat
+
+
+def unparsable(parse) -> st.SearchStrategy[str]:
+    """Short texts that ``parse`` rejects with ValueError."""
+
+    def rejected(text: str) -> bool:
+        try:
+            parse(text)
+        except ValueError:
+            return True
+        return False
+
+    return st.text(max_size=8).filter(rejected)
+
+
+def int_texts(**bounds) -> st.SearchStrategy[str]:
+    """Decimal texts of integers within ``bounds`` (st.integers keywords)."""
+    return st.integers(**bounds).map(str)

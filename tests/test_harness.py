@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import int_texts, unparsable
 from qpc_sim import (
     ATTACK_IDS,
     CSV_COLUMNS,
@@ -343,23 +344,6 @@ def test_cli_exit_codes_for_bad_flags(capsys):
     capsys.readouterr()
 
 
-def _unparsable(parse) -> st.SearchStrategy[str]:
-    """Short texts that ``parse`` rejects with ValueError."""
-
-    def rejected(text: str) -> bool:
-        try:
-            parse(text)
-        except ValueError:
-            return True
-        return False
-
-    return st.text(max_size=8).filter(rejected)
-
-
-def _ints(**bounds) -> st.SearchStrategy[str]:
-    return st.integers(**bounds).map(str)
-
-
 def _csv(values) -> str:
     return ",".join(str(v) for v in values)
 
@@ -372,20 +356,20 @@ def _not_random(text: str) -> bool:
 # --out is left out: an unwritable path is an I/O failure, exit code 3.
 _BAD_FLAG_VALUES = {
     "--variant": st.text(max_size=8).filter(lambda v: v not in ("two-tp", "one-tp")),
-    "--n": st.one_of(_ints(max_value=1), _unparsable(int)),
-    "--d": st.one_of(_ints(max_value=2), _ints(min_value=MAX_DIM + 1), _unparsable(int)),
-    "--r": st.one_of(_ints(max_value=0), _ints(min_value=4), _unparsable(int)),
-    "--l": st.one_of(_ints(max_value=0), _unparsable(int)),
+    "--n": st.one_of(int_texts(max_value=1), unparsable(int)),
+    "--d": st.one_of(int_texts(max_value=2), int_texts(min_value=MAX_DIM + 1), unparsable(int)),
+    "--r": st.one_of(int_texts(max_value=0), int_texts(min_value=4), unparsable(int)),
+    "--l": st.one_of(int_texts(max_value=0), unparsable(int)),
     "--secrets": st.one_of(
         st.lists(st.integers(0, 1), max_size=4).filter(lambda s: len(s) != 2).map(_csv),
         st.tuples(st.integers(), st.integers()).filter(lambda s: not all(0 <= v < 2 for v in s)).map(_csv),
-        _unparsable(lambda t: [int(part) for part in t.split(",")]).filter(_not_random),
+        unparsable(lambda t: [int(part) for part in t.split(",")]).filter(_not_random),
     ),
     "--c": st.text(max_size=8).filter(_not_random),  # two-tp takes no shared key
     "--attack": st.text(max_size=12).filter(lambda v: v not in ATTACK_IDS),
-    "--trials": st.one_of(_ints(max_value=0), _unparsable(int)),
-    "--seed": st.one_of(_ints(max_value=-1), _ints(min_value=2**64), _unparsable(int)),
-    "--threshold": st.one_of(st.floats().filter(lambda v: not 0 <= v <= 1).map(str), _unparsable(float)),
+    "--trials": st.one_of(int_texts(max_value=0), unparsable(int)),
+    "--seed": st.one_of(int_texts(max_value=-1), int_texts(min_value=2**64), unparsable(int)),
+    "--threshold": st.one_of(st.floats().filter(lambda v: not 0 <= v <= 1).map(str), unparsable(float)),
     "--format": st.text(max_size=8).filter(lambda v: v not in ("json", "csv")),
     "--axis": st.text(max_size=8).filter(lambda v: v not in ("d", "l", "attack")),
     "--values": st.text(max_size=8),  # without --axis

@@ -1,11 +1,18 @@
 """Smoke tests for the two scripts under scripts/, called through their main()."""
 from __future__ import annotations
 
+import contextlib
 import importlib.util
+import io
 import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import int_texts, unparsable
+from qpc_sim.protocol import MAX_DIM
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -58,6 +65,7 @@ def test_privacy_audit_runs(capsys):
         ("detection_sweep", ["--l", "0"]),
         ("privacy_audit", ["--seed", "-1"]),
         ("detection_sweep", ["--dims", "4,1000000000"]),
+        ("detection_sweep", ["--dims", ","]),
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(script, argv, capsys):
@@ -68,3 +76,60 @@ def test_bad_input_exits_2_with_one_error_line(script, argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
+def test_detection_sweep_unwritable_out_exits_3_before_the_sweep(detection_sweep, tmp_path, monkeypatch, capsys):
+    def must_not_run(config):
+        raise AssertionError("the sweep ran before --out was checked")
+
+    monkeypatch.setattr(detection_sweep, "run_experiment", must_not_run)
+    missing = tmp_path / "nope" / "sweep.csv"
+    assert detection_sweep.main(["--trials", "2", "--dims", "4", "--out", str(missing)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"error: cannot write {missing}: [Errno 2] No such file or directory: '{missing}'"]
+
+
+_BAD_SEED = st.one_of(int_texts(max_value=-1), int_texts(min_value=2**64), unparsable(int))
+
+# Bad values per flag against each script's small base arguments.
+# --out is left out: an unwritable path is an I/O failure, exit code 3.
+_BAD_SCRIPT_FLAGS = {
+    "detection_sweep": {
+        "--trials": st.one_of(int_texts(max_value=0), unparsable(int)),
+        "--n": st.one_of(int_texts(max_value=1), unparsable(int)),
+        "--l": st.one_of(int_texts(max_value=0), unparsable(int)),
+        "--dims": st.one_of(
+            st.lists(st.integers(), min_size=1, max_size=4)
+            .filter(lambda dims: not all(2 <= d <= MAX_DIM for d in dims))
+            .map(lambda dims: ",".join(map(str, dims))),
+            st.text(alphabet=", ", max_size=4),
+            unparsable(int).filter(lambda text: "," not in text),
+        ),
+        "--seed": _BAD_SEED,
+    },
+    "privacy_audit": {
+        "--runs": st.one_of(int_texts(max_value=0), unparsable(int)),
+        "--seed": _BAD_SEED,
+    },
+}
+_SCRIPT_BASE_ARGS = {
+    "detection_sweep": {"--trials": "2", "--dims": "4"},
+    "privacy_audit": {"--runs": "1"},
+}
+_SCRIPT_FLAG_CASES = st.sampled_from(
+    [(script, flag) for script, flags in sorted(_BAD_SCRIPT_FLAGS.items()) for flag in sorted(flags)]
+).flatmap(lambda case: st.tuples(st.just(case[0]), st.just(case[1]), _BAD_SCRIPT_FLAGS[case[0]][case[1]]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SCRIPT_FLAG_CASES)
+def test_script_bad_flag_values_exit_2_with_one_error_line(case):
+    script, flag, value = case
+    args = {**_SCRIPT_BASE_ARGS[script], flag: value}
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        _load(script).main([part for pair in args.items() for part in pair])
+    assert exc.value.code == 2, (args, err.getvalue())
+    assert out.getvalue() == ""
+    assert len([line for line in err.getvalue().splitlines() if "error:" in line]) == 1, err.getvalue()
