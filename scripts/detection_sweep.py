@@ -22,15 +22,18 @@ import math
 import sys
 
 from qpc_sim import (
+    ATTACK_IDS,
     ConfigError,
     ExperimentConfig,
     derive_cell_seed,
     per_decoy_detection_probability,
     run_experiment,
+    strategy_from_id,
     tapped_checked_decoys,
 )
 
-ACTIVE_ATTACKS = ("ir-fixed-t1", "ir-fixed-t2", "ir-random", "tp1-mr", "tp2-mr")
+# registry order: a cell's index, and so its seed, follows this tuple
+ACTIVE_ATTACKS = tuple(a for a in ATTACK_IDS if strategy_from_id(a).active)
 
 COLUMNS = ("variant", "attack", "d", "l", "seed", "per_decoy", "tapped", "analytic", "observed", "stderr")
 

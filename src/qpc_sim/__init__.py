@@ -3,7 +3,6 @@ d-level single-particle states, with pluggable eavesdropping strategies.
 """
 from .adversary import (
     ATTACK_IDS,
-    AttackKind,
     AttackStrategy,
     Coalition,
     analytic_abort_probability,

@@ -1,26 +1,30 @@
 """Attack strategies, their analytic detection rates, and privacy audits.
 
-Two families of adversary are modeled. Active ones measure qudits in flight
-and resend the collapsed state (an outsider doing this on every link, or one
-of the third parties doing it on the links it does not already control).
-Passive ones just read the public classical bus. On top of that, coalition
-views and a closed-form support interval quantify what any allowed group of
-roles can infer about a single party's secret; the brute-force enumeration
-of that support is the test oracle.
+Each attack id is one row of data: the links it taps (a pattern over whole
+link labels, or none for a passive strategy), the basis it measures in (or a
+fair coin per qudit) and the role whose view records its taps. Active rows
+measure qudits in flight and resend the collapsed state: an outsider on every
+link, or a third party on the hop its role does not terminate. Passive rows
+just read the public classical bus. The per-decoy flag probability reads the
+row's basis, the tapped-decoy count matches its links against the wiring's
+hop labels, and a two-tp insider is rejected on one-tp because its owner is
+not a role of that wiring. On top of that, coalition views and a closed-form
+support interval quantify what any allowed group of roles can infer about a
+single party's secret; the brute-force enumeration of that support is the
+test oracle.
 """
 from __future__ import annotations
 
-import enum
 import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import OUTSIDER, PUBLIC, Transcript
+from .channel import OUTSIDER, PUBLIC, QuantumLink, Transcript
 from .protocol import (
+    WIRING,
     ProtocolParams,
-    SOLO_TP_ROLE,
     TP1_ROLE,
     TP2_ROLE,
     Variant,
@@ -32,84 +36,30 @@ from .qudit import Basis, BasisLabel, ParameterError
 # taps collapse basis labels; the dense qudit.measure plugs in here as the oracle
 measure = BasisLabel.measure
 
-_TP_ROLES = frozenset({TP1_ROLE, TP2_ROLE, SOLO_TP_ROLE})
-_PARTY_RE = re.compile(r"^P\d+$")
-_FIRST_HOP_RE = re.compile(r"^TP1->P\d+$")
-_SECOND_HOP_RE = re.compile(r"^P\d+->TP2$")
-
-
-class AttackKind(enum.Enum):
-    NONE = "none"
-    INTERCEPT_RESEND_FIXED = "intercept-resend-fixed"
-    INTERCEPT_RESEND_RANDOM = "intercept-resend-random"
-    TP1_MEASURE_RESEND = "tp1-measure-resend"
-    TP2_MEASURE_RESEND = "tp2-measure-resend"
-    OUTSIDER_PASSIVE_CLASSICAL = "outsider-passive-classical"
-
-
-#: Kinds that measure qudits in flight (the rest are passive).
-_ACTIVE_KINDS = frozenset(
-    {
-        AttackKind.INTERCEPT_RESEND_FIXED,
-        AttackKind.INTERCEPT_RESEND_RANDOM,
-        AttackKind.TP1_MEASURE_RESEND,
-        AttackKind.TP2_MEASURE_RESEND,
-    }
-)
+_TP_ROLES = frozenset().union(*WIRING.values())
+_PARTY_RE = re.compile(r"P[1-9]\d*")
 
 
 @dataclass(frozen=True)
 class AttackStrategy:
-    """One adversary configuration: what it does and, for fixed-basis taps, where it measures."""
+    """One adversary as a row: which links it taps, in which basis, and who sees the results.
 
-    kind: AttackKind
+    ``links`` is matched against whole link labels; ``None`` makes the
+    strategy passive. ``basis`` ``None`` means a fair coin per qudit.
+    """
+
+    id: str
+    links: re.Pattern[str] | None = None
     basis: Basis | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind is AttackKind.INTERCEPT_RESEND_FIXED:
-            if self.basis is None:
-                raise ParameterError("a fixed-basis intercept-resend strategy needs a basis")
-        elif self.basis is not None:
-            raise ParameterError(f"{self.kind.value} takes no basis argument")
-
-    @property
-    def owner(self) -> str:
-        """Role whose transcript view records this strategy's tap results."""
-        if self.kind is AttackKind.TP1_MEASURE_RESEND:
-            return TP1_ROLE
-        if self.kind is AttackKind.TP2_MEASURE_RESEND:
-            return TP2_ROLE
-        return OUTSIDER
+    owner: str = OUTSIDER
 
     @property
     def active(self) -> bool:
-        return self.kind in _ACTIVE_KINDS
+        return self.links is not None
 
     def taps_link(self, link_label: str) -> bool:
-        """Whether this strategy measures qudits crossing the given link.
-
-        Outsider intercept-resend taps every quantum link. The insider cases
-        tap exactly the links their role does not terminate: the preparing TP
-        taps the encoded second hop, the measuring TP taps the first hop.
-        Neither pattern matches the single-TP variant's links — there the TP
-        already terminates both hops.
-        """
-        if self.kind in (AttackKind.INTERCEPT_RESEND_FIXED, AttackKind.INTERCEPT_RESEND_RANDOM):
-            return "->" in link_label
-        if self.kind is AttackKind.TP1_MEASURE_RESEND:
-            return _SECOND_HOP_RE.match(link_label) is not None
-        if self.kind is AttackKind.TP2_MEASURE_RESEND:
-            return _FIRST_HOP_RE.match(link_label) is not None
-        return False
-
-    def _measurement_basis(self, rng: np.random.Generator) -> Basis:
-        if self.kind is AttackKind.INTERCEPT_RESEND_FIXED:
-            assert self.basis is not None
-            return self.basis
-        if self.kind is AttackKind.INTERCEPT_RESEND_RANDOM:
-            return Basis.FOURIER if int(rng.integers(0, 2)) else Basis.COMPUTATIONAL
-        # both insider cases measure in the computational basis
-        return Basis.COMPUTATIONAL
+        """Whether this strategy measures qudits crossing the given link."""
+        return self.links is not None and self.links.fullmatch(link_label) is not None
 
     def tap(
         self,
@@ -122,7 +72,9 @@ class AttackStrategy:
         """Measure-and-resend one in-flight qudit; passive strategies forward untouched."""
         if not self.active:
             return state
-        basis = self._measurement_basis(rng)
+        basis = self.basis
+        if basis is None:
+            basis = Basis.FOURIER if int(rng.integers(0, 2)) else Basis.COMPUTATIONAL
         outcome = measure(state, basis, rng)
         if transcript is not None:
             transcript.record(
@@ -136,14 +88,22 @@ class AttackStrategy:
         return outcome.post_state
 
 
+_EVERY_LINK = re.compile(r"\w+->\w+")
+
+# An insider taps the hop its role does not terminate: the preparing TP the
+# encoded second hop, the measuring TP the first hop. On one-tp the lone TP
+# terminates both hops, so neither pattern matches a link there.
 _STRATEGIES: dict[str, AttackStrategy] = {
-    "none": AttackStrategy(AttackKind.NONE),
-    "ir-fixed-t1": AttackStrategy(AttackKind.INTERCEPT_RESEND_FIXED, Basis.COMPUTATIONAL),
-    "ir-fixed-t2": AttackStrategy(AttackKind.INTERCEPT_RESEND_FIXED, Basis.FOURIER),
-    "ir-random": AttackStrategy(AttackKind.INTERCEPT_RESEND_RANDOM),
-    "tp1-mr": AttackStrategy(AttackKind.TP1_MEASURE_RESEND),
-    "tp2-mr": AttackStrategy(AttackKind.TP2_MEASURE_RESEND),
-    "outsider-classical": AttackStrategy(AttackKind.OUTSIDER_PASSIVE_CLASSICAL),
+    s.id: s
+    for s in (
+        AttackStrategy("none"),
+        AttackStrategy("ir-fixed-t1", _EVERY_LINK, Basis.COMPUTATIONAL),
+        AttackStrategy("ir-fixed-t2", _EVERY_LINK, Basis.FOURIER),
+        AttackStrategy("ir-random", _EVERY_LINK),
+        AttackStrategy("tp1-mr", re.compile(r"P\d+->TP2"), Basis.COMPUTATIONAL, TP1_ROLE),
+        AttackStrategy("tp2-mr", re.compile(r"TP1->P\d+"), Basis.COMPUTATIONAL, TP2_ROLE),
+        AttackStrategy("outsider-classical"),
+    )
 }
 
 ATTACK_IDS: tuple[str, ...] = tuple(_STRATEGIES)
@@ -169,13 +129,9 @@ def _flag_probability(strategy: AttackStrategy, d: int, prepared: Basis) -> floa
     sees the prepared index again with probability exactly 1/d.
     """
     mismatch = 1.0 - 1.0 / d
-    if strategy.kind is AttackKind.INTERCEPT_RESEND_FIXED:
-        return mismatch if prepared is not strategy.basis else 0.0
-    if strategy.kind is AttackKind.INTERCEPT_RESEND_RANDOM:
+    if strategy.basis is None:
         return 0.5 * mismatch
-    if strategy.kind in (AttackKind.TP1_MEASURE_RESEND, AttackKind.TP2_MEASURE_RESEND):
-        return mismatch if prepared is Basis.FOURIER else 0.0
-    raise ParameterError(f"no per-decoy detection probability for {strategy.kind.value}")
+    return mismatch if prepared is not strategy.basis else 0.0
 
 
 def per_decoy_detection_probability(
@@ -191,7 +147,7 @@ def per_decoy_detection_probability(
     if d < 2:
         raise ParameterError(f"dimension must be >= 2, got {d}")
     if not strategy.active:
-        raise ParameterError(f"{strategy.kind.value} never touches a qudit; no detection probability")
+        raise ParameterError(f"{strategy.id} never touches a qudit; no detection probability")
     if decoy_basis is not None:
         return _flag_probability(strategy, d, decoy_basis)
     return 0.5 * (
@@ -200,15 +156,11 @@ def per_decoy_detection_probability(
 
 
 def tapped_checked_decoys(strategy: AttackStrategy, params: ProtocolParams) -> int:
-    """How many checked decoys per run cross a link the strategy taps."""
-    if not strategy.active:
-        return 0
-    per_hop = params.n * params.l
-    if strategy.kind in (AttackKind.INTERCEPT_RESEND_FIXED, AttackKind.INTERCEPT_RESEND_RANDOM):
-        return 2 * per_hop
-    if params.variant is Variant.ONE_TP:
-        return 0  # insider taps never match the single-TP links
-    return per_hop
+    """How many checked decoys per run cross a link the strategy taps: l per tapped transmission."""
+    preparer, measurer = WIRING[params.variant]
+    parties = [party_role(i) for i in range(params.n)]
+    hops = [(preparer, p) for p in parties] + [(p, measurer) for p in parties]
+    return sum(params.l for hop in hops if strategy.taps_link(QuantumLink(*hop).label))
 
 
 def analytic_abort_probability(strategy: AttackStrategy, params: ProtocolParams) -> float:
@@ -249,7 +201,7 @@ class Coalition:
         if not members:
             raise ParameterError("a coalition needs at least one member")
         for role in members:
-            if role not in _TP_ROLES and not _PARTY_RE.match(role):
+            if role not in _TP_ROLES and not _PARTY_RE.fullmatch(role):
                 raise ParameterError(f"unknown coalition role {role!r}")
         if members & _TP_ROLES and len(members) > 1:
             raise ParameterError("third parties do not collude: a TP coalition is that TP alone")
@@ -277,7 +229,7 @@ def coalition_view(transcript: Transcript, coalition: Coalition) -> View:
         if coalition.target >= n:
             raise ParameterError(f"target index {coalition.target} out of range for n={n}")
         for role in coalition.members:
-            if _PARTY_RE.match(role) and int(role[1:]) > n:
+            if _PARTY_RE.fullmatch(role) and int(role[1:]) > n:
                 raise ParameterError(f"coalition member {role} does not exist in an n={n} run")
     merged = [
         e

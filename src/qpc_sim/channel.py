@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .qudit import NORM_TOL, BasisLabel
+from .qudit import BasisLabel
 
 #: Observer marker for events every role (and any outsider) can see.
 PUBLIC = "*"
@@ -52,13 +52,6 @@ class TransmissionSequence:
 
     def __len__(self) -> int:
         return len(self._slots)
-
-    @property
-    def dim(self) -> int:
-        for slot in self._slots:
-            if slot is not None:
-                return slot.dim
-        raise TransmissionError("every slot of this sequence has been consumed")
 
     def remaining_positions(self) -> tuple[int, ...]:
         return tuple(i for i, s in enumerate(self._slots) if s is not None)
@@ -160,7 +153,7 @@ def transmit(link: QuantumLink, seq: TransmissionSequence, rng: np.random.Genera
 
     The sender's handle on the sequence is consumed; the returned sequence is
     the receiver's handle. With no tap the delivered states are the prepared
-    ones (overlap ≥ 1 - NORM_TOL), since the channel itself is noiseless.
+    ones, since the channel itself is noiseless.
     """
     states = seq.release_all()
     delivered = []
@@ -184,5 +177,4 @@ __all__ = [
     "TransmissionError",
     "TransmissionSequence",
     "transmit",
-    "NORM_TOL",
 ]

@@ -18,13 +18,13 @@ from typing import Sequence
 import numpy as np
 
 from .adversary import (
-    AttackKind,
     AttackStrategy,
     analytic_abort_probability,
     strategy_from_id,
 )
-from .channel import Transcript
+from .channel import OUTSIDER, Transcript
 from .protocol import (
+    WIRING,
     ComparisonOutcome,
     ProtocolParams,
     Variant,
@@ -107,12 +107,9 @@ class ExperimentConfig:
                 variant=variant, n=self.n, d=self.d, r=self.r, l=self.l, error_threshold=self.threshold
             )
             strategy = strategy_from_id(self.attack)
-            if variant is Variant.ONE_TP and strategy.kind in (
-                AttackKind.TP1_MEASURE_RESEND,
-                AttackKind.TP2_MEASURE_RESEND,
-            ):
+            if strategy.owner not in (OUTSIDER, *WIRING[variant]):
                 raise ConfigError(
-                    f"attack {self.attack!r} models a two-tp insider and does not apply to one-tp"
+                    f"attack {self.attack!r} models a two-tp insider and does not apply to {variant.value}"
                 )
             if self.secrets != "random":
                 _normalize_secrets(self.secrets, params)

@@ -61,6 +61,13 @@ class Variant(enum.Enum):
     ONE_TP = "one-tp"
 
 
+#: (preparer, measurer) of each wiring: carriers travel preparer -> party -> measurer.
+WIRING: dict[Variant, tuple[str, str]] = {
+    Variant.TWO_TP: (TP1_ROLE, TP2_ROLE),
+    Variant.ONE_TP: (SOLO_TP_ROLE, SOLO_TP_ROLE),
+}
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """Validated run parameters.
@@ -365,10 +372,9 @@ def _run_protocol(
     shared_key_value: int | None,
     adversary: "AttackStrategy | None",
     rng: np.random.Generator,
-    preparer: str,
-    measurer: str,
 ) -> tuple[Transcript, ComparisonOutcome]:
     n, l, threshold = params.n, params.l, params.error_threshold
+    preparer, measurer = WIRING[params.variant]
     parties = [party_role(i) for i in range(n)]
 
     transcript = Transcript()
@@ -486,7 +492,7 @@ def run_two_tp_protocol(
     if params.variant is not Variant.TWO_TP:
         raise ParameterError(f"params are for {params.variant.value}, expected two-tp")
     values = _normalize_secrets(secrets, params)
-    return _run_protocol(params, values, 0, None, adversary, rng, TP1_ROLE, TP2_ROLE)
+    return _run_protocol(params, values, 0, None, adversary, rng)
 
 
 def run_one_tp_protocol(
@@ -506,4 +512,4 @@ def run_one_tp_protocol(
         raise ParameterError(f"params are for {params.variant.value}, expected one-tp")
     values = _normalize_secrets(secrets, params)
     key = _check_shared_key(shared_key, params)
-    return _run_protocol(params, values, key, key, adversary, rng, SOLO_TP_ROLE, SOLO_TP_ROLE)
+    return _run_protocol(params, values, key, key, adversary, rng)

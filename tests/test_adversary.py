@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 
 from qpc_sim import (
     ATTACK_IDS,
-    AttackKind,
-    AttackStrategy,
     Basis,
     Coalition,
     ConfigError,
@@ -31,6 +29,7 @@ from qpc_sim import (
     run_experiment,
     run_one_tp_protocol,
     run_two_tp_protocol,
+    run_trial,
     secret_support,
     strategy_from_id,
     tapped_checked_decoys,
@@ -68,20 +67,6 @@ def test_ids_round_trip(attack_id):
 def test_unknown_id_error_lists_the_valid_ones():
     with pytest.raises(ParameterError, match="ir-random"):
         strategy_from_id("quantum-hacking")
-
-
-def test_fixed_basis_strategy_requires_a_basis():
-    with pytest.raises(ParameterError):
-        AttackStrategy(AttackKind.INTERCEPT_RESEND_FIXED)
-
-
-@pytest.mark.parametrize(
-    "kind",
-    [AttackKind.NONE, AttackKind.INTERCEPT_RESEND_RANDOM, AttackKind.TP1_MEASURE_RESEND],
-)
-def test_other_strategies_reject_a_basis(kind):
-    with pytest.raises(ParameterError):
-        AttackStrategy(kind, Basis.FOURIER)
 
 
 def test_owners_and_activity():
@@ -230,6 +215,32 @@ def test_tapped_decoy_counts():
     assert tapped_checked_decoys(strategy_from_id("tp2-mr"), ONE_TP) == 0
 
 
+def _tap_oracle_cases():
+    """Every attack x variant that validates, at full tolerance so that every check runs."""
+    for attack, variant, (n, l) in itertools.product(ATTACK_IDS, ("two-tp", "one-tp"), ((2, 1), (3, 8))):
+        config = ExperimentConfig(
+            variant=variant, n=n, d=13, r=4, l=l, attack=attack, trials=1, seed=17, threshold=1.0
+        )
+        try:
+            config.validate()
+        except ConfigError:
+            continue
+        yield pytest.param(config, id=f"{attack}-{variant}-n{n}-l{l}")
+
+
+@pytest.mark.parametrize("config", _tap_oracle_cases())
+def test_tapped_decoy_count_matches_the_checks_a_run_makes(config):
+    params, strategy = config.validate()
+    run = run_trial(config, 0)
+    assert run.outcome.completed
+    events = run.transcript.events()
+    checks = [e for e in events if e["kind"] == "decoy_check"]
+    # every link that carried qudits was checked
+    assert {e["link"] for e in checks} == {e["link"] for e in events if e["kind"] == "transmit"}
+    counted = sum(e["checked"] for e in checks if strategy.taps_link(e["link"]))
+    assert counted == tapped_checked_decoys(strategy, params)
+
+
 def test_analytic_abort_probability_frozen_value():
     params = ProtocolParams(Variant.TWO_TP, n=2, d=2, r=1, l=1)
     # 4 tapped decoys, each flagging with probability 1/4
@@ -310,6 +321,10 @@ def test_coalition_validation():
         Coalition(frozenset({"P1"}), target=0)
     with pytest.raises(ParameterError):
         Coalition(frozenset({"P2"}), target=-1)
+    # a party role is P1, P2, ...: no P0, no leading zero, no trailing newline
+    for role in ("P0", "P01", "P1\n"):
+        with pytest.raises(ParameterError, match="unknown coalition role"):
+            Coalition(frozenset({role}), target=1)
 
 
 def test_coalition_view_merges_member_and_public_events():

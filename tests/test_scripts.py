@@ -38,6 +38,11 @@ def test_detection_sweep_runs(detection_sweep, tmp_path, capsys):
     assert len(rows) == 5
 
 
+def test_sweep_attack_order_is_pinned(detection_sweep):
+    # a cell's index fixes its seed, so reordering these ids would change every row's bytes
+    assert detection_sweep.ACTIVE_ATTACKS == ("ir-fixed-t1", "ir-fixed-t2", "ir-random", "tp1-mr", "tp2-mr")
+
+
 def test_deviation_scores_against_the_analytic_sigma(detection_sweep):
     assert detection_sweep.deviation(1.0, 0.5, 50) == pytest.approx(0.5 / math.sqrt(0.25 / 50))
     assert detection_sweep.deviation(0.5, 0.5, 50) == 0.0
