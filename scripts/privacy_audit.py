@@ -15,7 +15,10 @@ edge leaks explicitly:
   secret keeps a key-sized uncertainty window.
 
 The runs of each variant are trials 0..runs-1 of one harness experiment
-seeded by ``--seed``, so any of them replays with ``run_trial``.
+seeded by ``--seed``, so any of them replays with ``run_trial``. A support
+that excludes the true secret is a bug in the audit, not a finding: the
+script then prints one ``error:`` line per variant naming the run and target,
+and exits 1.
 
 Example:
     python3 scripts/privacy_audit.py --runs 200 --seed 7
@@ -42,7 +45,12 @@ def _histogram(sizes: list[int], r: int) -> str:
     return "  ".join(f"|S|={k}: {counts.get(k, 0) / total:.2%}" for k in range(1, r + 1))
 
 
-def audit_two_tp(config: ExperimentConfig) -> None:
+def _excluded(variant: str, trial: int, target: int, name: str) -> str:
+    return f"{variant} trial {trial} target {target}: the {name} support excludes the true secret"
+
+
+def audit_two_tp(config: ExperimentConfig) -> str | None:
+    """Print the two-tp histograms; return the first inconsistency instead, if any."""
     params, _ = config.validate()
     runs, seed = config.trials, config.seed
     sizes: dict[str, list[int]] = {"TP1": [], "TP2": [], "parties": []}
@@ -55,7 +63,8 @@ def audit_two_tp(config: ExperimentConfig) -> None:
             for name, members in (("TP1", frozenset({"TP1"})), ("TP2", frozenset({"TP2"})), ("parties", others)):
                 view = coalition_view(transcript, Coalition(members, target))
                 support = secret_support(view, params).candidates
-                assert secrets[target] in support, "audit invariant: the truth is always consistent"
+                if secrets[target] not in support:
+                    return _excluded("two-tp", t, target, name)
                 sizes[name].append(len(support))
                 if name == "TP2" and len(support) == 1:
                     pinned.append((secrets[target], target))
@@ -63,9 +72,11 @@ def audit_two_tp(config: ExperimentConfig) -> None:
     for name in ("TP1", "parties", "TP2"):
         print(f"  {name:8} {_histogram(sizes[name], params.r)}")
     print(f"  TP2 pinned a secret exactly in {len(pinned)} of {runs * 3} cases (extreme measured values).")
+    return None
 
 
-def audit_one_tp(config: ExperimentConfig) -> None:
+def audit_one_tp(config: ExperimentConfig) -> str | None:
+    """Print the one-tp histograms and difference leak; return the first inconsistency instead, if any."""
     params, _ = config.validate()
     runs, seed = config.trials, config.seed
     tp_sizes: list[int] = []
@@ -86,15 +97,17 @@ def audit_one_tp(config: ExperimentConfig) -> None:
             for j in range(params.n)
         )
         for target in range(params.n):
-            view = coalition_view(transcript, Coalition(frozenset({"TP"}), target))
-            tp_sizes.append(len(secret_support(view, params).candidates))
             others = frozenset(f"P{i + 1}" for i in range(params.n) if i != target)
-            view = coalition_view(transcript, Coalition(others, target))
-            party_sizes.append(len(secret_support(view, params).candidates))
+            for name, members, sizes in (("TP", frozenset({"TP"}), tp_sizes), ("parties", others, party_sizes)):
+                support = secret_support(coalition_view(transcript, Coalition(members, target)), params).candidates
+                if secrets[target] not in support:
+                    return _excluded("one-tp", t, target, name)
+                sizes.append(len(support))
     print(f"\none-tp (n=3, d=17, r=5, seed={seed}), {runs} runs x 3 targets:")
     print(f"  TP       {_histogram(tp_sizes, params.r)}")
     print(f"  parties  {_histogram(party_sizes, params.r)}")
     print(f"  pairwise secret differences were exactly recoverable by the TP in {diffs_exact}/{runs} runs.")
+    return None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -111,9 +124,13 @@ def main(argv: list[str] | None = None) -> int:
             config.validate()
         except ConfigError as exc:
             parser.error(str(exc))
-    audit_two_tp(two_tp)
-    audit_one_tp(one_tp)
-    return 0
+    status = 0
+    for audit, config in ((audit_two_tp, two_tp), (audit_one_tp, one_tp)):
+        error = audit(config)
+        if error is not None:
+            print(f"error: {error}", file=sys.stderr)
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

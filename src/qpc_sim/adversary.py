@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import OUTSIDER, PUBLIC, QuantumLink, Transcript
+from .channel import OUTSIDER, QuantumLink, Transcript
 from .protocol import (
     WIRING,
     ProtocolParams,
@@ -221,9 +221,12 @@ class View:
 
 
 def coalition_view(transcript: Transcript, coalition: Coalition) -> View:
-    """Merge the members' transcript views (public events included once, in order)."""
-    events = transcript.events()
-    header = next((e for e in events if e["kind"] == "run_header"), None)
+    """The members' merged transcript view: public events plus any member's own, each once, in order.
+
+    The events are the transcript's shared read-only records, not copies. A
+    run header, if present, bounds the target and the party members.
+    """
+    header = next((e for e in transcript.events() if e["kind"] == "run_header"), None)
     if header is not None:
         n = header["n"]
         if coalition.target >= n:
@@ -231,12 +234,8 @@ def coalition_view(transcript: Transcript, coalition: Coalition) -> View:
         for role in coalition.members:
             if _PARTY_RE.fullmatch(role) and int(role[1:]) > n:
                 raise ParameterError(f"coalition member {role} does not exist in an n={n} run")
-    merged = [
-        e
-        for e in events
-        if PUBLIC in e["observers"] or not coalition.members.isdisjoint(e["observers"])
-    ]
-    return View(events=tuple(merged), members=coalition.members, target=coalition.target)
+    events = tuple(transcript.view(*coalition.members))
+    return View(events=events, members=coalition.members, target=coalition.target)
 
 
 @dataclass(frozen=True)

@@ -78,43 +78,73 @@ class TransmissionSequence:
         return states
 
 
+class Event(dict):
+    """One recorded transcript event: a JSON-safe dict that refuses every in-place change.
+
+    The transcript stores each event once and hands the same object to every
+    read, so a reader cannot edit what another role sees. ``dict(event)`` is a
+    mutable private copy. Nested lists are not frozen.
+    """
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("transcript events are read-only; dict(event) gives a private copy")
+
+    __setitem__ = __delitem__ = __ior__ = update = pop = popitem = setdefault = clear = _read_only
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, never through the blocked __setitem__
+        return Event, (dict(self),)
+
+
 class Transcript:
     """Append-only event log for one protocol run, with per-role visibility.
 
-    Events are JSON-safe dicts. ``view(role)`` returns exactly the events the
-    role observes; byte comparisons between views use :meth:`view_json`, which
-    serializes canonically (sorted keys, fixed separators).
+    Each event is recorded once as a read-only :class:`Event` and every read
+    shares it. ``view(*roles)`` returns exactly the events those roles observe,
+    in ``seq`` order; it reads a per-role index of ``seq`` numbers that the
+    first read after a write extends, so recording does no index work. Byte
+    comparisons between views use :meth:`view_json`, which serializes
+    canonically (sorted keys, fixed separators).
     """
 
     def __init__(self) -> None:
-        self._events: list[dict] = []
+        self._events: list[Event] = []
+        self._seqs: dict[str, list[int]] = {}
+        self._indexed = 0
 
     def record(self, observers: Iterable[str] | str, kind: str, step: str | None = None, **payload) -> None:
-        if isinstance(observers, str):
-            obs = [observers]
-        else:
-            obs = sorted(set(observers))
-        event: dict = {"seq": len(self._events), "kind": kind, "observers": obs}
+        payload["seq"] = len(self._events)
+        payload["kind"] = kind
+        payload["observers"] = [observers] if isinstance(observers, str) else sorted(set(observers))
         if step is not None:
-            event["step"] = step
-        event.update(payload)
-        self._events.append(event)
+            payload["step"] = step
+        self._events.append(Event(payload))
 
-    def events(self) -> list[dict]:
-        """God's-eye copy of the full log (analysis only, not a role's view)."""
-        return [dict(e) for e in self._events]
+    def events(self) -> list[Event]:
+        """God's-eye list of the full log (analysis only, not a role's view); the events are shared."""
+        return list(self._events)
 
-    def view(self, role: str) -> list[dict]:
-        """Events observable by ``role``: public ones plus its own private ones."""
-        return [dict(e) for e in self._events if PUBLIC in e["observers"] or role in e["observers"]]
+    def view(self, *roles: str) -> list[Event]:
+        """Events observable by any of ``roles``: every public one plus their private ones, each once."""
+        events, index = self._events, self._seqs
+        for seq in range(self._indexed, len(events)):
+            for role in events[seq]["observers"]:
+                index.setdefault(role, []).append(seq)
+        self._indexed = len(events)
+        seqs = set(index.get(PUBLIC, ()))
+        for role in roles:
+            seqs.update(index.get(role, ()))
+        return [events[seq] for seq in sorted(seqs)]
 
-    def public_view(self) -> list[dict]:
+    def public_view(self) -> list[Event]:
         """Strictly public events — what a passive outsider on the classical channel sees.
 
         An *active* outsider knows more than this (its own tap records);
         that knowledge is ``view(OUTSIDER)``.
         """
-        return [dict(e) for e in self._events if PUBLIC in e["observers"]]
+        return self.view()
 
     def view_json(self, role: str) -> str:
         return json.dumps(self.view(role), sort_keys=True, separators=(",", ":"))
@@ -131,7 +161,7 @@ class ClassicalBus:
 
     def broadcast(self, sender: str, message: dict) -> None:
         """Append ``message`` to the transcript under ``sender``'s authenticated identity."""
-        self.transcript.record(PUBLIC, "classical", sender=sender, message=dict(message))
+        self.transcript.record(PUBLIC, "classical", sender=sender, message=Event(message))
 
 
 @dataclass
@@ -172,6 +202,7 @@ __all__ = [
     "PUBLIC",
     "OUTSIDER",
     "ClassicalBus",
+    "Event",
     "QuantumLink",
     "Transcript",
     "TransmissionError",

@@ -1,8 +1,14 @@
 """Transport-layer tests: delivery fidelity, no-cloning discipline, transcript visibility."""
 from __future__ import annotations
 
+import copy
+import json
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_state
 from qpc_sim import (
@@ -10,14 +16,17 @@ from qpc_sim import (
     PUBLIC,
     Basis,
     ClassicalBus,
+    Coalition,
     QuantumLink,
     Transcript,
     TransmissionError,
     TransmissionSequence,
     basis_state,
+    coalition_view,
     overlap,
     transmit,
 )
+from qpc_sim.channel import Event
 
 RNG = lambda seed=0: np.random.default_rng(seed)  # noqa: E731
 
@@ -143,3 +152,126 @@ def test_view_json_is_deterministic():
 
     assert build().view_json("P1") == build().view_json("P1")
     assert build().to_json() == build().to_json()
+
+
+# ---------------------------------------------------------------------------
+# read-only events and the per-role index
+# ---------------------------------------------------------------------------
+
+def _announced() -> Transcript:
+    transcript = Transcript()
+    ClassicalBus(transcript).broadcast("TP1", {"kind": "pad_announcement", "values": [1, 2]})
+    transcript.record({"P1", "TP1"}, "transmit", step="step2", link="TP1->P1", count=2)
+    return transcript
+
+
+def _augment(event):
+    event |= {"kind": "x"}
+
+
+_MUTATORS = {
+    "setitem": lambda e: e.__setitem__("kind", "x"),
+    "delitem": lambda e: e.__delitem__("kind"),
+    "ior": _augment,
+    "update": lambda e: e.update(kind="x"),
+    "pop": lambda e: e.pop("kind"),
+    "popitem": lambda e: e.popitem(),
+    "setdefault": lambda e: e.setdefault("fresh", 1),
+    "clear": lambda e: e.clear(),
+}
+
+
+@pytest.mark.parametrize("mutate", list(_MUTATORS.values()), ids=list(_MUTATORS))
+def test_every_mutator_of_an_event_raises_and_changes_nothing(mutate):
+    transcript = _announced()
+    before = transcript.to_json()
+    events = transcript.events() + transcript.view("P1") + transcript.public_view()
+    for event in events + [e["message"] for e in events if e["kind"] == "classical"]:
+        with pytest.raises(TypeError, match="read-only"):
+            mutate(event)
+    assert transcript.to_json() == before
+
+
+def test_a_broadcast_message_is_read_only_on_every_view():
+    transcript = _announced()
+    before = transcript.to_json()
+    for view in (transcript.events(), transcript.view(OUTSIDER), transcript.public_view()):
+        with pytest.raises(TypeError):
+            view[0]["message"]["kind"] = "forged"
+    assert transcript.to_json() == before
+
+
+def test_dict_of_an_event_is_a_mutable_private_copy():
+    transcript = _announced()
+    before = transcript.to_json()
+    event = transcript.events()[1]
+    private = dict(event)
+    private["kind"] = "edited"
+    del private["count"]
+    assert type(private) is dict and private != event
+    assert transcript.to_json() == before
+    assert transcript.events()[1]["kind"] == "transmit"
+
+
+@pytest.mark.parametrize(
+    "round_trip",
+    [
+        lambda e: json.loads(json.dumps(e)),
+        copy.deepcopy,
+        copy.copy,
+        lambda e: pickle.loads(pickle.dumps(e)),
+    ],
+    ids=["json", "deepcopy", "copy", "pickle"],
+)
+def test_an_event_survives_serialisation_and_copies(round_trip):
+    for event in _announced().events():
+        again = round_trip(event)
+        assert again == event and again is not event
+        if not isinstance(again, Event):  # json gives plain dicts back
+            continue
+        with pytest.raises(TypeError):
+            again["kind"] = "x"
+        if "message" in event:
+            assert type(again["message"]) is Event
+
+
+_OBSERVERS = (PUBLIC, OUTSIDER, "TP1", "TP2", "P1", "P2", "P3", "P4")
+_PARTIES = ("P1", "P2", "P3", "P4")
+
+
+def _naive(transcript: Transcript, roles) -> list[dict]:
+    """Oracle: filter the serialized log, with no index and no shared objects."""
+    return [e for e in json.loads(transcript.to_json()) if PUBLIC in e["observers"] or set(roles) & set(e["observers"])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_every_read_equals_a_naive_filter_over_the_json(data):
+    transcript = Transcript()
+    bus = ClassicalBus(transcript)
+    for _ in range(data.draw(st.integers(0, 30), label="steps")):
+        action = data.draw(st.sampled_from(["record", "broadcast", "view", "public", "events", "coalition", "json"]))
+        if action == "record":
+            observers = data.draw(st.sampled_from(_OBSERVERS) | st.lists(st.sampled_from(_OBSERVERS), min_size=1))
+            step = data.draw(st.sampled_from([None, "step3"]))
+            transcript.record(observers, "probe", step=step, value=data.draw(st.integers(0, 9)))
+        elif action == "broadcast":
+            bus.broadcast(data.draw(st.sampled_from(_OBSERVERS[2:])), {"kind": "note", "values": [1, 2]})
+        elif action == "view":
+            roles = data.draw(st.lists(st.sampled_from(_OBSERVERS), max_size=4))
+            assert transcript.view(*roles) == _naive(transcript, roles)
+        elif action == "public":
+            assert transcript.public_view() == _naive(transcript, ())
+        elif action == "events":
+            assert transcript.events() == json.loads(transcript.to_json())
+        elif action == "coalition":
+            members = data.draw(
+                st.sampled_from([("TP1",), ("TP2",)]) | st.lists(st.sampled_from(_PARTIES), min_size=1, unique=True)
+            )
+            target = data.draw(st.sampled_from([i for i in range(5) if f"P{i + 1}" not in members]))
+            view = coalition_view(transcript, Coalition(frozenset(members), target))
+            assert list(view.events) == _naive(transcript, members)
+        else:
+            role = data.draw(st.sampled_from(_OBSERVERS))
+            expected = json.dumps(_naive(transcript, [role]), sort_keys=True, separators=(",", ":"))
+            assert transcript.view_json(role) == expected

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import importlib.util
 import io
 import math
@@ -58,6 +59,34 @@ def test_deviation_at_zero_sigma_is_exact_or_infinite(detection_sweep):
 def test_privacy_audit_runs(capsys):
     assert _load("privacy_audit").main(["--runs", "3"]) == 0
     assert "pairwise secret differences" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("broken", [("two-tp",), ("one-tp",), ("two-tp", "one-tp")], ids="+".join)
+def test_privacy_audit_exits_1_when_a_support_drops_the_truth(broken, monkeypatch, capsys):
+    audit = _load("privacy_audit")
+    run_trial, secret_support = audit.run_trial, audit.secret_support
+    runs = []
+
+    def remembered(config, t):
+        runs.append(run_trial(config, t))
+        return runs[-1]
+
+    def without_truth(view, params):
+        support = secret_support(view, params)
+        if params.variant.value not in broken:
+            return support
+        return dataclasses.replace(support, candidates=support.candidates - {runs[-1].secrets[view.target]})
+
+    monkeypatch.setattr(audit, "run_trial", remembered)
+    monkeypatch.setattr(audit, "secret_support", without_truth)
+    assert audit.main(["--runs", "2"]) == 1
+    out, err = capsys.readouterr()
+    first = {"two-tp": "TP1", "one-tp": "TP"}
+    assert err.splitlines() == [
+        f"error: {variant} trial 0 target 0: the {first[variant]} support excludes the true secret" for variant in broken
+    ]
+    # a variant whose supports hold the truth still prints its report
+    assert ("pairwise secret differences" in out) == ("one-tp" not in broken)
 
 
 @pytest.mark.parametrize(

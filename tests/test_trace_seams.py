@@ -1,0 +1,62 @@
+"""The names the benchmark's tracer patches, pinned so a refactor cannot silently kill a span.
+
+``perfbench/tracer.py`` wraps each (owner, attribute) below in place, reading
+the original with ``vars(owner)[attr]``. A name that moves or is renamed
+stops its ``--trace 1`` span from firing, and the traced run loses a
+final-line metric. The list is written out here rather than imported, so a
+tracer edit and a library edit each have to agree with it.
+"""
+from __future__ import annotations
+
+import pytest
+
+from qpc_sim import adversary, cli, harness, protocol, qudit
+from qpc_sim.adversary import AttackStrategy
+from qpc_sim.channel import ClassicalBus, Transcript
+
+SEAMS = [
+    (protocol, "measure"),
+    (adversary, "measure"),
+    (protocol, "basis_state"),
+    (protocol, "apply_shift"),
+    (protocol, "build_transmission"),
+    (protocol, "transmit"),
+    (Transcript, "record"),
+    (Transcript, "events"),
+    (ClassicalBus, "broadcast"),
+    (AttackStrategy, "tap"),
+    (harness, "run_two_tp_protocol"),
+    (harness, "run_one_tp_protocol"),
+    (harness, "_run_trial"),
+    (harness, "run_experiment"),
+    (cli, "run_experiment"),
+    (cli, "sweep"),
+    (cli, "main"),
+    (adversary, "coalition_view"),
+    (adversary, "secret_support"),
+    (qudit, "fourier_matrix"),
+]
+
+
+@pytest.mark.parametrize("owner, attr", SEAMS, ids=[f"{getattr(o, '__name__', o)}.{a}" for o, a in SEAMS])
+def test_each_traced_name_is_defined_where_the_tracer_patches_it(owner, attr):
+    assert callable(vars(owner).get(attr))
+
+
+def test_an_audited_trial_reads_the_full_log(monkeypatch):
+    # the privacy-audit workload bypasses the fold, so its channel.events span
+    # fires only if the audit itself reads Transcript.events
+    calls = []
+    events = Transcript.events
+
+    def counted(self):
+        calls.append(self)
+        return events(self)
+
+    monkeypatch.setattr(Transcript, "events", counted)
+    config = harness.ExperimentConfig(variant="two-tp", n=3, d=13, r=5, l=8, trials=1, seed=1)
+    params, _ = config.validate()
+    run = harness.run_trial(config, 0)
+    view = adversary.coalition_view(run.transcript, adversary.Coalition(frozenset({"TP2"}), 0))
+    adversary.secret_support(view, params)
+    assert calls
