@@ -35,7 +35,6 @@ from .harness import (
 )
 from .protocol import (
     ComparisonOutcome,
-    DecoyEntry,
     DecoySpec,
     ProtocolParams,
     Variant,

@@ -72,8 +72,7 @@ class TransmissionSequence:
         """Consume every slot at once (used by :func:`transmit`)."""
         if self._released or any(s is None for s in self._slots):
             raise TransmissionError("sequence already partially or fully consumed")
-        states = [s for s in self._slots if s is not None]
-        self._slots = [None] * len(self._slots)
+        states, self._slots = self._slots, [None] * len(self._slots)
         self._released = True
         return states
 
@@ -182,15 +181,12 @@ def transmit(link: QuantumLink, seq: TransmissionSequence, rng: np.random.Genera
     """Move a sequence through ``link``, passing each qudit through the tap once, in order.
 
     The sender's handle on the sequence is consumed; the returned sequence is
-    the receiver's handle. With no tap the delivered states are the prepared
-    ones, since the channel itself is noiseless.
+    the receiver's handle. With no tap the released states are delivered as
+    they are, since the channel itself is noiseless.
     """
-    states = seq.release_all()
-    delivered = []
-    for position, state in enumerate(states):
-        if link.tap is not None:
-            state = link.tap(state, position, rng)
-        delivered.append(state)
+    delivered = seq.release_all()
+    if link.tap is not None:
+        delivered = [link.tap(state, position, rng) for position, state in enumerate(delivered)]
     if link.transcript is not None:
         link.transcript.record(
             {link.sender, link.receiver}, "transmit", link=link.label, count=len(delivered)

@@ -8,6 +8,7 @@ variable QPC_SIM_SEED is used, then 0.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -135,6 +136,16 @@ def _summary(report: ExperimentReport) -> str:
     )
 
 
+def _run(config: ExperimentConfig, axis: str | None, values: list, fmt: str) -> tuple[str, str]:
+    """The rendered output and its one-line summary, for one report or a sweep over ``axis``."""
+    if axis is None:
+        report = run_experiment(config)
+        return _render_report(report, fmt), _summary(report)
+    cells = sweep(config, axis, values)
+    done = sum(1 for c in cells if c.report is not None)
+    return _render_sweep(cells, fmt), f"sweep over {axis}: {done}/{len(cells)} cells run"
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -156,33 +167,26 @@ def main(argv: Sequence[str] | None = None) -> int:
             threshold=args.threshold,
         )
         config.validate()
+        values = []
         if args.axis is not None:
-            cells = sweep(config, args.axis, _parse_axis_values(args.axis, args.values))
-            text = _render_sweep(cells, args.fmt)
-            done = sum(1 for c in cells if c.report is not None)
-            summary = f"sweep over {args.axis}: {done}/{len(cells)} cells run"
-        else:
-            if args.values is not None:
-                raise ConfigError("--values requires --axis")
-            report = run_experiment(config)
-            text = _render_report(report, args.fmt)
-            summary = _summary(report)
+            values = _parse_axis_values(args.axis, args.values)
+        elif args.values is not None:
+            raise ConfigError("--values requires --axis")
     except (ConfigError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    if args.out is None:
-        print(text)
-    else:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-                if not text.endswith("\n"):
-                    handle.write("\n")
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_IO
-        print(f"{summary} -> {args.out}")
+    # --out opens before the run, so an unwritable path fails before any trial is spent
+    try:
+        out = None if args.out is None else open(args.out, "w", encoding="utf-8")
+        with out or contextlib.nullcontext():
+            text, summary = _run(config, args.axis, values, args.fmt)
+            if out is not None:
+                out.write(text if text.endswith("\n") else text + "\n")
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        return EXIT_IO
+    print(text if out is None else f"{summary} -> {args.out}")
     return EXIT_OK
 
 

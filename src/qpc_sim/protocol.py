@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from functools import lru_cache
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -103,29 +104,23 @@ class ProtocolParams:
             raise ParameterError(f"one-tp requires d >= 3*r - 1 (got d={self.d}, r={self.r})")
 
 
-@dataclass(frozen=True)
-class DecoyEntry:
-    """One decoy slot: where it sits, which basis prepared it, and the basis index."""
+#: The decoy basis for each value of the drawn basis bit, and its transcript name.
+DECOY_BASES = (Basis.COMPUTATIONAL, Basis.FOURIER)
+DECOY_BASIS_NAMES = tuple(basis.value for basis in DECOY_BASES)
 
-    position: int
-    basis: Basis
-    index: int
+#: One decoy of a recipe: ``(position, fourier, index)``, where ``fourier`` is the drawn basis bit.
+Decoy = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class DecoySpec:
-    """Sender-private recipe of a transmission: decoy entries plus the carrier slot."""
+class DecoySpec(NamedTuple):
+    """Sender-private recipe of a transmission: its draw, as decoys in position order, plus the carrier slot.
 
-    entries: tuple[DecoyEntry, ...]
+    :func:`build_transmission` lays the decoys on every slot but
+    ``carrier_position``, so the two partition the sequence by construction.
+    """
+
+    entries: tuple[Decoy, ...]
     carrier_position: int
-
-    def __post_init__(self) -> None:
-        length = len(self.entries) + 1
-        positions = {e.position for e in self.entries}
-        if not 0 <= self.carrier_position < length:
-            raise ParameterError(f"carrier position {self.carrier_position} outside [0, {length})")
-        if self.carrier_position in positions or len(positions) != len(self.entries):
-            raise ParameterError("decoy and carrier positions must partition the sequence")
 
 
 @dataclass(frozen=True)
@@ -186,34 +181,37 @@ def tp_prepare_carriers(
     return pad_sum, tuple(pads), [basis_state(params.d, Basis.COMPUTATIONAL, pad) for pad in pads]
 
 
+@lru_cache(maxsize=4)
+def _draw_bounds(d: int, l: int) -> np.ndarray:
+    """Upper bounds of one transmission's draw: basis bit and index per decoy, then the carrier slot."""
+    bounds = np.array([2, d] * l + [l + 1])
+    bounds.setflags(write=False)
+    return bounds
+
+
 def build_transmission(
     carrier_state: BasisLabel, l: int, rng: np.random.Generator
 ) -> tuple[TransmissionSequence, DecoySpec]:
     """Hide the carrier among l decoys drawn uniformly from the 2d basis states.
 
     Each decoy picks its basis and index independently and uniformly; the
-    carrier slot is uniform over the l+1 positions. Only the returned
-    DecoySpec (sender-private) says which slot is which. One array-bound
-    ``rng.integers`` call draws every label in the scalar order (basis, then
+    carrier slot is uniform over the l+1 positions, and the decoys fill the
+    other slots in order. Only the returned DecoySpec (sender-private) says
+    which slot is which. One array-bound ``rng.integers`` call, against bounds
+    cached per ``(d, l)``, draws every label in the scalar order (basis, then
     index, per decoy, then the slot); numpy gives it the values and end state
-    of the 2l+1 scalar calls (pinned in tests/test_determinism.py).
+    of the 2l+1 scalar calls (pinned in tests/test_determinism.py). Each decoy
+    is prepared by one ``basis_state`` call.
     """
     if l < 1:
         raise ParameterError(f"each transmission needs l >= 1 decoys, got l={l}")
     d = carrier_state.dim
-    *labels, carrier_position = rng.integers(0, [2, d] * l + [l + 1]).tolist()
-    decoys = zip(labels[::2], labels[1::2])
-    entries = []
-    states = []
-    for pos in range(l + 1):
-        if pos == carrier_position:
-            states.append(carrier_state)
-        else:
-            fourier, index = next(decoys)
-            basis = Basis.FOURIER if fourier else Basis.COMPUTATIONAL
-            entries.append(DecoyEntry(position=pos, basis=basis, index=index))
-            states.append(basis_state(d, basis, index))
-    return TransmissionSequence(states), DecoySpec(entries=tuple(entries), carrier_position=carrier_position)
+    *draw, carrier_position = rng.integers(0, _draw_bounds(d, l)).tolist()
+    positions = [*range(carrier_position), *range(carrier_position + 1, l + 1)]
+    entries = tuple(zip(positions, draw[::2], draw[1::2]))
+    states = [basis_state(d, DECOY_BASES[fourier], index) for _, fourier, index in entries]
+    states.insert(carrier_position, carrier_state)
+    return TransmissionSequence(states), DecoySpec(entries, carrier_position)
 
 
 def encode_secret(carrier_state: BasisLabel, secret: int, offset: int) -> BasisLabel:
@@ -232,14 +230,15 @@ def encode_secret(carrier_state: BasisLabel, secret: int, offset: int) -> BasisL
     return apply_shift(carrier_state, shift)
 
 
-def two_phase_disclosure(spec: DecoySpec) -> tuple[tuple[DecoyEntry, ...], tuple[DecoyEntry, ...]]:
+def two_phase_disclosure(spec: DecoySpec) -> tuple[tuple[Decoy, ...], tuple[Decoy, ...]]:
     """Split a decoy recipe into its two disclosure phases: Fourier first, then computational.
 
-    The order is part of the protocol contract — the Fourier phase must be
-    checked before any computational positions are revealed.
+    Each phase keeps the recipe's triples in position order. The order is
+    part of the protocol contract — the Fourier phase must be checked before
+    any computational positions are revealed.
     """
-    fourier = tuple(e for e in spec.entries if e.basis is Basis.FOURIER)
-    computational = tuple(e for e in spec.entries if e.basis is Basis.COMPUTATIONAL)
+    fourier = tuple(entry for entry in spec.entries if entry[1])
+    computational = tuple(entry for entry in spec.entries if not entry[1])
     return fourier, computational
 
 
@@ -262,13 +261,13 @@ def tp_compute_result(
 # classical message constructors (transcript JSON shapes)
 # --------------------------------------------------------------------------
 
-def decoy_disclosure(transmission: str, phase: str, entries: Sequence[DecoyEntry]) -> dict:
+def decoy_disclosure(transmission: str, phase: str, entries: Sequence[Decoy]) -> dict:
     """Positions and bases of decoys to check; prepared indices stay private."""
     return {
         "kind": "decoy_disclosure",
         "transmission": transmission,
         "phase": phase,
-        "entries": [[e.position, e.basis.value] for e in entries],
+        "entries": [[position, DECOY_BASIS_NAMES[fourier]] for position, fourier, _ in entries],
     }
 
 
@@ -332,7 +331,7 @@ def _disclose_and_check(
     step: str,
     phase: str,
     transmission: str,
-    entries: Sequence[DecoyEntry],
+    entries: Sequence[Decoy],
     received: TransmissionSequence,
     checker: str,
     measurer: str,
@@ -346,9 +345,9 @@ def _disclose_and_check(
     computes the mismatch rate.
     """
     bus.broadcast(checker, decoy_disclosure(transmission, phase, entries))
-    outcomes = [(e.position, measure(received.take(e.position), e.basis, rng).value) for e in entries]
+    outcomes = [(pos, measure(received.take(pos), DECOY_BASES[fourier], rng).value) for pos, fourier, _ in entries]
     bus.broadcast(measurer, measurement_report(transmission, outcomes))
-    mismatched = sum(1 for e, (_, value) in zip(entries, outcomes) if value != e.index)
+    mismatched = sum(1 for (_, _, index), (_, value) in zip(entries, outcomes) if value != index)
     error_rate = mismatched / len(entries) if entries else 0.0
     bus.transcript.record(
         {checker},
@@ -415,7 +414,7 @@ def _run_protocol(
             step=step,
             link=link.label,
             carrier_position=spec.carrier_position,
-            decoys=[[e.position, e.basis.value, e.index] for e in spec.entries],
+            decoys=[[position, DECOY_BASIS_NAMES[fourier], index] for position, fourier, index in spec.entries],
         )
         return transmit(link, seq, adversary_rng), spec, link.label
 

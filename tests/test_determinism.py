@@ -17,8 +17,8 @@ import pytest
 
 from qpc_sim import ATTACK_IDS, ConfigError, ExperimentConfig, run_experiment
 from qpc_sim.protocol import (
+    DECOY_BASES,
     MAX_DIM,
-    DecoyEntry,
     ProtocolParams,
     Variant,
     basis_state,
@@ -31,15 +31,18 @@ SEEDS = range(40)
 DIMS = (2, 3, 4, 13, 17, 512, 2048, MAX_DIM)
 
 
-def _scalar_transmission(d: int, l: int, rng: np.random.Generator) -> tuple[list[DecoyEntry], int]:
-    """The decoys and carrier slot as 2l+1 scalar draws: basis, then index, per decoy, then the slot."""
+def _scalar_transmission(d: int, l: int, rng: np.random.Generator) -> tuple[list[tuple[int, int, int]], int]:
+    """The decoys and carrier slot as 2l+1 scalar draws: basis bit, then index, per decoy, then the slot.
+
+    Each decoy is a ``(position, fourier, index)`` triple, in position order.
+    """
     decoys = []
     for _ in range(l):
-        basis = Basis.FOURIER if int(rng.integers(0, 2)) else Basis.COMPUTATIONAL
-        decoys.append((basis, int(rng.integers(0, d))))
+        fourier = int(rng.integers(0, 2))
+        decoys.append((fourier, int(rng.integers(0, d))))
     carrier_position = int(rng.integers(0, l + 1))
     positions = [pos for pos in range(l + 1) if pos != carrier_position]
-    return [DecoyEntry(pos, basis, index) for pos, (basis, index) in zip(positions, decoys)], carrier_position
+    return [(pos, fourier, index) for pos, (fourier, index) in zip(positions, decoys)], carrier_position
 
 
 @pytest.mark.parametrize("l", (1, 8, 32))
@@ -53,8 +56,8 @@ def test_build_transmission_draws_what_the_scalar_calls_draw(d, l):
         assert list(spec.entries) == entries
         assert spec.carrier_position == carrier_position
         assert seq.take(carrier_position) is carrier
-        for e in entries:
-            assert seq.take(e.position) == basis_state(d, e.basis, e.index)
+        for position, fourier, index in entries:
+            assert seq.take(position) == basis_state(d, DECOY_BASES[fourier], index)
         assert batched.bit_generator.state == scalar.bit_generator.state
 
 

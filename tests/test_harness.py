@@ -396,6 +396,19 @@ def test_cli_io_failure_exit_code(tmp_path, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", ([], ["--axis", "d", "--values", "5,7"]), ids=("single", "sweep"))
+def test_cli_unwritable_out_exits_3_before_any_run(monkeypatch, tmp_path, capsys, extra):
+    calls = []
+    monkeypatch.setattr(cli, "run_experiment", lambda *args: calls.append(("run_experiment", args)))
+    monkeypatch.setattr(cli, "sweep", lambda *args: calls.append(("sweep", args)))
+    assert main(BASE_ARGS + extra + ["--out", str(tmp_path / "nope" / "report.json")]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: cannot write ")
+    assert calls == []
+
+
 def test_cli_seed_falls_back_to_the_environment(monkeypatch, capsys):
     monkeypatch.setenv("QPC_SIM_SEED", "123")
     assert main(BASE_ARGS) == 0

@@ -13,7 +13,6 @@ from conftest import ranking_oracle
 from qpc_sim import (
     Basis,
     ComparisonOutcome,
-    DecoyEntry,
     DecoySpec,
     ExperimentConfig,
     ParameterError,
@@ -34,6 +33,7 @@ from qpc_sim import (
     tp_prepare_carriers,
     two_phase_disclosure,
 )
+from qpc_sim.protocol import DECOY_BASES, MAX_DIM
 from qpc_sim.qudit import BasisLabel
 
 TWO_TP = ProtocolParams(Variant.TWO_TP, n=3, d=13, r=5, l=8)
@@ -116,9 +116,23 @@ def test_transmission_partitions_positions_between_decoys_and_carrier():
     carrier = basis_state(7, Basis.COMPUTATIONAL, 2)
     seq, spec = build_transmission(carrier, l=6, rng=rng)
     assert len(seq) == 7
-    positions = {entry.position for entry in spec.entries}
+    positions = {position for position, _, _ in spec.entries}
     assert positions | {spec.carrier_position} == set(range(7))
     assert spec.carrier_position not in positions
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(2, MAX_DIM), l=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+def test_build_transmission_partitions_the_slots_by_construction(d, l, seed):
+    carrier = BasisLabel.prepare(d, Basis.COMPUTATIONAL, d - 1)
+    seq, spec = build_transmission(carrier, l, np.random.default_rng(seed))
+    positions = [position for position, _, _ in spec.entries]
+    assert positions == sorted(positions)
+    assert sorted(positions + [spec.carrier_position]) == list(range(l + 1))
+    assert all(fourier in (0, 1) and 0 <= index < d for _, fourier, index in spec.entries)
+    assert seq.take(spec.carrier_position) is carrier
+    for position, fourier, index in spec.entries:
+        assert seq.take(position) == BasisLabel.prepare(d, DECOY_BASES[fourier], index)
 
 
 def test_carrier_slot_is_uniform_for_single_decoy():
@@ -140,7 +154,7 @@ def test_decoys_are_uniform_over_the_2d_basis_states():
     counts = collections.Counter()
     for _ in range(rounds):
         _, spec = build_transmission(carrier, l=l, rng=rng)
-        counts.update((e.basis, e.index) for e in spec.entries)
+        counts.update((DECOY_BASES[fourier], index) for _, fourier, index in spec.entries)
     cells = [(basis, index) for basis in Basis for index in range(d)]
     observed = [counts[cell] for cell in cells]
     total = sum(observed)
@@ -179,11 +193,6 @@ def test_decoy_check_flags_replaced_fourier_decoys():
     assert stats["step6"]["checked"] > 0 and stats["step6"]["mismatched"] == 0
 
 
-def test_decoy_spec_rejects_carrier_on_a_decoy_slot():
-    with pytest.raises(ParameterError):
-        DecoySpec(entries=(DecoyEntry(0, Basis.COMPUTATIONAL, 1),), carrier_position=0)
-
-
 # ---------------------------------------------------------------------------
 # encoding and scoring
 # ---------------------------------------------------------------------------
@@ -209,23 +218,16 @@ def test_encode_rejects_wraparound_and_negatives():
 
 
 def test_two_phase_disclosure_orders_fourier_first():
-    spec = DecoySpec(
-        entries=(
-            DecoyEntry(0, Basis.COMPUTATIONAL, 1),
-            DecoyEntry(1, Basis.FOURIER, 2),
-            DecoyEntry(3, Basis.FOURIER, 0),
-        ),
-        carrier_position=2,
-    )
+    spec = DecoySpec(entries=((0, 0, 1), (1, 1, 2), (3, 1, 0)), carrier_position=2)
     fourier, computational = two_phase_disclosure(spec)
-    assert [e.position for e in fourier] == [1, 3]
-    assert [e.position for e in computational] == [0]
-    assert all(e.basis is Basis.FOURIER for e in fourier)
-    assert all(e.basis is Basis.COMPUTATIONAL for e in computational)
+    assert [position for position, _, _ in fourier] == [1, 3]
+    assert [position for position, _, _ in computational] == [0]
+    assert all(DECOY_BASES[bit] is Basis.FOURIER for _, bit, _ in fourier)
+    assert all(DECOY_BASES[bit] is Basis.COMPUTATIONAL for _, bit, _ in computational)
 
 
 def test_all_computational_spec_has_empty_fourier_phase():
-    spec = DecoySpec(entries=(DecoyEntry(0, Basis.COMPUTATIONAL, 1),), carrier_position=1)
+    spec = DecoySpec(entries=((0, 0, 1),), carrier_position=1)
     fourier, computational = two_phase_disclosure(spec)
     assert fourier == ()
     assert len(computational) == 1

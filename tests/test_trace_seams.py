@@ -60,3 +60,26 @@ def test_an_audited_trial_reads_the_full_log(monkeypatch):
     view = adversary.coalition_view(run.transcript, adversary.Coalition(frozenset({"TP2"}), 0))
     adversary.secret_support(view, params)
     assert calls
+
+
+def test_an_honest_run_passes_each_qudit_through_the_traced_seams(monkeypatch):
+    # the per-qudit spans must fire once per qudit, and the fold must read the log
+    # through Transcript.events, or --trace 1 reports numbers for work it never saw
+    calls = {"basis_state": 0, "measure": 0, "events": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(protocol, "basis_state", counting("basis_state", protocol.basis_state))
+    monkeypatch.setattr(protocol, "measure", counting("measure", protocol.measure))
+    monkeypatch.setattr(Transcript, "events", counting("events", Transcript.events))
+    config = harness.ExperimentConfig(variant="two-tp", n=3, d=13, r=5, l=8, trials=2, seed=1)
+    report = harness.run_experiment(config)
+    assert report.n_completed == config.trials
+    checked = sum(stats["checked"] for stats in report.decoy_stats.values())
+    assert calls["basis_state"] == config.trials * config.n * (2 * config.l + 1)
+    assert calls["measure"] == checked + config.trials * config.n
+    assert calls["events"] >= config.trials
