@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Privacy audit: what each allowed coalition can infer about one party's secret.
 
-For a batch of honest runs of both variants, the script computes the
-secret support (all candidate values consistent with the coalition's
-transcript view, with the announced ordering deliberately excluded; a
-closed-form interval, whose brute-force enumeration is the test oracle) and
-prints a support-size histogram per coalition. It also reports the two known
-edge leaks explicitly:
+For a batch of honest runs of both variants, the script computes the secret
+support of every coalition in ``allowed_coalitions`` (all candidate values
+consistent with its transcript view, with the announced ordering deliberately
+excluded) and checks that it holds the true secret. It prints a support-size
+histogram for each TP and for the n-1 other parties, and reports the two
+known edge leaks explicitly:
 
 * the measuring TP narrows the support near extreme measured values
   (a measured 0 with complement equal to the run constant pins the secret);
@@ -30,13 +30,14 @@ import collections
 import sys
 
 from qpc_sim import (
-    Coalition,
     ConfigError,
     ExperimentConfig,
+    allowed_coalitions,
     coalition_view,
     run_trial,
     secret_support,
 )
+from qpc_sim.protocol import WIRING
 
 
 def _histogram(sizes: list[int], r: int) -> str:
@@ -45,68 +46,40 @@ def _histogram(sizes: list[int], r: int) -> str:
     return "  ".join(f"|S|={k}: {counts.get(k, 0) / total:.2%}" for k in range(1, r + 1))
 
 
-def _excluded(variant: str, trial: int, target: int, name: str) -> str:
-    return f"{variant} trial {trial} target {target}: the {name} support excludes the true secret"
-
-
-def audit_two_tp(config: ExperimentConfig) -> str | None:
-    """Print the two-tp histograms; return the first inconsistency instead, if any."""
+def audit(config: ExperimentConfig) -> str | None:
+    """Truth-check every allowed coalition and print the report; return the first inconsistency instead."""
     params, _ = config.validate()
-    runs, seed = config.trials, config.seed
-    sizes: dict[str, list[int]] = {"TP1": [], "TP2": [], "parties": []}
-    pinned = []
-    for t in range(runs):
-        run = run_trial(config, t)
-        secrets, transcript = run.secrets, run.transcript
-        for target in range(params.n):
-            others = frozenset(f"P{i + 1}" for i in range(params.n) if i != target)
-            for name, members in (("TP1", frozenset({"TP1"})), ("TP2", frozenset({"TP2"})), ("parties", others)):
-                view = coalition_view(transcript, Coalition(members, target))
-                support = secret_support(view, params).candidates
-                if secrets[target] not in support:
-                    return _excluded("two-tp", t, target, name)
-                sizes[name].append(len(support))
-                if name == "TP2" and len(support) == 1:
-                    pinned.append((secrets[target], target))
-    print(f"two-tp (n=3, d=13, r=5, seed={seed}), {runs} runs x 3 targets:")
-    for name in ("TP1", "parties", "TP2"):
-        print(f"  {name:8} {_histogram(sizes[name], params.r)}")
-    print(f"  TP2 pinned a secret exactly in {len(pinned)} of {runs * 3} cases (extreme measured values).")
-    return None
-
-
-def audit_one_tp(config: ExperimentConfig) -> str | None:
-    """Print the one-tp histograms and difference leak; return the first inconsistency instead, if any."""
-    params, _ = config.validate()
-    runs, seed = config.trials, config.seed
-    tp_sizes: list[int] = []
-    party_sizes: list[int] = []
+    n, runs = params.n, config.trials
+    preparer, measurer = WIRING[params.variant]
+    sizes: dict[str, list[int]] = {name: [] for name in (preparer, "parties", measurer)}
+    plans = [allowed_coalitions(params.variant, n, target) for target in range(n)]
     diffs_exact = 0
     for t in range(runs):
         run = run_trial(config, t)
-        secrets, transcript = run.secrets, run.transcript
-        events = transcript.events()
-        [prep] = [e for e in events if e["kind"] == "carrier_prep"]
-        measured = {e["party"]: e["value"] for e in events if e["kind"] == "carrier_measurement"}
-        # the TP reads secret+key for every party straight off its own view,
-        # so pairwise secret differences leak exactly
-        shifted = [measured[i] - prep["pads"][i] for i in range(params.n)]
-        diffs_exact += all(
-            shifted[i] - shifted[j] == secrets[i] - secrets[j]
-            for i in range(params.n)
-            for j in range(params.n)
-        )
-        for target in range(params.n):
-            others = frozenset(f"P{i + 1}" for i in range(params.n) if i != target)
-            for name, members, sizes in (("TP", frozenset({"TP"}), tp_sizes), ("parties", others, party_sizes)):
-                support = secret_support(coalition_view(transcript, Coalition(members, target)), params).candidates
-                if secrets[target] not in support:
-                    return _excluded("one-tp", t, target, name)
-                sizes.append(len(support))
-    print(f"\none-tp (n=3, d=17, r=5, seed={seed}), {runs} runs x 3 targets:")
-    print(f"  TP       {_histogram(tp_sizes, params.r)}")
-    print(f"  parties  {_histogram(party_sizes, params.r)}")
-    print(f"  pairwise secret differences were exactly recoverable by the TP in {diffs_exact}/{runs} runs.")
+        for target, plan in enumerate(plans):
+            for coalition in plan:
+                # a plan ends with the n-1 other parties
+                name = "parties" if coalition is plan[-1] else "+".join(sorted(coalition.members))
+                support = secret_support(coalition_view(run.transcript, coalition), params).candidates
+                if run.secrets[target] not in support:
+                    return f"{config.variant} trial {t} target {target}: the {name} support excludes the true secret"
+                if name in sizes:
+                    sizes[name].append(len(support))
+        if preparer == measurer:
+            # the lone TP reads secret + key for every party off its own view,
+            # so every pairwise secret difference leaks exactly
+            events = run.transcript.view(measurer)
+            [prep] = [e for e in events if e["kind"] == "carrier_prep"]
+            measured = [e for e in events if e["kind"] == "carrier_measurement"]
+            diffs_exact += len({e["value"] - prep["pads"][e["party"]] - run.secrets[e["party"]] for e in measured}) == 1
+    print(f"{config.variant} (n={n}, d={params.d}, r={params.r}, seed={config.seed}), {runs} runs x {n} targets:")
+    for name, found in sizes.items():
+        print(f"  {name:8} {_histogram(found, params.r)}")
+    if preparer == measurer:
+        print(f"  pairwise secret differences were exactly recoverable by the {measurer} in {diffs_exact}/{runs} runs.")
+    else:
+        pinned = sizes[measurer].count(1)
+        print(f"  {measurer} pinned a secret exactly in {pinned} of {runs * n} cases (extreme measured values).")
     return None
 
 
@@ -125,7 +98,9 @@ def main(argv: list[str] | None = None) -> int:
         except ConfigError as exc:
             parser.error(str(exc))
     status = 0
-    for audit, config in ((audit_two_tp, two_tp), (audit_one_tp, one_tp)):
+    for i, config in enumerate((two_tp, one_tp)):
+        if i:
+            print()
         error = audit(config)
         if error is not None:
             print(f"error: {error}", file=sys.stderr)

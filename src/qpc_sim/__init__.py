@@ -3,8 +3,8 @@ d-level single-particle states, with pluggable eavesdropping strategies.
 """
 from .adversary import (
     ATTACK_IDS,
-    AttackStrategy,
     Coalition,
+    allowed_coalitions,
     analytic_abort_probability,
     coalition_view,
     per_decoy_detection_probability,

@@ -15,6 +15,7 @@ test oracle.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -37,6 +38,7 @@ from .qudit import Basis, BasisLabel, ParameterError
 measure = BasisLabel.measure
 
 _TP_ROLES = frozenset().union(*WIRING.values())
+_WIRED = {variant.value: frozenset(roles) for variant, roles in WIRING.items()}
 _PARTY_RE = re.compile(r"P[1-9]\d*")
 
 
@@ -211,6 +213,20 @@ class Coalition:
             raise ParameterError(f"party {party_role(self.target)} cannot audit its own secret")
 
 
+def allowed_coalitions(variant: Variant, n: int, target: int) -> tuple[Coalition, ...]:
+    """Every coalition the model allows against ``target``, in one fixed order.
+
+    Each TP of the wiring alone, in ``WIRING`` order, then every non-empty group of
+    the other parties, smallest first, in ``combinations`` order by party index.
+    """
+    if not 0 <= target < n:
+        raise ParameterError(f"target index {target} out of range for n={n}")
+    others = [party_role(i) for i in range(n) if i != target]
+    groups = [(tp,) for tp in dict.fromkeys(WIRING[variant])]
+    groups += [group for size in range(1, n) for group in itertools.combinations(others, size)]
+    return tuple(Coalition(frozenset(group), target) for group in groups)
+
+
 @dataclass(frozen=True)
 class View:
     """Everything a coalition observed in one run: members' events plus the public bus."""
@@ -228,12 +244,12 @@ def coalition_view(transcript: Transcript, coalition: Coalition) -> View:
     """
     header = next((e for e in transcript.events() if e["kind"] == "run_header"), None)
     if header is not None:
-        n = header["n"]
+        n, variant = header["n"], header["variant"]
         if coalition.target >= n:
             raise ParameterError(f"target index {coalition.target} out of range for n={n}")
         for role in coalition.members:
-            if _PARTY_RE.fullmatch(role) and int(role[1:]) > n:
-                raise ParameterError(f"coalition member {role} does not exist in an n={n} run")
+            if not (role in _WIRED[variant] if role in _TP_ROLES else int(role[1:]) <= n):
+                raise ParameterError(f"coalition member {role} does not exist in a {variant} n={n} run")
     events = tuple(transcript.view(*coalition.members))
     return View(events=events, members=coalition.members, target=coalition.target)
 

@@ -20,6 +20,7 @@ from qpc_sim import (
     ParameterError,
     ProtocolParams,
     Variant,
+    allowed_coalitions,
     analytic_abort_probability,
     basis_state,
     coalition_view,
@@ -340,12 +341,71 @@ def test_coalition_view_merges_member_and_public_events():
     assert seqs == sorted(seqs)
 
 
-def test_coalition_view_rejects_roles_outside_the_run():
-    transcript, _ = run_two_tp_protocol(TWO_TP, (2, 4, 1), None, np.random.default_rng(11))
+def _run(params: ProtocolParams, seed: int = 11):
+    """One honest run of either variant with random secrets (and key)."""
+    rng = np.random.default_rng(seed)
+    secrets = tuple(int(s) for s in rng.integers(0, params.r, size=params.n))
+    if params.variant is Variant.TWO_TP:
+        return run_two_tp_protocol(params, secrets, None, rng)[0]
+    return run_one_tp_protocol(params, secrets, int(rng.integers(0, params.r)), None, rng)[0]
+
+
+@pytest.mark.parametrize(
+    "params, absent_tp", [(TWO_TP, "TP"), (ONE_TP, "TP1"), (ONE_TP, "TP2")], ids=["two-tp-TP", "one-tp-TP1", "one-tp-TP2"]
+)
+def test_coalition_view_rejects_roles_outside_the_run(params, absent_tp):
+    transcript = _run(params)
     with pytest.raises(ParameterError):
         coalition_view(transcript, Coalition(frozenset({"P4"}), target=0))
     with pytest.raises(ParameterError):
         coalition_view(transcript, Coalition(frozenset({"P2"}), target=3))
+    # a third party of the other wiring is not in this run: it has no view to audit
+    with pytest.raises(ParameterError, match=f"{absent_tp} does not exist in a {params.variant.value}"):
+        coalition_view(transcript, Coalition(frozenset({absent_tp}), target=0))
+
+
+def test_allowed_coalitions_order_at_n3():
+    def members(variant, target):
+        return [set(c.members) for c in allowed_coalitions(variant, 3, target)]
+
+    assert members(Variant.TWO_TP, 0) == [{"TP1"}, {"TP2"}, {"P2"}, {"P3"}, {"P2", "P3"}]
+    assert members(Variant.ONE_TP, 1) == [{"TP"}, {"P1"}, {"P3"}, {"P1", "P3"}]
+    assert members(Variant.TWO_TP, 2) == [{"TP1"}, {"TP2"}, {"P1"}, {"P2"}, {"P1", "P2"}]
+    assert all(c.target == 2 for c in allowed_coalitions(Variant.ONE_TP, 3, 2))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("variant, tps", [(Variant.TWO_TP, 2), (Variant.ONE_TP, 1)], ids=["two-tp", "one-tp"])
+def test_allowed_coalitions_count(variant, tps, n):
+    for target in range(n):
+        coalitions = allowed_coalitions(variant, n, target)
+        assert len(coalitions) == 2 ** (n - 1) - 1 + tps
+        assert len(set(coalitions)) == len(coalitions)
+
+
+@pytest.mark.parametrize("target", [-1, 3, 4])
+def test_allowed_coalitions_reject_a_target_outside_the_run(target):
+    with pytest.raises(ParameterError, match="out of range"):
+        allowed_coalitions(Variant.TWO_TP, 3, target)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_allowed_coalitions_are_exactly_what_coalition_view_accepts(variant, n):
+    # oracle for the non-collusion rule: try every subset of every role either wiring or the run could name
+    params = ProtocolParams(variant, n=n, d=17, r=5, l=2)
+    transcript = _run(params, seed=n)
+    roles = ["TP1", "TP2", "TP"] + [f"P{i + 1}" for i in range(n)]
+    for target in range(n):
+        accepted = set()
+        for size in range(len(roles) + 1):
+            for members in itertools.combinations(roles, size):
+                try:
+                    coalition_view(transcript, Coalition(frozenset(members), target))
+                except ParameterError:
+                    continue
+                accepted.add(frozenset(members))
+        assert accepted == {c.members for c in allowed_coalitions(variant, n, target)}
 
 
 # ---------------------------------------------------------------------------
@@ -450,18 +510,18 @@ def test_support_at_paper_scale(variant, r):
         secrets = tuple(int(s) for s in rng.integers(0, r, size=3))
         if variant is Variant.TWO_TP:
             transcript, _ = run_two_tp_protocol(params, secrets, None, rng)
-            tps = ["TP1", "TP2"]
         else:
             transcript, _ = run_one_tp_protocol(params, secrets, int(rng.integers(0, r)), None, rng)
-            tps = ["TP"]
         for target in range(3):
-            others = [f"P{i + 1}" for i in range(3) if i != target]
-            coalitions = [{tp} for tp in tps] + [set(c) for size in (1, 2) for c in itertools.combinations(others, size)]
-            for members in coalitions:
-                assert secrets[target] in _support_for(transcript, members, target, params)
-            assert _support_for(transcript, set(others), target, params) == full
+            supports = {
+                c.members: secret_support(coalition_view(transcript, c), params).candidates
+                for c in allowed_coalitions(variant, 3, target)
+            }
+            assert all(secrets[target] in support for support in supports.values())
+            others = max(supports, key=len)  # the n-1 other parties
+            assert len(others) == 2 and supports[others] == full
             if variant is Variant.TWO_TP:
-                assert _support_for(transcript, {"TP1"}, target, params) == full
+                assert supports[frozenset({"TP1"})] == full
 
 
 def brute_force_support(obs: dict[str, int], params: ProtocolParams) -> frozenset[int]:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import hashlib
 import importlib.util
 import io
 import math
@@ -59,6 +60,13 @@ def test_deviation_at_zero_sigma_is_exact_or_infinite(detection_sweep):
 def test_privacy_audit_runs(capsys):
     assert _load("privacy_audit").main(["--runs", "3"]) == 0
     assert "pairwise secret differences" in capsys.readouterr().out
+
+
+def test_privacy_audit_report_is_pinned(capsys):
+    # the digest of the whole --runs 40 --seed 3 report: headers, every histogram and both leak lines
+    assert _load("privacy_audit").main(["--runs", "40", "--seed", "3"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "eb734a6214610a4c9302121c0e13abe12cb24b78141b0f16733a99e9f5267ceb"
 
 
 @pytest.mark.parametrize("broken", [("two-tp",), ("one-tp",), ("two-tp", "one-tp")], ids="+".join)
