@@ -6,9 +6,9 @@ fair coin per qudit) and the role whose view records its taps. Active rows
 measure qudits in flight and resend the collapsed state: an outsider on every
 link, or a third party on the hop its role does not terminate. Passive rows
 just read the public classical bus. The per-decoy flag probability reads the
-row's basis, the tapped-decoy count matches its links against the wiring's
-hop labels, and a two-tp insider is rejected on one-tp because its owner is
-not a role of that wiring. On top of that, coalition views and a closed-form
+row's basis, the tapped-decoy count counts the run's links it taps, and a
+two-tp insider is rejected on one-tp because its owner is not a role of
+that wiring. On top of that, coalition views and a closed-form
 support interval quantify what any allowed group of roles can infer about a
 single party's secret; the brute-force enumeration of that support is the
 test oracle.
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import OUTSIDER, QuantumLink, Transcript
+from .channel import OUTSIDER, Transcript
 from .protocol import (
     WIRING,
     ProtocolParams,
@@ -31,6 +31,7 @@ from .protocol import (
     Variant,
     pad_sum_range,
     party_role,
+    run_links,
 )
 from .qudit import Basis, BasisLabel, ParameterError
 
@@ -69,7 +70,7 @@ class AttackStrategy:
         link_label: str,
         position: int,
         rng: np.random.Generator,
-        transcript: Transcript | None = None,
+        transcript: Transcript,
     ) -> BasisLabel:
         """Measure-and-resend one in-flight qudit; passive strategies forward untouched."""
         if not self.active:
@@ -78,15 +79,14 @@ class AttackStrategy:
         if basis is None:
             basis = Basis.FOURIER if int(rng.integers(0, 2)) else Basis.COMPUTATIONAL
         outcome = measure(state, basis, rng)
-        if transcript is not None:
-            transcript.record(
-                {self.owner},
-                "tap",
-                link=link_label,
-                position=position,
-                basis=basis.value,
-                outcome=outcome.value,
-            )
+        transcript.record(
+            {self.owner},
+            "tap",
+            link=link_label,
+            position=position,
+            basis=basis.value,
+            outcome=outcome.value,
+        )
         return outcome.post_state
 
 
@@ -158,11 +158,9 @@ def per_decoy_detection_probability(
 
 
 def tapped_checked_decoys(strategy: AttackStrategy, params: ProtocolParams) -> int:
-    """How many checked decoys per run cross a link the strategy taps: l per tapped transmission."""
-    preparer, measurer = WIRING[params.variant]
-    parties = [party_role(i) for i in range(params.n)]
-    hops = [(preparer, p) for p in parties] + [(p, measurer) for p in parties]
-    return sum(params.l for hop in hops if strategy.taps_link(QuantumLink(*hop).label))
+    """How many checked decoys per run cross a link the strategy taps: l per tapped link of the run."""
+    first_links, second_links = run_links(params, strategy)
+    return params.l * sum(link.tapper is not None for link in first_links + second_links)
 
 
 def analytic_abort_probability(strategy: AttackStrategy, params: ProtocolParams) -> float:

@@ -12,19 +12,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 import numpy as np
 
 from .qudit import BasisLabel
+
+if TYPE_CHECKING:  # pragma: no cover - import only for annotations
+    from .adversary import AttackStrategy
 
 #: Observer marker for events every role (and any outsider) can see.
 PUBLIC = "*"
 
 #: Role id of a passive outside eavesdropper (sees exactly the public events).
 OUTSIDER = "EVE"
-
-TapFn = Callable[[BasisLabel, int, np.random.Generator], BasisLabel]
 
 
 class TransmissionError(RuntimeError):
@@ -126,7 +127,9 @@ class Transcript:
         return list(self._events)
 
     def view(self, *roles: str) -> list[Event]:
-        """Events observable by any of ``roles``: every public one plus their private ones, each once."""
+        """Events observable by any of ``roles``: every public one plus their private ones, each once.
+
+        ``view()`` is what a passive outsider reads; an active one also knows its taps, ``view(OUTSIDER)``."""
         events, index = self._events, self._seqs
         for seq in range(self._indexed, len(events)):
             for role in events[seq]["observers"]:
@@ -136,14 +139,6 @@ class Transcript:
         for role in roles:
             seqs.update(index.get(role, ()))
         return [events[seq] for seq in sorted(seqs)]
-
-    def public_view(self) -> list[Event]:
-        """Strictly public events — what a passive outsider on the classical channel sees.
-
-        An *active* outsider knows more than this (its own tap records);
-        that knowledge is ``view(OUTSIDER)``.
-        """
-        return self.view()
 
     def view_json(self, role: str) -> str:
         return json.dumps(self.view(role), sort_keys=True, separators=(",", ":"))
@@ -165,32 +160,31 @@ class ClassicalBus:
 
 @dataclass
 class QuantumLink:
-    """One-directional qudit channel with at most one adversarial tap point."""
+    """One-directional qudit channel; ``tapper``, if set, is the adversary on it, its one tap point."""
 
     sender: str
     receiver: str
-    transcript: Transcript | None = None
-    tap: TapFn | None = None
+    tapper: AttackStrategy | None = None
 
     @property
     def label(self) -> str:
         return f"{self.sender}->{self.receiver}"
 
 
-def transmit(link: QuantumLink, seq: TransmissionSequence, rng: np.random.Generator) -> TransmissionSequence:
-    """Move a sequence through ``link``, passing each qudit through the tap once, in order.
+def transmit(
+    link: QuantumLink, seq: TransmissionSequence, transcript: Transcript, rng: np.random.Generator
+) -> TransmissionSequence:
+    """Move a sequence through ``link``, passing each qudit through the tapper once, in order.
 
     The sender's handle on the sequence is consumed; the returned sequence is
-    the receiver's handle. With no tap the released states are delivered as
-    they are, since the channel itself is noiseless.
+    the receiver's handle. With no tapper the released states are delivered
+    as they are, since the channel itself is noiseless. The transmission is
+    recorded for both endpoints, after any tap records.
     """
-    delivered = seq.release_all()
-    if link.tap is not None:
-        delivered = [link.tap(state, position, rng) for position, state in enumerate(delivered)]
-    if link.transcript is not None:
-        link.transcript.record(
-            {link.sender, link.receiver}, "transmit", link=link.label, count=len(delivered)
-        )
+    delivered, label, tapper = seq.release_all(), link.label, link.tapper
+    if tapper is not None:
+        delivered = [tapper.tap(state, label, i, rng, transcript) for i, state in enumerate(delivered)]
+    transcript.record({link.sender, link.receiver}, "transmit", link=label, count=len(delivered))
     return TransmissionSequence(delivered)
 
 

@@ -202,8 +202,8 @@ class ExperimentReport:
         del out["wall_clock_s"]
         return out
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     def canonical_json(self) -> str:
         """Deterministic byte form: identical (config, seed) gives identical bytes."""

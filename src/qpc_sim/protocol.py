@@ -3,10 +3,11 @@
 Both variants follow the same seven-stage shape: a preparer encodes a random
 pad value per party into a computational-basis carrier, pads each carrier with
 decoys drawn from the two mutually unbiased bases, and ships it; the party
-checks the first hop, shift-encodes its secret onto the carrier, re-decoys, and
-ships again; the measuring side checks the second hop in two phases (Fourier
-decoys first, then computational), measures the carrier, and announces only the
-*ordering* of the per-party scores. Scores differ from the secrets by one
+measures the first hop's check, shift-encodes its secret onto the carrier,
+re-decoys, and ships again; the measuring side measures the second hop's check
+in two phases (Fourier decoys first, then computational), measures the carrier,
+and announces only the *ordering* of the per-party scores. Each hop's sender,
+who drew its decoys, checks it. Scores differ from the secrets by one
 common additive constant, so their ordering is the secrets' ordering while the
 values themselves stay masked.
 
@@ -51,6 +52,10 @@ SOLO_TP_ROLE = "TP"
 #: measurement across bases builds the O(d) uniform table.
 MAX_DIM = 2**16
 
+#: Most qudits one run may move, 2n(l+1). Memory grows with it: one two-tp
+#: trial at the cap (n=2, l=65535) peaks at 138 MB RSS (CPython 3.11, numpy 2.4).
+MAX_QUDITS = 2**18
+
 
 def party_role(index: int) -> str:
     """Role id of the index-th comparing party (0-based index, 1-based label)."""
@@ -77,7 +82,7 @@ class ProtocolParams:
     wraparound-free on the honest path: pads and secrets both live in [0, r),
     so the measured carrier value is at most 2(r-1) with two third parties,
     and at most 3(r-1) when the pre-shared key is added in the single-TP
-    variant. The upper bound is MAX_DIM.
+    variant. The upper bounds are MAX_DIM and MAX_QUDITS.
     """
 
     variant: Variant
@@ -94,6 +99,8 @@ class ProtocolParams:
             raise ParameterError(f"the secret range needs r >= 1, got r={self.r}")
         if self.l < 1:
             raise ParameterError(f"each transmission needs l >= 1 decoys, got l={self.l}")
+        if 2 * self.n * (self.l + 1) > MAX_QUDITS:
+            raise ParameterError(f"a run moves 2*n*(l+1) <= {MAX_QUDITS} qudits, got n={self.n} and l={self.l}")
         if not 2 <= self.d <= MAX_DIM:
             raise ParameterError(f"qudit dimension must lie in [2, {MAX_DIM}], got d={self.d}")
         if not 0.0 <= self.error_threshold <= 1.0:
@@ -312,54 +319,58 @@ def _check_shared_key(shared_key: int, params: ProtocolParams) -> int:
     return key
 
 
-def _make_link(
-    sender: str,
-    receiver: str,
-    transcript: Transcript,
-    adversary: "AttackStrategy | None",
-) -> QuantumLink:
-    label = f"{sender}->{receiver}"
-    if adversary is not None and adversary.taps_link(label):
-        def tap(state: BasisLabel, position: int, rng: np.random.Generator) -> BasisLabel:
-            return adversary.tap(state, label, position, rng, transcript)
-        return QuantumLink(sender, receiver, transcript, tap)
-    return QuantumLink(sender, receiver, transcript, None)
+def run_links(
+    params: ProtocolParams, adversary: "AttackStrategy | None"
+) -> tuple[list[QuantumLink], list[QuantumLink]]:
+    """The run's n preparer->party links and n party->measurer links, each in party order.
+
+    A link carries the adversary as its tapper exactly when the adversary taps its label.
+    """
+    preparer, measurer = WIRING[params.variant]
+    parties = [party_role(i) for i in range(params.n)]
+
+    def link(sender: str, receiver: str) -> QuantumLink:
+        untapped = QuantumLink(sender, receiver)
+        if adversary is not None and adversary.taps_link(untapped.label):
+            return QuantumLink(sender, receiver, adversary)
+        return untapped
+
+    return [link(preparer, p) for p in parties], [link(p, measurer) for p in parties]
 
 
 def _disclose_and_check(
     bus: ClassicalBus,
     step: str,
     phase: str,
-    transmission: str,
+    link: QuantumLink,
     entries: Sequence[Decoy],
     received: TransmissionSequence,
-    checker: str,
-    measurer: str,
     rng: np.random.Generator,
     threshold: float,
 ) -> bool:
-    """One eavesdropping check: disclose, measure, report, compare. True means abort.
+    """One eavesdropping check of ``link``: disclose, measure, report, compare. True means abort.
 
-    The checker announces positions and bases, the other side measures and
-    reports publicly, and the checker (who alone knows the prepared indices)
-    computes the mismatch rate.
+    The link's sender, who drew its decoys, announces positions and bases;
+    the receiver measures and reports publicly; and the sender, who alone
+    knows the prepared indices, computes the mismatch rate.
     """
-    bus.broadcast(checker, decoy_disclosure(transmission, phase, entries))
+    label = link.label
+    bus.broadcast(link.sender, decoy_disclosure(label, phase, entries))
     outcomes = [(pos, measure(received.take(pos), DECOY_BASES[fourier], rng).value) for pos, fourier, _ in entries]
-    bus.broadcast(measurer, measurement_report(transmission, outcomes))
+    bus.broadcast(link.receiver, measurement_report(label, outcomes))
     mismatched = sum(1 for (_, _, index), (_, value) in zip(entries, outcomes) if value != index)
     error_rate = mismatched / len(entries) if entries else 0.0
     bus.transcript.record(
-        {checker},
+        {link.sender},
         "decoy_check",
         step=step,
-        link=transmission,
+        link=label,
         checked=len(entries),
         mismatched=mismatched,
         error_rate=error_rate,
     )
     if error_rate > threshold:
-        bus.broadcast(checker, abort_message(step))
+        bus.broadcast(link.sender, abort_message(step))
         return True
     return False
 
@@ -367,24 +378,20 @@ def _disclose_and_check(
 def _run_protocol(
     params: ProtocolParams,
     secrets: tuple[int, ...],
-    offset: int,
-    shared_key_value: int | None,
+    shared_key: int | None,
     adversary: "AttackStrategy | None",
     rng: np.random.Generator,
 ) -> tuple[Transcript, ComparisonOutcome]:
     n, l, threshold = params.n, params.l, params.error_threshold
+    offset = shared_key or 0
     preparer, measurer = WIRING[params.variant]
-    parties = [party_role(i) for i in range(n)]
+    first_links, second_links = run_links(params, adversary)
 
     transcript = Transcript()
     bus = ClassicalBus(transcript)
     # Fixed stream split keeps every role's draws aligned across runs that
     # differ only in the secret values.
-    streams = rng.spawn(n + 3)
-    prep_rng = streams[0]
-    party_rngs = streams[1 : n + 1]
-    measure_rng = streams[n + 1]
-    adversary_rng = streams[n + 2]
+    prep_rng, *party_rngs, measure_rng, adversary_rng = rng.spawn(n + 3)
 
     transcript.record(
         PUBLIC,
@@ -396,27 +403,26 @@ def _run_protocol(
         l=l,
         threshold=threshold,
     )
-    if shared_key_value is not None:
-        transcript.record(set(parties), "shared_key", value=shared_key_value)
+    if shared_key is not None:
+        transcript.record({link.sender for link in second_links}, "shared_key", value=shared_key)
 
     def aborted(step: str) -> tuple[Transcript, ComparisonOutcome]:
         return transcript, ComparisonOutcome(ranking=None, scores=None, aborted_at=step)
 
     def hop(
-        sender: str, receiver: str, step: str, carrier: BasisLabel, sender_rng: np.random.Generator
-    ) -> tuple[TransmissionSequence, DecoySpec, str]:
-        """Hide the carrier among l fresh decoys, record the sender's recipe, and send it."""
+        link: QuantumLink, step: str, carrier: BasisLabel, sender_rng: np.random.Generator
+    ) -> tuple[TransmissionSequence, DecoySpec]:
+        """Hide the carrier among l fresh decoys, record the sender's recipe, and send it over ``link``."""
         seq, spec = build_transmission(carrier, l, sender_rng)
-        link = _make_link(sender, receiver, transcript, adversary)
         transcript.record(
-            {sender},
+            {link.sender},
             "transmission_prep",
             step=step,
             link=link.label,
             carrier_position=spec.carrier_position,
             decoys=[[position, DECOY_BASIS_NAMES[fourier], index] for position, fourier, index in spec.entries],
         )
-        return transmit(link, seq, adversary_rng), spec, link.label
+        return transmit(link, seq, transcript, adversary_rng), spec
 
     # stage 1: carriers
     pad_sum, pads, carrier_states = tp_prepare_carriers(params, prep_rng)
@@ -431,39 +437,31 @@ def _run_protocol(
     )
 
     # stage 2: first hop (preparer -> party), decoys drawn by the preparer
-    first_hop = [hop(preparer, parties[i], "step2", carrier_states[i], prep_rng) for i in range(n)]
+    first_hop = [hop(link, "step2", carrier, prep_rng) for link, carrier in zip(first_links, carrier_states)]
 
     # stage 3: full decoy check of every first hop
-    for i in range(n):
-        received, spec, label = first_hop[i]
-        if _disclose_and_check(
-            bus, "step3", "all", label, spec.entries, received, preparer, parties[i], party_rngs[i], threshold
-        ):
+    for link, (received, spec), party_rng in zip(first_links, first_hop, party_rngs):
+        if _disclose_and_check(bus, "step3", "all", link, spec.entries, received, party_rng, threshold):
             return aborted("step3")
 
     # stage 4: the party takes the carrier from the one slot its recipe left
     # undisclosed, shift-encodes, and ships it under fresh decoys
     second_hop = []
-    for i in range(n):
-        received, spec, _ = first_hop[i]
+    for i, (link, (received, spec)) in enumerate(zip(second_links, first_hop)):
         encoded = encode_secret(received.take(spec.carrier_position), secrets[i], offset)
-        transcript.record({parties[i]}, "encode", step="step4", party=i, shift=secrets[i] + offset)
-        received, spec, label = hop(parties[i], measurer, "step4", encoded, party_rngs[i])
-        second_hop.append((received, spec.carrier_position, label, two_phase_disclosure(spec)))
+        transcript.record({link.sender}, "encode", step="step4", party=i, shift=secrets[i] + offset)
+        received, spec = hop(link, "step4", encoded, party_rngs[i])
+        second_hop.append((received, spec.carrier_position, two_phase_disclosure(spec)))
 
     # stages 5 and 6: two-phase second-hop check, Fourier decoys strictly first
     for step, phase, selector in (("step5", "fourier", 0), ("step6", "computational", 1)):
-        for i in range(n):
-            received, _, label, phases = second_hop[i]
-            if _disclose_and_check(
-                bus, step, phase, label, phases[selector], received, parties[i], measurer, measure_rng, threshold
-            ):
+        for link, (received, _, phases) in zip(second_links, second_hop):
+            if _disclose_and_check(bus, step, phase, link, phases[selector], received, measure_rng, threshold):
                 return aborted(step)
 
     # stage 7: measure carriers, form scores, announce the ordering only
     measured = []
-    for i in range(n):
-        received, carrier_position, _, _ = second_hop[i]
+    for i, (received, carrier_position, _) in enumerate(second_hop):
         outcome = measure(received.take(carrier_position), Basis.COMPUTATIONAL, measure_rng)
         transcript.record({measurer}, "carrier_measurement", step="step7", party=i, value=outcome.value)
         measured.append(outcome.value)
@@ -491,7 +489,7 @@ def run_two_tp_protocol(
     if params.variant is not Variant.TWO_TP:
         raise ParameterError(f"params are for {params.variant.value}, expected two-tp")
     values = _normalize_secrets(secrets, params)
-    return _run_protocol(params, values, 0, None, adversary, rng)
+    return _run_protocol(params, values, None, adversary, rng)
 
 
 def run_one_tp_protocol(
@@ -510,5 +508,4 @@ def run_one_tp_protocol(
     if params.variant is not Variant.ONE_TP:
         raise ParameterError(f"params are for {params.variant.value}, expected one-tp")
     values = _normalize_secrets(secrets, params)
-    key = _check_shared_key(shared_key, params)
-    return _run_protocol(params, values, key, key, adversary, rng)
+    return _run_protocol(params, values, _check_shared_key(shared_key, params), adversary, rng)

@@ -163,7 +163,7 @@ def _fixed_seed_views(secrets):
             if not (e["kind"] == "classical" and e["message"]["kind"] == "ordering_announcement")
         ]
     tp1 = transcript.view("TP1")
-    pub = transcript.public_view()
+    pub = transcript.view()
     ordering = [e["message"] for e in pub if e["kind"] == "classical" and e["message"]["kind"] == "ordering_announcement"]
     return {
         "tp1_full": canon(tp1),

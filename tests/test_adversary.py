@@ -19,6 +19,7 @@ from qpc_sim import (
     OUTSIDER,
     ParameterError,
     ProtocolParams,
+    Transcript,
     Variant,
     allowed_coalitions,
     analytic_abort_probability,
@@ -36,6 +37,7 @@ from qpc_sim import (
     tapped_checked_decoys,
 )
 from qpc_sim.adversary import View
+from qpc_sim.protocol import run_links
 from qpc_sim.qudit import BasisLabel
 
 TWO_TP = ProtocolParams(Variant.TWO_TP, n=3, d=13, r=5, l=8)
@@ -114,7 +116,7 @@ def test_passive_strategies_tap_nothing():
 
 def test_passive_tap_forwards_the_state_untouched():
     state = basis_state(5, Basis.FOURIER, 3)
-    out = strategy_from_id("none").tap(state, "TP1->P1", 0, np.random.default_rng(0))
+    out = strategy_from_id("none").tap(state, "TP1->P1", 0, np.random.default_rng(0), Transcript())
     assert out is state
 
 
@@ -133,7 +135,7 @@ def test_active_tap_fires_only_on_the_links_it_taps():
 def test_measure_resend_collapses_to_the_measured_basis():
     rng = np.random.default_rng(7)
     state = BasisLabel.prepare(4, Basis.FOURIER, 1)
-    out = strategy_from_id("ir-fixed-t1").tap(state, "TP1->P1", 0, rng)
+    out = strategy_from_id("ir-fixed-t1").tap(state, "TP1->P1", 0, rng, Transcript())
     # the resent state is some computational eigenstate
     assert any(
         overlap(out, basis_state(4, Basis.COMPUTATIONAL, j)) == pytest.approx(1.0) for j in range(4)
@@ -143,7 +145,7 @@ def test_measure_resend_collapses_to_the_measured_basis():
 def test_measure_resend_in_the_preparation_basis_is_invisible():
     rng = np.random.default_rng(7)
     state = BasisLabel.prepare(4, Basis.COMPUTATIONAL, 2)
-    out = strategy_from_id("ir-fixed-t1").tap(state, "TP1->P1", 0, rng)
+    out = strategy_from_id("ir-fixed-t1").tap(state, "TP1->P1", 0, rng, Transcript())
     assert overlap(out, state) == pytest.approx(1.0)
 
 
@@ -156,7 +158,7 @@ def test_tap_events_land_in_the_owners_view_only():
     # every qudit of every hop got measured: 2 hops x n parties x (l + 1) slots
     assert len(taps) == 2 * params.n * (params.l + 1)
     assert all(e["basis"] in ("computational", "fourier") for e in taps)
-    assert all(e["kind"] != "tap" for e in transcript.public_view())
+    assert all(e["kind"] != "tap" for e in transcript.view())
     assert all(e["kind"] != "tap" for e in transcript.view("P1"))
 
 
@@ -214,6 +216,22 @@ def test_tapped_decoy_counts():
     assert tapped_checked_decoys(strategy_from_id("ir-random"), ONE_TP) == 48
     assert tapped_checked_decoys(strategy_from_id("tp1-mr"), ONE_TP) == 0
     assert tapped_checked_decoys(strategy_from_id("tp2-mr"), ONE_TP) == 0
+
+
+def test_run_links_carry_the_strategy_exactly_on_the_links_it_taps():
+    validated = 0
+    for variant, attack in itertools.product(("two-tp", "one-tp"), ATTACK_IDS):
+        config = ExperimentConfig(variant=variant, n=3, d=17, r=5, l=8, attack=attack)
+        try:
+            params, strategy = config.validate()
+        except ConfigError:
+            continue
+        validated += 1
+        for link in itertools.chain(*run_links(params, strategy)):
+            assert (link.tapper is strategy) == strategy.taps_link(link.label), (variant, attack, link.label)
+            assert link.tapper in (None, strategy)
+    # every attack on two-tp; one-tp refuses the two insiders
+    assert validated == 2 * len(ATTACK_IDS) - 2
 
 
 def _tap_oracle_cases():

@@ -73,14 +73,14 @@ def test_empty_sequence_is_rejected():
 def test_untapped_link_delivers_the_prepared_states():
     states = [random_state(5, seed=10 + i) for i in range(4)]
     link = QuantumLink("TP1", "P1")
-    received = transmit(link, TransmissionSequence(states), RNG())
+    received = transmit(link, TransmissionSequence(states), Transcript(), RNG())
     for pos, prepared in enumerate(states):
         assert overlap(received.take(pos), prepared) >= 1 - 1e-9
 
 
 def test_transmit_consumes_the_senders_handle():
     seq = _sequence()
-    transmit(QuantumLink("TP1", "P1"), seq, RNG())
+    transmit(QuantumLink("TP1", "P1"), seq, Transcript(), RNG())
     with pytest.raises(TransmissionError):
         seq.take(0)
 
@@ -88,25 +88,26 @@ def test_transmit_consumes_the_senders_handle():
 def test_tap_sees_every_qudit_once_in_order():
     seen = []
 
-    def tap(state, position, rng):
-        seen.append(position)
-        return state
+    class Tapper:
+        def tap(self, state, link_label, position, rng, transcript):
+            seen.append((link_label, position, transcript))
+            return state
 
-    transmit(QuantumLink("TP1", "P1", tap=tap), _sequence(length=6), RNG())
-    assert seen == [0, 1, 2, 3, 4, 5]
+    transcript = Transcript()
+    transmit(QuantumLink("TP1", "P1", Tapper()), _sequence(length=6), transcript, RNG())
+    assert seen == [("TP1->P1", position, transcript) for position in range(6)]
 
 
 def test_transmit_is_recorded_for_both_endpoints_only():
     transcript = Transcript()
-    link = QuantumLink("TP1", "P2", transcript)
-    transmit(link, _sequence(length=3), RNG())
+    transmit(QuantumLink("TP1", "P2"), _sequence(length=3), transcript, RNG())
     [event] = transcript.events()
     assert event["kind"] == "transmit"
     assert event["link"] == "TP1->P2"
     assert event["count"] == 3
     assert sorted(event["observers"]) == ["P2", "TP1"]
     assert transcript.view("TP3") == []
-    assert transcript.public_view() == []
+    assert transcript.view() == []
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +124,7 @@ def test_views_contain_exactly_the_observable_events():
     assert p1_kinds == ["classical", "transmission_prep"]
     tp2_kinds = [e["kind"] for e in transcript.view("TP2")]
     assert tp2_kinds == ["classical", "carrier_measurement"]
-    assert [e["kind"] for e in transcript.public_view()] == ["classical"]
+    assert [e["kind"] for e in transcript.view()] == ["classical"]
 
     # every view is a sub-list of the full log
     full = {e["seq"] for e in transcript.events()}
@@ -136,7 +137,7 @@ def test_broadcast_is_append_only_and_public():
     bus = ClassicalBus(transcript)
     bus.broadcast("TP1", {"kind": "pad_announcement", "values": [1, 2]})
     bus.broadcast("TP2", {"kind": "ordering_announcement", "ranking": [[0], [1]]})
-    seen_by_outsider = [e for e in transcript.public_view() if e["kind"] == "classical"]
+    seen_by_outsider = [e for e in transcript.view() if e["kind"] == "classical"]
     assert [e["sender"] for e in seen_by_outsider] == ["TP1", "TP2"]
     assert [e["seq"] for e in seen_by_outsider] == [0, 1]
     # delivered unmodified
@@ -185,7 +186,7 @@ _MUTATORS = {
 def test_every_mutator_of_an_event_raises_and_changes_nothing(mutate):
     transcript = _announced()
     before = transcript.to_json()
-    events = transcript.events() + transcript.view("P1") + transcript.public_view()
+    events = transcript.events() + transcript.view("P1") + transcript.view()
     for event in events + [e["message"] for e in events if e["kind"] == "classical"]:
         with pytest.raises(TypeError, match="read-only"):
             mutate(event)
@@ -195,7 +196,7 @@ def test_every_mutator_of_an_event_raises_and_changes_nothing(mutate):
 def test_a_broadcast_message_is_read_only_on_every_view():
     transcript = _announced()
     before = transcript.to_json()
-    for view in (transcript.events(), transcript.view(OUTSIDER), transcript.public_view()):
+    for view in (transcript.events(), transcript.view(OUTSIDER), transcript.view()):
         with pytest.raises(TypeError):
             view[0]["message"]["kind"] = "forged"
     assert transcript.to_json() == before
@@ -261,7 +262,7 @@ def test_every_read_equals_a_naive_filter_over_the_json(data):
             roles = data.draw(st.lists(st.sampled_from(_OBSERVERS), max_size=4))
             assert transcript.view(*roles) == _naive(transcript, roles)
         elif action == "public":
-            assert transcript.public_view() == _naive(transcript, ())
+            assert transcript.view() == _naive(transcript, ())
         elif action == "events":
             assert transcript.events() == json.loads(transcript.to_json())
         elif action == "coalition":

@@ -27,7 +27,7 @@ from qpc_sim import (
 )
 from qpc_sim import cli
 from qpc_sim.cli import main
-from qpc_sim.protocol import MAX_DIM
+from qpc_sim.protocol import MAX_DIM, MAX_QUDITS
 
 HONEST = ExperimentConfig(variant="two-tp", n=3, d=13, r=5, l=8, trials=20, seed=11)
 ATTACKED = ExperimentConfig(
@@ -324,17 +324,31 @@ def test_cli_exit_codes_for_bad_configs(capsys):
     assert main(BASE_ARGS + ["--c", "1"]) == 2
 
 
-def test_cli_rejects_a_dimension_above_the_cap_before_running(monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "sizes, error",
+    [
+        (["--n", "2", "--d", "1000000000"], f"qudit dimension must lie in [2, {MAX_DIM}], got d=1000000000"),
+        (
+            ["--n", "1000000000000", "--d", "13", "--l", "8"],
+            f"a run moves 2*n*(l+1) <= {MAX_QUDITS} qudits, got n=1000000000000 and l=8",
+        ),
+        (
+            ["--n", "2", "--d", "13", "--l", "1000000000000"],
+            f"a run moves 2*n*(l+1) <= {MAX_QUDITS} qudits, got n=2 and l=1000000000000",
+        ),
+    ],
+    ids=("d", "n", "l"),
+)
+def test_cli_rejects_a_dimension_above_the_cap_before_running(monkeypatch, capsys, sizes, error):
     def must_not_run(*args):
-        raise AssertionError("a refused dimension reached the protocol")
+        raise AssertionError("a refused size reached the protocol")
 
     monkeypatch.setattr(cli, "run_experiment", must_not_run)
     monkeypatch.setattr(cli, "sweep", must_not_run)
-    args = ["--variant", "two-tp", "--n", "2", "--d", "1000000000", "--r", "2", "--attack", "ir-random"]
-    assert main(args) == 2
+    assert main(["--variant", "two-tp", *sizes, "--r", "2", "--attack", "ir-random"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.splitlines() == [f"error: qudit dimension must lie in [2, {MAX_DIM}], got d=1000000000"]
+    assert err.splitlines() == [f"error: {error}"]
 
 
 def test_cli_exit_codes_for_bad_flags(capsys):
@@ -356,10 +370,11 @@ def _not_random(text: str) -> bool:
 # --out is left out: an unwritable path is an I/O failure, exit code 3.
 _BAD_FLAG_VALUES = {
     "--variant": st.text(max_size=8).filter(lambda v: v not in ("two-tp", "one-tp")),
-    "--n": st.one_of(int_texts(max_value=1), unparsable(int)),
+    # above the cap, 2n(l+1) > MAX_QUDITS, at the base l=2 and n=2
+    "--n": st.one_of(int_texts(max_value=1), int_texts(min_value=MAX_QUDITS // 6 + 1), unparsable(int)),
     "--d": st.one_of(int_texts(max_value=2), int_texts(min_value=MAX_DIM + 1), unparsable(int)),
     "--r": st.one_of(int_texts(max_value=0), int_texts(min_value=4), unparsable(int)),
-    "--l": st.one_of(int_texts(max_value=0), unparsable(int)),
+    "--l": st.one_of(int_texts(max_value=0), int_texts(min_value=MAX_QUDITS // 4), unparsable(int)),
     "--secrets": st.one_of(
         st.lists(st.integers(0, 1), max_size=4).filter(lambda s: len(s) != 2).map(_csv),
         st.tuples(st.integers(), st.integers()).filter(lambda s: not all(0 <= v < 2 for v in s)).map(_csv),

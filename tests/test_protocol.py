@@ -33,7 +33,7 @@ from qpc_sim import (
     tp_prepare_carriers,
     two_phase_disclosure,
 )
-from qpc_sim.protocol import DECOY_BASES, MAX_DIM
+from qpc_sim.protocol import DECOY_BASES, MAX_DIM, MAX_QUDITS, run_links
 from qpc_sim.qudit import BasisLabel
 
 TWO_TP = ProtocolParams(Variant.TWO_TP, n=3, d=13, r=5, l=8)
@@ -78,6 +78,31 @@ def test_invalid_scalar_params_are_rejected(kwargs):
 def test_minimum_dimensions_are_accepted():
     ProtocolParams(Variant.TWO_TP, n=2, d=9, r=5, l=1)
     ProtocolParams(Variant.ONE_TP, n=2, d=14, r=5, l=1)
+
+
+@pytest.mark.parametrize("n, l", [(2, MAX_QUDITS // 4 - 1), (MAX_QUDITS // 4, 1)], ids=("long", "wide"))
+def test_a_run_moves_at_most_max_qudits(n, l):
+    # exactly at the cap: 2 * n * (l + 1) == MAX_QUDITS
+    ProtocolParams(Variant.TWO_TP, n=n, d=13, r=5, l=l)
+    # the next larger n or l, the smallest step over the cap (2n(l+1) is always even)
+    for over in (dict(n=n + 1, l=l), dict(n=n, l=l + 1)):
+        with pytest.raises(ParameterError, match=rf"<= {MAX_QUDITS} qudits, got n={over['n']} and l={over['l']}$"):
+            ProtocolParams(Variant.TWO_TP, d=13, r=5, **over)
+
+
+@pytest.mark.parametrize(
+    "params, first, second",
+    [
+        (TWO_TP, ["TP1->P1", "TP1->P2", "TP1->P3"], ["P1->TP2", "P2->TP2", "P3->TP2"]),
+        (ONE_TP, ["TP->P1", "TP->P2", "TP->P3"], ["P1->TP", "P2->TP", "P3->TP"]),
+    ],
+    ids=("two-tp", "one-tp"),
+)
+def test_run_links_go_preparer_to_party_to_measurer(params, first, second):
+    first_links, second_links = run_links(params, None)
+    assert [link.label for link in first_links] == first
+    assert [link.label for link in second_links] == second
+    assert all(link.tapper is None for link in first_links + second_links)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +415,7 @@ def test_aborts_trace_back_to_a_failed_check():
         assert checks[-1]["error_rate"] > TWO_TP.error_threshold
         # the run stops there: nothing was measured afterwards
         assert _event(transcript, "carrier_measurement") == []
-        classical = [e["message"] for e in transcript.public_view() if e["kind"] == "classical"]
+        classical = [e["message"] for e in transcript.view() if e["kind"] == "classical"]
         assert classical[-1] == {"kind": "abort", "step": outcome.aborted_at}
     assert aborted == 30  # 48 checked decoys leave no realistic chance to slip through
 
@@ -431,7 +456,7 @@ def test_role_views_do_not_leak_other_roles_private_events():
     assert all(e["kind"] != "encode" for e in tp1)
     assert all(e["kind"] != "carrier_measurement" for e in tp1)
 
-    outsider = transcript.public_view()
+    outsider = transcript.view()
     assert {e["kind"] for e in outsider} == {"run_header", "classical"}
 
 
@@ -439,7 +464,7 @@ def test_second_hop_checks_are_fourier_then_computational():
     transcript, _ = run_two_tp_protocol(TWO_TP, (2, 4, 1), None, np.random.default_rng(8))
     phases = [
         e["message"]["phase"]
-        for e in transcript.public_view()
+        for e in transcript.view()
         if e["kind"] == "classical" and e["message"]["kind"] == "decoy_disclosure"
     ]
     # per party: one full first-hop disclosure; then all fourier, then all computational

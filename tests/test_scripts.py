@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import int_texts, unparsable
-from qpc_sim.protocol import MAX_DIM
+from qpc_sim.protocol import MAX_DIM, MAX_QUDITS
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -139,8 +139,9 @@ _BAD_SEED = st.one_of(int_texts(max_value=-1), int_texts(min_value=2**64), unpar
 _BAD_SCRIPT_FLAGS = {
     "detection_sweep": {
         "--trials": st.one_of(int_texts(max_value=0), unparsable(int)),
-        "--n": st.one_of(int_texts(max_value=1), unparsable(int)),
-        "--l": st.one_of(int_texts(max_value=0), unparsable(int)),
+        # above the cap, 2n(l+1) > MAX_QUDITS, at the default l=8 and n=2
+        "--n": st.one_of(int_texts(max_value=1), int_texts(min_value=MAX_QUDITS // 18 + 1), unparsable(int)),
+        "--l": st.one_of(int_texts(max_value=0), int_texts(min_value=MAX_QUDITS // 4), unparsable(int)),
         "--dims": st.one_of(
             st.lists(st.integers(), min_size=1, max_size=4)
             .filter(lambda dims: not all(2 <= d <= MAX_DIM for d in dims))
