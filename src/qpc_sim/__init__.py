@@ -48,17 +48,6 @@ from .protocol import (
     tp_prepare_carriers,
     two_phase_disclosure,
 )
-from .qudit import (
-    Basis,
-    ParameterError,
-    QuditState,
-    apply_shift,
-    basis_state,
-    fourier_matrix,
-    iqft,
-    measure,
-    overlap,
-    qft,
-)
+from .qudit import Basis, ParameterError
 
 __version__ = "0.1.0"

@@ -35,7 +35,7 @@ from .protocol import (
 )
 from .qudit import Basis, BasisLabel, ParameterError
 
-# taps collapse basis labels; the dense qudit.measure plugs in here as the oracle
+# taps collapse basis labels; tests plug the dense oracle's measure in here
 measure = BasisLabel.measure
 
 _TP_ROLES = frozenset().union(*WIRING.values())
@@ -230,7 +230,6 @@ class View:
     """Everything a coalition observed in one run: members' events plus the public bus."""
 
     events: tuple[dict, ...]
-    members: frozenset[str]
     target: int
 
 
@@ -249,7 +248,7 @@ def coalition_view(transcript: Transcript, coalition: Coalition) -> View:
             if not (role in _WIRED[variant] if role in _TP_ROLES else int(role[1:]) <= n):
                 raise ParameterError(f"coalition member {role} does not exist in a {variant} n={n} run")
     events = tuple(transcript.view(*coalition.members))
-    return View(events=events, members=coalition.members, target=coalition.target)
+    return View(events=events, target=coalition.target)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ class TransmissionSequence:
     Slots are addressed by their original position. Taking a slot consumes it,
     and transmitting the sequence consumes every slot on the sender's side:
     a state is never both kept and sent. The sequence reads only a qudit's
-    ``dim``, so the dense engine's states travel the same way as labels.
+    ``dim``, so the tests' dense states travel the same way as labels.
     """
 
     def __init__(self, states: Iterable[BasisLabel]):
@@ -53,9 +53,6 @@ class TransmissionSequence:
 
     def __len__(self) -> int:
         return len(self._slots)
-
-    def remaining_positions(self) -> tuple[int, ...]:
-        return tuple(i for i, s in enumerate(self._slots) if s is not None)
 
     def take(self, position: int) -> BasisLabel:
         """Remove and return the qudit at ``position`` (original indexing)."""
@@ -104,9 +101,9 @@ class Transcript:
     Each event is recorded once as a read-only :class:`Event` and every read
     shares it. ``view(*roles)`` returns exactly the events those roles observe,
     in ``seq`` order; it reads a per-role index of ``seq`` numbers that the
-    first read after a write extends, so recording does no index work. Byte
-    comparisons between views use :meth:`view_json`, which serializes
-    canonically (sorted keys, fixed separators).
+    first read after a write extends, so recording does no index work.
+    :meth:`to_json` serializes the whole log canonically (sorted keys, fixed
+    separators).
     """
 
     def __init__(self) -> None:
@@ -139,9 +136,6 @@ class Transcript:
         for role in roles:
             seqs.update(index.get(role, ()))
         return [events[seq] for seq in sorted(seqs)]
-
-    def view_json(self, role: str) -> str:
-        return json.dumps(self.view(role), sort_keys=True, separators=(",", ":"))
 
     def to_json(self) -> str:
         return json.dumps(self._events, sort_keys=True, separators=(",", ":"))

@@ -34,9 +34,9 @@ from .channel import (
 )
 from .qudit import Basis, BasisLabel, ParameterError
 
-# Every qudit on the hot path is a basis label. These module names are the
-# seams where the dense engine's functions of the same names plug in as the
-# oracle, and where tracing wraps the primitives.
+# Every qudit a run creates is a basis label. These module names are the seams
+# where the tests plug in the dense oracle's functions of the same names, and
+# where tracing wraps the primitives.
 basis_state = BasisLabel.prepare
 apply_shift = BasisLabel.shift
 measure = BasisLabel.measure

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
-from qpc_sim import QuditState
+from dense_oracle import QuditState
 
 
 def random_state(d: int, seed: int) -> QuditState:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import basis_state, overlap
 from qpc_sim import (
     ATTACK_IDS,
     Basis,
@@ -23,9 +24,7 @@ from qpc_sim import (
     Variant,
     allowed_coalitions,
     analytic_abort_probability,
-    basis_state,
     coalition_view,
-    overlap,
     pad_sum_range,
     per_decoy_detection_probability,
     run_experiment,
@@ -321,6 +320,22 @@ def test_one_tp_outsider_abort_rate_matches_the_analytic_form():
     assert abs(rate - expected) <= 4 * sigma + 1e-9
 
 
+def test_mid_range_abort_rate_tells_the_analytic_form_from_one_tapped_link_fewer():
+    # enough trials that the 4-sigma bands around the right rate and the planted wrong one are disjoint
+    trials = 2000
+    config = ExperimentConfig(variant="two-tp", n=2, d=4, r=1, l=1, attack="ir-random", trials=trials, seed=41)
+    params, strategy = config.validate()
+    expected = analytic_abort_probability(strategy, params)
+    p = per_decoy_detection_probability(strategy, params.d)
+    wrong = 1 - (1 - p) ** (tapped_checked_decoys(strategy, params) - params.l)
+    assert (expected, wrong) == (pytest.approx(1 - 0.625**4), pytest.approx(1 - 0.625**3))
+    sigma, sigma_wrong = (np.sqrt(q * (1 - q) / trials) for q in (expected, wrong))
+    assert 4 * (sigma + sigma_wrong) < expected - wrong
+    rate = run_experiment(config).abort_rate
+    assert abs(rate - expected) <= 4 * sigma
+    assert abs(rate - wrong) > 4 * sigma_wrong
+
+
 # ---------------------------------------------------------------------------
 # coalitions
 # ---------------------------------------------------------------------------
@@ -606,7 +621,7 @@ def _synthetic_view(params: ProtocolParams, facts: dict) -> tuple[View, dict[str
     if "score_computation" in facts:
         events.append({"kind": "score_computation", "scores": [facts["score_computation"], 0]})
         obs["score"] = facts["score_computation"]
-    return View(events=tuple(events), members=frozenset({"TP2"}), target=0), obs
+    return View(events=tuple(events), target=0), obs
 
 
 @pytest.mark.parametrize(

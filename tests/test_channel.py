@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_state
+from dense_oracle import basis_state, overlap
 from qpc_sim import (
     OUTSIDER,
     PUBLIC,
@@ -21,14 +22,16 @@ from qpc_sim import (
     Transcript,
     TransmissionError,
     TransmissionSequence,
-    basis_state,
     coalition_view,
-    overlap,
     transmit,
 )
 from qpc_sim.channel import Event
 
 RNG = lambda seed=0: np.random.default_rng(seed)  # noqa: E731
+
+
+def _view_json(transcript, role):
+    return json.dumps(transcript.view(role), sort_keys=True, separators=(",", ":"))
 
 
 def _sequence(d=4, length=5, seed=1):
@@ -44,7 +47,6 @@ def test_take_consumes_the_slot():
     seq.take(2)
     with pytest.raises(TransmissionError):
         seq.take(2)
-    assert 2 not in seq.remaining_positions()
 
 
 def test_release_all_consumes_everything():
@@ -151,7 +153,7 @@ def test_view_json_is_deterministic():
         transcript.record({"P1", "TP1"}, "transmit", link="TP1->P1", count=2)
         return transcript
 
-    assert build().view_json("P1") == build().view_json("P1")
+    assert _view_json(build(), "P1") == _view_json(build(), "P1")
     assert build().to_json() == build().to_json()
 
 
@@ -275,4 +277,4 @@ def test_every_read_equals_a_naive_filter_over_the_json(data):
         else:
             role = data.draw(st.sampled_from(_OBSERVERS))
             expected = json.dumps(_naive(transcript, [role]), sort_keys=True, separators=(",", ":"))
-            assert transcript.view_json(role) == expected
+            assert _view_json(transcript, role) == expected

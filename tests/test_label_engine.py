@@ -8,8 +8,10 @@ import math
 import numpy as np
 import pytest
 
+import dense_oracle
+from dense_oracle import apply_shift, basis_state, born_cdf, measure, overlap
 from qpc_sim import ATTACK_IDS, ConfigError, ExperimentConfig, adversary, protocol, qudit, run_experiment
-from qpc_sim.qudit import Basis, BasisLabel, apply_shift, basis_state, born_cdf, measure, overlap
+from qpc_sim.qudit import Basis, BasisLabel
 
 DIMS = (2, 3, 4, 13, 17)
 BOUND_DIMS = (2, 3, 4, 5, 13, 17, 31, 47, 64)
@@ -153,8 +155,8 @@ def _corpus_bytes() -> list[str]:
 def test_reports_are_byte_identical_under_the_dense_engine(monkeypatch):
     labels = _corpus_bytes()
     for name in ("basis_state", "apply_shift", "measure"):
-        monkeypatch.setattr(protocol, name, getattr(qudit, name))
-    monkeypatch.setattr(adversary, "measure", qudit.measure)
+        monkeypatch.setattr(protocol, name, getattr(dense_oracle, name))
+    monkeypatch.setattr(adversary, "measure", dense_oracle.measure)
     dense = _corpus_bytes()
     assert len(labels) == 120
     assert labels == dense

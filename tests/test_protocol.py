@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ranking_oracle
+from dense_oracle import basis_state, overlap
 from qpc_sim import (
     Basis,
     ComparisonOutcome,
@@ -18,10 +19,8 @@ from qpc_sim import (
     ParameterError,
     ProtocolParams,
     Variant,
-    basis_state,
     build_transmission,
     encode_secret,
-    overlap,
     pad_sum_range,
     rank_descending,
     run_experiment,

@@ -8,18 +8,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import random_state, shift_matrix_oracle
-from qpc_sim import (
-    Basis,
-    ParameterError,
-    QuditState,
-    apply_shift,
-    basis_state,
-    fourier_matrix,
-    iqft,
-    measure,
-    overlap,
-    qft,
-)
+from dense_oracle import QuditState, apply_shift, basis_state, iqft, measure, overlap, qft
+from qpc_sim import Basis, ParameterError
+from qpc_sim.qudit import fourier_matrix
 
 TOL = 1e-9
 DIMS = range(2, 17)
