@@ -100,6 +100,8 @@ def _parse_axis_values(axis: str, text: str | None) -> list:
     if text is None:
         raise ConfigError("--axis requires --values")
     parts = [part.strip() for part in text.split(",") if part.strip() != ""]
+    if not parts:
+        raise ConfigError(f"--values for axis {axis!r} names no value, got {text!r}")
     if axis == "attack":
         return parts
     try:

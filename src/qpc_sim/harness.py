@@ -62,8 +62,24 @@ class ConfigError(ValueError):
 
 
 def derive_rng(*entropy: int) -> np.random.Generator:
-    """Generator seeded purely by the given non-negative integers."""
-    return np.random.default_rng(np.random.SeedSequence(tuple(entropy)))
+    """Generator seeded purely by the given non-negative integers.
+
+    Bit for bit the generator of ``SeedSequence(entropy)``, children included.
+    The entropy goes in as the uint32 words numpy's own coercion makes of the
+    tuple (each int as its little-endian 32-bit words, 0 as one zero word):
+    numpy copies a uint32 array as it is, but coerces a tuple element by
+    element in Python, once more for every child that ``spawn`` makes.
+    """
+    words = []
+    for value in entropy:
+        if value < 0:
+            raise ValueError(f"entropy must be non-negative, got {value}")
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+        while value:
+            words.append(value & 0xFFFFFFFF)
+            value >>= 32
+    return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))
 
 
 def derive_cell_seed(master_seed: int, cell_index: int) -> int:

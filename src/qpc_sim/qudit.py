@@ -3,10 +3,11 @@
 The protocols prepare, shift and measure qudits only in the computational
 basis and its discrete-Fourier conjugate, and so do the modelled attacks. So
 every qudit a run creates is a basis vector of one of the two bases, up to
-global phase, and :class:`BasisLabel` tracks it as ``(dim, basis, index)``:
-preparing and shifting are O(1), and a measurement is one uniform draw plus,
-across bases, one binary search in the uniform table ``cumsum(full(d, 1/d))``
-kept once per ``d``.
+global phase, and :class:`BasisLabel` tracks it as the tuple
+``(dim, basis, index)``: preparing and shifting are O(1), and a measurement is
+one uniform draw plus, across bases, one binary search in the uniform table
+``cumsum(full(d, 1/d))`` kept once per ``d``. Labels and measurement outcomes
+are immutable named tuples, so equal fields mean equal, equally hashed values.
 
 The dense state-vector engine in ``tests/dense_oracle.py`` is the oracle the
 tests compare this engine against. The two return the same outcome for the
@@ -29,8 +30,8 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,20 +52,24 @@ class Basis(enum.Enum):
     FOURIER = "fourier"
 
 
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    """Result of one projective measurement: the observed index and the collapsed state."""
+class MeasurementOutcome(NamedTuple):
+    """Result of one projective measurement: the observed index and the collapsed state, as a tuple."""
 
     value: int
     post_state: BasisLabel
 
 
-@dataclass(frozen=True, slots=True)
-class BasisLabel:
+# The hot constructors build through tuple.__new__: a NamedTuple's generated
+# __new__ is one more Python-level call per qudit.
+_new = tuple.__new__
+
+
+class BasisLabel(NamedTuple):
     """Basis vector ``index`` of ``basis`` in dimension ``dim``, up to global phase.
 
-    The label engine's state: shifting and measuring it never leave the two
-    bases. Build one with :meth:`prepare`, which checks its arguments.
+    The label engine's state, an immutable ``(dim, basis, index)`` tuple:
+    shifting and measuring it never leave the two bases. Build one with
+    :meth:`prepare`, which checks its arguments.
     """
 
     dim: int
@@ -74,8 +79,9 @@ class BasisLabel:
     @classmethod
     def prepare(cls, d: int, basis: Basis, j: int) -> BasisLabel:
         """The j-th vector of the given basis in dimension d; refuses d < 2 and j outside [0, d)."""
-        _check_basis_vector(d, j)
-        return cls(d, basis, j)
+        if d < 2 or not 0 <= j < d:
+            _check_basis_vector(d, j)
+        return _new(cls, (d, basis, j))
 
     def shift(self, m: int) -> BasisLabel:
         """Apply U_m: a computational label moves to (index + m) mod d, a Fourier label only gains a phase."""
@@ -94,9 +100,9 @@ class BasisLabel:
         """
         u = rng.random()
         if basis is self.basis:
-            return MeasurementOutcome(self.index, self)
+            return _new(MeasurementOutcome, (self.index, self))
         value = min(bisect_right(_uniform_cdf(self.dim), u), self.dim - 1)
-        return MeasurementOutcome(value, BasisLabel(self.dim, basis, value))
+        return _new(MeasurementOutcome, (value, _new(BasisLabel, (self.dim, basis, value))))
 
 
 @lru_cache(maxsize=4)

@@ -292,6 +292,24 @@ def test_insiders_are_invisible_in_the_single_tp_variant():
             assert all(e["kind"] != "tap" for e in transcript.events())
 
 
+#: Trials of each l=1 case, by d: the fewest at which the 4-sigma bands around
+#: the analytic rate and around the one-tapped-link-fewer rate are disjoint.
+_OUTSIDER_L1_TRIALS = {2: 1323, 4: 1189, 8: 1230}  # four tapped links at n=2
+_INSIDER_L1_TRIALS = {2: 393, 4: 276, 8: 245}  # two tapped links at n=2
+L1_TRIALS = {
+    "ir-fixed-t1": _OUTSIDER_L1_TRIALS,
+    "ir-fixed-t2": _OUTSIDER_L1_TRIALS,
+    "ir-random": _OUTSIDER_L1_TRIALS,
+    "tp1-mr": _INSIDER_L1_TRIALS,
+    "tp2-mr": _INSIDER_L1_TRIALS,
+}
+
+
+def _bands_are_disjoint(expected: float, wrong: float, trials: int) -> bool:
+    sigma, sigma_wrong = (np.sqrt(q * (1 - q) / trials) for q in (expected, wrong))
+    return 4 * (sigma + sigma_wrong) < expected - wrong
+
+
 @pytest.mark.parametrize("attack_id", ["ir-fixed-t1", "ir-fixed-t2", "ir-random", "tp1-mr", "tp2-mr"])
 @pytest.mark.parametrize(
     "d, l",
@@ -300,12 +318,18 @@ def test_insiders_are_invisible_in_the_single_tp_variant():
 )
 def test_monte_carlo_abort_rate_matches_the_analytic_form(attack_id, d, l):
     r = 1 if d < 3 else 2
-    trials = 200
+    trials = 200 if l == 8 else L1_TRIALS[attack_id][d]
     config = ExperimentConfig(
         variant="two-tp", n=2, d=d, r=r, l=l, attack=attack_id, trials=trials, seed=d * 1000 + len(attack_id)
     )
     params, strategy = config.validate()
     expected = analytic_abort_probability(strategy, params)
+    if l == 1:
+        # sized so that a count off by one tapped link fails
+        p = per_decoy_detection_probability(strategy, params.d)
+        wrong = 1 - (1 - p) ** (tapped_checked_decoys(strategy, params) - params.l)
+        assert _bands_are_disjoint(expected, wrong, trials)
+        assert not _bands_are_disjoint(expected, wrong, trials - 1)
     rate = run_experiment(config).abort_rate
     sigma = np.sqrt(expected * (1 - expected) / trials)
     assert abs(rate - expected) <= 4 * sigma + 1e-9

@@ -1,5 +1,8 @@
 """Pins on the bytes a config produces.
 
+``derive_rng`` seeds a trial's generator from packed uint32 words instead of
+the ``(seed, t)`` tuple; the tests below pin it to the generator, and every
+spawned child, of ``SeedSequence`` built from the tuple itself.
 ``build_transmission`` and ``tp_prepare_carriers`` draw with one array-bound
 ``Generator.integers`` call each. That this call returns the values, and leaves
 the generator in the state, of the scalar calls made in the same order is numpy
@@ -15,7 +18,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from qpc_sim import ATTACK_IDS, ConfigError, ExperimentConfig, run_experiment
+from qpc_sim import ATTACK_IDS, ConfigError, ExperimentConfig, derive_rng, run_experiment
 from qpc_sim.protocol import (
     DECOY_BASES,
     MAX_DIM,
@@ -29,6 +32,35 @@ from qpc_sim.qudit import Basis
 
 SEEDS = range(40)
 DIMS = (2, 3, 4, 13, 17, 512, 2048, MAX_DIM)
+
+
+# trailing zero words mix like absent ones, so (0, 1) and the three-value tuple
+# (five words, more than the pool's four) are the ones a dropped zero word changes
+ENTROPIES = (
+    (),
+    (0,),
+    (0, 0),
+    (0, 1),
+    (1, 2**32 - 1),
+    (2**32, 7),
+    (2**63, 2**32 + 1),
+    (2**64 - 1, 0),
+    (2**64 - 1, 0, 2**40 + 3),
+)
+
+
+@pytest.mark.parametrize("entropy", ENTROPIES, ids=repr)
+def test_derive_rng_is_the_seed_sequence_of_its_entropy_tuple(entropy):
+    packed = derive_rng(*entropy)
+    reference = np.random.default_rng(np.random.SeedSequence(tuple(entropy)))
+    assert packed.bit_generator.state == reference.bit_generator.state
+    children = zip(packed.spawn(8), reference.spawn(8), strict=True)
+    assert all(got.bit_generator.state == want.bit_generator.state for got, want in children)
+
+
+def test_derive_rng_refuses_negative_entropy():
+    with pytest.raises(ValueError):
+        derive_rng(-1)
 
 
 def _scalar_transmission(d: int, l: int, rng: np.random.Generator) -> tuple[list[tuple[int, int, int]], int]:

@@ -324,6 +324,15 @@ def test_cli_exit_codes_for_bad_configs(capsys):
     assert main(BASE_ARGS + ["--c", "1"]) == 2
 
 
+@pytest.mark.parametrize("axis", ["d", "attack"])
+@pytest.mark.parametrize("values", ["", ",", " , "], ids=("empty", "comma", "blank"))
+def test_cli_empty_values_exit_2_with_one_error_line(capsys, axis, values):
+    assert main(BASE_ARGS + ["--axis", axis, "--values", values]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"error: --values for axis {axis!r} names no value, got {values!r}"]
+
+
 @pytest.mark.parametrize(
     "sizes, error",
     [

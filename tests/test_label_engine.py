@@ -42,6 +42,35 @@ def test_prepare_checks_its_arguments_as_basis_state_does():
         BasisLabel.prepare(4, Basis.COMPUTATIONAL, 0).shift(4)
 
 
+def test_labels_and_outcomes_are_immutable():
+    label = BasisLabel.prepare(5, Basis.FOURIER, 2)
+    outcome = label.measure(Basis.COMPUTATIONAL, np.random.default_rng(0))
+    for value, fields in ((label, ("dim", "basis", "index")), (outcome, ("value", "post_state"))):
+        for field in fields:
+            with pytest.raises(AttributeError):
+                setattr(value, field, getattr(value, field))
+    assert label == (5, Basis.FOURIER, 2)
+    assert outcome.post_state == (5, Basis.COMPUTATIONAL, outcome.value)
+
+
+@pytest.mark.parametrize("d", (2, 5, 13))
+def test_labels_with_equal_fields_are_equal_however_built(d):
+    for basis in Basis:
+        conjugate = Basis.FOURIER if basis is Basis.COMPUTATIONAL else Basis.COMPUTATIONAL
+        for j in range(d):
+            prepared = BasisLabel.prepare(d, basis, j)
+            source = (j - 1) % d if basis is Basis.COMPUTATIONAL else j  # a Fourier label keeps its index
+            labels = (
+                prepared,
+                BasisLabel.prepare(d, basis, source).shift(1),
+                prepared.measure(basis, _Draws(0.5)).post_state,
+                BasisLabel.prepare(d, conjugate, 0).measure(basis, _Draws((j + 0.5) / d)).post_state,
+            )
+            assert all(label == prepared and hash(label) == hash(prepared) for label in labels)
+            assert prepared != BasisLabel.prepare(d, conjugate, j)
+            assert prepared != BasisLabel.prepare(d, basis, (j + 1) % d)
+
+
 @pytest.mark.parametrize("d", DIMS)
 def test_label_operations_match_the_dense_engine_draw_for_draw(d):
     for prepared in Basis:
