@@ -8,7 +8,7 @@ spawned child, of ``SeedSequence`` built from the tuple itself.
 the generator in the state, of the scalar calls made in the same order is numpy
 behaviour, not a documented guarantee. The tests below pin it against scalar
 draws and against literal values, and pin ``canonical_json`` digests for a small
-corpus, so that a numpy change or a protocol change that moves a draw fails here
+corpus and transcript digests for a smaller one, so that a numpy change or a protocol change that moves a draw fails here
 instead of silently changing reports.
 """
 from __future__ import annotations
@@ -18,7 +18,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from qpc_sim import ATTACK_IDS, ConfigError, ExperimentConfig, derive_rng, run_experiment
+from qpc_sim import ATTACK_IDS, ConfigError, ExperimentConfig, derive_rng, run_experiment, run_trial
 from qpc_sim.protocol import (
     DECOY_BASES,
     MAX_DIM,
@@ -166,3 +166,26 @@ def test_canonical_bytes_are_pinned_for_every_attack_on_both_variants():
                 text = run_experiment(config).canonical_json()
                 digests[variant, attack, d] = hashlib.sha256(text.encode()).hexdigest()
     assert digests == CANONICAL_SHA256
+
+
+# sha256 of the trials' Transcript.to_json() texts, one per line, for each (variant, attack)
+TRANSCRIPT_SHA256 = {
+    ("two-tp", "none"): "ff5ef2c6d44ae7a62208a6d2be00c2361614290783bc74411e080fc9f055f8b2",
+    ("two-tp", "tp1-mr"): "e7e7da961e1fc8828e355d480bddb6f8db724838dffc288f8f98246f04a43f61",
+    ("two-tp", "ir-random"): "48e42a8e96d933e97106f842769b383587e7c5b3306ae35ebb943973bc0db9a8",
+    ("one-tp", "none"): "a5b47adb9ac0efc505d55dc6cb12af90dcde35556cac79571a705508c203a887",
+    ("one-tp", "ir-random"): "55bfbe29bc963e1e82b4257630bcd735444a5e22179f952129eb08138083ec3e",
+}
+
+
+def test_transcript_bytes_are_pinned_for_honest_insider_and_outsider_runs():
+    digests, aborts = {}, set()
+    for variant, attack in TRANSCRIPT_SHA256:
+        config = ExperimentConfig(variant=variant, n=2, d=5, r=2, l=2, attack=attack, trials=3, seed=2)
+        runs = [run_trial(config, t) for t in range(config.trials)]
+        aborts.update(run.outcome.aborted_at for run in runs)
+        text = "\n".join(run.transcript.to_json() for run in runs)
+        digests[variant, attack] = hashlib.sha256(text.encode()).hexdigest()
+    # the grid records every classical message kind: completed runs, and aborts at step 3 and step 5
+    assert aborts == {None, "step3", "step5"}
+    assert digests == TRANSCRIPT_SHA256

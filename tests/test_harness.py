@@ -3,6 +3,7 @@ serialization, sweeps, and the command-line contract (flags, formats, exit codes
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import shutil
@@ -309,6 +310,19 @@ def test_cli_sweep_json_structure(capsys):
     cells = json.loads(capsys.readouterr().out)
     assert [cell["value"] for cell in cells] == [5, 7]
     assert all(cell["report"]["n_trials"] == 4 for cell in cells)
+
+
+def test_cli_sweep_canonical_bytes_are_pinned(capsys):
+    # d=2 is below two-tp's bound at r=2, so the middle cell is a skip
+    assert main(BASE_ARGS + ["--seed", "4", "--axis", "d", "--values", "5,2,7"]) == 0
+    cells = json.loads(capsys.readouterr().out)
+    assert [cell["report"] is None for cell in cells] == [False, True, False]
+    canonical = [
+        {**cell, "report": cell["report"] and ExperimentReport.from_dict(cell["report"]).canonical_json()}
+        for cell in cells
+    ]
+    digest = hashlib.sha256(json.dumps(canonical, sort_keys=True).encode()).hexdigest()
+    assert digest == "7f21aea8881c26fb3eba7467766a1d87f6973c37cb6e1d027bcbfd92323fe07f"
 
 
 def test_cli_exit_codes_for_bad_configs(capsys):

@@ -40,6 +40,16 @@ def test_detection_sweep_runs(detection_sweep, tmp_path, capsys):
     assert len(rows) == 5
 
 
+def test_detection_sweep_output_is_pinned(detection_sweep, tmp_path, capsys):
+    # 21 runnable cells: d=4 is below one-tp's bound at r=2, and one-tp takes no insider attack
+    out = tmp_path / "sweep.csv"
+    assert detection_sweep.main(["--trials", "20", "--dims", "2,4,5", "--l", "3", "--seed", "11", "--out", str(out)]) == 0
+    *table, written = capsys.readouterr().out.splitlines(keepends=True)
+    assert written == f"table written to {out}\n"
+    assert hashlib.sha256("".join(table).encode()).hexdigest() == "d92dca6d58f9e40649fe92c31aafcede1e3ee70f33e89ff67fb9795c90b8fe73"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == "472b6f8c4e00ad764a421c102a1dc3039918cde6a955662cf5a50710e26e2e30"
+
+
 def test_sweep_attack_order_is_pinned(detection_sweep):
     # a cell's index fixes its seed, so reordering these ids would change every row's bytes
     assert detection_sweep.ACTIVE_ATTACKS == ("ir-fixed-t1", "ir-fixed-t2", "ir-random", "tp1-mr", "tp2-mr")
