@@ -4,11 +4,11 @@
 Runs every active attack strategy over a list of qudit dimensions and prints,
 per cell, the analytic per-decoy detection probability, the predicted
 run-abort probability 1 - (1 - p)^D (D = tapped-and-checked decoys per run),
-and the observed abort rate with its binomial standard error. Each cell is one
-experiment run by the harness with the seed ``derive_cell_seed(seed, cell)``,
-so any trial of any row replays with ``run_trial``. Insider attacks model the
-two-TP wiring and are skipped for ``one-tp``, as are dimensions below a
-variant's bound. Bad input exits 2; an unwritable ``--out`` exits 3 before
+and the observed abort rate with its binomial standard error. Each row is one
+cell of ``harness.sweep`` over (variant, attack, d, r), and its seed column is
+the cell's, so any trial of any row replays with ``run_trial``. Insider attacks
+model the two-TP wiring and are skipped for ``one-tp``, as are dimensions below
+a variant's bound. Bad input exits 2; an unwritable ``--out`` exits 3 before
 any cell runs.
 
 Example:
@@ -18,17 +18,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import sys
 
 from qpc_sim import (
     ATTACK_IDS,
-    ConfigError,
     ExperimentConfig,
-    derive_cell_seed,
+    ParameterError,
     per_decoy_detection_probability,
-    run_experiment,
     strategy_from_id,
+    sweep,
     tapped_checked_decoys,
 )
 
@@ -37,46 +37,42 @@ ACTIVE_ATTACKS = tuple(a for a in ATTACK_IDS if strategy_from_id(a).active)
 
 COLUMNS = ("variant", "attack", "d", "l", "seed", "per_decoy", "tapped", "analytic", "observed", "stderr")
 
-
-def cell_config(variant: str, attack: str, d: int, n: int, l: int, trials: int, seed: int) -> ExperimentConfig:
-    return ExperimentConfig(
-        variant=variant, n=n, d=d, r=1 if d < 3 else 2, l=l, attack=attack, trials=trials, seed=seed
-    )
+#: The config fields each cell sets, in the order of its value tuple.
+AXIS = ("variant", "attack", "d", "r")
 
 
-def sweep_cells(n: int, l: int, dims: list[int], trials: int, seed: int):
-    """Return an iterator of one row per runnable cell.
+def cell_values(dims: list[int]) -> list[tuple[str, str, int, int]]:
+    """Every cell's (variant, attack, d, r), variant slowest and d fastest; r is 2, or 1 at d=2, where two-tp needs it."""
+    return [
+        (variant, attack, d, 1 if d < 3 else 2)
+        for variant in ("two-tp", "one-tp")
+        for attack in ACTIVE_ATTACKS
+        for d in dims
+    ]
 
-    Input no cell can run with raises ConfigError here, before any cell runs.
-    """
-    for d in dims:
-        # an honest two-tp run has the loosest dimension bound, so what it rejects is bad input, not a skip
-        cell_config("two-tp", "none", d, n, l, trials, seed).validate()
-    return _run_cells(n, l, dims, trials, seed)
 
-
-def _run_cells(n: int, l: int, dims: list[int], trials: int, seed: int):
-    cells = [(variant, attack, d) for variant in ("two-tp", "one-tp") for attack in ACTIVE_ATTACKS for d in dims]
-    for index, (variant, attack, d) in enumerate(cells):
-        config = cell_config(variant, attack, d, n, l, trials, derive_cell_seed(seed, index))
-        try:
-            params, strategy = config.validate()
-        except ConfigError:
-            continue  # below the variant's dimension bound, or an insider attack on one-tp
-        report = run_experiment(config)
-        cfg = report.config
-        yield {
-            "variant": cfg["variant"],
-            "attack": cfg["attack"],
-            "d": cfg["d"],
-            "l": cfg["l"],
-            "seed": cfg["seed"],
-            "per_decoy": per_decoy_detection_probability(strategy, d),
-            "tapped": tapped_checked_decoys(strategy, params),
-            "analytic": report.analytic_abort,
-            "observed": report.abort_rate,
-            "stderr": report.abort_stderr,
-        }
+def rows(cells) -> list[dict]:
+    """One row per cell that ran; a skipped cell is below its variant's dimension bound, or an insider on one-tp."""
+    out = []
+    for cell in cells:
+        if cell.report is None:
+            continue
+        params, strategy = ExperimentConfig(**cell.config).validate()
+        out.append(
+            {
+                "variant": params.variant.value,
+                "attack": strategy.id,
+                "d": params.d,
+                "l": params.l,
+                "seed": cell.seed,
+                "per_decoy": per_decoy_detection_probability(strategy, params.d),
+                "tapped": tapped_checked_decoys(strategy, params),
+                "analytic": cell.report.analytic_abort,
+                "observed": cell.report.abort_rate,
+                "stderr": cell.report.abort_stderr,
+            }
+        )
+    return out
 
 
 def deviation(observed: float, analytic: float, trials: int) -> float:
@@ -113,9 +109,14 @@ def main(argv: list[str] | None = None) -> int:
     if args.trials < 1:
         parser.error(f"--trials must be >= 1, got {args.trials}")
 
+    values = cell_values(args.dims)
+    # d and r are set per cell
+    base = ExperimentConfig(variant="two-tp", n=args.n, d=2, r=1, l=args.l, trials=args.trials, seed=args.seed)
     try:
-        cells = sweep_cells(args.n, args.l, args.dims, args.trials, args.seed)
-    except ConfigError as exc:
+        for _, _, d, r in values:
+            # an honest two-tp run has the loosest dimension bound, so what it rejects is bad input, not a skip
+            dataclasses.replace(base, d=d, r=r).validate()
+    except ParameterError as exc:
         parser.error(str(exc))
     out = None
     if args.out:
@@ -124,26 +125,26 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
             return 3
-    rows = list(cells)
+    table = rows(sweep(base, AXIS, values))
 
     header = f"{'variant':8} {'attack':12} {'d':>3} {'l':>3} {'p/decoy':>8} {'tapped':>6} {'analytic':>9} {'observed':>9} {'stderr':>8}"
     print(header)
     print("-" * len(header))
-    for row in rows:
+    for row in table:
         print(
             f"{row['variant']:8} {row['attack']:12} {row['d']:>3} {row['l']:>3} "
             f"{row['per_decoy']:>8.4f} {row['tapped']:>6} {row['analytic']:>9.4f} "
             f"{row['observed']:>9.4f} {row['stderr']:>8.4f}"
         )
 
-    worst = max((deviation(r["observed"], r["analytic"], args.trials) for r in rows), default=0.0)
-    print(f"\ncells: {len(rows)}, trials per cell: {args.trials}, worst |observed-analytic|: {worst:.2f} analytic sigma")
+    worst = max((deviation(r["observed"], r["analytic"], args.trials) for r in table), default=0.0)
+    print(f"\ncells: {len(table)}, trials per cell: {args.trials}, worst |observed-analytic|: {worst:.2f} analytic sigma")
 
     if out:
         with out:
             writer = csv.DictWriter(out, fieldnames=COLUMNS, lineterminator="\n")
             writer.writeheader()
-            writer.writerows(rows)
+            writer.writerows(table)
         print(f"table written to {args.out}")
     return 0
 

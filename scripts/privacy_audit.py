@@ -30,8 +30,8 @@ import collections
 import sys
 
 from qpc_sim import (
-    ConfigError,
     ExperimentConfig,
+    ParameterError,
     allowed_coalitions,
     coalition_view,
     run_trial,
@@ -95,7 +95,7 @@ def main(argv: list[str] | None = None) -> int:
     for config in (two_tp, one_tp):
         try:
             config.validate()
-        except ConfigError as exc:
+        except ParameterError as exc:
             parser.error(str(exc))
     status = 0
     for i, config in enumerate((two_tp, one_tp)):

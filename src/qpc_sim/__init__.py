@@ -12,42 +12,8 @@ from .adversary import (
     strategy_from_id,
     tapped_checked_decoys,
 )
-from .channel import (
-    OUTSIDER,
-    PUBLIC,
-    ClassicalBus,
-    QuantumLink,
-    Transcript,
-    TransmissionError,
-    TransmissionSequence,
-    transmit,
-)
-from .harness import (
-    CSV_COLUMNS,
-    ConfigError,
-    ExperimentConfig,
-    ExperimentReport,
-    derive_cell_seed,
-    derive_rng,
-    run_experiment,
-    run_trial,
-    sweep,
-)
-from .protocol import (
-    ComparisonOutcome,
-    DecoySpec,
-    ProtocolParams,
-    Variant,
-    build_transmission,
-    encode_secret,
-    pad_sum_range,
-    rank_descending,
-    run_one_tp_protocol,
-    run_two_tp_protocol,
-    tp_compute_result,
-    tp_prepare_carriers,
-    two_phase_disclosure,
-)
-from .qudit import Basis, ParameterError
+from .harness import ExperimentConfig, ExperimentReport, run_experiment, run_trial, sweep
+from .protocol import ProtocolParams, Variant, run_one_tp_protocol, run_two_tp_protocol
+from .qudit import ParameterError
 
 __version__ = "0.1.0"

@@ -147,9 +147,10 @@ class ClassicalBus:
 
     transcript: Transcript
 
-    def broadcast(self, sender: str, message: dict) -> None:
-        """Append ``message`` to the transcript under ``sender``'s authenticated identity."""
-        self.transcript.record(PUBLIC, "classical", sender=sender, message=Event(message))
+    def broadcast(self, sender: str, kind: str, **payload) -> None:
+        """Append a ``kind`` message with ``payload`` to the transcript, under ``sender``'s authenticated identity."""
+        payload["kind"] = kind
+        self.transcript.record(PUBLIC, "classical", sender=sender, message=Event(payload))
 
 
 @dataclass

@@ -19,7 +19,6 @@ from typing import Sequence
 from .adversary import ATTACK_IDS
 from .harness import (
     CSV_COLUMNS,
-    ConfigError,
     ExperimentConfig,
     ExperimentReport,
     SweepCell,
@@ -72,7 +71,7 @@ def _parse_secrets(text: str) -> tuple[int, ...] | str:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise ConfigError(f"--secrets expects comma-separated integers or 'random', got {text!r}") from None
+        raise ParameterError(f"--secrets expects comma-separated integers or 'random', got {text!r}") from None
 
 
 def _parse_shared_key(text: str) -> int | str:
@@ -81,7 +80,7 @@ def _parse_shared_key(text: str) -> int | str:
     try:
         return int(text)
     except ValueError:
-        raise ConfigError(f"--c expects an integer or 'random', got {text!r}") from None
+        raise ParameterError(f"--c expects an integer or 'random', got {text!r}") from None
 
 
 def _resolve_seed(explicit: int | None) -> int:
@@ -93,21 +92,21 @@ def _resolve_seed(explicit: int | None) -> int:
     try:
         return int(env)
     except ValueError:
-        raise ConfigError(f"QPC_SIM_SEED must be an integer, got {env!r}") from None
+        raise ParameterError(f"QPC_SIM_SEED must be an integer, got {env!r}") from None
 
 
 def _parse_axis_values(axis: str, text: str | None) -> list:
     if text is None:
-        raise ConfigError("--axis requires --values")
+        raise ParameterError("--axis requires --values")
     parts = [part.strip() for part in text.split(",") if part.strip() != ""]
     if not parts:
-        raise ConfigError(f"--values for axis {axis!r} names no value, got {text!r}")
+        raise ParameterError(f"--values for axis {axis!r} names no value, got {text!r}")
     if axis == "attack":
         return parts
     try:
         return [int(part) for part in parts]
     except ValueError:
-        raise ConfigError(f"--values for axis {axis!r} expects integers, got {text!r}") from None
+        raise ParameterError(f"--values for axis {axis!r} expects integers, got {text!r}") from None
 
 
 def _csv_text(rows: list[list[str]]) -> str:
@@ -173,8 +172,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.axis is not None:
             values = _parse_axis_values(args.axis, args.values)
         elif args.values is not None:
-            raise ConfigError("--values requires --axis")
-    except (ConfigError, ParameterError) as exc:
+            raise ParameterError("--values requires --axis")
+    except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -1,5 +1,5 @@
 """Monte-Carlo harness: validated experiment configs, deterministic trial
-seeding, aggregated reports, and one-axis parameter sweeps.
+seeding, aggregated reports, and parameter sweeps.
 
 Determinism contract: trial t of an experiment is driven by a generator
 derived purely from (master seed, t), and sweep cell i reseeds purely from
@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -55,10 +56,7 @@ CSV_COLUMNS = (
 
 _CHECK_STEPS = ("step3", "step5", "step6")
 _SWEEP_TAG = 0x53574545
-
-
-class ConfigError(ValueError):
-    """An experiment configuration violates a documented constraint."""
+_INTEGER_FIELDS = ("n", "d", "r", "l", "trials", "seed")
 
 
 def derive_rng(*entropy: int) -> np.random.Generator:
@@ -88,13 +86,20 @@ def derive_cell_seed(master_seed: int, cell_index: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+def _plain_int(value: object) -> object:
+    """``value`` as an ``int`` if it is an integer other than a bool (numpy's included), else unchanged."""
+    return int(value) if isinstance(value, numbers.Integral) and not isinstance(value, bool) else value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: protocol parameters, inputs, adversary, and trial count.
 
     ``secrets="random"`` redraws the secret vector every trial; an explicit
     tuple is held fixed across trials. The shared key (single-TP variant)
-    follows the same rule.
+    follows the same rule. Integer fields store numpy integers as plain ints,
+    so reports and transcripts stay JSON; :meth:`validate` rejects any other
+    non-integer.
     """
 
     variant: str
@@ -103,42 +108,52 @@ class ExperimentConfig:
     r: int
     l: int
     secrets: tuple[int, ...] | str = "random"
-    shared_key: int | str | None = "random"
+    shared_key: int | str = "random"
     attack: str = "none"
     trials: int = 100
     seed: int = 0
     threshold: float = 0.0
 
+    def __post_init__(self) -> None:
+        for name in (*_INTEGER_FIELDS, "shared_key"):
+            object.__setattr__(self, name, _plain_int(getattr(self, name)))
+        if isinstance(self.secrets, (tuple, list, np.ndarray)):
+            object.__setattr__(self, "secrets", tuple(map(_plain_int, self.secrets)))
+
     def validate(self) -> tuple[ProtocolParams, AttackStrategy]:
-        """Resolve to protocol params and a strategy, or raise ConfigError naming the violated constraint."""
+        """Resolve to protocol params and a strategy, or raise ParameterError naming the violated constraint."""
         try:
             variant = Variant(self.variant)
         except ValueError:
-            raise ConfigError(
+            raise ParameterError(
                 f"unknown variant {self.variant!r}; expected one of: "
                 + ", ".join(v.value for v in Variant)
             ) from None
-        try:
-            params = ProtocolParams(
-                variant=variant, n=self.n, d=self.d, r=self.r, l=self.l, error_threshold=self.threshold
+        for name in _INTEGER_FIELDS:
+            if type(getattr(self, name)) is not int:
+                raise ParameterError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        params = ProtocolParams(
+            variant=variant, n=self.n, d=self.d, r=self.r, l=self.l, error_threshold=self.threshold
+        )
+        strategy = strategy_from_id(self.attack)
+        if strategy.owner not in (OUTSIDER, *WIRING[variant]):
+            raise ParameterError(
+                f"attack {self.attack!r} models a two-tp insider and does not apply to {variant.value}"
             )
-            strategy = strategy_from_id(self.attack)
-            if strategy.owner not in (OUTSIDER, *WIRING[variant]):
-                raise ConfigError(
-                    f"attack {self.attack!r} models a two-tp insider and does not apply to {variant.value}"
-                )
-            if self.secrets != "random":
-                _normalize_secrets(self.secrets, params)
-            if self.shared_key not in (None, "random"):
-                if variant is Variant.TWO_TP:
-                    raise ConfigError("a shared key (--c) applies to the one-tp variant only")
-                _check_shared_key(self.shared_key, params)
-        except ParameterError as exc:
-            raise ConfigError(str(exc)) from None
+        if self.secrets != "random":
+            if not isinstance(self.secrets, tuple) or any(type(s) is not int for s in self.secrets):
+                raise ParameterError(f"secrets must be 'random' or a tuple of integers, got {self.secrets!r}")
+            _normalize_secrets(self.secrets, params)
+        if self.shared_key != "random":
+            if variant is Variant.TWO_TP:
+                raise ParameterError("a shared key (--c) applies to the one-tp variant only")
+            if type(self.shared_key) is not int:
+                raise ParameterError(f"shared_key must be an integer or 'random', got {self.shared_key!r}")
+            _check_shared_key(self.shared_key, params)
         if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+            raise ParameterError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
+            raise ParameterError(f"seed must lie in [0, 2**64), got {self.seed}")
         return params, strategy
 
     def to_dict(self) -> dict:
@@ -173,15 +188,15 @@ def _run_trial(
     if config.secrets == "random":
         secrets = tuple(int(s) for s in rng.integers(0, params.r, size=params.n))
     else:
-        secrets = tuple(int(s) for s in config.secrets)
+        secrets = config.secrets
     if params.variant is Variant.TWO_TP:
         key = None
         transcript, outcome = run_two_tp_protocol(params, secrets, strategy, rng)
     else:
-        if config.shared_key in (None, "random"):
+        if config.shared_key == "random":
             key = int(rng.integers(0, params.r))
         else:
-            key = int(config.shared_key)
+            key = config.shared_key
         transcript, outcome = run_one_tp_protocol(params, secrets, key, strategy, rng)
     return TrialRun(trial_index, secrets, key, transcript, outcome)
 
@@ -309,7 +324,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 class SweepCell:
     """One cell of a sweep: either a finished report or a skip reason."""
 
-    axis: str
+    axis: str | tuple[str, ...]
     value: object
     seed: int
     config: dict
@@ -325,27 +340,37 @@ class SweepCell:
         return _csv_row(self.config, note=f"skipped: {self.skipped}")
 
 
-def sweep(base: ExperimentConfig, axis: str, values: Sequence) -> list[SweepCell]:
-    """Run ``base`` once per value of ``axis`` (one of d, l, attack).
+#: The config fields a sweep may set: every one but the seed, which each cell derives.
+_SWEEP_FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "seed")
 
-    Each cell reseeds deterministically from (base seed, cell index). Cells
-    whose configuration is invalid are returned as skipped, with the reason,
-    instead of failing the whole sweep. An empty value list is an empty sweep.
+
+def sweep(base: ExperimentConfig, axis: str | tuple[str, ...], values: Sequence) -> list[SweepCell]:
+    """Run ``base`` once per value of ``axis``, in order.
+
+    ``axis`` names one config field other than ``seed``, or is a tuple of
+    them; then each value is a tuple of the same length, and its items set
+    those fields together. Cell i reseeds deterministically from (base seed,
+    i). Cells whose configuration is invalid are returned as skipped, with
+    the reason, instead of failing the whole sweep. An empty value list is an
+    empty sweep.
     """
-    if axis not in ("d", "l", "attack"):
-        raise ConfigError(f"sweep axis must be one of d, l, attack; got {axis!r}")
+    names = (axis,) if isinstance(axis, str) else tuple(axis)
+    if not names or any(name not in _SWEEP_FIELDS for name in names):
+        raise ParameterError(f"sweep axis must name fields among {', '.join(_SWEEP_FIELDS)}; got {axis!r}")
+    settings = [(value, (value,) if isinstance(axis, str) else value) for value in values]
+    for value, setting in settings:
+        if not isinstance(setting, tuple) or len(setting) != len(names):
+            raise ParameterError(f"a value of sweep axis {axis!r} is a tuple of {len(names)} items, got {value!r}")
     cells: list[SweepCell] = []
-    for index, value in enumerate(values):
+    for index, (value, setting) in enumerate(settings):
         cell_seed = derive_cell_seed(base.seed, index)
-        cfg = dataclasses.replace(base, **{axis: value}, seed=cell_seed)
+        cfg = dataclasses.replace(base, **dict(zip(names, setting)), seed=cell_seed)
+        cell = SweepCell(axis=axis, value=value, seed=cell_seed, config=cfg.to_dict())
         try:
             cfg.validate()
-        except ConfigError as exc:
-            cells.append(
-                SweepCell(axis=axis, value=value, seed=cell_seed, config=cfg.to_dict(), skipped=str(exc))
-            )
-            continue
-        cells.append(
-            SweepCell(axis=axis, value=value, seed=cell_seed, config=cfg.to_dict(), report=run_experiment(cfg))
-        )
+        except ParameterError as exc:
+            cell.skipped = str(exc)
+        else:
+            cell.report = run_experiment(cfg)
+        cells.append(cell)
     return cells

@@ -265,40 +265,6 @@ def tp_compute_result(
 
 
 # --------------------------------------------------------------------------
-# classical message constructors (transcript JSON shapes)
-# --------------------------------------------------------------------------
-
-def decoy_disclosure(transmission: str, phase: str, entries: Sequence[Decoy]) -> dict:
-    """Positions and bases of decoys to check; prepared indices stay private."""
-    return {
-        "kind": "decoy_disclosure",
-        "transmission": transmission,
-        "phase": phase,
-        "entries": [[position, DECOY_BASIS_NAMES[fourier]] for position, fourier, _ in entries],
-    }
-
-
-def measurement_report(transmission: str, outcomes: Sequence[tuple[int, int]]) -> dict:
-    return {
-        "kind": "measurement_report",
-        "transmission": transmission,
-        "outcomes": [[p, v] for p, v in outcomes],
-    }
-
-
-def pad_announcement(values: Sequence[int]) -> dict:
-    return {"kind": "pad_announcement", "values": [int(v) for v in values]}
-
-
-def ordering_announcement(ranking: Sequence[Sequence[int]]) -> dict:
-    return {"kind": "ordering_announcement", "ranking": [list(group) for group in ranking]}
-
-
-def abort_message(step: str) -> dict:
-    return {"kind": "abort", "step": step}
-
-
-# --------------------------------------------------------------------------
 # orchestration
 # --------------------------------------------------------------------------
 
@@ -355,9 +321,10 @@ def _disclose_and_check(
     knows the prepared indices, computes the mismatch rate.
     """
     label = link.label
-    bus.broadcast(link.sender, decoy_disclosure(label, phase, entries))
-    outcomes = [(pos, measure(received.take(pos), DECOY_BASES[fourier], rng).value) for pos, fourier, _ in entries]
-    bus.broadcast(link.receiver, measurement_report(label, outcomes))
+    disclosed = [[position, DECOY_BASIS_NAMES[fourier]] for position, fourier, _ in entries]
+    bus.broadcast(link.sender, "decoy_disclosure", transmission=label, phase=phase, entries=disclosed)
+    outcomes = [[pos, measure(received.take(pos), DECOY_BASES[fourier], rng).value] for pos, fourier, _ in entries]
+    bus.broadcast(link.receiver, "measurement_report", transmission=label, outcomes=outcomes)
     mismatched = sum(1 for (_, _, index), (_, value) in zip(entries, outcomes) if value != index)
     error_rate = mismatched / len(entries) if entries else 0.0
     bus.transcript.record(
@@ -370,7 +337,7 @@ def _disclose_and_check(
         error_rate=error_rate,
     )
     if error_rate > threshold:
-        bus.broadcast(link.sender, abort_message(step))
+        bus.broadcast(link.sender, "abort", step=step)
         return True
     return False
 
@@ -467,10 +434,10 @@ def _run_protocol(
         measured.append(outcome.value)
 
     if preparer != measurer:
-        bus.broadcast(preparer, pad_announcement(complements))
+        bus.broadcast(preparer, "pad_announcement", values=list(complements))
     result = tp_compute_result(measured, complements)
     transcript.record({measurer}, "score_computation", step="step7", scores=list(result.scores))
-    bus.broadcast(measurer, ordering_announcement(result.ranking))
+    bus.broadcast(measurer, "ordering_announcement", ranking=[list(group) for group in result.ranking])
     return transcript, result
 
 

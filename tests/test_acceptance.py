@@ -17,7 +17,6 @@ from scipy import stats
 from conftest import ranking_oracle
 from dense_oracle import QuditState, apply_shift, basis_state, measure, overlap, qft
 from qpc_sim import (
-    Basis,
     Coalition,
     ExperimentConfig,
     ProtocolParams,
@@ -31,7 +30,7 @@ from qpc_sim import (
     secret_support,
     strategy_from_id,
 )
-from qpc_sim.qudit import fourier_matrix
+from qpc_sim.qudit import Basis, fourier_matrix
 
 CRIT1 = ExperimentConfig(variant="two-tp", n=5, d=13, r=5, l=8, trials=1000, seed=101)
 CRIT2 = ExperimentConfig(variant="one-tp", n=5, d=17, r=5, l=8, trials=1000, seed=202)

@@ -13,31 +13,27 @@ from hypothesis import strategies as st
 from dense_oracle import basis_state, overlap
 from qpc_sim import (
     ATTACK_IDS,
-    Basis,
     Coalition,
-    ConfigError,
     ExperimentConfig,
-    OUTSIDER,
     ParameterError,
     ProtocolParams,
-    Transcript,
     Variant,
     allowed_coalitions,
     analytic_abort_probability,
     coalition_view,
-    pad_sum_range,
     per_decoy_detection_probability,
     run_experiment,
     run_one_tp_protocol,
-    run_two_tp_protocol,
     run_trial,
+    run_two_tp_protocol,
     secret_support,
     strategy_from_id,
     tapped_checked_decoys,
 )
 from qpc_sim.adversary import View
-from qpc_sim.protocol import run_links
-from qpc_sim.qudit import BasisLabel
+from qpc_sim.channel import OUTSIDER, Transcript
+from qpc_sim.protocol import pad_sum_range, run_links
+from qpc_sim.qudit import Basis, BasisLabel
 
 TWO_TP = ProtocolParams(Variant.TWO_TP, n=3, d=13, r=5, l=8)
 ONE_TP = ProtocolParams(Variant.ONE_TP, n=3, d=17, r=5, l=8)
@@ -223,7 +219,7 @@ def test_run_links_carry_the_strategy_exactly_on_the_links_it_taps():
         config = ExperimentConfig(variant=variant, n=3, d=17, r=5, l=8, attack=attack)
         try:
             params, strategy = config.validate()
-        except ConfigError:
+        except ParameterError:
             continue
         validated += 1
         for link in itertools.chain(*run_links(params, strategy)):
@@ -241,7 +237,7 @@ def _tap_oracle_cases():
         )
         try:
             config.validate()
-        except ConfigError:
+        except ParameterError:
             continue
         yield pytest.param(config, id=f"{attack}-{variant}-n{n}-l{l}")
 
@@ -276,7 +272,7 @@ def test_analytic_abort_probability_requires_zero_threshold():
 def test_detection_rate_degenerate_cases():
     report = run_experiment(ExperimentConfig(variant="two-tp", n=3, d=13, r=5, l=8, trials=5, seed=0))
     assert (report.abort_rate, report.abort_stderr) == (0.0, 0.0)
-    with pytest.raises(ConfigError, match="trials"):
+    with pytest.raises(ParameterError, match="trials"):
         run_experiment(ExperimentConfig(variant="two-tp", n=3, d=13, r=5, l=8, trials=0))
 
 

@@ -1,52 +1,37 @@
-"""The package's exported names, pinned so that the public API cannot grow unnoticed."""
+"""The package's exported names, pinned so that the public API cannot grow unnoticed,
+and the README's library example, run as it is written."""
 from __future__ import annotations
 
+import contextlib
+import io
+import re
 import types
+from pathlib import Path
 
 import qpc_sim
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
 EXPORTS = {
     "ATTACK_IDS",
-    "Basis",
-    "CSV_COLUMNS",
-    "ClassicalBus",
     "Coalition",
-    "ComparisonOutcome",
-    "ConfigError",
-    "DecoySpec",
     "ExperimentConfig",
     "ExperimentReport",
-    "OUTSIDER",
-    "PUBLIC",
     "ParameterError",
     "ProtocolParams",
-    "QuantumLink",
-    "Transcript",
-    "TransmissionError",
-    "TransmissionSequence",
     "Variant",
     "allowed_coalitions",
     "analytic_abort_probability",
-    "build_transmission",
     "coalition_view",
-    "derive_cell_seed",
-    "derive_rng",
-    "encode_secret",
-    "pad_sum_range",
     "per_decoy_detection_probability",
-    "rank_descending",
+    "secret_support",
+    "strategy_from_id",
+    "tapped_checked_decoys",
     "run_experiment",
     "run_one_tp_protocol",
     "run_trial",
     "run_two_tp_protocol",
-    "secret_support",
-    "strategy_from_id",
     "sweep",
-    "tapped_checked_decoys",
-    "tp_compute_result",
-    "tp_prepare_carriers",
-    "transmit",
-    "two_phase_disclosure",
 }
 
 
@@ -56,5 +41,13 @@ def test_the_package_exports_exactly_the_pinned_names():
         for name, value in vars(qpc_sim).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert len(EXPORTS) == 41
+    assert len(EXPORTS) == 19
     assert public == EXPORTS
+
+
+def test_the_readme_library_example_prints_the_ranking_it_documents():
+    [example] = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(example, str(README), "exec"), {})
+    assert out.getvalue() == "((1,), (0,), (2,))\n"

@@ -12,20 +12,19 @@ from hypothesis import strategies as st
 
 from conftest import random_state
 from dense_oracle import basis_state, overlap
-from qpc_sim import (
+from qpc_sim import Coalition, coalition_view
+from qpc_sim.channel import (
     OUTSIDER,
     PUBLIC,
-    Basis,
     ClassicalBus,
-    Coalition,
+    Event,
     QuantumLink,
     Transcript,
     TransmissionError,
     TransmissionSequence,
-    coalition_view,
     transmit,
 )
-from qpc_sim.channel import Event
+from qpc_sim.qudit import Basis
 
 RNG = lambda seed=0: np.random.default_rng(seed)  # noqa: E731
 
@@ -137,8 +136,8 @@ def test_views_contain_exactly_the_observable_events():
 def test_broadcast_is_append_only_and_public():
     transcript = Transcript()
     bus = ClassicalBus(transcript)
-    bus.broadcast("TP1", {"kind": "pad_announcement", "values": [1, 2]})
-    bus.broadcast("TP2", {"kind": "ordering_announcement", "ranking": [[0], [1]]})
+    bus.broadcast("TP1", "pad_announcement", values=[1, 2])
+    bus.broadcast("TP2", "ordering_announcement", ranking=[[0], [1]])
     seen_by_outsider = [e for e in transcript.view() if e["kind"] == "classical"]
     assert [e["sender"] for e in seen_by_outsider] == ["TP1", "TP2"]
     assert [e["seq"] for e in seen_by_outsider] == [0, 1]
@@ -163,7 +162,7 @@ def test_view_json_is_deterministic():
 
 def _announced() -> Transcript:
     transcript = Transcript()
-    ClassicalBus(transcript).broadcast("TP1", {"kind": "pad_announcement", "values": [1, 2]})
+    ClassicalBus(transcript).broadcast("TP1", "pad_announcement", values=[1, 2])
     transcript.record({"P1", "TP1"}, "transmit", step="step2", link="TP1->P1", count=2)
     return transcript
 
@@ -259,7 +258,7 @@ def test_every_read_equals_a_naive_filter_over_the_json(data):
             step = data.draw(st.sampled_from([None, "step3"]))
             transcript.record(observers, "probe", step=step, value=data.draw(st.integers(0, 9)))
         elif action == "broadcast":
-            bus.broadcast(data.draw(st.sampled_from(_OBSERVERS[2:])), {"kind": "note", "values": [1, 2]})
+            bus.broadcast(data.draw(st.sampled_from(_OBSERVERS[2:])), "note", values=[1, 2])
         elif action == "view":
             roles = data.draw(st.lists(st.sampled_from(_OBSERVERS), max_size=4))
             assert transcript.view(*roles) == _naive(transcript, roles)

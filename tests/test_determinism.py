@@ -18,7 +18,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from qpc_sim import ATTACK_IDS, ConfigError, ExperimentConfig, derive_rng, run_experiment, run_trial
+from qpc_sim import ATTACK_IDS, ExperimentConfig, ParameterError, run_experiment, run_trial
+from qpc_sim.harness import derive_rng
 from qpc_sim.protocol import (
     DECOY_BASES,
     MAX_DIM,
@@ -161,7 +162,7 @@ def test_canonical_bytes_are_pinned_for_every_attack_on_both_variants():
                 )
                 try:
                     config.validate()
-                except ConfigError:
+                except ParameterError:
                     continue  # insider attacks model two-tp only
                 text = run_experiment(config).canonical_json()
                 digests[variant, attack, d] = hashlib.sha256(text.encode()).hexdigest()

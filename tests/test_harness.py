@@ -3,12 +3,14 @@ serialization, sweeps, and the command-line contract (flags, formats, exit codes
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
 import shutil
 import subprocess
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,18 +18,16 @@ from hypothesis import strategies as st
 from conftest import int_texts, unparsable
 from qpc_sim import (
     ATTACK_IDS,
-    CSV_COLUMNS,
-    ConfigError,
     ExperimentConfig,
     ExperimentReport,
-    derive_cell_seed,
-    derive_rng,
+    ParameterError,
     run_experiment,
     run_trial,
     sweep,
 )
 from qpc_sim import cli
 from qpc_sim.cli import main
+from qpc_sim.harness import CSV_COLUMNS, derive_cell_seed, derive_rng
 from qpc_sim.protocol import MAX_DIM, MAX_QUDITS
 
 HONEST = ExperimentConfig(variant="two-tp", n=3, d=13, r=5, l=8, trials=20, seed=11)
@@ -41,49 +41,75 @@ ATTACKED = ExperimentConfig(
 # ---------------------------------------------------------------------------
 
 def test_unknown_variant_is_a_config_error():
-    with pytest.raises(ConfigError, match="unknown variant"):
+    with pytest.raises(ParameterError, match="unknown variant"):
         ExperimentConfig(variant="three-tp", n=2, d=5, r=2, l=4).validate()
 
 
 def test_protocol_bounds_surface_as_config_errors():
-    with pytest.raises(ConfigError, match="two-tp requires"):
+    with pytest.raises(ParameterError, match="two-tp requires"):
         ExperimentConfig(variant="two-tp", n=2, d=8, r=5, l=4).validate()
     ExperimentConfig(variant="two-tp", n=2, d=MAX_DIM, r=5, l=4).validate()
-    with pytest.raises(ConfigError, match=f"qudit dimension must lie in \\[2, {MAX_DIM}\\]"):
+    with pytest.raises(ParameterError, match=f"qudit dimension must lie in \\[2, {MAX_DIM}\\]"):
         ExperimentConfig(variant="two-tp", n=2, d=MAX_DIM + 1, r=5, l=4).validate()
-    with pytest.raises(ConfigError, match="attack id"):
+    with pytest.raises(ParameterError, match="attack id"):
         ExperimentConfig(variant="two-tp", n=2, d=5, r=2, l=4, attack="nope").validate()
 
 
 def test_insider_attacks_do_not_apply_to_the_single_tp_variant():
     for attack in ("tp1-mr", "tp2-mr"):
-        with pytest.raises(ConfigError, match="does not apply to one-tp"):
+        with pytest.raises(ParameterError, match="does not apply to one-tp"):
             ExperimentConfig(variant="one-tp", n=2, d=14, r=5, l=4, attack=attack).validate()
     # the outsider attacks still do
     ExperimentConfig(variant="one-tp", n=2, d=14, r=5, l=4, attack="ir-random").validate()
 
 
 def test_fixed_secrets_are_validated():
-    with pytest.raises(ConfigError, match="expected 3 secrets"):
+    with pytest.raises(ParameterError, match="expected 3 secrets"):
         ExperimentConfig(variant="two-tp", n=3, d=13, r=5, l=4, secrets=(1, 2)).validate()
-    with pytest.raises(ConfigError, match=r"\[0, r=5\)"):
+    with pytest.raises(ParameterError, match=r"\[0, r=5\)"):
         ExperimentConfig(variant="two-tp", n=3, d=13, r=5, l=4, secrets=(1, 2, 5)).validate()
 
 
 def test_shared_key_rules_per_variant():
-    with pytest.raises(ConfigError, match="one-tp variant only"):
+    with pytest.raises(ParameterError, match="one-tp variant only"):
         ExperimentConfig(variant="two-tp", n=2, d=5, r=2, l=4, shared_key=1).validate()
-    with pytest.raises(ConfigError, match="shared key"):
+    with pytest.raises(ParameterError, match="shared key"):
         ExperimentConfig(variant="one-tp", n=2, d=14, r=5, l=4, shared_key=7).validate()
     ExperimentConfig(variant="one-tp", n=2, d=14, r=5, l=4, shared_key=3).validate()
 
 
+ONE_TP = ExperimentConfig(variant="one-tp", n=2, d=14, r=5, l=4, secrets=(3, 1), shared_key=2, trials=3, seed=1)
+_NOT_INTEGERS = st.one_of(
+    st.floats(), st.booleans(), st.none(), st.text(max_size=4).filter(lambda text: text != "random")
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(("n", "d", "r", "l", "trials", "seed", "shared_key", "secrets", "a secret")), _NOT_INTEGERS)
+def test_a_non_integer_in_an_integer_field_is_refused_by_name(field, value):
+    # a float such as 1.7 or 8.0 used to pass and then be truncated or fail inside a trial
+    if field == "a secret":
+        config, field = dataclasses.replace(ONE_TP, secrets=(value, 1)), "secrets"
+    else:
+        config = dataclasses.replace(ONE_TP, **{field: value})
+    with pytest.raises(ParameterError, match=f"^{field} must be"):
+        config.validate()
+
+
+@pytest.mark.parametrize("field", ("n", "d", "r", "l", "trials", "seed", "shared_key", "secrets"))
+def test_numpy_integers_pass_and_are_recorded_as_ints(field):
+    value = getattr(ONE_TP, field)
+    as_numpy = tuple(map(np.int64, value)) if field == "secrets" else np.uint64(value)
+    config = dataclasses.replace(ONE_TP, **{field: as_numpy})
+    assert run_experiment(config).canonical_json() == run_experiment(ONE_TP).canonical_json()
+
+
 def test_trials_and_seed_ranges():
-    with pytest.raises(ConfigError, match="trials"):
+    with pytest.raises(ParameterError, match="trials"):
         ExperimentConfig(variant="two-tp", n=2, d=5, r=2, l=4, trials=0).validate()
-    with pytest.raises(ConfigError, match="seed"):
+    with pytest.raises(ParameterError, match="seed"):
         ExperimentConfig(variant="two-tp", n=2, d=5, r=2, l=4, seed=-1).validate()
-    with pytest.raises(ConfigError, match="seed"):
+    with pytest.raises(ParameterError, match="seed"):
         ExperimentConfig(variant="two-tp", n=2, d=5, r=2, l=4, seed=2**64).validate()
 
 
@@ -236,6 +262,11 @@ def test_sweep_cells_reseed_deterministically():
     assert all(cell.config["seed"] == cell.seed for cell in cells)
     again = sweep(base, "d", [5, 7])
     assert [c.report.canonical_json() for c in cells] == [c.report.canonical_json() for c in again]
+    # a tuple axis sets its fields together, and cell i keeps the seed of index i
+    paired = sweep(base, ("d", "r"), [(5, 2), (7, 3)])
+    assert [cell.seed for cell in paired] == [cell.seed for cell in cells]
+    assert [(cell.config["d"], cell.config["r"]) for cell in paired] == [(5, 2), (7, 3)]
+    assert paired[0].report.canonical_json() == cells[0].report.canonical_json()
 
 
 def test_sweep_skips_invalid_cells_with_the_reason():
@@ -261,8 +292,12 @@ def test_sweep_over_attacks_skips_inapplicable_insiders():
 def test_sweep_edge_cases():
     base = ExperimentConfig(variant="two-tp", n=2, d=5, r=2, l=2, trials=3, seed=0)
     assert sweep(base, "l", []) == []
-    with pytest.raises(ConfigError, match="axis"):
-        sweep(base, "r", [1, 2])
+    for axis in ("q", "seed", (), ("d", "q")):  # not config fields a sweep may set
+        with pytest.raises(ParameterError, match="axis"):
+            sweep(base, axis, [1, 2])
+    for value in ((5,), (5, 2, 1), 5):  # a tuple axis takes tuples of its own length
+        with pytest.raises(ParameterError, match="tuple of 2 items"):
+            sweep(base, ("d", "r"), [(7, 2), value])
 
 
 # ---------------------------------------------------------------------------

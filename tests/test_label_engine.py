@@ -10,7 +10,7 @@ import pytest
 
 import dense_oracle
 from dense_oracle import apply_shift, basis_state, born_cdf, measure, overlap
-from qpc_sim import ATTACK_IDS, ConfigError, ExperimentConfig, adversary, protocol, qudit, run_experiment
+from qpc_sim import ATTACK_IDS, ExperimentConfig, ParameterError, adversary, protocol, qudit, run_experiment
 from qpc_sim.qudit import Basis, BasisLabel
 
 DIMS = (2, 3, 4, 13, 17)
@@ -175,7 +175,7 @@ def _corpus_bytes() -> list[str]:
     for config in _corpus():
         try:
             config.validate()
-        except ConfigError:
+        except ParameterError:
             continue  # insider attacks model two-tp only
         out.append(run_experiment(config).canonical_json())
     return out

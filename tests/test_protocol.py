@@ -12,28 +12,32 @@ from hypothesis import strategies as st
 from conftest import ranking_oracle
 from dense_oracle import basis_state, overlap
 from qpc_sim import (
-    Basis,
-    ComparisonOutcome,
-    DecoySpec,
     ExperimentConfig,
     ParameterError,
     ProtocolParams,
     Variant,
-    build_transmission,
-    encode_secret,
-    pad_sum_range,
-    rank_descending,
     run_experiment,
     run_one_tp_protocol,
     run_trial,
     run_two_tp_protocol,
     strategy_from_id,
+)
+from qpc_sim.protocol import (
+    DECOY_BASES,
+    MAX_DIM,
+    MAX_QUDITS,
+    ComparisonOutcome,
+    DecoySpec,
+    build_transmission,
+    encode_secret,
+    pad_sum_range,
+    rank_descending,
+    run_links,
     tp_compute_result,
     tp_prepare_carriers,
     two_phase_disclosure,
 )
-from qpc_sim.protocol import DECOY_BASES, MAX_DIM, MAX_QUDITS, run_links
-from qpc_sim.qudit import BasisLabel
+from qpc_sim.qudit import Basis, BasisLabel
 
 TWO_TP = ProtocolParams(Variant.TWO_TP, n=3, d=13, r=5, l=8)
 ONE_TP = ProtocolParams(Variant.ONE_TP, n=3, d=17, r=5, l=8)

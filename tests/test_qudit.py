@@ -9,8 +9,8 @@ from scipy import stats
 
 from conftest import random_state, shift_matrix_oracle
 from dense_oracle import QuditState, apply_shift, basis_state, iqft, measure, overlap, qft
-from qpc_sim import Basis, ParameterError
-from qpc_sim.qudit import fourier_matrix
+from qpc_sim import ParameterError
+from qpc_sim.qudit import Basis, fourier_matrix
 
 TOL = 1e-9
 DIMS = range(2, 17)

@@ -131,10 +131,10 @@ def test_bad_input_exits_2_with_one_error_line(script, argv, capsys):
 
 
 def test_detection_sweep_unwritable_out_exits_3_before_the_sweep(detection_sweep, tmp_path, monkeypatch, capsys):
-    def must_not_run(config):
+    def must_not_run(*args):
         raise AssertionError("the sweep ran before --out was checked")
 
-    monkeypatch.setattr(detection_sweep, "run_experiment", must_not_run)
+    monkeypatch.setattr(detection_sweep, "sweep", must_not_run)
     missing = tmp_path / "nope" / "sweep.csv"
     assert detection_sweep.main(["--trials", "2", "--dims", "4", "--out", str(missing)]) == 3
     out, err = capsys.readouterr()
