@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import numbers
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -31,11 +30,13 @@ from .protocol import (
     Variant,
     _check_shared_key,
     _normalize_secrets,
+    _plain_int,
     rank_descending,
     run_one_tp_protocol,
     run_two_tp_protocol,
 )
 from .qudit import ParameterError
+from .streams import trial_streams
 
 #: Fixed column order of CSV output (the trailing note column carries sweep-skip reasons).
 CSV_COLUMNS = (
@@ -59,36 +60,10 @@ _SWEEP_TAG = 0x53574545
 _INTEGER_FIELDS = ("n", "d", "r", "l", "trials", "seed")
 
 
-def derive_rng(*entropy: int) -> np.random.Generator:
-    """Generator seeded purely by the given non-negative integers.
-
-    Bit for bit the generator of ``SeedSequence(entropy)``, children included.
-    The entropy goes in as the uint32 words numpy's own coercion makes of the
-    tuple (each int as its little-endian 32-bit words, 0 as one zero word):
-    numpy copies a uint32 array as it is, but coerces a tuple element by
-    element in Python, once more for every child that ``spawn`` makes.
-    """
-    words = []
-    for value in entropy:
-        if value < 0:
-            raise ValueError(f"entropy must be non-negative, got {value}")
-        words.append(value & 0xFFFFFFFF)
-        value >>= 32
-        while value:
-            words.append(value & 0xFFFFFFFF)
-            value >>= 32
-    return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))
-
-
 def derive_cell_seed(master_seed: int, cell_index: int) -> int:
     """Master seed for one sweep cell; depends only on (master seed, cell index)."""
     seq = np.random.SeedSequence((master_seed, _SWEEP_TAG, cell_index))
     return int(seq.generate_state(1, np.uint64)[0])
-
-
-def _plain_int(value: object) -> object:
-    """``value`` as an ``int`` if it is an integer other than a bool (numpy's included), else unchanged."""
-    return int(value) if isinstance(value, numbers.Integral) and not isinstance(value, bool) else value
 
 
 @dataclass(frozen=True)
@@ -129,7 +104,7 @@ class ExperimentConfig:
                 f"unknown variant {self.variant!r}; expected one of: "
                 + ", ".join(v.value for v in Variant)
             ) from None
-        for name in _INTEGER_FIELDS:
+        for name in ("trials", "seed"):  # ProtocolParams checks n, d, r and l
             if type(getattr(self, name)) is not int:
                 raise ParameterError(f"{name} must be an integer, got {getattr(self, name)!r}")
         params = ProtocolParams(
@@ -175,15 +150,27 @@ class TrialRun:
 
 
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRun:
-    """Execute trial ``trial_index`` of ``config`` exactly as run_experiment would."""
+    """Execute trial ``trial_index`` (an integer >= 0) of ``config`` exactly as run_experiment would."""
     params, strategy = config.validate()
-    return _run_trial(config, params, strategy, trial_index)
+    t = _plain_int(trial_index)
+    if type(t) is not int or t < 0:
+        raise ParameterError(f"trial_index must be an integer >= 0, got {trial_index!r}")
+    rng = next(trial_streams(config.seed, range(t, t + 1), _spawned(params)))
+    return _run_trial(config, params, strategy, t, rng)
+
+
+def _spawned(params: ProtocolParams) -> int:
+    """Children of a trial's first spawn: ``_run_protocol`` splits its stream with ``rng.spawn(n + 3)``."""
+    return params.n + 3
 
 
 def _run_trial(
-    config: ExperimentConfig, params: ProtocolParams, strategy: AttackStrategy, trial_index: int
+    config: ExperimentConfig,
+    params: ProtocolParams,
+    strategy: AttackStrategy,
+    trial_index: int,
+    rng: np.random.Generator,
 ) -> TrialRun:
-    rng = derive_rng(config.seed, trial_index)
     # draw order is fixed: secrets first, then the shared key, then the run
     if config.secrets == "random":
         secrets = tuple(int(s) for s in rng.integers(0, params.r, size=params.n))
@@ -274,8 +261,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     decoy_stats = {step: {"checked": 0, "mismatched": 0} for step in _CHECK_STEPS}
     trial_rows: list[dict] = []
     n_completed = n_aborted = n_correct = 0
-    for t in range(config.trials):
-        run = _run_trial(config, params, strategy, t)
+    streams = trial_streams(config.seed, range(config.trials), _spawned(params))
+    for t, rng in enumerate(streams):
+        run = _run_trial(config, params, strategy, t, rng)
         for event in run.transcript.events():
             if event["kind"] == "decoy_check":
                 bucket = decoy_stats[event["step"]]

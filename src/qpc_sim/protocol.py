@@ -18,6 +18,7 @@ complements stay internal and every party shifts by an extra pre-shared key.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Sequence
@@ -74,6 +75,11 @@ WIRING: dict[Variant, tuple[str, str]] = {
 }
 
 
+def _plain_int(value: object) -> object:
+    """``value`` as an ``int`` if it is an integer other than a bool (numpy's included), else unchanged."""
+    return int(value) if isinstance(value, numbers.Integral) and not isinstance(value, bool) else value
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """Validated run parameters.
@@ -82,7 +88,8 @@ class ProtocolParams:
     wraparound-free on the honest path: pads and secrets both live in [0, r),
     so the measured carrier value is at most 2(r-1) with two third parties,
     and at most 3(r-1) when the pre-shared key is added in the single-TP
-    variant. The upper bounds are MAX_DIM and MAX_QUDITS.
+    variant. The upper bounds are MAX_DIM and MAX_QUDITS. ``n``, ``d``, ``r``
+    and ``l`` are integers other than bools; numpy integers are stored as ints.
     """
 
     variant: Variant
@@ -93,6 +100,11 @@ class ProtocolParams:
     error_threshold: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("n", "d", "r", "l"):
+            value = _plain_int(getattr(self, name))
+            if type(value) is not int:
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, value)
         if self.n < 2:
             raise ParameterError(f"at least two comparing parties are required (n >= 2), got n={self.n}")
         if self.r < 1:

@@ -1,8 +1,9 @@
 """Pins on the bytes a config produces.
 
-``derive_rng`` seeds a trial's generator from packed uint32 words instead of
-the ``(seed, t)`` tuple; the tests below pin it to the generator, and every
-spawned child, of ``SeedSequence`` built from the tuple itself.
+``trial_streams`` hashes the ``SeedSequence((seed, t))`` pools of a chunk of
+trials, and the states of their first children, in one array pass; the tests
+below pin every root and child, and the spawns that fall back to numpy, to
+numpy's own ``SeedSequence``.
 ``build_transmission`` and ``tp_prepare_carriers`` draw with one array-bound
 ``Generator.integers`` call each. That this call returns the values, and leaves
 the generator in the state, of the scalar calls made in the same order is numpy
@@ -17,9 +18,11 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpc_sim import ATTACK_IDS, ExperimentConfig, ParameterError, run_experiment, run_trial
-from qpc_sim.harness import derive_rng
+from qpc_sim.streams import chunk_trials, trial_streams
 from qpc_sim.protocol import (
     DECOY_BASES,
     MAX_DIM,
@@ -35,33 +38,88 @@ SEEDS = range(40)
 DIMS = (2, 3, 4, 13, 17, 512, 2048, MAX_DIM)
 
 
-# trailing zero words mix like absent ones, so (0, 1) and the three-value tuple
-# (five words, more than the pool's four) are the ones a dropped zero word changes
+# (seed, t) pairs. Trailing zero words mix like absent ones, so (0, 1) and the
+# pairs of five and six words (more than the pool's four) are the ones a dropped
+# zero word changes.
 ENTROPIES = (
-    (),
-    (0,),
     (0, 0),
     (0, 1),
     (1, 2**32 - 1),
     (2**32, 7),
     (2**63, 2**32 + 1),
     (2**64 - 1, 0),
-    (2**64 - 1, 0, 2**40 + 3),
+    (2**64 - 1, 2**64 + 3),
+    (2**64 - 1, 2**96),
 )
 
 
-@pytest.mark.parametrize("entropy", ENTROPIES, ids=repr)
-def test_derive_rng_is_the_seed_sequence_of_its_entropy_tuple(entropy):
-    packed = derive_rng(*entropy)
-    reference = np.random.default_rng(np.random.SeedSequence(tuple(entropy)))
-    assert packed.bit_generator.state == reference.bit_generator.state
-    children = zip(packed.spawn(8), reference.spawn(8), strict=True)
-    assert all(got.bit_generator.state == want.bit_generator.state for got, want in children)
+def _assert_numpys_streams(got: np.random.Generator, seed: int, t: int, n_children: int) -> None:
+    """``got`` and its first spawn are ``default_rng(SeedSequence((seed, t)))`` and its children."""
+    want = np.random.default_rng(np.random.SeedSequence((seed, t)))
+    assert got.bit_generator.state == want.bit_generator.state
+    children = zip(got.spawn(n_children), want.spawn(n_children), strict=True)
+    assert all(g.bit_generator.state == w.bit_generator.state for g, w in children)
 
 
-def test_derive_rng_refuses_negative_entropy():
+def _assert_numpys_fallbacks(seed: int, t: int, n_children: int) -> None:
+    """A second spawn, a first spawn of another count, a grandchild and another state size are numpy's."""
+    def pair():
+        (got,) = trial_streams(seed, range(t, t + 1), n_children)
+        return got, np.random.default_rng(np.random.SeedSequence((seed, t)))
+
+    def same(gots, wants):
+        assert [g.bit_generator.state for g in gots] == [w.bit_generator.state for w in wants]
+
+    got, want = pair()
+    got_children, want_children = got.spawn(n_children), want.spawn(n_children)
+    same(got.spawn(2), want.spawn(2))
+    same(got_children[0].spawn(3), want_children[0].spawn(3))
+    same(got_children[-1].spawn(1)[0].spawn(2), want_children[-1].spawn(1)[0].spawn(2))
+    got, want = pair()
+    same(got.spawn(n_children + 1), want.spawn(n_children + 1))
+    got, want = pair()
+    same(got.spawn(1), want.spawn(1))
+    same(got.spawn(n_children), want.spawn(n_children))
+    got_seq, want_seq = got.bit_generator.seed_seq, want.bit_generator.seed_seq
+    assert got_seq.generate_state(3).tolist() == want_seq.generate_state(3).tolist()
+    assert got_seq.generate_state(4).tolist() == want_seq.generate_state(4).tolist()
+
+
+@pytest.mark.parametrize("n_children", (5, 8))
+@pytest.mark.parametrize("seed, t", ENTROPIES, ids=repr)
+def test_trial_streams_are_the_seed_sequences_of_seed_and_trial(seed, t, n_children):
+    (got,) = trial_streams(seed, range(t, t + 1), n_children)
+    assert isinstance(got.bit_generator.seed_seq, np.random.bit_generator.ISpawnableSeedSequence)
+    _assert_numpys_streams(got, seed, t, n_children)
+    _assert_numpys_fallbacks(seed, t, n_children)
+
+
+_SEEDS = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from((0, 2**32 - 1, 2**32, 2**63, 2**64 - 1)))
+# where the trial index gains a word, and so the pool a hash step
+_WORD_EDGES = (0, 2**32, 2**64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=_SEEDS, n=st.integers(2, 6), data=st.data())
+def test_trial_streams_of_a_range_are_numpys_across_chunks_and_word_edges(seed, n, data):
+    size = chunk_trials(n + 3)
+    edge = data.draw(st.sampled_from(_WORD_EDGES), label="edge")
+    start = data.draw(st.integers(max(edge - size - 2, 0), edge + 2), label="start")
+    # either a few trials or more than a chunk
+    count = data.draw(st.one_of(st.integers(1, 4), st.integers(size + 1, size + 3)), label="count")
+    trials = range(start, start + count)
+    streams = trial_streams(seed, trials, n + 3)
+    for t, got in zip(trials, streams, strict=True):
+        _assert_numpys_streams(got, seed, t, n + 3)
+    for t in (trials[0], trials[-1]):
+        _assert_numpys_fallbacks(seed, t, n + 3)
+
+
+def test_trial_streams_refuse_negative_entropy():
     with pytest.raises(ValueError):
-        derive_rng(-1)
+        next(trial_streams(-1, range(1), 5))
+    with pytest.raises(ValueError):
+        next(trial_streams(1, range(-1, 1), 5))
 
 
 def _scalar_transmission(d: int, l: int, rng: np.random.Generator) -> tuple[list[tuple[int, int, int]], int]:

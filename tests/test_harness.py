@@ -7,6 +7,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import re
 import shutil
 import subprocess
 
@@ -27,8 +28,9 @@ from qpc_sim import (
 )
 from qpc_sim import cli
 from qpc_sim.cli import main
-from qpc_sim.harness import CSV_COLUMNS, derive_cell_seed, derive_rng
+from qpc_sim.harness import CSV_COLUMNS, derive_cell_seed
 from qpc_sim.protocol import MAX_DIM, MAX_QUDITS
+from qpc_sim.streams import chunk_trials, trial_streams
 
 HONEST = ExperimentConfig(variant="two-tp", n=3, d=13, r=5, l=8, trials=20, seed=11)
 ATTACKED = ExperimentConfig(
@@ -117,11 +119,15 @@ def test_trials_and_seed_ranges():
 # deterministic seeding
 # ---------------------------------------------------------------------------
 
-def test_derive_rng_is_a_pure_function_of_its_entropy():
-    assert derive_rng(5, 7).integers(0, 2**63, size=8).tolist() == derive_rng(5, 7).integers(
-        0, 2**63, size=8
-    ).tolist()
-    assert derive_rng(5, 7).integers(0, 2**63) != derive_rng(5, 8).integers(0, 2**63)
+def test_trial_streams_are_a_pure_function_of_seed_and_trial():
+    def draws(seed, trials):
+        return [rng.integers(0, 2**63, size=8).tolist() for rng in trial_streams(seed, trials, 5)]
+
+    assert draws(5, range(7, 9)) == draws(5, range(7, 9))
+    # a trial draws the same whichever chunk, or chunk position, it comes in
+    assert draws(5, range(8, 9)) == draws(5, range(7, 9))[1:]
+    assert draws(5, range(7, 8)) != draws(5, range(8, 9))
+    assert draws(5, range(7, 8)) != draws(6, range(7, 8))
 
 
 def test_derive_cell_seed_is_pure_and_spreads():
@@ -140,16 +146,57 @@ def test_trials_replay_byte_identically():
     assert c.transcript.to_json() != a.transcript.to_json()
 
 
-def test_run_trial_reproduces_the_experiment_rows():
-    report = run_experiment(HONEST)
-    for t in (0, 3, 19):
+# a trial of n=2 hashes (n + 3) + 1 streams; this config's last two trials are in a second chunk
+CHUNK = chunk_trials(2 + 3)
+MANY = ExperimentConfig(variant="two-tp", n=2, d=2, r=1, l=1, trials=CHUNK + 2, seed=11)
+
+
+@pytest.mark.parametrize(
+    "config, trials", [(HONEST, (0, 3, 19)), (MANY, (CHUNK - 1, CHUNK, CHUNK + 1))], ids=("honest", "chunks")
+)
+def test_run_trial_reproduces_the_experiment_rows(config, trials):
+    report = run_experiment(config)
+    for t in trials:
         row = report.trials[t]
-        trial = run_trial(HONEST, t)
+        trial = run_trial(config, t)
         assert row["secrets"] == list(trial.secrets)
         assert row["shared_key"] == trial.shared_key
         assert row["aborted_at"] == trial.outcome.aborted_at
         expected = [list(g) for g in trial.outcome.ranking] if trial.outcome.completed else None
         assert row["ranking"] == expected
+
+
+@pytest.mark.parametrize("trial_index", (True, False, -1, 2.0, "3", None, np.bool_(True)), ids=repr)
+def test_run_trial_refuses_a_trial_index_that_is_not_an_integer_at_least_0(trial_index):
+    # True ran as trial 1 and was recorded as True; -1 raised a bare ValueError, 2.0 and '3' a TypeError
+    with pytest.raises(ParameterError, match=f"^trial_index must be an integer >= 0, got {re.escape(repr(trial_index))}$"):
+        run_trial(HONEST, trial_index)
+
+
+@pytest.mark.parametrize("trial_index", (np.int64(7), np.uint32(7), np.uint64(7)), ids=repr)
+def test_run_trial_takes_numpy_integers_as_ints(trial_index):
+    run = run_trial(HONEST, trial_index)
+    assert type(run.trial_index) is int
+    assert run.transcript.to_json() == run_trial(HONEST, 7).transcript.to_json()
+
+
+def test_a_trial_far_past_the_experiment_draws_from_its_seed_sequence():
+    # 2**32 and 2**64 give the trial index another entropy word; the secrets are a trial's first draw
+    for t in (2**32 - 1, 2**32, 2**64):
+        rng = np.random.default_rng(np.random.SeedSequence((HONEST.seed, t)))
+        assert run_trial(HONEST, t).secrets == tuple(rng.integers(0, HONEST.r, size=HONEST.n).tolist())
+
+
+@pytest.mark.parametrize("config", (HONEST, ATTACKED, ONE_TP), ids=("honest", "attacked", "one-tp"))
+def test_an_experiment_never_hashes_a_stream_through_numpy(monkeypatch, config):
+    # every trial's first spawn is the one hashed in its chunk; numpy's SeedSequence is the fallback only
+    expected = run_experiment(config).canonical_json()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trial stream fell back to numpy's SeedSequence")
+
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    assert run_experiment(config).canonical_json() == expected
 
 
 def test_reports_are_canonically_byte_deterministic():

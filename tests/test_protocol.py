@@ -78,6 +78,21 @@ def test_invalid_scalar_params_are_rejected(kwargs):
         ProtocolParams(**base)
 
 
+@pytest.mark.parametrize("value", (13.0, True), ids=("float", "bool"))
+@pytest.mark.parametrize("field", ("n", "d", "r", "l"))
+def test_direct_construction_refuses_a_non_integer(field, value):
+    # d=13.0 used to pass and then fail inside a run; l=True ran as l=1
+    base = dict(variant=Variant.TWO_TP, n=3, d=13, r=5, l=8)
+    with pytest.raises(ParameterError, match=f"^{field} must be an integer, got {value!r}$"):
+        ProtocolParams(**{**base, field: value})
+
+
+def test_numpy_integers_are_stored_as_ints():
+    params = ProtocolParams(Variant.TWO_TP, n=np.int64(3), d=np.uint16(13), r=np.int8(5), l=np.uint64(8))
+    assert params == TWO_TP
+    assert all(type(getattr(params, name)) is int for name in ("n", "d", "r", "l"))
+
+
 def test_minimum_dimensions_are_accepted():
     ProtocolParams(Variant.TWO_TP, n=2, d=9, r=5, l=1)
     ProtocolParams(Variant.ONE_TP, n=2, d=14, r=5, l=1)
