@@ -15,10 +15,12 @@ test oracle.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from .protocol import (
     TP1_ROLE,
     TP2_ROLE,
     Variant,
-    pad_sum_range,
+    _plain_int,
     party_role,
     run_links,
 )
@@ -41,6 +43,8 @@ measure = BasisLabel.measure
 _TP_ROLES = frozenset().union(*WIRING.values())
 _WIRED = {variant.value: frozenset(roles) for variant, roles in WIRING.items()}
 _PARTY_RE = re.compile(r"P[1-9]\d*")
+#: Entries each audit memo keeps (checked member sets, views' fact events): every role set of an n=7 audit.
+_MEMO_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -183,6 +187,18 @@ def analytic_abort_probability(strategy: AttackStrategy, params: ProtocolParams)
 # coalitions and the privacy audit
 # --------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _check_members(members: frozenset[str]) -> None:
+    """Refuse an empty set, an unknown role or a colluding TP; a set that passes is remembered."""
+    if not members:
+        raise ParameterError("a coalition needs at least one member")
+    for role in members:
+        if role not in _TP_ROLES and not (isinstance(role, str) and _PARTY_RE.fullmatch(role)):
+            raise ParameterError(f"unknown coalition role {role!r}")
+    if members & _TP_ROLES and len(members) > 1:
+        raise ParameterError("third parties do not collude: a TP coalition is that TP alone")
+
+
 @dataclass(frozen=True)
 class Coalition:
     """A set of colluding roles trying to learn one party's secret.
@@ -196,19 +212,25 @@ class Coalition:
     target: int
 
     def __post_init__(self) -> None:
-        members = frozenset(self.members)
-        object.__setattr__(self, "members", members)
-        if not members:
-            raise ParameterError("a coalition needs at least one member")
-        for role in members:
-            if role not in _TP_ROLES and not _PARTY_RE.fullmatch(role):
-                raise ParameterError(f"unknown coalition role {role!r}")
-        if members & _TP_ROLES and len(members) > 1:
-            raise ParameterError("third parties do not collude: a TP coalition is that TP alone")
-        if self.target < 0:
-            raise ParameterError(f"target must be a 0-based party index, got {self.target}")
-        if party_role(self.target) in members:
-            raise ParameterError(f"party {party_role(self.target)} cannot audit its own secret")
+        members, target = self.members, self.target
+        if type(members) is not frozenset:
+            if isinstance(members, str):
+                raise ParameterError(f"members must be a collection of role ids, got the string {members!r}")
+            try:
+                members = frozenset(members)
+            except TypeError:
+                raise ParameterError(f"members must be a collection of role ids, got {members!r}") from None
+            object.__setattr__(self, "members", members)
+        if type(target) is not int:
+            target = _plain_int(target)  # numpy integers are stored as int; a bool is no index
+            if type(target) is not int:
+                raise ParameterError(f"target must be a 0-based party index, got {target!r}")
+            object.__setattr__(self, "target", target)
+        _check_members(members)
+        if target < 0:
+            raise ParameterError(f"target must be a 0-based party index, got {target}")
+        if party_role(target) in members:
+            raise ParameterError(f"party {party_role(target)} cannot audit its own secret")
 
 
 def allowed_coalitions(variant: Variant, n: int, target: int) -> tuple[Coalition, ...]:
@@ -225,8 +247,7 @@ def allowed_coalitions(variant: Variant, n: int, target: int) -> tuple[Coalition
     return tuple(Coalition(frozenset(group), target) for group in groups)
 
 
-@dataclass(frozen=True)
-class View:
+class View(NamedTuple):
     """Everything a coalition observed in one run: members' events plus the public bus."""
 
     events: tuple[dict, ...]
@@ -236,10 +257,16 @@ class View:
 def coalition_view(transcript: Transcript, coalition: Coalition) -> View:
     """The members' merged transcript view: public events plus any member's own, each once, in order.
 
-    The events are the transcript's shared read-only records, not copies. A
-    run header, if present, bounds the target and the party members.
+    The events are the transcript's shared read-only records, not copies, in
+    the tuple the transcript keeps for this role set until its next write, so
+    every coalition with these members shares one tuple. A run header, if
+    present, bounds the target and the party members.
     """
-    header = next((e for e in transcript.events() if e["kind"] == "run_header"), None)
+    for header in transcript.events():
+        if header["kind"] == "run_header":
+            break
+    else:
+        header = None
     if header is not None:
         n, variant = header["n"], header["variant"]
         if coalition.target >= n:
@@ -247,8 +274,7 @@ def coalition_view(transcript: Transcript, coalition: Coalition) -> View:
         for role in coalition.members:
             if not (role in _WIRED[variant] if role in _TP_ROLES else int(role[1:]) <= n):
                 raise ParameterError(f"coalition member {role} does not exist in a {variant} n={n} run")
-    events = tuple(transcript.view(*coalition.members))
-    return View(events=events, target=coalition.target)
+    return View(events=transcript._view(coalition.members), target=coalition.target)
 
 
 @dataclass(frozen=True)
@@ -259,34 +285,31 @@ class SecretSupport:
     candidates: frozenset[int]
 
 
-def _observations(view: View, params: ProtocolParams) -> dict[str, int]:
-    """Numeric facts about the target that the view pins down.
+_FACT_KINDS = frozenset({"run_header", "carrier_prep", "carrier_measurement", "score_computation", "shared_key"})
+# id(events) -> (events, their fact events); holding the tuple keeps its id from being reused
+_facts: dict[int, tuple[tuple[dict, ...], tuple[dict, ...]]] = {}
 
-    The ordering announcement is deliberately not extracted: the ranking is
+
+def _fact_events(events: tuple[dict, ...]) -> tuple[dict, ...]:
+    """The events of a view that can carry a fact about a party, in view order, found once per view tuple.
+
+    These are the run header, the preparer's carrier record, the pad
+    announcement, the measurer's carrier records and scores, and the shared
+    key. The ordering announcement is deliberately not one: the ranking is
     the protocol's declared output, so the audit measures leakage *beyond* it.
-    A run header that disagrees with ``params`` is an error, not a fact.
     """
-    target = view.target
-    obs: dict[str, int] = {}
-    for event in view.events:
-        kind = event["kind"]
-        if kind == "run_header":
-            ran, given = (event["variant"], event["d"], event["r"]), (params.variant.value, params.d, params.r)
-            if ran != given:
-                raise ParameterError(f"params (variant, d, r) = {given} disagree with the view's run header {ran}")
-        elif kind == "carrier_prep":
-            obs["pad"] = event["pads"][target]
-            obs["pad_sum"] = event["pad_sum"]
-            obs["complement"] = event["complements"][target]
-        elif kind == "classical" and event["message"]["kind"] == "pad_announcement":
-            obs["complement"] = event["message"]["values"][target]
-        elif kind == "carrier_measurement" and event["party"] == target:
-            obs["measured"] = event["value"]
-        elif kind == "score_computation":
-            obs["score"] = event["scores"][target]
-        elif kind == "shared_key":
-            obs["shared_key"] = event["value"]
-    return obs
+    if type(events) is not tuple:
+        events = tuple(events)  # a list could change under its id
+    found = _facts.get(id(events))
+    if found is None:
+        facts = tuple(
+            e for e in events
+            if e["kind"] in _FACT_KINDS or (e["kind"] == "classical" and e["message"]["kind"] == "pad_announcement")
+        )
+        if len(_facts) >= _MEMO_SIZE:
+            _facts.clear()
+        found = _facts[id(events)] = (events, facts)
+    return found[1]
 
 
 def secret_support(view: View, params: ProtocolParams) -> SecretSupport:
@@ -294,25 +317,38 @@ def secret_support(view: View, params: ProtocolParams) -> SecretSupport:
 
     Unknowns: pad x in [0, r), run constant y in ``pad_sum_range``, key k (0 on
     two-tp, [0, r) on one-tp) and secret s in [0, r); an observation pins its
-    unknown. With t = s + k the facts complement = y - x in [0, d),
-    measured = x + t < d and score = t + y are difference constraints over
-    (x, y, -t), so eliminating y, then x, leaves one integer interval of t.
-    The brute-force enumeration of pad x run constant x key is the test oracle.
+    unknown, and a later one of the same unknown wins. With t = s + k the
+    facts complement = y - x in [0, d), measured = x + t < d and score = t + y
+    are difference constraints over (x, y, -t), so eliminating y, then x,
+    leaves one integer interval of t. A run header that disagrees with
+    ``params`` is an error, not a fact. The brute-force enumeration of pad x
+    run constant x key is the test oracle.
     """
-    obs = _observations(view, params)
-    r, d = params.r, params.d
-
-    def bounds(name: str, lo: float, hi: float) -> tuple[float, float]:
-        return (obs[name], obs[name]) if name in obs else (lo, hi)
-
-    sums = pad_sum_range(params)
-    x_lo, x_hi = bounds("pad", 0, r - 1)
-    y_lo, y_hi = bounds("pad_sum", sums.start, sums.stop - 1)
-    k_lo, k_hi = bounds("shared_key", 0, r - 1) if params.variant is Variant.ONE_TP else (0, 0)
-    c_lo, c_hi = bounds("complement", 0, d - 1)
-    m_lo, m_hi = bounds("measured", -math.inf, d - 1)
-    q_lo, q_hi = bounds("score", -math.inf, math.inf)
-    c_lo, c_hi, m_hi = max(c_lo, 0), min(c_hi, d - 1), min(m_hi, d - 1)
+    target, r, d = view.target, params.r, params.d
+    x = y = k = c = m = q = None
+    for event in _fact_events(view.events):
+        kind = event["kind"]
+        if kind == "run_header":
+            ran, given = (event["variant"], event["d"], event["r"]), (params.variant.value, d, r)
+            if ran != given:
+                raise ParameterError(f"params (variant, d, r) = {given} disagree with the view's run header {ran}")
+        elif kind == "carrier_prep":
+            x, y, c = event["pads"][target], event["pad_sum"], event["complements"][target]
+        elif kind == "classical":
+            c = event["message"]["values"][target]
+        elif kind == "carrier_measurement":
+            if event["party"] == target:
+                m = event["value"]
+        elif kind == "score_computation":
+            q = event["scores"][target]
+        elif kind == "shared_key":
+            k = event["value"]
+    x_lo, x_hi = (0, r - 1) if x is None else (x, x)
+    y_lo, y_hi = (r - 1, d - 1) if y is None else (y, y)  # pad_sum_range
+    k_lo, k_hi = (0, 0) if params.variant is Variant.TWO_TP else (0, r - 1) if k is None else (k, k)
+    c_lo, c_hi = (0, d - 1) if c is None else (max(c, 0), min(c, d - 1))
+    m_lo, m_hi = (-math.inf, d - 1) if m is None else (m, min(m, d - 1))
+    q_lo, q_hi = (-math.inf, math.inf) if q is None else (q, q)
     # eliminate y: it bounds x through the complement and x + t through the score
     x_lo, x_hi = max(x_lo, y_lo - c_hi), min(x_hi, y_hi - c_lo)
     m_lo, m_hi = max(m_lo, q_lo - c_hi), min(m_hi, q_hi - c_lo)
@@ -322,4 +358,4 @@ def secret_support(view: View, params: ProtocolParams) -> SecretSupport:
     lo, hi = max(0, t_lo - k_hi), min(r - 1, t_hi - k_lo)
     if c_lo > c_hi or x_lo > x_hi or m_lo > m_hi or t_lo > t_hi:
         hi = lo - 1  # no assignment explains the facts
-    return SecretSupport(target=view.target, candidates=frozenset(range(lo, hi + 1)))
+    return SecretSupport(target=target, candidates=frozenset(range(lo, hi + 1)))

@@ -4,6 +4,7 @@ closed-form support is checked against a brute-force oracle."""
 from __future__ import annotations
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -30,8 +31,8 @@ from qpc_sim import (
     strategy_from_id,
     tapped_checked_decoys,
 )
-from qpc_sim.adversary import View
-from qpc_sim.channel import OUTSIDER, Transcript
+from qpc_sim.adversary import _MEMO_SIZE, View
+from qpc_sim.channel import OUTSIDER, PUBLIC, Transcript
 from qpc_sim.protocol import pad_sum_range, run_links
 from qpc_sim.qudit import Basis, BasisLabel
 
@@ -379,6 +380,31 @@ def test_coalition_validation():
     for role in ("P0", "P01", "P1\n"):
         with pytest.raises(ParameterError, match="unknown coalition role"):
             Coalition(frozenset({role}), target=1)
+    with pytest.raises(ParameterError, match="unknown coalition role 1"):
+        Coalition(frozenset({1}), target=0)
+
+
+@pytest.mark.parametrize("target", [True, False, 1.0, 1.5, "1", None])
+def test_coalition_target_must_be_an_integer_index(target):
+    # a bool is no party index: True would audit party 2
+    with pytest.raises(ParameterError, match="target must be a 0-based party index"):
+        Coalition(frozenset({"TP2"}), target)
+
+
+def test_coalition_stores_a_numpy_target_as_int():
+    coalition = Coalition(["P2", "P3"], np.int64(0))
+    assert type(coalition.target) is int and coalition.members == frozenset({"P2", "P3"})
+    assert coalition == Coalition(frozenset({"P2", "P3"}), 0)
+    transcript = _run(TWO_TP)
+    assert secret_support(coalition_view(transcript, coalition), TWO_TP).target == 0
+
+
+def test_coalition_members_must_be_a_collection_of_role_ids():
+    with pytest.raises(ParameterError, match="members must be a collection of role ids, got the string 'P2'"):
+        Coalition("P2", 0)
+    for members in (None, 2, [["P2"]]):
+        with pytest.raises(ParameterError, match="members must be a collection of role ids"):
+            Coalition(members, 0)
 
 
 def test_coalition_view_merges_member_and_public_events():
@@ -723,3 +749,60 @@ def test_closed_form_support_equals_the_brute_force_at_larger_d(data):
     facts = {kind: draw() for kind, draw in draws.items() if kind in present}
     view, obs = _synthetic_view(params, facts)
     assert secret_support(view, params).candidates == brute_force_support(obs, params)
+
+
+def _support_from_the_full_log(transcript: Transcript, coalition: Coalition, params: ProtocolParams) -> frozenset[int]:
+    """Oracle for the memoized audit: read the facts off ``events()`` filtered by observers, with no view or memo."""
+    seen, target = {PUBLIC, *coalition.members}, coalition.target
+    obs: dict[str, int] = {}
+    for event in transcript.events():
+        if not seen & set(event["observers"]):
+            continue
+        kind = event["kind"]
+        if kind == "carrier_prep":
+            obs.update(pad=event["pads"][target], pad_sum=event["pad_sum"], complement=event["complements"][target])
+        elif kind == "classical" and event["message"]["kind"] == "pad_announcement":
+            obs["complement"] = event["message"]["values"][target]
+        elif kind == "carrier_measurement" and event["party"] == target:
+            obs["measured"] = event["value"]
+        elif kind == "score_computation":
+            obs["score"] = event["scores"][target]
+        elif kind == "shared_key":
+            obs["shared_key"] = event["value"]
+    return brute_force_support(obs, params)
+
+
+@pytest.mark.parametrize("variant, d", [("two-tp", 5), ("two-tp", 9), ("one-tp", 8), ("one-tp", 11)])
+def test_memoized_audit_equals_the_brute_force_on_the_full_log(variant, d):
+    # every allowed coalition against every target of two transcripts, asked in one shuffled, interleaved order
+    config = ExperimentConfig(variant=variant, n=4, d=d, r=3, l=1, trials=6, seed=d)
+    params, _ = config.validate()
+    shuffle = random.Random(d).shuffle
+    coalitions = [c for target in range(config.n) for c in allowed_coalitions(params.variant, config.n, target)]
+    for t in range(0, config.trials, 2):
+        runs = (run_trial(config, t), run_trial(config, t + 1))
+        queries = [(run, coalition) for run in runs for coalition in coalitions]
+        shuffle(queries)
+        for run, coalition in queries:
+            found = secret_support(coalition_view(run.transcript, coalition), params).candidates
+            assert found == _support_from_the_full_log(run.transcript, coalition, params), (t, coalition)
+            assert run.secrets[coalition.target] in found
+
+
+def test_short_lived_hand_built_views_are_read_afresh():
+    # each view's tuple dies once the fact memo starts over, so CPython hands its id to a later view with other facts
+    params = ProtocolParams(Variant.ONE_TP, n=2, d=8, r=3, l=1)
+    rng = random.Random(3)
+    draws = {
+        "shared_key": lambda: rng.randrange(3),
+        "carrier_prep": lambda: (rng.randrange(3), rng.randrange(2, 8), rng.randrange(8)),
+        "carrier_measurement": lambda: rng.randrange(8),
+        "pad_announcement": lambda: rng.randrange(8),
+        "score_computation": lambda: rng.randrange(15),
+    }
+    ids = []
+    for _ in range(4 * _MEMO_SIZE):
+        view, obs = _synthetic_view(params, {kind: draw() for kind, draw in draws.items() if rng.random() < 0.5})
+        ids.append(id(view.events))
+        assert secret_support(view, params).candidates == brute_force_support(obs, params), obs
+    assert len(set(ids)) < len(ids)

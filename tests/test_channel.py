@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import pickle
 
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 
 from conftest import random_state
 from dense_oracle import basis_state, overlap
-from qpc_sim import Coalition, coalition_view
+from qpc_sim import Coalition, ExperimentConfig, allowed_coalitions, coalition_view, run_trial, secret_support
+from qpc_sim import adversary, channel
 from qpc_sim.channel import (
     OUTSIDER,
     PUBLIC,
@@ -235,6 +237,56 @@ def test_an_event_survives_serialisation_and_copies(round_trip):
             again["kind"] = "x"
         if "message" in event:
             assert type(again["message"]) is Event
+
+
+def _logged(*observer_sets) -> Transcript:
+    transcript = Transcript()
+    for i, observers in enumerate(observer_sets):
+        transcript.record(observers, "probe", value=i)
+    return transcript
+
+
+def test_a_returned_view_is_the_callers_own_list():
+    transcript = _logged(PUBLIC, "P1", "P2")
+    first = transcript.view("P1")
+    first.append("forged")
+    first.pop(0)
+    assert [e["value"] for e in transcript.view("P1")] == [0, 1]
+
+
+def test_a_record_after_a_view_shows_in_the_next_view_of_that_role_set():
+    transcript = _logged(PUBLIC, "P1")
+    assert [e["value"] for e in transcript.view("P1", "P2")] == [0, 1]
+    transcript.record({"P2", "TP1"}, "probe", value=2)
+    assert [e["value"] for e in transcript.view("P1", "P2")] == [0, 1, 2]
+    view = coalition_view(transcript, Coalition(frozenset({"P1", "P2"}), 2))
+    assert [e["value"] for e in view.events] == [0, 1, 2]
+
+
+def test_a_view_depends_on_the_role_set_only():
+    transcript = _logged(PUBLIC, "P1", "P2", {"P1", "P2"}, "P3")
+    assert transcript.view("P1", "P2") == transcript.view("P2", "P1", "P1") == _naive(transcript, ["P1", "P2"])
+
+
+def test_a_transcript_keeps_at_most_its_fixed_number_of_views():
+    roles = [f"P{i + 1}" for i in range(8)]
+    transcript = _logged(PUBLIC, *roles)
+    for size in range(1, 9):
+        for members in itertools.combinations(roles, size):
+            assert transcript.view(*members) == _naive(transcript, members)
+            assert len(transcript._views) <= channel._VIEWS_KEPT
+
+
+def test_audit_memos_stay_within_their_fixed_size_over_many_transcripts():
+    config = ExperimentConfig(variant="one-tp", n=3, d=17, r=5, l=1, trials=200, seed=4)
+    params, _ = config.validate()
+    plans = [allowed_coalitions(params.variant, config.n, target) for target in range(config.n)]
+    for t in range(config.trials):
+        run = run_trial(config, t)
+        for coalition in itertools.chain(*plans):
+            assert run.secrets[coalition.target] in secret_support(coalition_view(run.transcript, coalition), params).candidates
+    assert 0 < len(adversary._facts) <= adversary._MEMO_SIZE
+    assert adversary._check_members.cache_info().currsize <= adversary._MEMO_SIZE
 
 
 _OBSERVERS = (PUBLIC, OUTSIDER, "TP1", "TP2", "P1", "P2", "P3", "P4")

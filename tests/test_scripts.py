@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import io
+import json
 import math
 from pathlib import Path
 
@@ -186,3 +187,50 @@ def test_script_bad_flag_values_exit_2_with_one_error_line(case):
     assert exc.value.code == 2, (args, err.getvalue())
     assert out.getvalue() == ""
     assert len([line for line in err.getvalue().splitlines() if "error:" in line]) == 1, err.getvalue()
+
+
+def _bench_run(tmp_path, name, workload, rate, setup=0.2, rss=38.0, digest="ab", failed=0, traced=False):
+    env = {"commit": "c0ffee", "nproc": 2, "python": "3.11.7", "numpy": "2.4.6", "blas": "OpenBLAS", "blas_threads": 2}
+    detail = {"workload": workload, "seed": 5642, "canonical_sha256": digest, "env": env}
+    if traced:
+        detail["layers"] = {"adversary.secret_support.share": 0.3}
+    units = {"trials_per_s": "1/s", "setup_s": "s", "peak_rss_mb": "MB"}
+    values = {"trials_per_s": rate, "setup_s": setup, "peak_rss_mb": rss}
+    final = {"correct": not failed, "attempted": 10, "failed": failed,
+             "metrics": {k: {"value": v, "unit": units[k]} for k, v in values.items()}}
+    path = tmp_path / name
+    path.write_text(f"{workload} trials_per_s {rate}\n{json.dumps(detail)}\n{json.dumps(final)}\n")
+    return path
+
+
+def test_bench_record_folds_paired_runs(tmp_path):
+    bench_record = _load("bench_record")
+    parent = [_bench_run(tmp_path, f"p{i}", "privacy-audit", rate) for i, rate in enumerate([100, 110, 120, 130, 140])]
+    change = [_bench_run(tmp_path, f"c{i}", "privacy-audit", rate, setup=0.1, failed=i == 4)
+              for i, rate in enumerate([150, 105, 160, 170, 180])]
+    parent.append(_bench_run(tmp_path, "pt", "privacy-audit", 90, traced=True))
+    change.append(_bench_run(tmp_path, "ct", "privacy-audit", 95, digest="cd", traced=True))
+    out = tmp_path / "BENCH.json"
+    assert bench_record.main(["--seconds", "25", "--out", str(out), "--parent", *map(str, parent),
+                              "--change", *map(str, change)]) == 0
+    bench = json.loads(out.read_text())
+    assert bench["command"] == "python3 perfbench/run.py --workload W --seed 5642 --seconds 25 --trace 0"
+    assert bench["parent"] == "c0ffee" and bench["host"]["blas_threads"] == 2
+    entry = bench["workloads"]["privacy-audit"]
+    assert entry["pairs"] == 5
+    assert entry["trials_per_s"] == {"parent": {"q1": 110, "median": 120, "q3": 130},
+                                     "change": {"q1": 150, "median": 160, "q3": 170}, "change_better_in_pairs": 4}
+    assert entry["setup_s"]["change_better_in_pairs"] == 5  # lower is better
+    assert entry["peak_rss_mb"]["change_better_in_pairs"] == 0
+    assert entry["canonical_sha256"] == ["ab"]  # traced runs are not paired
+    assert entry["failed"] == {"parent": 0, "change": 1}
+    assert [f["metrics"]["trials_per_s"]["value"] for f in entry["final_lines"]["change"]] == [150, 105, 160, 170, 180]
+    assert entry["trace_final_lines"]["change"]["metrics"]["trials_per_s"]["value"] == 95
+
+
+def test_bench_record_refuses_unpaired_runs(tmp_path, capsys):
+    parent = [_bench_run(tmp_path, f"p{i}", "honest-two-tp", 100) for i in range(2)]
+    change = [_bench_run(tmp_path, "c0", "honest-two-tp", 100)]
+    argv = ["--seconds", "8", "--out", str(tmp_path / "out.json"), "--parent", *map(str, parent), "--change", *map(str, change)]
+    assert _load("bench_record").main(argv) == 2
+    assert capsys.readouterr().err == "error: honest-two-tp: 2 parent runs but 1 change runs\n"
