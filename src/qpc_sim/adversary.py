@@ -41,9 +41,8 @@ from .qudit import Basis, BasisLabel, ParameterError
 measure = BasisLabel.measure
 
 _TP_ROLES = frozenset().union(*WIRING.values())
-_WIRED = {variant.value: frozenset(roles) for variant, roles in WIRING.items()}
 _PARTY_RE = re.compile(r"P[1-9]\d*")
-#: Entries each audit memo keeps (checked member sets, views' fact events): every role set of an n=7 audit.
+#: Entries each audit memo keeps (member sets, run role sets, views' fact events): every role set of an n=7 audit.
 _MEMO_SIZE = 128
 
 
@@ -119,7 +118,7 @@ def strategy_from_id(attack_id: str) -> AttackStrategy:
     """Look up a strategy by its stable id (the ids the CLI accepts)."""
     try:
         return _STRATEGIES[attack_id]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable id
         raise ParameterError(f"unknown attack id {attack_id!r}; valid ids: {', '.join(ATTACK_IDS)}") from None
 
 
@@ -247,6 +246,13 @@ def allowed_coalitions(variant: Variant, n: int, target: int) -> tuple[Coalition
     return tuple(Coalition(frozenset(group), target) for group in groups)
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _run_roles(variant: str, n: int) -> frozenset[str]:
+    """Every role of a ``variant`` run with n parties: its wiring's third parties (none if unknown) and P1..Pn."""
+    tps = next((roles for wiring, roles in WIRING.items() if wiring.value == variant), ())
+    return frozenset((*tps, *map(party_role, range(n))))
+
+
 class View(NamedTuple):
     """Everything a coalition observed in one run: members' events plus the public bus."""
 
@@ -271,9 +277,10 @@ def coalition_view(transcript: Transcript, coalition: Coalition) -> View:
         n, variant = header["n"], header["variant"]
         if coalition.target >= n:
             raise ParameterError(f"target index {coalition.target} out of range for n={n}")
-        for role in coalition.members:
-            if not (role in _WIRED[variant] if role in _TP_ROLES else int(role[1:]) <= n):
-                raise ParameterError(f"coalition member {role} does not exist in a {variant} n={n} run")
+        roles = _run_roles(variant, n)
+        if not coalition.members <= roles:
+            absent = min(coalition.members - roles)
+            raise ParameterError(f"coalition member {absent} does not exist in a {variant} n={n} run")
     return View(events=transcript._view(coalition.members), target=coalition.target)
 
 

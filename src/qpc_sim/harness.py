@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -24,6 +25,7 @@ from .adversary import (
 )
 from .channel import OUTSIDER, Transcript
 from .protocol import (
+    CHECK_STEPS,
     WIRING,
     ComparisonOutcome,
     ProtocolParams,
@@ -33,6 +35,7 @@ from .protocol import (
     _plain_int,
     rank_descending,
     run_one_tp_protocol,
+    run_streams,
     run_two_tp_protocol,
 )
 from .qudit import ParameterError
@@ -55,9 +58,7 @@ CSV_COLUMNS = (
     "note",
 )
 
-_CHECK_STEPS = ("step3", "step5", "step6")
 _SWEEP_TAG = 0x53574545
-_INTEGER_FIELDS = ("n", "d", "r", "l", "trials", "seed")
 
 
 def derive_cell_seed(master_seed: int, cell_index: int) -> int:
@@ -72,9 +73,9 @@ class ExperimentConfig:
 
     ``secrets="random"`` redraws the secret vector every trial; an explicit
     tuple is held fixed across trials. The shared key (single-TP variant)
-    follows the same rule. Integer fields store numpy integers as plain ints,
-    so reports and transcripts stay JSON; :meth:`validate` rejects any other
-    non-integer.
+    follows the same rule. Fields store their plain JSON value (numpy integers
+    as ints, a numpy threshold as a float, a :class:`Variant` as its name), so
+    reports and transcripts stay JSON; :meth:`validate` refuses anything else.
     """
 
     variant: str
@@ -90,10 +91,14 @@ class ExperimentConfig:
     threshold: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in (*_INTEGER_FIELDS, "shared_key"):
+        for name in ("n", "d", "r", "l", "trials", "seed", "shared_key"):
             object.__setattr__(self, name, _plain_int(getattr(self, name)))
         if isinstance(self.secrets, (tuple, list, np.ndarray)):
             object.__setattr__(self, "secrets", tuple(map(_plain_int, self.secrets)))
+        if isinstance(self.variant, Variant):
+            object.__setattr__(self, "variant", self.variant.value)
+        if isinstance(self.threshold, numbers.Real) and not isinstance(self.threshold, (int, float)):
+            object.__setattr__(self, "threshold", float(self.threshold))
 
     def validate(self) -> tuple[ProtocolParams, AttackStrategy]:
         """Resolve to protocol params and a strategy, or raise ParameterError naming the violated constraint."""
@@ -116,14 +121,10 @@ class ExperimentConfig:
                 f"attack {self.attack!r} models a two-tp insider and does not apply to {variant.value}"
             )
         if self.secrets != "random":
-            if not isinstance(self.secrets, tuple) or any(type(s) is not int for s in self.secrets):
-                raise ParameterError(f"secrets must be 'random' or a tuple of integers, got {self.secrets!r}")
             _normalize_secrets(self.secrets, params)
-        if self.shared_key != "random":
+        if not (isinstance(self.shared_key, str) and self.shared_key == "random"):  # an array compares elementwise
             if variant is Variant.TWO_TP:
                 raise ParameterError("a shared key (--c) applies to the one-tp variant only")
-            if type(self.shared_key) is not int:
-                raise ParameterError(f"shared_key must be an integer or 'random', got {self.shared_key!r}")
             _check_shared_key(self.shared_key, params)
         if self.trials < 1:
             raise ParameterError(f"trials must be >= 1, got {self.trials}")
@@ -155,13 +156,8 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRun:
     t = _plain_int(trial_index)
     if type(t) is not int or t < 0:
         raise ParameterError(f"trial_index must be an integer >= 0, got {trial_index!r}")
-    rng = next(trial_streams(config.seed, range(t, t + 1), _spawned(params)))
+    rng = next(trial_streams(config.seed, range(t, t + 1), run_streams(params.n)))
     return _run_trial(config, params, strategy, t, rng)
-
-
-def _spawned(params: ProtocolParams) -> int:
-    """Children of a trial's first spawn: ``_run_protocol`` splits its stream with ``rng.spawn(n + 3)``."""
-    return params.n + 3
 
 
 def _run_trial(
@@ -172,18 +168,12 @@ def _run_trial(
     rng: np.random.Generator,
 ) -> TrialRun:
     # draw order is fixed: secrets first, then the shared key, then the run
-    if config.secrets == "random":
-        secrets = tuple(int(s) for s in rng.integers(0, params.r, size=params.n))
-    else:
-        secrets = config.secrets
+    secrets = tuple(rng.integers(0, params.r, size=params.n).tolist()) if config.secrets == "random" else config.secrets
     if params.variant is Variant.TWO_TP:
         key = None
         transcript, outcome = run_two_tp_protocol(params, secrets, strategy, rng)
     else:
-        if config.shared_key == "random":
-            key = int(rng.integers(0, params.r))
-        else:
-            key = config.shared_key
+        key = int(rng.integers(0, params.r)) if config.shared_key == "random" else config.shared_key
         transcript, outcome = run_one_tp_protocol(params, secrets, key, strategy, rng)
     return TrialRun(trial_index, secrets, key, transcript, outcome)
 
@@ -258,10 +248,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run all trials of ``config`` and fold the outcomes into a report."""
     params, strategy = config.validate()
     start = time.perf_counter()
-    decoy_stats = {step: {"checked": 0, "mismatched": 0} for step in _CHECK_STEPS}
+    decoy_stats = {step: {"checked": 0, "mismatched": 0} for step in CHECK_STEPS}
     trial_rows: list[dict] = []
     n_completed = n_aborted = n_correct = 0
-    streams = trial_streams(config.seed, range(config.trials), _spawned(params))
+    streams = trial_streams(config.seed, range(config.trials), run_streams(params.n))
     for t, rng in enumerate(streams):
         run = _run_trial(config, params, strategy, t, rng)
         for event in run.transcript.events():

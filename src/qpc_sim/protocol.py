@@ -88,8 +88,9 @@ class ProtocolParams:
     wraparound-free on the honest path: pads and secrets both live in [0, r),
     so the measured carrier value is at most 2(r-1) with two third parties,
     and at most 3(r-1) when the pre-shared key is added in the single-TP
-    variant. The upper bounds are MAX_DIM and MAX_QUDITS. ``n``, ``d``, ``r``
-    and ``l`` are integers other than bools; numpy integers are stored as ints.
+    variant. The upper bounds are MAX_DIM and MAX_QUDITS. ``variant`` is a
+    :class:`Variant`; ``n``, ``d``, ``r`` and ``l`` are integers other than bools
+    (numpy's stored as ints); ``error_threshold`` is a real other than a bool, stored as a float.
     """
 
     variant: Variant
@@ -100,11 +101,17 @@ class ProtocolParams:
     error_threshold: float = 0.0
 
     def __post_init__(self) -> None:
+        if type(self.variant) is not Variant:
+            raise ParameterError(f"variant must be a Variant, got {self.variant!r}")
         for name in ("n", "d", "r", "l"):
             value = _plain_int(getattr(self, name))
             if type(value) is not int:
                 raise ParameterError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, value)
+        threshold = self.error_threshold
+        if isinstance(threshold, bool) or not isinstance(threshold, numbers.Real) or not 0 <= threshold <= 1:
+            raise ParameterError(f"error_threshold must be a real number in [0, 1], got {threshold!r}")
+        object.__setattr__(self, "error_threshold", float(threshold))
         if self.n < 2:
             raise ParameterError(f"at least two comparing parties are required (n >= 2), got n={self.n}")
         if self.r < 1:
@@ -115,8 +122,6 @@ class ProtocolParams:
             raise ParameterError(f"a run moves 2*n*(l+1) <= {MAX_QUDITS} qudits, got n={self.n} and l={self.l}")
         if not 2 <= self.d <= MAX_DIM:
             raise ParameterError(f"qudit dimension must lie in [2, {MAX_DIM}], got d={self.d}")
-        if not 0.0 <= self.error_threshold <= 1.0:
-            raise ParameterError(f"error_threshold must lie in [0, 1], got {self.error_threshold}")
         if self.variant is Variant.TWO_TP and self.d < 2 * self.r - 1:
             raise ParameterError(f"two-tp requires d >= 2*r - 1 (got d={self.d}, r={self.r})")
         if self.variant is Variant.ONE_TP and self.d < 3 * self.r - 1:
@@ -130,6 +135,14 @@ DECOY_BASIS_NAMES = tuple(basis.value for basis in DECOY_BASES)
 #: One decoy of a recipe: ``(position, fourier, index)``, where ``fourier`` is the drawn basis bit.
 Decoy = tuple[int, int, int]
 
+#: Stages that check decoys, in run order: the first hop's full check, then the second hop's two phases.
+CHECK_STEPS = ("step3", "step5", "step6")
+
+
+def run_streams(n: int) -> int:
+    """Streams a run spawns from its generator: the preparer's, one per party, the measurer's, the adversary's."""
+    return n + 3
+
 
 class DecoySpec(NamedTuple):
     """Sender-private recipe of a transmission: its draw, as decoys in position order, plus the carrier slot.
@@ -142,26 +155,17 @@ class DecoySpec(NamedTuple):
     carrier_position: int
 
 
-@dataclass(frozen=True)
-class ComparisonOutcome:
+class ComparisonOutcome(NamedTuple):
     """Result of one run: either a total preorder over parties or the abort stage.
 
     ``ranking`` lists 0-based party indices grouped into ties, highest score
-    first; ``scores`` are the per-party sums whose ordering it reflects.
+    first; ``scores`` are the per-party sums whose ordering it reflects. Only
+    :func:`tp_compute_result` and an abort build one, so the fields agree by construction.
     """
 
     ranking: tuple[tuple[int, ...], ...] | None
     scores: tuple[int, ...] | None
     aborted_at: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.aborted_at is None:
-            if self.ranking is None or self.scores is None:
-                raise ParameterError("a completed outcome carries both ranking and scores")
-            if self.ranking != rank_descending(self.scores):
-                raise ParameterError("ranking does not match the ordering of the scores")
-        elif self.ranking is not None or self.scores is not None:
-            raise ParameterError("an aborted outcome carries no ranking or scores")
 
     @property
     def completed(self) -> bool:
@@ -222,8 +226,6 @@ def build_transmission(
     of the 2l+1 scalar calls (pinned in tests/test_determinism.py). Each decoy
     is prepared by one ``basis_state`` call.
     """
-    if l < 1:
-        raise ParameterError(f"each transmission needs l >= 1 decoys, got l={l}")
     d = carrier_state.dim
     *draw, carrier_position = rng.integers(0, _draw_bounds(d, l)).tolist()
     positions = [*range(carrier_position), *range(carrier_position + 1, l + 1)]
@@ -237,16 +239,10 @@ def encode_secret(carrier_state: BasisLabel, secret: int, offset: int) -> BasisL
     """Shift-encode ``secret`` (plus a fixed ``offset``) onto the carrier.
 
     The protocol's dimension bounds guarantee secret + offset never reaches d
-    on the honest path, so the encoded value adds without wraparound.
+    on the honest path, so the encoded value adds without wraparound; a shift
+    outside [0, d) is refused by ``apply_shift``.
     """
-    if secret < 0 or offset < 0:
-        raise ParameterError(f"secret and offset must be non-negative, got {secret} and {offset}")
-    shift = secret + offset
-    if shift >= carrier_state.dim:
-        raise ParameterError(
-            f"secret + offset = {shift} would wrap around the dimension d={carrier_state.dim}"
-        )
-    return apply_shift(carrier_state, shift)
+    return apply_shift(carrier_state, secret + offset)
 
 
 def two_phase_disclosure(spec: DecoySpec) -> tuple[tuple[Decoy, ...], tuple[Decoy, ...]]:
@@ -268,12 +264,8 @@ def tp_compute_result(
 
     Sums are plain integers (no modular reduction); ties stay grouped.
     """
-    if len(measured_values) != len(pad_complements):
-        raise ParameterError(
-            f"got {len(measured_values)} measured values but {len(pad_complements)} complements"
-        )
     scores = tuple(int(m) + int(c) for m, c in zip(measured_values, pad_complements))
-    return ComparisonOutcome(ranking=rank_descending(scores), scores=scores)
+    return ComparisonOutcome(rank_descending(scores), scores)
 
 
 # --------------------------------------------------------------------------
@@ -281,7 +273,13 @@ def tp_compute_result(
 # --------------------------------------------------------------------------
 
 def _normalize_secrets(secrets: Sequence[int], params: ProtocolParams) -> tuple[int, ...]:
-    values = tuple(int(s) for s in secrets)
+    """The one check of a secret vector: n integers other than bools in [0, r), numpy's stored as ints."""
+    try:
+        values = None if isinstance(secrets, str) else tuple(map(_plain_int, secrets))
+    except TypeError:  # not iterable
+        values = None
+    if values is None or any(type(s) is not int for s in values):
+        raise ParameterError(f"secrets must be a sequence of integers, got {secrets!r}")
     if len(values) != params.n:
         raise ParameterError(f"expected {params.n} secrets, got {len(values)}")
     for i, s in enumerate(values):
@@ -291,7 +289,10 @@ def _normalize_secrets(secrets: Sequence[int], params: ProtocolParams) -> tuple[
 
 
 def _check_shared_key(shared_key: int, params: ProtocolParams) -> int:
-    key = int(shared_key)
+    """The one check of a one-tp key: an integer other than a bool in [0, r), numpy's stored as an int."""
+    key = _plain_int(shared_key)
+    if type(key) is not int:
+        raise ParameterError(f"shared_key must be an integer, got {shared_key!r}")
     if not 0 <= key < params.r:
         raise ParameterError(f"the shared key must lie in [0, r={params.r}), got {key}")
     return key
@@ -370,7 +371,7 @@ def _run_protocol(
     bus = ClassicalBus(transcript)
     # Fixed stream split keeps every role's draws aligned across runs that
     # differ only in the secret values.
-    prep_rng, *party_rngs, measure_rng, adversary_rng = rng.spawn(n + 3)
+    prep_rng, *party_rngs, measure_rng, adversary_rng = rng.spawn(run_streams(n))
 
     transcript.record(
         PUBLIC,
@@ -386,7 +387,7 @@ def _run_protocol(
         transcript.record({link.sender for link in second_links}, "shared_key", value=shared_key)
 
     def aborted(step: str) -> tuple[Transcript, ComparisonOutcome]:
-        return transcript, ComparisonOutcome(ranking=None, scores=None, aborted_at=step)
+        return transcript, ComparisonOutcome(None, None, step)
 
     def hop(
         link: QuantumLink, step: str, carrier: BasisLabel, sender_rng: np.random.Generator
@@ -419,9 +420,10 @@ def _run_protocol(
     first_hop = [hop(link, "step2", carrier, prep_rng) for link, carrier in zip(first_links, carrier_states)]
 
     # stage 3: full decoy check of every first hop
+    step = CHECK_STEPS[0]
     for link, (received, spec), party_rng in zip(first_links, first_hop, party_rngs):
-        if _disclose_and_check(bus, "step3", "all", link, spec.entries, received, party_rng, threshold):
-            return aborted("step3")
+        if _disclose_and_check(bus, step, "all", link, spec.entries, received, party_rng, threshold):
+            return aborted(step)
 
     # stage 4: the party takes the carrier from the one slot its recipe left
     # undisclosed, shift-encodes, and ships it under fresh decoys
@@ -432,8 +434,8 @@ def _run_protocol(
         received, spec = hop(link, "step4", encoded, party_rngs[i])
         second_hop.append((received, spec.carrier_position, two_phase_disclosure(spec)))
 
-    # stages 5 and 6: two-phase second-hop check, Fourier decoys strictly first
-    for step, phase, selector in (("step5", "fourier", 0), ("step6", "computational", 1)):
+    # stages 5 and 6: two-phase second-hop check, Fourier decoys strictly first (two_phase_disclosure's order)
+    for selector, (step, phase) in enumerate(zip(CHECK_STEPS[1:], reversed(DECOY_BASIS_NAMES))):
         for link, (received, _, phases) in zip(second_links, second_hop):
             if _disclose_and_check(bus, step, phase, link, phases[selector], received, measure_rng, threshold):
                 return aborted(step)

@@ -287,6 +287,7 @@ def test_audit_memos_stay_within_their_fixed_size_over_many_transcripts():
             assert run.secrets[coalition.target] in secret_support(coalition_view(run.transcript, coalition), params).candidates
     assert 0 < len(adversary._facts) <= adversary._MEMO_SIZE
     assert adversary._check_members.cache_info().currsize <= adversary._MEMO_SIZE
+    assert adversary._run_roles.cache_info().currsize <= adversary._MEMO_SIZE
 
 
 _OBSERVERS = (PUBLIC, OUTSIDER, "TP1", "TP2", "P1", "P2", "P3", "P4")

@@ -13,7 +13,7 @@ import subprocess
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import int_texts, unparsable
@@ -22,8 +22,12 @@ from qpc_sim import (
     ExperimentConfig,
     ExperimentReport,
     ParameterError,
+    ProtocolParams,
+    Variant,
     run_experiment,
+    run_one_tp_protocol,
     run_trial,
+    run_two_tp_protocol,
     sweep,
 )
 from qpc_sim import cli
@@ -104,6 +108,71 @@ def test_numpy_integers_pass_and_are_recorded_as_ints(field):
     as_numpy = tuple(map(np.int64, value)) if field == "secrets" else np.uint64(value)
     config = dataclasses.replace(ONE_TP, **{field: as_numpy})
     assert run_experiment(config).canonical_json() == run_experiment(ONE_TP).canonical_json()
+
+
+# every kind of value a caller might pass for a typed field: right and wrong types, numpy's, enum members, sequences
+_ANY_VALUE = st.one_of(
+    st.integers(-2, 16),
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=6),
+    st.none(),
+    st.integers(-2, 16).map(np.int64),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.sampled_from(Variant),
+    st.sampled_from(("two-tp", "one-tp", *ATTACK_IDS)),
+    st.lists(st.integers(-1, 5), max_size=3),
+    st.lists(st.integers(-1, 5), max_size=3).map(np.array),
+)
+_TYPED = ExperimentConfig(variant="one-tp", n=2, d=14, r=5, l=2, trials=2, seed=1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(("variant", "threshold", "attack", "secrets", "shared_key")), _ANY_VALUE)
+def test_a_typed_config_field_runs_or_is_refused(field, value):
+    # a Variant member or a numpy float used to run and then fail to serialise; a list attack raised
+    # TypeError, and an array key the "ambiguous truth value" ValueError
+    config = dataclasses.replace(_TYPED, **{field: value})
+    try:
+        report = run_experiment(config)
+    except ParameterError:
+        return
+    assert json.loads(report.canonical_json())["config"] == json.loads(json.dumps(config.to_dict()))
+    run_trial(config, 0).transcript.to_json()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_ANY_VALUE, st.lists(_ANY_VALUE, min_size=2, max_size=2)), _ANY_VALUE)
+def test_the_runners_run_or_refuse_any_secrets_and_key(secrets, key):
+    # a float or bool secret or key used to be truncated by int()
+    two_tp, one_tp = ProtocolParams(Variant.TWO_TP, 2, 9, 5, 2), ProtocolParams(Variant.ONE_TP, 2, 14, 5, 2)
+    runs = (
+        lambda rng: run_two_tp_protocol(two_tp, secrets, None, rng),
+        lambda rng: run_one_tp_protocol(one_tp, secrets, key, None, rng),
+    )
+    for run in runs:
+        try:
+            transcript, _ = run(np.random.default_rng(0))
+        except ParameterError:
+            continue
+        transcript.to_json()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ANY_VALUE, _ANY_VALUE, st.sampled_from((2, 14)))
+@example("two-tp", 0.0, 2)  # a string variant used to skip the d >= 2r - 1 bound
+def test_protocol_params_take_a_variant_and_a_real_threshold_or_refuse(variant, threshold, d):
+    try:
+        params = ProtocolParams(variant, n=2, d=d, r=5, l=1, error_threshold=threshold)
+    except ParameterError:
+        return
+    assert type(params.variant) is Variant and type(params.error_threshold) is float and d == 14
+    if params.variant is Variant.TWO_TP:
+        transcript, _ = run_two_tp_protocol(params, (1, 4), None, np.random.default_rng(0))
+    else:
+        transcript, _ = run_one_tp_protocol(params, (1, 4), 3, None, np.random.default_rng(0))
+    transcript.to_json()
 
 
 def test_trials_and_seed_ranges():

@@ -3,6 +3,7 @@ invariants for both variants, abort behavior, and transcript discipline."""
 from __future__ import annotations
 
 import collections
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from qpc_sim.protocol import (
     DECOY_BASES,
     MAX_DIM,
     MAX_QUDITS,
-    ComparisonOutcome,
     DecoySpec,
     build_transmission,
     encode_secret,
@@ -85,6 +85,25 @@ def test_direct_construction_refuses_a_non_integer(field, value):
     base = dict(variant=Variant.TWO_TP, n=3, d=13, r=5, l=8)
     with pytest.raises(ParameterError, match=f"^{field} must be an integer, got {value!r}$"):
         ProtocolParams(**{**base, field: value})
+
+
+def test_a_variant_must_be_a_variant_member():
+    # the string used to skip the d >= 2r - 1 bound and then fail inside the run
+    with pytest.raises(ParameterError, match="^variant must be a Variant, got 'two-tp'$"):
+        ProtocolParams("two-tp", n=2, d=2, r=5, l=1)
+
+
+@pytest.mark.parametrize("value", ("0.1", None, True, [0.1]), ids=("str", "None", "bool", "list"))
+def test_error_threshold_must_be_a_real_number(value):
+    # True used to run and be recorded as "threshold": true; a string or None ended in a TypeError
+    with pytest.raises(ParameterError, match="^error_threshold must be a real number"):
+        ProtocolParams(Variant.TWO_TP, n=3, d=13, r=5, l=8, error_threshold=value)
+
+
+@pytest.mark.parametrize("value", (np.float32(0.5), 1, np.int64(0), Fraction(1, 4)), ids=repr)
+def test_real_thresholds_are_stored_as_floats(value):
+    params = ProtocolParams(Variant.TWO_TP, n=3, d=13, r=5, l=8, error_threshold=value)
+    assert type(params.error_threshold) is float and params.error_threshold == value
 
 
 def test_numpy_integers_are_stored_as_ints():
@@ -294,25 +313,11 @@ def test_score_ranking_handles_single_party():
     assert tp_compute_result((4,), (1,)).ranking == ((0,),)
 
 
-def test_score_ranking_rejects_length_mismatch():
-    with pytest.raises(ParameterError):
-        tp_compute_result((1, 2), (0,))
-
-
 def test_rank_descending_matches_pairwise_oracle():
     rng = np.random.default_rng(12)
     for _ in range(300):
         values = [int(v) for v in rng.integers(0, 5, size=rng.integers(1, 7))]
         assert rank_descending(values) == ranking_oracle(values)
-
-
-def test_comparison_outcome_consistency_is_enforced():
-    with pytest.raises(ParameterError):
-        ComparisonOutcome(ranking=((0,), (1,)), scores=(1, 2), aborted_at=None)
-    with pytest.raises(ParameterError):
-        ComparisonOutcome(ranking=((0,),), scores=(1,), aborted_at="step3")
-    with pytest.raises(ParameterError):
-        ComparisonOutcome(ranking=None, scores=None, aborted_at=None)
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +379,7 @@ def test_honest_runs_rank_correctly_on_sampled_small_instances(data):
         _, outcome = run_one_tp_protocol(params, secrets, key, None, np.random.default_rng(seed))
     assert outcome.completed
     assert outcome.ranking == ranking_oracle(secrets)
+    assert outcome.ranking == rank_descending(outcome.scores)
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +393,31 @@ def test_runners_validate_secret_vectors():
         run_two_tp_protocol(TWO_TP, (1, 2, 5), None, np.random.default_rng(0))
     with pytest.raises(ParameterError):
         run_one_tp_protocol(ONE_TP, (1, 2, 3), 5, None, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "secrets", [(0.7, 1.2, 3), (True, False, 1), (1, 2, "3"), (1.0, 2, 3), "123", 5, None], ids=repr
+)
+def test_runners_refuse_a_secret_that_is_not_an_integer(secrets):
+    # (0.7, 1.2, 3) used to run as (0, 1, 3), and (True, False, 1) as (1, 0, 1)
+    with pytest.raises(ParameterError, match="^secrets must be"):
+        run_two_tp_protocol(TWO_TP, secrets, None, np.random.default_rng(0))
+    with pytest.raises(ParameterError, match="^secrets must be"):
+        run_one_tp_protocol(ONE_TP, secrets, 1, None, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("key", [1.7, 1.0, True, "1", None, [1]], ids=repr)
+def test_the_one_tp_runner_refuses_a_key_that_is_not_an_integer(key):
+    # a key of 1.7 used to run as 1
+    with pytest.raises(ParameterError, match="^shared_key must be"):
+        run_one_tp_protocol(ONE_TP, (1, 2, 3), key, None, np.random.default_rng(0))
+
+
+def test_runners_take_numpy_integers_as_ints():
+    def run(secrets, key):
+        return run_one_tp_protocol(ONE_TP, secrets, key, None, np.random.default_rng(4))[0].to_json()
+
+    assert run(np.array([1, 2, 3]), np.int64(2)) == run((1, 2, 3), 2)
 
 
 def test_runners_reject_params_for_the_other_variant():

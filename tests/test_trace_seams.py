@@ -8,11 +8,20 @@ tracer edit and a library edit each have to agree with it.
 """
 from __future__ import annotations
 
+import json
+import math
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from qpc_sim import adversary, cli, harness, protocol, qudit
 from qpc_sim.adversary import AttackStrategy
 from qpc_sim.channel import ClassicalBus, Transcript
+
+ROOT = Path(__file__).resolve().parents[1]
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 SEAMS = [
     (protocol, "measure"),
@@ -83,3 +92,19 @@ def test_an_honest_run_passes_each_qudit_through_the_traced_seams(monkeypatch):
     assert calls["basis_state"] == config.trials * config.n * (2 * config.l + 1)
     assert calls["measure"] == checked + config.trials * config.n
     assert calls["events"] >= config.trials
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in SPEC["workloads"]])
+def test_a_traced_benchmark_run_reports_every_layer_metric(workload):
+    # every contract workload, not only the one the benchmark's own tests trace: a seam that
+    # stops firing on its workload leaves that metric null, which no untraced run would show
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1", "--seconds", "0.1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=170,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    values = {name: metric["value"] for name, metric in result["metrics"].items()}
+    assert set(values) == {m["name"] for m in SPEC["per_layer"]}
+    assert not [name for name, value in values.items() if not (isinstance(value, float) and math.isfinite(value))]
