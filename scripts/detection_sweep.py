@@ -26,6 +26,7 @@ from qpc_sim import (
     ATTACK_IDS,
     ExperimentConfig,
     ParameterError,
+    Variant,
     per_decoy_detection_probability,
     strategy_from_id,
     sweep,
@@ -44,8 +45,8 @@ AXIS = ("variant", "attack", "d", "r")
 def cell_values(dims: list[int]) -> list[tuple[str, str, int, int]]:
     """Every cell's (variant, attack, d, r), variant slowest and d fastest; r is 2, or 1 at d=2, where two-tp needs it."""
     return [
-        (variant, attack, d, 1 if d < 3 else 2)
-        for variant in ("two-tp", "one-tp")
+        (variant.value, attack, d, 1 if d < 3 else 2)
+        for variant in Variant
         for attack in ACTIVE_ATTACKS
         for d in dims
     ]

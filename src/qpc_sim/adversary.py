@@ -1,17 +1,14 @@
 """Attack strategies, their analytic detection rates, and privacy audits.
 
-Each attack id is one row of data: the links it taps (a pattern over whole
-link labels, or none for a passive strategy), the basis it measures in (or a
-fair coin per qudit) and the role whose view records its taps. Active rows
-measure qudits in flight and resend the collapsed state: an outsider on every
-link, or a third party on the hop its role does not terminate. Passive rows
-just read the public classical bus. The per-decoy flag probability reads the
-row's basis, the tapped-decoy count counts the run's links it taps, and a
-two-tp insider is rejected on one-tp because its owner is not a role of
-that wiring. On top of that, coalition views and a closed-form
-support interval quantify what any allowed group of roles can infer about a
-single party's secret; the brute-force enumeration of that support is the
-test oracle.
+Each attack id is one row of data: whether it is active, the basis it
+measures in (or a fair coin per qudit) and its owner, the role whose view
+records its taps. Active rows measure qudits in flight and resend the
+collapsed state, on the links ``protocol.run_links`` gives them from the
+wiring; passive rows just read the public classical bus. A two-tp insider is
+rejected on one-tp because its owner is not a role of that wiring. Coalition
+views and a closed-form support interval quantify what any allowed group of
+roles can infer about a single party's secret; the brute-force enumeration
+of that support is the test oracle.
 """
 from __future__ import annotations
 
@@ -32,6 +29,7 @@ from .protocol import (
     TP2_ROLE,
     Variant,
     _plain_int,
+    pad_sum_range,
     party_role,
     run_links,
 )
@@ -48,24 +46,16 @@ _MEMO_SIZE = 128
 
 @dataclass(frozen=True)
 class AttackStrategy:
-    """One adversary as a row: which links it taps, in which basis, and who sees the results.
+    """One adversary as a row: whether it taps, in which basis, and who owns it and sees the results.
 
-    ``links`` is matched against whole link labels; ``None`` makes the
-    strategy passive. ``basis`` ``None`` means a fair coin per qudit.
+    ``protocol.run_links`` decides which links an active strategy taps from
+    its owner. ``basis`` ``None`` means a fair coin per qudit.
     """
 
     id: str
-    links: re.Pattern[str] | None = None
+    active: bool = False
     basis: Basis | None = None
     owner: str = OUTSIDER
-
-    @property
-    def active(self) -> bool:
-        return self.links is not None
-
-    def taps_link(self, link_label: str) -> bool:
-        """Whether this strategy measures qudits crossing the given link."""
-        return self.links is not None and self.links.fullmatch(link_label) is not None
 
     def tap(
         self,
@@ -93,20 +83,15 @@ class AttackStrategy:
         return outcome.post_state
 
 
-_EVERY_LINK = re.compile(r"\w+->\w+")
-
-# An insider taps the hop its role does not terminate: the preparing TP the
-# encoded second hop, the measuring TP the first hop. On one-tp the lone TP
-# terminates both hops, so neither pattern matches a link there.
 _STRATEGIES: dict[str, AttackStrategy] = {
     s.id: s
     for s in (
         AttackStrategy("none"),
-        AttackStrategy("ir-fixed-t1", _EVERY_LINK, Basis.COMPUTATIONAL),
-        AttackStrategy("ir-fixed-t2", _EVERY_LINK, Basis.FOURIER),
-        AttackStrategy("ir-random", _EVERY_LINK),
-        AttackStrategy("tp1-mr", re.compile(r"P\d+->TP2"), Basis.COMPUTATIONAL, TP1_ROLE),
-        AttackStrategy("tp2-mr", re.compile(r"TP1->P\d+"), Basis.COMPUTATIONAL, TP2_ROLE),
+        AttackStrategy("ir-fixed-t1", True, Basis.COMPUTATIONAL),
+        AttackStrategy("ir-fixed-t2", True, Basis.FOURIER),
+        AttackStrategy("ir-random", True),
+        AttackStrategy("tp1-mr", True, Basis.COMPUTATIONAL, TP1_ROLE),
+        AttackStrategy("tp2-mr", True, Basis.COMPUTATIONAL, TP2_ROLE),
         AttackStrategy("outsider-classical"),
     )
 }
@@ -149,8 +134,11 @@ def per_decoy_detection_probability(
     restricts to decoys known to be prepared in it, e.g. the Fourier-only
     phase of the second-hop check.
     """
-    if d < 2:
-        raise ParameterError(f"dimension must be >= 2, got {d}")
+    d = _plain_int(d)
+    if type(d) is not int or d < 2:
+        raise ParameterError(f"dimension must be an integer >= 2, got {d!r}")
+    if decoy_basis is not None and type(decoy_basis) is not Basis:
+        raise ParameterError(f"decoy_basis must be a Basis or None, got {decoy_basis!r}")
     if not strategy.active:
         raise ParameterError(f"{strategy.id} never touches a qudit; no detection probability")
     if decoy_basis is not None:
@@ -238,6 +226,11 @@ def allowed_coalitions(variant: Variant, n: int, target: int) -> tuple[Coalition
     Each TP of the wiring alone, in ``WIRING`` order, then every non-empty group of
     the other parties, smallest first, in ``combinations`` order by party index.
     """
+    if type(variant) is not Variant:
+        raise ParameterError(f"variant must be a Variant, got {variant!r}")
+    n = _plain_int(n)
+    if type(n) is not int:
+        raise ParameterError(f"n must be an integer, got {n!r}")
     if not 0 <= target < n:
         raise ParameterError(f"target index {target} out of range for n={n}")
     others = [party_role(i) for i in range(n) if i != target]
@@ -331,7 +324,7 @@ def secret_support(view: View, params: ProtocolParams) -> SecretSupport:
     ``params`` is an error, not a fact. The brute-force enumeration of pad x
     run constant x key is the test oracle.
     """
-    target, r, d = view.target, params.r, params.d
+    target, r, d, sums = view.target, params.r, params.d, pad_sum_range(params)
     x = y = k = c = m = q = None
     for event in _fact_events(view.events):
         kind = event["kind"]
@@ -351,7 +344,7 @@ def secret_support(view: View, params: ProtocolParams) -> SecretSupport:
         elif kind == "shared_key":
             k = event["value"]
     x_lo, x_hi = (0, r - 1) if x is None else (x, x)
-    y_lo, y_hi = (r - 1, d - 1) if y is None else (y, y)  # pad_sum_range
+    y_lo, y_hi = (sums.start, sums.stop - 1) if y is None else (y, y)
     k_lo, k_hi = (0, 0) if params.variant is Variant.TWO_TP else (0, r - 1) if k is None else (k, k)
     c_lo, c_hi = (0, d - 1) if c is None else (max(c, 0), min(c, d - 1))
     m_lo, m_hi = (-math.inf, d - 1) if m is None else (m, min(m, d - 1))

@@ -25,7 +25,7 @@ from .harness import (
     run_experiment,
     sweep,
 )
-from .protocol import MAX_DIM
+from .protocol import MAX_DIM, Variant
 from .qudit import ParameterError
 
 EXIT_OK = 0
@@ -38,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qpc-sim",
         description="Monte-Carlo simulator for d-level single-particle private-comparison protocols.",
     )
-    parser.add_argument("--variant", required=True, choices=["two-tp", "one-tp"])
+    parser.add_argument("--variant", required=True, choices=[v.value for v in Variant])
     parser.add_argument("--n", type=int, required=True, help="number of comparing parties")
     parser.add_argument("--d", type=int, required=True, help=f"qudit dimension, at most {MAX_DIM}")
     parser.add_argument("--r", type=int, required=True, help="secrets lie in [0, r)")

@@ -300,7 +300,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 @dataclass
 class SweepCell:
-    """One cell of a sweep: either a finished report or a skip reason."""
+    """One cell of a sweep: either a finished report or a skip reason; ``value`` is stored as ``config`` stores it."""
 
     axis: str | tuple[str, ...]
     value: object
@@ -335,14 +335,15 @@ def sweep(base: ExperimentConfig, axis: str | tuple[str, ...], values: Sequence)
     names = (axis,) if isinstance(axis, str) else tuple(axis)
     if not names or any(name not in _SWEEP_FIELDS for name in names):
         raise ParameterError(f"sweep axis must name fields among {', '.join(_SWEEP_FIELDS)}; got {axis!r}")
-    settings = [(value, (value,) if isinstance(axis, str) else value) for value in values]
-    for value, setting in settings:
+    settings = [(value,) if isinstance(axis, str) else value for value in values]
+    for setting in settings:
         if not isinstance(setting, tuple) or len(setting) != len(names):
-            raise ParameterError(f"a value of sweep axis {axis!r} is a tuple of {len(names)} items, got {value!r}")
+            raise ParameterError(f"a value of sweep axis {axis!r} is a tuple of {len(names)} items, got {setting!r}")
     cells: list[SweepCell] = []
-    for index, (value, setting) in enumerate(settings):
+    for index, setting in enumerate(settings):
         cell_seed = derive_cell_seed(base.seed, index)
         cfg = dataclasses.replace(base, **dict(zip(names, setting)), seed=cell_seed)
+        value = getattr(cfg, axis) if isinstance(axis, str) else tuple(getattr(cfg, name) for name in names)
         cell = SweepCell(axis=axis, value=value, seed=cell_seed, config=cfg.to_dict())
         try:
             cfg.validate()

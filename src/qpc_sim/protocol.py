@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 import numpy as np
 
 from .channel import (
+    OUTSIDER,
     PUBLIC,
     ClassicalBus,
     QuantumLink,
@@ -303,17 +304,17 @@ def run_links(
 ) -> tuple[list[QuantumLink], list[QuantumLink]]:
     """The run's n preparer->party links and n party->measurer links, each in party order.
 
-    A link carries the adversary as its tapper exactly when the adversary taps its label.
+    Only an active adversary taps, and only from the wiring: an outsider taps
+    every link, and a third party of this wiring taps exactly the links it is
+    not an end of. Any other owner taps nothing.
     """
-    preparer, measurer = WIRING[params.variant]
-    parties = [party_role(i) for i in range(params.n)]
+    preparer, measurer = wiring = WIRING[params.variant]
+    taps = adversary is not None and adversary.active and adversary.owner in (OUTSIDER, *wiring)
 
     def link(sender: str, receiver: str) -> QuantumLink:
-        untapped = QuantumLink(sender, receiver)
-        if adversary is not None and adversary.taps_link(untapped.label):
-            return QuantumLink(sender, receiver, adversary)
-        return untapped
+        return QuantumLink(sender, receiver, adversary if taps and adversary.owner not in (sender, receiver) else None)
 
+    parties = [party_role(i) for i in range(params.n)]
     return [link(preparer, p) for p in parties], [link(p, measurer) for p in parties]
 
 

@@ -82,28 +82,49 @@ def test_owners_and_activity():
 # link selection
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("attack_id", ["ir-fixed-t1", "ir-fixed-t2", "ir-random"])
-@pytest.mark.parametrize("label", ["TP1->P1", "P3->TP2", "TP->P2", "P2->TP"])
-def test_outsider_intercepts_tap_every_quantum_link(attack_id, label):
-    assert strategy_from_id(attack_id).taps_link(label)
+#: The preparer and measurer of each wiring, written out independently of ``WIRING``.
+_ENDS = {Variant.TWO_TP: ("TP1", "TP2"), Variant.ONE_TP: ("TP", "TP")}
+
+#: Hops each attack taps on each wiring: "first" is preparer -> party, "second" is party -> measurer.
+_TAPPED_HOPS = {
+    ("none", Variant.TWO_TP): (),
+    ("none", Variant.ONE_TP): (),
+    ("ir-fixed-t1", Variant.TWO_TP): ("first", "second"),
+    ("ir-fixed-t1", Variant.ONE_TP): ("first", "second"),
+    ("ir-fixed-t2", Variant.TWO_TP): ("first", "second"),
+    ("ir-fixed-t2", Variant.ONE_TP): ("first", "second"),
+    ("ir-random", Variant.TWO_TP): ("first", "second"),
+    ("ir-random", Variant.ONE_TP): ("first", "second"),
+    ("tp1-mr", Variant.TWO_TP): ("second",),  # the preparing TP taps the encoded hop it does not terminate
+    ("tp1-mr", Variant.ONE_TP): (),  # the lone TP terminates both hops
+    ("tp2-mr", Variant.TWO_TP): ("first",),  # the measuring TP taps the hop before encoding
+    ("tp2-mr", Variant.ONE_TP): (),
+    ("outsider-classical", Variant.TWO_TP): (),
+    ("outsider-classical", Variant.ONE_TP): (),
+}
 
 
-def test_insider_taps_cover_only_the_opposite_hop():
-    tp1 = strategy_from_id("tp1-mr")
-    assert tp1.taps_link("P1->TP2") and tp1.taps_link("P12->TP2")
-    assert not tp1.taps_link("TP1->P1")
-    assert not tp1.taps_link("P1->TP") and not tp1.taps_link("TP->P1")
-
-    tp2 = strategy_from_id("tp2-mr")
-    assert tp2.taps_link("TP1->P3")
-    assert not tp2.taps_link("P3->TP2")
-    assert not tp2.taps_link("TP->P3") and not tp2.taps_link("P3->TP")
+def test_the_tapped_hop_table_covers_every_attack_on_every_wiring():
+    assert set(_TAPPED_HOPS) == set(itertools.product(ATTACK_IDS, Variant))
 
 
-def test_passive_strategies_tap_nothing():
-    for attack_id in ("none", "outsider-classical"):
-        strategy = strategy_from_id(attack_id)
-        assert not any(strategy.taps_link(label) for label in ("TP1->P1", "P1->TP2", "TP->P1"))
+@pytest.mark.parametrize("n", [2, 3, 12])
+@pytest.mark.parametrize("attack_id, variant", list(_TAPPED_HOPS))
+def test_run_links_tap_exactly_the_hops_of_the_table(attack_id, variant, n):
+    # ProtocolParams directly, so the insiders are also checked on one-tp, where validate refuses them
+    params = ProtocolParams(variant, n=n, d=17, r=5, l=1)
+    strategy = strategy_from_id(attack_id)
+    preparer, measurer = _ENDS[variant]
+    labels = {
+        "first": {f"{preparer}->P{i}" for i in range(1, n + 1)},
+        "second": {f"P{i}->{measurer}" for i in range(1, n + 1)},
+    }
+    expected = set().union(*(labels[hop] for hop in _TAPPED_HOPS[attack_id, variant]))
+    links = list(itertools.chain(*run_links(params, strategy)))
+    assert len(links) == 2 * n
+    assert {link.label for link in links if link.tapper is strategy} == expected
+    assert all(link.tapper is None for link in links if link.label not in expected)
+    assert tapped_checked_decoys(strategy, params) == params.l * len(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +222,25 @@ def test_per_decoy_rate_rejects_passive_strategies_and_bad_dimensions():
         per_decoy_detection_probability(strategy_from_id("ir-random"), 1)
 
 
+@pytest.mark.parametrize("d", [2.5, 4.0, True, "4", None])
+def test_per_decoy_rate_refuses_a_dimension_that_is_not_an_integer(d):
+    with pytest.raises(ParameterError, match="dimension must be an integer"):
+        per_decoy_detection_probability(strategy_from_id("ir-random"), d)
+
+
+@pytest.mark.parametrize("decoy_basis", ["computational", "fourier", 0, True])
+def test_per_decoy_rate_refuses_a_decoy_basis_that_is_not_a_basis(decoy_basis):
+    # the string named a basis but was compared by identity, so it read as the conjugate basis: 0.75, not 0.0
+    with pytest.raises(ParameterError, match="decoy_basis must be a Basis"):
+        per_decoy_detection_probability(strategy_from_id("tp1-mr"), 4, decoy_basis)
+
+
+def test_per_decoy_rate_takes_numpy_integer_dimensions():
+    strategy = strategy_from_id("tp1-mr")
+    assert per_decoy_detection_probability(strategy, np.int64(4), Basis.FOURIER) == pytest.approx(0.75)
+    assert per_decoy_detection_probability(strategy, np.uint8(4)) == per_decoy_detection_probability(strategy, 4)
+
+
 def test_tapped_decoy_counts():
     assert tapped_checked_decoys(strategy_from_id("ir-random"), TWO_TP) == 48
     assert tapped_checked_decoys(strategy_from_id("ir-fixed-t2"), TWO_TP) == 48
@@ -212,22 +252,6 @@ def test_tapped_decoy_counts():
     assert tapped_checked_decoys(strategy_from_id("ir-random"), ONE_TP) == 48
     assert tapped_checked_decoys(strategy_from_id("tp1-mr"), ONE_TP) == 0
     assert tapped_checked_decoys(strategy_from_id("tp2-mr"), ONE_TP) == 0
-
-
-def test_run_links_carry_the_strategy_exactly_on_the_links_it_taps():
-    validated = 0
-    for variant, attack in itertools.product(("two-tp", "one-tp"), ATTACK_IDS):
-        config = ExperimentConfig(variant=variant, n=3, d=17, r=5, l=8, attack=attack)
-        try:
-            params, strategy = config.validate()
-        except ParameterError:
-            continue
-        validated += 1
-        for link in itertools.chain(*run_links(params, strategy)):
-            assert (link.tapper is strategy) == strategy.taps_link(link.label), (variant, attack, link.label)
-            assert link.tapper in (None, strategy)
-    # every attack on two-tp; one-tp refuses the two insiders
-    assert validated == 2 * len(ATTACK_IDS) - 2
 
 
 def _tap_oracle_cases():
@@ -252,7 +276,10 @@ def test_tapped_decoy_count_matches_the_checks_a_run_makes(config):
     checks = [e for e in events if e["kind"] == "decoy_check"]
     # every link that carried qudits was checked
     assert {e["link"] for e in checks} == {e["link"] for e in events if e["kind"] == "transmit"}
-    counted = sum(e["checked"] for e in checks if strategy.taps_link(e["link"]))
+    # the oracle is the run itself: a link is tapped when the transcript holds a tap on it
+    tapped = {e["link"] for e in events if e["kind"] == "tap"}
+    assert len([e for e in events if e["kind"] == "tap"]) == len(tapped) * (params.l + 1)
+    counted = sum(e["checked"] for e in checks if e["link"] in tapped)
     assert counted == tapped_checked_decoys(strategy, params)
 
 
@@ -466,6 +493,23 @@ def test_allowed_coalitions_count(variant, tps, n):
 def test_allowed_coalitions_reject_a_target_outside_the_run(target):
     with pytest.raises(ParameterError, match="out of range"):
         allowed_coalitions(Variant.TWO_TP, 3, target)
+
+
+@pytest.mark.parametrize("variant", ["two-tp", "one-tp", None, 0])
+def test_allowed_coalitions_refuse_a_variant_that_is_not_a_variant(variant):
+    with pytest.raises(ParameterError, match="variant must be a Variant"):
+        allowed_coalitions(variant, 3, 0)
+
+
+@pytest.mark.parametrize("n", [3.0, True, "3", None])
+def test_allowed_coalitions_refuse_an_n_that_is_not_an_integer(n):
+    # n=True used to audit a one-party run
+    with pytest.raises(ParameterError, match="n must be an integer"):
+        allowed_coalitions(Variant.TWO_TP, n, 0)
+
+
+def test_allowed_coalitions_take_a_numpy_integer_n():
+    assert allowed_coalitions(Variant.ONE_TP, np.int64(3), 1) == allowed_coalitions(Variant.ONE_TP, 3, 1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -405,6 +405,24 @@ def test_sweep_over_attacks_skips_inapplicable_insiders():
     assert "does not apply" in cells[2].skipped
 
 
+def test_sweep_cells_store_the_value_as_their_config_does():
+    base = ExperimentConfig(variant="two-tp", n=2, d=5, r=2, l=1, trials=2, seed=0)
+    cases = [
+        ("n", np.arange(2, 4), [2, 3]),
+        (("d", "r"), [(np.int64(5), 2), (7, np.int64(3))], [(5, 2), (7, 3)]),
+        ("variant", [Variant.ONE_TP, "two-tp"], ["one-tp", "two-tp"]),
+    ]
+    for axis, values, stored in cases:
+        cells = sweep(base, axis, values)
+        assert [cell.value for cell in cells] == stored
+        names = (axis,) if isinstance(axis, str) else axis
+        assert [tuple(cell.config[name] for name in names) for cell in cells] == [
+            (value,) if isinstance(axis, str) else value for value in stored
+        ]
+        # np.int64(5) == 5, but json.dumps raised TypeError on a numpy integer or a Variant left in a value
+        json.dumps([cell.to_dict() for cell in cells])
+
+
 def test_sweep_edge_cases():
     base = ExperimentConfig(variant="two-tp", n=2, d=5, r=2, l=2, trials=3, seed=0)
     assert sweep(base, "l", []) == []
