@@ -16,12 +16,13 @@ import functools
 import itertools
 import math
 import re
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .channel import OUTSIDER, Transcript
+from .channel import OUTSIDER, PUBLIC, Event, Transcript
 from .protocol import (
     WIRING,
     ProtocolParams,
@@ -40,7 +41,7 @@ measure = BasisLabel.measure
 
 _TP_ROLES = frozenset().union(*WIRING.values())
 _PARTY_RE = re.compile(r"P[1-9]\d*")
-#: Entries each audit memo keeps (member sets, run role sets, views' fact events): every role set of an n=7 audit.
+#: Entries each coalition memo keeps (member sets, run role sets): every role set of an n=7 audit.
 _MEMO_SIZE = 128
 
 
@@ -111,6 +112,12 @@ def strategy_from_id(attack_id: str) -> AttackStrategy:
 # detection analytics
 # --------------------------------------------------------------------------
 
+def _expect(value: object, kind: type, name: str) -> None:
+    """Refuse an argument of the wrong type with ``ParameterError``, before it fails deeper in."""
+    if not isinstance(value, kind):
+        raise ParameterError(f"{name} must be of type {kind.__name__}, got {value!r}")
+
+
 def _flag_probability(strategy: AttackStrategy, d: int, prepared: Basis) -> float:
     """Chance that one decoy prepared in ``prepared`` is flagged by its check.
 
@@ -134,6 +141,7 @@ def per_decoy_detection_probability(
     restricts to decoys known to be prepared in it, e.g. the Fourier-only
     phase of the second-hop check.
     """
+    _expect(strategy, AttackStrategy, "strategy")
     d = _plain_int(d)
     if type(d) is not int or d < 2:
         raise ParameterError(f"dimension must be an integer >= 2, got {d!r}")
@@ -150,6 +158,8 @@ def per_decoy_detection_probability(
 
 def tapped_checked_decoys(strategy: AttackStrategy, params: ProtocolParams) -> int:
     """How many checked decoys per run cross a link the strategy taps: l per tapped link of the run."""
+    _expect(strategy, AttackStrategy, "strategy")
+    _expect(params, ProtocolParams, "params")
     first_links, second_links = run_links(params, strategy)
     return params.l * sum(link.tapper is not None for link in first_links + second_links)
 
@@ -161,6 +171,7 @@ def analytic_abort_probability(strategy: AttackStrategy, params: ProtocolParams)
     a run survives only if every tapped-and-checked decoy stays silent:
     abort = 1 - (1 - p)^D over the D such decoys.
     """
+    _expect(params, ProtocolParams, "params")
     if params.error_threshold != 0.0:
         raise ParameterError("the analytic abort composition assumes error_threshold = 0")
     count = tapped_checked_decoys(strategy, params)
@@ -231,6 +242,9 @@ def allowed_coalitions(variant: Variant, n: int, target: int) -> tuple[Coalition
     n = _plain_int(n)
     if type(n) is not int:
         raise ParameterError(f"n must be an integer, got {n!r}")
+    target = _plain_int(target)
+    if type(target) is not int:
+        raise ParameterError(f"target must be a 0-based party index, got {target!r}")
     if not 0 <= target < n:
         raise ParameterError(f"target index {target} out of range for n={n}")
     others = [party_role(i) for i in range(n) if i != target]
@@ -247,20 +261,25 @@ def _run_roles(variant: str, n: int) -> frozenset[str]:
 
 
 class View(NamedTuple):
-    """Everything a coalition observed in one run: members' events plus the public bus."""
+    """What a coalition observed in one run: the public events plus each member's own, merged only when read."""
 
-    events: tuple[dict, ...]
+    transcript: Transcript
+    members: frozenset[str]
     target: int
+
+    @property
+    def events(self) -> list[Event]:
+        return self.transcript.view(*self.members)
 
 
 def coalition_view(transcript: Transcript, coalition: Coalition) -> View:
-    """The members' merged transcript view: public events plus any member's own, each once, in order.
+    """The coalition's view of ``transcript``: the public events plus any member's own, each once, in order.
 
-    The events are the transcript's shared read-only records, not copies, in
-    the tuple the transcript keeps for this role set until its next write, so
-    every coalition with these members shares one tuple. A run header, if
-    present, bounds the target and the party members.
+    Nothing is merged here; ``View.events`` reads the transcript when asked.
+    A run header, if present, bounds the target and the party members.
     """
+    _expect(transcript, Transcript, "transcript")
+    _expect(coalition, Coalition, "coalition")
     for header in transcript.events():
         if header["kind"] == "run_header":
             break
@@ -274,7 +293,7 @@ def coalition_view(transcript: Transcript, coalition: Coalition) -> View:
         if not coalition.members <= roles:
             absent = min(coalition.members - roles)
             raise ParameterError(f"coalition member {absent} does not exist in a {variant} n={n} run")
-    return View(events=transcript._view(coalition.members), target=coalition.target)
+    return View(transcript, coalition.members, coalition.target)
 
 
 @dataclass(frozen=True)
@@ -286,35 +305,38 @@ class SecretSupport:
 
 
 _FACT_KINDS = frozenset({"run_header", "carrier_prep", "carrier_measurement", "score_computation", "shared_key"})
-# id(events) -> (events, their fact events); holding the tuple keeps its id from being reused
-_facts: dict[int, tuple[tuple[dict, ...], tuple[dict, ...]]] = {}
+# transcript -> (its events when indexed, role -> seqs of the fact events it sees, supports found so far)
+_fact_indexes: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _fact_events(events: tuple[dict, ...]) -> tuple[dict, ...]:
-    """The events of a view that can carry a fact about a party, in view order, found once per view tuple.
+def _fact_index(transcript: Transcript) -> tuple[list[Event], dict[str, frozenset[int]], dict]:
+    """The ``seq`` numbers of the fact events each role sees, public ones included, from one pass over the log.
 
-    These are the run header, the preparer's carrier record, the pad
+    Facts are the run header, the preparer's carrier record, the pad
     announcement, the measurer's carrier records and scores, and the shared
     key. The ordering announcement is deliberately not one: the ranking is
     the protocol's declared output, so the audit measures leakage *beyond* it.
+    The index is built again once the log has grown.
     """
-    if type(events) is not tuple:
-        events = tuple(events)  # a list could change under its id
-    found = _facts.get(id(events))
-    if found is None:
-        facts = tuple(
-            e for e in events
-            if e["kind"] in _FACT_KINDS or (e["kind"] == "classical" and e["message"]["kind"] == "pad_announcement")
-        )
-        if len(_facts) >= _MEMO_SIZE:
-            _facts.clear()
-        found = _facts[id(events)] = (events, facts)
-    return found[1]
+    entry = _fact_indexes.get(transcript)
+    if entry is None or len(entry[0]) != len(transcript):
+        events, roles = transcript.events(), {}
+        for e in events:
+            if e["kind"] in _FACT_KINDS or (e["kind"] == "classical" and e["message"]["kind"] == "pad_announcement"):
+                for role in e["observers"]:
+                    roles.setdefault(role, set()).add(e["seq"])
+        public = roles.get(PUBLIC, set())
+        roles = {role: frozenset(public | seqs) for role, seqs in roles.items()}
+        entry = _fact_indexes[transcript] = (events, roles, {})
+    return entry
 
 
 def secret_support(view: View, params: ProtocolParams) -> SecretSupport:
-    """The target secrets consistent with the view's numeric facts: one closed-form interval.
+    """The target secrets consistent with the coalition's numeric facts: one closed-form interval.
 
+    The coalition's facts are the public ones plus its members' own, taken
+    from the transcript's fact index in ``seq`` order; coalitions with the
+    same facts, target and (variant, d, r) share one interval per transcript.
     Unknowns: pad x in [0, r), run constant y in ``pad_sum_range``, key k (0 on
     two-tp, [0, r) on one-tp) and secret s in [0, r); an observation pins its
     unknown, and a later one of the same unknown wins. With t = s + k the
@@ -324,9 +346,19 @@ def secret_support(view: View, params: ProtocolParams) -> SecretSupport:
     ``params`` is an error, not a fact. The brute-force enumeration of pad x
     run constant x key is the test oracle.
     """
+    _expect(view, View, "view")
+    _expect(view.transcript, Transcript, "view.transcript")
+    _expect(params, ProtocolParams, "params")
+    events, roles, supports = _fact_index(view.transcript)
+    seen = [roles[m] for m in view.members if m in roles] or [roles.get(PUBLIC, frozenset())]
+    seqs = seen[0].union(*seen[1:]) if len(seen) > 1 else seen[0]
+    key = (seqs, view.target, params.variant, params.d, params.r)
+    found = supports.get(key)
+    if found is not None:
+        return found
     target, r, d, sums = view.target, params.r, params.d, pad_sum_range(params)
     x = y = k = c = m = q = None
-    for event in _fact_events(view.events):
+    for event in map(events.__getitem__, sorted(seqs)):
         kind = event["kind"]
         if kind == "run_header":
             ran, given = (event["variant"], event["d"], event["r"]), (params.variant.value, d, r)
@@ -358,4 +390,5 @@ def secret_support(view: View, params: ProtocolParams) -> SecretSupport:
     lo, hi = max(0, t_lo - k_hi), min(r - 1, t_hi - k_lo)
     if c_lo > c_hi or x_lo > x_hi or m_lo > m_hi or t_lo > t_hi:
         hi = lo - 1  # no assignment explains the facts
-    return SecretSupport(target=target, candidates=frozenset(range(lo, hi + 1)))
+    found = supports[key] = SecretSupport(target=target, candidates=frozenset(range(lo, hi + 1)))
+    return found

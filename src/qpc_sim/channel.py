@@ -27,9 +27,6 @@ PUBLIC = "*"
 #: Role id of a passive outside eavesdropper (sees exactly the public events).
 OUTSIDER = "EVE"
 
-#: Merged views a transcript keeps between writes: every role set an n=7 audit asks for.
-_VIEWS_KEPT = 128
-
 
 class TransmissionError(RuntimeError):
     """A qudit handle was used after being consumed (no-cloning discipline)."""
@@ -104,9 +101,7 @@ class Transcript:
     Each event is recorded once as a read-only :class:`Event` and every read
     shares it. ``view(*roles)`` returns exactly the events those roles observe,
     in ``seq`` order; it reads a per-role index of ``seq`` numbers that the
-    first read after a write extends, so recording does no index work. Each
-    role set's merged view is kept until that index next grows, so asking
-    again, as an audit of many coalitions does, costs one lookup.
+    first read after a write extends, so recording does no index work.
     :meth:`to_json` serializes the whole log canonically (sorted keys, fixed
     separators).
     """
@@ -115,7 +110,6 @@ class Transcript:
         self._events: list[Event] = []
         self._seqs: dict[str, list[int]] = {}
         self._indexed = 0
-        self._views: dict[frozenset[str], tuple[Event, ...]] = {}
 
     def record(self, observers: Iterable[str] | str, kind: str, step: str | None = None, **payload) -> None:
         payload["seq"] = len(self._events)
@@ -124,6 +118,9 @@ class Transcript:
         if step is not None:
             payload["step"] = step
         self._events.append(Event(payload))
+
+    def __len__(self) -> int:
+        return len(self._events)
 
     def events(self) -> list[Event]:
         """God's-eye list of the full log (analysis only, not a role's view); the events are shared."""
@@ -134,26 +131,15 @@ class Transcript:
 
         ``view()`` is what a passive outsider reads; an active one also knows its taps, ``view(OUTSIDER)``.
         The list is the caller's own; the events in it are shared."""
-        return list(self._view(frozenset(roles)))
-
-    def _view(self, roles: frozenset[str]) -> tuple[Event, ...]:
-        """The merged view of ``roles``, shared by every read of that set until a write is indexed."""
-        events, index, views = self._events, self._seqs, self._views
-        if self._indexed < len(events):
-            for seq in range(self._indexed, len(events)):
-                for role in events[seq]["observers"]:
-                    index.setdefault(role, []).append(seq)
-            self._indexed = len(events)
-            views.clear()
-        merged = views.get(roles)
-        if merged is None:
-            seqs = set(index.get(PUBLIC, ()))
-            for role in roles:
-                seqs.update(index.get(role, ()))
-            if len(views) >= _VIEWS_KEPT:
-                views.clear()
-            merged = views[roles] = tuple(map(events.__getitem__, sorted(seqs)))
-        return merged
+        events, index = self._events, self._seqs
+        for seq in range(self._indexed, len(events)):
+            for role in events[seq]["observers"]:
+                index.setdefault(role, []).append(seq)
+        self._indexed = len(events)
+        seqs = set(index.get(PUBLIC, ()))
+        for role in roles:
+            seqs.update(index.get(role, ()))
+        return list(map(events.__getitem__, sorted(seqs)))
 
     def to_json(self) -> str:
         return json.dumps(self._events, sort_keys=True, separators=(",", ":"))

@@ -4,6 +4,7 @@ closed-form support is checked against a brute-force oracle."""
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 import numpy as np
@@ -31,8 +32,8 @@ from qpc_sim import (
     strategy_from_id,
     tapped_checked_decoys,
 )
-from qpc_sim.adversary import _MEMO_SIZE, View
-from qpc_sim.channel import OUTSIDER, PUBLIC, Transcript
+from qpc_sim.adversary import View
+from qpc_sim.channel import OUTSIDER, PUBLIC, ClassicalBus, Transcript
 from qpc_sim.protocol import pad_sum_range, run_links
 from qpc_sim.qudit import Basis, BasisLabel
 
@@ -297,6 +298,32 @@ def test_analytic_abort_probability_requires_zero_threshold():
         analytic_abort_probability(strategy_from_id("ir-random"), params)
 
 
+_RANDOM = strategy_from_id("ir-random")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: per_decoy_detection_probability("ir-random", 4),
+        lambda: per_decoy_detection_probability(None, 4),
+        lambda: tapped_checked_decoys("ir-random", TWO_TP),
+        lambda: analytic_abort_probability("ir-random", TWO_TP),
+        lambda: analytic_abort_probability(TWO_TP, TWO_TP),
+    ],
+)
+def test_analytics_refuse_a_strategy_that_is_not_an_attack_strategy(call):
+    # an attack id string used to end in AttributeError
+    with pytest.raises(ParameterError, match="strategy must be of type AttackStrategy"):
+        call()
+
+
+@pytest.mark.parametrize("params", ["x", None, ExperimentConfig(variant="two-tp", n=3, d=13, r=5, l=8)])
+def test_analytics_refuse_params_that_are_not_protocol_params(params):
+    for analytic in (tapped_checked_decoys, analytic_abort_probability):
+        with pytest.raises(ParameterError, match="params must be of type ProtocolParams"):
+            analytic(_RANDOM, params)
+
+
 def test_detection_rate_degenerate_cases():
     report = run_experiment(ExperimentConfig(variant="two-tp", n=3, d=13, r=5, l=8, trials=5, seed=0))
     assert (report.abort_rate, report.abort_stderr) == (0.0, 0.0)
@@ -508,8 +535,34 @@ def test_allowed_coalitions_refuse_an_n_that_is_not_an_integer(n):
         allowed_coalitions(Variant.TWO_TP, n, 0)
 
 
+@pytest.mark.parametrize("target", ["0", 0.0, True, None])
+def test_allowed_coalitions_refuse_a_target_that_is_not_an_integer(target):
+    # "0" used to end in a bare TypeError from the range comparison
+    with pytest.raises(ParameterError, match="target must be a 0-based party index"):
+        allowed_coalitions(Variant.TWO_TP, 3, target)
+
+
+def test_the_audit_refuses_arguments_of_the_wrong_type():
+    transcript = _run(TWO_TP)
+    coalition = Coalition(frozenset({"TP2"}), 0)
+    view = coalition_view(transcript, coalition)
+    cases = [
+        (lambda: coalition_view("x", coalition), "transcript must be of type Transcript"),
+        (lambda: coalition_view(transcript.events(), coalition), "transcript must be of type Transcript"),
+        (lambda: coalition_view(transcript, frozenset({"TP2"})), "coalition must be of type Coalition"),
+        (lambda: secret_support("x", TWO_TP), "view must be of type View"),
+        (lambda: secret_support((transcript, coalition.members, 0), TWO_TP), "view must be of type View"),
+        (lambda: secret_support(View("x", frozenset(), 0), TWO_TP), "view.transcript must be of type Transcript"),
+        (lambda: secret_support(view, "x"), "params must be of type ProtocolParams"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ParameterError, match=message):
+            call()
+
+
 def test_allowed_coalitions_take_a_numpy_integer_n():
     assert allowed_coalitions(Variant.ONE_TP, np.int64(3), 1) == allowed_coalitions(Variant.ONE_TP, 3, 1)
+    assert allowed_coalitions(Variant.ONE_TP, 3, np.int64(1)) == allowed_coalitions(Variant.ONE_TP, 3, 1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -619,8 +672,12 @@ def test_single_tp_party_coalition_knows_only_the_key():
 def test_support_rejects_params_that_disagree_with_the_run(wrong):
     transcript, _ = _two_tp_run((3, 1, 4), 0)
     view = coalition_view(transcript, Coalition(frozenset({"TP2"}), 0))
-    with pytest.raises(ParameterError, match="run header"):
-        secret_support(view, wrong)
+    # every call is checked: neither a refused call nor a right one lets a later wrong one through
+    for right_first in (False, False, True):
+        if right_first:
+            assert 3 in secret_support(view, TWO_TP).candidates
+        with pytest.raises(ParameterError, match="run header"):
+            secret_support(view, wrong)
 
 
 @pytest.mark.parametrize("variant, r", [(Variant.TWO_TP, 511), (Variant.ONE_TP, 340)], ids=["two-tp", "one-tp"])
@@ -685,33 +742,33 @@ def brute_force_support(obs: dict[str, int], params: ProtocolParams) -> frozense
 
 
 def _synthetic_view(params: ProtocolParams, facts: dict) -> tuple[View, dict[str, int]]:
-    """A view of target 0 holding the given events, in run order, and the facts it pins.
+    """A view of target 0 on a transcript of the given events, all public, in run order, and the facts it pins.
 
     ``facts`` maps each present event kind to its values; they need not be
     mutually consistent. The pad announcement follows the carrier
     preparation, so its complement is the one that counts.
     """
-    events = [{"kind": "run_header", "variant": params.variant.value, "n": 2, "d": params.d, "r": params.r}]
+    transcript = Transcript()
+    transcript.record(PUBLIC, "run_header", variant=params.variant.value, n=2, d=params.d, r=params.r)
     obs: dict[str, int] = {}
     if "shared_key" in facts:
-        events.append({"kind": "shared_key", "value": facts["shared_key"]})
+        transcript.record(PUBLIC, "shared_key", value=facts["shared_key"])
         obs["shared_key"] = facts["shared_key"]
     if "carrier_prep" in facts:
         pad, pad_sum, complement = facts["carrier_prep"]
-        events.append({"kind": "carrier_prep", "pads": [pad, 0], "pad_sum": pad_sum, "complements": [complement, 0]})
+        transcript.record(PUBLIC, "carrier_prep", pads=[pad, 0], pad_sum=pad_sum, complements=[complement, 0])
         obs.update(pad=pad, pad_sum=pad_sum, complement=complement)
     if "carrier_measurement" in facts:
-        events.append({"kind": "carrier_measurement", "party": 0, "value": facts["carrier_measurement"]})
-        events.append({"kind": "carrier_measurement", "party": 1, "value": 0})
+        transcript.record(PUBLIC, "carrier_measurement", party=0, value=facts["carrier_measurement"])
+        transcript.record(PUBLIC, "carrier_measurement", party=1, value=0)
         obs["measured"] = facts["carrier_measurement"]
     if "pad_announcement" in facts:
-        message = {"kind": "pad_announcement", "values": [facts["pad_announcement"], 0]}
-        events.append({"kind": "classical", "message": message})
+        ClassicalBus(transcript).broadcast("TP1", "pad_announcement", values=[facts["pad_announcement"], 0])
         obs["complement"] = facts["pad_announcement"]
     if "score_computation" in facts:
-        events.append({"kind": "score_computation", "scores": [facts["score_computation"], 0]})
+        transcript.record(PUBLIC, "score_computation", scores=[facts["score_computation"], 0])
         obs["score"] = facts["score_computation"]
-    return View(events=tuple(events), target=0), obs
+    return View(transcript, frozenset(), 0), obs
 
 
 @pytest.mark.parametrize(
@@ -796,10 +853,10 @@ def test_closed_form_support_equals_the_brute_force_at_larger_d(data):
 
 
 def _support_from_the_full_log(transcript: Transcript, coalition: Coalition, params: ProtocolParams) -> frozenset[int]:
-    """Oracle for the memoized audit: read the facts off ``events()`` filtered by observers, with no view or memo."""
+    """Oracle for the indexed audit: filter the serialized log by observers and read its facts, with no index."""
     seen, target = {PUBLIC, *coalition.members}, coalition.target
     obs: dict[str, int] = {}
-    for event in transcript.events():
+    for event in json.loads(transcript.to_json()):
         if not seen & set(event["observers"]):
             continue
         kind = event["kind"]
@@ -833,8 +890,37 @@ def test_memoized_audit_equals_the_brute_force_on_the_full_log(variant, d):
             assert run.secrets[coalition.target] in found
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_indexed_audit_equals_the_brute_force_on_attacked_and_aborted_runs(data):
+    variant = data.draw(st.sampled_from(Variant))
+    attack = data.draw(st.sampled_from([a for a in ATTACK_IDS if variant is Variant.TWO_TP or not a.startswith("tp")]))
+    n, r, l = data.draw(st.integers(2, 4)), data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    low = 2 * r - 1 if variant is Variant.TWO_TP else 3 * r - 1
+    d = data.draw(st.integers(max(2, low), low + 4))
+    threshold = data.draw(st.sampled_from([0.0, 0.5]))
+    seed = data.draw(st.integers(0, 99))
+    config = ExperimentConfig(variant=variant.value, n=n, d=d, r=r, l=l, attack=attack, threshold=threshold, seed=seed)
+    params, _ = config.validate()
+    run = run_trial(config, data.draw(st.integers(0, 9)))
+    for target in range(n):
+        for coalition in allowed_coalitions(variant, n, target):
+            found = secret_support(coalition_view(run.transcript, coalition), params).candidates
+            assert found == _support_from_the_full_log(run.transcript, coalition, params), (coalition, run.outcome)
+
+
+def test_a_fact_recorded_after_an_audit_shows_in_the_next_audit():
+    transcript, _ = _two_tp_run((3, 1, 4), 0)
+    coalition = Coalition(frozenset({"P2"}), 0)
+    assert _support_for(transcript, coalition.members, 0, TWO_TP) == frozenset(range(5))
+    # a measured 0 pins pad + secret = 0 for whoever sees it
+    transcript.record({"P2"}, "carrier_measurement", party=0, value=0)
+    found = _support_for(transcript, coalition.members, 0, TWO_TP)
+    assert found == _support_from_the_full_log(transcript, coalition, TWO_TP) == frozenset({0})
+
+
 def test_short_lived_hand_built_views_are_read_afresh():
-    # each view's tuple dies once the fact memo starts over, so CPython hands its id to a later view with other facts
+    # each view's transcript dies before the next is built, so CPython hands its id to a later one with other facts
     params = ProtocolParams(Variant.ONE_TP, n=2, d=8, r=3, l=1)
     rng = random.Random(3)
     draws = {
@@ -845,8 +931,8 @@ def test_short_lived_hand_built_views_are_read_afresh():
         "score_computation": lambda: rng.randrange(15),
     }
     ids = []
-    for _ in range(4 * _MEMO_SIZE):
+    for _ in range(200):
         view, obs = _synthetic_view(params, {kind: draw() for kind, draw in draws.items() if rng.random() < 0.5})
-        ids.append(id(view.events))
+        ids.append(id(view.transcript))
         assert secret_support(view, params).candidates == brute_force_support(obs, params), obs
     assert len(set(ids)) < len(ids)

@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import copy
+import gc
 import itertools
 import json
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 from conftest import random_state
 from dense_oracle import basis_state, overlap
 from qpc_sim import Coalition, ExperimentConfig, allowed_coalitions, coalition_view, run_trial, secret_support
-from qpc_sim import adversary, channel
+from qpc_sim import adversary
 from qpc_sim.channel import (
     OUTSIDER,
     PUBLIC,
@@ -268,24 +270,51 @@ def test_a_view_depends_on_the_role_set_only():
     assert transcript.view("P1", "P2") == transcript.view("P2", "P1", "P1") == _naive(transcript, ["P1", "P2"])
 
 
-def test_a_transcript_keeps_at_most_its_fixed_number_of_views():
-    roles = [f"P{i + 1}" for i in range(8)]
-    transcript = _logged(PUBLIC, *roles)
-    for size in range(1, 9):
-        for members in itertools.combinations(roles, size):
-            assert transcript.view(*members) == _naive(transcript, members)
-            assert len(transcript._views) <= channel._VIEWS_KEPT
+def test_the_fact_index_holds_no_entry_for_a_transcript_once_it_is_gone():
+    config = ExperimentConfig(variant="two-tp", n=3, d=13, r=5, l=1, trials=1, seed=4)
+    params, _ = config.validate()
+    transcript = run_trial(config, 0).transcript
+    secret_support(coalition_view(transcript, Coalition(frozenset({"TP2"}), 0)), params)
+    assert transcript in adversary._fact_indexes
+    gone, key = weakref.ref(transcript), id(transcript)
+    del transcript
+    gc.collect()
+    assert gone() is None
+    assert key not in map(id, adversary._fact_indexes.keys())
+
+
+def test_auditing_every_allowed_coalition_merges_no_view(monkeypatch):
+    # the audit reads a transcript only through events() and len(): no view, nor any other merge of the log
+    runs = []
+    for variant in ("two-tp", "one-tp"):
+        config = ExperimentConfig(variant=variant, n=4, d=17, r=5, l=2, trials=1, seed=6)
+        runs.append((config.validate()[0], run_trial(config, 0)))
+
+    def refused(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"the audit called Transcript.{name}")
+        return call
+
+    for name, attr in vars(Transcript).items():
+        if callable(attr) and name not in ("events", "__len__"):
+            monkeypatch.setattr(Transcript, name, refused(name))
+    for params, run in runs:
+        for target in range(params.n):
+            for coalition in allowed_coalitions(params.variant, params.n, target):
+                support = secret_support(coalition_view(run.transcript, coalition), params).candidates
+                assert run.secrets[target] in support
 
 
 def test_audit_memos_stay_within_their_fixed_size_over_many_transcripts():
     config = ExperimentConfig(variant="one-tp", n=3, d=17, r=5, l=1, trials=200, seed=4)
     params, _ = config.validate()
     plans = [allowed_coalitions(params.variant, config.n, target) for target in range(config.n)]
+    indexed = len(adversary._fact_indexes)
     for t in range(config.trials):
         run = run_trial(config, t)
         for coalition in itertools.chain(*plans):
             assert run.secrets[coalition.target] in secret_support(coalition_view(run.transcript, coalition), params).candidates
-    assert 0 < len(adversary._facts) <= adversary._MEMO_SIZE
+    assert 0 < len(adversary._fact_indexes) <= 1 + indexed
     assert adversary._check_members.cache_info().currsize <= adversary._MEMO_SIZE
     assert adversary._run_roles.cache_info().currsize <= adversary._MEMO_SIZE
 
