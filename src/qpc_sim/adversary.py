@@ -29,12 +29,11 @@ from .protocol import (
     TP1_ROLE,
     TP2_ROLE,
     Variant,
-    _plain_int,
     pad_sum_range,
     party_role,
     run_links,
 )
-from .qudit import Basis, BasisLabel, ParameterError
+from .qudit import Basis, BasisLabel, ParameterError, _expect, _expect_int
 
 # taps collapse basis labels; tests plug the dense oracle's measure in here
 measure = BasisLabel.measure
@@ -112,12 +111,6 @@ def strategy_from_id(attack_id: str) -> AttackStrategy:
 # detection analytics
 # --------------------------------------------------------------------------
 
-def _expect(value: object, kind: type, name: str) -> None:
-    """Refuse an argument of the wrong type with ``ParameterError``, before it fails deeper in."""
-    if not isinstance(value, kind):
-        raise ParameterError(f"{name} must be of type {kind.__name__}, got {value!r}")
-
-
 def _flag_probability(strategy: AttackStrategy, d: int, prepared: Basis) -> float:
     """Chance that one decoy prepared in ``prepared`` is flagged by its check.
 
@@ -142,9 +135,7 @@ def per_decoy_detection_probability(
     phase of the second-hop check.
     """
     _expect(strategy, AttackStrategy, "strategy")
-    d = _plain_int(d)
-    if type(d) is not int or d < 2:
-        raise ParameterError(f"dimension must be an integer >= 2, got {d!r}")
+    d = _expect_int(d, "dimension", "an integer >= 2", 2)
     if decoy_basis is not None and type(decoy_basis) is not Basis:
         raise ParameterError(f"decoy_basis must be a Basis or None, got {decoy_basis!r}")
     if not strategy.active:
@@ -219,14 +210,10 @@ class Coalition:
             except TypeError:
                 raise ParameterError(f"members must be a collection of role ids, got {members!r}") from None
             object.__setattr__(self, "members", members)
-        if type(target) is not int:
-            target = _plain_int(target)  # numpy integers are stored as int; a bool is no index
-            if type(target) is not int:
-                raise ParameterError(f"target must be a 0-based party index, got {target!r}")
+        if type(target) is not int or target < 0:  # numpy integers are stored as int; a bool is no index
+            target = _expect_int(target, "target", "a 0-based party index", 0)
             object.__setattr__(self, "target", target)
         _check_members(members)
-        if target < 0:
-            raise ParameterError(f"target must be a 0-based party index, got {target}")
         if party_role(target) in members:
             raise ParameterError(f"party {party_role(target)} cannot audit its own secret")
 
@@ -239,12 +226,8 @@ def allowed_coalitions(variant: Variant, n: int, target: int) -> tuple[Coalition
     """
     if type(variant) is not Variant:
         raise ParameterError(f"variant must be a Variant, got {variant!r}")
-    n = _plain_int(n)
-    if type(n) is not int:
-        raise ParameterError(f"n must be an integer, got {n!r}")
-    target = _plain_int(target)
-    if type(target) is not int:
-        raise ParameterError(f"target must be a 0-based party index, got {target!r}")
+    n = _expect_int(n, "n")
+    target = _expect_int(target, "target", "a 0-based party index")
     if not 0 <= target < n:
         raise ParameterError(f"target index {target} out of range for n={n}")
     others = [party_role(i) for i in range(n) if i != target]
@@ -261,7 +244,7 @@ def _run_roles(variant: str, n: int) -> frozenset[str]:
 
 
 class View(NamedTuple):
-    """What a coalition observed in one run: the public events plus each member's own, merged only when read."""
+    """What a coalition observed in one run: the public events plus each member's own, filtered only when read."""
 
     transcript: Transcript
     members: frozenset[str]
@@ -275,7 +258,7 @@ class View(NamedTuple):
 def coalition_view(transcript: Transcript, coalition: Coalition) -> View:
     """The coalition's view of ``transcript``: the public events plus any member's own, each once, in order.
 
-    Nothing is merged here; ``View.events`` reads the transcript when asked.
+    Nothing is filtered here; ``View.events`` reads the transcript when asked.
     A run header, if present, bounds the target and the party members.
     """
     _expect(transcript, Transcript, "transcript")
@@ -304,30 +287,33 @@ class SecretSupport:
     candidates: frozenset[int]
 
 
-_FACT_KINDS = frozenset({"run_header", "carrier_prep", "carrier_measurement", "score_computation", "shared_key"})
-# transcript -> (its events when indexed, role -> seqs of the fact events it sees, supports found so far)
+_FACT_KINDS = frozenset({"carrier_prep", "carrier_measurement", "score_computation", "shared_key"})
+# transcript -> (its events when indexed, role -> seqs of the fact events it sees, run headers, supports found so far)
 _fact_indexes: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _fact_index(transcript: Transcript) -> tuple[list[Event], dict[str, frozenset[int]], dict]:
+def _fact_index(transcript: Transcript) -> tuple[list[Event], dict[str, frozenset[int]], frozenset[tuple], dict]:
     """The ``seq`` numbers of the fact events each role sees, public ones included, from one pass over the log.
 
-    Facts are the run header, the preparer's carrier record, the pad
-    announcement, the measurer's carrier records and scores, and the shared
-    key. The ordering announcement is deliberately not one: the ranking is
-    the protocol's declared output, so the audit measures leakage *beyond* it.
-    The index is built again once the log has grown.
+    Facts are the preparer's carrier record, the pad announcement, the
+    measurer's carrier records and scores, and the shared key. The ordering
+    announcement is deliberately not one: the ranking is the protocol's
+    declared output, so the audit measures leakage *beyond* it. The pass also
+    collects each run header's (variant, n, d, r). The index is built again
+    once the log has grown.
     """
     entry = _fact_indexes.get(transcript)
     if entry is None or len(entry[0]) != len(transcript):
-        events, roles = transcript.events(), {}
+        events, roles, headers = transcript.events(), {}, set()
         for e in events:
-            if e["kind"] in _FACT_KINDS or (e["kind"] == "classical" and e["message"]["kind"] == "pad_announcement"):
+            if e["kind"] == "run_header":
+                headers.add((e["variant"], e["n"], e["d"], e["r"]))
+            elif e["kind"] in _FACT_KINDS or (e["kind"] == "classical" and e["message"]["kind"] == "pad_announcement"):
                 for role in e["observers"]:
                     roles.setdefault(role, set()).add(e["seq"])
         public = roles.get(PUBLIC, set())
         roles = {role: frozenset(public | seqs) for role, seqs in roles.items()}
-        entry = _fact_indexes[transcript] = (events, roles, {})
+        entry = _fact_indexes[transcript] = (events, roles, frozenset(headers), {})
     return entry
 
 
@@ -336,35 +322,41 @@ def secret_support(view: View, params: ProtocolParams) -> SecretSupport:
 
     The coalition's facts are the public ones plus its members' own, taken
     from the transcript's fact index in ``seq`` order; coalitions with the
-    same facts, target and (variant, d, r) share one interval per transcript.
+    same facts, target and (variant, n, d, r) share one interval per transcript.
     Unknowns: pad x in [0, r), run constant y in ``pad_sum_range``, key k (0 on
     two-tp, [0, r) on one-tp) and secret s in [0, r); an observation pins its
     unknown, and a later one of the same unknown wins. With t = s + k the
     facts complement = y - x in [0, d), measured = x + t < d and score = t + y
     are difference constraints over (x, y, -t), so eliminating y, then x,
     leaves one integer interval of t. A run header that disagrees with
-    ``params`` is an error, not a fact. The brute-force enumeration of pad x
+    ``params``, a target outside [0, n) and a member that is no role of the
+    run are errors, not facts. The brute-force enumeration of pad x
     run constant x key is the test oracle.
     """
     _expect(view, View, "view")
     _expect(view.transcript, Transcript, "view.transcript")
     _expect(params, ProtocolParams, "params")
-    events, roles, supports = _fact_index(view.transcript)
+    events, roles, headers, supports = _fact_index(view.transcript)
+    target, n, r, d = view.target, params.n, params.r, params.d
+    given = (params.variant._value_, n, d, r)  # _value_: the enum's value property costs 10x more per call
+    for ran in headers:
+        if ran != given:
+            raise ParameterError(f"params (variant, n, d, r) = {given} disagree with the view's run header {ran}")
+    if not isinstance(view.members, frozenset) or not view.members <= _run_roles(given[0], n):
+        raise ParameterError(f"view members must be a frozenset of {given[0]} n={n} roles, got {view.members!r}")
+    if type(target) is not int or not 0 <= target < n:
+        raise ParameterError(f"view target must be a party index in [0, {n}), got {target!r}")
     seen = [roles[m] for m in view.members if m in roles] or [roles.get(PUBLIC, frozenset())]
     seqs = seen[0].union(*seen[1:]) if len(seen) > 1 else seen[0]
-    key = (seqs, view.target, params.variant, params.d, params.r)
+    key = (seqs, target, given)
     found = supports.get(key)
     if found is not None:
         return found
-    target, r, d, sums = view.target, params.r, params.d, pad_sum_range(params)
+    sums = pad_sum_range(params)
     x = y = k = c = m = q = None
     for event in map(events.__getitem__, sorted(seqs)):
         kind = event["kind"]
-        if kind == "run_header":
-            ran, given = (event["variant"], event["d"], event["r"]), (params.variant.value, d, r)
-            if ran != given:
-                raise ParameterError(f"params (variant, d, r) = {given} disagree with the view's run header {ran}")
-        elif kind == "carrier_prep":
+        if kind == "carrier_prep":
             x, y, c = event["pads"][target], event["pad_sum"], event["complements"][target]
         elif kind == "classical":
             c = event["message"]["values"][target]

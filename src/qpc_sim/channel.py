@@ -1,6 +1,12 @@
 """Transport layer: quantum links with a single tap point, an authenticated
 classical broadcast bus, and the per-role transcript of everything observable.
 
+A transmission is a plain tuple of qudits, addressed by position. Every
+qudit is prepared once, sent once per hop and measured once: the sender's
+recipe (``protocol.DecoySpec``) partitions the slots, so each stage reads
+the slots it owns and no slot twice. The tests check that read-once rule on
+whole runs; nothing here re-checks it per qudit.
+
 The transcript is the evidence store for all privacy claims, so the recording
 rules are strict: an event is visible to a role if and only if that role
 legitimately observes it (its own preparations, its own measurement results,
@@ -12,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -26,53 +32,6 @@ PUBLIC = "*"
 
 #: Role id of a passive outside eavesdropper (sees exactly the public events).
 OUTSIDER = "EVE"
-
-
-class TransmissionError(RuntimeError):
-    """A qudit handle was used after being consumed (no-cloning discipline)."""
-
-
-class TransmissionSequence:
-    """Ordered block of qudits travelling as one transmission.
-
-    Slots are addressed by their original position. Taking a slot consumes it,
-    and transmitting the sequence consumes every slot on the sender's side:
-    a state is never both kept and sent. The sequence reads only a qudit's
-    ``dim``, so the tests' dense states travel the same way as labels.
-    """
-
-    def __init__(self, states: Iterable[BasisLabel]):
-        slots = list(states)
-        if not slots:
-            raise ValueError("a transmission carries at least one qudit")
-        dims = {s.dim for s in slots}
-        if len(dims) != 1:
-            raise ValueError(f"all qudits in a transmission share one dimension, got {sorted(dims)}")
-        self._slots: list[Optional[BasisLabel]] = slots
-        self._released = False
-
-    def __len__(self) -> int:
-        return len(self._slots)
-
-    def take(self, position: int) -> BasisLabel:
-        """Remove and return the qudit at ``position`` (original indexing)."""
-        if self._released:
-            raise TransmissionError("sequence was handed to a channel; sender keeps no copy")
-        if not 0 <= position < len(self._slots):
-            raise TransmissionError(f"position {position} outside [0, {len(self._slots)})")
-        state = self._slots[position]
-        if state is None:
-            raise TransmissionError(f"slot {position} already consumed")
-        self._slots[position] = None
-        return state
-
-    def release_all(self) -> list[BasisLabel]:
-        """Consume every slot at once (used by :func:`transmit`)."""
-        if self._released or any(s is None for s in self._slots):
-            raise TransmissionError("sequence already partially or fully consumed")
-        states, self._slots = self._slots, [None] * len(self._slots)
-        self._released = True
-        return states
 
 
 class Event(dict):
@@ -99,17 +58,13 @@ class Transcript:
     """Append-only event log for one protocol run, with per-role visibility.
 
     Each event is recorded once as a read-only :class:`Event` and every read
-    shares it. ``view(*roles)`` returns exactly the events those roles observe,
-    in ``seq`` order; it reads a per-role index of ``seq`` numbers that the
-    first read after a write extends, so recording does no index work.
-    :meth:`to_json` serializes the whole log canonically (sorted keys, fixed
-    separators).
+    shares it. ``view(*roles)`` filters the log for exactly the events those
+    roles observe, in ``seq`` order. :meth:`to_json` serializes the whole log
+    canonically (sorted keys, fixed separators).
     """
 
     def __init__(self) -> None:
         self._events: list[Event] = []
-        self._seqs: dict[str, list[int]] = {}
-        self._indexed = 0
 
     def record(self, observers: Iterable[str] | str, kind: str, step: str | None = None, **payload) -> None:
         payload["seq"] = len(self._events)
@@ -131,15 +86,8 @@ class Transcript:
 
         ``view()`` is what a passive outsider reads; an active one also knows its taps, ``view(OUTSIDER)``.
         The list is the caller's own; the events in it are shared."""
-        events, index = self._events, self._seqs
-        for seq in range(self._indexed, len(events)):
-            for role in events[seq]["observers"]:
-                index.setdefault(role, []).append(seq)
-        self._indexed = len(events)
-        seqs = set(index.get(PUBLIC, ()))
-        for role in roles:
-            seqs.update(index.get(role, ()))
-        return list(map(events.__getitem__, sorted(seqs)))
+        seen = {PUBLIC, *roles}
+        return [event for event in self._events if not seen.isdisjoint(event["observers"])]
 
     def to_json(self) -> str:
         return json.dumps(self._events, sort_keys=True, separators=(",", ":"))
@@ -171,20 +119,19 @@ class QuantumLink:
 
 
 def transmit(
-    link: QuantumLink, seq: TransmissionSequence, transcript: Transcript, rng: np.random.Generator
-) -> TransmissionSequence:
-    """Move a sequence through ``link``, passing each qudit through the tapper once, in order.
+    link: QuantumLink, seq: tuple[BasisLabel, ...], transcript: Transcript, rng: np.random.Generator
+) -> tuple[BasisLabel, ...]:
+    """Move a transmission through ``link``, passing each qudit through the tapper once, in order.
 
-    The sender's handle on the sequence is consumed; the returned sequence is
-    the receiver's handle. With no tapper the released states are delivered
-    as they are, since the channel itself is noiseless. The transmission is
-    recorded for both endpoints, after any tap records.
+    With no tapper ``seq`` itself is delivered, since the channel is
+    noiseless; a tapped link delivers a new tuple of the tapped states. The
+    transmission is recorded for both endpoints, after any tap records.
     """
-    delivered, label, tapper = seq.release_all(), link.label, link.tapper
+    label, tapper = link.label, link.tapper
     if tapper is not None:
-        delivered = [tapper.tap(state, label, i, rng, transcript) for i, state in enumerate(delivered)]
-    transcript.record({link.sender, link.receiver}, "transmit", link=label, count=len(delivered))
-    return TransmissionSequence(delivered)
+        seq = tuple(tapper.tap(state, label, i, rng, transcript) for i, state in enumerate(seq))
+    transcript.record({link.sender, link.receiver}, "transmit", link=label, count=len(seq))
+    return seq
 
 
 __all__ = [
@@ -194,7 +141,5 @@ __all__ = [
     "Event",
     "QuantumLink",
     "Transcript",
-    "TransmissionError",
-    "TransmissionSequence",
     "transmit",
 ]

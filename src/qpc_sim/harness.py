@@ -32,13 +32,12 @@ from .protocol import (
     Variant,
     _check_shared_key,
     _normalize_secrets,
-    _plain_int,
     rank_descending,
     run_one_tp_protocol,
     run_streams,
     run_two_tp_protocol,
 )
-from .qudit import ParameterError
+from .qudit import ParameterError, _expect, _expect_int, _plain_int
 from .streams import trial_streams
 
 #: Fixed column order of CSV output (the trailing note column carries sweep-skip reasons).
@@ -110,8 +109,7 @@ class ExperimentConfig:
                 + ", ".join(v.value for v in Variant)
             ) from None
         for name in ("trials", "seed"):  # ProtocolParams checks n, d, r and l
-            if type(getattr(self, name)) is not int:
-                raise ParameterError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            _expect_int(getattr(self, name), name)
         params = ProtocolParams(
             variant=variant, n=self.n, d=self.d, r=self.r, l=self.l, error_threshold=self.threshold
         )
@@ -152,10 +150,9 @@ class TrialRun:
 
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRun:
     """Execute trial ``trial_index`` (an integer >= 0) of ``config`` exactly as run_experiment would."""
+    _expect(config, ExperimentConfig, "config")
     params, strategy = config.validate()
-    t = _plain_int(trial_index)
-    if type(t) is not int or t < 0:
-        raise ParameterError(f"trial_index must be an integer >= 0, got {trial_index!r}")
+    t = _expect_int(trial_index, "trial_index", "an integer >= 0", 0)
     rng = next(trial_streams(config.seed, range(t, t + 1), run_streams(params.n)))
     return _run_trial(config, params, strategy, t, rng)
 
@@ -246,6 +243,7 @@ def _csv_row(config: dict, results: Sequence[str] = ("",) * 5, note: str = "") -
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run all trials of ``config`` and fold the outcomes into a report."""
+    _expect(config, ExperimentConfig, "config")
     params, strategy = config.validate()
     start = time.perf_counter()
     decoy_stats = {step: {"checked": 0, "mismatched": 0} for step in CHECK_STEPS}
@@ -332,10 +330,14 @@ def sweep(base: ExperimentConfig, axis: str | tuple[str, ...], values: Sequence)
     the reason, instead of failing the whole sweep. An empty value list is an
     empty sweep.
     """
-    names = (axis,) if isinstance(axis, str) else tuple(axis)
+    _expect(base, ExperimentConfig, "base")
+    try:
+        names = (axis,) if isinstance(axis, str) else tuple(axis)
+        settings = [(value,) if isinstance(axis, str) else value for value in values]
+    except TypeError:  # not iterable
+        raise ParameterError(f"a sweep takes an axis and an iterable of values, got {axis!r} and {values!r}") from None
     if not names or any(name not in _SWEEP_FIELDS for name in names):
         raise ParameterError(f"sweep axis must name fields among {', '.join(_SWEEP_FIELDS)}; got {axis!r}")
-    settings = [(value,) if isinstance(axis, str) else value for value in values]
     for setting in settings:
         if not isinstance(setting, tuple) or len(setting) != len(names):
             raise ParameterError(f"a value of sweep axis {axis!r} is a tuple of {len(names)} items, got {setting!r}")

@@ -31,10 +31,9 @@ from .channel import (
     ClassicalBus,
     QuantumLink,
     Transcript,
-    TransmissionSequence,
     transmit,
 )
-from .qudit import Basis, BasisLabel, ParameterError
+from .qudit import Basis, BasisLabel, ParameterError, _expect, _expect_int, _plain_int
 
 # Every qudit a run creates is a basis label. These module names are the seams
 # where the tests plug in the dense oracle's functions of the same names, and
@@ -76,11 +75,6 @@ WIRING: dict[Variant, tuple[str, str]] = {
 }
 
 
-def _plain_int(value: object) -> object:
-    """``value`` as an ``int`` if it is an integer other than a bool (numpy's included), else unchanged."""
-    return int(value) if isinstance(value, numbers.Integral) and not isinstance(value, bool) else value
-
-
 @dataclass(frozen=True)
 class ProtocolParams:
     """Validated run parameters.
@@ -105,10 +99,7 @@ class ProtocolParams:
         if type(self.variant) is not Variant:
             raise ParameterError(f"variant must be a Variant, got {self.variant!r}")
         for name in ("n", "d", "r", "l"):
-            value = _plain_int(getattr(self, name))
-            if type(value) is not int:
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _expect_int(getattr(self, name), name))
         threshold = self.error_threshold
         if isinstance(threshold, bool) or not isinstance(threshold, numbers.Real) or not 0 <= threshold <= 1:
             raise ParameterError(f"error_threshold must be a real number in [0, 1], got {threshold!r}")
@@ -149,7 +140,7 @@ class DecoySpec(NamedTuple):
     """Sender-private recipe of a transmission: its draw, as decoys in position order, plus the carrier slot.
 
     :func:`build_transmission` lays the decoys on every slot but
-    ``carrier_position``, so the two partition the sequence by construction.
+    ``carrier_position``, so the two partition the transmission by construction.
     """
 
     entries: tuple[Decoy, ...]
@@ -215,7 +206,7 @@ def _draw_bounds(d: int, l: int) -> np.ndarray:
 
 def build_transmission(
     carrier_state: BasisLabel, l: int, rng: np.random.Generator
-) -> tuple[TransmissionSequence, DecoySpec]:
+) -> tuple[tuple[BasisLabel, ...], DecoySpec]:
     """Hide the carrier among l decoys drawn uniformly from the 2d basis states.
 
     Each decoy picks its basis and index independently and uniformly; the
@@ -233,7 +224,7 @@ def build_transmission(
     entries = tuple(zip(positions, draw[::2], draw[1::2]))
     states = [basis_state(d, DECOY_BASES[fourier], index) for _, fourier, index in entries]
     states.insert(carrier_position, carrier_state)
-    return TransmissionSequence(states), DecoySpec(entries, carrier_position)
+    return tuple(states), DecoySpec(entries, carrier_position)
 
 
 def encode_secret(carrier_state: BasisLabel, secret: int, offset: int) -> BasisLabel:
@@ -291,12 +282,22 @@ def _normalize_secrets(secrets: Sequence[int], params: ProtocolParams) -> tuple[
 
 def _check_shared_key(shared_key: int, params: ProtocolParams) -> int:
     """The one check of a one-tp key: an integer other than a bool in [0, r), numpy's stored as an int."""
-    key = _plain_int(shared_key)
-    if type(key) is not int:
-        raise ParameterError(f"shared_key must be an integer, got {shared_key!r}")
+    key = _expect_int(shared_key, "shared_key")
     if not 0 <= key < params.r:
         raise ParameterError(f"the shared key must lie in [0, r={params.r}), got {key}")
     return key
+
+
+def _check_run(params: ProtocolParams, variant: Variant, adversary: object, rng: object) -> None:
+    """A runner's entry checks besides secrets and key: params of ``variant``, an attack or None, a Generator."""
+    from .adversary import AttackStrategy  # adversary.py imports this module
+
+    _expect(params, ProtocolParams, "params")
+    if params.variant is not variant:
+        raise ParameterError(f"params are for {params.variant.value}, expected {variant.value}")
+    if adversary is not None:
+        _expect(adversary, AttackStrategy, "adversary")
+    _expect(rng, np.random.Generator, "rng")
 
 
 def run_links(
@@ -324,7 +325,7 @@ def _disclose_and_check(
     phase: str,
     link: QuantumLink,
     entries: Sequence[Decoy],
-    received: TransmissionSequence,
+    received: Sequence[BasisLabel],
     rng: np.random.Generator,
     threshold: float,
 ) -> bool:
@@ -337,7 +338,7 @@ def _disclose_and_check(
     label = link.label
     disclosed = [[position, DECOY_BASIS_NAMES[fourier]] for position, fourier, _ in entries]
     bus.broadcast(link.sender, "decoy_disclosure", transmission=label, phase=phase, entries=disclosed)
-    outcomes = [[pos, measure(received.take(pos), DECOY_BASES[fourier], rng).value] for pos, fourier, _ in entries]
+    outcomes = [[pos, measure(received[pos], DECOY_BASES[fourier], rng).value] for pos, fourier, _ in entries]
     bus.broadcast(link.receiver, "measurement_report", transmission=label, outcomes=outcomes)
     mismatched = sum(1 for (_, _, index), (_, value) in zip(entries, outcomes) if value != index)
     error_rate = mismatched / len(entries) if entries else 0.0
@@ -392,7 +393,7 @@ def _run_protocol(
 
     def hop(
         link: QuantumLink, step: str, carrier: BasisLabel, sender_rng: np.random.Generator
-    ) -> tuple[TransmissionSequence, DecoySpec]:
+    ) -> tuple[tuple[BasisLabel, ...], DecoySpec]:
         """Hide the carrier among l fresh decoys, record the sender's recipe, and send it over ``link``."""
         seq, spec = build_transmission(carrier, l, sender_rng)
         transcript.record(
@@ -430,7 +431,7 @@ def _run_protocol(
     # undisclosed, shift-encodes, and ships it under fresh decoys
     second_hop = []
     for i, (link, (received, spec)) in enumerate(zip(second_links, first_hop)):
-        encoded = encode_secret(received.take(spec.carrier_position), secrets[i], offset)
+        encoded = encode_secret(received[spec.carrier_position], secrets[i], offset)
         transcript.record({link.sender}, "encode", step="step4", party=i, shift=secrets[i] + offset)
         received, spec = hop(link, "step4", encoded, party_rngs[i])
         second_hop.append((received, spec.carrier_position, two_phase_disclosure(spec)))
@@ -444,7 +445,7 @@ def _run_protocol(
     # stage 7: measure carriers, form scores, announce the ordering only
     measured = []
     for i, (received, carrier_position, _) in enumerate(second_hop):
-        outcome = measure(received.take(carrier_position), Basis.COMPUTATIONAL, measure_rng)
+        outcome = measure(received[carrier_position], Basis.COMPUTATIONAL, measure_rng)
         transcript.record({measurer}, "carrier_measurement", step="step7", party=i, value=outcome.value)
         measured.append(outcome.value)
 
@@ -468,10 +469,8 @@ def run_two_tp_protocol(
     after encoding; the measuring TP sees encoded values but no pads. The pad
     complements travel over the public bus so the measuring TP can rank.
     """
-    if params.variant is not Variant.TWO_TP:
-        raise ParameterError(f"params are for {params.variant.value}, expected two-tp")
-    values = _normalize_secrets(secrets, params)
-    return _run_protocol(params, values, None, adversary, rng)
+    _check_run(params, Variant.TWO_TP, adversary, rng)
+    return _run_protocol(params, _normalize_secrets(secrets, params), None, adversary, rng)
 
 
 def run_one_tp_protocol(
@@ -487,7 +486,6 @@ def run_one_tp_protocol(
     among the parties but hidden from the TP; complements stay TP-internal and
     nothing about them is broadcast.
     """
-    if params.variant is not Variant.ONE_TP:
-        raise ParameterError(f"params are for {params.variant.value}, expected one-tp")
+    _check_run(params, Variant.ONE_TP, adversary, rng)
     values = _normalize_secrets(secrets, params)
     return _run_protocol(params, values, _check_shared_key(shared_key, params), adversary, rng)

@@ -29,6 +29,7 @@ of the draws between the two tables' k-th entries.
 from __future__ import annotations
 
 import enum
+import numbers
 from bisect import bisect_right
 from functools import lru_cache
 from typing import NamedTuple
@@ -38,6 +39,25 @@ import numpy as np
 
 class ParameterError(ValueError):
     """An argument violates a documented precondition."""
+
+
+def _expect(value: object, kind: type, name: str) -> None:
+    """Refuse an argument of the wrong type with ``ParameterError``, before it fails deeper in."""
+    if not isinstance(value, kind):
+        raise ParameterError(f"{name} must be of type {kind.__name__}, got {value!r}")
+
+
+def _plain_int(value: object) -> object:
+    """``value`` as an ``int`` if it is an integer other than a bool (numpy's included), else unchanged."""
+    return int(value) if isinstance(value, numbers.Integral) and not isinstance(value, bool) else value
+
+
+def _expect_int(value: object, name: str, kind: str = "an integer", low: int | None = None) -> int:
+    """``value`` as an ``int`` if it is an integer other than a bool, and at least ``low`` if given; else refused."""
+    plain = _plain_int(value)
+    if type(plain) is not int or (low is not None and plain < low):
+        raise ParameterError(f"{name} must be {kind}, got {value!r}")
+    return plain
 
 
 class Basis(enum.Enum):

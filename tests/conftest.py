@@ -5,6 +5,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from dense_oracle import QuditState
+from qpc_sim import ATTACK_IDS, Variant
 
 
 def random_state(d: int, seed: int) -> QuditState:
@@ -32,6 +33,23 @@ def shift_matrix_oracle(d: int, m: int) -> np.ndarray:
     for k in range(d):
         mat[(k + m) % d, k] = 1.0
     return mat
+
+
+#: Junk for any argument: integers, bools, floats and their numpy kinds, text, None, the run ids, lists and arrays.
+ANY_VALUE = st.one_of(
+    st.integers(-2, 16),
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=6),
+    st.none(),
+    st.integers(-2, 16).map(np.int64),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.sampled_from(Variant),
+    st.sampled_from(("two-tp", "one-tp", *ATTACK_IDS)),
+    st.lists(st.integers(-1, 5), max_size=3),
+    st.lists(st.integers(-1, 5), max_size=3).map(np.array),
+)
 
 
 def unparsable(parse) -> st.SearchStrategy[str]:

@@ -560,6 +560,23 @@ def test_the_audit_refuses_arguments_of_the_wrong_type():
             call()
 
 
+@pytest.mark.parametrize(
+    "members, target, message",
+    [
+        (frozenset({"TP2"}), 7, "view target"),  # used to end in IndexError
+        (frozenset({"TP2"}), "0", "view target"),  # used to end in TypeError
+        ([["P2"]], 0, "view members"),  # used to end in TypeError
+        (frozenset({"P2"}), -1, "view target"),  # used to audit P3 and return the full support
+        (frozenset({"P9"}), 0, "view members"),  # used to be accepted
+    ],
+    ids=["target-7", "target-str", "members-nested-list", "target-minus-1", "member-P9"],
+)
+def test_the_audit_refuses_a_hand_built_view_outside_the_run(members, target, message):
+    transcript, _ = _two_tp_run((3, 1, 4), 0)
+    with pytest.raises(ParameterError, match=message):
+        secret_support(View(transcript, members, target), TWO_TP)
+
+
 def test_allowed_coalitions_take_a_numpy_integer_n():
     assert allowed_coalitions(Variant.ONE_TP, np.int64(3), 1) == allowed_coalitions(Variant.ONE_TP, 3, 1)
     assert allowed_coalitions(Variant.ONE_TP, 3, np.int64(1)) == allowed_coalitions(Variant.ONE_TP, 3, 1)

@@ -1,4 +1,10 @@
-"""Transport-layer tests: delivery fidelity, no-cloning discipline, transcript visibility."""
+"""Transport-layer tests: delivery fidelity, the read-once rule over whole runs, transcript visibility.
+
+A transmission is a plain tuple, so no-cloning is not enforced per qudit at
+run time. It holds by construction, and the read-once test below checks it:
+every slot of every delivered transmission is read once in a run that
+completes, and at most once in a run that aborts.
+"""
 from __future__ import annotations
 
 import copy
@@ -7,6 +13,7 @@ import itertools
 import json
 import pickle
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,9 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_state
-from dense_oracle import basis_state, overlap
-from qpc_sim import Coalition, ExperimentConfig, allowed_coalitions, coalition_view, run_trial, secret_support
-from qpc_sim import adversary
+from dense_oracle import overlap
+from qpc_sim import ATTACK_IDS, Coalition, ExperimentConfig, allowed_coalitions, coalition_view, run_trial
+from qpc_sim import adversary, protocol, secret_support
 from qpc_sim.channel import (
     OUTSIDER,
     PUBLIC,
@@ -24,11 +31,8 @@ from qpc_sim.channel import (
     Event,
     QuantumLink,
     Transcript,
-    TransmissionError,
-    TransmissionSequence,
     transmit,
 )
-from qpc_sim.qudit import Basis
 
 RNG = lambda seed=0: np.random.default_rng(seed)  # noqa: E731
 
@@ -38,37 +42,7 @@ def _view_json(transcript, role):
 
 
 def _sequence(d=4, length=5, seed=1):
-    return TransmissionSequence([random_state(d, seed=seed + i) for i in range(length)])
-
-
-# ---------------------------------------------------------------------------
-# transmission sequences
-# ---------------------------------------------------------------------------
-
-def test_take_consumes_the_slot():
-    seq = _sequence()
-    seq.take(2)
-    with pytest.raises(TransmissionError):
-        seq.take(2)
-
-
-def test_release_all_consumes_everything():
-    seq = _sequence(length=3)
-    assert len(seq.release_all()) == 3
-    with pytest.raises(TransmissionError):
-        seq.take(0)
-    with pytest.raises(TransmissionError):
-        seq.release_all()
-
-
-def test_mixed_dimensions_are_rejected():
-    with pytest.raises(ValueError):
-        TransmissionSequence([basis_state(3, Basis.COMPUTATIONAL, 0), basis_state(4, Basis.COMPUTATIONAL, 0)])
-
-
-def test_empty_sequence_is_rejected():
-    with pytest.raises(ValueError):
-        TransmissionSequence([])
+    return tuple(random_state(d, seed=seed + i) for i in range(length))
 
 
 # ---------------------------------------------------------------------------
@@ -76,18 +50,12 @@ def test_empty_sequence_is_rejected():
 # ---------------------------------------------------------------------------
 
 def test_untapped_link_delivers_the_prepared_states():
-    states = [random_state(5, seed=10 + i) for i in range(4)]
+    states = tuple(random_state(5, seed=10 + i) for i in range(4))
     link = QuantumLink("TP1", "P1")
-    received = transmit(link, TransmissionSequence(states), Transcript(), RNG())
+    received = transmit(link, states, Transcript(), RNG())
+    assert received is states
     for pos, prepared in enumerate(states):
-        assert overlap(received.take(pos), prepared) >= 1 - 1e-9
-
-
-def test_transmit_consumes_the_senders_handle():
-    seq = _sequence()
-    transmit(QuantumLink("TP1", "P1"), seq, Transcript(), RNG())
-    with pytest.raises(TransmissionError):
-        seq.take(0)
+        assert overlap(received[pos], prepared) >= 1 - 1e-9
 
 
 def test_tap_sees_every_qudit_once_in_order():
@@ -113,6 +81,62 @@ def test_transmit_is_recorded_for_both_endpoints_only():
     assert sorted(event["observers"]) == ["P2", "TP1"]
     assert transcript.view("TP3") == []
     assert transcript.view() == []
+
+
+# ---------------------------------------------------------------------------
+# the read-once rule over whole runs
+# ---------------------------------------------------------------------------
+
+class _CountedReads(tuple):
+    """A delivered transmission that counts how often each slot is read."""
+
+    def __new__(cls, states):
+        delivered = super().__new__(cls, states)
+        delivered.reads = [0] * len(delivered)
+        return delivered
+
+    def __getitem__(self, position):
+        for slot in range(len(self))[position] if isinstance(position, slice) else [position]:
+            self.reads[slot] += 1
+        return super().__getitem__(position)
+
+    def __iter__(self):
+        return (self[slot] for slot in range(len(self)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_every_slot_of_every_delivered_transmission_is_read_once(data):
+    # no-cloning as a property of whole runs: a completed run reads each delivered slot exactly once
+    # (decoys in their check, the carrier when its receiver takes it), and an aborted run at most once
+    variant = data.draw(st.sampled_from(["two-tp", "one-tp"]))
+    attack = data.draw(st.sampled_from([a for a in ATTACK_IDS if variant == "two-tp" or not a.startswith("tp")]))
+    n, r, l = data.draw(st.integers(2, 4)), data.draw(st.integers(1, 3)), data.draw(st.integers(1, 6))
+    low = 2 * r - 1 if variant == "two-tp" else 3 * r - 1
+    config = ExperimentConfig(
+        variant=variant,
+        n=n,
+        d=data.draw(st.integers(max(2, low), low + 4)),
+        r=r,
+        l=l,
+        attack=attack,
+        threshold=data.draw(st.sampled_from([0.0, 0.5, 1.0])),
+        seed=data.draw(st.integers(0, 999)),
+    )
+    delivered = []
+
+    def counted(*args):
+        delivered.append(_CountedReads(transmit(*args)))
+        return delivered[-1]
+
+    with mock.patch.object(protocol, "transmit", counted):
+        outcome = run_trial(config, data.draw(st.integers(0, 9))).outcome
+    assert all(len(seq) == l + 1 for seq in delivered)
+    if outcome.completed:
+        assert len(delivered) == 2 * n
+        assert all(seq.reads == [1] * (l + 1) for seq in delivered)
+    else:
+        assert all(max(seq.reads) <= 1 for seq in delivered)
 
 
 # ---------------------------------------------------------------------------

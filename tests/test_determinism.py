@@ -146,9 +146,9 @@ def test_build_transmission_draws_what_the_scalar_calls_draw(d, l):
         entries, carrier_position = _scalar_transmission(d, l, scalar)
         assert list(spec.entries) == entries
         assert spec.carrier_position == carrier_position
-        assert seq.take(carrier_position) is carrier
+        assert seq[carrier_position] is carrier
         for position, fourier, index in entries:
-            assert seq.take(position) == basis_state(d, DECOY_BASES[fourier], index)
+            assert seq[position] == basis_state(d, DECOY_BASES[fourier], index)
         assert batched.bit_generator.state == scalar.bit_generator.state
 
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import int_texts, unparsable
+from conftest import ANY_VALUE, int_texts, unparsable
 from qpc_sim import (
     ATTACK_IDS,
     ExperimentConfig,
@@ -111,25 +111,11 @@ def test_numpy_integers_pass_and_are_recorded_as_ints(field):
 
 
 # every kind of value a caller might pass for a typed field: right and wrong types, numpy's, enum members, sequences
-_ANY_VALUE = st.one_of(
-    st.integers(-2, 16),
-    st.booleans(),
-    st.floats(),
-    st.text(max_size=6),
-    st.none(),
-    st.integers(-2, 16).map(np.int64),
-    st.floats(width=32).map(np.float32),
-    st.floats().map(np.float64),
-    st.sampled_from(Variant),
-    st.sampled_from(("two-tp", "one-tp", *ATTACK_IDS)),
-    st.lists(st.integers(-1, 5), max_size=3),
-    st.lists(st.integers(-1, 5), max_size=3).map(np.array),
-)
 _TYPED = ExperimentConfig(variant="one-tp", n=2, d=14, r=5, l=2, trials=2, seed=1)
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(("variant", "threshold", "attack", "secrets", "shared_key")), _ANY_VALUE)
+@given(st.sampled_from(("variant", "threshold", "attack", "secrets", "shared_key")), ANY_VALUE)
 def test_a_typed_config_field_runs_or_is_refused(field, value):
     # a Variant member or a numpy float used to run and then fail to serialise; a list attack raised
     # TypeError, and an array key the "ambiguous truth value" ValueError
@@ -143,7 +129,7 @@ def test_a_typed_config_field_runs_or_is_refused(field, value):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(_ANY_VALUE, st.lists(_ANY_VALUE, min_size=2, max_size=2)), _ANY_VALUE)
+@given(st.one_of(ANY_VALUE, st.lists(ANY_VALUE, min_size=2, max_size=2)), ANY_VALUE)
 def test_the_runners_run_or_refuse_any_secrets_and_key(secrets, key):
     # a float or bool secret or key used to be truncated by int()
     two_tp, one_tp = ProtocolParams(Variant.TWO_TP, 2, 9, 5, 2), ProtocolParams(Variant.ONE_TP, 2, 14, 5, 2)
@@ -160,7 +146,7 @@ def test_the_runners_run_or_refuse_any_secrets_and_key(secrets, key):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_ANY_VALUE, _ANY_VALUE, st.sampled_from((2, 14)))
+@given(ANY_VALUE, ANY_VALUE, st.sampled_from((2, 14)))
 @example("two-tp", 0.0, 2)  # a string variant used to skip the d >= 2r - 1 bound
 def test_protocol_params_take_a_variant_and_a_real_threshold_or_refuse(variant, threshold, d):
     try:

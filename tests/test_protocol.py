@@ -192,9 +192,9 @@ def test_build_transmission_partitions_the_slots_by_construction(d, l, seed):
     assert positions == sorted(positions)
     assert sorted(positions + [spec.carrier_position]) == list(range(l + 1))
     assert all(fourier in (0, 1) and 0 <= index < d for _, fourier, index in spec.entries)
-    assert seq.take(spec.carrier_position) is carrier
+    assert seq[spec.carrier_position] is carrier
     for position, fourier, index in spec.entries:
-        assert seq.take(position) == BasisLabel.prepare(d, DECOY_BASES[fourier], index)
+        assert seq[position] == BasisLabel.prepare(d, DECOY_BASES[fourier], index)
 
 
 def test_carrier_slot_is_uniform_for_single_decoy():
