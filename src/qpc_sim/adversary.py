@@ -20,10 +20,9 @@ import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .channel import OUTSIDER, PUBLIC, Event, Transcript
 from .protocol import (
+    DECOY_BASES,
     WIRING,
     ProtocolParams,
     TP1_ROLE,
@@ -42,6 +41,8 @@ _TP_ROLES = frozenset().union(*WIRING.values())
 _PARTY_RE = re.compile(r"P[1-9]\d*")
 #: Entries each coalition memo keeps (member sets, run role sets): every role set of an n=7 audit.
 _MEMO_SIZE = 128
+#: Most parties ``allowed_coalitions`` enumerates: a two-tp target has 2**(n-1) + 1 coalitions, 32,769 at the cap.
+MAX_AUDIT_PARTIES = 16
 
 
 @dataclass(frozen=True)
@@ -62,22 +63,32 @@ class AttackStrategy:
         state: BasisLabel,
         link_label: str,
         position: int,
-        rng: np.random.Generator,
+        draws,
         transcript: Transcript,
     ) -> BasisLabel:
-        """Measure-and-resend one in-flight qudit; passive strategies forward untouched."""
+        """Measure-and-resend one in-flight qudit; passive strategies forward untouched.
+
+        ``draws`` is the adversary generator's ``bit_generator.ctypes``: the
+        coin is ``next_uint32 >> 31`` and the uniform ``next_double``, the C
+        functions behind ``integers(0, 2)`` (whose Lemire threshold at bound 2
+        is 0, so it keeps the top bit) and ``random()``, so the draws are
+        theirs (pinned in tests/test_determinism.py). The generator is private
+        to one run, so skipping ``bit_generator.lock`` is safe; ``draws``
+        holds only a raw pointer, so the caller keeps the generator alive.
+        """
         if not self.active:
             return state
         basis = self.basis
         if basis is None:
-            basis = Basis.FOURIER if int(rng.integers(0, 2)) else Basis.COMPUTATIONAL
-        outcome = measure(state, basis, rng)
+            basis = DECOY_BASES[draws.next_uint32(draws.state) >> 31]
+        outcome = measure(state, basis, draws.next_double(draws.state))
+        # _value_ and a plain owner string: the enum's value property and a set cost more per tap
         transcript.record(
-            {self.owner},
+            self.owner,
             "tap",
             link=link_label,
             position=position,
-            basis=basis.value,
+            basis=basis._value_,
             outcome=outcome.value,
         )
         return outcome.post_state
@@ -223,10 +234,13 @@ def allowed_coalitions(variant: Variant, n: int, target: int) -> tuple[Coalition
 
     Each TP of the wiring alone, in ``WIRING`` order, then every non-empty group of
     the other parties, smallest first, in ``combinations`` order by party index.
+    ``n`` lies in [2, ``MAX_AUDIT_PARTIES``], since the count doubles with each party.
     """
     if type(variant) is not Variant:
         raise ParameterError(f"variant must be a Variant, got {variant!r}")
     n = _expect_int(n, "n")
+    if not 2 <= n <= MAX_AUDIT_PARTIES:
+        raise ParameterError(f"an audit enumerates coalitions of 2 to {MAX_AUDIT_PARTIES} parties, got n={n}")
     target = _expect_int(target, "target", "a 0-based party index")
     if not 0 <= target < n:
         raise ParameterError(f"target index {target} out of range for n={n}")

@@ -125,11 +125,13 @@ def transmit(
 
     With no tapper ``seq`` itself is delivered, since the channel is
     noiseless; a tapped link delivers a new tuple of the tapped states. The
-    transmission is recorded for both endpoints, after any tap records.
+    transmission is recorded for both endpoints, after any tap records. The
+    tapper draws through ``rng``'s bit generator's C functions.
     """
     label, tapper = link.label, link.tapper
     if tapper is not None:
-        seq = tuple(tapper.tap(state, label, i, rng, transcript) for i, state in enumerate(seq))
+        draws = rng.bit_generator.ctypes
+        seq = tuple(tapper.tap(state, label, i, draws, transcript) for i, state in enumerate(seq))
     transcript.record({link.sender, link.receiver}, "transmit", link=label, count=len(seq))
     return seq
 

@@ -66,6 +66,14 @@ def derive_cell_seed(master_seed: int, cell_index: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+def _check_seed(seed: object) -> int:
+    """The one check of a master seed: an integer other than a bool in [0, 2**64), numpy's stored as an int."""
+    seed = _expect_int(seed, "seed")
+    if not 0 <= seed < 2**64:
+        raise ParameterError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: protocol parameters, inputs, adversary, and trial count.
@@ -126,8 +134,7 @@ class ExperimentConfig:
             _check_shared_key(self.shared_key, params)
         if self.trials < 1:
             raise ParameterError(f"trials must be >= 1, got {self.trials}")
-        if not 0 <= self.seed < 2**64:
-            raise ParameterError(f"seed must lie in [0, 2**64), got {self.seed}")
+        _check_seed(self.seed)
         return params, strategy
 
     def to_dict(self) -> dict:
@@ -331,6 +338,7 @@ def sweep(base: ExperimentConfig, axis: str | tuple[str, ...], values: Sequence)
     empty sweep.
     """
     _expect(base, ExperimentConfig, "base")
+    base_seed = _check_seed(base.seed)  # only the seed: a sweep may set any other field to a valid value
     try:
         names = (axis,) if isinstance(axis, str) else tuple(axis)
         settings = [(value,) if isinstance(axis, str) else value for value in values]
@@ -343,7 +351,7 @@ def sweep(base: ExperimentConfig, axis: str | tuple[str, ...], values: Sequence)
             raise ParameterError(f"a value of sweep axis {axis!r} is a tuple of {len(names)} items, got {setting!r}")
     cells: list[SweepCell] = []
     for index, setting in enumerate(settings):
-        cell_seed = derive_cell_seed(base.seed, index)
+        cell_seed = derive_cell_seed(base_seed, index)
         cfg = dataclasses.replace(base, **dict(zip(names, setting)), seed=cell_seed)
         value = getattr(cfg, axis) if isinstance(axis, str) else tuple(getattr(cfg, name) for name in names)
         cell = SweepCell(axis=axis, value=value, seed=cell_seed, config=cfg.to_dict())

@@ -333,12 +333,18 @@ def _disclose_and_check(
 
     The link's sender, who drew its decoys, announces positions and bases;
     the receiver measures and reports publicly; and the sender, who alone
-    knows the prepared indices, computes the mismatch rate.
+    knows the prepared indices, computes the mismatch rate. The receiver
+    draws one uniform per decoy with one ``rng.random(k)`` call, which numpy
+    answers with the values and end state of k scalar ``random()`` calls
+    (pinned in tests/test_determinism.py).
     """
     label = link.label
     disclosed = [[position, DECOY_BASIS_NAMES[fourier]] for position, fourier, _ in entries]
     bus.broadcast(link.sender, "decoy_disclosure", transmission=label, phase=phase, entries=disclosed)
-    outcomes = [[pos, measure(received[pos], DECOY_BASES[fourier], rng).value] for pos, fourier, _ in entries]
+    draws = rng.random(len(entries)).tolist()
+    outcomes = [
+        [pos, measure(received[pos], DECOY_BASES[fourier], u).value] for (pos, fourier, _), u in zip(entries, draws)
+    ]
     bus.broadcast(link.receiver, "measurement_report", transmission=label, outcomes=outcomes)
     mismatched = sum(1 for (_, _, index), (_, value) in zip(entries, outcomes) if value != index)
     error_rate = mismatched / len(entries) if entries else 0.0
@@ -445,7 +451,7 @@ def _run_protocol(
     # stage 7: measure carriers, form scores, announce the ordering only
     measured = []
     for i, (received, carrier_position, _) in enumerate(second_hop):
-        outcome = measure(received[carrier_position], Basis.COMPUTATIONAL, measure_rng)
+        outcome = measure(received[carrier_position], Basis.COMPUTATIONAL, measure_rng.random())
         transcript.record({measurer}, "carrier_measurement", step="step7", party=i, value=outcome.value)
         measured.append(outcome.value)
 

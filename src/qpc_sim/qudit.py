@@ -5,13 +5,14 @@ basis and its discrete-Fourier conjugate, and so do the modelled attacks. So
 every qudit a run creates is a basis vector of one of the two bases, up to
 global phase, and :class:`BasisLabel` tracks it as the tuple
 ``(dim, basis, index)``: preparing and shifting are O(1), and a measurement is
-one uniform draw plus, across bases, one binary search in the uniform table
-``cumsum(full(d, 1/d))`` kept once per ``d``. Labels and measurement outcomes
-are immutable named tuples, so equal fields mean equal, equally hashed values.
+a pure function of one uniform the caller drew: across bases, one binary
+search in the uniform table ``cumsum(full(d, 1/d))`` kept once per ``d``.
+Labels and measurement outcomes are immutable named tuples, so equal fields
+mean equal, equally hashed values.
 
 The dense state-vector engine in ``tests/dense_oracle.py`` is the oracle the
 tests compare this engine against. The two return the same outcome for the
-same draw except on a tiny set of draws. numpy's ``Generator.random()``
+same uniform except on a tiny set of uniforms. numpy's ``Generator.random()``
 returns multiples of 2**-53. Over every basis vector and every cyclic shift of
 one, the draws on that grid for which the label outcome differs from the
 dense outcome have total probability at most:
@@ -110,15 +111,15 @@ class BasisLabel(NamedTuple):
             return self
         return BasisLabel(self.dim, Basis.COMPUTATIONAL, (self.index + m) % self.dim)
 
-    def measure(self, basis: Basis, rng: np.random.Generator) -> MeasurementOutcome:
-        """Measure in ``basis`` with exactly one uniform draw from ``rng``, whatever the outcome.
+    def measure(self, basis: Basis, u: float) -> MeasurementOutcome:
+        """Measure in ``basis``, sampling from the uniform ``u`` in [0, 1) that the caller drew.
 
-        In the label's own basis the outcome is the label. In the conjugate
-        basis every outcome has probability 1/d, and the draw picks it from
-        the uniform table. The one draw keeps generators that run side by
-        side aligned.
+        In the label's own basis the outcome is the label and ``u`` is unused.
+        In the conjugate basis every outcome has probability 1/d, and ``u``
+        picks it from the uniform table. The caller draws one ``u`` per
+        measurement whatever the outcome, which keeps generators that run
+        side by side aligned.
         """
-        u = rng.random()
         if basis is self.basis:
             return _new(MeasurementOutcome, (self.index, self))
         value = min(bisect_right(_uniform_cdf(self.dim), u), self.dim - 1)

@@ -3,7 +3,7 @@
 It holds exact state vectors and works on any pure state, with the same three
 primitives as the label engine in ``qpc_sim.qudit``: preparation in one of the
 two mutually unbiased bases, the cyclic shift operator, and projective
-measurement with Born-rule sampling from exactly one uniform draw. Its
+measurement with Born-rule sampling from one uniform the caller drew. Its
 functions also accept a label of the library's engine, read by duck typing as
 ``(dim, basis, index)``, so that a label can be compared with a dense state.
 It imports nothing of the label engine, so that it stays an independent check
@@ -88,13 +88,13 @@ def iqft(state) -> QuditState:
     return QuditState(fourier_matrix(state.dim).conj().T @ amplitudes(state))
 
 
-def measure(state, basis: Basis, rng: np.random.Generator) -> MeasurementOutcome:
-    """Projectively measure in the given basis, sampling by the Born rule.
+def measure(state, basis: Basis, u: float) -> MeasurementOutcome:
+    """Projectively measure in the given basis, sampling by the Born rule from the uniform ``u`` in [0, 1).
 
-    Consumes exactly one uniform draw from ``rng`` regardless of the outcome,
-    so parallel runs with aligned generators stay aligned.
+    The caller draws ``u``, one per measurement whatever the outcome, so
+    parallel runs with aligned generators stay aligned.
     """
-    value = int(np.searchsorted(born_cdf(state, basis), rng.random(), side="right"))
+    value = int(np.searchsorted(born_cdf(state, basis), u, side="right"))
     value = min(value, state.dim - 1)
     return MeasurementOutcome(value=value, post_state=basis_state(state.dim, basis, value))
 

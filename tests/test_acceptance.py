@@ -250,7 +250,7 @@ def test_criterion_09_engine_invariants():
         mrng = np.random.default_rng(9000 + d)
         probe = comp[d // 2]
         for _ in range(20_000):
-            counts[measure(probe, Basis.FOURIER, mrng).value] += 1
+            counts[measure(probe, Basis.FOURIER, mrng.random()).value] += 1
         min_p = min(min_p, stats.chisquare(counts).pvalue)
 
     passed = exact_ok and min_p > 0.001

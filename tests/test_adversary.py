@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import time
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from qpc_sim import (
     strategy_from_id,
     tapped_checked_decoys,
 )
-from qpc_sim.adversary import View
+from qpc_sim.adversary import MAX_AUDIT_PARTIES, View
 from qpc_sim.channel import OUTSIDER, PUBLIC, ClassicalBus, Transcript
 from qpc_sim.protocol import pad_sum_range, run_links
 from qpc_sim.qudit import Basis, BasisLabel
@@ -153,7 +154,7 @@ def test_active_tap_fires_only_on_the_links_it_taps():
 def test_measure_resend_collapses_to_the_measured_basis():
     rng = np.random.default_rng(7)
     state = BasisLabel.prepare(4, Basis.FOURIER, 1)
-    out = strategy_from_id("ir-fixed-t1").tap(state, "TP1->P1", 0, rng, Transcript())
+    out = strategy_from_id("ir-fixed-t1").tap(state, "TP1->P1", 0, rng.bit_generator.ctypes, Transcript())
     # the resent state is some computational eigenstate
     assert any(
         overlap(out, basis_state(4, Basis.COMPUTATIONAL, j)) == pytest.approx(1.0) for j in range(4)
@@ -163,7 +164,7 @@ def test_measure_resend_collapses_to_the_measured_basis():
 def test_measure_resend_in_the_preparation_basis_is_invisible():
     rng = np.random.default_rng(7)
     state = BasisLabel.prepare(4, Basis.COMPUTATIONAL, 2)
-    out = strategy_from_id("ir-fixed-t1").tap(state, "TP1->P1", 0, rng, Transcript())
+    out = strategy_from_id("ir-fixed-t1").tap(state, "TP1->P1", 0, rng.bit_generator.ctypes, Transcript())
     assert overlap(out, state) == pytest.approx(1.0)
 
 
@@ -533,6 +534,25 @@ def test_allowed_coalitions_refuse_an_n_that_is_not_an_integer(n):
     # n=True used to audit a one-party run
     with pytest.raises(ParameterError, match="n must be an integer"):
         allowed_coalitions(Variant.TWO_TP, n, 0)
+
+
+@pytest.mark.parametrize("n", [40, 2**40])
+def test_allowed_coalitions_refuse_an_n_past_the_cap_before_building_anything(n):
+    # n=40 used to build 2**39 + 1 coalitions and never return
+    start = time.perf_counter()
+    with pytest.raises(ParameterError, match=f"2 to {MAX_AUDIT_PARTIES} parties"):
+        allowed_coalitions(Variant.TWO_TP, n, 0)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("n", [1, 0, -1])
+def test_allowed_coalitions_refuse_fewer_than_two_parties(n):
+    with pytest.raises(ParameterError, match=f"2 to {MAX_AUDIT_PARTIES} parties"):
+        allowed_coalitions(Variant.ONE_TP, n, 0)
+
+
+def test_allowed_coalitions_reach_the_cap():
+    assert len(allowed_coalitions(Variant.ONE_TP, MAX_AUDIT_PARTIES, 0)) == 2 ** (MAX_AUDIT_PARTIES - 1)
 
 
 @pytest.mark.parametrize("target", ["0", 0.0, True, None])

@@ -10,7 +10,10 @@ the generator in the state, of the scalar calls made in the same order is numpy
 behaviour, not a documented guarantee. The tests below pin it against scalar
 draws and against literal values, and pin ``canonical_json`` digests for a small
 corpus and transcript digests for a smaller one, so that a numpy change or a protocol change that moves a draw fails here
-instead of silently changing reports.
+instead of silently changing reports. A decoy check draws its uniforms with one
+``Generator.random(k)`` call, and a tap draws through the bit generator's
+``ctypes`` functions; both are pinned here against the scalar ``Generator``
+calls they stand for, in values and end state, and against literal values.
 """
 from __future__ import annotations
 
@@ -22,12 +25,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpc_sim import ATTACK_IDS, ExperimentConfig, ParameterError, run_experiment, run_trial
+from qpc_sim.channel import ClassicalBus, QuantumLink, Transcript
 from qpc_sim.streams import chunk_trials, trial_streams
 from qpc_sim.protocol import (
     DECOY_BASES,
     MAX_DIM,
     ProtocolParams,
     Variant,
+    _disclose_and_check,
     basis_state,
     build_transmission,
     tp_prepare_carriers,
@@ -179,6 +184,88 @@ def test_array_bound_integers_frozen_example():
         "has_uint32": 1,
         "uinteger": 1220337425,
     }
+
+
+@pytest.mark.parametrize("k", (0, 1, 8, 33))
+def test_random_of_k_draws_what_k_scalar_calls_draw(k):
+    # a decoy check draws its k uniforms with one random(k) call
+    for seed in SEEDS:
+        batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert batched.random(k).tolist() == [scalar.random() for _ in range(k)]
+        assert batched.bit_generator.state == scalar.bit_generator.state
+
+
+def _ctypes_taps(rng: np.random.Generator, coins: list[bool]) -> list:
+    """A tap's draws through the bit generator's C functions: a coin where asked, then the uniform."""
+    draws, out = rng.bit_generator.ctypes, []
+    for coin in coins:
+        if coin:
+            out.append(draws.next_uint32(draws.state) >> 31)
+        out.append(draws.next_double(draws.state))
+    return out
+
+
+def _generator_taps(rng: np.random.Generator, coins: list[bool]) -> list:
+    """The same taps through ``Generator``: ``integers(0, 2)`` where asked, then ``random()``."""
+    out = []
+    for coin in coins:
+        if coin:
+            out.append(int(rng.integers(0, 2)))
+        out.append(rng.random())
+    return out
+
+
+@pytest.mark.parametrize("pattern", ("coin each tap", "no coin", "mixed"))
+def test_ctypes_tap_draws_are_integers_and_random(pattern):
+    # AttackStrategy.tap draws next_uint32 >> 31 and next_double; the full end
+    # state, has_uint32 and uinteger included, must be Generator's, or the
+    # next draw of the stream would differ
+    for seed in SEEDS:
+        coins = {
+            "coin each tap": [True] * 67,
+            "no coin": [False] * 67,
+            "mixed": [bool(c) for c in np.random.default_rng(seed + 1000).integers(0, 2, 67)],
+        }[pattern]
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert _ctypes_taps(fast, coins) == _generator_taps(slow, coins)
+        assert fast.bit_generator.state == slow.bit_generator.state
+        assert (fast.random(), int(fast.integers(0, 2))) == (slow.random(), int(slow.integers(0, 2)))
+
+
+def test_ctypes_tap_draws_frozen_example():
+    # literal values and end state: a numpy change to the tap's draws must fail here
+    rng = np.random.default_rng(5324)
+    assert _ctypes_taps(rng, [True] * 3) == [1, 0.8207246403666033, 0, 0.04740025757535893, 1, 0.1829746130928649]
+    assert rng.random(3).tolist() == [0.2976649062402089, 0.8949163849049764, 0.3106553712377148]
+    assert rng.bit_generator.state == {
+        "bit_generator": "PCG64",
+        "state": {
+            "state": 97163306882097539581664905149675372164,
+            "inc": 178948848460689084501098233358188242283,
+        },
+        "has_uint32": 1,
+        "uinteger": 2291771039,
+    }
+
+
+@pytest.mark.parametrize("k", (0, 1, 8, 33))
+def test_measurement_consumes_one_draw_regardless_of_outcome(k):
+    # a check draws one uniform per disclosed decoy, whether each measurement
+    # is certain (the decoy as prepared) or uniform (its conjugate)
+    entries = tuple((position, position % 2, position % 5) for position in range(k))
+    as_prepared = [basis_state(5, DECOY_BASES[fourier], index) for _, fourier, index in entries]
+    conjugate = [basis_state(5, DECOY_BASES[1 - fourier], index) for _, fourier, index in entries]
+    link = QuantumLink("TP1", "P1")
+    for seed in SEEDS:
+        ends = []
+        for received in (as_prepared, conjugate):
+            rng = np.random.default_rng(seed)
+            _disclose_and_check(ClassicalBus(Transcript()), "step3", "all", link, entries, received, rng, 1.0)
+            ends.append(rng.bit_generator.state)
+        scalar = np.random.default_rng(seed)
+        for _ in range(k):
+            scalar.random()
+        assert ends == [scalar.bit_generator.state] * 2
 
 
 # sha256 of canonical_json, computed before the draws were batched

@@ -420,6 +420,29 @@ def test_sweep_edge_cases():
             sweep(base, ("d", "r"), [(7, 2), value])
 
 
+@pytest.mark.parametrize(
+    "seed, message",
+    [("x", "seed must be an integer"), (-1, "seed must lie in"), (1.5, "seed must be an integer"),
+     (None, "seed must be an integer"), (2**64, "seed must lie in"), (True, "seed must be an integer")],
+    ids=repr,
+)
+def test_sweep_refuses_a_base_seed_that_validate_refuses(seed, message):
+    # each cell derives its seed from the base's: "x" and -1 used to end in ValueError,
+    # 1.5 and None in TypeError, and 2**64 and True ran
+    base = dataclasses.replace(ExperimentConfig(variant="two-tp", n=2, d=5, r=2, l=2, trials=3), seed=seed)
+    with pytest.raises(ParameterError, match=message):
+        base.validate()
+    with pytest.raises(ParameterError, match=message):
+        sweep(base, "d", [5])
+
+
+def test_sweep_checks_only_the_seed_of_its_base():
+    # a sweep may set a field that is invalid in its base
+    base = ExperimentConfig(variant="two-tp", n=2, d=2, r=5, l=2, trials=3, seed=np.uint64(2**64 - 1))
+    [cell] = sweep(base, "d", [13])
+    assert cell.skipped is None and cell.seed == derive_cell_seed(2**64 - 1, 0)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------

@@ -22,16 +22,6 @@ def _uniform_table(d: int) -> list[float]:
     return np.cumsum(np.full(d, 1.0 / d)).tolist()
 
 
-class _Draws:
-    """Stands in for a generator whose random() returns the given values in turn."""
-
-    def __init__(self, *values: float) -> None:
-        self._values = iter(values)
-
-    def random(self) -> float:
-        return next(self._values)
-
-
 def test_prepare_checks_its_arguments_as_basis_state_does():
     for args in ((1, Basis.COMPUTATIONAL, 0), (4, Basis.FOURIER, 4), (4, Basis.COMPUTATIONAL, -1)):
         with pytest.raises(qudit.ParameterError):
@@ -44,7 +34,7 @@ def test_prepare_checks_its_arguments_as_basis_state_does():
 
 def test_labels_and_outcomes_are_immutable():
     label = BasisLabel.prepare(5, Basis.FOURIER, 2)
-    outcome = label.measure(Basis.COMPUTATIONAL, np.random.default_rng(0))
+    outcome = label.measure(Basis.COMPUTATIONAL, np.random.default_rng(0).random())
     for value, fields in ((label, ("dim", "basis", "index")), (outcome, ("value", "post_state"))):
         for field in fields:
             with pytest.raises(AttributeError):
@@ -63,8 +53,8 @@ def test_labels_with_equal_fields_are_equal_however_built(d):
             labels = (
                 prepared,
                 BasisLabel.prepare(d, basis, source).shift(1),
-                prepared.measure(basis, _Draws(0.5)).post_state,
-                BasisLabel.prepare(d, conjugate, 0).measure(basis, _Draws((j + 0.5) / d)).post_state,
+                prepared.measure(basis, 0.5).post_state,
+                BasisLabel.prepare(d, conjugate, 0).measure(basis, (j + 0.5) / d).post_state,
             )
             assert all(label == prepared and hash(label) == hash(prepared) for label in labels)
             assert prepared != BasisLabel.prepare(d, conjugate, j)
@@ -82,8 +72,8 @@ def test_label_operations_match_the_dense_engine_draw_for_draw(d):
                 for measured in Basis:
                     label_rng, dense_rng, one_draw = (np.random.default_rng((d, j, m)) for _ in range(3))
                     for _ in range(5):
-                        got = label.measure(measured, label_rng)
-                        want = measure(dense, measured, dense_rng)
+                        got = label.measure(measured, label_rng.random())
+                        want = measure(dense, measured, dense_rng.random())
                         one_draw.random()
                         assert got.value == want.value
                         assert got.post_state == BasisLabel(d, measured, got.value)
@@ -105,14 +95,14 @@ def test_conjugate_outcome_steps_where_the_uniform_table_does(d):
         conjugate = Basis.FOURIER if prepared is Basis.COMPUTATIONAL else Basis.COMPUTATIONAL
         for j in range(d):
             label = BasisLabel.prepare(d, prepared, j)
-            assert label.measure(prepared, _Draws(0.0)).value == j
-            assert label.measure(prepared, _Draws(1.0 - 1.0 / GRID)).value == j
-            assert label.measure(conjugate, _Draws(0.0)).value == 0
-            assert label.measure(conjugate, _Draws(1.0 - 1.0 / GRID)).value == d - 1
+            assert label.measure(prepared, 0.0).value == j
+            assert label.measure(prepared, 1.0 - 1.0 / GRID).value == j
+            assert label.measure(conjugate, 0.0).value == 0
+            assert label.measure(conjugate, 1.0 - 1.0 / GRID).value == d - 1
             for k in range(d - 1):
                 step = math.ceil(table[k] * GRID) / GRID
-                assert label.measure(conjugate, _Draws(step - 1.0 / GRID)).value == k
-                assert label.measure(conjugate, _Draws(step)).value == k + 1
+                assert label.measure(conjugate, step - 1.0 / GRID).value == k
+                assert label.measure(conjugate, step).value == k + 1
 
 
 def _differing_mass(dense_cdf: np.ndarray, label_cdf, d: int) -> float:

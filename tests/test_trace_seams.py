@@ -94,6 +94,34 @@ def test_an_honest_run_passes_each_qudit_through_the_traced_seams(monkeypatch):
     assert calls["events"] >= config.trials
 
 
+@pytest.mark.parametrize("attack, threshold", [("ir-random", 0.0), ("ir-random", 1.0), ("tp2-mr", 0.0)])
+def test_each_tapped_qudit_passes_through_the_tap_seams_once(monkeypatch, attack, threshold):
+    # a tap that drew and measured past AttackStrategy.tap or adversary.measure
+    # would leave the adversary.tap span short of the work it reports
+    calls = {"tap": 0, "measure": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(AttackStrategy, "tap", counting("tap", AttackStrategy.tap))
+    monkeypatch.setattr(adversary, "measure", counting("measure", adversary.measure))
+    config = harness.ExperimentConfig(
+        variant="two-tp", n=3, d=13, r=5, l=8, attack=attack, trials=6, seed=1, threshold=threshold
+    )
+    params, strategy = config.validate()
+    first_links, second_links = protocol.run_links(params, strategy)
+    tapped = {link.label for link in first_links + second_links if link.tapper is not None}
+    reached = 0
+    for t in range(config.trials):
+        run = harness.run_trial(config, t)
+        reached += sum(e["kind"] == "transmit" and e["link"] in tapped for e in run.transcript.events())
+    assert reached >= config.trials
+    assert calls == {"tap": reached * (config.l + 1), "measure": reached * (config.l + 1)}
+
+
 @pytest.mark.parametrize("workload", [w["name"] for w in SPEC["workloads"]])
 def test_a_traced_benchmark_run_reports_every_layer_metric(workload):
     # every contract workload, not only the one the benchmark's own tests trace: a seam that
