@@ -273,17 +273,14 @@ def coalition_view(transcript: Transcript, coalition: Coalition) -> View:
     """The coalition's view of ``transcript``: the public events plus any member's own, each once, in order.
 
     Nothing is filtered here; ``View.events`` reads the transcript when asked.
-    A run header, if present, bounds the target and the party members.
+    The first run header, if any, bounds the target and the party members; it
+    comes from the transcript's fact index, which the audit reads anyway.
     """
     _expect(transcript, Transcript, "transcript")
     _expect(coalition, Coalition, "coalition")
-    for header in transcript.events():
-        if header["kind"] == "run_header":
-            break
-    else:
-        header = None
-    if header is not None:
-        n, variant = header["n"], header["variant"]
+    headers = _fact_index(transcript)[2]
+    if headers:
+        variant, n = headers[0][:2]
         if coalition.target >= n:
             raise ParameterError(f"target index {coalition.target} out of range for n={n}")
         roles = _run_roles(variant, n)
@@ -306,28 +303,28 @@ _FACT_KINDS = frozenset({"carrier_prep", "carrier_measurement", "score_computati
 _fact_indexes: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _fact_index(transcript: Transcript) -> tuple[list[Event], dict[str, frozenset[int]], frozenset[tuple], dict]:
+def _fact_index(transcript: Transcript) -> tuple[list[Event], dict[str, frozenset[int]], tuple[tuple, ...], dict]:
     """The ``seq`` numbers of the fact events each role sees, public ones included, from one pass over the log.
 
     Facts are the preparer's carrier record, the pad announcement, the
     measurer's carrier records and scores, and the shared key. The ordering
     announcement is deliberately not one: the ranking is the protocol's
     declared output, so the audit measures leakage *beyond* it. The pass also
-    collects each run header's (variant, n, d, r). The index is built again
-    once the log has grown.
+    collects each distinct run header's (variant, n, d, r), first seen first.
+    The index is built again once the log has grown.
     """
     entry = _fact_indexes.get(transcript)
     if entry is None or len(entry[0]) != len(transcript):
-        events, roles, headers = transcript.events(), {}, set()
+        events, roles, headers = transcript.events(), {}, {}
         for e in events:
             if e["kind"] == "run_header":
-                headers.add((e["variant"], e["n"], e["d"], e["r"]))
+                headers[e["variant"], e["n"], e["d"], e["r"]] = None
             elif e["kind"] in _FACT_KINDS or (e["kind"] == "classical" and e["message"]["kind"] == "pad_announcement"):
                 for role in e["observers"]:
                     roles.setdefault(role, set()).add(e["seq"])
         public = roles.get(PUBLIC, set())
         roles = {role: frozenset(public | seqs) for role, seqs in roles.items()}
-        entry = _fact_indexes[transcript] = (events, roles, frozenset(headers), {})
+        entry = _fact_indexes[transcript] = (events, roles, tuple(headers), {})
     return entry
 
 

@@ -12,9 +12,12 @@ import dataclasses
 import json
 import math
 import numbers
+import sys
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from itertools import islice
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -34,11 +37,10 @@ from .protocol import (
     _normalize_secrets,
     rank_descending,
     run_one_tp_protocol,
-    run_streams,
     run_two_tp_protocol,
 )
 from .qudit import ParameterError, _expect, _expect_int, _plain_int
-from .streams import trial_streams
+from .streams import RunDraws, trial_streams
 
 #: Fixed column order of CSV output (the trailing note column carries sweep-skip reasons).
 CSV_COLUMNS = (
@@ -160,8 +162,14 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRun:
     _expect(config, ExperimentConfig, "config")
     params, strategy = config.validate()
     t = _expect_int(trial_index, "trial_index", "an integer >= 0", 0)
-    rng = next(trial_streams(config.seed, range(t, t + 1), run_streams(params.n)))
-    return _run_trial(config, params, strategy, t, rng)
+    return _run_trial(config, params, strategy, t, next(_trial_draws(config, params, range(t, t + 1))))
+
+
+def _trial_draws(config: ExperimentConfig, params: ProtocolParams, trials: range) -> Iterator[RunDraws]:
+    """Each trial's draws; its root stream draws the random secrets, then a random one-tp key."""
+    random_key = params.variant is Variant.ONE_TP and config.shared_key == "random"
+    root_draws = params.n * (config.secrets == "random") + random_key
+    return trial_streams(config.seed, trials, params, root_draws)
 
 
 def _run_trial(
@@ -169,16 +177,17 @@ def _run_trial(
     params: ProtocolParams,
     strategy: AttackStrategy,
     trial_index: int,
-    rng: np.random.Generator,
+    draws: RunDraws,
 ) -> TrialRun:
     # draw order is fixed: secrets first, then the shared key, then the run
-    secrets = tuple(rng.integers(0, params.r, size=params.n).tolist()) if config.secrets == "random" else config.secrets
+    root = iter(draws.root)
+    secrets = tuple(islice(root, params.n)) if config.secrets == "random" else config.secrets
     if params.variant is Variant.TWO_TP:
         key = None
-        transcript, outcome = run_two_tp_protocol(params, secrets, strategy, rng)
+        transcript, outcome = run_two_tp_protocol(params, secrets, strategy, draws)
     else:
-        key = int(rng.integers(0, params.r)) if config.shared_key == "random" else config.shared_key
-        transcript, outcome = run_one_tp_protocol(params, secrets, key, strategy, rng)
+        key = next(root) if config.shared_key == "random" else config.shared_key
+        transcript, outcome = run_one_tp_protocol(params, secrets, key, strategy, draws)
     return TrialRun(trial_index, secrets, key, transcript, outcome)
 
 
@@ -189,8 +198,9 @@ class ExperimentReport:
     ``decoy_stats`` counts measured decoys and mismatches per checking stage
     across all trials (the raw material for detection-rate estimates);
     ``analytic_abort`` is the closed-form abort probability when defined
-    (zero error threshold). ``wall_clock_s`` is measured, so it is excluded
-    from :meth:`canonical_json`, the determinism-comparable form.
+    (zero error threshold). ``wall_clock_s`` is measured, and ``env`` names
+    the qpc_sim, numpy and Python versions that made the report (or is empty);
+    both are left out of :meth:`canonical_json`, the determinism-comparable form.
     """
 
     config: dict
@@ -205,13 +215,14 @@ class ExperimentReport:
     analytic_abort: float | None
     decoy_stats: dict[str, dict[str, int]]
     wall_clock_s: float
+    env: dict[str, str] = dataclasses.field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return _field_dict(self)
 
     def canonical_dict(self) -> dict:
         out = self.to_dict()
-        del out["wall_clock_s"]
+        del out["wall_clock_s"], out["env"]
         return out
 
     def to_json(self) -> str:
@@ -223,7 +234,7 @@ class ExperimentReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentReport":
-        return cls(**{f.name: data[f.name] for f in dataclasses.fields(cls)})
+        return cls(**{f.name: data[f.name] for f in dataclasses.fields(cls) if f.name != "env" or "env" in data})
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentReport":
@@ -232,6 +243,14 @@ class ExperimentReport:
     def csv_row(self) -> list[str]:
         rates = (self.abort_rate, self.abort_stderr, self.analytic_abort)
         return _csv_row(self.config, [str(self.n_correct), str(self.n_aborted), *map(_fmt_float, rates)])
+
+
+@lru_cache(maxsize=1)
+def _environment() -> tuple[tuple[str, str], ...]:
+    """The versions a report names, read once per process."""
+    from . import __version__  # the package module, complete by the time a report is made
+
+    return ("qpc_sim", __version__), ("numpy", np.__version__), ("python", "%d.%d.%d" % sys.version_info[:3])
 
 
 def _fmt_float(x: float | None) -> str:
@@ -256,9 +275,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     decoy_stats = {step: {"checked": 0, "mismatched": 0} for step in CHECK_STEPS}
     trial_rows: list[dict] = []
     n_completed = n_aborted = n_correct = 0
-    streams = trial_streams(config.seed, range(config.trials), run_streams(params.n))
-    for t, rng in enumerate(streams):
-        run = _run_trial(config, params, strategy, t, rng)
+    for t, draws in enumerate(_trial_draws(config, params, range(config.trials))):
+        run = _run_trial(config, params, strategy, t, draws)
         for event in run.transcript.events():
             if event["kind"] == "decoy_check":
                 bucket = decoy_stats[event["step"]]
@@ -300,6 +318,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         analytic_abort=analytic,
         decoy_stats=decoy_stats,
         wall_clock_s=time.perf_counter() - start,
+        env=dict(_environment()),
     )
 
 

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import enum
 import numbers
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from itertools import islice
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .channel import (
     transmit,
 )
 from .qudit import Basis, BasisLabel, ParameterError, _expect, _expect_int, _plain_int
+from .streams import RunDraws, run_draws, run_streams
 
 # Every qudit a run creates is a basis label. These module names are the seams
 # where the tests plug in the dense oracle's functions of the same names, and
@@ -54,7 +56,7 @@ SOLO_TP_ROLE = "TP"
 MAX_DIM = 2**16
 
 #: Most qudits one run may move, 2n(l+1). Memory grows with it: one two-tp
-#: trial at the cap (n=2, l=65535) peaks at 138 MB RSS (CPython 3.11, numpy 2.4).
+#: trial at the cap (n=2, l=65535) peaks at 196 MB RSS (CPython 3.11, numpy 2.4).
 MAX_QUDITS = 2**18
 
 
@@ -131,11 +133,6 @@ Decoy = tuple[int, int, int]
 CHECK_STEPS = ("step3", "step5", "step6")
 
 
-def run_streams(n: int) -> int:
-    """Streams a run spawns from its generator: the preparer's, one per party, the measurer's, the adversary's."""
-    return n + 3
-
-
 class DecoySpec(NamedTuple):
     """Sender-private recipe of a transmission: its draw, as decoys in position order, plus the carrier slot.
 
@@ -182,44 +179,33 @@ def pad_sum_range(params: ProtocolParams) -> range:
 # --------------------------------------------------------------------------
 
 def tp_prepare_carriers(
-    params: ProtocolParams, rng: np.random.Generator
+    params: ProtocolParams, draws: Iterator[int]
 ) -> tuple[int, tuple[int, ...], list[BasisLabel]]:
-    """Draw the run constant and one pad per party; carrier i starts as |pad_i>.
+    """Take the run constant and one pad per party from the preparer's draws; carrier i starts as |pad_i>.
 
-    Each pad's complement is ``pad_sum - pad``, which ``pad_sum_range`` keeps in [0, d).
-    All n+1 values come from one array-bound ``rng.integers`` call, which numpy
-    answers with the values and end state of the scalar calls in the same order
-    (pinned in tests/test_determinism.py).
+    Each pad's complement is ``pad_sum - pad``, which ``pad_sum_range`` keeps
+    in [0, d). The n+1 draws are the run constant's offset into
+    ``pad_sum_range``, uniform below its length, then the pads, uniform below r.
     """
-    sums, n = pad_sum_range(params), params.n
-    pad_sum, *pads = rng.integers([sums.start] + [0] * n, [sums.stop] + [params.r] * n).tolist()
+    offset, *pads = islice(draws, params.n + 1)
+    pad_sum = pad_sum_range(params).start + offset
     return pad_sum, tuple(pads), [basis_state(params.d, Basis.COMPUTATIONAL, pad) for pad in pads]
 
 
-@lru_cache(maxsize=4)
-def _draw_bounds(d: int, l: int) -> np.ndarray:
-    """Upper bounds of one transmission's draw: basis bit and index per decoy, then the carrier slot."""
-    bounds = np.array([2, d] * l + [l + 1])
-    bounds.setflags(write=False)
-    return bounds
-
-
 def build_transmission(
-    carrier_state: BasisLabel, l: int, rng: np.random.Generator
+    carrier_state: BasisLabel, l: int, draws: Iterator[int]
 ) -> tuple[tuple[BasisLabel, ...], DecoySpec]:
     """Hide the carrier among l decoys drawn uniformly from the 2d basis states.
 
     Each decoy picks its basis and index independently and uniformly; the
     carrier slot is uniform over the l+1 positions, and the decoys fill the
     other slots in order. Only the returned DecoySpec (sender-private) says
-    which slot is which. One array-bound ``rng.integers`` call, against bounds
-    cached per ``(d, l)``, draws every label in the scalar order (basis, then
-    index, per decoy, then the slot); numpy gives it the values and end state
-    of the 2l+1 scalar calls (pinned in tests/test_determinism.py). Each decoy
-    is prepared by one ``basis_state`` call.
+    which slot is which. The recipe is the sender's next 2l+1 draws: a basis
+    bit below 2 and an index below d per decoy, then the slot below l+1. Each
+    decoy is prepared by one ``basis_state`` call.
     """
     d = carrier_state.dim
-    *draw, carrier_position = rng.integers(0, _draw_bounds(d, l)).tolist()
+    *draw, carrier_position = islice(draws, 2 * l + 1)
     positions = [*range(carrier_position), *range(carrier_position + 1, l + 1)]
     entries = tuple(zip(positions, draw[::2], draw[1::2]))
     states = [basis_state(d, DECOY_BASES[fourier], index) for _, fourier, index in entries]
@@ -265,9 +251,12 @@ def tp_compute_result(
 # --------------------------------------------------------------------------
 
 def _normalize_secrets(secrets: Sequence[int], params: ProtocolParams) -> tuple[int, ...]:
-    """The one check of a secret vector: n integers other than bools in [0, r), numpy's stored as ints."""
+    """The one check of a secret vector: n integers other than bools in [0, r), numpy's stored as ints.
+
+    A string, set or mapping is refused: a set has no party order and a mapping iterates its keys.
+    """
     try:
-        values = None if isinstance(secrets, str) else tuple(map(_plain_int, secrets))
+        values = None if isinstance(secrets, (str, Set, Mapping)) else tuple(map(_plain_int, secrets))
     except TypeError:  # not iterable
         values = None
     if values is None or any(type(s) is not int for s in values):
@@ -289,7 +278,10 @@ def _check_shared_key(shared_key: int, params: ProtocolParams) -> int:
 
 
 def _check_run(params: ProtocolParams, variant: Variant, adversary: object, rng: object) -> None:
-    """A runner's entry checks besides secrets and key: params of ``variant``, an attack or None, a Generator."""
+    """A runner's entry checks besides secrets and key: params of ``variant``, an attack or None, and ``rng``.
+
+    ``rng`` is a trial's ``RunDraws`` or a Generator of 64-bit words, which MT19937's 32-bit words are not.
+    """
     from .adversary import AttackStrategy  # adversary.py imports this module
 
     _expect(params, ProtocolParams, "params")
@@ -297,7 +289,10 @@ def _check_run(params: ProtocolParams, variant: Variant, adversary: object, rng:
         raise ParameterError(f"params are for {params.variant.value}, expected {variant.value}")
     if adversary is not None:
         _expect(adversary, AttackStrategy, "adversary")
-    _expect(rng, np.random.Generator, "rng")
+    if not isinstance(rng, RunDraws):
+        _expect(rng, np.random.Generator, "rng")
+        if isinstance(rng.bit_generator, np.random.MT19937):
+            raise ParameterError("rng must draw 64-bit words; its bit generator is MT19937")
 
 
 def run_links(
@@ -326,7 +321,7 @@ def _disclose_and_check(
     link: QuantumLink,
     entries: Sequence[Decoy],
     received: Sequence[BasisLabel],
-    rng: np.random.Generator,
+    draws: Iterator[float],
     threshold: float,
 ) -> bool:
     """One eavesdropping check of ``link``: disclose, measure, report, compare. True means abort.
@@ -334,16 +329,14 @@ def _disclose_and_check(
     The link's sender, who drew its decoys, announces positions and bases;
     the receiver measures and reports publicly; and the sender, who alone
     knows the prepared indices, computes the mismatch rate. The receiver
-    draws one uniform per decoy with one ``rng.random(k)`` call, which numpy
-    answers with the values and end state of k scalar ``random()`` calls
-    (pinned in tests/test_determinism.py).
+    measures each decoy with its next uniform from ``draws``, one per decoy.
     """
     label = link.label
     disclosed = [[position, DECOY_BASIS_NAMES[fourier]] for position, fourier, _ in entries]
     bus.broadcast(link.sender, "decoy_disclosure", transmission=label, phase=phase, entries=disclosed)
-    draws = rng.random(len(entries)).tolist()
+    uniforms = islice(draws, len(entries))
     outcomes = [
-        [pos, measure(received[pos], DECOY_BASES[fourier], u).value] for (pos, fourier, _), u in zip(entries, draws)
+        [pos, measure(received[pos], DECOY_BASES[fourier], u).value] for (pos, fourier, _), u in zip(entries, uniforms)
     ]
     bus.broadcast(link.receiver, "measurement_report", transmission=label, outcomes=outcomes)
     mismatched = sum(1 for (_, _, index), (_, value) in zip(entries, outcomes) if value != index)
@@ -368,7 +361,7 @@ def _run_protocol(
     secrets: tuple[int, ...],
     shared_key: int | None,
     adversary: "AttackStrategy | None",
-    rng: np.random.Generator,
+    rng: np.random.Generator | RunDraws,
 ) -> tuple[Transcript, ComparisonOutcome]:
     n, l, threshold = params.n, params.l, params.error_threshold
     offset = shared_key or 0
@@ -378,8 +371,15 @@ def _run_protocol(
     transcript = Transcript()
     bus = ClassicalBus(transcript)
     # Fixed stream split keeps every role's draws aligned across runs that
-    # differ only in the secret values.
-    prep_rng, *party_rngs, measure_rng, adversary_rng = rng.spawn(run_streams(n))
+    # differ only in the secret values. A plain Generator's run draws from
+    # its first spawn, through the same pass as a chunk of trials.
+    if not isinstance(rng, RunDraws):
+        rng = run_draws(params, [[rng.bit_generator, *rng.bit_generator.spawn(run_streams(n))]], 0)[0]
+    prep_draws, measure_draws = iter(rng.preparer), iter(rng.measurer)
+    party_draws = [iter(draws) for draws in rng.parties]
+    # taps draw through a Generator's bit generator, so only a tapped run builds one
+    tapped = any(link.tapper is not None for link in first_links + second_links)
+    adversary_rng = np.random.Generator(rng.adversary) if tapped else None
 
     transcript.record(
         PUBLIC,
@@ -398,10 +398,10 @@ def _run_protocol(
         return transcript, ComparisonOutcome(None, None, step)
 
     def hop(
-        link: QuantumLink, step: str, carrier: BasisLabel, sender_rng: np.random.Generator
+        link: QuantumLink, step: str, carrier: BasisLabel, sender_draws: Iterator[int]
     ) -> tuple[tuple[BasisLabel, ...], DecoySpec]:
         """Hide the carrier among l fresh decoys, record the sender's recipe, and send it over ``link``."""
-        seq, spec = build_transmission(carrier, l, sender_rng)
+        seq, spec = build_transmission(carrier, l, sender_draws)
         transcript.record(
             {link.sender},
             "transmission_prep",
@@ -413,7 +413,7 @@ def _run_protocol(
         return transmit(link, seq, transcript, adversary_rng), spec
 
     # stage 1: carriers
-    pad_sum, pads, carrier_states = tp_prepare_carriers(params, prep_rng)
+    pad_sum, pads, carrier_states = tp_prepare_carriers(params, prep_draws)
     complements = [pad_sum - pad for pad in pads]
     transcript.record(
         {preparer},
@@ -425,12 +425,12 @@ def _run_protocol(
     )
 
     # stage 2: first hop (preparer -> party), decoys drawn by the preparer
-    first_hop = [hop(link, "step2", carrier, prep_rng) for link, carrier in zip(first_links, carrier_states)]
+    first_hop = [hop(link, "step2", carrier, prep_draws) for link, carrier in zip(first_links, carrier_states)]
 
     # stage 3: full decoy check of every first hop
     step = CHECK_STEPS[0]
-    for link, (received, spec), party_rng in zip(first_links, first_hop, party_rngs):
-        if _disclose_and_check(bus, step, "all", link, spec.entries, received, party_rng, threshold):
+    for link, (received, spec), draws in zip(first_links, first_hop, party_draws):
+        if _disclose_and_check(bus, step, "all", link, spec.entries, received, draws, threshold):
             return aborted(step)
 
     # stage 4: the party takes the carrier from the one slot its recipe left
@@ -439,19 +439,19 @@ def _run_protocol(
     for i, (link, (received, spec)) in enumerate(zip(second_links, first_hop)):
         encoded = encode_secret(received[spec.carrier_position], secrets[i], offset)
         transcript.record({link.sender}, "encode", step="step4", party=i, shift=secrets[i] + offset)
-        received, spec = hop(link, "step4", encoded, party_rngs[i])
+        received, spec = hop(link, "step4", encoded, party_draws[i])
         second_hop.append((received, spec.carrier_position, two_phase_disclosure(spec)))
 
     # stages 5 and 6: two-phase second-hop check, Fourier decoys strictly first (two_phase_disclosure's order)
     for selector, (step, phase) in enumerate(zip(CHECK_STEPS[1:], reversed(DECOY_BASIS_NAMES))):
         for link, (received, _, phases) in zip(second_links, second_hop):
-            if _disclose_and_check(bus, step, phase, link, phases[selector], received, measure_rng, threshold):
+            if _disclose_and_check(bus, step, phase, link, phases[selector], received, measure_draws, threshold):
                 return aborted(step)
 
     # stage 7: measure carriers, form scores, announce the ordering only
     measured = []
     for i, (received, carrier_position, _) in enumerate(second_hop):
-        outcome = measure(received[carrier_position], Basis.COMPUTATIONAL, measure_rng.random())
+        outcome = measure(received[carrier_position], Basis.COMPUTATIONAL, next(measure_draws))
         transcript.record({measurer}, "carrier_measurement", step="step7", party=i, value=outcome.value)
         measured.append(outcome.value)
 
@@ -467,9 +467,9 @@ def run_two_tp_protocol(
     params: ProtocolParams,
     secrets: Sequence[int],
     adversary: "AttackStrategy | None",
-    rng: np.random.Generator,
+    rng: np.random.Generator | RunDraws,
 ) -> tuple[Transcript, ComparisonOutcome]:
-    """One run of the two-third-party variant.
+    """One run of the two-third-party variant, drawing from ``rng``'s first spawn or from a trial's ``RunDraws``.
 
     The preparing TP knows pads and the run constant but never sees a carrier
     after encoding; the measuring TP sees encoded values but no pads. The pad
@@ -484,9 +484,9 @@ def run_one_tp_protocol(
     secrets: Sequence[int],
     shared_key: int,
     adversary: "AttackStrategy | None",
-    rng: np.random.Generator,
+    rng: np.random.Generator | RunDraws,
 ) -> tuple[Transcript, ComparisonOutcome]:
-    """One run of the single-third-party variant.
+    """One run of the single-third-party variant, drawing as :func:`run_two_tp_protocol` does.
 
     The lone TP plays both ends, so every party also shifts by a key shared
     among the parties but hidden from the TP; complements stay TP-internal and

@@ -1,18 +1,38 @@
-"""Trial streams: numpy's ``SeedSequence((seed, t))`` for a chunk of trials at once.
+"""Trial streams and their draws, a chunk of trials at a time.
 
 A trial of an experiment draws from ``default_rng(SeedSequence((seed, t)))``
 and from the children its run spawns. numpy's ``SeedSequence`` is O'Neill's
 ``seed_seq_fe`` mixer over a pool of four uint32 words, and its hash constants
 do not depend on the data, so one pass of uint32 array arithmetic hashes the
 pools of a chunk of trials, and the PCG64 states of their children, bit for bit
-as numpy does. Each trial's generator is built only when the caller asks for it.
+as numpy does.
+
+Which draws a run makes, and from which stream, follows from its parameters
+alone, so :func:`run_draws` computes a chunk's up front, in one numpy pass,
+from the streams' raw 64-bit words, as numpy's ``Generator`` does:
+
+- a uniform (``random``) is a whole word ``w``, as ``(w >> 11) * 2**-53``;
+- an integer below ``b`` (``integers``) is Lemire's method on a uint32 half
+  ``h`` (Lemire, ACM TOMACS 29(1), 2019): ``(h * b) >> 32``. The low half of a
+  fresh word goes first and its high half is kept for the next integer; a
+  uniform leaves a kept half alone, and a bound of 1 draws nothing. numpy
+  rejects ``h`` when the low word of ``h * b`` is below ``(2**32 - b) % b``,
+  and draws again: a run with a rejected draw is redrawn by the scalar model
+  :func:`_scalar_draws`, so the values never depend on the fast path.
+
+numpy's NEP 19 lets these streams change between releases; the pins in
+tests/test_determinism.py fail if they do.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
+from itertools import chain
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - import only for annotations
+    from .protocol import ProtocolParams
 
 _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -23,11 +43,22 @@ _MASK32 = 0xFFFFFFFF
 #: Streams, roots and children, that one chunk of trials hashes at once: its
 #: PCG64 states take at most 1024 * 32 bytes.
 _CHUNK_STREAMS = 1024
+#: Draws that one chunk computes at most: about 2.5 MB as Python lists.
+_CHUNK_DRAWS = 2**16
 
 
-def chunk_trials(n_children: int) -> int:
-    """Trials per chunk of :func:`trial_streams` when each trial's first spawn makes ``n_children``."""
-    return max(1, _CHUNK_STREAMS // (n_children + 1))
+def run_streams(n: int) -> int:
+    """Streams a run spawns from its generator: the preparer's, one per party, the measurer's, the adversary's."""
+    return n + 3
+
+
+def chunk_trials(params: ProtocolParams) -> int:
+    """Trials per chunk of :func:`trial_streams`: at most 1024 streams and 2**16 draws, and at least one trial.
+
+    A run draws at most three values per qudit it moves, 6n(l+1): a decoy's basis bit, index and check uniform.
+    """
+    n, l = params.n, params.l
+    return max(1, min(_CHUNK_STREAMS // (run_streams(n) + 1), _CHUNK_DRAWS // (6 * n * (l + 1))))
 
 
 def _words(value: int) -> list[int]:
@@ -126,52 +157,29 @@ def _chunk_states(seed_words: list[int], start: int, stop: int, n_children: int)
 
 
 class _HashedSeedSequence:
-    """``SeedSequence(entropy, spawn_key=spawn_key)`` whose PCG64 states are hashed already.
+    """``SeedSequence(entropy, spawn_key=spawn_key)`` whose PCG64 state is hashed already.
 
-    ``state`` is this sequence's ``generate_state(4, np.uint64)`` and
-    ``children`` holds its first children's, one row each. The first
-    ``spawn`` of exactly that many children returns them; any other request
-    (another count, a second spawn, another state size) goes to numpy's own
-    SeedSequence, so every answer is numpy's. :func:`trial_streams` registers
-    the class as numpy's ``ISpawnableSeedSequence``.
+    PCG64 asks it only for ``generate_state(4, np.uint64)``, which is
+    ``state``; any other request goes to numpy's own SeedSequence. It spawns
+    nothing: the chunk's hash gives a run its streams.
     """
 
-    def __init__(
-        self, entropy: tuple[int, ...], spawn_key: tuple[int, ...], state: np.ndarray, children: np.ndarray = ()
-    ) -> None:
+    def __init__(self, entropy: tuple[int, ...], spawn_key: tuple[int, ...], state: np.ndarray) -> None:
         self.entropy = entropy
         self.spawn_key = spawn_key
-        self.n_children_spawned = 0
         self._state = state
-        self._children = children
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
         if n_words == 4 and dtype is np.uint64:
             return self._state
-        return self._numpy().generate_state(n_words, dtype)
-
-    def spawn(self, n_children: int) -> list:
-        if self.n_children_spawned == 0 and n_children == len(self._children):
-            entropy, key = self.entropy, self.spawn_key
-            children = [_HashedSeedSequence(entropy, (*key, i), state) for i, state in enumerate(self._children)]
-        else:
-            children = self._numpy().spawn(n_children)
-        self.n_children_spawned += n_children
-        return children
-
-    def _numpy(self) -> np.random.SeedSequence:
-        return np.random.SeedSequence(
-            self.entropy, spawn_key=self.spawn_key, n_children_spawned=self.n_children_spawned
-        )
+        return np.random.SeedSequence(self.entropy, spawn_key=self.spawn_key).generate_state(n_words, dtype)
 
 
-def trial_streams(seed: int, trials: range, n_children: int) -> Iterator[np.random.Generator]:
-    """The generator of each trial in ``trials`` (a range of step 1), in order.
+def _bit_generators(seed: int, trials: range, n_children: int, size: int) -> Iterator[list[list]]:
+    """Per chunk of ``size`` trials of ``trials``, each trial's PCG64 bit generators: its root's, then its children's.
 
-    Trial t's generator is bit for bit ``default_rng(SeedSequence((seed, t)))``,
-    and its first ``spawn(n_children)`` gives numpy's children; any other spawn
-    is numpy's own. The states are hashed a chunk of :func:`chunk_trials`
-    trials at a time; each generator is built when the caller asks for it.
+    Trial t's are bit for bit those of ``default_rng(SeedSequence((seed, t)))``
+    and of its first ``spawn(n_children)``.
     """
     if min(seed, trials.start) < 0:
         raise ValueError(f"entropy must be non-negative, got seed {seed} and trials {trials}")
@@ -179,14 +187,137 @@ def trial_streams(seed: int, trials: range, n_children: int) -> Iterator[np.rand
     # registered here, not at import, so that importing the package does not
     # load numpy.random: loading it at import raised the peak RSS of a
     # 100-trial CLI run by about 0.3 MB (CPython 3.11, numpy 2.4, 2-core x86-64)
-    np.random.bit_generator.ISpawnableSeedSequence.register(_HashedSeedSequence)
-    size = chunk_trials(n_children)
+    np.random.bit_generator.ISeedSequence.register(_HashedSeedSequence)
+    keys = [(), *((i,) for i in range(n_children))]
     start = trials.start
     while start < trials.stop:
         # a chunk stops at a multiple of 2**32, so the trial index's high words are fixed within it
         stop = min(start + size, trials.stop, (start | _MASK32) + 1)
         states = _chunk_states(seed_words, start, stop, n_children)
-        for t, trial_states in zip(range(start, stop), states):
-            stream = _HashedSeedSequence((seed, t), (), trial_states[0], trial_states[1:])
-            yield np.random.Generator(np.random.PCG64(stream))
+        yield [
+            [np.random.PCG64(_HashedSeedSequence((seed, t), key, state)) for key, state in zip(keys, trial_states)]
+            for t, trial_states in zip(range(start, stop), states)
+        ]
         start = stop
+
+
+def _scalar_draws(words: Iterator[int], bounds: Sequence[int]) -> tuple[list, int | None]:
+    """The draws ``bounds`` asks of a stream of raw words, one at a time, and the half it keeps after them.
+
+    A bound of 0 asks for a uniform, any other bound b for an integer in
+    [0, b). This is the model that :func:`run_draws` computes for a chunk of
+    runs at once, and the path of a run with a rejected integer.
+    """
+    out, kept = [], None
+    for b in bounds:
+        if not b:
+            out.append((next(words) >> 11) * 2**-53)
+            continue
+        product = 0  # a bound of 1 draws nothing
+        while b > 1:
+            if kept is None:
+                word = next(words)
+                half, kept = word & _MASK32, word >> 32
+            else:
+                half, kept = kept, None
+            product = half * b
+            if product & _MASK32 >= (2**32 - b) % b:
+                break
+        out.append(product >> 32)
+    return out, kept
+
+
+@lru_cache(maxsize=4)
+def _run_layout(n: int, d: int, r: int, l: int, root_draws: int) -> tuple:
+    """A run's draws per stream, and where each lies in a row that joins its streams' blocks of raw words.
+
+    In order: each stream's (uniforms, bounds), its block of the row, the word
+    of each uniform, the half word of each integer, and each integer's bound
+    and rejection threshold. The streams are the root, the preparer, the n
+    parties and the measurer; the adversary's draws are its taps'.
+    """
+    recipe = [2, d] * l + [l + 1]
+    # the preparer's first bound, d - r + 1, is the length of pad_sum_range
+    streams = ((0, [r] * root_draws), (0, [d - r + 1] + [r] * n + recipe * n), *[(l, recipe)] * n, (n * (l + 1), []))
+    blocks, uniform_words, integer_halves, bounds = [], [], [], []
+    for uniforms, stream_bounds in streams:
+        start = blocks[-1].stop if blocks else 0
+        live = sum(b > 1 for b in stream_bounds)
+        halves = iter(range(2 * (start + uniforms), 2 * (start + uniforms) + live))
+        uniform_words += range(start, start + uniforms)
+        # any half times a bound of 1 is below 2**32: it gives 0 and is never rejected, so a bound of 1 draws nothing
+        integer_halves += [next(halves) if b > 1 else 0 for b in stream_bounds]
+        bounds += stream_bounds
+        blocks.append(slice(start, start + uniforms + (live + 1) // 2))
+    b = np.array(bounds, dtype=np.uint64)
+    uniform_words, integer_halves = np.array(uniform_words, dtype=np.intp), np.array(integer_halves, dtype=np.intp)
+    return streams, blocks, uniform_words, integer_halves, b, (2**32 - b) % b
+
+
+class RunDraws(NamedTuple):
+    """Every draw one run makes from its role streams, each role's in its draw order.
+
+    ``root`` holds the random secrets, then the random key, as the run asks.
+    ``preparer`` holds the run constant, as an offset into ``pad_sum_range``,
+    the n pads and the n first-hop recipes; ``parties`` each party's l step-3
+    uniforms, then its step-4 recipe; ``measurer`` the n(l+1) uniforms of
+    stages 5 to 7. A recipe is 2l+1 integers: a basis bit and an index per
+    decoy, then the carrier slot. ``adversary`` is the bit generator of taps.
+    """
+
+    root: list[int]
+    preparer: list[int]
+    parties: list[list]
+    measurer: list[float]
+    adversary: np.random.BitGenerator
+
+
+def run_draws(params: ProtocolParams, streams: list[list], root_draws: int) -> list[RunDraws]:
+    """The draws of a chunk of runs of ``params``, computed in one numpy pass over the chunk.
+
+    Each run's ``streams`` are its root's bit generator, then the fresh ones of
+    its preparer, its n parties, its measurer and its adversary, in that order.
+    The root draws ``root_draws`` integers below r, and no raw word if none.
+    One block of raw words per stream holds its draws when no integer is
+    rejected; a run with a rejected integer is redrawn by :func:`_scalar_draws`,
+    which reads on past each block.
+    """
+    n, d, r, l = params.n, params.d, params.r, params.l
+    layout, blocks, uniform_words, integer_halves, bounds, thresholds = _run_layout(n, d, r, l, root_draws)
+    sizes = [block.stop - block.start for block in blocks]
+    raw = [bg.random_raw(size) for run in streams for bg, size in zip(run, sizes)]
+    words = np.concatenate(raw).reshape(len(streams), blocks[-1].stop)
+    floats = ((words[:, uniform_words] >> 11) * 2.0**-53).tolist()
+    # numpy reads a word's halves low first, whatever the host order
+    products = words.astype("<u8", copy=False).view("<u4")[:, integer_halves] * bounds
+    ints = (products >> 32).tolist()
+    for i in np.flatnonzero(((products & _MASK32) < thresholds).any(axis=1)).tolist():
+        floats[i], ints[i] = [], []
+        for bg, (uniforms, stream_bounds), block in zip(streams[i], layout, blocks):
+            more = iter(bg.random_raw, None)  # the words past the block, one at a time
+            drawn, _ = _scalar_draws(chain(words[i, block].tolist(), more), [0] * uniforms + stream_bounds)
+            floats[i] += drawn[:uniforms]
+            ints[i] += drawn[uniforms:]
+    recipe = 2 * l + 1
+    second_hops = root_draws + n + 1 + n * recipe
+    return [
+        RunDraws(
+            row[:root_draws],
+            row[root_draws:second_hops],
+            [u[p * l : (p + 1) * l] + row[second_hops + p * recipe : second_hops + (p + 1) * recipe] for p in range(n)],
+            u[n * l :],
+            run[-1],
+        )
+        for run, u, row in zip(streams, floats, ints)
+    ]
+
+
+def trial_streams(seed: int, trials: range, params: ProtocolParams, root_draws: int) -> Iterator[RunDraws]:
+    """The draws of each run in ``trials`` (a range of step 1), in order; each root draws ``root_draws`` integers.
+
+    Trial t's streams are ``default_rng(SeedSequence((seed, t)))``'s and its
+    first ``spawn(run_streams(n))``'s, bit for bit. They are hashed and drawn
+    a chunk of :func:`chunk_trials` trials at a time.
+    """
+    for chunk in _bit_generators(seed, trials, run_streams(params.n), chunk_trials(params)):
+        yield from run_draws(params, chunk, root_draws)

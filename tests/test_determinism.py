@@ -2,22 +2,26 @@
 
 ``trial_streams`` hashes the ``SeedSequence((seed, t))`` pools of a chunk of
 trials, and the states of their first children, in one array pass; the tests
-below pin every root and child, and the spawns that fall back to numpy, to
-numpy's own ``SeedSequence``.
-``build_transmission`` and ``tp_prepare_carriers`` draw with one array-bound
-``Generator.integers`` call each. That this call returns the values, and leaves
-the generator in the state, of the scalar calls made in the same order is numpy
-behaviour, not a documented guarantee. The tests below pin it against scalar
-draws and against literal values, and pin ``canonical_json`` digests for a small
-corpus and transcript digests for a smaller one, so that a numpy change or a protocol change that moves a draw fails here
-instead of silently changing reports. A decoy check draws its uniforms with one
-``Generator.random(k)`` call, and a tap draws through the bit generator's
-``ctypes`` functions; both are pinned here against the scalar ``Generator``
-calls they stand for, in values and end state, and against literal values.
+below pin every root and child to numpy's own ``SeedSequence``.
+
+``run_draws`` computes every draw of a chunk of runs from the streams' raw
+words, with the repo's own model of numpy's ``Generator``: Lemire's method on
+uint32 halves, low half first and the high half kept, for ``integers``, and a
+whole word for ``random``. The tests below pin that model, in values and in
+end state (the words read plus the half kept), against numpy's scalar calls,
+its array-bound and ``size=`` calls and ``random(k)``, with the rejection branch
+forced; they pin what ``build_transmission``, ``tp_prepare_carriers`` and a
+decoy check read from their draws; and they pin ``canonical_json`` digests for
+a small corpus and transcript digests for a smaller one. So a numpy change or
+a protocol change that moves a draw fails here instead of silently changing
+reports. A tap draws through the bit generator's ``ctypes`` functions; that is
+pinned here against the ``Generator`` calls it stands for.
 """
 from __future__ import annotations
 
 import hashlib
+from itertools import islice
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +30,6 @@ from hypothesis import strategies as st
 
 from qpc_sim import ATTACK_IDS, ExperimentConfig, ParameterError, run_experiment, run_trial
 from qpc_sim.channel import ClassicalBus, QuantumLink, Transcript
-from qpc_sim.streams import chunk_trials, trial_streams
 from qpc_sim.protocol import (
     DECOY_BASES,
     MAX_DIM,
@@ -38,6 +41,7 @@ from qpc_sim.protocol import (
     tp_prepare_carriers,
 )
 from qpc_sim.qudit import Basis
+from qpc_sim.streams import _bit_generators, _scalar_draws, chunk_trials, run_draws, run_streams, trial_streams
 
 SEEDS = range(40)
 DIMS = (2, 3, 4, 13, 17, 512, 2048, MAX_DIM)
@@ -58,45 +62,23 @@ ENTROPIES = (
 )
 
 
-def _assert_numpys_streams(got: np.random.Generator, seed: int, t: int, n_children: int) -> None:
-    """``got`` and its first spawn are ``default_rng(SeedSequence((seed, t)))`` and its children."""
-    want = np.random.default_rng(np.random.SeedSequence((seed, t)))
-    assert got.bit_generator.state == want.bit_generator.state
-    children = zip(got.spawn(n_children), want.spawn(n_children), strict=True)
-    assert all(g.bit_generator.state == w.bit_generator.state for g, w in children)
-
-
-def _assert_numpys_fallbacks(seed: int, t: int, n_children: int) -> None:
-    """A second spawn, a first spawn of another count, a grandchild and another state size are numpy's."""
-    def pair():
-        (got,) = trial_streams(seed, range(t, t + 1), n_children)
-        return got, np.random.default_rng(np.random.SeedSequence((seed, t)))
-
-    def same(gots, wants):
-        assert [g.bit_generator.state for g in gots] == [w.bit_generator.state for w in wants]
-
-    got, want = pair()
-    got_children, want_children = got.spawn(n_children), want.spawn(n_children)
-    same(got.spawn(2), want.spawn(2))
-    same(got_children[0].spawn(3), want_children[0].spawn(3))
-    same(got_children[-1].spawn(1)[0].spawn(2), want_children[-1].spawn(1)[0].spawn(2))
-    got, want = pair()
-    same(got.spawn(n_children + 1), want.spawn(n_children + 1))
-    got, want = pair()
-    same(got.spawn(1), want.spawn(1))
-    same(got.spawn(n_children), want.spawn(n_children))
-    got_seq, want_seq = got.bit_generator.seed_seq, want.bit_generator.seed_seq
-    assert got_seq.generate_state(3).tolist() == want_seq.generate_state(3).tolist()
-    assert got_seq.generate_state(4).tolist() == want_seq.generate_state(4).tolist()
+def _assert_numpys_streams(got: list, seed: int, t: int, n_children: int) -> None:
+    """``got`` are the bit generators of ``default_rng(SeedSequence((seed, t)))`` and of its first spawn."""
+    want = np.random.default_rng(np.random.SeedSequence((seed, t))).bit_generator
+    assert [g.state for g in got] == [w.state for w in (want, *want.spawn(n_children))]
 
 
 @pytest.mark.parametrize("n_children", (5, 8))
 @pytest.mark.parametrize("seed, t", ENTROPIES, ids=repr)
 def test_trial_streams_are_the_seed_sequences_of_seed_and_trial(seed, t, n_children):
-    (got,) = trial_streams(seed, range(t, t + 1), n_children)
-    assert isinstance(got.bit_generator.seed_seq, np.random.bit_generator.ISpawnableSeedSequence)
+    ((got,),) = _bit_generators(seed, range(t, t + 1), n_children, 1)
     _assert_numpys_streams(got, seed, t, n_children)
-    _assert_numpys_fallbacks(seed, t, n_children)
+    # any request but PCG64's goes to numpy's own SeedSequence
+    for bit_generator, key in zip(got, [(), *((i,) for i in range(n_children))]):
+        want = np.random.SeedSequence((seed, t), spawn_key=key)
+        assert isinstance(bit_generator.seed_seq, np.random.bit_generator.ISeedSequence)
+        for size, dtype in ((3, np.uint32), (4, np.uint32), (2, np.uint64)):
+            assert bit_generator.seed_seq.generate_state(size, dtype).tolist() == want.generate_state(size, dtype).tolist()
 
 
 _SEEDS = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from((0, 2**32 - 1, 2**32, 2**63, 2**64 - 1)))
@@ -107,25 +89,206 @@ _WORD_EDGES = (0, 2**32, 2**64)
 @settings(max_examples=40, deadline=None)
 @given(seed=_SEEDS, n=st.integers(2, 6), data=st.data())
 def test_trial_streams_of_a_range_are_numpys_across_chunks_and_word_edges(seed, n, data):
-    size = chunk_trials(n + 3)
+    size = chunk_trials(ProtocolParams(Variant.TWO_TP, n=n, d=2, r=1, l=1))
     edge = data.draw(st.sampled_from(_WORD_EDGES), label="edge")
     start = data.draw(st.integers(max(edge - size - 2, 0), edge + 2), label="start")
     # either a few trials or more than a chunk
     count = data.draw(st.one_of(st.integers(1, 4), st.integers(size + 1, size + 3)), label="count")
     trials = range(start, start + count)
-    streams = trial_streams(seed, trials, n + 3)
-    for t, got in zip(trials, streams, strict=True):
+    runs = [run for chunk in _bit_generators(seed, trials, n + 3, size) for run in chunk]
+    assert len(runs) == count
+    for t, got in zip(trials, runs):
         _assert_numpys_streams(got, seed, t, n + 3)
-    for t in (trials[0], trials[-1]):
-        _assert_numpys_fallbacks(seed, t, n + 3)
 
 
 def test_trial_streams_refuse_negative_entropy():
+    params = ProtocolParams(Variant.TWO_TP, n=2, d=2, r=1, l=1)
     with pytest.raises(ValueError):
-        next(trial_streams(-1, range(1), 5))
+        next(trial_streams(-1, range(1), params, 0))
     with pytest.raises(ValueError):
-        next(trial_streams(1, range(-1, 1), 5))
+        next(trial_streams(1, range(-1, 1), params, 0))
 
+
+# --------------------------------------------------------------------------
+# the draw model against numpy
+# --------------------------------------------------------------------------
+
+class _Recorder:
+    """A fresh PCG64 that keeps every raw word it hands out, the only call ``run_draws`` makes of a stream."""
+
+    def __init__(self, seed_seq) -> None:
+        self.bit_generator = np.random.PCG64(seed_seq)
+        self.start = self.bit_generator.state
+        self.words: list[int] = []
+
+    def random_raw(self, size=None):
+        out = self.bit_generator.random_raw(size)
+        self.words += [out] if size is None else out.tolist()
+        return out
+
+
+def _assert_same_end_state(words: list[int], start: dict, kept: int | None, want: np.random.Generator) -> None:
+    """numpy read exactly ``words`` from the stream that began at ``start``, and keeps the half ``kept``, if any."""
+    read = np.random.PCG64()
+    read.state = start
+    read.advance(len(words))
+    state = want.bit_generator.state
+    assert state["state"] == read.state["state"]
+    assert (state["uinteger"] if state["has_uint32"] else None) == kept
+
+
+def _kept(words: list[int], integers: int) -> int | None:
+    """The half a stream keeps after whole words for its uniforms and ``integers`` halves: the last high half if odd."""
+    return words[-1] >> 32 if integers % 2 else None
+
+
+# bounds that force numpy's rejection branch: below 2**16, (2**32 - b) % b is up to b - 1
+# (65025 for 65281, so about 2**-16 per draw), and at or above 2**31 it is about half of all draws
+REJECTING = (65281, 2**31 + 1, 2**31 + 2**29, 3 * 2**30)
+_BOUNDS = st.one_of(
+    st.sampled_from((1, 2, 3, 13, 2**16, *REJECTING)),
+    st.integers(1, 2**16),
+    st.integers(2**31, 2**32 - 1),
+)
+# seeds whose n=2, l=1024 run at d=65281 has a rejected index draw, about one seed in twenty
+SEEDS_65281 = (6, 10)
+# an op is a bound: 0 asks for a uniform, any other b for an integer below b
+_OPS = st.lists(st.one_of(st.just(0), _BOUNDS), max_size=40)
+
+
+def _numpy_scalar(rng: np.random.Generator, ops: list[int]) -> list:
+    return [rng.random() if b == 0 else int(rng.integers(0, b)) for b in ops]
+
+
+def _numpy_batched(rng: np.random.Generator, ops: list[int]) -> list:
+    """The same draws, each run of uniforms as one random(k) and each run of integers as one array-bound call."""
+    out, i = [], 0
+    while i < len(ops):
+        j = i
+        while j < len(ops) and (ops[j] == 0) == (ops[i] == 0):
+            j += 1
+        out += rng.random(j - i).tolist() if ops[i] == 0 else rng.integers(0, np.array(ops[i:j], dtype=np.int64)).tolist()
+        i = j
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), ops=_OPS, batched=st.booleans())
+def test_the_scalar_model_draws_numpys_values_and_leaves_its_end_state(seed, ops, batched):
+    # any interleaving: a uniform after an odd count of integers must leave the kept half alone
+    seq = np.random.SeedSequence(seed)
+    stream = _Recorder(seq)
+    got, kept = _scalar_draws(iter(stream.random_raw, None), ops)
+    want = np.random.default_rng(seq)
+    assert got == (_numpy_batched if batched else _numpy_scalar)(want, ops)
+    _assert_same_end_state(stream.words, stream.start, kept, want)
+
+
+def test_the_scalar_model_takes_the_rejection_branch_as_numpy_does():
+    # every rejecting bound is redrawn at least once over these seeds, and a bound of 1 reads nothing
+    for b in REJECTING:
+        redrawn = 0
+        for seed in SEEDS:
+            seq = np.random.SeedSequence(seed)
+            stream = _Recorder(seq)
+            ops = [b, 1] * 20
+            got, kept = _scalar_draws(iter(stream.random_raw, None), ops)
+            want = np.random.default_rng(seq)
+            assert got == _numpy_scalar(want, ops)
+            _assert_same_end_state(stream.words, stream.start, kept, want)
+            redrawn += 2 * len(stream.words) > 20 + (kept is not None)
+        assert redrawn or b == 65281  # at 65281 a rejection needs about 2**16 draws, as in the run pins below
+
+
+def _numpy_run_draws(params, gens: list[np.random.Generator], root_draws: int, batched: bool) -> tuple:
+    """One run's draws made by numpy's Generator, role by role, as scalar calls or as batched ones."""
+    root, prep, *parties, measurer, _ = gens
+    n, d, r, l = params.n, params.d, params.r, params.l
+    recipe = [2, d] * l + [l + 1]
+    if batched:
+        secrets = root.integers(0, r, size=root_draws).tolist()
+        constant, *pads = prep.integers([r - 1] + [0] * n, [d] + [r] * n).tolist()
+        draw = lambda g, k: g.random(k).tolist()
+        recipes = lambda g, k: g.integers(0, np.array(recipe * k, dtype=np.int64)).tolist()
+    else:
+        secrets = [int(root.integers(0, r)) for _ in range(root_draws)]
+        constant, *pads = [int(prep.integers(r - 1, d))] + [int(prep.integers(0, r)) for _ in range(n)]
+        draw = lambda g, k: [g.random() for _ in range(k)]
+        recipes = lambda g, k: [int(g.integers(0, b)) for b in recipe * k]
+    preparer = [constant - (r - 1), *pads, *recipes(prep, n)]
+    return secrets, preparer, [draw(g, l) + recipes(g, 1) for g in parties], draw(measurer, n * (l + 1))
+
+
+def _assert_run_draws_are_numpys(params, seed: int, root_draws: int, batched: bool = False) -> int:
+    """``run_draws`` of one run equals numpy's draws in values and end state; returns the halves numpy rejected."""
+    root = np.random.SeedSequence(seed)
+    streams = [_Recorder(seq) for seq in (root, *root.spawn(run_streams(params.n)))]
+    (got,) = run_draws(params, [streams], root_draws)
+    root = np.random.SeedSequence(seed)
+    gens = [np.random.default_rng(seq) for seq in (root, *root.spawn(run_streams(params.n)))]
+    assert (got.root, got.preparer, got.parties, got.measurer) == _numpy_run_draws(params, gens, root_draws, batched)
+    assert got.adversary is streams[-1] and not streams[-1].words  # the adversary stream is left to the taps
+    integers = [len([b for b in bounds if b > 1]) for bounds in _stream_bounds(params, root_draws)]
+    uniforms = [0, 0] + [params.l] * params.n + [params.n * (params.l + 1)]
+    rejected = 0
+    for stream, gen, k, u in zip(streams, gens, integers, uniforms):
+        # numpy read the words the model read, and keeps the last one's high half or nothing
+        kept = stream.words[-1] >> 32 if gen.bit_generator.state["has_uint32"] else None
+        _assert_same_end_state(stream.words, stream.start, kept, gen)
+        rejected += 2 * (len(stream.words) - u) - (kept is not None) - k
+    return rejected
+
+
+def _stream_bounds(params, root_draws: int) -> list[list[int]]:
+    n, d, r, l = params.n, params.d, params.r, params.l
+    recipe = [2, d] * l + [l + 1]
+    return [[r] * root_draws, [d - r + 1] + [r] * n + recipe * n, *[recipe] * n, []]
+
+
+@pytest.mark.parametrize("batched", (False, True), ids=("scalar calls", "array and size= calls"))
+@pytest.mark.parametrize(
+    "n, d, r, l", [(2, 2, 1, 1), (3, 3, 1, 2), (2, 13, 5, 8), (5, 13, 5, 8), (3, 512, 200, 4), (2, MAX_DIM, 2**15, 3)]
+)
+def test_run_draws_are_numpys_draws_for_every_role(n, d, r, l, batched):
+    # roots draw n secrets then a key (n + 1), the secrets alone, or nothing; r=1 draws nothing at all
+    params = SimpleNamespace(n=n, d=d, r=r, l=l)
+    for seed in range(8):
+        for root_draws in (0, n, n + 1):
+            assert _assert_run_draws_are_numpys(params, seed, root_draws, batched) == 0
+
+
+@pytest.mark.parametrize("d, l, seeds", [(65281, 1024, SEEDS_65281), (2**31 + 1, 2, range(3)), (3 * 2**30, 2, range(3))])
+def test_run_draws_redraw_a_rejected_run_as_numpy_does(d, l, seeds):
+    # bounds past MAX_DIM are not a protocol's, but they make a quarter to a half of all index draws rejections
+    params = SimpleNamespace(n=2, d=d, r=2, l=l)
+    assert all(_assert_run_draws_are_numpys(params, seed, params.n + 1) > 0 for seed in seeds)
+
+
+@pytest.mark.parametrize("kind", (np.random.PCG64DXSM, np.random.Philox, np.random.SFC64), ids=lambda k: k.__name__)
+def test_run_draws_are_numpys_on_the_other_bit_generators_of_64_bit_words(kind):
+    # a runner given a Generator draws from its bit generator's spawn, whatever its kind
+    params = SimpleNamespace(n=3, d=13, r=5, l=8)
+    for seed in range(8):
+        root = np.random.SeedSequence(seed)
+        seqs = [root, *root.spawn(run_streams(params.n))]
+        (got,) = run_draws(params, [[kind(seq) for seq in seqs]], params.n + 1)
+        want = _numpy_run_draws(params, [np.random.Generator(kind(seq)) for seq in seqs], params.n + 1, False)
+        assert (got.root, got.preparer, got.parties, got.measurer) == want
+
+
+def test_a_chunk_draws_what_its_runs_draw_one_at_a_time():
+    params = ProtocolParams(Variant.ONE_TP, n=3, d=13, r=4, l=5)
+    size = chunk_trials(params)
+    chunked = list(trial_streams(9, range(size + 2), params, params.n + 1))
+    alone = [next(trial_streams(9, range(t, t + 1), params, params.n + 1)) for t in (0, size - 1, size, size + 1)]
+    for got, want in zip([chunked[t] for t in (0, size - 1, size, size + 1)], alone):
+        assert got[:4] == want[:4]
+        assert got.adversary.state == want.adversary.state
+
+
+# --------------------------------------------------------------------------
+# what the stages read from their draws
+# --------------------------------------------------------------------------
 
 def _scalar_transmission(d: int, l: int, rng: np.random.Generator) -> tuple[list[tuple[int, int, int]], int]:
     """The decoys and carrier slot as 2l+1 scalar draws: basis bit, then index, per decoy, then the slot.
@@ -141,37 +304,58 @@ def _scalar_transmission(d: int, l: int, rng: np.random.Generator) -> tuple[list
     return [(pos, fourier, index) for pos, (fourier, index) in zip(positions, decoys)], carrier_position
 
 
+def _one_run(params, seed: int):
+    """A run's draws from ``SeedSequence(seed)``'s first spawn, its streams, and numpy's Generators on the same streams."""
+    seqs = np.random.SeedSequence(seed).spawn(run_streams(params.n))
+    streams = [_Recorder(seq) for seq in seqs]
+    (got,) = run_draws(params, [[np.random.PCG64(seed), *streams]], 0)
+    return got, streams, [np.random.default_rng(seq) for seq in np.random.SeedSequence(seed).spawn(run_streams(params.n))]
+
+
 @pytest.mark.parametrize("l", (1, 8, 32))
 @pytest.mark.parametrize("d", DIMS)
 def test_build_transmission_draws_what_the_scalar_calls_draw(d, l):
+    # a party's stream: l step-3 uniforms, then its step-4 recipe
+    params = SimpleNamespace(n=2, d=d, r=1, l=l)
     carrier = basis_state(d, Basis.COMPUTATIONAL, d - 1)
     for seed in SEEDS:
-        batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
-        seq, spec = build_transmission(carrier, l, batched)
+        got, streams, gens = _one_run(params, seed)
+        draws, party, scalar = iter(got.parties[0]), streams[1], gens[1]
+        assert list(islice(draws, l)) == [scalar.random() for _ in range(l)]
+        seq, spec = build_transmission(carrier, l, draws)
+        assert next(draws, None) is None
         entries, carrier_position = _scalar_transmission(d, l, scalar)
         assert list(spec.entries) == entries
         assert spec.carrier_position == carrier_position
         assert seq[carrier_position] is carrier
         for position, fourier, index in entries:
             assert seq[position] == basis_state(d, DECOY_BASES[fourier], index)
-        assert batched.bit_generator.state == scalar.bit_generator.state
+        _assert_same_end_state(party.words, party.start, _kept(party.words, 2 * l + 1), scalar)
 
 
 @pytest.mark.parametrize("n", (2, 3, 9))
 @pytest.mark.parametrize("d, r", [(2, 1), (3, 1), (3, 2), (13, 5), (13, 7), (512, 200), (MAX_DIM, 2**15)])
 def test_tp_prepare_carriers_draws_what_the_scalar_calls_draw(d, r, n):
+    # the preparer's stream: the run constant, the pads, then the first hops' recipes
     params = ProtocolParams(variant=Variant.TWO_TP, n=n, d=d, r=r, l=1)
     for seed in SEEDS:
-        batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
-        pad_sum, pads, states = tp_prepare_carriers(params, batched)
+        got, streams, gens = _one_run(params, seed)
+        draws, scalar = iter(got.preparer), gens[0]
+        pad_sum, pads, states = tp_prepare_carriers(params, draws)
         assert pad_sum == int(scalar.integers(r - 1, d))
         assert pads == tuple(int(scalar.integers(0, r)) for _ in range(n))
         assert states == [basis_state(d, Basis.COMPUTATIONAL, pad) for pad in pads]
-        assert batched.bit_generator.state == scalar.bit_generator.state
+        for _ in range(n):
+            _, spec = build_transmission(basis_state(d, Basis.COMPUTATIONAL, 0), 1, draws)
+            assert (list(spec.entries), spec.carrier_position) == _scalar_transmission(d, 1, scalar)
+        assert next(draws, None) is None
+        integers = 1 + n * (r > 1) + 3 * n
+        _assert_same_end_state(streams[0].words, streams[0].start, _kept(streams[0].words, integers), scalar)
 
 
 def test_array_bound_integers_frozen_example():
-    # literal values and end state: a numpy change to the bounded-integer stream must fail here
+    # literal values and end state: a numpy change to the bounded-integer stream must fail here,
+    # and so must a change to the model of it
     rng = np.random.default_rng(5812)
     assert rng.integers(0, [2, 13] * 4 + [5]).tolist() == [0, 12, 0, 8, 0, 5, 1, 5, 2]
     assert rng.integers([4] + [0] * 3, [13] + [5] * 3).tolist() == [4, 4, 3, 0]
@@ -184,15 +368,23 @@ def test_array_bound_integers_frozen_example():
         "has_uint32": 1,
         "uinteger": 1220337425,
     }
+    stream = _Recorder(np.random.SeedSequence(5812))
+    model, kept = _scalar_draws(iter(stream.random_raw, None), [2, 13] * 4 + [5] + [9] + [5] * 3)
+    assert model == [0, 12, 0, 8, 0, 5, 1, 5, 2, 0, 4, 3, 0]
+    _assert_same_end_state(stream.words, stream.start, kept, rng)
 
 
 @pytest.mark.parametrize("k", (0, 1, 8, 33))
 def test_random_of_k_draws_what_k_scalar_calls_draw(k):
-    # a decoy check draws its k uniforms with one random(k) call
+    # numpy's random(k) is k whole words, as the model's uniforms are
     for seed in SEEDS:
         batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert batched.random(k).tolist() == [scalar.random() for _ in range(k)]
+        values = batched.random(k).tolist()
+        assert values == [scalar.random() for _ in range(k)]
         assert batched.bit_generator.state == scalar.bit_generator.state
+        stream = _Recorder(np.random.SeedSequence(seed))
+        assert _scalar_draws(iter(stream.random_raw, None), [0] * k) == (values, None)
+        _assert_same_end_state(stream.words, stream.start, None, batched)
 
 
 def _ctypes_taps(rng: np.random.Generator, coins: list[bool]) -> list:
@@ -250,22 +442,18 @@ def test_ctypes_tap_draws_frozen_example():
 
 @pytest.mark.parametrize("k", (0, 1, 8, 33))
 def test_measurement_consumes_one_draw_regardless_of_outcome(k):
-    # a check draws one uniform per disclosed decoy, whether each measurement
+    # a check reads one uniform per disclosed decoy, whether each measurement
     # is certain (the decoy as prepared) or uniform (its conjugate)
     entries = tuple((position, position % 2, position % 5) for position in range(k))
     as_prepared = [basis_state(5, DECOY_BASES[fourier], index) for _, fourier, index in entries]
     conjugate = [basis_state(5, DECOY_BASES[1 - fourier], index) for _, fourier, index in entries]
     link = QuantumLink("TP1", "P1")
     for seed in SEEDS:
-        ends = []
+        uniforms = np.random.default_rng(seed).random(k + 3).tolist()
         for received in (as_prepared, conjugate):
-            rng = np.random.default_rng(seed)
-            _disclose_and_check(ClassicalBus(Transcript()), "step3", "all", link, entries, received, rng, 1.0)
-            ends.append(rng.bit_generator.state)
-        scalar = np.random.default_rng(seed)
-        for _ in range(k):
-            scalar.random()
-        assert ends == [scalar.bit_generator.state] * 2
+            draws = iter(uniforms)
+            _disclose_and_check(ClassicalBus(Transcript()), "step3", "all", link, entries, received, draws, 1.0)
+            assert list(draws) == uniforms[k:]
 
 
 # sha256 of canonical_json, computed before the draws were batched

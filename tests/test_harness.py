@@ -10,6 +10,7 @@ import json
 import re
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -30,10 +31,11 @@ from qpc_sim import (
     run_two_tp_protocol,
     sweep,
 )
-from qpc_sim import cli
+import qpc_sim
+from qpc_sim import cli, harness
 from qpc_sim.cli import main
 from qpc_sim.harness import CSV_COLUMNS, derive_cell_seed
-from qpc_sim.protocol import MAX_DIM, MAX_QUDITS
+from qpc_sim.protocol import MAX_DIM, MAX_QUDITS, rank_descending
 from qpc_sim.streams import chunk_trials, trial_streams
 
 HONEST = ExperimentConfig(variant="two-tp", n=3, d=13, r=5, l=8, trials=20, seed=11)
@@ -67,6 +69,17 @@ def test_insider_attacks_do_not_apply_to_the_single_tp_variant():
             ExperimentConfig(variant="one-tp", n=2, d=14, r=5, l=4, attack=attack).validate()
     # the outsider attacks still do
     ExperimentConfig(variant="one-tp", n=2, d=14, r=5, l=4, attack="ir-random").validate()
+
+
+@pytest.mark.parametrize("secrets", ({0: 4, 1: 2}, {4, 2}, frozenset({4, 2}), {1: 4, 0: 2}.keys()), ids=repr)
+@pytest.mark.parametrize("variant, d", (("two-tp", 13), ("one-tp", 14)))
+def test_a_config_refuses_secrets_in_no_party_order(secrets, variant, d):
+    # a mapping ran with its keys as the secrets, and a set in hash order
+    config = ExperimentConfig(variant=variant, n=2, d=d, r=5, l=2, secrets=secrets)
+    with pytest.raises(ParameterError, match="secrets must be a sequence of integers"):
+        config.validate()
+    with pytest.raises(ParameterError, match="secrets must be a sequence of integers"):
+        run_experiment(config)
 
 
 def test_fixed_secrets_are_validated():
@@ -175,8 +188,10 @@ def test_trials_and_seed_ranges():
 # ---------------------------------------------------------------------------
 
 def test_trial_streams_are_a_pure_function_of_seed_and_trial():
+    params = ProtocolParams(Variant.ONE_TP, n=2, d=14, r=5, l=2)
+
     def draws(seed, trials):
-        return [rng.integers(0, 2**63, size=8).tolist() for rng in trial_streams(seed, trials, 5)]
+        return [run[:4] for run in trial_streams(seed, trials, params, params.n + 1)]
 
     assert draws(5, range(7, 9)) == draws(5, range(7, 9))
     # a trial draws the same whichever chunk, or chunk position, it comes in
@@ -202,7 +217,7 @@ def test_trials_replay_byte_identically():
 
 
 # a trial of n=2 hashes (n + 3) + 1 streams; this config's last two trials are in a second chunk
-CHUNK = chunk_trials(2 + 3)
+CHUNK = chunk_trials(ProtocolParams(Variant.TWO_TP, n=2, d=2, r=1, l=1))
 MANY = ExperimentConfig(variant="two-tp", n=2, d=2, r=1, l=1, trials=CHUNK + 2, seed=11)
 
 
@@ -219,6 +234,49 @@ def test_run_trial_reproduces_the_experiment_rows(config, trials):
         assert row["aborted_at"] == trial.outcome.aborted_at
         expected = [list(g) for g in trial.outcome.ranking] if trial.outcome.completed else None
         assert row["ranking"] == expected
+
+
+def _trial_row(run) -> dict:
+    """The report row of one trial run, as the fold writes it."""
+    completed = run.outcome.completed
+    return {
+        "trial": run.trial_index,
+        "secrets": list(run.secrets),
+        "shared_key": run.shared_key,
+        "aborted_at": run.outcome.aborted_at,
+        "ranking": [list(g) for g in run.outcome.ranking] if completed else None,
+        "correct": run.outcome.ranking == rank_descending(run.secrets) if completed else None,
+    }
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    variant=st.sampled_from(("two-tp", "one-tp")),
+    n=st.integers(2, 4),
+    r=st.integers(1, 3),
+    l=st.sampled_from((1, 3, 200)),
+    attack=st.sampled_from(("none", "ir-random", "ir-fixed-t2")),
+    threshold=st.sampled_from((0.0, 0.5)),
+    seed=st.integers(0, 2**64 - 1),
+    data=st.data(),
+)
+def test_every_row_of_a_chunked_experiment_is_its_trial_run_alone(variant, n, r, l, attack, threshold, seed, data):
+    # at l=200 a chunk holds 13 to 27 trials, so one trial past a chunk crosses its edge
+    d = data.draw(st.integers(max(3 * r - 1, 2), 3 * r + 2), label="d")
+    secrets = data.draw(st.one_of(st.just("random"), st.tuples(*[st.integers(0, r - 1)] * n)), label="secrets")
+    key = data.draw(st.just("random") | st.integers(0, r - 1), label="key") if variant == "one-tp" else "random"
+    config = ExperimentConfig(variant, n, d, r, l, secrets, key, attack, 1, seed, threshold)
+    params, _ = config.validate()
+    trials = chunk_trials(params) + 1 if l == 200 else data.draw(st.integers(1, 4), label="trials")
+    config = dataclasses.replace(config, trials=trials)
+    report = run_experiment(config)
+    runs = [run_trial(config, t) for t in range(trials)]
+    assert report.trials == [_trial_row(run) for run in runs]
+    stats = {step: {"checked": 0, "mismatched": 0} for step in report.decoy_stats}
+    for event in (e for run in runs for e in run.transcript.events() if e["kind"] == "decoy_check"):
+        stats[event["step"]]["checked"] += event["checked"]
+        stats[event["step"]]["mismatched"] += event["mismatched"]
+    assert report.decoy_stats == stats
 
 
 @pytest.mark.parametrize("trial_index", (True, False, -1, 2.0, "3", None, np.bool_(True)), ids=repr)
@@ -262,6 +320,21 @@ def test_reports_are_canonically_byte_deterministic():
 def test_report_round_trips_through_json():
     report = run_experiment(HONEST)
     assert ExperimentReport.from_json(report.to_json()) == report
+
+
+def test_a_report_names_the_versions_that_made_it_outside_its_canonical_bytes():
+    report = run_experiment(HONEST)
+    python = "%d.%d.%d" % sys.version_info[:3]
+    assert report.env == {"qpc_sim": qpc_sim.__version__, "numpy": np.__version__, "python": python}
+    assert "env" not in json.loads(report.canonical_json()) and "env" in json.loads(report.to_json())
+    # each report owns its dict; the versions are read once per process
+    assert report.env is not run_experiment(HONEST).env
+    assert harness._environment.cache_info().currsize == 1
+    # a report written before the block existed still reads, with the same canonical bytes
+    data = report.to_dict()
+    del data["env"]
+    old = ExperimentReport.from_dict(data)
+    assert old.env == {} and old.canonical_json() == report.canonical_json()
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,16 @@ def _event(transcript, kind):
     return [e for e in transcript.events() if e["kind"] == kind]
 
 
+def _carrier_draws(params: ProtocolParams, rng: np.random.Generator):
+    """A preparer's first n+1 draws: the run constant's offset into pad_sum_range, then the pads."""
+    return iter(rng.integers(0, [len(pad_sum_range(params))] + [params.r] * params.n).tolist())
+
+
+def _recipe_draws(d: int, l: int, rng: np.random.Generator):
+    """A sender's 2l+1 draws for one transmission: basis bit and index per decoy, then the carrier slot."""
+    return iter(rng.integers(0, [2, d] * l + [l + 1]).tolist())
+
+
 # ---------------------------------------------------------------------------
 # parameter validation
 # ---------------------------------------------------------------------------
@@ -142,6 +152,41 @@ def test_run_links_go_preparer_to_party_to_measurer(params, first, second):
     assert all(link.tapper is None for link in first_links + second_links)
 
 
+@pytest.mark.parametrize("secrets", ({1: 4, 0: 2}, {4, 2}, frozenset({4, 2})), ids=repr)
+def test_the_runners_refuse_secrets_in_no_party_order(secrets):
+    # a mapping ran with its keys (1, 0) as the secrets, and a set in hash order
+    two_tp, one_tp = ProtocolParams(Variant.TWO_TP, 2, 13, 5, 2), ProtocolParams(Variant.ONE_TP, 2, 14, 5, 2)
+    with pytest.raises(ParameterError, match="secrets must be a sequence of integers"):
+        run_two_tp_protocol(two_tp, secrets, None, np.random.default_rng(0))
+    with pytest.raises(ParameterError, match="secrets must be a sequence of integers"):
+        run_one_tp_protocol(one_tp, secrets, 1, None, np.random.default_rng(0))
+
+
+def test_the_runners_refuse_a_generator_of_32_bit_words():
+    # the draw model reads 64-bit words; MT19937's are 32 bits, so its integers and uniforms differ
+    with pytest.raises(ParameterError, match="64-bit words"):
+        run_two_tp_protocol(TWO_TP, (1, 4, 0), None, np.random.Generator(np.random.MT19937(0)))
+    with pytest.raises(ParameterError, match="64-bit words"):
+        run_one_tp_protocol(ONE_TP, (1, 4, 0), 2, None, np.random.Generator(np.random.MT19937(0)))
+
+
+def test_the_runners_draw_through_no_generator_method():
+    # a plain Generator's run draws from its first spawn's bit generators, and a tap through ctypes
+    class Refusing(np.random.Generator):
+        def integers(self, *args, **kwargs):
+            raise AssertionError("a runner called Generator.integers")
+
+        def random(self, *args, **kwargs):
+            raise AssertionError("a runner called Generator.random")
+
+    for attack in ("none", "ir-random"):
+        strategy = strategy_from_id(attack)
+        want = run_two_tp_protocol(TWO_TP, (1, 4, 0), strategy, np.random.default_rng(3))
+        got = run_two_tp_protocol(TWO_TP, (1, 4, 0), strategy, Refusing(np.random.PCG64(3)))
+        assert got[0].to_json() == want[0].to_json() and got[1] == want[1]
+        run_one_tp_protocol(ONE_TP, (1, 4, 0), 2, strategy, Refusing(np.random.PCG64(3)))
+
+
 # ---------------------------------------------------------------------------
 # carriers
 # ---------------------------------------------------------------------------
@@ -149,7 +194,7 @@ def test_run_links_go_preparer_to_party_to_measurer(params, first, second):
 def test_prepared_carriers_satisfy_the_sum_relation():
     rng = np.random.default_rng(0)
     for _ in range(200):
-        pad_sum, pads, states = tp_prepare_carriers(TWO_TP, rng)
+        pad_sum, pads, states = tp_prepare_carriers(TWO_TP, _carrier_draws(TWO_TP, rng))
         assert pad_sum in pad_sum_range(TWO_TP)
         assert len(pads) == len(states) == TWO_TP.n
         for pad, state in zip(pads, states):
@@ -162,7 +207,7 @@ def test_pads_are_uniform_over_their_range():
     rng = np.random.default_rng(42)
     counts = collections.Counter()
     for _ in range(5_000):
-        _, pads, _ = tp_prepare_carriers(TWO_TP, rng)
+        _, pads, _ = tp_prepare_carriers(TWO_TP, _carrier_draws(TWO_TP, rng))
         counts.update(pads)
     total = sum(counts.values())
     for value in range(TWO_TP.r):
@@ -176,7 +221,7 @@ def test_pads_are_uniform_over_their_range():
 def test_transmission_partitions_positions_between_decoys_and_carrier():
     rng = np.random.default_rng(1)
     carrier = basis_state(7, Basis.COMPUTATIONAL, 2)
-    seq, spec = build_transmission(carrier, l=6, rng=rng)
+    seq, spec = build_transmission(carrier, 6, _recipe_draws(7, 6, rng))
     assert len(seq) == 7
     positions = {position for position, _, _ in spec.entries}
     assert positions | {spec.carrier_position} == set(range(7))
@@ -187,7 +232,7 @@ def test_transmission_partitions_positions_between_decoys_and_carrier():
 @given(d=st.integers(2, MAX_DIM), l=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
 def test_build_transmission_partitions_the_slots_by_construction(d, l, seed):
     carrier = BasisLabel.prepare(d, Basis.COMPUTATIONAL, d - 1)
-    seq, spec = build_transmission(carrier, l, np.random.default_rng(seed))
+    seq, spec = build_transmission(carrier, l, _recipe_draws(d, l, np.random.default_rng(seed)))
     positions = [position for position, _, _ in spec.entries]
     assert positions == sorted(positions)
     assert sorted(positions + [spec.carrier_position]) == list(range(l + 1))
@@ -201,7 +246,7 @@ def test_carrier_slot_is_uniform_for_single_decoy():
     carrier = basis_state(4, Basis.COMPUTATIONAL, 0)
     hits = collections.Counter()
     for seed in range(10_000):
-        _, spec = build_transmission(carrier, l=1, rng=np.random.default_rng(seed))
+        _, spec = build_transmission(carrier, 1, _recipe_draws(4, 1, np.random.default_rng(seed)))
         hits[spec.carrier_position] += 1
     assert hits[0] / 10_000 == pytest.approx(0.5, abs=0.02)
     assert hits[1] / 10_000 == pytest.approx(0.5, abs=0.02)
@@ -215,7 +260,7 @@ def test_decoys_are_uniform_over_the_2d_basis_states():
     carrier = basis_state(d, Basis.COMPUTATIONAL, 0)
     counts = collections.Counter()
     for _ in range(rounds):
-        _, spec = build_transmission(carrier, l=l, rng=rng)
+        _, spec = build_transmission(carrier, l, _recipe_draws(d, l, rng))
         counts.update((DECOY_BASES[fourier], index) for _, fourier, index in spec.entries)
     cells = [(basis, index) for basis in Basis for index in range(d)]
     observed = [counts[cell] for cell in cells]
