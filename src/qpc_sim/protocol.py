@@ -14,6 +14,9 @@ values themselves stay masked.
 Variant differences: with two third parties the pad complements are broadcast
 so the measuring side can form scores; with a single third party the
 complements stay internal and every party shifts by an extra pre-shared key.
+
+Each role reads its draws, in order, from lists that ``streams.run_draws``
+computed before the run; the stages make no ``Generator`` call.
 """
 from __future__ import annotations
 

@@ -26,7 +26,7 @@ tests/test_determinism.py fail if they do.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, count
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -43,8 +43,8 @@ _MASK32 = 0xFFFFFFFF
 #: Streams, roots and children, that one chunk of trials hashes at once: its
 #: PCG64 states take at most 1024 * 32 bytes.
 _CHUNK_STREAMS = 1024
-#: Draws that one chunk computes at most: about 2.5 MB as Python lists.
-_CHUNK_DRAWS = 2**16
+#: Draws one chunk computes at most: a 400-trial n=2, l=32 CLI run peaks 0.2 MB higher (3.2 MB at 2**16).
+_CHUNK_DRAWS = 2**13
 
 
 def run_streams(n: int) -> int:
@@ -53,7 +53,7 @@ def run_streams(n: int) -> int:
 
 
 def chunk_trials(params: ProtocolParams) -> int:
-    """Trials per chunk of :func:`trial_streams`: at most 1024 streams and 2**16 draws, and at least one trial.
+    """Trials per chunk of :func:`trial_streams`: at most 1024 streams and 2**13 draws, and at least one trial.
 
     A run draws at most three values per qudit it moves, 6n(l+1): a decoy's basis bit, index and check uniform.
     """
@@ -243,7 +243,7 @@ def _run_layout(n: int, d: int, r: int, l: int, root_draws: int) -> tuple:
     for uniforms, stream_bounds in streams:
         start = blocks[-1].stop if blocks else 0
         live = sum(b > 1 for b in stream_bounds)
-        halves = iter(range(2 * (start + uniforms), 2 * (start + uniforms) + live))
+        halves = count(2 * (start + uniforms))  # the block's halves, after its uniforms' words
         uniform_words += range(start, start + uniforms)
         # any half times a bound of 1 is below 2**32: it gives 0 and is never rejected, so a bound of 1 draws nothing
         integer_halves += [next(halves) if b > 1 else 0 for b in stream_bounds]

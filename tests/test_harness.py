@@ -261,7 +261,7 @@ def _trial_row(run) -> dict:
     data=st.data(),
 )
 def test_every_row_of_a_chunked_experiment_is_its_trial_run_alone(variant, n, r, l, attack, threshold, seed, data):
-    # at l=200 a chunk holds 13 to 27 trials, so one trial past a chunk crosses its edge
+    # at l=200 a chunk holds one to three trials, so one trial past a chunk crosses its edge
     d = data.draw(st.integers(max(3 * r - 1, 2), 3 * r + 2), label="d")
     secrets = data.draw(st.one_of(st.just("random"), st.tuples(*[st.integers(0, r - 1)] * n)), label="secrets")
     key = data.draw(st.just("random") | st.integers(0, r - 1), label="key") if variant == "one-tp" else "random"
