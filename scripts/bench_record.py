@@ -7,7 +7,9 @@ order: the i-th ``--parent`` file of a workload pairs with the i-th
 ``--change`` file of that workload, and the pairs are expected to alternate
 which side runs first, parent first in odd pairs. Traced runs (``--trace 1``,
 whose detail line has ``layers``) are kept as ``trace_final_lines``, one per
-side and workload, and are not paired.
+side and workload, and are not paired. Every run, on both sides, must be
+made at one benchmark seed, and each workload needs as many parent runs as
+change runs; otherwise the script exits 2 with one ``error:`` line.
 
 For each workload and each end-to-end metric of ``BENCHMARK.json`` the record
 holds each side's q1, median and q3 (inclusive quartiles) and in how many pairs
@@ -44,6 +46,9 @@ def quartiles(values: list[float]) -> dict[str, float]:
 def record(parent: list[tuple[dict, dict]], change: list[tuple[dict, dict]], metrics: list[dict], seconds: float) -> dict:
     """The BENCH record of paired runs: ``metrics`` are BENCHMARK.json's end-to-end entries."""
     sides = {"parent": parent, "change": change}
+    seeds = sorted({detail["seed"] for lines in sides.values() for detail, _ in lines})
+    if len(seeds) > 1:
+        raise ValueError(f"the runs were made at more than one benchmark seed: {seeds}")
     runs = {side: {} for side in sides}
     traced = {side: {} for side in sides}
     for side, lines in sides.items():
@@ -51,8 +56,8 @@ def record(parent: list[tuple[dict, dict]], change: list[tuple[dict, dict]], met
             target = traced if "layers" in detail else runs
             target[side].setdefault(detail["workload"], []).append((detail, final))
     workloads = {}
-    for name, parent_runs in runs["parent"].items():
-        change_runs = runs["change"].get(name, [])
+    for name in {**runs["parent"], **runs["change"]}:
+        parent_runs, change_runs = runs["parent"].get(name, []), runs["change"].get(name, [])
         if len(change_runs) != len(parent_runs):
             raise ValueError(f"{name}: {len(parent_runs)} parent runs but {len(change_runs)} change runs")
         entry: dict = {"pairs": len(parent_runs)}

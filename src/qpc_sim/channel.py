@@ -17,7 +17,7 @@ authenticated sender identity.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -67,9 +67,12 @@ class Transcript:
         self._events: list[Event] = []
 
     def record(self, observers: Iterable[str] | str, kind: str, step: str | None = None, **payload) -> None:
+        """Append a ``kind`` event seen by ``observers``: a role, a sorted tuple of distinct roles, or any roles."""
         payload["seq"] = len(self._events)
         payload["kind"] = kind
-        payload["observers"] = [observers] if isinstance(observers, str) else sorted(set(observers))
+        if isinstance(observers, str):
+            observers = (observers,)
+        payload["observers"] = list(observers) if type(observers) is tuple else sorted(set(observers))
         if step is not None:
             payload["step"] = step
         self._events.append(Event(payload))
@@ -105,17 +108,23 @@ class ClassicalBus:
         self.transcript.record(PUBLIC, "classical", sender=sender, message=Event(payload))
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuantumLink:
-    """One-directional qudit channel; ``tapper``, if set, is the adversary on it, its one tap point."""
+    """One-directional qudit channel; ``tapper``, if set, is the adversary on it, its one tap point.
+
+    Frozen, since the runs of one shape share it; ``label`` and ``endpoints``
+    (both ends sorted, a transmission's observers) are computed when it is built.
+    """
 
     sender: str
     receiver: str
     tapper: AttackStrategy | None = None
+    label: str = field(init=False, repr=False, compare=False)
+    endpoints: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
-    @property
-    def label(self) -> str:
-        return f"{self.sender}->{self.receiver}"
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "label", f"{self.sender}->{self.receiver}")
+        object.__setattr__(self, "endpoints", tuple(sorted({self.sender, self.receiver})))
 
 
 def transmit(
@@ -132,7 +141,7 @@ def transmit(
     if tapper is not None:
         draws = rng.bit_generator.ctypes
         seq = tuple(tapper.tap(state, label, i, draws, transcript) for i, state in enumerate(seq))
-    transcript.record({link.sender, link.receiver}, "transmit", link=label, count=len(seq))
+    transcript.record(link.endpoints, "transmit", link=label, count=len(seq))
     return seq
 
 

@@ -16,7 +16,9 @@ so the measuring side can form scores; with a single third party the
 complements stay internal and every party shifts by an extra pre-shared key.
 
 Each role reads its draws, in order, from lists that ``streams.run_draws``
-computed before the run; the stages make no ``Generator`` call.
+computed before the run; the stages make no ``Generator`` call. Nor does a
+run build its links: ``run_links`` states them once per run shape. A decoy
+check discloses, measures and counts mismatches in one pass over the decoys.
 """
 from __future__ import annotations
 
@@ -24,11 +26,13 @@ import enum
 import numbers
 from collections.abc import Mapping, Set
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from . import adversary as adversary_module  # a cycle: adversary.py imports this module, so read it at call time
 from .channel import (
     OUTSIDER,
     PUBLIC,
@@ -233,9 +237,10 @@ def two_phase_disclosure(spec: DecoySpec) -> tuple[tuple[Decoy, ...], tuple[Deco
     part of the protocol contract — the Fourier phase must be checked before
     any computational positions are revealed.
     """
-    fourier = tuple(entry for entry in spec.entries if entry[1])
-    computational = tuple(entry for entry in spec.entries if not entry[1])
-    return fourier, computational
+    fourier, computational = [], []
+    for entry in spec.entries:
+        (fourier if entry[1] else computational).append(entry)
+    return tuple(fourier), tuple(computational)
 
 
 def tp_compute_result(
@@ -285,27 +290,27 @@ def _check_run(params: ProtocolParams, variant: Variant, adversary: object, rng:
 
     ``rng`` is a trial's ``RunDraws`` or a Generator of 64-bit words, which MT19937's 32-bit words are not.
     """
-    from .adversary import AttackStrategy  # adversary.py imports this module
-
     _expect(params, ProtocolParams, "params")
     if params.variant is not variant:
         raise ParameterError(f"params are for {params.variant.value}, expected {variant.value}")
     if adversary is not None:
-        _expect(adversary, AttackStrategy, "adversary")
+        _expect(adversary, adversary_module.AttackStrategy, "adversary")
     if not isinstance(rng, RunDraws):
         _expect(rng, np.random.Generator, "rng")
         if isinstance(rng.bit_generator, np.random.MT19937):
             raise ParameterError("rng must draw 64-bit words; its bit generator is MT19937")
 
 
+@lru_cache(maxsize=64)
 def run_links(
     params: ProtocolParams, adversary: "AttackStrategy | None"
-) -> tuple[list[QuantumLink], list[QuantumLink]]:
+) -> tuple[tuple[QuantumLink, ...], tuple[QuantumLink, ...]]:
     """The run's n preparer->party links and n party->measurer links, each in party order.
 
     Only an active adversary taps, and only from the wiring: an outsider taps
     every link, and a third party of this wiring taps exactly the links it is
-    not an end of. Any other owner taps nothing.
+    not an end of. Any other owner taps nothing. The links are frozen and
+    built once per ``(params, adversary)``; every run of that shape shares them.
     """
     preparer, measurer = wiring = WIRING[params.variant]
     taps = adversary is not None and adversary.active and adversary.owner in (OUTSIDER, *wiring)
@@ -314,7 +319,7 @@ def run_links(
         return QuantumLink(sender, receiver, adversary if taps and adversary.owner not in (sender, receiver) else None)
 
     parties = [party_role(i) for i in range(params.n)]
-    return [link(preparer, p) for p in parties], [link(p, measurer) for p in parties]
+    return tuple(link(preparer, p) for p in parties), tuple(link(p, measurer) for p in parties)
 
 
 def _disclose_and_check(
@@ -334,18 +339,18 @@ def _disclose_and_check(
     knows the prepared indices, computes the mismatch rate. The receiver
     measures each decoy with its next uniform from ``draws``, one per decoy.
     """
-    label = link.label
-    disclosed = [[position, DECOY_BASIS_NAMES[fourier]] for position, fourier, _ in entries]
-    bus.broadcast(link.sender, "decoy_disclosure", transmission=label, phase=phase, entries=disclosed)
-    uniforms = islice(draws, len(entries))
-    outcomes = [
-        [pos, measure(received[pos], DECOY_BASES[fourier], u).value] for (pos, fourier, _), u in zip(entries, uniforms)
-    ]
+    label, sender = link.label, link.sender
+    disclosed, outcomes, mismatched = [], [], 0
+    for (position, fourier, index), u in zip(entries, islice(draws, len(entries))):
+        disclosed.append([position, DECOY_BASIS_NAMES[fourier]])
+        value = measure(received[position], DECOY_BASES[fourier], u)[0]
+        outcomes.append([position, value])
+        mismatched += value != index
+    bus.broadcast(sender, "decoy_disclosure", transmission=label, phase=phase, entries=disclosed)
     bus.broadcast(link.receiver, "measurement_report", transmission=label, outcomes=outcomes)
-    mismatched = sum(1 for (_, _, index), (_, value) in zip(entries, outcomes) if value != index)
     error_rate = mismatched / len(entries) if entries else 0.0
     bus.transcript.record(
-        {link.sender},
+        sender,
         "decoy_check",
         step=step,
         link=label,
@@ -354,7 +359,7 @@ def _disclose_and_check(
         error_rate=error_rate,
     )
     if error_rate > threshold:
-        bus.broadcast(link.sender, "abort", step=step)
+        bus.broadcast(sender, "abort", step=step)
         return True
     return False
 
@@ -406,7 +411,7 @@ def _run_protocol(
         """Hide the carrier among l fresh decoys, record the sender's recipe, and send it over ``link``."""
         seq, spec = build_transmission(carrier, l, sender_draws)
         transcript.record(
-            {link.sender},
+            link.sender,
             "transmission_prep",
             step=step,
             link=link.label,
@@ -419,7 +424,7 @@ def _run_protocol(
     pad_sum, pads, carrier_states = tp_prepare_carriers(params, prep_draws)
     complements = [pad_sum - pad for pad in pads]
     transcript.record(
-        {preparer},
+        preparer,
         "carrier_prep",
         step="step1",
         pad_sum=pad_sum,
@@ -441,7 +446,7 @@ def _run_protocol(
     second_hop = []
     for i, (link, (received, spec)) in enumerate(zip(second_links, first_hop)):
         encoded = encode_secret(received[spec.carrier_position], secrets[i], offset)
-        transcript.record({link.sender}, "encode", step="step4", party=i, shift=secrets[i] + offset)
+        transcript.record(link.sender, "encode", step="step4", party=i, shift=secrets[i] + offset)
         received, spec = hop(link, "step4", encoded, party_draws[i])
         second_hop.append((received, spec.carrier_position, two_phase_disclosure(spec)))
 
@@ -455,13 +460,13 @@ def _run_protocol(
     measured = []
     for i, (received, carrier_position, _) in enumerate(second_hop):
         outcome = measure(received[carrier_position], Basis.COMPUTATIONAL, next(measure_draws))
-        transcript.record({measurer}, "carrier_measurement", step="step7", party=i, value=outcome.value)
+        transcript.record(measurer, "carrier_measurement", step="step7", party=i, value=outcome.value)
         measured.append(outcome.value)
 
     if preparer != measurer:
         bus.broadcast(preparer, "pad_announcement", values=list(complements))
     result = tp_compute_result(measured, complements)
-    transcript.record({measurer}, "score_computation", step="step7", scores=list(result.scores))
+    transcript.record(measurer, "score_computation", step="step7", scores=list(result.scores))
     bus.broadcast(measurer, "ordering_announcement", ranking=[list(group) for group in result.ranking])
     return transcript, result
 

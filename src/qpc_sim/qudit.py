@@ -50,6 +50,8 @@ def _expect(value: object, kind: type, name: str) -> None:
 
 def _plain_int(value: object) -> object:
     """``value`` as an ``int`` if it is an integer other than a bool (numpy's included), else unchanged."""
+    if type(value) is int:
+        return value
     return int(value) if isinstance(value, numbers.Integral) and not isinstance(value, bool) else value
 
 
@@ -106,10 +108,12 @@ class BasisLabel(NamedTuple):
 
     def shift(self, m: int) -> BasisLabel:
         """Apply U_m: a computational label moves to (index + m) mod d, a Fourier label only gains a phase."""
-        _check_index(self.dim, m, "shift amount")
+        d = self.dim
+        if not 0 <= m < d:
+            _check_index(d, m, "shift amount")
         if self.basis is Basis.FOURIER:
             return self
-        return BasisLabel(self.dim, Basis.COMPUTATIONAL, (self.index + m) % self.dim)
+        return _new(BasisLabel, (d, Basis.COMPUTATIONAL, (self.index + m) % d))
 
     def measure(self, basis: Basis, u: float) -> MeasurementOutcome:
         """Measure in ``basis``, sampling from the uniform ``u`` in [0, 1) that the caller drew.

@@ -3,6 +3,7 @@ invariants for both variants, abort behavior, and transcript discipline."""
 from __future__ import annotations
 
 import collections
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -23,11 +24,13 @@ from qpc_sim import (
     run_two_tp_protocol,
     strategy_from_id,
 )
+from qpc_sim.channel import ClassicalBus, QuantumLink, Transcript, transmit
 from qpc_sim.protocol import (
     DECOY_BASES,
     MAX_DIM,
     MAX_QUDITS,
     DecoySpec,
+    _disclose_and_check,
     build_transmission,
     encode_secret,
     pad_sum_range,
@@ -185,6 +188,69 @@ def test_the_runners_draw_through_no_generator_method():
         got = run_two_tp_protocol(TWO_TP, (1, 4, 0), strategy, Refusing(np.random.PCG64(3)))
         assert got[0].to_json() == want[0].to_json() and got[1] == want[1]
         run_one_tp_protocol(ONE_TP, (1, 4, 0), 2, strategy, Refusing(np.random.PCG64(3)))
+
+
+@pytest.mark.parametrize("attack", ["none", "ir-random", "tp2-mr"])
+def test_run_links_are_built_once_per_shape_and_frozen(attack):
+    strategy = strategy_from_id(attack)
+    first_links, second_links = links = run_links(TWO_TP, strategy)
+    again = run_links(ProtocolParams(Variant.TWO_TP, n=3, d=13, r=5, l=8), strategy)
+    assert type(first_links) is type(second_links) is tuple
+    assert again[0] is first_links and again[1] is second_links
+    for link in first_links + second_links:
+        assert link.label == f"{link.sender}->{link.receiver}"
+        for field in dataclasses.fields(link):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(link, field.name, getattr(link, field.name))
+    assert run_links(TWO_TP, None) is not links
+
+
+@pytest.mark.parametrize("sender, receiver", [("P1", "TP2"), ("TP1", "P1"), ("TP", "TP")])
+def test_a_transmit_event_is_seen_by_the_sorted_endpoints(sender, receiver):
+    transcript = Transcript()
+    link = QuantumLink(sender, receiver)
+    transmit(link, (BasisLabel.prepare(4, Basis.FOURIER, 1),), transcript, None)
+    [event] = transcript.events()
+    assert event["observers"] == sorted({sender, receiver}) == list(link.endpoints)
+    assert event["link"] == link.label == f"{sender}->{receiver}"
+
+
+#: A hand-built hop of five decoys at d=7: each decoy's (position, basis bit, index), and what each slot delivered.
+FIVE_DECOYS = ((0, 0, 3), (1, 1, 2), (3, 0, 6), (4, 1, 0), (5, 1, 5))
+ARRIVED = {0: (0, 3), 1: (1, 4), 3: (0, 6), 4: (1, 0), 5: (1, 1)}  # positions 1 and 5 mismatch, slot 2 is the carrier
+
+
+def _check(entries, threshold: float):
+    """Check ``entries`` of the hand-built hop through ``_disclose_and_check``; its verdict and transcript."""
+    received = [BasisLabel.prepare(7, Basis.COMPUTATIONAL, 0)] * 6
+    for position, (fourier, index) in ARRIVED.items():
+        received[position] = BasisLabel.prepare(7, DECOY_BASES[fourier], index)
+    transcript, draws = Transcript(), iter([0.25] * (len(entries) + 1))
+    bus, link = ClassicalBus(transcript), QuantumLink("P1", "TP2")
+    aborted = _disclose_and_check(bus, "step5", "all", link, entries, tuple(received), draws, threshold)
+    assert list(draws) == [0.25]  # one uniform per decoy
+    return aborted, transcript.events()
+
+
+@pytest.mark.parametrize("entries, threshold, counts", [(FIVE_DECOYS, 2 / 5, (5, 2, 2 / 5)), ((), 0.0, (0, 0, 0.0))],
+                         ids=["two-of-five", "no-decoys"])
+def test_a_decoy_check_passes_at_exactly_its_threshold(entries, threshold, counts):
+    aborted, events = _check(entries, threshold)
+    [check] = [e for e in events if e["kind"] == "decoy_check"]
+    assert not aborted
+    assert (check["checked"], check["mismatched"], check["error_rate"]) == counts
+    assert check["observers"] == ["P1"] and check["link"] == "P1->TP2"
+    disclosure, report = [e["message"] for e in events if e["kind"] == "classical"]
+    assert disclosure["entries"] == [[position, ("computational", "fourier")[f]] for position, f, _ in entries]
+    assert report["outcomes"] == [[position, ARRIVED[position][1]] for position, _, _ in entries]
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1 / 5, 0.3999])
+def test_a_decoy_check_aborts_below_its_error_rate(threshold):
+    aborted, events = _check(FIVE_DECOYS, threshold)
+    assert aborted
+    assert events[-1]["sender"] == "P1" and dict(events[-1]["message"]) == {"kind": "abort", "step": "step5"}
+    assert [e["mismatched"] for e in events if e["kind"] == "decoy_check"] == [2]
 
 
 # ---------------------------------------------------------------------------

@@ -189,9 +189,9 @@ def test_script_bad_flag_values_exit_2_with_one_error_line(case):
     assert len([line for line in err.getvalue().splitlines() if "error:" in line]) == 1, err.getvalue()
 
 
-def _bench_run(tmp_path, name, workload, rate, setup=0.2, rss=38.0, digest="ab", failed=0, traced=False):
+def _bench_run(tmp_path, name, workload, rate, setup=0.2, rss=38.0, digest="ab", failed=0, traced=False, seed=5642):
     env = {"commit": "c0ffee", "nproc": 2, "python": "3.11.7", "numpy": "2.4.6", "blas": "OpenBLAS", "blas_threads": 2}
-    detail = {"workload": workload, "seed": 5642, "canonical_sha256": digest, "env": env}
+    detail = {"workload": workload, "seed": seed, "canonical_sha256": digest, "env": env}
     if traced:
         detail["layers"] = {"adversary.secret_support.share": 0.3}
     units = {"trials_per_s": "1/s", "setup_s": "s", "peak_rss_mb": "MB"}
@@ -234,3 +234,28 @@ def test_bench_record_refuses_unpaired_runs(tmp_path, capsys):
     argv = ["--seconds", "8", "--out", str(tmp_path / "out.json"), "--parent", *map(str, parent), "--change", *map(str, change)]
     assert _load("bench_record").main(argv) == 2
     assert capsys.readouterr().err == "error: honest-two-tp: 2 parent runs but 1 change runs\n"
+
+
+def test_bench_record_refuses_a_workload_with_no_parent_runs(tmp_path, capsys):
+    # the record used to list only the parent's workloads, so privacy-audit's change runs vanished from it
+    parent = [_bench_run(tmp_path, f"p{i}", "honest-two-tp", 100) for i in range(2)]
+    change = [_bench_run(tmp_path, f"c{i}", workload, 100)
+              for i, workload in enumerate(["honest-two-tp", "honest-two-tp", "privacy-audit", "privacy-audit"])]
+    out = tmp_path / "out.json"
+    argv = ["--seconds", "8", "--out", str(out), "--parent", *map(str, parent), "--change", *map(str, change)]
+    assert _load("bench_record").main(argv) == 2
+    assert capsys.readouterr().err == "error: privacy-audit: 0 parent runs but 2 change runs\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["paired", "traced"])
+def test_bench_record_refuses_runs_made_at_different_seeds(tmp_path, capsys, traced):
+    parent = [_bench_run(tmp_path, f"p{i}", "honest-two-tp", 100, seed=1) for i in range(2)]
+    change = [_bench_run(tmp_path, f"c{i}", "honest-two-tp", 100, seed=1 + (i == 1 and not traced)) for i in range(2)]
+    if traced:
+        change.append(_bench_run(tmp_path, "ct", "honest-two-tp", 90, traced=True, seed=2))
+    out = tmp_path / "out.json"
+    argv = ["--seconds", "8", "--out", str(out), "--parent", *map(str, parent), "--change", *map(str, change)]
+    assert _load("bench_record").main(argv) == 2
+    assert capsys.readouterr().err == "error: the runs were made at more than one benchmark seed: [1, 2]\n"
+    assert not out.exists()
