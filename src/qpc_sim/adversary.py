@@ -30,7 +30,7 @@ from .protocol import (
     Variant,
     pad_sum_range,
     party_role,
-    run_links,
+    tap_plan,
 )
 from .qudit import Basis, BasisLabel, ParameterError, _expect, _expect_int
 
@@ -68,20 +68,17 @@ class AttackStrategy:
     ) -> BasisLabel:
         """Measure-and-resend one in-flight qudit; passive strategies forward untouched.
 
-        ``draws`` is the adversary generator's ``bit_generator.ctypes``: the
-        coin is ``next_uint32 >> 31`` and the uniform ``next_double``, the C
-        functions behind ``integers(0, 2)`` (whose Lemire threshold at bound 2
-        is 0, so it keeps the top bit) and ``random()``, so the draws are
-        theirs (pinned in tests/test_determinism.py). The generator is private
-        to one run, so skipping ``bit_generator.lock`` is safe; ``draws``
-        holds only a raw pointer, so the caller keeps the generator alive.
+        ``draws`` holds an iterator over each of the run's ``RunDraws.adversary``
+        lists, its coins and its uniforms: a fair-coin tap reads its basis bit
+        from the coins, and every active tap its measurement's uniform.
         """
         if not self.active:
             return state
+        coins, uniforms = draws
         basis = self.basis
         if basis is None:
-            basis = DECOY_BASES[draws.next_uint32(draws.state) >> 31]
-        outcome = measure(state, basis, draws.next_double(draws.state))
+            basis = DECOY_BASES[next(coins)]
+        outcome = measure(state, basis, next(uniforms))
         # _value_ and a plain owner string: the enum's value property and a set cost more per tap
         transcript.record(
             self.owner,
@@ -159,11 +156,11 @@ def per_decoy_detection_probability(
 
 
 def tapped_checked_decoys(strategy: AttackStrategy, params: ProtocolParams) -> int:
-    """How many checked decoys per run cross a link the strategy taps: l per tapped link of the run."""
+    """How many checked decoys per run cross a link the strategy taps: l of the l+1 taps per tapped link of the run."""
     _expect(strategy, AttackStrategy, "strategy")
     _expect(params, ProtocolParams, "params")
-    first_links, second_links = run_links(params, strategy)
-    return params.l * sum(link.tapper is not None for link in first_links + second_links)
+    taps, _ = tap_plan(params, strategy)
+    return taps // (params.l + 1) * params.l
 
 
 def analytic_abort_probability(strategy: AttackStrategy, params: ProtocolParams) -> float:

@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .qudit import BasisLabel
 
@@ -128,18 +126,17 @@ class QuantumLink:
 
 
 def transmit(
-    link: QuantumLink, seq: tuple[BasisLabel, ...], transcript: Transcript, rng: np.random.Generator
+    link: QuantumLink, seq: tuple[BasisLabel, ...], transcript: Transcript, draws: tuple[Iterator, Iterator]
 ) -> tuple[BasisLabel, ...]:
     """Move a transmission through ``link``, passing each qudit through the tapper once, in order.
 
     With no tapper ``seq`` itself is delivered, since the channel is
     noiseless; a tapped link delivers a new tuple of the tapped states. The
     transmission is recorded for both endpoints, after any tap records. The
-    tapper draws through ``rng``'s bit generator's C functions.
+    tapper reads its coins and uniforms from ``draws``, the run's iterators over them.
     """
     label, tapper = link.label, link.tapper
     if tapper is not None:
-        draws = rng.bit_generator.ctypes
         seq = tuple(tapper.tap(state, label, i, draws, transcript) for i, state in enumerate(seq))
     transcript.record(link.endpoints, "transmit", link=label, count=len(seq))
     return seq

@@ -38,6 +38,7 @@ from .protocol import (
     rank_descending,
     run_one_tp_protocol,
     run_two_tp_protocol,
+    tap_plan,
 )
 from .qudit import ParameterError, _expect, _expect_int, _plain_int
 from .streams import RunDraws, trial_streams
@@ -162,14 +163,16 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRun:
     _expect(config, ExperimentConfig, "config")
     params, strategy = config.validate()
     t = _expect_int(trial_index, "trial_index", "an integer >= 0", 0)
-    return _run_trial(config, params, strategy, t, next(_trial_draws(config, params, range(t, t + 1))))
+    return _run_trial(config, params, strategy, t, next(_trial_draws(config, params, strategy, range(t, t + 1))))
 
 
-def _trial_draws(config: ExperimentConfig, params: ProtocolParams, trials: range) -> Iterator[RunDraws]:
+def _trial_draws(
+    config: ExperimentConfig, params: ProtocolParams, strategy: AttackStrategy, trials: range
+) -> Iterator[RunDraws]:
     """Each trial's draws; its root stream draws the random secrets, then a random one-tp key."""
     random_key = params.variant is Variant.ONE_TP and config.shared_key == "random"
     root_draws = params.n * (config.secrets == "random") + random_key
-    return trial_streams(config.seed, trials, params, root_draws)
+    return trial_streams(config.seed, trials, params, root_draws, tap_plan(params, strategy))
 
 
 def _run_trial(
@@ -275,7 +278,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     decoy_stats = {step: {"checked": 0, "mismatched": 0} for step in CHECK_STEPS}
     trial_rows: list[dict] = []
     n_completed = n_aborted = n_correct = 0
-    for t, draws in enumerate(_trial_draws(config, params, range(config.trials))):
+    for t, draws in enumerate(_trial_draws(config, params, strategy, range(config.trials))):
         run = _run_trial(config, params, strategy, t, draws)
         for event in run.transcript.events():
             if event["kind"] == "decoy_check":

@@ -16,9 +16,10 @@ so the measuring side can form scores; with a single third party the
 complements stay internal and every party shifts by an extra pre-shared key.
 
 Each role reads its draws, in order, from lists that ``streams.run_draws``
-computed before the run; the stages make no ``Generator`` call. Nor does a
-run build its links: ``run_links`` states them once per run shape. A decoy
-check discloses, measures and counts mismatches in one pass over the decoys.
+computed before the run, the adversary's taps included; a run builds no
+``Generator``. Nor does a run build its links: ``run_links`` states them once
+per run shape, and ``tap_plan`` reads the taps off them. A decoy check
+discloses, measures and counts mismatches in one pass over the decoys.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ import numbers
 from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -63,7 +64,8 @@ SOLO_TP_ROLE = "TP"
 MAX_DIM = 2**16
 
 #: Most qudits one run may move, 2n(l+1). Memory grows with it: one two-tp
-#: trial at the cap (n=2, l=65535) peaks at 196 MB RSS (CPython 3.11, numpy 2.4).
+#: trial at the cap (n=2, d=4, l=65535) peaks at 196 MB RSS with no attack and
+#: at 216 MB with ir-random, which aborts at step 3 (CPython 3.11, numpy 2.4).
 MAX_QUDITS = 2**18
 
 
@@ -322,6 +324,12 @@ def run_links(
     return tuple(link(preparer, p) for p in parties), tuple(link(p, measurer) for p in parties)
 
 
+def tap_plan(params: ProtocolParams, adversary: "AttackStrategy | None") -> tuple[int, bool]:
+    """The taps of one run on ``run_links``' links, l+1 per tapped link, and whether each draws a basis coin."""
+    taps = (params.l + 1) * sum(link.tapper is not None for link in chain(*run_links(params, adversary)))
+    return taps, bool(taps) and adversary.basis is None
+
+
 def _disclose_and_check(
     bus: ClassicalBus,
     step: str,
@@ -382,12 +390,11 @@ def _run_protocol(
     # differ only in the secret values. A plain Generator's run draws from
     # its first spawn, through the same pass as a chunk of trials.
     if not isinstance(rng, RunDraws):
-        rng = run_draws(params, [[rng.bit_generator, *rng.bit_generator.spawn(run_streams(n))]], 0)[0]
+        streams = [rng.bit_generator, *rng.bit_generator.spawn(run_streams(n))]
+        rng = run_draws(params, [streams], 0, tap_plan(params, adversary))[0]
     prep_draws, measure_draws = iter(rng.preparer), iter(rng.measurer)
     party_draws = [iter(draws) for draws in rng.parties]
-    # taps draw through a Generator's bit generator, so only a tapped run builds one
-    tapped = any(link.tapper is not None for link in first_links + second_links)
-    adversary_rng = np.random.Generator(rng.adversary) if tapped else None
+    tap_draws = tuple(map(iter, rng.adversary))
 
     transcript.record(
         PUBLIC,
@@ -418,7 +425,7 @@ def _run_protocol(
             carrier_position=spec.carrier_position,
             decoys=[[position, DECOY_BASIS_NAMES[fourier], index] for position, fourier, index in spec.entries],
         )
-        return transmit(link, seq, transcript, adversary_rng), spec
+        return transmit(link, seq, transcript, tap_draws), spec
 
     # stage 1: carriers
     pad_sum, pads, carrier_states = tp_prepare_carriers(params, prep_draws)

@@ -20,13 +20,18 @@ from the streams' raw 64-bit words, as numpy's ``Generator`` does:
   and draws again: a run with a rejected draw is redrawn by the scalar model
   :func:`_scalar_draws`, so the values never depend on the fast path.
 
+The adversary's taps draw on its own stream too: a coin per tap is an integer
+below 2, whose threshold is 0, so it is never rejected, and a tap's uniform is
+a whole word. So the tap count that ``protocol.tap_plan`` reads off a run's
+links places them, and a run never builds a ``Generator``.
+
 numpy's NEP 19 lets these streams change between releases; the pins in
 tests/test_determinism.py fail if they do.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, count
+from itertools import chain
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -52,13 +57,15 @@ def run_streams(n: int) -> int:
     return n + 3
 
 
-def chunk_trials(params: ProtocolParams) -> int:
+def chunk_trials(params: ProtocolParams, plan: tuple[int, bool] = (0, False)) -> int:
     """Trials per chunk of :func:`trial_streams`: at most 1024 streams and 2**13 draws, and at least one trial.
 
     A run draws at most three values per qudit it moves, 6n(l+1): a decoy's basis bit, index and check uniform.
+    A tap of ``plan`` (tap count, coin per tap) adds its uniform and any coin, so at most five per qudit.
     """
     n, l = params.n, params.l
-    return max(1, min(_CHUNK_STREAMS // (run_streams(n) + 1), _CHUNK_DRAWS // (6 * n * (l + 1))))
+    taps, coin = plan
+    return max(1, min(_CHUNK_STREAMS // (run_streams(n) + 1), _CHUNK_DRAWS // (6 * n * (l + 1) + taps * (1 + coin))))
 
 
 def _words(value: int) -> list[int]:
@@ -228,27 +235,39 @@ def _scalar_draws(words: Iterator[int], bounds: Sequence[int]) -> tuple[list, in
 
 
 @lru_cache(maxsize=4)
-def _run_layout(n: int, d: int, r: int, l: int, root_draws: int) -> tuple:
+def _run_layout(n: int, d: int, r: int, l: int, root_draws: int, taps: int, coin: bool) -> tuple:
     """A run's draws per stream, and where each lies in a row that joins its streams' blocks of raw words.
 
-    In order: each stream's (uniforms, bounds), its block of the row, the word
-    of each uniform, the half word of each integer, and each integer's bound
-    and rejection threshold. The streams are the root, the preparer, the n
-    parties and the measurer; the adversary's draws are its taps'.
+    In order: each stream's draws in draw order, as bounds (0 asks for a
+    uniform), its block of the row, the word of each uniform, the half word of
+    each integer, and each integer's bound and rejection threshold. The
+    streams are the root, the preparer, the n parties, the measurer and the
+    adversary, whose ``taps`` taps each draw a coin, if ``coin``, then a uniform.
+    One walk places every draw by :func:`_scalar_draws`' rule.
     """
     recipe = [2, d] * l + [l + 1]
     # the preparer's first bound, d - r + 1, is the length of pad_sum_range
-    streams = ((0, [r] * root_draws), (0, [d - r + 1] + [r] * n + recipe * n), *[(l, recipe)] * n, (n * (l + 1), []))
+    preparer, adversary = [d - r + 1] + [r] * n + recipe * n, ([2, 0] if coin else [0]) * taps
+    streams = ([r] * root_draws, preparer, *[[0] * l + recipe] * n, [0] * (n * (l + 1)), adversary)
     blocks, uniform_words, integer_halves, bounds = [], [], [], []
-    for uniforms, stream_bounds in streams:
-        start = blocks[-1].stop if blocks else 0
-        live = sum(b > 1 for b in stream_bounds)
-        halves = count(2 * (start + uniforms))  # the block's halves, after its uniforms' words
-        uniform_words += range(start, start + uniforms)
-        # any half times a bound of 1 is below 2**32: it gives 0 and is never rejected, so a bound of 1 draws nothing
-        integer_halves += [next(halves) if b > 1 else 0 for b in stream_bounds]
-        bounds += stream_bounds
-        blocks.append(slice(start, start + uniforms + (live + 1) // 2))
+    for stream_bounds in streams:
+        word = start = blocks[-1].stop if blocks else 0
+        kept = None
+        for b in stream_bounds:
+            if not b:
+                uniform_words.append(word)
+                word += 1
+                continue
+            bounds.append(b)
+            if b == 1:  # any half times 1 is below 2**32: it gives 0 and is never rejected, so it draws nothing
+                integer_halves.append(0)
+            elif kept is None:
+                integer_halves.append(2 * word)
+                kept, word = 2 * word + 1, word + 1
+            else:
+                integer_halves.append(kept)
+                kept = None
+        blocks.append(slice(start, word))
     b = np.array(bounds, dtype=np.uint64)
     uniform_words, integer_halves = np.array(uniform_words, dtype=np.intp), np.array(integer_halves, dtype=np.intp)
     return streams, blocks, uniform_words, integer_halves, b, (2**32 - b) % b
@@ -262,28 +281,32 @@ class RunDraws(NamedTuple):
     the n pads and the n first-hop recipes; ``parties`` each party's l step-3
     uniforms, then its step-4 recipe; ``measurer`` the n(l+1) uniforms of
     stages 5 to 7. A recipe is 2l+1 integers: a basis bit and an index per
-    decoy, then the carrier slot. ``adversary`` is the bit generator of taps.
+    decoy, then the carrier slot. ``adversary`` is its taps' coins and their
+    uniforms, in transmit order: first hops, then second hops.
     """
 
     root: list[int]
     preparer: list[int]
     parties: list[list]
     measurer: list[float]
-    adversary: np.random.BitGenerator
+    adversary: tuple[list[int], list[float]]
 
 
-def run_draws(params: ProtocolParams, streams: list[list], root_draws: int) -> list[RunDraws]:
+def run_draws(
+    params: ProtocolParams, streams: list[list], root_draws: int, plan: tuple[int, bool] = (0, False)
+) -> list[RunDraws]:
     """The draws of a chunk of runs of ``params``, computed in one numpy pass over the chunk.
 
     Each run's ``streams`` are its root's bit generator, then the fresh ones of
-    its preparer, its n parties, its measurer and its adversary, in that order.
-    The root draws ``root_draws`` integers below r, and no raw word if none.
-    One block of raw words per stream holds its draws when no integer is
-    rejected; a run with a rejected integer is redrawn by :func:`_scalar_draws`,
-    which reads on past each block.
+    its preparer, its n parties, its measurer and its adversary, in that order;
+    an untapped ``plan`` (tap count, coin per tap) reads nothing of the last,
+    which may be left out. The root draws ``root_draws`` integers below r, and
+    no raw word if none. One block of raw words per stream holds its draws when
+    no integer is rejected; a run with a rejected integer is redrawn by
+    :func:`_scalar_draws`, which reads on past each block.
     """
     n, d, r, l = params.n, params.d, params.r, params.l
-    layout, blocks, uniform_words, integer_halves, bounds, thresholds = _run_layout(n, d, r, l, root_draws)
+    layout, blocks, uniform_words, integer_halves, bounds, thresholds = _run_layout(n, d, r, l, root_draws, *plan)
     sizes = [block.stop - block.start for block in blocks]
     raw = [bg.random_raw(size) for run in streams for bg, size in zip(run, sizes)]
     words = np.concatenate(raw).reshape(len(streams), blocks[-1].stop)
@@ -293,31 +316,36 @@ def run_draws(params: ProtocolParams, streams: list[list], root_draws: int) -> l
     ints = (products >> 32).tolist()
     for i in np.flatnonzero(((products & _MASK32) < thresholds).any(axis=1)).tolist():
         floats[i], ints[i] = [], []
-        for bg, (uniforms, stream_bounds), block in zip(streams[i], layout, blocks):
+        for bg, stream_bounds, block in zip(streams[i], layout, blocks):
             more = iter(bg.random_raw, None)  # the words past the block, one at a time
-            drawn, _ = _scalar_draws(chain(words[i, block].tolist(), more), [0] * uniforms + stream_bounds)
-            floats[i] += drawn[:uniforms]
-            ints[i] += drawn[uniforms:]
+            drawn, _ = _scalar_draws(chain(words[i, block].tolist(), more), stream_bounds)
+            floats[i] += [value for b, value in zip(stream_bounds, drawn) if not b]
+            ints[i] += [value for b, value in zip(stream_bounds, drawn) if b]
     recipe = 2 * l + 1
     second_hops = root_draws + n + 1 + n * recipe
+    coins = second_hops + n * recipe
     return [
         RunDraws(
             row[:root_draws],
             row[root_draws:second_hops],
             [u[p * l : (p + 1) * l] + row[second_hops + p * recipe : second_hops + (p + 1) * recipe] for p in range(n)],
-            u[n * l :],
-            run[-1],
+            u[n * l : n * recipe],
+            (row[coins:], u[n * recipe :]),
         )
-        for run, u, row in zip(streams, floats, ints)
+        for u, row in zip(floats, ints)
     ]
 
 
-def trial_streams(seed: int, trials: range, params: ProtocolParams, root_draws: int) -> Iterator[RunDraws]:
+def trial_streams(
+    seed: int, trials: range, params: ProtocolParams, root_draws: int, plan: tuple[int, bool] = (0, False)
+) -> Iterator[RunDraws]:
     """The draws of each run in ``trials`` (a range of step 1), in order; each root draws ``root_draws`` integers.
 
     Trial t's streams are ``default_rng(SeedSequence((seed, t)))``'s and its
-    first ``spawn(run_streams(n))``'s, bit for bit. They are hashed and drawn
-    a chunk of :func:`chunk_trials` trials at a time.
+    first ``spawn(run_streams(n))``'s, bit for bit, but for the adversary's,
+    which is built only when ``plan`` (tap count, coin per tap) taps. They are
+    hashed and drawn a chunk of :func:`chunk_trials` trials at a time.
     """
-    for chunk in _bit_generators(seed, trials, run_streams(params.n), chunk_trials(params)):
-        yield from run_draws(params, chunk, root_draws)
+    n_children = run_streams(params.n) - (not plan[0])
+    for chunk in _bit_generators(seed, trials, n_children, chunk_trials(params, plan)):
+        yield from run_draws(params, chunk, root_draws, plan)

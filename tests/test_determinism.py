@@ -10,12 +10,14 @@ uint32 halves, low half first and the high half kept, for ``integers``, and a
 whole word for ``random``. The tests below pin that model, in values and in
 end state (the words read plus the half kept), against numpy's scalar calls,
 its array-bound and ``size=`` calls and ``random(k)``, with the rejection branch
-forced; they pin what ``build_transmission``, ``tp_prepare_carriers`` and a
-decoy check read from their draws; and they pin ``canonical_json`` digests for
-a small corpus and transcript digests for a smaller one. So a numpy change or
-a protocol change that moves a draw fails here instead of silently changing
-reports. A tap draws through the bit generator's ``ctypes`` functions; that is
-pinned here against the ``Generator`` calls it stands for.
+forced; they pin what ``build_transmission``, ``tp_prepare_carriers``, a
+decoy check and a run's taps read from their draws; and they pin
+``canonical_json`` digests for a small corpus and transcript digests for a
+smaller one. So a numpy change or a protocol change that moves a draw fails
+here instead of silently changing reports. The adversary's draws are pinned
+against ``integers(0, 2)`` and ``random()`` interleaved on the same stream, the
+calls a tap stands for, with an odd coin count and with the rejection branch
+forced on another stream of the run.
 """
 from __future__ import annotations
 
@@ -28,16 +30,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpc_sim import ATTACK_IDS, ExperimentConfig, ParameterError, run_experiment, run_trial
+from qpc_sim import ATTACK_IDS, ExperimentConfig, ParameterError, run_experiment, run_trial, strategy_from_id
 from qpc_sim.channel import ClassicalBus, QuantumLink, Transcript
 from qpc_sim.protocol import (
     DECOY_BASES,
+    DECOY_BASIS_NAMES,
     MAX_DIM,
     ProtocolParams,
     Variant,
     _disclose_and_check,
     basis_state,
     build_transmission,
+    run_links,
+    tap_plan,
     tp_prepare_carriers,
 )
 from qpc_sim.qudit import Basis
@@ -200,9 +205,29 @@ def test_the_scalar_model_takes_the_rejection_branch_as_numpy_does():
         assert redrawn or b == 65281  # at 65281 a rejection needs about 2**16 draws, as in the run pins below
 
 
-def _numpy_run_draws(params, gens: list[np.random.Generator], root_draws: int, batched: bool) -> tuple:
+def _numpy_taps(rng: np.random.Generator, taps: int, coin: bool) -> tuple[list[int], list[float]]:
+    """A run's tap draws by numpy's Generator: per tap, ``integers(0, 2)`` if ``coin``, then ``random()``."""
+    coins, uniforms = [], []
+    for _ in range(taps):
+        if coin:
+            coins.append(int(rng.integers(0, 2)))
+        uniforms.append(rng.random())
+    return coins, uniforms
+
+
+def _tap_kept(words: list[int], taps: int, coin: bool) -> int | None:
+    """The half the adversary's stream keeps: with an odd coin count, the high half of the last coin's word.
+
+    Each pair of taps reads a coin's word, a uniform's and then a uniform's, so tap 2j's coin is word 3j.
+    """
+    return words[3 * (taps // 2)] >> 32 if coin and taps % 2 else None
+
+
+def _numpy_run_draws(
+    params, gens: list[np.random.Generator], root_draws: int, batched: bool, plan: tuple[int, bool] = (0, False)
+) -> tuple:
     """One run's draws made by numpy's Generator, role by role, as scalar calls or as batched ones."""
-    root, prep, *parties, measurer, _ = gens
+    root, prep, *parties, measurer, adversary = gens
     n, d, r, l = params.n, params.d, params.r, params.l
     recipe = [2, d] * l + [l + 1]
     if batched:
@@ -216,24 +241,33 @@ def _numpy_run_draws(params, gens: list[np.random.Generator], root_draws: int, b
         draw = lambda g, k: [g.random() for _ in range(k)]
         recipes = lambda g, k: [int(g.integers(0, b)) for b in recipe * k]
     preparer = [constant - (r - 1), *pads, *recipes(prep, n)]
-    return secrets, preparer, [draw(g, l) + recipes(g, 1) for g in parties], draw(measurer, n * (l + 1))
+    taps, coin = plan
+    # a batch of taps is one random(k) when no tap draws a coin; coins interleave, so they stay scalar calls
+    adversary = ([], draw(adversary, taps)) if batched and not coin else _numpy_taps(adversary, taps, coin)
+    measured = draw(measurer, n * (l + 1))
+    return secrets, preparer, [draw(g, l) + recipes(g, 1) for g in parties], measured, adversary
 
 
-def _assert_run_draws_are_numpys(params, seed: int, root_draws: int, batched: bool = False) -> int:
+def _assert_run_draws_are_numpys(
+    params, seed: int, root_draws: int, batched: bool = False, plan: tuple[int, bool] = (0, False)
+) -> int:
     """``run_draws`` of one run equals numpy's draws in values and end state; returns the halves numpy rejected."""
     root = np.random.SeedSequence(seed)
     streams = [_Recorder(seq) for seq in (root, *root.spawn(run_streams(params.n)))]
-    (got,) = run_draws(params, [streams], root_draws)
+    (got,) = run_draws(params, [streams], root_draws, plan)
     root = np.random.SeedSequence(seed)
     gens = [np.random.default_rng(seq) for seq in (root, *root.spawn(run_streams(params.n)))]
-    assert (got.root, got.preparer, got.parties, got.measurer) == _numpy_run_draws(params, gens, root_draws, batched)
-    assert got.adversary is streams[-1] and not streams[-1].words  # the adversary stream is left to the taps
-    integers = [len([b for b in bounds if b > 1]) for bounds in _stream_bounds(params, root_draws)]
-    uniforms = [0, 0] + [params.l] * params.n + [params.n * (params.l + 1)]
+    assert tuple(got) == _numpy_run_draws(params, gens, root_draws, batched, plan)
+    taps, coin = plan
+    integers = [len([b for b in bounds if b > 1]) for bounds in _stream_bounds(params, root_draws)] + [taps * coin]
+    uniforms = [0, 0] + [params.l] * params.n + [params.n * (params.l + 1), taps]
     rejected = 0
     for stream, gen, k, u in zip(streams, gens, integers, uniforms):
-        # numpy read the words the model read, and keeps the last one's high half or nothing
+        # numpy read the words the model read, and keeps the last one's high half or nothing; a role's last
+        # word holds an integer, but the adversary's last word may be a uniform's
         kept = stream.words[-1] >> 32 if gen.bit_generator.state["has_uint32"] else None
+        if stream is streams[-1]:
+            kept = _tap_kept(stream.words, taps, coin)
         _assert_same_end_state(stream.words, stream.start, kept, gen)
         rejected += 2 * (len(stream.words) - u) - (kept is not None) - k
     return rejected
@@ -245,23 +279,31 @@ def _stream_bounds(params, root_draws: int) -> list[list[int]]:
     return [[r] * root_draws, [d - r + 1] + [r] * n + recipe * n, *[recipe] * n, []]
 
 
+def _plans(n: int, l: int) -> list[tuple[int, bool]]:
+    """Untapped; n(l+1) taps (an insider's count) without and with a coin; an outsider's 2n(l+1) fair-coin taps."""
+    return [(0, False), (n * (l + 1), False), (n * (l + 1), True), (2 * n * (l + 1), True)]
+
+
 @pytest.mark.parametrize("batched", (False, True), ids=("scalar calls", "array and size= calls"))
 @pytest.mark.parametrize(
     "n, d, r, l", [(2, 2, 1, 1), (3, 3, 1, 2), (2, 13, 5, 8), (5, 13, 5, 8), (3, 512, 200, 4), (2, MAX_DIM, 2**15, 3)]
 )
 def test_run_draws_are_numpys_draws_for_every_role(n, d, r, l, batched):
-    # roots draw n secrets then a key (n + 1), the secrets alone, or nothing; r=1 draws nothing at all
+    # roots draw n secrets then a key (n + 1), the secrets alone, or nothing; r=1 draws nothing at all.
+    # At n=3, l=2 (and n=5, l=8) n(l+1) coins are odd, so the adversary's stream ends on a kept half
     params = SimpleNamespace(n=n, d=d, r=r, l=l)
     for seed in range(8):
-        for root_draws in (0, n, n + 1):
-            assert _assert_run_draws_are_numpys(params, seed, root_draws, batched) == 0
+        for root_draws, plan in zip((0, n, n + 1, n + 1), _plans(n, l)):
+            assert _assert_run_draws_are_numpys(params, seed, root_draws, batched, plan) == 0
 
 
 @pytest.mark.parametrize("d, l, seeds", [(65281, 1024, SEEDS_65281), (2**31 + 1, 2, range(3)), (3 * 2**30, 2, range(3))])
 def test_run_draws_redraw_a_rejected_run_as_numpy_does(d, l, seeds):
-    # bounds past MAX_DIM are not a protocol's, but they make a quarter to a half of all index draws rejections
+    # bounds past MAX_DIM are not a protocol's, but they make a quarter to a half of all index draws rejections;
+    # the redrawn run's adversary draws n(l+1) + 1 coins and uniforms interleaved, an odd count
     params = SimpleNamespace(n=2, d=d, r=2, l=l)
-    assert all(_assert_run_draws_are_numpys(params, seed, params.n + 1) > 0 for seed in seeds)
+    for plan in ((0, False), (params.n * (l + 1) + 1, True)):
+        assert all(_assert_run_draws_are_numpys(params, seed, params.n + 1, plan=plan) > 0 for seed in seeds)
 
 
 @pytest.mark.parametrize("kind", (np.random.PCG64DXSM, np.random.Philox, np.random.SFC64), ids=lambda k: k.__name__)
@@ -273,17 +315,17 @@ def test_run_draws_are_numpys_on_the_other_bit_generators_of_64_bit_words(kind):
         seqs = [root, *root.spawn(run_streams(params.n))]
         (got,) = run_draws(params, [[kind(seq) for seq in seqs]], params.n + 1)
         want = _numpy_run_draws(params, [np.random.Generator(kind(seq)) for seq in seqs], params.n + 1, False)
-        assert (got.root, got.preparer, got.parties, got.measurer) == want
+        assert tuple(got) == want
 
 
-def test_a_chunk_draws_what_its_runs_draw_one_at_a_time():
+@pytest.mark.parametrize("attack", ("none", "ir-random", "ir-fixed-t2"))
+def test_a_chunk_draws_what_its_runs_draw_one_at_a_time(attack):
     params = ProtocolParams(Variant.ONE_TP, n=3, d=13, r=4, l=5)
-    size = chunk_trials(params)
-    chunked = list(trial_streams(9, range(size + 2), params, params.n + 1))
-    alone = [next(trial_streams(9, range(t, t + 1), params, params.n + 1)) for t in (0, size - 1, size, size + 1)]
-    for got, want in zip([chunked[t] for t in (0, size - 1, size, size + 1)], alone):
-        assert got[:4] == want[:4]
-        assert got.adversary.state == want.adversary.state
+    plan = tap_plan(params, strategy_from_id(attack))
+    size = chunk_trials(params, plan)
+    chunked = list(trial_streams(9, range(size + 2), params, params.n + 1, plan))
+    alone = [next(trial_streams(9, range(t, t + 1), params, params.n + 1, plan)) for t in (0, size - 1, size, size + 1)]
+    assert [chunked[t] for t in (0, size - 1, size, size + 1)] == alone
 
 
 # --------------------------------------------------------------------------
@@ -387,47 +429,34 @@ def test_random_of_k_draws_what_k_scalar_calls_draw(k):
         _assert_same_end_state(stream.words, stream.start, None, batched)
 
 
-def _ctypes_taps(rng: np.random.Generator, coins: list[bool]) -> list:
-    """A tap's draws through the bit generator's C functions: a coin where asked, then the uniform."""
-    draws, out = rng.bit_generator.ctypes, []
-    for coin in coins:
-        if coin:
-            out.append(draws.next_uint32(draws.state) >> 31)
-        out.append(draws.next_double(draws.state))
-    return out
+def _adversary_draws(seq, taps: int, coin: bool) -> tuple[tuple[list, list], _Recorder]:
+    """``run_draws``' adversary lists for one run whose adversary stream is ``seq``'s, and that stream."""
+    params = SimpleNamespace(n=3, d=5, r=2, l=2)
+    stream = _Recorder(seq)
+    (got,) = run_draws(params, [[*map(np.random.PCG64, range(run_streams(params.n))), stream]], 0, (taps, coin))
+    return got.adversary, stream
 
 
-def _generator_taps(rng: np.random.Generator, coins: list[bool]) -> list:
-    """The same taps through ``Generator``: ``integers(0, 2)`` where asked, then ``random()``."""
-    out = []
-    for coin in coins:
-        if coin:
-            out.append(int(rng.integers(0, 2)))
-        out.append(rng.random())
-    return out
-
-
-@pytest.mark.parametrize("pattern", ("coin each tap", "no coin", "mixed"))
-def test_ctypes_tap_draws_are_integers_and_random(pattern):
-    # AttackStrategy.tap draws next_uint32 >> 31 and next_double; the full end
-    # state, has_uint32 and uinteger included, must be Generator's, or the
-    # next draw of the stream would differ
+@pytest.mark.parametrize("coin", (True, False), ids=("coin each tap", "no coin"))
+@pytest.mark.parametrize("taps", (1, 9, 18, 67))
+def test_tap_draws_are_integers_and_random_interleaved(taps, coin):
+    # a tap's coin is numpy's integers(0, 2) and its uniform random(); the full end
+    # state, the kept half (has_uint32, uinteger) included, must be Generator's, or
+    # the next draw of the stream would differ. 9 is an odd count of coins
     for seed in SEEDS:
-        coins = {
-            "coin each tap": [True] * 67,
-            "no coin": [False] * 67,
-            "mixed": [bool(c) for c in np.random.default_rng(seed + 1000).integers(0, 2, 67)],
-        }[pattern]
-        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert _ctypes_taps(fast, coins) == _generator_taps(slow, coins)
-        assert fast.bit_generator.state == slow.bit_generator.state
-        assert (fast.random(), int(fast.integers(0, 2))) == (slow.random(), int(slow.integers(0, 2)))
+        got, stream = _adversary_draws(np.random.SeedSequence(seed), taps, coin)
+        want = np.random.default_rng(seed)
+        assert got == _numpy_taps(want, taps, coin)
+        _assert_same_end_state(stream.words, stream.start, _tap_kept(stream.words, taps, coin), want)
 
 
-def test_ctypes_tap_draws_frozen_example():
-    # literal values and end state: a numpy change to the tap's draws must fail here
+def test_tap_draws_frozen_example():
+    # literal values and end state: a numpy change to the taps' draws, or to the model of them, must fail here
     rng = np.random.default_rng(5324)
-    assert _ctypes_taps(rng, [True] * 3) == [1, 0.8207246403666033, 0, 0.04740025757535893, 1, 0.1829746130928649]
+    assert _numpy_taps(rng, 3, True) == ([1, 0, 1], [0.8207246403666033, 0.04740025757535893, 0.1829746130928649])
+    got, stream = _adversary_draws(np.random.SeedSequence(5324), 3, True)
+    assert got == ([1, 0, 1], [0.8207246403666033, 0.04740025757535893, 0.1829746130928649])
+    _assert_same_end_state(stream.words, stream.start, _tap_kept(stream.words, 3, True), rng)
     assert rng.random(3).tolist() == [0.2976649062402089, 0.8949163849049764, 0.3106553712377148]
     assert rng.bit_generator.state == {
         "bit_generator": "PCG64",
@@ -438,6 +467,27 @@ def test_ctypes_tap_draws_frozen_example():
         "has_uint32": 1,
         "uinteger": 2291771039,
     }
+
+
+@pytest.mark.parametrize("attack", ("ir-random", "ir-fixed-t2", "tp2-mr"))
+def test_a_runs_taps_read_its_adversary_stream_in_transmit_order(attack):
+    # two-tp n=3, l=2: an outsider taps 9 first-hop qudits, an odd count of coins, then 9 second-hop ones;
+    # full tolerance runs every trial through both hops
+    config = ExperimentConfig("two-tp", 3, 5, 2, 2, attack=attack, trials=4, seed=11, threshold=1.0)
+    params, strategy = config.validate()
+    taps, coin = tap_plan(params, strategy)
+    first_links, second_links = run_links(params, strategy)
+    assert taps == (params.l + 1) * sum(link.tapper is not None for link in first_links + second_links)
+    assert (taps, coin) == {"ir-random": (18, True), "ir-fixed-t2": (18, False), "tp2-mr": (9, False)}[attack]
+    tapped = [link.label for link in first_links + second_links if link.tapper is not None]
+    for t in range(config.trials):
+        events = [e for e in run_trial(config, t).transcript.events() if e["kind"] == "tap"]
+        stream = np.random.SeedSequence((config.seed, t)).spawn(run_streams(params.n))[-1]
+        coins, _ = _numpy_taps(np.random.default_rng(stream), taps, coin)
+        bases = [DECOY_BASIS_NAMES[c] for c in coins] if coin else [strategy.basis.value] * taps
+        assert [e["basis"] for e in events] == bases
+        # in transmit order: each tapped link's l+1 qudits, the first hops before the second hops
+        assert [(e["link"], e["position"]) for e in events] == [(x, i) for x in tapped for i in range(params.l + 1)]
 
 
 @pytest.mark.parametrize("k", (0, 1, 8, 33))

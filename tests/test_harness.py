@@ -29,13 +29,15 @@ from qpc_sim import (
     run_one_tp_protocol,
     run_trial,
     run_two_tp_protocol,
+    strategy_from_id,
     sweep,
 )
 import qpc_sim
 from qpc_sim import cli, harness
 from qpc_sim.cli import main
 from qpc_sim.harness import CSV_COLUMNS, derive_cell_seed
-from qpc_sim.protocol import MAX_DIM, MAX_QUDITS, rank_descending
+from qpc_sim.channel import OUTSIDER
+from qpc_sim.protocol import MAX_DIM, MAX_QUDITS, rank_descending, tap_plan
 from qpc_sim.streams import chunk_trials, trial_streams
 
 HONEST = ExperimentConfig(variant="two-tp", n=3, d=13, r=5, l=8, trials=20, seed=11)
@@ -249,25 +251,22 @@ def _trial_row(run) -> dict:
     }
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    variant=st.sampled_from(("two-tp", "one-tp")),
-    n=st.integers(2, 4),
-    r=st.integers(1, 3),
-    l=st.sampled_from((1, 3, 200)),
-    attack=st.sampled_from(("none", "ir-random", "ir-fixed-t2")),
-    threshold=st.sampled_from((0.0, 0.5)),
-    seed=st.integers(0, 2**64 - 1),
-    data=st.data(),
-)
-def test_every_row_of_a_chunked_experiment_is_its_trial_run_alone(variant, n, r, l, attack, threshold, seed, data):
-    # at l=200 a chunk holds one to three trials, so one trial past a chunk crosses its edge
+@pytest.mark.parametrize("threshold", (0.0, 0.5, 1.0))
+@pytest.mark.parametrize("attack", ATTACK_IDS)
+@settings(max_examples=8, deadline=None)
+@given(n=st.integers(2, 4), r=st.integers(1, 3), l=st.sampled_from((1, 3, 200)), seed=st.integers(0, 2**64 - 1), data=st.data())
+def test_every_row_of_a_chunked_experiment_is_its_trial_run_alone(attack, threshold, n, r, l, seed, data):
+    # at l=200 a chunk holds one to three trials, so one trial past a chunk crosses its edge; at threshold 1
+    # every run reaches the second hops' taps, and at 0 an attacked run mostly aborts at step 3
+    insider = strategy_from_id(attack).owner != OUTSIDER  # models two-tp only
+    variant = data.draw(st.sampled_from(("two-tp",) if insider else ("two-tp", "one-tp")), label="variant")
     d = data.draw(st.integers(max(3 * r - 1, 2), 3 * r + 2), label="d")
     secrets = data.draw(st.one_of(st.just("random"), st.tuples(*[st.integers(0, r - 1)] * n)), label="secrets")
     key = data.draw(st.just("random") | st.integers(0, r - 1), label="key") if variant == "one-tp" else "random"
     config = ExperimentConfig(variant, n, d, r, l, secrets, key, attack, 1, seed, threshold)
-    params, _ = config.validate()
-    trials = chunk_trials(params) + 1 if l == 200 else data.draw(st.integers(1, 4), label="trials")
+    params, strategy = config.validate()
+    size = chunk_trials(params, tap_plan(params, strategy))
+    trials = size + 1 if l == 200 else data.draw(st.integers(1, 4), label="trials")
     config = dataclasses.replace(config, trials=trials)
     report = run_experiment(config)
     runs = [run_trial(config, t) for t in range(trials)]

@@ -174,7 +174,7 @@ def test_the_runners_refuse_a_generator_of_32_bit_words():
 
 
 def test_the_runners_draw_through_no_generator_method():
-    # a plain Generator's run draws from its first spawn's bit generators, and a tap through ctypes
+    # a plain Generator's run draws from its first spawn's bit generators, its taps' coins and uniforms included
     class Refusing(np.random.Generator):
         def integers(self, *args, **kwargs):
             raise AssertionError("a runner called Generator.integers")

@@ -1,4 +1,4 @@
-"""Smoke tests for the two scripts under scripts/, called through their main()."""
+"""Smoke tests for the scripts under scripts/, called through their main()."""
 from __future__ import annotations
 
 import contextlib
@@ -259,3 +259,29 @@ def test_bench_record_refuses_runs_made_at_different_seeds(tmp_path, capsys, tra
     assert _load("bench_record").main(argv) == 2
     assert capsys.readouterr().err == "error: the runs were made at more than one benchmark seed: [1, 2]\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("workload", ["honest-two-tp", "intercept-abort"])
+def test_call_counts_are_the_same_in_two_runs(workload, capsys):
+    call_counts = _load("call_counts")
+    lines = []
+    for _ in range(2):
+        assert call_counts.main(["--workload", workload, "--trials", "20", "--top", "5"]) == 0
+        lines.append(capsys.readouterr().out)
+    assert lines[0] == lines[1]
+    counts = json.loads(lines[0])
+    assert counts["workload"] == workload and len(counts["top"]) == 5
+    assert counts["python_calls_per_trial"] > 0 and counts["c_calls_per_trial"] > 0
+    per_trial = [entry["calls_per_trial"] for entry in counts["top"]]
+    assert per_trial == sorted(per_trial, reverse=True)
+
+
+@pytest.mark.parametrize("argv", [["--trials", "0"], ["--seed", "-1"], ["--top", "-1"], ["--workload", "d-sweep"]])
+def test_call_counts_bad_input_exits_2_with_one_error_line(argv, capsys):
+    args = {"--workload": "honest-two-tp", "--trials": "2", **dict(zip(argv[::2], argv[1::2]))}
+    with pytest.raises(SystemExit) as exc:
+        _load("call_counts").main([part for pair in args.items() for part in pair])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
