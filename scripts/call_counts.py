@@ -2,15 +2,16 @@
 """Call counts: Python and C function calls per trial of a benchmark config shape.
 
 Wall-clock timings on a shared host spread by several percent between runs;
-call counts do not. The script runs one config shape of perfbench/workloads.py
-through ``run_experiment``, once to warm up (imports, memos) and once under
-``sys.setprofile``, and prints one JSON line: the Python and C calls per trial
-in total, and the ``--top`` functions by calls per trial, each named by its
+call counts do not. The script takes the config shape of one CLI workload from
+the arguments perfbench/workloads.py gives it, runs ``TRIALS`` trials of it at
+``SEED`` through ``run_experiment``, once to warm up (imports, memos) and once
+under ``sys.setprofile``, and prints one JSON line: the Python and C calls per
+trial in total, and the ``TOP`` functions by calls per trial, each named by its
 module and qualified name. Two runs of one version of the code and numpy give
 identical counts, so a change in them is a change in the work a trial does.
 
 Example:
-    python3 scripts/call_counts.py --workload intercept-abort --trials 300
+    python3 scripts/call_counts.py --workload intercept-abort
 """
 from __future__ import annotations
 
@@ -18,16 +19,25 @@ import argparse
 import collections
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
-from qpc_sim import ExperimentConfig, ParameterError, run_experiment
+from qpc_sim import ExperimentConfig, cli, run_experiment
 
-#: The config shapes of perfbench/workloads.py's CLI workloads.
-SHAPES = {
-    "honest-two-tp": dict(variant="two-tp", n=5, d=13, r=5, l=8, attack="none"),
-    "intercept-abort": dict(variant="two-tp", n=2, d=4, r=2, l=32, attack="ir-random"),
-}
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402  (perfbench/workloads.py, which states each workload's CLI arguments)
+
+#: Counted trials, the experiment's seed and the functions listed.
+TRIALS, SEED, TOP = 300, 7, 10
+#: The CLI workloads of one config each.
+WORKLOADS = ("honest-two-tp", "intercept-abort")
+
+
+def shape(workload: str) -> ExperimentConfig:
+    """``workload``'s config as perfbench/workloads.py gives its CLI arguments, at ``TRIALS`` trials and ``SEED``."""
+    args = cli.build_parser().parse_args(workloads.build(workload, 0).args)
+    return ExperimentConfig(args.variant, args.n, args.d, args.r, args.l, attack=args.attack, trials=TRIALS, seed=SEED)
 
 
 def _name(frame, event: str, arg) -> str:
@@ -41,7 +51,8 @@ def _name(frame, event: str, arg) -> str:
 
 
 def count_calls(config: ExperimentConfig) -> collections.Counter:
-    """(kind, name) -> calls made by one ``run_experiment(config)``; kind is ``python`` or ``c``."""
+    """(kind, name) -> calls made by ``run_experiment(config)`` after a warm-up run; kind is ``python`` or ``c``."""
+    run_experiment(config)
     counts: collections.Counter = collections.Counter()
 
     def profile(frame, event, arg):
@@ -59,33 +70,22 @@ def count_calls(config: ExperimentConfig) -> collections.Counter:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True, choices=tuple(SHAPES))
-    parser.add_argument("--trials", type=int, default=300, help="counted trials (default 300)")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--top", type=int, default=10, help="functions listed (default 10)")
+    parser.add_argument("--workload", required=True, choices=WORKLOADS)
     args = parser.parse_args(argv)
-    if args.trials < 1 or args.top < 0:
-        parser.error(f"--trials must be >= 1 and --top >= 0, got {args.trials} and {args.top}")
-    config = ExperimentConfig(**SHAPES[args.workload], trials=args.trials, seed=args.seed)
-    try:
-        config.validate()
-    except ParameterError as exc:
-        parser.error(str(exc))
-    run_experiment(config)
-    counts = count_calls(config)
+    counts = count_calls(shape(args.workload))
     totals = collections.Counter()
     for (kind, _), calls in counts.items():
         totals[kind] += calls
-    top = sorted(counts.items(), key=lambda item: (-item[1], item[0]))[: args.top]
+    top = sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:TOP]
     print(json.dumps({
         "workload": args.workload,
-        "trials": args.trials,
-        "seed": args.seed,
+        "trials": TRIALS,
+        "seed": SEED,
         "python": "%d.%d.%d" % sys.version_info[:3],
         "numpy": np.__version__,
-        "python_calls_per_trial": totals["python"] / args.trials,
-        "c_calls_per_trial": totals["c"] / args.trials,
-        "top": [{"kind": kind, "function": name, "calls_per_trial": calls / args.trials} for (kind, name), calls in top],
+        "python_calls_per_trial": totals["python"] / TRIALS,
+        "c_calls_per_trial": totals["c"] / TRIALS,
+        "top": [{"kind": kind, "function": name, "calls_per_trial": calls / TRIALS} for (kind, name), calls in top],
     }))
     return 0
 

@@ -30,7 +30,7 @@ from .protocol import (
     Variant,
     pad_sum_range,
     party_role,
-    tap_plan,
+    run_links,
 )
 from .qudit import Basis, BasisLabel, ParameterError, _expect, _expect_int
 
@@ -89,6 +89,16 @@ class AttackStrategy:
             outcome=outcome.value,
         )
         return outcome.post_state
+
+
+@functools.lru_cache(maxsize=64)
+def tap_plan(params: ProtocolParams, strategy: AttackStrategy | None) -> tuple[int, tuple[int, ...]]:
+    """The taps of one run, l+1 per tapped link of ``run_links``, and each tap's draws as ``tap`` reads them.
+
+    Bounds in draw order, 0 a uniform and b an integer below b: a basis coin if ``basis`` is None, then a uniform.
+    """
+    taps = (params.l + 1) * sum(link.tapper is not None for link in itertools.chain(*run_links(params, strategy)))
+    return taps, (((2, 0) if strategy.basis is None else (0,)) if taps else ())
 
 
 _STRATEGIES: dict[str, AttackStrategy] = {
@@ -159,8 +169,7 @@ def tapped_checked_decoys(strategy: AttackStrategy, params: ProtocolParams) -> i
     """How many checked decoys per run cross a link the strategy taps: l of the l+1 taps per tapped link of the run."""
     _expect(strategy, AttackStrategy, "strategy")
     _expect(params, ProtocolParams, "params")
-    taps, _ = tap_plan(params, strategy)
-    return taps // (params.l + 1) * params.l
+    return tap_plan(params, strategy)[0] // (params.l + 1) * params.l
 
 
 def analytic_abort_probability(strategy: AttackStrategy, params: ProtocolParams) -> float:

@@ -25,6 +25,7 @@ from .adversary import (
     AttackStrategy,
     analytic_abort_probability,
     strategy_from_id,
+    tap_plan,
 )
 from .channel import OUTSIDER, Transcript
 from .protocol import (
@@ -38,7 +39,6 @@ from .protocol import (
     rank_descending,
     run_one_tp_protocol,
     run_two_tp_protocol,
-    tap_plan,
 )
 from .qudit import ParameterError, _expect, _expect_int, _plain_int
 from .streams import RunDraws, trial_streams

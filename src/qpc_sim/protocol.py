@@ -18,8 +18,8 @@ complements stay internal and every party shifts by an extra pre-shared key.
 Each role reads its draws, in order, from lists that ``streams.run_draws``
 computed before the run, the adversary's taps included; a run builds no
 ``Generator``. Nor does a run build its links: ``run_links`` states them once
-per run shape, and ``tap_plan`` reads the taps off them. A decoy check
-discloses, measures and counts mismatches in one pass over the decoys.
+per run shape, and ``adversary.tap_plan`` reads the taps off them. A decoy
+check discloses, measures and counts mismatches in one pass over the decoys.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ import numbers
 from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import islice
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -290,14 +290,19 @@ def _check_shared_key(shared_key: int, params: ProtocolParams) -> int:
 def _check_run(params: ProtocolParams, variant: Variant, adversary: object, rng: object) -> None:
     """A runner's entry checks besides secrets and key: params of ``variant``, an attack or None, and ``rng``.
 
-    ``rng`` is a trial's ``RunDraws`` or a Generator of 64-bit words, which MT19937's 32-bit words are not.
+    ``rng`` is a Generator of 64-bit words, which MT19937's 32-bit words are not, or a trial's ``RunDraws``
+    whose adversary draws fit ``adversary_module.tap_plan`` of this run.
     """
     _expect(params, ProtocolParams, "params")
     if params.variant is not variant:
         raise ParameterError(f"params are for {params.variant.value}, expected {variant.value}")
     if adversary is not None:
         _expect(adversary, adversary_module.AttackStrategy, "adversary")
-    if not isinstance(rng, RunDraws):
+    if isinstance(rng, RunDraws):
+        taps, per_tap = adversary_module.tap_plan(params, adversary)
+        if tuple(map(len, rng.adversary)) != (taps * per_tap.count(2), taps * per_tap.count(0)):
+            raise ParameterError(f"rng's adversary draws do not fit this run's {taps} taps, each drawing {per_tap}")
+    else:
         _expect(rng, np.random.Generator, "rng")
         if isinstance(rng.bit_generator, np.random.MT19937):
             raise ParameterError("rng must draw 64-bit words; its bit generator is MT19937")
@@ -322,12 +327,6 @@ def run_links(
 
     parties = [party_role(i) for i in range(params.n)]
     return tuple(link(preparer, p) for p in parties), tuple(link(p, measurer) for p in parties)
-
-
-def tap_plan(params: ProtocolParams, adversary: "AttackStrategy | None") -> tuple[int, bool]:
-    """The taps of one run on ``run_links``' links, l+1 per tapped link, and whether each draws a basis coin."""
-    taps = (params.l + 1) * sum(link.tapper is not None for link in chain(*run_links(params, adversary)))
-    return taps, bool(taps) and adversary.basis is None
 
 
 def _disclose_and_check(
@@ -391,7 +390,7 @@ def _run_protocol(
     # its first spawn, through the same pass as a chunk of trials.
     if not isinstance(rng, RunDraws):
         streams = [rng.bit_generator, *rng.bit_generator.spawn(run_streams(n))]
-        rng = run_draws(params, [streams], 0, tap_plan(params, adversary))[0]
+        rng = run_draws(params, [streams], 0, adversary_module.tap_plan(params, adversary))[0]
     prep_draws, measure_draws = iter(rng.preparer), iter(rng.measurer)
     party_draws = [iter(draws) for draws in rng.parties]
     tap_draws = tuple(map(iter, rng.adversary))

@@ -22,8 +22,8 @@ from the streams' raw 64-bit words, as numpy's ``Generator`` does:
 
 The adversary's taps draw on its own stream too: a coin per tap is an integer
 below 2, whose threshold is 0, so it is never rejected, and a tap's uniform is
-a whole word. So the tap count that ``protocol.tap_plan`` reads off a run's
-links places them, and a run never builds a ``Generator``.
+a whole word. So the plan that ``adversary.tap_plan`` reads off a run's links
+places them, and a run never builds a ``Generator``.
 
 numpy's NEP 19 lets these streams change between releases; the pins in
 tests/test_determinism.py fail if they do.
@@ -57,15 +57,15 @@ def run_streams(n: int) -> int:
     return n + 3
 
 
-def chunk_trials(params: ProtocolParams, plan: tuple[int, bool] = (0, False)) -> int:
+def chunk_trials(params: ProtocolParams, plan: tuple[int, tuple[int, ...]]) -> int:
     """Trials per chunk of :func:`trial_streams`: at most 1024 streams and 2**13 draws, and at least one trial.
 
     A run draws at most three values per qudit it moves, 6n(l+1): a decoy's basis bit, index and check uniform.
-    A tap of ``plan`` (tap count, coin per tap) adds its uniform and any coin, so at most five per qudit.
+    Each tap of ``plan`` (tap count, each tap's draws) adds its uniform and any coin, so at most five per qudit.
     """
     n, l = params.n, params.l
-    taps, coin = plan
-    return max(1, min(_CHUNK_STREAMS // (run_streams(n) + 1), _CHUNK_DRAWS // (6 * n * (l + 1) + taps * (1 + coin))))
+    taps, per_tap = plan
+    return max(1, min(_CHUNK_STREAMS // (run_streams(n) + 1), _CHUNK_DRAWS // (6 * n * (l + 1) + taps * len(per_tap))))
 
 
 def _words(value: int) -> list[int]:
@@ -235,19 +235,19 @@ def _scalar_draws(words: Iterator[int], bounds: Sequence[int]) -> tuple[list, in
 
 
 @lru_cache(maxsize=4)
-def _run_layout(n: int, d: int, r: int, l: int, root_draws: int, taps: int, coin: bool) -> tuple:
+def _run_layout(n: int, d: int, r: int, l: int, root_draws: int, taps: int, per_tap: tuple[int, ...]) -> tuple:
     """A run's draws per stream, and where each lies in a row that joins its streams' blocks of raw words.
 
     In order: each stream's draws in draw order, as bounds (0 asks for a
     uniform), its block of the row, the word of each uniform, the half word of
     each integer, and each integer's bound and rejection threshold. The
     streams are the root, the preparer, the n parties, the measurer and the
-    adversary, whose ``taps`` taps each draw a coin, if ``coin``, then a uniform.
+    adversary, whose ``taps`` taps each draw the bounds ``per_tap``.
     One walk places every draw by :func:`_scalar_draws`' rule.
     """
     recipe = [2, d] * l + [l + 1]
     # the preparer's first bound, d - r + 1, is the length of pad_sum_range
-    preparer, adversary = [d - r + 1] + [r] * n + recipe * n, ([2, 0] if coin else [0]) * taps
+    preparer, adversary = [d - r + 1] + [r] * n + recipe * n, list(per_tap) * taps
     streams = ([r] * root_draws, preparer, *[[0] * l + recipe] * n, [0] * (n * (l + 1)), adversary)
     blocks, uniform_words, integer_halves, bounds = [], [], [], []
     for stream_bounds in streams:
@@ -293,13 +293,13 @@ class RunDraws(NamedTuple):
 
 
 def run_draws(
-    params: ProtocolParams, streams: list[list], root_draws: int, plan: tuple[int, bool] = (0, False)
+    params: ProtocolParams, streams: list[list], root_draws: int, plan: tuple[int, tuple[int, ...]]
 ) -> list[RunDraws]:
     """The draws of a chunk of runs of ``params``, computed in one numpy pass over the chunk.
 
     Each run's ``streams`` are its root's bit generator, then the fresh ones of
     its preparer, its n parties, its measurer and its adversary, in that order;
-    an untapped ``plan`` (tap count, coin per tap) reads nothing of the last,
+    an untapped ``plan`` (tap count, each tap's draws) reads nothing of the last,
     which may be left out. The root draws ``root_draws`` integers below r, and
     no raw word if none. One block of raw words per stream holds its draws when
     no integer is rejected; a run with a rejected integer is redrawn by
@@ -337,13 +337,13 @@ def run_draws(
 
 
 def trial_streams(
-    seed: int, trials: range, params: ProtocolParams, root_draws: int, plan: tuple[int, bool] = (0, False)
+    seed: int, trials: range, params: ProtocolParams, root_draws: int, plan: tuple[int, tuple[int, ...]]
 ) -> Iterator[RunDraws]:
     """The draws of each run in ``trials`` (a range of step 1), in order; each root draws ``root_draws`` integers.
 
     Trial t's streams are ``default_rng(SeedSequence((seed, t)))``'s and its
     first ``spawn(run_streams(n))``'s, bit for bit, but for the adversary's,
-    which is built only when ``plan`` (tap count, coin per tap) taps. They are
+    which is built only when ``plan`` (tap count, each tap's draws) taps. They are
     hashed and drawn a chunk of :func:`chunk_trials` trials at a time.
     """
     n_children = run_streams(params.n) - (not plan[0])

@@ -31,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpc_sim import ATTACK_IDS, ExperimentConfig, ParameterError, run_experiment, run_trial, strategy_from_id
+from qpc_sim.adversary import tap_plan
 from qpc_sim.channel import ClassicalBus, QuantumLink, Transcript
 from qpc_sim.protocol import (
     DECOY_BASES,
@@ -42,7 +43,6 @@ from qpc_sim.protocol import (
     basis_state,
     build_transmission,
     run_links,
-    tap_plan,
     tp_prepare_carriers,
 )
 from qpc_sim.qudit import Basis
@@ -94,7 +94,7 @@ _WORD_EDGES = (0, 2**32, 2**64)
 @settings(max_examples=40, deadline=None)
 @given(seed=_SEEDS, n=st.integers(2, 6), data=st.data())
 def test_trial_streams_of_a_range_are_numpys_across_chunks_and_word_edges(seed, n, data):
-    size = chunk_trials(ProtocolParams(Variant.TWO_TP, n=n, d=2, r=1, l=1))
+    size = chunk_trials(ProtocolParams(Variant.TWO_TP, n=n, d=2, r=1, l=1), (0, ()))
     edge = data.draw(st.sampled_from(_WORD_EDGES), label="edge")
     start = data.draw(st.integers(max(edge - size - 2, 0), edge + 2), label="start")
     # either a few trials or more than a chunk
@@ -109,9 +109,9 @@ def test_trial_streams_of_a_range_are_numpys_across_chunks_and_word_edges(seed, 
 def test_trial_streams_refuse_negative_entropy():
     params = ProtocolParams(Variant.TWO_TP, n=2, d=2, r=1, l=1)
     with pytest.raises(ValueError):
-        next(trial_streams(-1, range(1), params, 0))
+        next(trial_streams(-1, range(1), params, 0, (0, ())))
     with pytest.raises(ValueError):
-        next(trial_streams(1, range(-1, 1), params, 0))
+        next(trial_streams(1, range(-1, 1), params, 0, (0, ())))
 
 
 # --------------------------------------------------------------------------
@@ -254,7 +254,7 @@ def _assert_run_draws_are_numpys(
     """``run_draws`` of one run equals numpy's draws in values and end state; returns the halves numpy rejected."""
     root = np.random.SeedSequence(seed)
     streams = [_Recorder(seq) for seq in (root, *root.spawn(run_streams(params.n)))]
-    (got,) = run_draws(params, [streams], root_draws, plan)
+    (got,) = run_draws(params, [streams], root_draws, _plan(*plan))
     root = np.random.SeedSequence(seed)
     gens = [np.random.default_rng(seq) for seq in (root, *root.spawn(run_streams(params.n)))]
     assert tuple(got) == _numpy_run_draws(params, gens, root_draws, batched, plan)
@@ -277,6 +277,11 @@ def _stream_bounds(params, root_draws: int) -> list[list[int]]:
     n, d, r, l = params.n, params.d, params.r, params.l
     recipe = [2, d] * l + [l + 1]
     return [[r] * root_draws, [d - r + 1] + [r] * n + recipe * n, *[recipe] * n, []]
+
+
+def _plan(taps: int, coin: bool) -> tuple[int, tuple[int, ...]]:
+    """``tap_plan``'s form of ``taps`` taps that each draw a coin, if ``coin``, then a uniform."""
+    return taps, ((2, 0) if coin else (0,)) if taps else ()
 
 
 def _plans(n: int, l: int) -> list[tuple[int, bool]]:
@@ -313,7 +318,7 @@ def test_run_draws_are_numpys_on_the_other_bit_generators_of_64_bit_words(kind):
     for seed in range(8):
         root = np.random.SeedSequence(seed)
         seqs = [root, *root.spawn(run_streams(params.n))]
-        (got,) = run_draws(params, [[kind(seq) for seq in seqs]], params.n + 1)
+        (got,) = run_draws(params, [[kind(seq) for seq in seqs]], params.n + 1, (0, ()))
         want = _numpy_run_draws(params, [np.random.Generator(kind(seq)) for seq in seqs], params.n + 1, False)
         assert tuple(got) == want
 
@@ -350,7 +355,7 @@ def _one_run(params, seed: int):
     """A run's draws from ``SeedSequence(seed)``'s first spawn, its streams, and numpy's Generators on the same streams."""
     seqs = np.random.SeedSequence(seed).spawn(run_streams(params.n))
     streams = [_Recorder(seq) for seq in seqs]
-    (got,) = run_draws(params, [[np.random.PCG64(seed), *streams]], 0)
+    (got,) = run_draws(params, [[np.random.PCG64(seed), *streams]], 0, (0, ()))
     return got, streams, [np.random.default_rng(seq) for seq in np.random.SeedSequence(seed).spawn(run_streams(params.n))]
 
 
@@ -433,7 +438,7 @@ def _adversary_draws(seq, taps: int, coin: bool) -> tuple[tuple[list, list], _Re
     """``run_draws``' adversary lists for one run whose adversary stream is ``seq``'s, and that stream."""
     params = SimpleNamespace(n=3, d=5, r=2, l=2)
     stream = _Recorder(seq)
-    (got,) = run_draws(params, [[*map(np.random.PCG64, range(run_streams(params.n))), stream]], 0, (taps, coin))
+    (got,) = run_draws(params, [[*map(np.random.PCG64, range(run_streams(params.n))), stream]], 0, _plan(taps, coin))
     return got.adversary, stream
 
 
@@ -475,10 +480,11 @@ def test_a_runs_taps_read_its_adversary_stream_in_transmit_order(attack):
     # full tolerance runs every trial through both hops
     config = ExperimentConfig("two-tp", 3, 5, 2, 2, attack=attack, trials=4, seed=11, threshold=1.0)
     params, strategy = config.validate()
-    taps, coin = tap_plan(params, strategy)
+    taps, per_tap = tap_plan(params, strategy)
+    coin = 2 in per_tap
     first_links, second_links = run_links(params, strategy)
     assert taps == (params.l + 1) * sum(link.tapper is not None for link in first_links + second_links)
-    assert (taps, coin) == {"ir-random": (18, True), "ir-fixed-t2": (18, False), "tp2-mr": (9, False)}[attack]
+    assert (taps, per_tap) == {"ir-random": (18, (2, 0)), "ir-fixed-t2": (18, (0,)), "tp2-mr": (9, (0,))}[attack]
     tapped = [link.label for link in first_links + second_links if link.tapper is not None]
     for t in range(config.trials):
         events = [e for e in run_trial(config, t).transcript.events() if e["kind"] == "tap"]

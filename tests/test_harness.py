@@ -37,7 +37,8 @@ from qpc_sim import cli, harness
 from qpc_sim.cli import main
 from qpc_sim.harness import CSV_COLUMNS, derive_cell_seed
 from qpc_sim.channel import OUTSIDER
-from qpc_sim.protocol import MAX_DIM, MAX_QUDITS, rank_descending, tap_plan
+from qpc_sim.adversary import tap_plan
+from qpc_sim.protocol import MAX_DIM, MAX_QUDITS, rank_descending
 from qpc_sim.streams import chunk_trials, trial_streams
 
 HONEST = ExperimentConfig(variant="two-tp", n=3, d=13, r=5, l=8, trials=20, seed=11)
@@ -193,7 +194,7 @@ def test_trial_streams_are_a_pure_function_of_seed_and_trial():
     params = ProtocolParams(Variant.ONE_TP, n=2, d=14, r=5, l=2)
 
     def draws(seed, trials):
-        return [run[:4] for run in trial_streams(seed, trials, params, params.n + 1)]
+        return [run[:4] for run in trial_streams(seed, trials, params, params.n + 1, (0, ()))]
 
     assert draws(5, range(7, 9)) == draws(5, range(7, 9))
     # a trial draws the same whichever chunk, or chunk position, it comes in
@@ -219,7 +220,7 @@ def test_trials_replay_byte_identically():
 
 
 # a trial of n=2 hashes (n + 3) + 1 streams; this config's last two trials are in a second chunk
-CHUNK = chunk_trials(ProtocolParams(Variant.TWO_TP, n=2, d=2, r=1, l=1))
+CHUNK = chunk_trials(ProtocolParams(Variant.TWO_TP, n=2, d=2, r=1, l=1), (0, ()))
 MANY = ExperimentConfig(variant="two-tp", n=2, d=2, r=1, l=1, trials=CHUNK + 2, seed=11)
 
 

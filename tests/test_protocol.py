@@ -24,6 +24,7 @@ from qpc_sim import (
     run_two_tp_protocol,
     strategy_from_id,
 )
+from qpc_sim.adversary import tap_plan
 from qpc_sim.channel import ClassicalBus, QuantumLink, Transcript, transmit
 from qpc_sim.protocol import (
     DECOY_BASES,
@@ -41,6 +42,7 @@ from qpc_sim.protocol import (
     two_phase_disclosure,
 )
 from qpc_sim.qudit import Basis, BasisLabel
+from qpc_sim.streams import trial_streams
 
 TWO_TP = ProtocolParams(Variant.TWO_TP, n=3, d=13, r=5, l=8)
 ONE_TP = ProtocolParams(Variant.ONE_TP, n=3, d=17, r=5, l=8)
@@ -171,6 +173,24 @@ def test_the_runners_refuse_a_generator_of_32_bit_words():
         run_two_tp_protocol(TWO_TP, (1, 4, 0), None, np.random.Generator(np.random.MT19937(0)))
     with pytest.raises(ParameterError, match="64-bit words"):
         run_one_tp_protocol(ONE_TP, (1, 4, 0), 2, None, np.random.Generator(np.random.MT19937(0)))
+
+
+@pytest.mark.parametrize(
+    "drawn_for, attack",
+    [("none", "ir-random"), ("none", "ir-fixed-t1"), ("ir-fixed-t1", "ir-random"), ("ir-random", "tp2-mr"),
+     ("ir-random", "none")],
+)
+def test_the_runners_refuse_draws_made_for_another_tap_plan(drawn_for, attack):
+    # a trial's RunDraws hold the adversary draws of one tap plan: a run under another would read
+    # past them or leave some unread, so it is refused before any stage runs
+    runners = ((Variant.TWO_TP, run_two_tp_protocol, ()), (Variant.ONE_TP, run_one_tp_protocol, (1,)))
+    for variant, runner, key in runners:
+        params = ProtocolParams(variant, n=2, d=5, r=2, l=3)
+        plans = (tap_plan(params, strategy_from_id(a)) for a in (drawn_for, attack))
+        given, own = (next(trial_streams(1, range(1), params, 0, plan)) for plan in plans)
+        with pytest.raises(ParameterError, match="adversary draws do not fit"):
+            runner(params, (1, 0), *key, strategy_from_id(attack), given)
+        runner(params, (1, 0), *key, strategy_from_id(attack), own)
 
 
 def test_the_runners_draw_through_no_generator_method():

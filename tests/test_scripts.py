@@ -262,25 +262,32 @@ def test_bench_record_refuses_runs_made_at_different_seeds(tmp_path, capsys, tra
 
 
 @pytest.mark.parametrize("workload", ["honest-two-tp", "intercept-abort"])
-def test_call_counts_are_the_same_in_two_runs(workload, capsys):
+def test_call_counts_are_the_same_in_two_runs(workload):
     call_counts = _load("call_counts")
-    lines = []
-    for _ in range(2):
-        assert call_counts.main(["--workload", workload, "--trials", "20", "--top", "5"]) == 0
-        lines.append(capsys.readouterr().out)
-    assert lines[0] == lines[1]
-    counts = json.loads(lines[0])
-    assert counts["workload"] == workload and len(counts["top"]) == 5
+    config = dataclasses.replace(call_counts.shape(workload), trials=20)
+    first, second = call_counts.count_calls(config), call_counts.count_calls(config)
+    assert first == second
+    assert first["python", "qpc_sim.harness._run_trial"] == 20 and first["c", "sys.setprofile"] == 0
+
+
+def test_call_counts_prints_one_json_line_of_the_workloads_shape(capsys):
+    call_counts = _load("call_counts")
+    config = call_counts.shape("intercept-abort")
+    assert (config.variant, config.n, config.d, config.r, config.l, config.attack) == ("two-tp", 2, 4, 2, 32, "ir-random")
+    assert call_counts.main(["--workload", "intercept-abort"]) == 0
+    [line] = capsys.readouterr().out.splitlines()
+    counts = json.loads(line)
+    assert counts["workload"] == "intercept-abort" and counts["trials"] == call_counts.TRIALS
+    assert len(counts["top"]) == call_counts.TOP
     assert counts["python_calls_per_trial"] > 0 and counts["c_calls_per_trial"] > 0
     per_trial = [entry["calls_per_trial"] for entry in counts["top"]]
     assert per_trial == sorted(per_trial, reverse=True)
 
 
-@pytest.mark.parametrize("argv", [["--trials", "0"], ["--seed", "-1"], ["--top", "-1"], ["--workload", "d-sweep"]])
+@pytest.mark.parametrize("argv", [[], ["--workload", "d-sweep"], ["--workload", "intercept-abort", "--trials", "20"]])
 def test_call_counts_bad_input_exits_2_with_one_error_line(argv, capsys):
-    args = {"--workload": "honest-two-tp", "--trials": "2", **dict(zip(argv[::2], argv[1::2]))}
     with pytest.raises(SystemExit) as exc:
-        _load("call_counts").main([part for pair in args.items() for part in pair])
+        _load("call_counts").main(argv)
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
