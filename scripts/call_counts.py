@@ -2,16 +2,21 @@
 """Call counts: Python and C function calls per trial of a benchmark config shape.
 
 Wall-clock timings on a shared host spread by several percent between runs;
-call counts do not. The script takes the config shape of one CLI workload from
-the arguments perfbench/workloads.py gives it, runs ``TRIALS`` trials of it at
-``SEED`` through ``run_experiment``, once to warm up (imports, memos) and once
-under ``sys.setprofile``, and prints one JSON line: the Python and C calls per
-trial in total, and the ``TOP`` functions by calls per trial, each named by its
-module and qualified name. Two runs of one version of the code and numpy give
-identical counts, so a change in them is a change in the work a trial does.
+call counts do not. For a CLI workload the script takes its config shape from
+the arguments perfbench/workloads.py gives it and runs ``TRIALS`` trials of it
+at ``SEED`` through ``run_experiment``. For ``privacy-audit`` it takes the two
+configs perfbench/workloads.py builds (part 0, benchmark seed 0) and audits
+trials 0..``AUDIT_TRIALS``-1 of each as the benchmark does: one ``run_trial``,
+then ``Coalition``, ``coalition_view`` and ``secret_support`` for every
+coalition of ``allowed_coalitions``, in that order. The work runs once to warm
+up (imports, memos) and once under ``sys.setprofile``, and the script prints
+one JSON line: the Python and C calls per trial in total, and the ``TOP``
+functions by calls per trial, each named by its module and qualified name. Two
+runs of one version of the code and numpy give identical counts, so a change in
+them is a change in the work a trial does.
 
 Example:
-    python3 scripts/call_counts.py --workload intercept-abort
+    python3 scripts/call_counts.py --workload privacy-audit
 """
 from __future__ import annotations
 
@@ -23,15 +28,26 @@ from pathlib import Path
 
 import numpy as np
 
-from qpc_sim import ExperimentConfig, cli, run_experiment
+from qpc_sim import (
+    Coalition,
+    ExperimentConfig,
+    allowed_coalitions,
+    cli,
+    coalition_view,
+    run_experiment,
+    run_trial,
+    secret_support,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402  (perfbench/workloads.py, which states each workload's CLI arguments)
 
 #: Counted trials, the experiment's seed and the functions listed.
 TRIALS, SEED, TOP = 300, 7, 10
-#: The CLI workloads of one config each.
-WORKLOADS = ("honest-two-tp", "intercept-abort")
+#: Audited trials of each privacy-audit config.
+AUDIT_TRIALS = 100
+#: The CLI workloads of one config each, then the audit.
+WORKLOADS = ("honest-two-tp", "intercept-abort", "privacy-audit")
 
 
 def shape(workload: str) -> ExperimentConfig:
@@ -50,9 +66,9 @@ def _name(frame, event: str, arg) -> str:
     return f"{module}.{qualname}" if module else qualname
 
 
-def count_calls(config: ExperimentConfig) -> collections.Counter:
-    """(kind, name) -> calls made by ``run_experiment(config)`` after a warm-up run; kind is ``python`` or ``c``."""
-    run_experiment(config)
+def _counted(work, *args) -> collections.Counter:
+    """(kind, name) -> calls made by ``work(*args)`` after a warm-up call; kind is ``python`` or ``c``."""
+    work(*args)
     counts: collections.Counter = collections.Counter()
 
     def profile(frame, event, arg):
@@ -61,31 +77,58 @@ def count_calls(config: ExperimentConfig) -> collections.Counter:
 
     sys.setprofile(profile)
     try:
-        run_experiment(config)
+        work(*args)
     finally:
         sys.setprofile(None)
     del counts["c", "sys.setprofile"]  # the call that ends the count
     return counts
 
 
+def count_calls(config: ExperimentConfig) -> collections.Counter:
+    """(kind, name) -> calls made by ``run_experiment(config)`` after a warm-up run; kind is ``python`` or ``c``."""
+    return _counted(run_experiment, config)
+
+
+def _audit(plans: list, trials: int) -> None:
+    for config, params, coalitions in plans:
+        for t in range(trials):
+            transcript = run_trial(config, t).transcript
+            for members, target in coalitions:
+                secret_support(coalition_view(transcript, Coalition(members, target)), params)
+
+
+def count_audit_calls(configs: list[ExperimentConfig], trials: int) -> collections.Counter:
+    """(kind, name) -> calls made by auditing trials 0..trials-1 of each config, after a warm-up audit."""
+    plans = []
+    for config in configs:
+        params, _ = config.validate()
+        coalitions = [c for t in range(params.n) for c in allowed_coalitions(params.variant, params.n, t)]
+        plans.append((config, params, [(c.members, c.target) for c in coalitions]))
+    return _counted(_audit, plans, trials)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     args = parser.parse_args(argv)
-    counts = count_calls(shape(args.workload))
+    if args.workload == "privacy-audit":
+        configs = workloads.build(args.workload, 0).configs
+        counts, trials = count_audit_calls(configs, AUDIT_TRIALS), AUDIT_TRIALS * len(configs)
+    else:
+        counts, trials = count_calls(shape(args.workload)), TRIALS
     totals = collections.Counter()
     for (kind, _), calls in counts.items():
         totals[kind] += calls
     top = sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:TOP]
     print(json.dumps({
         "workload": args.workload,
-        "trials": TRIALS,
-        "seed": SEED,
+        "trials": trials,
+        "seed": None if args.workload == "privacy-audit" else SEED,
         "python": "%d.%d.%d" % sys.version_info[:3],
         "numpy": np.__version__,
-        "python_calls_per_trial": totals["python"] / TRIALS,
-        "c_calls_per_trial": totals["c"] / TRIALS,
-        "top": [{"kind": kind, "function": name, "calls_per_trial": calls / TRIALS} for (kind, name), calls in top],
+        "python_calls_per_trial": totals["python"] / trials,
+        "c_calls_per_trial": totals["c"] / trials,
+        "top": [{"kind": kind, "function": name, "calls_per_trial": calls / trials} for (kind, name), calls in top],
     }))
     return 0
 

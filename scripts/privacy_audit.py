@@ -15,10 +15,10 @@ known edge leaks explicitly:
   secret keeps a key-sized uncertainty window.
 
 The runs of each variant are trials 0..runs-1 of one harness experiment
-seeded by ``--seed``, so any of them replays with ``run_trial``. A support
-that excludes the true secret is a bug in the audit, not a finding: the
-script then prints one ``error:`` line per variant naming the run and target,
-and exits 1.
+seeded by ``--seed``, drawn in one pass, and any of them replays alone with
+``run_trial``. A support that excludes the true secret is a bug in the audit,
+not a finding: the script then prints one ``error:`` line per variant naming
+the run and target, and exits 1.
 
 Example:
     python3 scripts/privacy_audit.py --runs 200 --seed 7
@@ -34,9 +34,9 @@ from qpc_sim import (
     ParameterError,
     allowed_coalitions,
     coalition_view,
-    run_trial,
     secret_support,
 )
+from qpc_sim.harness import _trial_runs
 from qpc_sim.protocol import WIRING
 
 
@@ -48,14 +48,14 @@ def _histogram(sizes: list[int], r: int) -> str:
 
 def audit(config: ExperimentConfig) -> str | None:
     """Truth-check every allowed coalition and print the report; return the first inconsistency instead."""
-    params, _ = config.validate()
+    params, strategy = config.validate()
     n, runs = params.n, config.trials
     preparer, measurer = WIRING[params.variant]
     sizes: dict[str, list[int]] = {name: [] for name in (preparer, "parties", measurer)}
     plans = [allowed_coalitions(params.variant, n, target) for target in range(n)]
     diffs_exact = 0
-    for t in range(runs):
-        run = run_trial(config, t)
+    for run in _trial_runs(config, params, strategy, range(runs)):
+        t = run.trial_index
         for target, plan in enumerate(plans):
             for coalition in plan:
                 # a plan ends with the n-1 other parties

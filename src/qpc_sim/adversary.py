@@ -32,7 +32,7 @@ from .protocol import (
     party_role,
     run_links,
 )
-from .qudit import Basis, BasisLabel, ParameterError, _expect, _expect_int
+from .qudit import Basis, BasisLabel, ParameterError, _expect, _expect_int, _new
 
 # taps collapse basis labels; tests plug the dense oracle's measure in here
 measure = BasisLabel.measure
@@ -194,8 +194,8 @@ def analytic_abort_probability(strategy: AttackStrategy, params: ProtocolParams)
 # --------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _check_members(members: frozenset[str]) -> None:
-    """Refuse an empty set, an unknown role or a colluding TP; a set that passes is remembered."""
+def _check_members(members: frozenset[str]) -> frozenset[int]:
+    """Refuse an empty set, an unknown role or a colluding TP; a set that passes gives its party indices, remembered."""
     if not members:
         raise ParameterError("a coalition needs at least one member")
     for role in members:
@@ -203,9 +203,10 @@ def _check_members(members: frozenset[str]) -> None:
             raise ParameterError(f"unknown coalition role {role!r}")
     if members & _TP_ROLES and len(members) > 1:
         raise ParameterError("third parties do not collude: a TP coalition is that TP alone")
+    return frozenset(int(role[1:]) - 1 for role in members - _TP_ROLES)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Coalition:
     """A set of colluding roles trying to learn one party's secret.
 
@@ -217,8 +218,7 @@ class Coalition:
     members: frozenset[str]
     target: int
 
-    def __post_init__(self) -> None:
-        members, target = self.members, self.target
+    def __init__(self, members: frozenset[str], target: int) -> None:
         if type(members) is not frozenset:
             if isinstance(members, str):
                 raise ParameterError(f"members must be a collection of role ids, got the string {members!r}")
@@ -226,13 +226,12 @@ class Coalition:
                 members = frozenset(members)
             except TypeError:
                 raise ParameterError(f"members must be a collection of role ids, got {members!r}") from None
-            object.__setattr__(self, "members", members)
         if type(target) is not int or target < 0:  # numpy integers are stored as int; a bool is no index
             target = _expect_int(target, "target", "a 0-based party index", 0)
-            object.__setattr__(self, "target", target)
-        _check_members(members)
-        if party_role(target) in members:
+        if target in _check_members(members):
             raise ParameterError(f"party {party_role(target)} cannot audit its own secret")
+        fields = self.__dict__  # written directly: two object.__setattr__ calls cost a third of the call
+        fields["members"], fields["target"] = members, target
 
 
 def allowed_coalitions(variant: Variant, n: int, target: int) -> tuple[Coalition, ...]:
@@ -282,18 +281,23 @@ def coalition_view(transcript: Transcript, coalition: Coalition) -> View:
     The first run header, if any, bounds the target and the party members; it
     comes from the transcript's fact index, which the audit reads anyway.
     """
-    _expect(transcript, Transcript, "transcript")
-    _expect(coalition, Coalition, "coalition")
-    headers = _fact_index(transcript)[2]
+    if type(transcript) is not Transcript:
+        _expect(transcript, Transcript, "transcript")
+    if type(coalition) is not Coalition:
+        _expect(coalition, Coalition, "coalition")
+    entry = _indexed(_ref(transcript))
+    if entry is None or len(entry[0]) != len(transcript._events):
+        entry = _fact_index(transcript)
+    headers = entry[2]
     if headers:
         variant, n = headers[0][:2]
         if coalition.target >= n:
             raise ParameterError(f"target index {coalition.target} out of range for n={n}")
-        roles = _run_roles(variant, n)
+        roles = entry[3]
         if not coalition.members <= roles:
             absent = min(coalition.members - roles)
             raise ParameterError(f"coalition member {absent} does not exist in a {variant} n={n} run")
-    return View(transcript, coalition.members, coalition.target)
+    return _new(View, (transcript, coalition.members, coalition.target))  # as qudit.py builds labels
 
 
 @dataclass(frozen=True)
@@ -305,41 +309,45 @@ class SecretSupport:
 
 
 _FACT_KINDS = frozenset({"carrier_prep", "carrier_measurement", "score_computation", "shared_key"})
-# transcript -> (its events when indexed, role -> seqs of the fact events it sees, run headers, supports found so far)
+# transcript -> its fact index; callers read its dict of weak refs and the log's _events, skipping Python-level calls
 _fact_indexes: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_indexed, _ref = _fact_indexes.data.get, weakref.ref
 
 
-def _fact_index(transcript: Transcript) -> tuple[list[Event], dict[str, frozenset[int]], tuple[tuple, ...], dict]:
-    """The ``seq`` numbers of the fact events each role sees, public ones included, from one pass over the log.
+def _fact_index(transcript: Transcript) -> tuple[list[Event], dict, tuple[tuple, ...], frozenset | None, dict, dict]:
+    """Index the log in one pass: (events, role -> fact seqs, run headers, run roles, member memo, fact-set memo).
 
-    Facts are the preparer's carrier record, the pad announcement, the
-    measurer's carrier records and scores, and the shared key. The ordering
-    announcement is deliberately not one: the ranking is the protocol's
-    declared output, so the audit measures leakage *beyond* it. The pass also
-    collects each distinct run header's (variant, n, d, r), first seen first.
-    The index is built again once the log has grown.
+    A role's fact seqs are the ``seq`` numbers of the fact events it sees,
+    public ones included. Facts are the preparer's carrier record, the pad
+    announcement, the measurer's carrier records and scores, and the shared
+    key. The ordering announcement is deliberately not one: the ranking is the
+    protocol's declared output, so the audit measures leakage *beyond* it. The
+    headers are each distinct (variant, n, d, r), first seen first, and the run
+    roles those of the first. The memos map (members, run) and (fact seqs, run)
+    to every target's support. Callers read ``_fact_indexes`` first and build
+    anew once the log has grown.
     """
-    entry = _fact_indexes.get(transcript)
-    if entry is None or len(entry[0]) != len(transcript):
-        events, roles, headers = transcript.events(), {}, {}
-        for e in events:
-            if e["kind"] == "run_header":
-                headers[e["variant"], e["n"], e["d"], e["r"]] = None
-            elif e["kind"] in _FACT_KINDS or (e["kind"] == "classical" and e["message"]["kind"] == "pad_announcement"):
-                for role in e["observers"]:
-                    roles.setdefault(role, set()).add(e["seq"])
-        public = roles.get(PUBLIC, set())
-        roles = {role: frozenset(public | seqs) for role, seqs in roles.items()}
-        entry = _fact_indexes[transcript] = (events, roles, tuple(headers), {})
+    events, roles, headers = transcript.events(), {}, {}
+    for e in events:
+        if e["kind"] == "run_header":
+            headers[e["variant"], e["n"], e["d"], e["r"]] = None
+        elif e["kind"] in _FACT_KINDS or (e["kind"] == "classical" and e["message"]["kind"] == "pad_announcement"):
+            for role in e["observers"]:
+                roles.setdefault(role, set()).add(e["seq"])
+    public = roles.get(PUBLIC, set())
+    roles = {role: frozenset(public | seqs) for role, seqs in roles.items()}
+    run = next(iter(headers), None)  # every header must equal the first, so its roles are the run's
+    entry = _fact_indexes[transcript] = (events, roles, tuple(headers), run and _run_roles(*run[:2]), {}, {})
     return entry
 
 
 def secret_support(view: View, params: ProtocolParams) -> SecretSupport:
     """The target secrets consistent with the coalition's numeric facts: one closed-form interval.
 
-    The coalition's facts are the public ones plus its members' own, taken
-    from the transcript's fact index in ``seq`` order; coalitions with the
-    same facts, target and (variant, n, d, r) share one interval per transcript.
+    The coalition's facts are the public ones plus its members' own, from the
+    transcript's fact index in ``seq`` order. The first audit of a fact set
+    under one (variant, n, d, r) walks its events once for every target's
+    interval, which the transcript keeps for that fact set and member set.
     Unknowns: pad x in [0, r), run constant y in ``pad_sum_range``, key k (0 on
     two-tp, [0, r) on one-tp) and secret s in [0, r); an observation pins its
     unknown, and a later one of the same unknown wins. With t = s + k the
@@ -347,57 +355,77 @@ def secret_support(view: View, params: ProtocolParams) -> SecretSupport:
     are difference constraints over (x, y, -t), so eliminating y, then x,
     leaves one integer interval of t. A run header that disagrees with
     ``params``, a target outside [0, n) and a member that is no role of the
-    run are errors, not facts. The brute-force enumeration of pad x
-    run constant x key is the test oracle.
+    run are errors, not facts, refused on every call, remembered answer or
+    not. The brute-force enumeration of pad x run constant x key is the oracle.
     """
-    _expect(view, View, "view")
-    _expect(view.transcript, Transcript, "view.transcript")
-    _expect(params, ProtocolParams, "params")
-    events, roles, headers, supports = _fact_index(view.transcript)
-    target, n, r, d = view.target, params.n, params.r, params.d
-    given = (params.variant._value_, n, d, r)  # _value_: the enum's value property costs 10x more per call
-    for ran in headers:
+    if type(view) is not View:
+        _expect(view, View, "view")
+    transcript, members, target = view
+    if type(transcript) is not Transcript:
+        _expect(transcript, Transcript, "view.transcript")
+    if type(params) is not ProtocolParams:
+        _expect(params, ProtocolParams, "params")
+    entry = _indexed(_ref(transcript))
+    if entry is None or len(entry[0]) != len(transcript._events):
+        entry = _fact_index(transcript)
+    n = params.n
+    given = (params.variant._value_, n, params.d, params.r)  # _value_: the enum's value property costs 10x more
+    for ran in entry[2]:
         if ran != given:
             raise ParameterError(f"params (variant, n, d, r) = {given} disagree with the view's run header {ran}")
-    if not isinstance(view.members, frozenset) or not view.members <= _run_roles(given[0], n):
-        raise ParameterError(f"view members must be a frozenset of {given[0]} n={n} roles, got {view.members!r}")
+    if not isinstance(members, frozenset) or not members <= (entry[3] or _run_roles(given[0], n)):
+        raise ParameterError(f"view members must be a frozenset of {given[0]} n={n} roles, got {members!r}")
     if type(target) is not int or not 0 <= target < n:
         raise ParameterError(f"view target must be a party index in [0, {n}), got {target!r}")
-    seen = [roles[m] for m in view.members if m in roles] or [roles.get(PUBLIC, frozenset())]
-    seqs = seen[0].union(*seen[1:]) if len(seen) > 1 else seen[0]
-    key = (seqs, target, given)
-    found = supports.get(key)
-    if found is not None:
-        return found
-    sums = pad_sum_range(params)
-    x = y = k = c = m = q = None
-    for event in map(events.__getitem__, sorted(seqs)):
+    found = entry[4].get((members, given))
+    if found is None:
+        events, roles, _, _, by_members, by_facts = entry
+        public = roles.get(PUBLIC, frozenset())
+        seqs = public.union(*map(roles.__getitem__, roles.keys() & members))
+        found = by_facts.get((seqs, given))
+        if found is None:
+            found = by_facts[seqs, given] = _supports(map(events.__getitem__, sorted(seqs)), params)
+        by_members[members, given] = found
+    return found[target]
+
+
+def _supports(events, params: ProtocolParams) -> tuple[SecretSupport, ...]:
+    """Every target's support under the fact events ``events``, in ``seq`` order: one walk, then one interval each."""
+    n, r, d = params.n, params.r, params.d
+    # the facts of each target by party index, a later event replacing an earlier one's, and the run-wide ones
+    pads = complements = scores = (None,) * n
+    measured: dict[int, int] = {}
+    y = k = None
+    for event in events:
         kind = event["kind"]
         if kind == "carrier_prep":
-            x, y, c = event["pads"][target], event["pad_sum"], event["complements"][target]
+            pads, y, complements = event["pads"], event["pad_sum"], event["complements"]
         elif kind == "classical":
-            c = event["message"]["values"][target]
+            complements = event["message"]["values"]
         elif kind == "carrier_measurement":
-            if event["party"] == target:
-                m = event["value"]
+            measured[event["party"]] = event["value"]
         elif kind == "score_computation":
-            q = event["scores"][target]
+            scores = event["scores"]
         elif kind == "shared_key":
             k = event["value"]
-    x_lo, x_hi = (0, r - 1) if x is None else (x, x)
+    sums = pad_sum_range(params)
     y_lo, y_hi = (sums.start, sums.stop - 1) if y is None else (y, y)
     k_lo, k_hi = (0, 0) if params.variant is Variant.TWO_TP else (0, r - 1) if k is None else (k, k)
-    c_lo, c_hi = (0, d - 1) if c is None else (max(c, 0), min(c, d - 1))
-    m_lo, m_hi = (-math.inf, d - 1) if m is None else (m, min(m, d - 1))
-    q_lo, q_hi = (-math.inf, math.inf) if q is None else (q, q)
-    # eliminate y: it bounds x through the complement and x + t through the score
-    x_lo, x_hi = max(x_lo, y_lo - c_hi), min(x_hi, y_hi - c_lo)
-    m_lo, m_hi = max(m_lo, q_lo - c_hi), min(m_hi, q_hi - c_lo)
-    # eliminate x
-    t_lo = max(q_lo - y_hi, m_lo - x_hi)
-    t_hi = min(q_hi - y_lo, m_hi - x_lo)
-    lo, hi = max(0, t_lo - k_hi), min(r - 1, t_hi - k_lo)
-    if c_lo > c_hi or x_lo > x_hi or m_lo > m_hi or t_lo > t_hi:
-        hi = lo - 1  # no assignment explains the facts
-    found = supports[key] = SecretSupport(target=target, candidates=frozenset(range(lo, hi + 1)))
-    return found
+    found = []
+    for target in range(n):
+        x, c, m, q = pads[target], complements[target], measured.get(target), scores[target]
+        x_lo, x_hi = (0, r - 1) if x is None else (x, x)
+        c_lo, c_hi = (0, d - 1) if c is None else (max(c, 0), min(c, d - 1))
+        m_lo, m_hi = (-math.inf, d - 1) if m is None else (m, min(m, d - 1))
+        q_lo, q_hi = (-math.inf, math.inf) if q is None else (q, q)
+        # eliminate y: it bounds x through the complement and x + t through the score
+        x_lo, x_hi = max(x_lo, y_lo - c_hi), min(x_hi, y_hi - c_lo)
+        m_lo, m_hi = max(m_lo, q_lo - c_hi), min(m_hi, q_hi - c_lo)
+        # eliminate x
+        t_lo = max(q_lo - y_hi, m_lo - x_hi)
+        t_hi = min(q_hi - y_lo, m_hi - x_lo)
+        lo, hi = max(0, t_lo - k_hi), min(r - 1, t_hi - k_lo)
+        if c_lo > c_hi or x_lo > x_hi or m_lo > m_hi or t_lo > t_hi:
+            hi = lo - 1  # no assignment explains the facts
+        found.append(SecretSupport(target=target, candidates=frozenset(range(lo, hi + 1))))
+    return tuple(found)

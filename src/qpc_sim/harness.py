@@ -163,7 +163,13 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRun:
     _expect(config, ExperimentConfig, "config")
     params, strategy = config.validate()
     t = _expect_int(trial_index, "trial_index", "an integer >= 0", 0)
-    return _run_trial(config, params, strategy, t, next(_trial_draws(config, params, strategy, range(t, t + 1))))
+    return next(_trial_runs(config, params, strategy, range(t, t + 1)))
+
+
+def _trial_runs(config: ExperimentConfig, params: ProtocolParams, strategy: AttackStrategy, trials: range) -> Iterator:
+    """Trials ``trials`` (a range of step 1) of a validated config, each as ``run_trial`` runs it, in one draw pass."""
+    for t, draws in zip(trials, _trial_draws(config, params, strategy, trials)):
+        yield _run_trial(config, params, strategy, t, draws)
 
 
 def _trial_draws(
@@ -278,8 +284,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     decoy_stats = {step: {"checked": 0, "mismatched": 0} for step in CHECK_STEPS}
     trial_rows: list[dict] = []
     n_completed = n_aborted = n_correct = 0
-    for t, draws in enumerate(_trial_draws(config, params, strategy, range(config.trials))):
-        run = _run_trial(config, params, strategy, t, draws)
+    for run in _trial_runs(config, params, strategy, range(config.trials)):
         for event in run.transcript.events():
             if event["kind"] == "decoy_check":
                 bucket = decoy_stats[event["step"]]
@@ -295,7 +300,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             correct = None
         trial_rows.append(
             {
-                "trial": t,
+                "trial": run.trial_index,
                 "secrets": list(run.secrets),
                 "shared_key": run.shared_key,
                 "aborted_at": outcome.aborted_at,

@@ -129,6 +129,12 @@ class ProtocolParams:
             raise ParameterError(f"two-tp requires d >= 2*r - 1 (got d={self.d}, r={self.r})")
         if self.variant is Variant.ONE_TP and self.d < 3 * self.r - 1:
             raise ParameterError(f"one-tp requires d >= 3*r - 1 (got d={self.d}, r={self.r})")
+        # memos key on params: hash once, from values that hash alike in every process, since a pickle keeps it
+        fields = (self.variant is Variant.TWO_TP, self.n, self.d, self.r, self.l, self.error_threshold)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 #: The decoy basis for each value of the drawn basis bit, and its transcript name.

@@ -35,6 +35,7 @@ from qpc_sim import (
 )
 from qpc_sim.adversary import MAX_AUDIT_PARTIES, View
 from qpc_sim.channel import OUTSIDER, PUBLIC, ClassicalBus, Transcript
+from qpc_sim.harness import _trial_runs
 from qpc_sim.protocol import pad_sum_range, run_links
 from qpc_sim.qudit import Basis, BasisLabel
 
@@ -597,6 +598,30 @@ def test_the_audit_refuses_a_hand_built_view_outside_the_run(members, target, me
         secret_support(View(transcript, members, target), TWO_TP)
 
 
+def test_every_refusal_still_fires_once_the_transcript_is_audited():
+    # the memos remember each coalition's answer; the checks still run on every call before a memo is read
+    transcript, _ = _two_tp_run((3, 1, 4), 0)
+    for target in range(3):
+        for coalition in allowed_coalitions(Variant.TWO_TP, 3, target):
+            secret_support(coalition_view(transcript, coalition), TWO_TP)
+    wrong = ProtocolParams(Variant.TWO_TP, n=3, d=40, r=16, l=8)
+    cases = [
+        (lambda: secret_support(View(transcript, frozenset({"TP2"}), 0), wrong), "disagree with the view's run header"),
+        (lambda: secret_support(View(transcript, frozenset({"P9"}), 0), TWO_TP), "view members must be a frozenset"),
+        (lambda: secret_support(View(transcript, ["TP2"], 0), TWO_TP), "view members must be a frozenset"),
+        (lambda: secret_support(View(transcript, {"TP2"}, 0), TWO_TP), "view members must be a frozenset"),
+        (lambda: coalition_view(transcript, Coalition(frozenset({"P4"}), 0)), "member P4 does not exist in a two-tp"),
+        (lambda: coalition_view(transcript, Coalition(frozenset({"P2"}), 3)), "target index 3 out of range for n=3"),
+    ]
+    for target in (7, -1, "0"):
+        cases.append((lambda target=target: secret_support(View(transcript, frozenset({"TP2"}), target), TWO_TP),
+                      r"view target must be a party index in \[0, 3\)"))
+    for call, message in cases:
+        with pytest.raises(ParameterError, match=message):
+            call()
+    assert 3 in secret_support(coalition_view(transcript, Coalition(frozenset({"TP2"}), 0)), TWO_TP).candidates
+
+
 def test_allowed_coalitions_take_a_numpy_integer_n():
     assert allowed_coalitions(Variant.ONE_TP, np.int64(3), 1) == allowed_coalitions(Variant.ONE_TP, 3, 1)
     assert allowed_coalitions(Variant.ONE_TP, 3, np.int64(1)) == allowed_coalitions(Variant.ONE_TP, 3, 1)
@@ -946,6 +971,38 @@ def test_indexed_audit_equals_the_brute_force_on_attacked_and_aborted_runs(data)
             assert found == _support_from_the_full_log(run.transcript, coalition, params), (coalition, run.outcome)
 
 
+# ROADMAP item 11: an insider that taps a first hop reads the pad off the slot its checks leave undisclosed
+LEAK = ExperimentConfig(variant="two-tp", n=2, d=4, r=2, l=1, attack="tp2-mr", trials=400, seed=3)
+
+
+@pytest.fixture(scope="module")
+def leaked_runs():
+    """The runs of ``LEAK`` that pass every check."""
+    params, strategy = LEAK.validate()
+    return [run for run in _trial_runs(LEAK, params, strategy, range(LEAK.trials)) if run.outcome.completed]
+
+
+def test_tp2_recovers_p1s_secret_from_its_step7_value_and_its_carrier_tap(leaked_runs):
+    assert len(leaked_runs) == 162
+    for run in leaked_runs:
+        seen = run.transcript.view("TP2")
+        messages = [e["message"] for e in seen if e["kind"] == "classical"]
+        [decoys] = [m["entries"] for m in messages if m["kind"] == "decoy_disclosure" and m["transmission"] == "TP1->P1"]
+        [slot] = set(range(LEAK.l + 1)) - {position for position, _ in decoys}
+        taps = [e for e in seen if e["kind"] == "tap" and e["link"] == "TP1->P1"]
+        [tapped] = [e["outcome"] for e in taps if e["position"] == slot]
+        [measured] = [e["value"] for e in seen if e["kind"] == "carrier_measurement" and e["party"] == 0]
+        assert measured - tapped == run.secrets[0]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 11: the fact index reads no tap; 66 of the 162 supports are full")
+def test_the_audit_pins_p1s_secret_for_tp2_in_every_completed_run(leaked_runs):
+    params, _ = LEAK.validate()
+    for run in leaked_runs:
+        support = secret_support(coalition_view(run.transcript, Coalition(frozenset({"TP2"}), 0)), params)
+        assert support.candidates == {run.secrets[0]}
+
+
 def test_a_fact_recorded_after_an_audit_shows_in_the_next_audit():
     transcript, _ = _two_tp_run((3, 1, 4), 0)
     coalition = Coalition(frozenset({"P2"}), 0)
@@ -954,6 +1011,15 @@ def test_a_fact_recorded_after_an_audit_shows_in_the_next_audit():
     transcript.record({"P2"}, "carrier_measurement", party=0, value=0)
     found = _support_for(transcript, coalition.members, 0, TWO_TP)
     assert found == _support_from_the_full_log(transcript, coalition, TWO_TP) == frozenset({0})
+
+
+def test_a_transcript_with_no_run_header_is_audited_afresh_under_other_params():
+    # with no header to disagree with, each (variant, n, d, r) is a different question about the same facts
+    transcript = Transcript()
+    transcript.record(PUBLIC, "carrier_measurement", party=0, value=3)
+    view = View(transcript, frozenset(), 0)
+    for params in (ProtocolParams(Variant.TWO_TP, 2, 9, 5, 1), ProtocolParams(Variant.TWO_TP, 2, 9, 2, 1)) * 2:
+        assert secret_support(view, params).candidates == brute_force_support({"measured": 3}, params)
 
 
 def test_short_lived_hand_built_views_are_read_afresh():

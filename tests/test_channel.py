@@ -308,7 +308,7 @@ def test_the_fact_index_holds_no_entry_for_a_transcript_once_it_is_gone():
 
 
 def test_auditing_every_allowed_coalition_merges_no_view(monkeypatch):
-    # the audit reads a transcript only through events() and len(): no view, nor any other merge of the log
+    # the audit reads a transcript only through events() and its log's length: no view, nor any other merge of the log
     runs = []
     for variant in ("two-tp", "one-tp"):
         config = ExperimentConfig(variant=variant, n=4, d=17, r=5, l=2, trials=1, seed=6)

@@ -239,6 +239,23 @@ def test_run_trial_reproduces_the_experiment_rows(config, trials):
         assert row["ranking"] == expected
 
 
+@pytest.mark.parametrize(
+    "config",
+    [HONEST, ExperimentConfig(variant="one-tp", n=3, d=17, r=5, l=2, seed=3), ATTACKED],
+    ids=("two-tp", "one-tp", "ir-random"),
+)
+def test_a_range_of_trial_runs_is_each_trial_run_alone(config):
+    # one draw pass over a range that starts past 0 and crosses a chunk edge
+    params, strategy = config.validate()
+    trials = range(3, 5 + chunk_trials(params, tap_plan(params, strategy)))
+
+    def replay(run):
+        return run.trial_index, run.transcript.to_json(), run.secrets, run.shared_key, run.outcome
+
+    runs = list(map(replay, harness._trial_runs(config, params, strategy, trials)))
+    assert runs == [replay(run_trial(config, t)) for t in trials]
+
+
 def _trial_row(run) -> dict:
     """The report row of one trial run, as the fold writes it."""
     completed = run.outcome.completed

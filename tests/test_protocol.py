@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,6 +96,22 @@ def test_invalid_scalar_params_are_rejected(kwargs):
     base.update(kwargs)
     with pytest.raises(ParameterError):
         ProtocolParams(**base)
+
+
+def test_equal_params_hash_equal_here_and_after_a_pickle_from_another_process():
+    # the hash is computed once per params object, and a pickle carries it
+    here = ProtocolParams(Variant.ONE_TP, n=3, d=17, r=5, l=2, error_threshold=0.5)
+    same = ProtocolParams(Variant.ONE_TP, n=np.int64(3), d=17, r=5, l=2, error_threshold=np.float64(0.5))
+    assert here == same and hash(here) == hash(same) == hash(dataclasses.replace(same))
+    assert pickle.loads(pickle.dumps(here)) == here and hash(pickle.loads(pickle.dumps(here))) == hash(here)
+    code = (
+        "import pickle, sys; from qpc_sim import ProtocolParams, Variant; "
+        "sys.stdout.buffer.write(pickle.dumps(ProtocolParams(Variant.ONE_TP, 3, 17, 5, 2, 0.5)))"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONHASHSEED": "1", "PYTHONPATH": src}  # strings hash otherwise there
+    made = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True, timeout=120).stdout
+    assert {here: "memo"}[pickle.loads(made)] == "memo"
 
 
 @pytest.mark.parametrize("value", (13.0, True), ids=("float", "bool"))

@@ -83,12 +83,13 @@ def test_privacy_audit_report_is_pinned(capsys):
 @pytest.mark.parametrize("broken", [("two-tp",), ("one-tp",), ("two-tp", "one-tp")], ids="+".join)
 def test_privacy_audit_exits_1_when_a_support_drops_the_truth(broken, monkeypatch, capsys):
     audit = _load("privacy_audit")
-    run_trial, secret_support = audit.run_trial, audit.secret_support
+    trial_runs, secret_support = audit._trial_runs, audit.secret_support
     runs = []
 
-    def remembered(config, t):
-        runs.append(run_trial(config, t))
-        return runs[-1]
+    def remembered(*args):
+        for run in trial_runs(*args):
+            runs.append(run)
+            yield run
 
     def without_truth(view, params):
         support = secret_support(view, params)
@@ -96,7 +97,7 @@ def test_privacy_audit_exits_1_when_a_support_drops_the_truth(broken, monkeypatc
             return support
         return dataclasses.replace(support, candidates=support.candidates - {runs[-1].secrets[view.target]})
 
-    monkeypatch.setattr(audit, "run_trial", remembered)
+    monkeypatch.setattr(audit, "_trial_runs", remembered)
     monkeypatch.setattr(audit, "secret_support", without_truth)
     assert audit.main(["--runs", "2"]) == 1
     out, err = capsys.readouterr()
@@ -268,6 +269,17 @@ def test_call_counts_are_the_same_in_two_runs(workload):
     first, second = call_counts.count_calls(config), call_counts.count_calls(config)
     assert first == second
     assert first["python", "qpc_sim.harness._run_trial"] == 20 and first["c", "sys.setprofile"] == 0
+
+
+def test_audit_call_counts_are_the_same_in_two_runs():
+    call_counts = _load("call_counts")
+    configs = call_counts.workloads.build("privacy-audit", 0).configs
+    first, second = call_counts.count_audit_calls(configs, 2), call_counts.count_audit_calls(configs, 2)
+    assert first == second
+    # two trials of each config, then every coalition of both: 85 of the two-tp n=5 run and 80 of the one-tp one
+    assert first["python", "qpc_sim.harness.run_trial"] == 4
+    for name in ("Coalition.__init__", "coalition_view", "secret_support"):
+        assert first["python", f"qpc_sim.adversary.{name}"] == 2 * (85 + 80)
 
 
 def test_call_counts_prints_one_json_line_of_the_workloads_shape(capsys):
