@@ -16,7 +16,6 @@ import functools
 import itertools
 import math
 import re
-import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -215,6 +214,7 @@ class Coalition:
     alone. The target is a 0-based party index outside the coalition.
     """
 
+    __slots__ = ("members", "target")  # not dataclass(slots=True): its class raises TypeError on writes in Python 3.11
     members: frozenset[str]
     target: int
 
@@ -230,8 +230,14 @@ class Coalition:
             target = _expect_int(target, "target", "a 0-based party index", 0)
         if target in _check_members(members):
             raise ParameterError(f"party {party_role(target)} cannot audit its own secret")
-        fields = self.__dict__  # written directly: two object.__setattr__ calls cost a third of the call
-        fields["members"], fields["target"] = members, target
+        _set_members(self, members)  # the slots' own setters, past the frozen __setattr__
+        _set_target(self, target)
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__, never through the frozen __setattr__
+        return Coalition, (self.members, self.target)
+
+
+_set_members, _set_target = Coalition.members.__set__, Coalition.target.__set__
 
 
 def allowed_coalitions(variant: Variant, n: int, target: int) -> tuple[Coalition, ...]:
@@ -285,7 +291,7 @@ def coalition_view(transcript: Transcript, coalition: Coalition) -> View:
         _expect(transcript, Transcript, "transcript")
     if type(coalition) is not Coalition:
         _expect(coalition, Coalition, "coalition")
-    entry = _indexed(_ref(transcript))
+    entry = transcript._facts
     if entry is None or len(entry[0]) != len(transcript._events):
         entry = _fact_index(transcript)
     headers = entry[2]
@@ -309,9 +315,6 @@ class SecretSupport:
 
 
 _FACT_KINDS = frozenset({"carrier_prep", "carrier_measurement", "score_computation", "shared_key"})
-# transcript -> its fact index; callers read its dict of weak refs and the log's _events, skipping Python-level calls
-_fact_indexes: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_indexed, _ref = _fact_indexes.data.get, weakref.ref
 
 
 def _fact_index(transcript: Transcript) -> tuple[list[Event], dict, tuple[tuple, ...], frozenset | None, dict, dict]:
@@ -324,8 +327,8 @@ def _fact_index(transcript: Transcript) -> tuple[list[Event], dict, tuple[tuple,
     protocol's declared output, so the audit measures leakage *beyond* it. The
     headers are each distinct (variant, n, d, r), first seen first, and the run
     roles those of the first. The memos map (members, run) and (fact seqs, run)
-    to every target's support. Callers read ``_fact_indexes`` first and build
-    anew once the log has grown.
+    to every target's support. The transcript keeps it as ``_facts``, and it refers to
+    no transcript, so both go together; callers read it first and rebuild it once the log grows.
     """
     events, roles, headers = transcript.events(), {}, {}
     for e in events:
@@ -337,7 +340,7 @@ def _fact_index(transcript: Transcript) -> tuple[list[Event], dict, tuple[tuple,
     public = roles.get(PUBLIC, set())
     roles = {role: frozenset(public | seqs) for role, seqs in roles.items()}
     run = next(iter(headers), None)  # every header must equal the first, so its roles are the run's
-    entry = _fact_indexes[transcript] = (events, roles, tuple(headers), run and _run_roles(*run[:2]), {}, {})
+    entry = transcript._facts = (events, roles, tuple(headers), run and _run_roles(*run[:2]), {}, {})
     return entry
 
 
@@ -365,7 +368,7 @@ def secret_support(view: View, params: ProtocolParams) -> SecretSupport:
         _expect(transcript, Transcript, "view.transcript")
     if type(params) is not ProtocolParams:
         _expect(params, ProtocolParams, "params")
-    entry = _indexed(_ref(transcript))
+    entry = transcript._facts
     if entry is None or len(entry[0]) != len(transcript._events):
         entry = _fact_index(transcript)
     n = params.n

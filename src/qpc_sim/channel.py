@@ -63,6 +63,7 @@ class Transcript:
 
     def __init__(self) -> None:
         self._events: list[Event] = []
+        self._facts: tuple | None = None  # the audit's index of the log (adversary._fact_index), set by the first audit
 
     def record(self, observers: Iterable[str] | str, kind: str, step: str | None = None, **payload) -> None:
         """Append a ``kind`` event seen by ``observers``: a role, a sorted tuple of distinct roles, or any roles."""

@@ -158,10 +158,24 @@ class TrialRun:
     outcome: ComparisonOutcome
 
 
+@lru_cache(maxsize=32)  # a call that raises is not remembered: a refused config is refused on every call
+def _resolved(config: ExperimentConfig, types: tuple[type, ...]) -> tuple[ProtocolParams, AttackStrategy]:
+    return config.validate()
+
+
+def _validated(config: ExperimentConfig) -> tuple[ProtocolParams, AttackStrategy]:
+    """``config.validate()``, remembered per config and the types of its values (True == 1, yet is refused)."""
+    _expect(config, ExperimentConfig, "config")
+    secrets = config.secrets if type(config.secrets) is tuple else ()
+    try:
+        return _resolved(config, (*map(type, vars(config).values()), *map(type, secrets)))
+    except TypeError:  # an unhashable field, which validate refuses
+        return config.validate()
+
+
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRun:
     """Execute trial ``trial_index`` (an integer >= 0) of ``config`` exactly as run_experiment would."""
-    _expect(config, ExperimentConfig, "config")
-    params, strategy = config.validate()
+    params, strategy = _validated(config)
     t = _expect_int(trial_index, "trial_index", "an integer >= 0", 0)
     return next(_trial_runs(config, params, strategy, range(t, t + 1)))
 
@@ -278,8 +292,7 @@ def _csv_row(config: dict, results: Sequence[str] = ("",) * 5, note: str = "") -
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run all trials of ``config`` and fold the outcomes into a report."""
-    _expect(config, ExperimentConfig, "config")
-    params, strategy = config.validate()
+    params, strategy = _validated(config)
     start = time.perf_counter()
     decoy_stats = {step: {"checked": 0, "mismatched": 0} for step in CHECK_STEPS}
     trial_rows: list[dict] = []
@@ -383,7 +396,7 @@ def sweep(base: ExperimentConfig, axis: str | tuple[str, ...], values: Sequence)
         value = getattr(cfg, axis) if isinstance(axis, str) else tuple(getattr(cfg, name) for name in names)
         cell = SweepCell(axis=axis, value=value, seed=cell_seed, config=cfg.to_dict())
         try:
-            cfg.validate()
+            _validated(cfg)
         except ParameterError as exc:
             cell.skipped = str(exc)
         else:

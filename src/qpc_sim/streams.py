@@ -5,7 +5,8 @@ and from the children its run spawns. numpy's ``SeedSequence`` is O'Neill's
 ``seed_seq_fe`` mixer over a pool of four uint32 words, and its hash constants
 do not depend on the data, so one pass of uint32 array arithmetic hashes the
 pools of a chunk of trials, and the PCG64 states of their children, bit for bit
-as numpy does.
+as numpy does. A one-trial chunk, a replay's, mixes its pool in plain ints, as
+numpy's per-array cost outweighs one row, then takes the same array pass.
 
 Which draws a run makes, and from which stream, follows from its parameters
 alone, so :func:`run_draws` computes a chunk's up front, in one numpy pass,
@@ -78,12 +79,12 @@ def _words(value: int) -> list[int]:
     return words
 
 
-def _chain(init: int, mult: int, count: int) -> np.ndarray:
+def _chain(init: int, mult: int, count: int) -> list[int]:
     """``init * mult**k`` mod 2**32 for k in [0, count]: hash step k xors with item k and multiplies by item k + 1."""
     out = [init]
     for _ in range(count):
         out.append(out[-1] * mult & _MASK32)
-    return np.array(out, dtype=np.uint32)
+    return out
 
 
 def _hashmix(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
@@ -102,17 +103,18 @@ _Constants = tuple[np.ndarray, np.ndarray]  # (xor, multiplier) of a hash step, 
 @lru_cache(maxsize=8)
 def _hash_plan(
     n_words: int, n_children: int
-) -> tuple[_Constants, tuple[_Constants, ...], tuple[_Constants, ...], np.ndarray, _Constants]:
+) -> tuple[_Constants, tuple[_Constants, ...], tuple[_Constants, ...], np.ndarray, _Constants, list[int]]:
     """Every constant of one chunk's hash, for one entropy length and spawn count.
 
     In order: the first four entropy words (or zeros) into the pool; each pool
     word into the three others; each entropy word past the fourth; each
-    child's hashed spawn key (one row per child); and generate_state(4,
-    np.uint64), one item per uint32 word.
+    child's hashed spawn key (one row per child); generate_state(4,
+    np.uint64), one item per uint32 word; and the pool's chain as plain ints.
     """
     n_extra = max(n_words - _POOL, 0)
     n_steps = _POOL * (5 + n_extra)
-    a = _chain(_INIT_A, _MULT_A, n_steps)
+    chain = _chain(_INIT_A, _MULT_A, n_steps)
+    a = np.array(chain, dtype=np.uint32)
     steps = iter(range(n_steps))  # the pool's hash steps, in numpy's order
 
     def take(ks: list[int]) -> _Constants:
@@ -127,8 +129,21 @@ def _hash_plan(
     spread = tuple(take([0 if dst == src else next(steps) for dst in range(_POOL)]) for src in range(_POOL))
     extra = tuple(next_four() for _ in range(n_extra))
     children = _hashmix(np.arange(n_children, dtype=np.uint32)[:, None], *next_four())
-    b = _chain(_INIT_B, _MULT_B, 2 * _POOL)
-    return fill, spread, extra, children, (b[:-1], b[1:])
+    b = np.array(_chain(_INIT_B, _MULT_B, 2 * _POOL), dtype=np.uint32)
+    return fill, spread, extra, children, (b[:-1], b[1:]), chain
+
+
+def _int_pool(entropy: list[int], chain: list[int]) -> list[int]:
+    """The pool of ``SeedSequence(entropy)`` in plain ints, hash step by hash step as numpy mixes it."""
+    words = entropy + [0] * (_POOL - len(entropy))  # the pool's words, then the entropy words past the fourth
+    # (into, from) of each step: fill the pool; mix each pool word into the three others, each later word into all four
+    plan = [(i, i) for i in range(_POOL)] + [(i, j) for j in range(len(words)) for i in range(_POOL) if i != j]
+    for k, (dst, src) in enumerate(plan):  # step k xors with chain[k] and multiplies by chain[k + 1]
+        hashed = (words[src] ^ chain[k]) * chain[k + 1] & _MASK32
+        hashed ^= hashed >> 16
+        mixed = words[dst] * _MIX_L - hashed * _MIX_R & _MASK32
+        words[dst] = hashed if k < _POOL else mixed ^ mixed >> 16
+    return words[:_POOL]
 
 
 def _chunk_states(seed_words: list[int], start: int, stop: int, n_children: int) -> np.ndarray:
@@ -141,18 +156,21 @@ def _chunk_states(seed_words: list[int], start: int, stop: int, n_children: int)
     """
     high = start >> 32
     entropy = [*seed_words, start & _MASK32, *(_words(high) if high else ())]
-    fill, spread, extra, children, state = _hash_plan(len(entropy), n_children)
-    words = np.zeros((stop - start, _POOL), dtype=np.uint32)
-    head = entropy[:_POOL]
-    words[:, : len(head)] = head
-    words[:, len(seed_words)] = np.arange(start & _MASK32, (start & _MASK32) + stop - start, dtype=np.uint32)
-    pool = _hashmix(words, *fill)
-    for src, constants in enumerate(spread):
-        mixed = _mix(pool, _hashmix(pool[:, src, None], *constants))
-        mixed[:, src] = pool[:, src]
-        pool = mixed
-    for word, constants in zip(entropy[_POOL:], extra):
-        pool = _mix(pool, _hashmix(np.full(_POOL, word, dtype=np.uint32), *constants))
+    fill, spread, extra, children, state, chain = _hash_plan(len(entropy), n_children)
+    if stop - start == 1:
+        pool = np.array([_int_pool(entropy, chain)], dtype=np.uint32)
+    else:
+        words = np.zeros((stop - start, _POOL), dtype=np.uint32)
+        head = entropy[:_POOL]
+        words[:, : len(head)] = head
+        words[:, len(seed_words)] = np.arange(start & _MASK32, (start & _MASK32) + stop - start, dtype=np.uint32)
+        pool = _hashmix(words, *fill)
+        for src, constants in enumerate(spread):
+            mixed = _mix(pool, _hashmix(pool[:, src, None], *constants))
+            mixed[:, src] = pool[:, src]
+            pool = mixed
+        for word, constants in zip(entropy[_POOL:], extra):
+            pool = _mix(pool, _hashmix(np.full(_POOL, word, dtype=np.uint32), *constants))
     pools = np.empty((stop - start, 1 + n_children, 2 * _POOL), dtype=np.uint32)
     pools[:, 0, :_POOL] = pool
     pools[:, 1:, :_POOL] = _mix(pool[:, None, :], children)

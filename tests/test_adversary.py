@@ -3,8 +3,11 @@ checked against Monte-Carlo runs, and the coalition privacy audit, whose
 closed-form support is checked against a brute-force oracle."""
 from __future__ import annotations
 
+import copy
+import dataclasses
 import itertools
 import json
+import pickle
 import random
 import time
 
@@ -461,6 +464,23 @@ def test_coalition_members_must_be_a_collection_of_role_ids():
     for members in (None, 2, [["P2"]]):
         with pytest.raises(ParameterError, match="members must be a collection of role ids"):
             Coalition(members, 0)
+
+
+def test_a_coalition_is_one_slotted_frozen_object():
+    coalition = Coalition(frozenset({"P2", "P3"}), 0)
+    assert not hasattr(coalition, "__dict__")
+    for name, value in (("members", frozenset({"P1"})), ("target", 1), ("other", 0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(coalition, name, value)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del coalition.target
+    assert coalition.members == frozenset({"P2", "P3"}) and coalition.target == 0
+    assert coalition == Coalition(["P3", "P2"], 0) and hash(coalition) == hash((coalition.members, 0))
+    assert coalition != Coalition(frozenset({"P2", "P3"}), 3) and coalition != (coalition.members, 0)
+    assert repr(Coalition(frozenset({"TP1"}), 2)) == "Coalition(members=frozenset({'TP1'}), target=2)"
+    for copied in (pickle.loads(pickle.dumps(coalition)), copy.deepcopy(coalition), copy.copy(coalition)):
+        assert copied == coalition and hash(copied) == hash(coalition) and type(copied) is Coalition
+        assert not hasattr(copied, "__dict__")
 
 
 def test_coalition_view_merges_member_and_public_events():

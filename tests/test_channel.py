@@ -13,6 +13,7 @@ import itertools
 import json
 import pickle
 import weakref
+from collections.abc import Sized
 from unittest import mock
 
 import numpy as np
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from conftest import random_state
 from dense_oracle import overlap
 from qpc_sim import ATTACK_IDS, Coalition, ExperimentConfig, allowed_coalitions, coalition_view, run_trial
-from qpc_sim import adversary, protocol, secret_support
+from qpc_sim import adversary, channel, harness, protocol, secret_support, streams
 from qpc_sim.channel import (
     OUTSIDER,
     PUBLIC,
@@ -295,16 +296,23 @@ def test_a_view_depends_on_the_role_set_only():
 
 
 def test_the_fact_index_holds_no_entry_for_a_transcript_once_it_is_gone():
+    # the index and its remembered answers go with the transcript: nothing at module level holds them
     config = ExperimentConfig(variant="two-tp", n=3, d=13, r=5, l=1, trials=1, seed=4)
     params, _ = config.validate()
     transcript = run_trial(config, 0).transcript
-    secret_support(coalition_view(transcript, Coalition(frozenset({"TP2"}), 0)), params)
-    assert transcript in adversary._fact_indexes
-    gone, key = weakref.ref(transcript), id(transcript)
-    del transcript
+    support = secret_support(coalition_view(transcript, Coalition(frozenset({"TP2"}), 0)), params)
+    assert secret_support(coalition_view(transcript, Coalition(frozenset({"TP2"}), 0)), params) is support  # remembered
+    gone, answer = weakref.ref(transcript), weakref.ref(support)
+    del transcript, support
     gc.collect()
     assert gone() is None
-    assert key not in map(id, adversary._fact_indexes.keys())
+    assert answer() is None
+
+
+def _module_sizes() -> dict[tuple[str, str], int]:
+    """The length of every sized module-level value of the package's modules."""
+    modules = (adversary, channel, harness, protocol, streams)
+    return {(m.__name__, name): len(v) for m in modules for name, v in vars(m).items() if isinstance(v, Sized)}
 
 
 def test_auditing_every_allowed_coalition_merges_no_view(monkeypatch):
@@ -333,12 +341,12 @@ def test_audit_memos_stay_within_their_fixed_size_over_many_transcripts():
     config = ExperimentConfig(variant="one-tp", n=3, d=17, r=5, l=1, trials=200, seed=4)
     params, _ = config.validate()
     plans = [allowed_coalitions(params.variant, config.n, target) for target in range(config.n)]
-    indexed = len(adversary._fact_indexes)
+    sizes = _module_sizes()
     for t in range(config.trials):
         run = run_trial(config, t)
         for coalition in itertools.chain(*plans):
             assert run.secrets[coalition.target] in secret_support(coalition_view(run.transcript, coalition), params).candidates
-    assert 0 < len(adversary._fact_indexes) <= 1 + indexed
+    assert _module_sizes() == sizes
     assert adversary._check_members.cache_info().currsize <= adversary._MEMO_SIZE
     assert adversary._run_roles.cache_info().currsize <= adversary._MEMO_SIZE
 

@@ -46,7 +46,16 @@ from qpc_sim.protocol import (
     tp_prepare_carriers,
 )
 from qpc_sim.qudit import Basis
-from qpc_sim.streams import _bit_generators, _scalar_draws, chunk_trials, run_draws, run_streams, trial_streams
+from qpc_sim.streams import (
+    _bit_generators,
+    _chunk_states,
+    _scalar_draws,
+    _words,
+    chunk_trials,
+    run_draws,
+    run_streams,
+    trial_streams,
+)
 
 SEEDS = range(40)
 DIMS = (2, 3, 4, 13, 17, 512, 2048, MAX_DIM)
@@ -104,6 +113,28 @@ def test_trial_streams_of_a_range_are_numpys_across_chunks_and_word_edges(seed, 
     assert len(runs) == count
     for t, got in zip(trials, runs):
         _assert_numpys_streams(got, seed, t, n + 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1), st.integers(2**64, 2**96 - 1)),
+    n_children=st.sampled_from((5, 8)),
+    data=st.data(),
+)
+def test_a_one_trial_chunk_hashes_as_its_row_of_a_longer_chunk(seed, n_children, data):
+    # a one-trial chunk mixes its pool in plain ints, a longer one in uint32 arrays: each is the other's oracle
+    edge = data.draw(st.sampled_from(_WORD_EDGES), label="edge")
+    count, offset = data.draw(st.integers(2, 6), label="count"), data.draw(st.integers(0, 3), label="offset")
+    # a chunk ends at a multiple of 2**32 at the latest, so it lies wholly before the edge or from it on
+    if edge and data.draw(st.booleans(), label="before"):
+        start = edge - offset - count
+    else:
+        start = edge + offset
+    t = data.draw(st.integers(start, start + count - 1), label="t")
+    words = _words(seed)
+    chunk = _chunk_states(words, start, start + count, n_children)
+    assert chunk.shape == (count, 1 + n_children, 4)
+    assert np.array_equal(_chunk_states(words, t, t + 1, n_children)[0], chunk[t - start])
 
 
 def test_trial_streams_refuse_negative_entropy():

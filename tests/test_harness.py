@@ -5,12 +5,14 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import hashlib
+import importlib.util
 import io
 import json
 import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,6 +317,81 @@ def test_a_trial_far_past_the_experiment_draws_from_its_seed_sequence():
     for t in (2**32 - 1, 2**32, 2**64):
         rng = np.random.default_rng(np.random.SeedSequence((HONEST.seed, t)))
         assert run_trial(HONEST, t).secrets == tuple(rng.integers(0, HONEST.r, size=HONEST.n).tolist())
+
+
+def _count_validations(monkeypatch) -> list[ExperimentConfig]:
+    """Forget every remembered config, then list each config ``ExperimentConfig.validate`` is called on."""
+    harness._resolved.cache_clear()
+    calls, validate = [], ExperimentConfig.validate
+
+    def counted(config):
+        calls.append(config)
+        return validate(config)
+
+    monkeypatch.setattr(ExperimentConfig, "validate", counted)
+    return calls
+
+
+def test_replays_and_sweep_cells_validate_their_config_once(monkeypatch):
+    calls = _count_validations(monkeypatch)
+    runs = [run_trial(HONEST, t % 4) for t in range(20)]
+    assert calls == [HONEST]
+    assert [run.transcript.to_json() for run in runs[4:8]] == [run.transcript.to_json() for run in runs[:4]]
+    run_experiment(HONEST)
+    assert calls == [HONEST]
+    calls.clear()
+    cells = sweep(HONEST, "d", [13, 3, 17])  # d=3 is below two-tp's bound at r=5
+    assert [cell.skipped is None for cell in cells] == [True, False, True]
+    assert len(calls) == 3
+
+
+def test_an_invalid_config_is_refused_on_every_call(monkeypatch):
+    calls = _count_validations(monkeypatch)
+    config = dataclasses.replace(HONEST, l=0)
+    for _ in range(2):
+        with pytest.raises(ParameterError, match="l >= 1"):
+            run_trial(config, 0)
+    assert calls == [config, config]
+
+
+@pytest.mark.parametrize(
+    "valid, invalid",
+    (({"l": 1}, {"l": True}), ({"l": 2}, {"l": 2.0}), ({"seed": 0}, {"seed": False}),
+     ({"secrets": (1, 1, 0)}, {"secrets": (1, True, 0)}), ({"threshold": 1.0}, {"threshold": True})),
+    ids=repr,
+)
+def test_a_config_equal_to_a_remembered_one_is_still_refused_for_its_types(valid, invalid):
+    # True == 1 == 1.0 and all three hash alike, so a memo keyed by equality alone would let them through
+    valid, invalid = dataclasses.replace(HONEST, **valid), dataclasses.replace(HONEST, **invalid)
+    run_trial(valid, 0)
+    assert invalid == valid and hash(invalid) == hash(valid)
+    with pytest.raises(ParameterError):
+        run_trial(invalid, 0)
+
+
+def test_equal_configs_share_one_params_object_and_replay_alike():
+    first, second = (dataclasses.replace(ONE_TP, seed=np.uint64(90210)) for _ in range(2))
+    assert first is not second and first == second
+    assert harness._validated(first)[0] is harness._validated(second)[0]
+    assert run_trial(first, 2).transcript.to_json() == run_trial(second, 2).transcript.to_json()
+
+
+def _load_script(name: str):
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_an_audited_replay_compares_no_params_by_value():
+    # equal configs share one params object, so the memos keyed by params hit it by identity
+    call_counts = _load_script("call_counts")
+    configs = call_counts.workloads.build("privacy-audit", 0).configs
+    counts = call_counts.count_audit_calls([dataclasses.replace(c) for c in configs], 2)
+    assert counts["python", "qpc_sim.adversary.secret_support"] > 0
+    # the dataclass __eq__ is named by the code it is made from, qpc_sim.protocol.__create_fn__.<locals>.__eq__
+    assert not [name for _, name in counts if name.startswith("qpc_sim.protocol.") and name.endswith(".__eq__")]
 
 
 @pytest.mark.parametrize("config", (HONEST, ATTACKED, ONE_TP), ids=("honest", "attacked", "one-tp"))

@@ -8,6 +8,7 @@ import importlib.util
 import io
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -300,6 +301,48 @@ def test_call_counts_prints_one_json_line_of_the_workloads_shape(capsys):
 def test_call_counts_bad_input_exits_2_with_one_error_line(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         _load("call_counts").main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
+ROOT = SCRIPTS.parent
+
+
+def _files(*trees: Path) -> set[Path]:
+    return {path for tree in trees for path in tree.rglob("*")}
+
+
+def test_interleave_compares_the_checkout_with_itself(capsys):
+    before = _files(ROOT / "src", ROOT / "perfbench")  # bytecode caches included: the script writes none
+    assert _load("interleave").main(
+        ["--base", str(ROOT), "--change", str(ROOT), "--workload", "honest-two-tp", "--rounds", "2"]
+    ) == 0
+    [line] = capsys.readouterr().out.splitlines()
+    summary = json.loads(line)
+    assert (summary["workload"], summary["rounds"], summary["same_digest"], summary["failed"]) == ("honest-two-tp", 2, True, 0)
+    assert summary["base_trials_per_s"] > 0 and summary["change_trials_per_s"] > 0
+    assert summary["median_ratio"] > 0 and 0 <= summary["change_won"] <= 2
+    # both copies are gone from the import system, and the checkout's own package is still the one imported
+    assert not [name for name in sys.modules if name.split(".")[0] in ("qpc_base", "qpc_change")]
+    assert sys.modules["qpc_sim"].__file__ == str(ROOT / "src" / "qpc_sim" / "__init__.py")
+    assert _files(ROOT / "src", ROOT / "perfbench") == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--base", "/nonexistent", "--change", ".", "--workload", "honest-two-tp", "--rounds", "2"],
+        ["--base", ".", "--change", ".", "--workload", "d-sweep-x", "--rounds", "2"],
+        ["--base", ".", "--change", ".", "--workload", "honest-two-tp", "--rounds", "0"],
+        ["--base", ".", "--change", ".", "--workload", "honest-two-tp"],
+    ],
+)
+def test_interleave_bad_input_exits_2_with_one_error_line(argv, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    with pytest.raises(SystemExit) as exc:
+        _load("interleave").main(argv)
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
