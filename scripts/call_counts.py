@@ -9,7 +9,8 @@ configs perfbench/workloads.py builds (part 0, benchmark seed 0) and audits
 trials 0..``AUDIT_TRIALS``-1 of each as the benchmark does: one ``run_trial``,
 then ``Coalition``, ``coalition_view`` and ``secret_support`` for every
 coalition of ``allowed_coalitions``, in that order. The work runs once to warm
-up (imports, memos) and once under ``sys.setprofile``, and the script prints
+up (imports, memos) and once under ``sys.setprofile`` with the cyclic garbage
+collector paused, so no ``gc.callbacks`` hook is counted, and the script prints
 one JSON line: the Python and C calls per trial in total, and the ``TOP``
 functions by calls per trial, each named by its module and qualified name. Two
 runs of one version of the code and numpy give identical counts, so a change in
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import gc
 import json
 import sys
 from pathlib import Path
@@ -67,7 +69,7 @@ def _name(frame, event: str, arg) -> str:
 
 
 def _counted(work, *args) -> collections.Counter:
-    """(kind, name) -> calls made by ``work(*args)`` after a warm-up call; kind is ``python`` or ``c``."""
+    """(kind, name) -> calls made by ``work(*args)`` after a warm-up call, GC paused; kind is ``python`` or ``c``."""
     work(*args)
     counts: collections.Counter = collections.Counter()
 
@@ -75,11 +77,16 @@ def _counted(work, *args) -> collections.Counter:
         if event == "call" or event == "c_call":
             counts["python" if event == "call" else "c", _name(frame, event, arg)] += 1
 
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         work(*args)
     finally:
         sys.setprofile(None)
+        if enabled:
+            gc.enable()
     del counts["c", "sys.setprofile"]  # the call that ends the count
     return counts
 

@@ -48,13 +48,13 @@ def _histogram(sizes: list[int], r: int) -> str:
 
 def audit(config: ExperimentConfig) -> str | None:
     """Truth-check every allowed coalition and print the report; return the first inconsistency instead."""
-    params, strategy = config.validate()
+    params, _ = config.validate()
     n, runs = params.n, config.trials
     preparer, measurer = WIRING[params.variant]
     sizes: dict[str, list[int]] = {name: [] for name in (preparer, "parties", measurer)}
     plans = [allowed_coalitions(params.variant, n, target) for target in range(n)]
     diffs_exact = 0
-    for run in _trial_runs(config, params, strategy, range(runs)):
+    for run in _trial_runs(config, range(runs)):
         t = run.trial_index
         for target, plan in enumerate(plans):
             for coalition in plan:

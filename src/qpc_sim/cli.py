@@ -2,17 +2,17 @@
 
 Single-run mode writes one experiment report; adding ``--axis``/``--values``
 turns the same invocation into a sweep. Exit codes: 0 success, 2 bad
-configuration, 3 I/O failure. When ``--seed`` is omitted the environment
-variable QPC_SIM_SEED is used, then 0.
+configuration, 3 I/O failure. A sweep is a bad configuration only when none
+of its cells is valid; it runs the others and skips the invalid ones.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
-import os
 import sys
 from typing import Sequence
 
@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--attack", default="none", choices=list(ATTACK_IDS))
     parser.add_argument("--trials", type=int, default=100)
-    parser.add_argument("--seed", type=int, default=None, help="master seed (fallback: QPC_SIM_SEED, then 0)")
+    parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     parser.add_argument("--threshold", type=float, default=0.0, help="tolerated decoy error rate (default 0)")
     parser.add_argument("--out", default=None, help="output path (default: print to stdout)")
     parser.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json")
@@ -83,18 +83,6 @@ def _parse_shared_key(text: str) -> int | str:
         raise ParameterError(f"--c expects an integer or 'random', got {text!r}") from None
 
 
-def _resolve_seed(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("QPC_SIM_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise ParameterError(f"QPC_SIM_SEED must be an integer, got {env!r}") from None
-
-
 def _parse_axis_values(axis: str, text: str | None) -> list:
     if text is None:
         raise ParameterError("--axis requires --values")
@@ -107,6 +95,18 @@ def _parse_axis_values(axis: str, text: str | None) -> list:
         return [int(part) for part in parts]
     except ValueError:
         raise ParameterError(f"--values for axis {axis!r} expects integers, got {text!r}") from None
+
+
+def _check_cells(base: ExperimentConfig, axis: str, values: list) -> None:
+    """Refuse a sweep none of whose cells is valid, with the first cell's reason; a cell is ``base`` with ``axis`` set."""
+    errors = []
+    for value in values:
+        try:
+            dataclasses.replace(base, **{axis: value}).validate()
+            return
+        except ParameterError as exc:
+            errors.append(exc)
+    raise errors[0]
 
 
 def _csv_text(rows: list[list[str]]) -> str:
@@ -164,15 +164,17 @@ def main(argv: Sequence[str] | None = None) -> int:
             shared_key=_parse_shared_key(args.shared_key),
             attack=args.attack,
             trials=args.trials,
-            seed=_resolve_seed(args.seed),
+            seed=args.seed,
             threshold=args.threshold,
         )
-        config.validate()
         values = []
         if args.axis is not None:
             values = _parse_axis_values(args.axis, args.values)
-        elif args.values is not None:
-            raise ParameterError("--values requires --axis")
+            _check_cells(config, args.axis, values)
+        else:
+            config.validate()
+            if args.values is not None:
+                raise ParameterError("--values requires --axis")
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -111,7 +111,14 @@ class ExperimentConfig:
             object.__setattr__(self, "threshold", float(self.threshold))
 
     def validate(self) -> tuple[ProtocolParams, AttackStrategy]:
-        """Resolve to protocol params and a strategy, or raise ParameterError naming the violated constraint."""
+        """Resolve to protocol params and a strategy, or raise ParameterError naming the violated constraint.
+
+        A config that resolves keeps its pair outside its fields, so equality,
+        hash and ``to_dict`` ignore it, and every later call returns that pair;
+        a refused config is checked again on every call.
+        """
+        if "_resolved" in vars(self):
+            return self._resolved
         try:
             variant = Variant(self.variant)
         except ValueError:
@@ -138,7 +145,8 @@ class ExperimentConfig:
         if self.trials < 1:
             raise ParameterError(f"trials must be >= 1, got {self.trials}")
         _check_seed(self.seed)
-        return params, strategy
+        object.__setattr__(self, "_resolved", (params, strategy))
+        return self._resolved
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -158,41 +166,25 @@ class TrialRun:
     outcome: ComparisonOutcome
 
 
-@lru_cache(maxsize=32)  # a call that raises is not remembered: a refused config is refused on every call
-def _resolved(config: ExperimentConfig, types: tuple[type, ...]) -> tuple[ProtocolParams, AttackStrategy]:
-    return config.validate()
-
-
-def _validated(config: ExperimentConfig) -> tuple[ProtocolParams, AttackStrategy]:
-    """``config.validate()``, remembered per config and the types of its values (True == 1, yet is refused)."""
-    _expect(config, ExperimentConfig, "config")
-    secrets = config.secrets if type(config.secrets) is tuple else ()
-    try:
-        return _resolved(config, (*map(type, vars(config).values()), *map(type, secrets)))
-    except TypeError:  # an unhashable field, which validate refuses
-        return config.validate()
-
-
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRun:
     """Execute trial ``trial_index`` (an integer >= 0) of ``config`` exactly as run_experiment would."""
-    params, strategy = _validated(config)
+    _expect(config, ExperimentConfig, "config")
+    config.validate()
     t = _expect_int(trial_index, "trial_index", "an integer >= 0", 0)
-    return next(_trial_runs(config, params, strategy, range(t, t + 1)))
+    return next(_trial_runs(config, range(t, t + 1)))
 
 
-def _trial_runs(config: ExperimentConfig, params: ProtocolParams, strategy: AttackStrategy, trials: range) -> Iterator:
-    """Trials ``trials`` (a range of step 1) of a validated config, each as ``run_trial`` runs it, in one draw pass."""
-    for t, draws in zip(trials, _trial_draws(config, params, strategy, trials)):
-        yield _run_trial(config, params, strategy, t, draws)
+def _trial_runs(config: ExperimentConfig, trials: range) -> Iterator[TrialRun]:
+    """Trials ``trials`` (a range of step 1) of ``config``, each as ``run_trial`` runs it, in one draw pass.
 
-
-def _trial_draws(
-    config: ExperimentConfig, params: ProtocolParams, strategy: AttackStrategy, trials: range
-) -> Iterator[RunDraws]:
-    """Each trial's draws; its root stream draws the random secrets, then a random one-tp key."""
+    Each trial's root stream draws the random secrets, then a random one-tp key.
+    """
+    params, strategy = config.validate()
     random_key = params.variant is Variant.ONE_TP and config.shared_key == "random"
     root_draws = params.n * (config.secrets == "random") + random_key
-    return trial_streams(config.seed, trials, params, root_draws, tap_plan(params, strategy))
+    draws = trial_streams(config.seed, trials, params, root_draws, tap_plan(params, strategy))
+    for t, run_draws in zip(trials, draws):
+        yield _run_trial(config, params, strategy, t, run_draws)
 
 
 def _run_trial(
@@ -292,12 +284,13 @@ def _csv_row(config: dict, results: Sequence[str] = ("",) * 5, note: str = "") -
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run all trials of ``config`` and fold the outcomes into a report."""
-    params, strategy = _validated(config)
+    _expect(config, ExperimentConfig, "config")
+    params, strategy = config.validate()
     start = time.perf_counter()
     decoy_stats = {step: {"checked": 0, "mismatched": 0} for step in CHECK_STEPS}
     trial_rows: list[dict] = []
     n_completed = n_aborted = n_correct = 0
-    for run in _trial_runs(config, params, strategy, range(config.trials)):
+    for run in _trial_runs(config, range(config.trials)):
         for event in run.transcript.events():
             if event["kind"] == "decoy_check":
                 bucket = decoy_stats[event["step"]]
@@ -396,7 +389,7 @@ def sweep(base: ExperimentConfig, axis: str | tuple[str, ...], values: Sequence)
         value = getattr(cfg, axis) if isinstance(axis, str) else tuple(getattr(cfg, name) for name in names)
         cell = SweepCell(axis=axis, value=value, seed=cell_seed, config=cfg.to_dict())
         try:
-            _validated(cfg)
+            cfg.validate()
         except ParameterError as exc:
             cell.skipped = str(exc)
         else:

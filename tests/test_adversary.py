@@ -998,8 +998,7 @@ LEAK = ExperimentConfig(variant="two-tp", n=2, d=4, r=2, l=1, attack="tp2-mr", t
 @pytest.fixture(scope="module")
 def leaked_runs():
     """The runs of ``LEAK`` that pass every check."""
-    params, strategy = LEAK.validate()
-    return [run for run in _trial_runs(LEAK, params, strategy, range(LEAK.trials)) if run.outcome.completed]
+    return [run for run in _trial_runs(LEAK, range(LEAK.trials)) if run.outcome.completed]
 
 
 def test_tp2_recovers_p1s_secret_from_its_step7_value_and_its_carrier_tap(leaked_runs):

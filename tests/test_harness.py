@@ -3,11 +3,13 @@ serialization, sweeps, and the command-line contract (flags, formats, exit codes
 from __future__ import annotations
 
 import contextlib
+import copy
 import dataclasses
 import hashlib
 import importlib.util
 import io
 import json
+import pickle
 import re
 import shutil
 import subprocess
@@ -40,7 +42,7 @@ from qpc_sim.cli import main
 from qpc_sim.harness import CSV_COLUMNS, derive_cell_seed
 from qpc_sim.channel import OUTSIDER
 from qpc_sim.adversary import tap_plan
-from qpc_sim.protocol import MAX_DIM, MAX_QUDITS, rank_descending
+from qpc_sim.protocol import MAX_DIM, MAX_QUDITS, rank_descending, run_links
 from qpc_sim.streams import chunk_trials, trial_streams
 
 HONEST = ExperimentConfig(variant="two-tp", n=3, d=13, r=5, l=8, trials=20, seed=11)
@@ -254,7 +256,7 @@ def test_a_range_of_trial_runs_is_each_trial_run_alone(config):
     def replay(run):
         return run.trial_index, run.transcript.to_json(), run.secrets, run.shared_key, run.outcome
 
-    runs = list(map(replay, harness._trial_runs(config, params, strategy, trials)))
+    runs = list(map(replay, harness._trial_runs(config, trials)))
     assert runs == [replay(run_trial(config, t)) for t in trials]
 
 
@@ -319,39 +321,39 @@ def test_a_trial_far_past_the_experiment_draws_from_its_seed_sequence():
         assert run_trial(HONEST, t).secrets == tuple(rng.integers(0, HONEST.r, size=HONEST.n).tolist())
 
 
-def _count_validations(monkeypatch) -> list[ExperimentConfig]:
-    """Forget every remembered config, then list each config ``ExperimentConfig.validate`` is called on."""
-    harness._resolved.cache_clear()
-    calls, validate = [], ExperimentConfig.validate
+def _count_resolutions(monkeypatch) -> list[dict]:
+    """List the fields of each ``ProtocolParams`` that ``ExperimentConfig.validate`` builds from here on, one per resolution."""
+    calls, build = [], harness.ProtocolParams
 
-    def counted(config):
-        calls.append(config)
-        return validate(config)
+    def counted(**fields):
+        calls.append(fields)
+        return build(**fields)
 
-    monkeypatch.setattr(ExperimentConfig, "validate", counted)
+    monkeypatch.setattr(harness, "ProtocolParams", counted)
     return calls
 
 
 def test_replays_and_sweep_cells_validate_their_config_once(monkeypatch):
-    calls = _count_validations(monkeypatch)
-    runs = [run_trial(HONEST, t % 4) for t in range(20)]
-    assert calls == [HONEST]
+    calls = _count_resolutions(monkeypatch)
+    config = dataclasses.replace(HONEST)  # equal to HONEST, and not yet resolved
+    runs = [run_trial(config, t % 4) for t in range(20)]
+    assert len(calls) == 1
     assert [run.transcript.to_json() for run in runs[4:8]] == [run.transcript.to_json() for run in runs[:4]]
-    run_experiment(HONEST)
-    assert calls == [HONEST]
+    run_experiment(config)
+    assert len(calls) == 1
     calls.clear()
-    cells = sweep(HONEST, "d", [13, 3, 17])  # d=3 is below two-tp's bound at r=5
+    cells = sweep(config, "d", [13, 3, 17])  # d=3 is below two-tp's bound at r=5
     assert [cell.skipped is None for cell in cells] == [True, False, True]
-    assert len(calls) == 3
+    assert [fields["d"] for fields in calls] == [13, 3, 17]
 
 
 def test_an_invalid_config_is_refused_on_every_call(monkeypatch):
-    calls = _count_validations(monkeypatch)
+    calls = _count_resolutions(monkeypatch)
     config = dataclasses.replace(HONEST, l=0)
     for _ in range(2):
         with pytest.raises(ParameterError, match="l >= 1"):
             run_trial(config, 0)
-    assert calls == [config, config]
+    assert [fields["l"] for fields in calls] == [0, 0]
 
 
 @pytest.mark.parametrize(
@@ -369,10 +371,16 @@ def test_a_config_equal_to_a_remembered_one_is_still_refused_for_its_types(valid
         run_trial(invalid, 0)
 
 
-def test_equal_configs_share_one_params_object_and_replay_alike():
+def test_a_config_keeps_its_resolved_pair_and_equal_configs_replay_alike():
     first, second = (dataclasses.replace(ONE_TP, seed=np.uint64(90210)) for _ in range(2))
     assert first is not second and first == second
-    assert harness._validated(first)[0] is harness._validated(second)[0]
+    pair = first.validate()
+    run_trial(first, 0)
+    assert first.validate() is pair and copy.copy(first).validate() is pair
+    unpickled = pickle.loads(pickle.dumps(first))
+    assert unpickled == first and unpickled.validate() == pair and unpickled.validate() is unpickled.validate()
+    # the kept pair is no field: equality, hash, repr and to_dict read the fields alone
+    assert (hash(first), repr(first), first.to_dict()) == (hash(second), repr(second), second.to_dict())
     assert run_trial(first, 2).transcript.to_json() == run_trial(second, 2).transcript.to_json()
 
 
@@ -385,9 +393,12 @@ def _load_script(name: str):
 
 
 def test_an_audited_replay_compares_no_params_by_value():
-    # equal configs share one params object, so the memos keyed by params hit it by identity
+    # a config keeps its params object, so once the memos keyed by params hold it they hit it by identity;
+    # an equal params object of another config, left there by an earlier test, would be compared by value
     call_counts = _load_script("call_counts")
     configs = call_counts.workloads.build("privacy-audit", 0).configs
+    tap_plan.cache_clear()
+    run_links.cache_clear()
     counts = call_counts.count_audit_calls([dataclasses.replace(c) for c in configs], 2)
     assert counts["python", "qpc_sim.adversary.secret_support"] > 0
     # the dataclass __eq__ is named by the code it is made from, qpc_sim.protocol.__create_fn__.<locals>.__eq__
@@ -792,15 +803,36 @@ def test_cli_unwritable_out_exits_3_before_any_run(monkeypatch, tmp_path, capsys
     assert calls == []
 
 
-def test_cli_seed_falls_back_to_the_environment(monkeypatch, capsys):
-    monkeypatch.setenv("QPC_SIM_SEED", "123")
+def test_cli_seed_defaults_to_0_and_reads_no_environment(monkeypatch, capsys):
+    monkeypatch.setenv("QPC_SIM_SEED", "123")  # set, and not read
     assert main(BASE_ARGS) == 0
-    assert json.loads(capsys.readouterr().out)["config"]["seed"] == 123
-    # an explicit flag wins over the environment
+    assert json.loads(capsys.readouterr().out)["config"]["seed"] == 0
     assert main(BASE_ARGS + ["--seed", "7"]) == 0
     assert json.loads(capsys.readouterr().out)["config"]["seed"] == 7
-    monkeypatch.setenv("QPC_SIM_SEED", "abc")
-    assert main(BASE_ARGS) == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    (
+        ["--variant", "two-tp", "--n", "3", "--d", "3", "--r", "5", "--axis", "d", "--values", "13,17"],
+        ["--variant", "one-tp", "--n", "3", "--d", "17", "--r", "5", "--attack", "tp1-mr", "--axis", "attack",
+         "--values", "none,ir-random"],
+    ),
+    ids=("base-d-invalid", "base-attack-invalid"),
+)
+def test_cli_sweep_runs_when_its_cells_are_valid_though_its_base_is_not(args, capsys):
+    # the field the axis replaces is never run, so only the cells are checked
+    assert main(args + ["--l", "2", "--trials", "2"]) == 0
+    cells = json.loads(capsys.readouterr().out)
+    assert [cell["skipped"] for cell in cells] == [None, None]
+
+
+def test_cli_sweep_with_no_valid_cell_exits_2_with_the_first_cells_reason(tmp_path, capsys):
+    out = tmp_path / "sweep.json"
+    args = ["--variant", "two-tp", "--n", "3", "--d", "13", "--r", "5", "--l", "2", "--trials", "2"]
+    assert main(args + ["--axis", "d", "--values", "3,4", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: two-tp requires d >= 2*r - 1 (got d=3, r=5)\n")
+    assert not out.exists()  # refused before --out opens
 
 
 def test_cli_secrets_and_key_flags(capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import importlib.util
 import io
@@ -270,6 +271,28 @@ def test_call_counts_are_the_same_in_two_runs(workload):
     first, second = call_counts.count_calls(config), call_counts.count_calls(config)
     assert first == second
     assert first["python", "qpc_sim.harness._run_trial"] == 20 and first["c", "sys.setprofile"] == 0
+
+
+def test_call_counts_count_no_gc_callback():
+    # a gc.callbacks hook (hypothesis registers one) fired on collections that fell inside a counted run
+    call_counts = _load("call_counts")
+    config = dataclasses.replace(call_counts.shape("honest-two-tp"), trials=3)
+    collections = []
+
+    def hook(phase, info):
+        collections.append(phase)
+
+    threshold = gc.get_threshold()
+    gc.callbacks.append(hook)
+    gc.set_threshold(5)
+    try:
+        first, second = call_counts.count_calls(config), call_counts.count_calls(config)
+    finally:
+        gc.callbacks.remove(hook)
+        gc.set_threshold(*threshold)
+    assert collections  # the hook did fire, outside the counted runs
+    assert first == second
+    assert not [name for _, name in first if name.endswith(".<locals>.hook")]
 
 
 def test_audit_call_counts_are_the_same_in_two_runs():
