@@ -10,8 +10,12 @@ trials 0..``AUDIT_TRIALS``-1 of each as the benchmark does: one ``run_trial``,
 then ``Coalition``, ``coalition_view`` and ``secret_support`` for every
 coalition of ``allowed_coalitions``, in that order. The work runs once to warm
 up (imports, memos) and once under ``sys.setprofile`` with the cyclic garbage
-collector paused, so no ``gc.callbacks`` hook is counted, and the script prints
-one JSON line: the Python and C calls per trial in total, and the ``TOP``
+collector paused, so no ``gc.callbacks`` hook is counted. The counted run pays
+what a benchmark repeat pays: ``cli.main`` builds a fresh config on every call,
+so a CLI workload counts a fresh config equal to the warmed one, and the audit
+counts the configs it warmed, which the benchmark's audit keeps across its
+repeats. The script prints one JSON line: the Python and C calls per trial in
+total, and the ``TOP``
 functions by calls per trial, each named by its module and qualified name. Two
 runs of one version of the code and numpy give identical counts, so a change in
 them is a change in the work a trial does.
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import dataclasses
 import gc
 import json
 import sys
@@ -68,9 +73,12 @@ def _name(frame, event: str, arg) -> str:
     return f"{module}.{qualname}" if module else qualname
 
 
-def _counted(work, *args) -> collections.Counter:
-    """(kind, name) -> calls made by ``work(*args)`` after a warm-up call, GC paused; kind is ``python`` or ``c``."""
-    work(*args)
+def _counted(work, warm: tuple, args: tuple) -> collections.Counter:
+    """(kind, name) -> calls made by ``work(*args)`` after a warm-up call ``work(*warm)``, GC paused.
+
+    kind is ``python`` or ``c``.
+    """
+    work(*warm)
     counts: collections.Counter = collections.Counter()
 
     def profile(frame, event, arg):
@@ -92,8 +100,9 @@ def _counted(work, *args) -> collections.Counter:
 
 
 def count_calls(config: ExperimentConfig) -> collections.Counter:
-    """(kind, name) -> calls made by ``run_experiment(config)`` after a warm-up run; kind is ``python`` or ``c``."""
-    return _counted(run_experiment, config)
+    """(kind, name) -> calls made by ``run_experiment`` of a fresh config equal to ``config``, after a warm-up run
+    of ``config``; kind is ``python`` or ``c``."""
+    return _counted(run_experiment, (config,), (dataclasses.replace(config),))
 
 
 def _audit(plans: list, trials: int) -> None:
@@ -111,7 +120,7 @@ def count_audit_calls(configs: list[ExperimentConfig], trials: int) -> collectio
         params, _ = config.validate()
         coalitions = [c for t in range(params.n) for c in allowed_coalitions(params.variant, params.n, t)]
         plans.append((config, params, [(c.members, c.target) for c in coalitions]))
-    return _counted(_audit, plans, trials)
+    return _counted(_audit, (plans, trials), (plans, trials))
 
 
 def main(argv: list[str] | None = None) -> int:

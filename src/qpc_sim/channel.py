@@ -70,8 +70,9 @@ class Transcript:
         payload["seq"] = len(self._events)
         payload["kind"] = kind
         if isinstance(observers, str):
-            observers = (observers,)
-        payload["observers"] = list(observers) if type(observers) is tuple else sorted(set(observers))
+            payload["observers"] = [observers]
+        else:
+            payload["observers"] = list(observers) if type(observers) is tuple else sorted(set(observers))
         if step is not None:
             payload["step"] = step
         self._events.append(Event(payload))
@@ -138,7 +139,7 @@ def transmit(
     """
     label, tapper = link.label, link.tapper
     if tapper is not None:
-        seq = tuple(tapper.tap(state, label, i, draws, transcript) for i, state in enumerate(seq))
+        seq = tuple([tapper.tap(state, label, i, draws, transcript) for i, state in enumerate(seq)])
     transcript.record(link.endpoints, "transmit", link=label, count=len(seq))
     return seq
 

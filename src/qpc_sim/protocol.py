@@ -16,18 +16,21 @@ so the measuring side can form scores; with a single third party the
 complements stay internal and every party shifts by an extra pre-shared key.
 
 Each role reads its draws, in order, from lists that ``streams.run_draws``
-computed before the run, the adversary's taps included; a run builds no
-``Generator``. Nor does a run build its links: ``run_links`` states them once
-per run shape, and ``adversary.tap_plan`` reads the taps off them. A decoy
-check discloses, measures and counts mismatches in one pass over the decoys.
+computed for the run's chunk, the adversary's taps included; a run builds no
+``Generator``. A run that taps holds only what it reads up to step 3, and
+asks for the rest when it reaches step 4, so a run that aborts at step 3
+never draws it. Nor does a run build its links: ``run_links`` states them
+once per run shape, and ``adversary.tap_plan`` reads the taps off them, both
+remembered under plain keys. A decoy check discloses, measures and counts
+mismatches in one pass over the decoys.
 """
 from __future__ import annotations
 
 import enum
+import functools
 import numbers
 from collections.abc import Mapping, Set
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import islice
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
@@ -64,8 +67,10 @@ SOLO_TP_ROLE = "TP"
 MAX_DIM = 2**16
 
 #: Most qudits one run may move, 2n(l+1). Memory grows with it: one two-tp
-#: trial at the cap (n=2, d=4, l=65535) peaks at 196 MB RSS with no attack and
-#: at 216 MB with ir-random, which aborts at step 3 (CPython 3.11, numpy 2.4).
+#: trial at the cap (n=2, d=4, l=65535) peaks at 188 MB RSS (``ru_maxrss``)
+#: with no attack, at 189 MB with ir-random, which aborts at step 3 and so
+#: never draws its late pass, and at 330 MB with ir-random at threshold 1,
+#: which completes (CPython 3.11, numpy 2.4).
 MAX_QUDITS = 2**18
 
 
@@ -77,6 +82,10 @@ def party_role(index: int) -> str:
 class Variant(enum.Enum):
     TWO_TP = "two-tp"
     ONE_TP = "one-tp"
+
+    # a member is one object, equal only to itself, so it hashes by identity, in C; Enum.__hash__ hashes its
+    # name in Python on every WIRING lookup. Neither hash is the same in every process.
+    __hash__ = object.__hash__
 
 
 #: (preparer, measurer) of each wiring: carriers travel preparer -> party -> measurer.
@@ -129,8 +138,10 @@ class ProtocolParams:
             raise ParameterError(f"two-tp requires d >= 2*r - 1 (got d={self.d}, r={self.r})")
         if self.variant is Variant.ONE_TP and self.d < 3 * self.r - 1:
             raise ParameterError(f"one-tp requires d >= 3*r - 1 (got d={self.d}, r={self.r})")
-        # memos key on params: hash once, from values that hash alike in every process, since a pickle keeps it
+        # hash once, from values that hash alike in every process, since a pickle keeps it; the memos of a run's
+        # shape key on the plain tuple itself, which compares in C where the dataclass __eq__ is Python
         fields = (self.variant is Variant.TWO_TP, self.n, self.d, self.r, self.l, self.error_threshold)
+        object.__setattr__(self, "_key", fields)
         object.__setattr__(self, "_hash", hash(fields))
 
     def __hash__(self) -> int:
@@ -293,11 +304,18 @@ def _check_shared_key(shared_key: int, params: ProtocolParams) -> int:
     return key
 
 
+def _check_tap_draws(draws: RunDraws, taps: int, per_tap: tuple[int, ...]) -> None:
+    """Refuse a pass of draws whose adversary lists are not ``taps`` taps' coins and uniforms, as ``per_tap`` asks."""
+    if tuple(map(len, draws.adversary)) != (taps * per_tap.count(2), taps * per_tap.count(0)):
+        raise ParameterError(f"rng's adversary draws do not fit this run's {taps} taps, each drawing {per_tap}")
+
+
 def _check_run(params: ProtocolParams, variant: Variant, adversary: object, rng: object) -> None:
     """A runner's entry checks besides secrets and key: params of ``variant``, an attack or None, and ``rng``.
 
     ``rng`` is a Generator of 64-bit words, which MT19937's 32-bit words are not, or a trial's ``RunDraws``
-    whose adversary draws fit ``adversary_module.tap_plan`` of this run.
+    whose adversary draws fit ``adversary_module.tap_plan`` of this run: every tap, or the first hops' when
+    the run's late draws come later (and are checked when they do).
     """
     _expect(params, ProtocolParams, "params")
     if params.variant is not variant:
@@ -305,16 +323,44 @@ def _check_run(params: ProtocolParams, variant: Variant, adversary: object, rng:
     if adversary is not None:
         _expect(adversary, adversary_module.AttackStrategy, "adversary")
     if isinstance(rng, RunDraws):
-        taps, per_tap = adversary_module.tap_plan(params, adversary)
-        if tuple(map(len, rng.adversary)) != (taps * per_tap.count(2), taps * per_tap.count(0)):
-            raise ParameterError(f"rng's adversary draws do not fit this run's {taps} taps, each drawing {per_tap}")
+        taps, per_tap, late_taps = adversary_module.tap_plan(params, adversary)
+        _check_tap_draws(rng, taps if rng.late is None else taps - late_taps, per_tap)
     else:
         _expect(rng, np.random.Generator, "rng")
         if isinstance(rng.bit_generator, np.random.MT19937):
             raise ParameterError("rng must draw 64-bit words; its bit generator is MT19937")
 
 
-@lru_cache(maxsize=64)
+#: Run shapes, (params, strategy) pairs, that each memo of :func:`_shape_memo` keeps.
+_SHAPES = 64
+
+
+def _shape_memo(build):
+    """Remember ``build(params, strategy)`` for the last ``_SHAPES`` run shapes, keyed by plain values.
+
+    The key is ``params._key`` and the strategy's ``_key``, tuples of bools,
+    numbers and strings, so a hit by an equal params object of another config
+    hashes and compares in C, with no dataclass or Enum ``__eq__`` or
+    ``__hash__`` call. ``cache_clear`` empties it, as an ``lru_cache``'s does.
+    """
+    cache: dict = {}
+
+    @functools.wraps(build)
+    def memo(params, strategy):
+        key = params._key, None if strategy is None else strategy._key
+        try:
+            return cache[key]
+        except KeyError:
+            if len(cache) >= _SHAPES:
+                cache.clear()
+            value = cache[key] = build(params, strategy)
+            return value
+
+    memo.cache_clear = cache.clear
+    return memo
+
+
+@_shape_memo
 def run_links(
     params: ProtocolParams, adversary: "AttackStrategy | None"
 ) -> tuple[tuple[QuantumLink, ...], tuple[QuantumLink, ...]]:
@@ -454,7 +500,14 @@ def _run_protocol(
             return aborted(step)
 
     # stage 4: the party takes the carrier from the one slot its recipe left
-    # undisclosed, shift-encodes, and ships it under fresh decoys
+    # undisclosed, shift-encodes, and ships it under fresh decoys. A run that
+    # taps draws what it reads from here on only now.
+    if rng.late is not None:
+        rng = rng.late()
+        _, per_tap, late_taps = adversary_module.tap_plan(params, adversary)
+        _check_tap_draws(rng, late_taps, per_tap)
+        party_draws, measure_draws = [iter(draws) for draws in rng.parties], iter(rng.measurer)
+        tap_draws = tuple(map(iter, rng.adversary))
     second_hop = []
     for i, (link, (received, spec)) in enumerate(zip(second_links, first_hop)):
         encoded = encode_secret(received[spec.carrier_position], secrets[i], offset)

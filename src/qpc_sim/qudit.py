@@ -6,7 +6,8 @@ every qudit a run creates is a basis vector of one of the two bases, up to
 global phase, and :class:`BasisLabel` tracks it as the tuple
 ``(dim, basis, index)``: preparing and shifting are O(1), and a measurement is
 a pure function of one uniform the caller drew: across bases, one binary
-search in the uniform table ``cumsum(full(d, 1/d))`` kept once per ``d``.
+search in the first d - 1 entries of the uniform table
+``cumsum(full(d, 1/d))``, kept once per ``d``, which needs no clamp to d - 1.
 Labels and measurement outcomes are immutable named tuples, so equal fields
 mean equal, equally hashed values.
 
@@ -24,8 +25,9 @@ dense outcome have total probability at most:
 
 Those draws sit where the dense engine's rounded cumulative Born table (its
 ``born_cdf``) and the label engine's table part. Both engines' outcome is
-``min(#{k : table[k] <= u}, d - 1)``, so the set is the union over k < d - 1
-of the draws between the two tables' k-th entries.
+``min(#{k : table[k] <= u}, d - 1)``, which the label engine counts as
+``#{k < d - 1 : table[k] <= u}``, so the set is the union over k < d - 1 of
+the draws between the two tables' k-th entries.
 """
 from __future__ import annotations
 
@@ -126,14 +128,19 @@ class BasisLabel(NamedTuple):
         """
         if basis is self.basis:
             return _new(MeasurementOutcome, (self.index, self))
-        value = min(bisect_right(_uniform_cdf(self.dim), u), self.dim - 1)
+        value = bisect_right(_uniform_cdf(self.dim), u)
         return _new(MeasurementOutcome, (value, _new(BasisLabel, (self.dim, basis, value))))
 
 
 @lru_cache(maxsize=4)
 def _uniform_cdf(d: int) -> tuple[float, ...]:
-    """Cumulative table of the uniform distribution over d outcomes, as floats."""
-    return tuple(np.cumsum(np.full(d, 1.0 / d)).tolist())
+    """The first d - 1 entries of the cumulative table of the uniform distribution over d outcomes, as floats.
+
+    The last entry is left out: a bisection of the first d - 1 entries already
+    lies in [0, d - 1], and for a non-decreasing table it equals the clamped
+    bisection of the whole table, ``min(bisect_right(table, u), d - 1)``.
+    """
+    return tuple(np.cumsum(np.full(d, 1.0 / d))[:-1].tolist())
 
 
 #: Only the dense test oracle calls this; perfbench patches it and tests pin it by this name.

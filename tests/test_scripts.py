@@ -271,6 +271,9 @@ def test_call_counts_are_the_same_in_two_runs(workload):
     first, second = call_counts.count_calls(config), call_counts.count_calls(config)
     assert first == second
     assert first["python", "qpc_sim.harness._run_trial"] == 20 and first["c", "sys.setprofile"] == 0
+    # the counted run is of a fresh config equal to the warmed one, as cli.main builds per benchmark repeat,
+    # so it resolves its own params once
+    assert first["python", "qpc_sim.protocol.ProtocolParams.__post_init__"] == 1
 
 
 def test_call_counts_count_no_gc_callback():
