@@ -314,7 +314,8 @@ def _run_layout(
         parts = [streams]
     passes, kept = [], [None] * len(streams)  # each stream's kept half, as a half word of the previous row
     for part in parts:
-        carry = tuple((stream, half // 2) for stream, half in enumerate(kept) if half is not None)
+        # a stream that draws on in this pass carries the word of its kept half; in practice only the adversary's
+        carry = tuple((stream, half // 2) for stream, half in enumerate(kept) if half is not None and part[stream])
         kept = [None] * len(streams)
         for slot, (stream, _) in enumerate(carry):
             kept[stream] = 2 * slot + 1  # the carried word's high half
