@@ -269,23 +269,23 @@ class _Pass(NamedTuple):
     """Where one draw pass of a run puts its draws: a row of raw words that joins its streams' blocks.
 
     ``bounds`` holds each stream's draws in this pass, in draw order (0 asks
-    for a uniform); ``blocks`` each stream's fresh words in the row; ``carry``
-    each stream that kept a half from the previous pass, with the word of that
-    pass's row that holds it, and those words lead this row, in that order.
-    Then the word of each uniform, the half word of each integer, each
-    integer's bound and rejection threshold, and each stream's slice of a
-    run's uniforms and of its integers.
+    for a uniform); ``blocks`` each stream's fresh words in the row, and
+    ``sizes`` their lengths; ``carry`` each stream that kept a half from the
+    previous pass, with the word of that pass's row that holds it, and those
+    words lead this row, in that order. Then the word of each uniform, the
+    half word of each integer, each integer's bound and rejection threshold,
+    and each stream's slices of a run's uniforms and of its integers.
     """
 
     bounds: tuple[list[int], ...]
     blocks: list[slice]
+    sizes: list[int]
     carry: tuple[tuple[int, int], ...]
     uniform_words: np.ndarray
     integer_halves: np.ndarray
     integer_bounds: np.ndarray
     thresholds: np.ndarray
-    uniforms: list[slice]
-    integers: list[slice]
+    slices: list[tuple[slice, slice]]
 
 
 @lru_cache(maxsize=4)
@@ -320,7 +320,7 @@ def _run_layout(
         for slot, (stream, _) in enumerate(carry):
             kept[stream] = 2 * slot + 1  # the carried word's high half
         word = len(carry)
-        blocks, uniform_words, integer_halves, bounds, uniforms, integers = [], [], [], [], [], []
+        blocks, uniform_words, integer_halves, bounds, slices = [], [], [], [], []
         for stream, stream_bounds in enumerate(part):
             start, first_uniform, first_integer = word, len(uniform_words), len(bounds)
             for b in stream_bounds:
@@ -338,13 +338,13 @@ def _run_layout(
                     integer_halves.append(kept[stream])
                     kept[stream] = None
             blocks.append(slice(start, word))
-            uniforms.append(slice(first_uniform, len(uniform_words)))
-            integers.append(slice(first_integer, len(bounds)))
+            slices.append((slice(first_uniform, len(uniform_words)), slice(first_integer, len(bounds))))
         b = np.array(bounds, dtype=np.uint64)
         passes.append(
             _Pass(
-                tuple(part), blocks, carry, np.array(uniform_words, dtype=np.intp),
-                np.array(integer_halves, dtype=np.intp), b, (2**32 - b) % b, uniforms, integers,
+                tuple(part), blocks, [block.stop - block.start for block in blocks], carry,
+                np.array(uniform_words, dtype=np.intp), np.array(integer_halves, dtype=np.intp), b, (2**32 - b) % b,
+                slices,
             )
         )
     return tuple(passes)
@@ -388,8 +388,7 @@ def _draw(
     streams' kept halves. Also returns the row of raw words and the kept
     halves of each run this pass redrew.
     """
-    sizes = [block.stop - block.start for block in layout.blocks]
-    raw = [bg.random_raw(size) for run in streams for bg, size in zip(run, sizes) if size]
+    raw = [bg.random_raw(size) for run in streams for bg, size in zip(run, layout.sizes) if size]
     words = np.concatenate(raw).reshape(len(streams), -1)
     if layout.carry:
         words = np.concatenate((carried, words), axis=1)
@@ -418,7 +417,7 @@ def _draw(
 
 def _runs(layout: _Pass, floats: list[list], ints: list[list], lates: Iterable) -> list[RunDraws]:
     """Each run's ``RunDraws`` from its uniforms and integers in ``layout``'s stream order."""
-    root, preparer, *parties, measurer, adversary = zip(layout.uniforms, layout.integers)
+    root, preparer, *parties, measurer, adversary = layout.slices
     return [
         RunDraws(
             row[root[1]],

@@ -273,6 +273,28 @@ def _logged(*observer_sets) -> Transcript:
     return transcript
 
 
+class _Role(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "observers, want",
+    [
+        ("P1", ["P1"]),
+        (_Role("P1"), ["P1"]),  # a str subclass is one role, not a set of characters
+        (("P1", "TP1"), ["P1", "TP1"]),  # a tuple is taken as sorted and distinct
+        (["TP1", "P1", "P1"], ["P1", "TP1"]),
+        ({"TP1", "P1"}, ["P1", "TP1"]),
+        (frozenset({"P2"}), ["P2"]),
+        ((role for role in ("TP2", "P1")), ["P1", "TP2"]),
+    ],
+    ids=("str", "str subclass", "tuple", "list", "set", "frozenset", "generator"),
+)
+def test_record_stores_its_observers_as_one_sorted_list_of_roles(observers, want):
+    [event] = _logged(observers).events()
+    assert event["observers"] == want and type(event["observers"]) is list
+
+
 def test_a_returned_view_is_the_callers_own_list():
     transcript = _logged(PUBLIC, "P1", "P2")
     first = transcript.view("P1")

@@ -17,7 +17,10 @@ smaller one. So a numpy change or a protocol change that moves a draw fails
 here instead of silently changing reports. The adversary's draws are pinned
 against ``integers(0, 2)`` and ``random()`` interleaved on the same stream, the
 calls a tap stands for, with an odd coin count and with the rejection branch
-forced on another stream of the run.
+forced on another stream of the run. A run that taps draws in two passes: the
+first must read no word past step 3's draws, and the late pass must be
+numpy's continuation of each stream, across a kept half word and after a
+rejection in either pass.
 """
 from __future__ import annotations
 
