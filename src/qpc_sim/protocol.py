@@ -69,7 +69,7 @@ MAX_DIM = 2**16
 #: Most qudits one run may move, 2n(l+1). Memory grows with it: one two-tp
 #: trial at the cap (n=2, d=4, l=65535) peaks at 188 MB RSS (``ru_maxrss``)
 #: with no attack, at 189 MB with ir-random, which aborts at step 3 and so
-#: never draws its late pass, and at 330 MB with ir-random at threshold 1,
+#: never draws its late pass, and at 332 MB with ir-random at threshold 1,
 #: which completes (CPython 3.11, numpy 2.4).
 MAX_QUDITS = 2**18
 
