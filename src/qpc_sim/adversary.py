@@ -58,11 +58,6 @@ class AttackStrategy:
     basis: Basis | None = None
     owner: str = OUTSIDER
 
-    def __post_init__(self) -> None:
-        # the memos of a run's shape key on this plain tuple, hashed in C; the dataclass hash calls Enum.__hash__
-        basis = self.basis._value_ if isinstance(self.basis, Basis) else self.basis
-        object.__setattr__(self, "_key", (self.id, self.active, basis, self.owner))
-
     def tap(
         self,
         state: BasisLabel,
@@ -97,15 +92,13 @@ class AttackStrategy:
 
 
 @_shape_memo
-def tap_plan(params: ProtocolParams, strategy: AttackStrategy | None) -> tuple[int, tuple[int, ...], int]:
-    """The taps of one run, l+1 per tapped link of ``run_links``, each tap's draws as ``tap`` reads them, and how
-    many of the taps are on second hops, drawn only for a run that reaches step 4.
+def tap_plan(params: ProtocolParams, strategy: AttackStrategy | None) -> tuple[int, tuple[int, ...]]:
+    """The taps of one run, l+1 per tapped link of ``run_links``, and each tap's draws as ``tap`` reads them.
 
     Bounds in draw order, 0 a uniform and b an integer below b: a basis coin if ``basis`` is None, then a uniform.
     """
-    first, late = ((params.l + 1) * sum(link.tapper is not None for link in hop) for hop in run_links(params, strategy))
-    taps = first + late
-    return taps, (((2, 0) if strategy.basis is None else (0,)) if taps else ()), late
+    taps = (params.l + 1) * sum(link.tapper is not None for link in itertools.chain(*run_links(params, strategy)))
+    return taps, (((2, 0) if strategy.basis is None else (0,)) if taps else ())
 
 
 _STRATEGIES: dict[str, AttackStrategy] = {

@@ -16,11 +16,9 @@ so the measuring side can form scores; with a single third party the
 complements stay internal and every party shifts by an extra pre-shared key.
 
 Each role reads its draws, in order, from lists that ``streams.run_draws``
-computed for the run's chunk, the adversary's taps included; a run builds no
-``Generator``. A run that taps holds only what it reads up to step 3, and
-asks for the rest when it reaches step 4, so a run that aborts at step 3
-never draws it. Nor does a run build its links: ``run_links`` states them
-once per run shape, and ``adversary.tap_plan`` reads the taps off them, both
+computed before the run, the adversary's taps included; a run builds no
+``Generator``. Nor does a run build its links: ``run_links`` states them once
+per run shape, and ``adversary.tap_plan`` reads the taps off them, both
 remembered under plain keys. A decoy check discloses, measures and counts
 mismatches in one pass over the decoys.
 """
@@ -67,10 +65,9 @@ SOLO_TP_ROLE = "TP"
 MAX_DIM = 2**16
 
 #: Most qudits one run may move, 2n(l+1). Memory grows with it: one two-tp
-#: trial at the cap (n=2, d=4, l=65535) peaks at 188 MB RSS (``ru_maxrss``)
-#: with no attack, at 189 MB with ir-random, which aborts at step 3 and so
-#: never draws its late pass, and at 332 MB with ir-random at threshold 1,
-#: which completes (CPython 3.11, numpy 2.4).
+#: trial at the cap (n=2, d=4, l=65535) peaks at 197 MB RSS (``ru_maxrss``)
+#: with no attack, at 216 MB with ir-random, which aborts at step 3, and at
+#: 332 MB with ir-random at threshold 1, which completes (CPython 3.11, numpy 2.4).
 MAX_QUDITS = 2**18
 
 
@@ -82,10 +79,6 @@ def party_role(index: int) -> str:
 class Variant(enum.Enum):
     TWO_TP = "two-tp"
     ONE_TP = "one-tp"
-
-    # a member is one object, equal only to itself, so it hashes by identity, in C; Enum.__hash__ hashes its
-    # name in Python on every WIRING lookup. Neither hash is the same in every process.
-    __hash__ = object.__hash__
 
 
 #: (preparer, measurer) of each wiring: carriers travel preparer -> party -> measurer.
@@ -304,18 +297,11 @@ def _check_shared_key(shared_key: int, params: ProtocolParams) -> int:
     return key
 
 
-def _check_tap_draws(draws: RunDraws, taps: int, per_tap: tuple[int, ...]) -> None:
-    """Refuse a pass of draws whose adversary lists are not ``taps`` taps' coins and uniforms, as ``per_tap`` asks."""
-    if tuple(map(len, draws.adversary)) != (taps * per_tap.count(2), taps * per_tap.count(0)):
-        raise ParameterError(f"rng's adversary draws do not fit this run's {taps} taps, each drawing {per_tap}")
-
-
 def _check_run(params: ProtocolParams, variant: Variant, adversary: object, rng: object) -> None:
     """A runner's entry checks besides secrets and key: params of ``variant``, an attack or None, and ``rng``.
 
     ``rng`` is a Generator of 64-bit words, which MT19937's 32-bit words are not, or a trial's ``RunDraws``
-    whose adversary draws fit ``adversary_module.tap_plan`` of this run: every tap, or the first hops' when
-    the run's late draws come later (and are checked when they do).
+    whose adversary draws fit ``adversary_module.tap_plan`` of this run.
     """
     _expect(params, ProtocolParams, "params")
     if params.variant is not variant:
@@ -323,8 +309,9 @@ def _check_run(params: ProtocolParams, variant: Variant, adversary: object, rng:
     if adversary is not None:
         _expect(adversary, adversary_module.AttackStrategy, "adversary")
     if isinstance(rng, RunDraws):
-        taps, per_tap, late_taps = adversary_module.tap_plan(params, adversary)
-        _check_tap_draws(rng, taps if rng.late is None else taps - late_taps, per_tap)
+        taps, per_tap = adversary_module.tap_plan(params, adversary)
+        if tuple(map(len, rng.adversary)) != (taps * per_tap.count(2), taps * per_tap.count(0)):
+            raise ParameterError(f"rng's adversary draws do not fit this run's {taps} taps, each drawing {per_tap}")
     else:
         _expect(rng, np.random.Generator, "rng")
         if isinstance(rng.bit_generator, np.random.MT19937):
@@ -338,16 +325,21 @@ _SHAPES = 64
 def _shape_memo(build):
     """Remember ``build(params, strategy)`` for the last ``_SHAPES`` run shapes, keyed by plain values.
 
-    The key is ``params._key`` and the strategy's ``_key``, tuples of bools,
-    numbers and strings, so a hit by an equal params object of another config
-    hashes and compares in C, with no dataclass or Enum ``__eq__`` or
-    ``__hash__`` call. ``cache_clear`` empties it, as an ``lru_cache``'s does.
+    The key is ``params._key`` and the strategy's fields, its basis by value:
+    tuples of bools, numbers and strings, so a hit by an equal params object
+    of another config hashes and compares in C, with no dataclass or Enum
+    ``__eq__`` or ``__hash__`` call. ``cache_clear`` empties it, as an
+    ``lru_cache``'s does.
     """
     cache: dict = {}
 
     @functools.wraps(build)
     def memo(params, strategy):
-        key = params._key, None if strategy is None else strategy._key
+        if strategy is None:
+            key = params._key, None
+        else:
+            basis = strategy.basis
+            key = params._key, strategy.id, strategy.active, basis if basis is None else basis._value_, strategy.owner
         try:
             return cache[key]
         except KeyError:
@@ -500,14 +492,7 @@ def _run_protocol(
             return aborted(step)
 
     # stage 4: the party takes the carrier from the one slot its recipe left
-    # undisclosed, shift-encodes, and ships it under fresh decoys. A run that
-    # taps draws what it reads from here on only now.
-    if rng.late is not None:
-        rng = rng.late()
-        _, per_tap, late_taps = adversary_module.tap_plan(params, adversary)
-        _check_tap_draws(rng, late_taps, per_tap)
-        party_draws, measure_draws = [iter(draws) for draws in rng.parties], iter(rng.measurer)
-        tap_draws = tuple(map(iter, rng.adversary))
+    # undisclosed, shift-encodes, and ships it under fresh decoys
     second_hop = []
     for i, (link, (received, spec)) in enumerate(zip(second_links, first_hop)):
         encoded = encode_secret(received[spec.carrier_position], secrets[i], offset)

@@ -9,9 +9,8 @@ as numpy does. A one-trial chunk, a replay's, mixes its pool in plain ints, as
 numpy's per-array cost outweighs one row, then takes the same array pass.
 
 Which draws a run makes, and from which stream, follows from its parameters
-alone, so :func:`run_draws` computes a chunk's ahead of its runs, in one numpy
-pass per draw pass, from the streams' raw 64-bit words, as numpy's
-``Generator`` does:
+alone, so :func:`run_draws` computes a chunk's up front, in one numpy pass,
+from the streams' raw 64-bit words, as numpy's ``Generator`` does:
 
 - a uniform (``random``) is a whole word ``w``, as ``(w >> 11) * 2**-53``;
 - an integer below ``b`` (``integers``) is Lemire's method on a uint32 half
@@ -27,23 +26,14 @@ below 2, whose threshold is 0, so it is never rejected, and a tap's uniform is
 a whole word. So the plan that ``adversary.tap_plan`` reads off a run's links
 places them, and a run never builds a ``Generator``.
 
-An untapped run never aborts, and its chunk draws everything in one pass. A
-run that taps may abort at its first decoy check, so its chunk draws in two
-passes over the same bit generators: first what a run reads up to step 3,
-then, when a run of the chunk first reaches step 4, what it reads later (each
-party's step-4 recipe, the measurer's uniforms and the second hops' taps) for
-that run and the rest of its chunk. Each stream is read on from where the
-first pass left it, the half it kept included, so the values are those of one
-pass.
-
 numpy's NEP 19 lets these streams change between releases; the pins in
 tests/test_determinism.py fail if they do.
 """
 from __future__ import annotations
 
-from functools import lru_cache, partial
-from itertools import chain, repeat
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
+from functools import lru_cache
+from itertools import chain
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,15 +58,14 @@ def run_streams(n: int) -> int:
     return n + 3
 
 
-def chunk_trials(params: ProtocolParams, plan: tuple[int, tuple[int, ...], int]) -> int:
+def chunk_trials(params: ProtocolParams, plan: tuple[int, tuple[int, ...]]) -> int:
     """Trials per chunk of :func:`trial_streams`: at most 1024 streams and 2**13 draws, and at least one trial.
 
     A run draws at most three values per qudit it moves, 6n(l+1): a decoy's basis bit, index and check uniform.
-    Each tap of ``plan`` (tap count, each tap's draws, second-hop taps) adds its uniform and any coin, so at
-    most five per qudit. The bound holds for a whole run, so it bounds each of a tapped run's two passes.
+    Each tap of ``plan`` (tap count, each tap's draws) adds its uniform and any coin, so at most five per qudit.
     """
     n, l = params.n, params.l
-    taps, per_tap, _ = plan
+    taps, per_tap = plan
     return max(1, min(_CHUNK_STREAMS // (run_streams(n) + 1), _CHUNK_DRAWS // (6 * n * (l + 1) + taps * len(per_tap))))
 
 
@@ -237,16 +226,14 @@ def _bit_generators(seed: int, trials: range, n_children: int, size: int) -> Ite
         start = stop
 
 
-def _scalar_draws(words: Iterator[int], bounds: Sequence[int], kept: int | None = None) -> tuple[list, int | None]:
+def _scalar_draws(words: Iterator[int], bounds: Sequence[int]) -> tuple[list, int | None]:
     """The draws ``bounds`` asks of a stream of raw words, one at a time, and the half it keeps after them.
 
     A bound of 0 asks for a uniform, any other bound b for an integer in
-    [0, b). ``kept`` is a half the stream kept from earlier draws, which its
-    next integer reads first. This is the model that :func:`run_draws`
-    computes for a chunk of runs at once, and the path of a run with a
-    rejected integer.
+    [0, b). This is the model that :func:`run_draws` computes for a chunk of
+    runs at once, and the path of a run with a rejected integer.
     """
-    out = []
+    out, kept = [], None
     for b in bounds:
         if not b:
             out.append((next(words) >> 11) * 2**-53)
@@ -265,89 +252,43 @@ def _scalar_draws(words: Iterator[int], bounds: Sequence[int], kept: int | None 
     return out, kept
 
 
-class _Pass(NamedTuple):
-    """Where one draw pass of a run puts its draws: a row of raw words that joins its streams' blocks.
-
-    ``bounds`` holds each stream's draws in this pass, in draw order (0 asks
-    for a uniform); ``blocks`` each stream's fresh words in the row, and
-    ``sizes`` their lengths; ``carry`` each stream that kept a half from the
-    previous pass, with the word of that pass's row that holds it, and those
-    words lead this row, in that order. Then the word of each uniform, the
-    half word of each integer, each integer's bound and rejection threshold,
-    and each stream's slices of a run's uniforms and of its integers.
-    """
-
-    bounds: tuple[list[int], ...]
-    blocks: list[slice]
-    sizes: list[int]
-    carry: tuple[tuple[int, int], ...]
-    uniform_words: np.ndarray
-    integer_halves: np.ndarray
-    integer_bounds: np.ndarray
-    thresholds: np.ndarray
-    slices: list[tuple[slice, slice]]
-
-
 @lru_cache(maxsize=4)
-def _run_layout(
-    n: int, d: int, r: int, l: int, root_draws: int, taps: int, per_tap: tuple[int, ...], late_taps: int
-) -> tuple[_Pass, ...]:
-    """A run's draw passes: one, or two when it taps, as each stream's draws are placed by one walk.
+def _run_layout(n: int, d: int, r: int, l: int, root_draws: int, taps: int, per_tap: tuple[int, ...]) -> tuple:
+    """A run's draws per stream, and where each lies in a row that joins its streams' blocks of raw words.
 
-    The streams are the root, the preparer, the n parties, the measurer and
-    the adversary, whose ``taps`` taps each draw the bounds ``per_tap``, its
-    last ``late_taps`` on the second hops. A run that taps may abort at step
-    3, so what it reads after that is a second pass: each party's step-4
-    recipe, the measurer's uniforms and the second hops' taps. The walk goes
-    through each stream's draws in draw order by :func:`_scalar_draws`' rule,
-    across the split, so a half kept at the end of the first pass is read by
-    the stream's first integer in the second.
+    In order: each stream's draws in draw order, as bounds (0 asks for a
+    uniform), its block of the row, the word of each uniform, the half word of
+    each integer, and each integer's bound and rejection threshold. The
+    streams are the root, the preparer, the n parties, the measurer and the
+    adversary, whose ``taps`` taps each draw the bounds ``per_tap``.
+    One walk places every draw by :func:`_scalar_draws`' rule.
     """
     recipe = [2, d] * l + [l + 1]
     # the preparer's first bound, d - r + 1, is the length of pad_sum_range
     preparer, adversary = [d - r + 1] + [r] * n + recipe * n, list(per_tap) * taps
     streams = ([r] * root_draws, preparer, *[[0] * l + recipe] * n, [0] * (n * (l + 1)), adversary)
-    if taps:
-        splits = [root_draws, len(preparer), *[l] * n, 0, len(adversary) - len(per_tap) * late_taps]
-        parts = [[bounds[:k] for bounds, k in zip(streams, splits)], [bounds[k:] for bounds, k in zip(streams, splits)]]
-    else:
-        parts = [streams]
-    passes, kept = [], [None] * len(streams)  # each stream's kept half, as a half word of the previous row
-    for part in parts:
-        # a stream that draws on in this pass carries the word of its kept half; in practice only the adversary's
-        carry = tuple((stream, half // 2) for stream, half in enumerate(kept) if half is not None and part[stream])
-        kept = [None] * len(streams)
-        for slot, (stream, _) in enumerate(carry):
-            kept[stream] = 2 * slot + 1  # the carried word's high half
-        word = len(carry)
-        blocks, uniform_words, integer_halves, bounds, slices = [], [], [], [], []
-        for stream, stream_bounds in enumerate(part):
-            start, first_uniform, first_integer = word, len(uniform_words), len(bounds)
-            for b in stream_bounds:
-                if not b:
-                    uniform_words.append(word)
-                    word += 1
-                    continue
-                bounds.append(b)
-                if b == 1:  # any half times 1 is below 2**32: it gives 0 and is never rejected, so it draws nothing
-                    integer_halves.append(0)
-                elif kept[stream] is None:
-                    integer_halves.append(2 * word)
-                    kept[stream], word = 2 * word + 1, word + 1
-                else:
-                    integer_halves.append(kept[stream])
-                    kept[stream] = None
-            blocks.append(slice(start, word))
-            slices.append((slice(first_uniform, len(uniform_words)), slice(first_integer, len(bounds))))
-        b = np.array(bounds, dtype=np.uint64)
-        passes.append(
-            _Pass(
-                tuple(part), blocks, [block.stop - block.start for block in blocks], carry,
-                np.array(uniform_words, dtype=np.intp), np.array(integer_halves, dtype=np.intp), b, (2**32 - b) % b,
-                slices,
-            )
-        )
-    return tuple(passes)
+    blocks, uniform_words, integer_halves, bounds = [], [], [], []
+    for stream_bounds in streams:
+        word = start = blocks[-1].stop if blocks else 0
+        kept = None
+        for b in stream_bounds:
+            if not b:
+                uniform_words.append(word)
+                word += 1
+                continue
+            bounds.append(b)
+            if b == 1:  # any half times 1 is below 2**32: it gives 0 and is never rejected, so it draws nothing
+                integer_halves.append(0)
+            elif kept is None:
+                integer_halves.append(2 * word)
+                kept, word = 2 * word + 1, word + 1
+            else:
+                integer_halves.append(kept)
+                kept = None
+        blocks.append(slice(start, word))
+    b = np.array(bounds, dtype=np.uint64)
+    uniform_words, integer_halves = np.array(uniform_words, dtype=np.intp), np.array(integer_halves, dtype=np.intp)
+    return streams, blocks, uniform_words, integer_halves, b, (2**32 - b) % b
 
 
 class RunDraws(NamedTuple):
@@ -360,12 +301,6 @@ class RunDraws(NamedTuple):
     stages 5 to 7. A recipe is 2l+1 integers: a basis bit and an index per
     decoy, then the carrier slot. ``adversary`` is its taps' coins and their
     uniforms, in transmit order: first hops, then second hops.
-
-    A run that taps holds only what it reads up to step 3, and ``late``
-    gives the rest when it reaches step 4: a ``RunDraws`` whose ``parties``
-    are the step-4 recipes, ``measurer`` the measurer's uniforms and
-    ``adversary`` the second hops' taps. ``late`` is None when the lists hold
-    every draw.
     """
 
     root: list[int]
@@ -373,125 +308,61 @@ class RunDraws(NamedTuple):
     parties: list[list]
     measurer: list[float]
     adversary: tuple[list[int], list[float]]
-    late: Callable[[], RunDraws] | None = None
-
-
-def _draw(
-    layout: _Pass, streams: list[list], carried: np.ndarray | None, redrawn: dict[int, list]
-) -> tuple[list[list], list[list], np.ndarray, dict[int, list]]:
-    """One pass of ``layout`` over a chunk of runs, in one numpy pass: each run's uniforms and integers.
-
-    ``carried`` holds each run's words that ``layout.carry`` names, from the
-    previous pass's row. A run with a rejected integer is redrawn by
-    :func:`_scalar_draws`, which reads on past each block, and so is each run
-    of ``redrawn``, a map from a run redrawn in the previous pass to its
-    streams' kept halves. Also returns the row of raw words and the kept
-    halves of each run this pass redrew.
-    """
-    raw = [bg.random_raw(size) for run in streams for bg, size in zip(run, layout.sizes) if size]
-    words = np.concatenate(raw).reshape(len(streams), -1)
-    if layout.carry:
-        words = np.concatenate((carried, words), axis=1)
-    floats = ((words[:, layout.uniform_words] >> 11) * 2.0**-53).tolist()
-    # numpy reads a word's halves low first, whatever the host order
-    products = words.astype("<u8", copy=False).view("<u4")[:, layout.integer_halves] * layout.integer_bounds
-    ints = (products >> 32).tolist()
-    rejected = np.flatnonzero(((products & _MASK32) < layout.thresholds).any(axis=1)).tolist()
-    kept_after = {}
-    for i in sorted(set(rejected).union(redrawn)):
-        if i in redrawn:
-            kept = redrawn[i]
-        else:  # drawn by the array pass before: each stream keeps its carried word's high half, if any
-            kept = [None] * len(layout.bounds)
-            for slot, (stream, _) in enumerate(layout.carry):
-                kept[stream] = int(words[i, slot]) >> 32
-        floats[i], ints[i], kept_after[i] = [], [], []
-        for bg, stream_bounds, block, half in zip(streams[i], layout.bounds, layout.blocks, kept):
-            more = iter(bg.random_raw, None)  # the words past the block, one at a time
-            drawn, half = _scalar_draws(chain(words[i, block].tolist(), more), stream_bounds, half)
-            floats[i] += [value for b, value in zip(stream_bounds, drawn) if not b]
-            ints[i] += [value for b, value in zip(stream_bounds, drawn) if b]
-            kept_after[i].append(half)
-    return floats, ints, words, kept_after
-
-
-def _runs(layout: _Pass, floats: list[list], ints: list[list], lates: Iterable) -> list[RunDraws]:
-    """Each run's ``RunDraws`` from its uniforms and integers in ``layout``'s stream order."""
-    root, preparer, *parties, measurer, adversary = layout.slices
-    return [
-        RunDraws(
-            row[root[1]],
-            row[preparer[1]],
-            [u[uniforms] + row[integers] for uniforms, integers in parties],
-            u[measurer[0]],
-            (row[adversary[1]], u[adversary[0]]),
-            late,
-        )
-        for u, row, late in zip(floats, ints, lates)
-    ]
-
-
-class _LatePass:
-    """The second pass of a chunk of runs that tap, drawn when one of its runs first reaches step 4.
-
-    Calling it with a run's index in the chunk gives that run's late
-    ``RunDraws``. The first call draws, in one numpy pass, for that run and
-    every later run of the chunk not drawn yet, reading each stream on from
-    where the first pass left it; a run that aborts before step 4 and comes
-    before every run that asks draws nothing more.
-    """
-
-    def __init__(self, layout: _Pass, streams: list[list], carried: np.ndarray, redrawn: dict[int, list]) -> None:
-        self._layout, self._streams, self._carried, self._redrawn = layout, streams, carried, redrawn
-        self._runs: list[RunDraws | None] = [None] * len(streams)
-
-    def __call__(self, i: int) -> RunDraws:
-        stop = len(self._streams)  # the runs from here on are drawn already
-        if i < stop:
-            redrawn = {j - i: kept for j, kept in self._redrawn.items() if i <= j < stop}
-            floats, ints, _, _ = _draw(self._layout, self._streams[i:], self._carried[i:], redrawn)
-            self._runs[i:stop] = _runs(self._layout, floats, ints, repeat(None))
-            del self._streams[i:]
-            self._carried = self._carried[:i]
-        return self._runs[i]
 
 
 def run_draws(
-    params: ProtocolParams, streams: list[list], root_draws: int, plan: tuple[int, tuple[int, ...], int]
+    params: ProtocolParams, streams: list[list], root_draws: int, plan: tuple[int, tuple[int, ...]]
 ) -> list[RunDraws]:
-    """The draws of a chunk of runs of ``params``, each pass computed in one numpy pass over the chunk.
+    """The draws of a chunk of runs of ``params``, computed in one numpy pass over the chunk.
 
     Each run's ``streams`` are its root's bit generator, then the fresh ones of
     its preparer, its n parties, its measurer and its adversary, in that order;
-    an untapped ``plan`` (tap count, each tap's draws, second-hop taps) reads
-    nothing of the last, which may be left out, and makes one pass. A plan
-    that taps makes a second pass, for a run and the rest of its chunk, when
-    that run asks for its ``RunDraws.late``. The root draws ``root_draws``
-    integers below r, and no raw word if none. One block of raw words per
-    stream holds a pass's draws when no integer is rejected; a run with a
-    rejected integer is redrawn by :func:`_scalar_draws` in that pass and the
-    next.
+    an untapped ``plan`` (tap count, each tap's draws) reads nothing of the last,
+    which may be left out. The root draws ``root_draws`` integers below r, and
+    no raw word if none. One block of raw words per stream holds its draws when
+    no integer is rejected; a run with a rejected integer is redrawn by
+    :func:`_scalar_draws`, which reads on past each block.
     """
-    first, *late = _run_layout(params.n, params.d, params.r, params.l, root_draws, *plan)
-    floats, ints, words, redrawn = _draw(first, streams, None, {})
-    lates = repeat(None)
-    if late:
-        late_pass = _LatePass(late[0], list(streams), words[:, [word for _, word in late[0].carry]], redrawn)
-        lates = [partial(late_pass, i) for i in range(len(streams))]
-    return _runs(first, floats, ints, lates)
+    n, d, r, l = params.n, params.d, params.r, params.l
+    layout, blocks, uniform_words, integer_halves, bounds, thresholds = _run_layout(n, d, r, l, root_draws, *plan)
+    sizes = [block.stop - block.start for block in blocks]
+    raw = [bg.random_raw(size) for run in streams for bg, size in zip(run, sizes)]
+    words = np.concatenate(raw).reshape(len(streams), blocks[-1].stop)
+    floats = ((words[:, uniform_words] >> 11) * 2.0**-53).tolist()
+    # numpy reads a word's halves low first, whatever the host order
+    products = words.astype("<u8", copy=False).view("<u4")[:, integer_halves] * bounds
+    ints = (products >> 32).tolist()
+    for i in np.flatnonzero(((products & _MASK32) < thresholds).any(axis=1)).tolist():
+        floats[i], ints[i] = [], []
+        for bg, stream_bounds, block in zip(streams[i], layout, blocks):
+            more = iter(bg.random_raw, None)  # the words past the block, one at a time
+            drawn, _ = _scalar_draws(chain(words[i, block].tolist(), more), stream_bounds)
+            floats[i] += [value for b, value in zip(stream_bounds, drawn) if not b]
+            ints[i] += [value for b, value in zip(stream_bounds, drawn) if b]
+    recipe = 2 * l + 1
+    second_hops = root_draws + n + 1 + n * recipe
+    coins = second_hops + n * recipe
+    return [
+        RunDraws(
+            row[:root_draws],
+            row[root_draws:second_hops],
+            [u[p * l : (p + 1) * l] + row[second_hops + p * recipe : second_hops + (p + 1) * recipe] for p in range(n)],
+            u[n * l : n * recipe],
+            (row[coins:], u[n * recipe :]),
+        )
+        for u, row in zip(floats, ints)
+    ]
 
 
 def trial_streams(
-    seed: int, trials: range, params: ProtocolParams, root_draws: int, plan: tuple[int, tuple[int, ...], int]
+    seed: int, trials: range, params: ProtocolParams, root_draws: int, plan: tuple[int, tuple[int, ...]]
 ) -> Iterator[RunDraws]:
     """The draws of each run in ``trials`` (a range of step 1), in order; each root draws ``root_draws`` integers.
 
     Trial t's streams are ``default_rng(SeedSequence((seed, t)))``'s and its
     first ``spawn(run_streams(n))``'s, bit for bit, but for the adversary's,
-    which is built only when ``plan`` (tap count, each tap's draws, second-hop
-    taps) taps. They are hashed and drawn a chunk of :func:`chunk_trials`
-    trials at a time, and a tapped chunk's second pass waits for its first run
-    that reaches step 4.
+    which is built only when ``plan`` (tap count, each tap's draws) taps. They are
+    hashed and drawn a chunk of :func:`chunk_trials` trials at a time.
     """
     n_children = run_streams(params.n) - (not plan[0])
     for chunk in _bit_generators(seed, trials, n_children, chunk_trials(params, plan)):

@@ -17,10 +17,7 @@ smaller one. So a numpy change or a protocol change that moves a draw fails
 here instead of silently changing reports. The adversary's draws are pinned
 against ``integers(0, 2)`` and ``random()`` interleaved on the same stream, the
 calls a tap stands for, with an odd coin count and with the rejection branch
-forced on another stream of the run. A run that taps draws in two passes: the
-first must read no word past step 3's draws, and the late pass must be
-numpy's continuation of each stream, across a kept half word and after a
-rejection in either pass.
+forced on another stream of the run.
 """
 from __future__ import annotations
 
@@ -106,7 +103,7 @@ _WORD_EDGES = (0, 2**32, 2**64)
 @settings(max_examples=40, deadline=None)
 @given(seed=_SEEDS, n=st.integers(2, 6), data=st.data())
 def test_trial_streams_of_a_range_are_numpys_across_chunks_and_word_edges(seed, n, data):
-    size = chunk_trials(ProtocolParams(Variant.TWO_TP, n=n, d=2, r=1, l=1), (0, (), 0))
+    size = chunk_trials(ProtocolParams(Variant.TWO_TP, n=n, d=2, r=1, l=1), (0, ()))
     edge = data.draw(st.sampled_from(_WORD_EDGES), label="edge")
     start = data.draw(st.integers(max(edge - size - 2, 0), edge + 2), label="start")
     # either a few trials or more than a chunk
@@ -143,9 +140,9 @@ def test_a_one_trial_chunk_hashes_as_its_row_of_a_longer_chunk(seed, n_children,
 def test_trial_streams_refuse_negative_entropy():
     params = ProtocolParams(Variant.TWO_TP, n=2, d=2, r=1, l=1)
     with pytest.raises(ValueError):
-        next(trial_streams(-1, range(1), params, 0, (0, (), 0)))
+        next(trial_streams(-1, range(1), params, 0, (0, ())))
     with pytest.raises(ValueError):
-        next(trial_streams(1, range(-1, 1), params, 0, (0, (), 0)))
+        next(trial_streams(1, range(-1, 1), params, 0, (0, ())))
 
 
 # --------------------------------------------------------------------------
@@ -258,7 +255,7 @@ def _tap_kept(words: list[int], taps: int, coin: bool) -> int | None:
 
 
 def _numpy_run_draws(
-    params, gens: list[np.random.Generator], root_draws: int, batched: bool, plan: tuple[int, bool, int] = (0, False, 0)
+    params, gens: list[np.random.Generator], root_draws: int, batched: bool, plan: tuple[int, bool] = (0, False)
 ) -> tuple:
     """One run's draws made by numpy's Generator, role by role, as scalar calls or as batched ones."""
     root, prep, *parties, measurer, adversary = gens
@@ -275,53 +272,27 @@ def _numpy_run_draws(
         draw = lambda g, k: [g.random() for _ in range(k)]
         recipes = lambda g, k: [int(g.integers(0, b)) for b in recipe * k]
     preparer = [constant - (r - 1), *pads, *recipes(prep, n)]
-    taps, coin, _ = plan
+    taps, coin = plan
     # a batch of taps is one random(k) when no tap draws a coin; coins interleave, so they stay scalar calls
     adversary = ([], draw(adversary, taps)) if batched and not coin else _numpy_taps(adversary, taps, coin)
     measured = draw(measurer, n * (l + 1))
     return secrets, preparer, [draw(g, l) + recipes(g, 1) for g in parties], measured, adversary
 
 
-def _whole(draws) -> tuple:
-    """A run's draws as one list per role, its late pass's, if any, after its first's."""
-    if draws.late is None:
-        return tuple(draws[:5])
-    late = draws.late()
-    assert late.root == late.preparer == [] and late.late is None
-    parties = [early + rest for early, rest in zip(draws.parties, late.parties)]
-    adversary = tuple(early + rest for early, rest in zip(draws.adversary, late.adversary))
-    return draws.root, draws.preparer, parties, draws.measurer + late.measurer, adversary
-
-
 def _assert_run_draws_are_numpys(
-    params, seed: int, root_draws: int, batched: bool = False, plan: tuple[int, bool, int] = (0, False, 0)
+    params, seed: int, root_draws: int, batched: bool = False, plan: tuple[int, bool] = (0, False)
 ) -> int:
-    """``run_draws`` of one run equals numpy's draws in values and end state; returns the halves numpy rejected,
-    per stream.
-
-    A plan that taps draws in two passes: the first holds the draws up to step 3 and reads no word past them,
-    and the late pass holds the rest.
-    """
+    """``run_draws`` of one run equals numpy's draws in values and end state; returns the halves numpy rejected."""
     root = np.random.SeedSequence(seed)
     streams = [_Recorder(seq) for seq in (root, *root.spawn(run_streams(params.n)))]
     (got,) = run_draws(params, [streams], root_draws, _plan(*plan))
     root = np.random.SeedSequence(seed)
     gens = [np.random.default_rng(seq) for seq in (root, *root.spawn(run_streams(params.n)))]
-    want = _numpy_run_draws(params, gens, root_draws, batched, plan)
-    taps, coin, late_taps = plan
-    assert (got.late is None) == (taps == 0)
-    if taps:
-        # a party's l step-3 uniforms, and the first hops' taps: a coin per tap takes half a word
-        root_values, preparer, parties, _, (coins, tap_uniforms) = want
-        first = taps - late_taps
-        early = [party[: params.l] for party in parties], [], (coins[: first * coin], tap_uniforms[:first])
-        assert tuple(got[:5]) == (root_values, preparer, *early)
-        read = [len(stream.words) for stream in streams[2:]]
-        assert read == [params.l] * params.n + [0, first + (first * coin + 1) // 2]
-    assert _whole(got) == want
+    assert tuple(got) == _numpy_run_draws(params, gens, root_draws, batched, plan)
+    taps, coin = plan
     integers = [len([b for b in bounds if b > 1]) for bounds in _stream_bounds(params, root_draws)] + [taps * coin]
     uniforms = [0, 0] + [params.l] * params.n + [params.n * (params.l + 1), taps]
-    rejected = []
+    rejected = 0
     for stream, gen, k, u in zip(streams, gens, integers, uniforms):
         # numpy read the words the model read, and keeps the last one's high half or nothing; a role's last
         # word holds an integer, but the adversary's last word may be a uniform's
@@ -329,7 +300,7 @@ def _assert_run_draws_are_numpys(
         if stream is streams[-1]:
             kept = _tap_kept(stream.words, taps, coin)
         _assert_same_end_state(stream.words, stream.start, kept, gen)
-        rejected.append(2 * (len(stream.words) - u) - (kept is not None) - k)
+        rejected += 2 * (len(stream.words) - u) - (kept is not None) - k
     return rejected
 
 
@@ -339,16 +310,14 @@ def _stream_bounds(params, root_draws: int) -> list[list[int]]:
     return [[r] * root_draws, [d - r + 1] + [r] * n + recipe * n, *[recipe] * n, []]
 
 
-def _plan(taps: int, coin: bool, late: int = 0) -> tuple[int, tuple[int, ...], int]:
-    """``tap_plan``'s form of ``taps`` taps that each draw a coin, if ``coin``, then a uniform, the last ``late``
-    of them on second hops."""
-    return taps, ((2, 0) if coin else (0,)) if taps else (), late
+def _plan(taps: int, coin: bool) -> tuple[int, tuple[int, ...]]:
+    """``tap_plan``'s form of ``taps`` taps that each draw a coin, if ``coin``, then a uniform."""
+    return taps, ((2, 0) if coin else (0,)) if taps else ()
 
 
-def _plans(n: int, l: int) -> list[tuple[int, bool, int]]:
-    """Untapped; n(l+1) taps (an insider's count), on second hops without a coin (tp1-mr's) and on first hops
-    with one; an outsider's 2n(l+1) fair-coin taps, half of them on second hops."""
-    return [(0, False, 0), (n * (l + 1), False, n * (l + 1)), (n * (l + 1), True, 0), (2 * n * (l + 1), True, n * (l + 1))]
+def _plans(n: int, l: int) -> list[tuple[int, bool]]:
+    """Untapped; n(l+1) taps (an insider's count) without and with a coin; an outsider's 2n(l+1) fair-coin taps."""
+    return [(0, False), (n * (l + 1), False), (n * (l + 1), True), (2 * n * (l + 1), True)]
 
 
 @pytest.mark.parametrize("batched", (False, True), ids=("scalar calls", "array and size= calls"))
@@ -357,12 +326,11 @@ def _plans(n: int, l: int) -> list[tuple[int, bool, int]]:
 )
 def test_run_draws_are_numpys_draws_for_every_role(n, d, r, l, batched):
     # roots draw n secrets then a key (n + 1), the secrets alone, or nothing; r=1 draws nothing at all.
-    # At n=3, l=2 (and n=5, l=8) n(l+1) coins are odd: the first-hop plan's stream ends on a kept half,
-    # and the outsider's first pass does, which its late pass reads first
+    # At n=3, l=2 (and n=5, l=8) n(l+1) coins are odd, so the adversary's stream ends on a kept half
     params = SimpleNamespace(n=n, d=d, r=r, l=l)
     for seed in range(8):
         for root_draws, plan in zip((0, n, n + 1, n + 1), _plans(n, l)):
-            assert not any(_assert_run_draws_are_numpys(params, seed, root_draws, batched, plan))
+            assert _assert_run_draws_are_numpys(params, seed, root_draws, batched, plan) == 0
 
 
 @pytest.mark.parametrize("d, l, seeds", [(65281, 1024, SEEDS_65281), (2**31 + 1, 2, range(3)), (3 * 2**30, 2, range(3))])
@@ -370,24 +338,8 @@ def test_run_draws_redraw_a_rejected_run_as_numpy_does(d, l, seeds):
     # bounds past MAX_DIM are not a protocol's, but they make a quarter to a half of all index draws rejections;
     # the redrawn run's adversary draws n(l+1) + 1 coins and uniforms interleaved, an odd count
     params = SimpleNamespace(n=2, d=d, r=2, l=l)
-    for plan in ((0, False, 0), (params.n * (l + 1) + 1, True, params.n * (l + 1))):
-        assert all(any(_assert_run_draws_are_numpys(params, seed, params.n + 1, plan=plan)) for seed in seeds)
-
-
-@pytest.mark.parametrize("plan", [(18, True, 9), (18, False, 9), (9, False, 9), (9, False, 0)], ids=repr)
-def test_the_late_pass_is_numpys_continuation_after_a_rejection_in_either_pass(plan):
-    # two-tp n=3, l=2 as an outsider taps it, with a coin (ir-random) or without, as tp1-mr taps it (second hops
-    # only) and as tp2-mr does (first hops only). ir-random's 9 first-hop coins are odd, so its first pass ends on a
-    # kept half that the late pass's first coin reads. At d = 3 * 2**30 a quarter of index draws are rejected: the
-    # preparer's in the first pass, and the parties' step-4 recipes in the late one. A run redrawn in the first pass
-    # is redrawn in the late one too, and one redrawn only in the late pass starts from the first pass's kept halves
-    params = SimpleNamespace(n=3, d=3 * 2**30, r=2, l=2)
-    passes = set()
-    for seed in range(40):
-        root, preparer, *parties, measurer, adversary = _assert_run_draws_are_numpys(params, seed, 0, plan=plan)
-        assert root == measurer == adversary == 0
-        passes.add((preparer > 0, any(parties)))
-    assert passes == {(False, False), (True, False), (False, True), (True, True)}
+    for plan in ((0, False), (params.n * (l + 1) + 1, True)):
+        assert all(_assert_run_draws_are_numpys(params, seed, params.n + 1, plan=plan) > 0 for seed in seeds)
 
 
 @pytest.mark.parametrize("kind", (np.random.PCG64DXSM, np.random.Philox, np.random.SFC64), ids=lambda k: k.__name__)
@@ -397,9 +349,9 @@ def test_run_draws_are_numpys_on_the_other_bit_generators_of_64_bit_words(kind):
     for seed in range(8):
         root = np.random.SeedSequence(seed)
         seqs = [root, *root.spawn(run_streams(params.n))]
-        (got,) = run_draws(params, [[kind(seq) for seq in seqs]], params.n + 1, (0, (), 0))
+        (got,) = run_draws(params, [[kind(seq) for seq in seqs]], params.n + 1, (0, ()))
         want = _numpy_run_draws(params, [np.random.Generator(kind(seq)) for seq in seqs], params.n + 1, False)
-        assert _whole(got) == want
+        assert tuple(got) == want
 
 
 @pytest.mark.parametrize("attack", ("none", "ir-random", "ir-fixed-t2"))
@@ -409,8 +361,7 @@ def test_a_chunk_draws_what_its_runs_draw_one_at_a_time(attack):
     size = chunk_trials(params, plan)
     chunked = list(trial_streams(9, range(size + 2), params, params.n + 1, plan))
     alone = [next(trial_streams(9, range(t, t + 1), params, params.n + 1, plan)) for t in (0, size - 1, size, size + 1)]
-    # the chunk's late pass runs when its last run asks first, and then the other runs take theirs from it
-    assert [_whole(chunked[t]) for t in (size - 1, 0, size + 1, size)] == [_whole(alone[i]) for i in (1, 0, 3, 2)]
+    assert [chunked[t] for t in (0, size - 1, size, size + 1)] == alone
 
 
 # --------------------------------------------------------------------------
@@ -435,7 +386,7 @@ def _one_run(params, seed: int):
     """A run's draws from ``SeedSequence(seed)``'s first spawn, its streams, and numpy's Generators on the same streams."""
     seqs = np.random.SeedSequence(seed).spawn(run_streams(params.n))
     streams = [_Recorder(seq) for seq in seqs]
-    (got,) = run_draws(params, [[np.random.PCG64(seed), *streams]], 0, (0, (), 0))
+    (got,) = run_draws(params, [[np.random.PCG64(seed), *streams]], 0, (0, ()))
     return got, streams, [np.random.default_rng(seq) for seq in np.random.SeedSequence(seed).spawn(run_streams(params.n))]
 
 
@@ -560,7 +511,7 @@ def test_a_runs_taps_read_its_adversary_stream_in_transmit_order(attack):
     # full tolerance runs every trial through both hops
     config = ExperimentConfig("two-tp", 3, 5, 2, 2, attack=attack, trials=4, seed=11, threshold=1.0)
     params, strategy = config.validate()
-    taps, per_tap, _ = tap_plan(params, strategy)
+    taps, per_tap = tap_plan(params, strategy)
     coin = 2 in per_tap
     first_links, second_links = run_links(params, strategy)
     assert taps == (params.l + 1) * sum(link.tapper is not None for link in first_links + second_links)

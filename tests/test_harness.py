@@ -37,7 +37,7 @@ from qpc_sim import (
     sweep,
 )
 import qpc_sim
-from qpc_sim import cli, harness, streams
+from qpc_sim import cli, harness
 from qpc_sim.cli import main
 from qpc_sim.harness import CSV_COLUMNS, derive_cell_seed
 from qpc_sim.channel import OUTSIDER
@@ -198,7 +198,7 @@ def test_trial_streams_are_a_pure_function_of_seed_and_trial():
     params = ProtocolParams(Variant.ONE_TP, n=2, d=14, r=5, l=2)
 
     def draws(seed, trials):
-        return [run[:4] for run in trial_streams(seed, trials, params, params.n + 1, (0, (), 0))]
+        return [run[:4] for run in trial_streams(seed, trials, params, params.n + 1, (0, ()))]
 
     assert draws(5, range(7, 9)) == draws(5, range(7, 9))
     # a trial draws the same whichever chunk, or chunk position, it comes in
@@ -224,7 +224,7 @@ def test_trials_replay_byte_identically():
 
 
 # a trial of n=2 hashes (n + 3) + 1 streams; this config's last two trials are in a second chunk
-CHUNK = chunk_trials(ProtocolParams(Variant.TWO_TP, n=2, d=2, r=1, l=1), (0, (), 0))
+CHUNK = chunk_trials(ProtocolParams(Variant.TWO_TP, n=2, d=2, r=1, l=1), (0, ()))
 MANY = ExperimentConfig(variant="two-tp", n=2, d=2, r=1, l=1, trials=CHUNK + 2, seed=11)
 
 
@@ -258,36 +258,6 @@ def test_a_range_of_trial_runs_is_each_trial_run_alone(config):
 
     runs = list(map(replay, harness._trial_runs(config, trials)))
     assert runs == [replay(run_trial(config, t)) for t in trials]
-
-
-@pytest.mark.parametrize("threshold", (0.0, 0.35, 1.0))
-def test_a_chunk_draws_its_late_pass_once_from_its_first_run_past_step_3(monkeypatch, threshold):
-    # the intercept shape: at threshold 0 every run aborts at step 3, so no chunk makes a late pass; at 0.35 some
-    # do and some do not, and at 1 every run reaches step 4, so the late pass is the whole chunk's
-    config = ExperimentConfig("two-tp", 2, 4, 2, 32, attack="ir-random", trials=45, seed=5, threshold=threshold)
-    params, strategy = config.validate()
-    size = chunk_trials(params, tap_plan(params, strategy))
-    passes, draw = [], streams._draw
-
-    def counted(layout, runs, *rest):
-        passes.append(len(runs))
-        return draw(layout, runs, *rest)
-
-    monkeypatch.setattr(streams, "_draw", counted)
-    report = run_experiment(config)
-    chunks = [report.trials[start : start + size] for start in range(0, config.trials, size)]
-    assert [len(rows) for rows in chunks] == [size] * 3 + [config.trials - 3 * size]
-    late = []  # each chunk's late pass: its runs from the first that reaches step 4 on, or None
-    for rows in chunks:
-        reached = [i for i, row in enumerate(rows) if row["aborted_at"] != "step3"]
-        late.append(len(rows) - reached[0] if reached else None)
-    assert passes == [k for rows, tail in zip(chunks, late) for k in (len(rows), tail) if k is not None]
-    if threshold == 0.0:
-        assert late == [None] * 4
-    elif threshold == 1.0:
-        assert late == [len(rows) for rows in chunks]
-    else:  # a chunk whose first run aborts draws its late pass from a later run on
-        assert any(tail is not None and tail < len(rows) for rows, tail in zip(chunks, late))
 
 
 def _trial_row(run) -> dict:
@@ -436,14 +406,22 @@ def test_an_audited_replay_compares_no_params_by_value():
 
 
 @pytest.mark.parametrize("attack", ("none", "ir-random", "ir-fixed-t1", "tp1-mr"))
-def test_a_fresh_equal_config_runs_with_no_python_eq_or_hash(attack):
+def test_a_fresh_equal_config_pays_no_python_eq_or_hash_for_its_run_shape(attack):
     # cli.main builds a fresh config per call, so each trial's run_links and tap_plan hit an equal params object
-    # left by an earlier config; by value they called the dataclass __eq__ and __hash__ and Enum.__hash__
+    # left by an earlier config; by value they called the dataclass __eq__ and __hash__ and Enum.__hash__. The
+    # Enum.__hash__ calls left are the wiring lookups: one per trial, as a run of the warmed config makes, and one
+    # in the fresh config's own validation
     call_counts = _load_script("call_counts")
     config = ExperimentConfig(variant="two-tp", n=2, d=4, r=2, l=8, attack=attack, trials=6, seed=3)
-    counts = call_counts.count_calls(config)
-    assert counts["python", "qpc_sim.protocol.ProtocolParams.__post_init__"] == 1  # the counted config is fresh
-    assert not [name for kind, name in counts if kind == "python" and name.endswith((".__eq__", ".__hash__"))]
+    fresh = call_counts.count_calls(config)
+    same = call_counts._counted(run_experiment, (config,), (config,))
+    assert fresh["python", "qpc_sim.protocol.ProtocolParams.__post_init__"] == 1  # the counted config is fresh
+
+    def eq_and_hash(counts):
+        return {name: calls for (kind, name), calls in counts.items() if name.endswith(("__eq__", "__hash__"))}
+
+    assert eq_and_hash(same) == {"enum.Enum.__hash__": config.trials}
+    assert eq_and_hash(fresh) == {"enum.Enum.__hash__": config.trials + 1}
 
 
 @pytest.mark.parametrize("config", (HONEST, ATTACKED, ONE_TP), ids=("honest", "attacked", "one-tp"))
