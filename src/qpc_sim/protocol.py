@@ -323,9 +323,9 @@ _SHAPES = 64
 
 
 def _shape_memo(build):
-    """Remember ``build(params, strategy)`` for the last ``_SHAPES`` run shapes, keyed by plain values.
+    """Remember ``build(params, strategy)`` for up to ``_SHAPES`` run shapes, keyed by plain values.
 
-    The key is ``params._key`` and the strategy's fields, its basis by value:
+    A full memo is emptied before it takes a new shape. The key is ``params._key`` and the strategy's fields, its basis by value:
     tuples of bools, numbers and strings, so a hit by an equal params object
     of another config hashes and compares in C, with no dataclass or Enum
     ``__eq__`` or ``__hash__`` call. ``cache_clear`` empties it, as an

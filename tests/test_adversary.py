@@ -36,7 +36,7 @@ from qpc_sim import (
     strategy_from_id,
     tapped_checked_decoys,
 )
-from qpc_sim.adversary import MAX_AUDIT_PARTIES, View
+from qpc_sim.adversary import MAX_AUDIT_PARTIES, AttackStrategy, View, tap_plan
 from qpc_sim.channel import OUTSIDER, PUBLIC, ClassicalBus, Transcript
 from qpc_sim.harness import _trial_runs
 from qpc_sim.protocol import pad_sum_range, run_links
@@ -131,6 +131,25 @@ def test_run_links_tap_exactly_the_hops_of_the_table(attack_id, variant, n):
     assert {link.label for link in links if link.tapper is strategy} == expected
     assert all(link.tapper is None for link in links if link.label not in expected)
     assert tapped_checked_decoys(strategy, params) == params.l * len(expected)
+
+
+def test_the_run_shape_memos_tell_strategies_apart_by_every_field():
+    # the memos key a strategy by its fields, not its id alone: a strategy of another basis, activity or owner
+    # under the same id is another run shape
+    params = ProtocolParams(Variant.TWO_TP, n=2, d=5, r=2, l=3)
+    base = AttackStrategy("custom", active=True, owner=OUTSIDER)
+    variants = [
+        base,
+        dataclasses.replace(base, basis=Basis.FOURIER),
+        dataclasses.replace(base, basis=Basis.COMPUTATIONAL),
+        dataclasses.replace(base, active=False),
+        dataclasses.replace(base, owner="TP1"),
+    ]
+    plans = [tap_plan(params, strategy) for strategy in variants]
+    # an outsider taps all four links, TP1 the two second hops; l+1 = 4 taps a link
+    assert plans == [(16, (2, 0)), (16, (0,)), (16, (0,)), (0, ()), (8, (2, 0))]
+    for strategy in variants:
+        assert all(link.tapper in (None, strategy) for link in itertools.chain(*run_links(params, strategy)))
 
 
 # ---------------------------------------------------------------------------

@@ -199,7 +199,7 @@ def test_the_runners_refuse_a_generator_of_32_bit_words():
 @pytest.mark.parametrize(
     "drawn_for, attack",
     [("none", "ir-random"), ("none", "ir-fixed-t1"), ("ir-fixed-t1", "ir-random"), ("ir-random", "tp2-mr"),
-     ("ir-random", "none")],
+     ("ir-random", "none"), ("tp2-mr", "ir-fixed-t1")],
 )
 def test_the_runners_refuse_draws_made_for_another_tap_plan(drawn_for, attack):
     # a trial's RunDraws hold the adversary draws of one tap plan: a run under another would read
