@@ -27,7 +27,6 @@ from .protocol import (
     TP1_ROLE,
     TP2_ROLE,
     Variant,
-    _shape_memo,
     pad_sum_range,
     party_role,
     run_links,
@@ -91,7 +90,7 @@ class AttackStrategy:
         return outcome.post_state
 
 
-@_shape_memo
+@functools.lru_cache(maxsize=64)
 def tap_plan(params: ProtocolParams, strategy: AttackStrategy | None) -> tuple[int, tuple[int, ...]]:
     """The taps of one run, l+1 per tapped link of ``run_links``, and each tap's draws as ``tap`` reads them.
 

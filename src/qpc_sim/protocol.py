@@ -19,8 +19,8 @@ Each role reads its draws, in order, from lists that ``streams.run_draws``
 computed before the run, the adversary's taps included; a run builds no
 ``Generator``. Nor does a run build its links: ``run_links`` states them once
 per run shape, and ``adversary.tap_plan`` reads the taps off them, both
-remembered under plain keys. A decoy check discloses, measures and counts
-mismatches in one pass over the decoys.
+remembered by ``functools.lru_cache``. A decoy check discloses, measures and
+counts mismatches in one pass over the decoys.
 """
 from __future__ import annotations
 
@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
-import numpy as np
-
 from . import adversary as adversary_module  # a cycle: adversary.py imports this module, so read it at call time
 from .channel import (
     OUTSIDER,
@@ -44,7 +42,7 @@ from .channel import (
     transmit,
 )
 from .qudit import Basis, BasisLabel, ParameterError, _expect, _expect_int, _plain_int
-from .streams import RunDraws, run_draws, run_streams
+from .streams import RunDraws
 
 # Every qudit a run creates is a basis label. These module names are the seams
 # where the tests plug in the dense oracle's functions of the same names, and
@@ -131,10 +129,8 @@ class ProtocolParams:
             raise ParameterError(f"two-tp requires d >= 2*r - 1 (got d={self.d}, r={self.r})")
         if self.variant is Variant.ONE_TP and self.d < 3 * self.r - 1:
             raise ParameterError(f"one-tp requires d >= 3*r - 1 (got d={self.d}, r={self.r})")
-        # hash once, from values that hash alike in every process, since a pickle keeps it; the memos of a run's
-        # shape key on the plain tuple itself, which compares in C where the dataclass __eq__ is Python
+        # hash once, from values that hash alike in every process, since a pickle keeps it
         fields = (self.variant is Variant.TWO_TP, self.n, self.d, self.r, self.l, self.error_threshold)
-        object.__setattr__(self, "_key", fields)
         object.__setattr__(self, "_hash", hash(fields))
 
     def __hash__(self) -> int:
@@ -297,62 +293,23 @@ def _check_shared_key(shared_key: int, params: ProtocolParams) -> int:
     return key
 
 
-def _check_run(params: ProtocolParams, variant: Variant, adversary: object, rng: object) -> None:
-    """A runner's entry checks besides secrets and key: params of ``variant``, an attack or None, and ``rng``.
+def _check_run(params: ProtocolParams, variant: Variant, adversary: object, draws: object) -> None:
+    """A runner's entry checks besides secrets and key: params of ``variant``, an attack or None, and ``draws``.
 
-    ``rng`` is a Generator of 64-bit words, which MT19937's 32-bit words are not, or a trial's ``RunDraws``
-    whose adversary draws fit ``adversary_module.tap_plan`` of this run.
+    ``draws`` is a trial's ``RunDraws`` whose adversary draws fit ``adversary_module.tap_plan`` of this run.
     """
     _expect(params, ProtocolParams, "params")
     if params.variant is not variant:
         raise ParameterError(f"params are for {params.variant.value}, expected {variant.value}")
     if adversary is not None:
         _expect(adversary, adversary_module.AttackStrategy, "adversary")
-    if isinstance(rng, RunDraws):
-        taps, per_tap = adversary_module.tap_plan(params, adversary)
-        if tuple(map(len, rng.adversary)) != (taps * per_tap.count(2), taps * per_tap.count(0)):
-            raise ParameterError(f"rng's adversary draws do not fit this run's {taps} taps, each drawing {per_tap}")
-    else:
-        _expect(rng, np.random.Generator, "rng")
-        if isinstance(rng.bit_generator, np.random.MT19937):
-            raise ParameterError("rng must draw 64-bit words; its bit generator is MT19937")
+    _expect(draws, RunDraws, "draws")
+    taps, per_tap = adversary_module.tap_plan(params, adversary)
+    if tuple(map(len, draws.adversary)) != (taps * per_tap.count(2), taps * per_tap.count(0)):
+        raise ParameterError(f"the adversary draws do not fit this run's {taps} taps, each drawing {per_tap}")
 
 
-#: Run shapes, (params, strategy) pairs, that each memo of :func:`_shape_memo` keeps.
-_SHAPES = 64
-
-
-def _shape_memo(build):
-    """Remember ``build(params, strategy)`` for up to ``_SHAPES`` run shapes, keyed by plain values.
-
-    A full memo is emptied before it takes a new shape. The key is ``params._key`` and the strategy's fields, its basis by value:
-    tuples of bools, numbers and strings, so a hit by an equal params object
-    of another config hashes and compares in C, with no dataclass or Enum
-    ``__eq__`` or ``__hash__`` call. ``cache_clear`` empties it, as an
-    ``lru_cache``'s does.
-    """
-    cache: dict = {}
-
-    @functools.wraps(build)
-    def memo(params, strategy):
-        if strategy is None:
-            key = params._key, None
-        else:
-            basis = strategy.basis
-            key = params._key, strategy.id, strategy.active, basis if basis is None else basis._value_, strategy.owner
-        try:
-            return cache[key]
-        except KeyError:
-            if len(cache) >= _SHAPES:
-                cache.clear()
-            value = cache[key] = build(params, strategy)
-            return value
-
-    memo.cache_clear = cache.clear
-    return memo
-
-
-@_shape_memo
+@functools.lru_cache(maxsize=64)
 def run_links(
     params: ProtocolParams, adversary: "AttackStrategy | None"
 ) -> tuple[tuple[QuantumLink, ...], tuple[QuantumLink, ...]]:
@@ -420,7 +377,7 @@ def _run_protocol(
     secrets: tuple[int, ...],
     shared_key: int | None,
     adversary: "AttackStrategy | None",
-    rng: np.random.Generator | RunDraws,
+    draws: RunDraws,
 ) -> tuple[Transcript, ComparisonOutcome]:
     n, l, threshold = params.n, params.l, params.error_threshold
     offset = shared_key or 0
@@ -429,15 +386,9 @@ def _run_protocol(
 
     transcript = Transcript()
     bus = ClassicalBus(transcript)
-    # Fixed stream split keeps every role's draws aligned across runs that
-    # differ only in the secret values. A plain Generator's run draws from
-    # its first spawn, through the same pass as a chunk of trials.
-    if not isinstance(rng, RunDraws):
-        streams = [rng.bit_generator, *rng.bit_generator.spawn(run_streams(n))]
-        rng = run_draws(params, [streams], 0, adversary_module.tap_plan(params, adversary))[0]
-    prep_draws, measure_draws = iter(rng.preparer), iter(rng.measurer)
-    party_draws = [iter(draws) for draws in rng.parties]
-    tap_draws = tuple(map(iter, rng.adversary))
+    prep_draws, measure_draws = iter(draws.preparer), iter(draws.measurer)
+    party_draws = [iter(own) for own in draws.parties]
+    tap_draws = tuple(map(iter, draws.adversary))
 
     transcript.record(
         PUBLIC,
@@ -525,16 +476,16 @@ def run_two_tp_protocol(
     params: ProtocolParams,
     secrets: Sequence[int],
     adversary: "AttackStrategy | None",
-    rng: np.random.Generator | RunDraws,
+    draws: RunDraws,
 ) -> tuple[Transcript, ComparisonOutcome]:
-    """One run of the two-third-party variant, drawing from ``rng``'s first spawn or from a trial's ``RunDraws``.
+    """One run of the two-third-party variant, reading its draws from a trial's ``RunDraws``.
 
     The preparing TP knows pads and the run constant but never sees a carrier
     after encoding; the measuring TP sees encoded values but no pads. The pad
     complements travel over the public bus so the measuring TP can rank.
     """
-    _check_run(params, Variant.TWO_TP, adversary, rng)
-    return _run_protocol(params, _normalize_secrets(secrets, params), None, adversary, rng)
+    _check_run(params, Variant.TWO_TP, adversary, draws)
+    return _run_protocol(params, _normalize_secrets(secrets, params), None, adversary, draws)
 
 
 def run_one_tp_protocol(
@@ -542,14 +493,14 @@ def run_one_tp_protocol(
     secrets: Sequence[int],
     shared_key: int,
     adversary: "AttackStrategy | None",
-    rng: np.random.Generator | RunDraws,
+    draws: RunDraws,
 ) -> tuple[Transcript, ComparisonOutcome]:
-    """One run of the single-third-party variant, drawing as :func:`run_two_tp_protocol` does.
+    """One run of the single-third-party variant, reading its draws as :func:`run_two_tp_protocol` does.
 
     The lone TP plays both ends, so every party also shifts by a key shared
     among the parties but hidden from the TP; complements stay TP-internal and
     nothing about them is broadcast.
     """
-    _check_run(params, Variant.ONE_TP, adversary, rng)
+    _check_run(params, Variant.ONE_TP, adversary, draws)
     values = _normalize_secrets(secrets, params)
-    return _run_protocol(params, values, _check_shared_key(shared_key, params), adversary, rng)
+    return _run_protocol(params, values, _check_shared_key(shared_key, params), adversary, draws)

@@ -5,7 +5,9 @@ import numpy as np
 from hypothesis import strategies as st
 
 from dense_oracle import QuditState
-from qpc_sim import ATTACK_IDS, Variant
+from qpc_sim import ATTACK_IDS, ProtocolParams, Variant
+from qpc_sim.adversary import AttackStrategy, tap_plan
+from qpc_sim.streams import RunDraws, run_draws, run_streams
 
 
 def random_state(d: int, seed: int) -> QuditState:
@@ -13,6 +15,18 @@ def random_state(d: int, seed: int) -> QuditState:
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=d) + 1j * rng.normal(size=d)
     return QuditState(amps / np.linalg.norm(amps))
+
+
+def seeded_draws(params: ProtocolParams, adversary: AttackStrategy | None, seed) -> RunDraws:
+    """The draws of one run of ``params`` under ``adversary`` from the first spawn of ``SeedSequence(seed)``.
+
+    The root stream is ``seed``'s own PCG64 and draws nothing; the preparer,
+    the parties, the measurer and the adversary read the spawned children, as
+    a trial's streams are laid out by ``run_streams``.
+    """
+    root = np.random.SeedSequence(seed)
+    streams = [np.random.PCG64(root), *map(np.random.PCG64, root.spawn(run_streams(params.n)))]
+    return run_draws(params, [streams], 0, tap_plan(params, adversary))[0]
 
 
 def ranking_oracle(values) -> tuple[tuple[int, ...], ...]:

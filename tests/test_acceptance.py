@@ -14,7 +14,7 @@ import math
 import numpy as np
 from scipy import stats
 
-from conftest import ranking_oracle
+from conftest import ranking_oracle, seeded_draws
 from dense_oracle import QuditState, apply_shift, basis_state, measure, overlap, qft
 from qpc_sim import (
     Coalition,
@@ -147,7 +147,7 @@ def test_criterion_06_measuring_tp_insider_statistics():
 
 def _fixed_seed_views(secrets):
     params = ProtocolParams(Variant.TWO_TP, n=3, d=13, r=5, l=8)
-    transcript, _ = run_two_tp_protocol(params, secrets, None, np.random.default_rng(777))
+    transcript, _ = run_two_tp_protocol(params, secrets, None, seeded_draws(params, None, 777))
     def canon(events):
         return json.dumps(events, sort_keys=True, separators=(",", ":"))
     def strip_ordering(events):
@@ -199,7 +199,7 @@ def test_criterion_08_support_soundness():
     seeder = np.random.default_rng(808)
     for _ in range(25):
         secrets = tuple(int(s) for s in seeder.integers(0, 5, size=3))
-        transcript, _ = run_two_tp_protocol(params, secrets, None, np.random.default_rng(int(seeder.integers(2**32))))
+        transcript, _ = run_two_tp_protocol(params, secrets, None, seeded_draws(params, None, int(seeder.integers(2**32))))
         runs += 1
         for target in range(3):
             others = frozenset({f"P{i + 1}" for i in range(3) if i != target})
@@ -271,7 +271,7 @@ def test_criterion_10_exhaustive_small_instances():
             d2 = max(2, 2 * r - 1)
             params2 = ProtocolParams(Variant.TWO_TP, n=n, d=d2, r=r, l=2)
             for secrets in itertools.product(range(r), repeat=n):
-                _, outcome = run_two_tp_protocol(params2, secrets, None, np.random.default_rng(next(seed)))
+                _, outcome = run_two_tp_protocol(params2, secrets, None, seeded_draws(params2, None, next(seed)))
                 runs += 1
                 wrong += not (outcome.completed and outcome.ranking == ranking_oracle(secrets))
 
@@ -279,7 +279,7 @@ def test_criterion_10_exhaustive_small_instances():
             params1 = ProtocolParams(Variant.ONE_TP, n=n, d=d1, r=r, l=2)
             for secrets in itertools.product(range(r), repeat=n):
                 for key in range(r):
-                    _, outcome = run_one_tp_protocol(params1, secrets, key, None, np.random.default_rng(next(seed)))
+                    _, outcome = run_one_tp_protocol(params1, secrets, key, None, seeded_draws(params1, None, next(seed)))
                     runs += 1
                     wrong += not (outcome.completed and outcome.ranking == ranking_oracle(secrets))
     _report(

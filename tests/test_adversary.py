@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import seeded_draws
 from dense_oracle import basis_state, overlap
 from qpc_sim import (
     ATTACK_IDS,
@@ -166,7 +167,7 @@ def test_active_tap_fires_only_on_the_links_it_taps():
     strategy = strategy_from_id("tp1-mr")
     # full tolerance keeps the run alive through both hops
     params = ProtocolParams(Variant.TWO_TP, n=3, d=13, r=5, l=8, error_threshold=1.0)
-    transcript, outcome = run_two_tp_protocol(params, (2, 4, 1), strategy, np.random.default_rng(3))
+    transcript, outcome = run_two_tp_protocol(params, (2, 4, 1), strategy, seeded_draws(params, strategy, 3))
     assert outcome.completed
     taps = [e for e in transcript.events() if e["kind"] == "tap"]
     # every second-hop qudit is measured, no first-hop one is
@@ -195,7 +196,7 @@ def test_tap_events_land_in_the_owners_view_only():
     strategy = strategy_from_id("ir-random")
     # full tolerance keeps the run alive through both hops
     params = ProtocolParams(Variant.TWO_TP, n=3, d=13, r=5, l=8, error_threshold=1.0)
-    transcript, _ = run_two_tp_protocol(params, (2, 4, 1), strategy, np.random.default_rng(3))
+    transcript, _ = run_two_tp_protocol(params, (2, 4, 1), strategy, seeded_draws(params, strategy, 3))
     taps = [e for e in transcript.view(OUTSIDER) if e["kind"] == "tap"]
     # every qudit of every hop got measured: 2 hops x n parties x (l + 1) slots
     assert len(taps) == 2 * params.n * (params.l + 1)
@@ -206,7 +207,7 @@ def test_tap_events_land_in_the_owners_view_only():
 
 def test_insider_tap_events_land_in_that_tps_view():
     strategy = strategy_from_id("tp2-mr")
-    transcript, _ = run_two_tp_protocol(TWO_TP, (2, 4, 1), strategy, np.random.default_rng(3))
+    transcript, _ = run_two_tp_protocol(TWO_TP, (2, 4, 1), strategy, seeded_draws(TWO_TP, strategy, 3))
     taps = [e for e in transcript.view("TP2") if e["kind"] == "tap"]
     assert {e["link"] for e in taps} == {"TP1->P1", "TP1->P2", "TP1->P3"}
     assert all(e["basis"] == "computational" for e in taps)
@@ -362,7 +363,8 @@ def test_insiders_are_invisible_in_the_single_tp_variant():
         for _ in range(20):
             secrets = [int(s) for s in rng.integers(0, ONE_TP.r, size=ONE_TP.n)]
             key = int(rng.integers(0, ONE_TP.r))
-            transcript, outcome = run_one_tp_protocol(ONE_TP, secrets, key, strategy, rng)
+            draws = seeded_draws(ONE_TP, strategy, int(rng.integers(2**32)))
+            transcript, outcome = run_one_tp_protocol(ONE_TP, secrets, key, strategy, draws)
             assert outcome.completed
             assert all(e["kind"] != "tap" for e in transcript.events())
 
@@ -503,7 +505,7 @@ def test_a_coalition_is_one_slotted_frozen_object():
 
 
 def test_coalition_view_merges_member_and_public_events():
-    transcript, _ = run_two_tp_protocol(TWO_TP, (2, 4, 1), None, np.random.default_rng(11))
+    transcript, _ = run_two_tp_protocol(TWO_TP, (2, 4, 1), None, seeded_draws(TWO_TP, None, 11))
     view = coalition_view(transcript, Coalition(frozenset({"P2", "P3"}), target=0))
     kinds = {e["kind"] for e in view.events}
     assert "run_header" in kinds and "classical" in kinds
@@ -520,8 +522,8 @@ def _run(params: ProtocolParams, seed: int = 11):
     rng = np.random.default_rng(seed)
     secrets = tuple(int(s) for s in rng.integers(0, params.r, size=params.n))
     if params.variant is Variant.TWO_TP:
-        return run_two_tp_protocol(params, secrets, None, rng)[0]
-    return run_one_tp_protocol(params, secrets, int(rng.integers(0, params.r)), None, rng)[0]
+        return run_two_tp_protocol(params, secrets, None, seeded_draws(params, None, seed))[0]
+    return run_one_tp_protocol(params, secrets, int(rng.integers(0, params.r)), None, seeded_draws(params, None, seed))[0]
 
 
 @pytest.mark.parametrize(
@@ -690,8 +692,7 @@ def test_allowed_coalitions_are_exactly_what_coalition_view_accepts(variant, n):
 # ---------------------------------------------------------------------------
 
 def _two_tp_run(secrets, seed):
-    rng = np.random.default_rng(seed)
-    return run_two_tp_protocol(TWO_TP, secrets, None, rng)
+    return run_two_tp_protocol(TWO_TP, secrets, None, seeded_draws(TWO_TP, None, seed))
 
 
 def _support_for(transcript, members, target, params):
@@ -715,7 +716,7 @@ def test_measuring_tp_support_always_contains_the_truth():
     rng = np.random.default_rng(2024)
     for _ in range(25):
         secrets = tuple(int(s) for s in rng.integers(0, 5, size=3))
-        transcript, _ = run_two_tp_protocol(TWO_TP, secrets, None, np.random.default_rng(int(rng.integers(2**32))))
+        transcript, _ = run_two_tp_protocol(TWO_TP, secrets, None, seeded_draws(TWO_TP, None, int(rng.integers(2**32))))
         for target in range(3):
             support = _support_for(transcript, {"TP2"}, target, TWO_TP)
             assert secrets[target] in support
@@ -748,7 +749,7 @@ def test_single_tp_support_is_the_key_uncertainty_window():
     for _ in range(15):
         secrets = tuple(int(s) for s in rng.integers(0, 5, size=3))
         key = int(rng.integers(0, 5))
-        transcript, _ = run_one_tp_protocol(ONE_TP, secrets, key, None, np.random.default_rng(int(rng.integers(2**32))))
+        transcript, _ = run_one_tp_protocol(ONE_TP, secrets, key, None, seeded_draws(ONE_TP, None, int(rng.integers(2**32))))
         [prep] = [e for e in transcript.events() if e["kind"] == "carrier_prep"]
         measured = {e["party"]: e["value"] for e in transcript.events() if e["kind"] == "carrier_measurement"}
         for target in range(3):
@@ -759,7 +760,7 @@ def test_single_tp_support_is_the_key_uncertainty_window():
 
 
 def test_single_tp_party_coalition_knows_only_the_key():
-    transcript, _ = run_one_tp_protocol(ONE_TP, (3, 1, 4), 2, None, np.random.default_rng(9))
+    transcript, _ = run_one_tp_protocol(ONE_TP, (3, 1, 4), 2, None, seeded_draws(ONE_TP, None, 9))
     assert _support_for(transcript, {"P2", "P3"}, 0, ONE_TP) == frozenset(range(5))
 
 
@@ -790,9 +791,11 @@ def test_support_at_paper_scale(variant, r):
     for _ in range(3):
         secrets = tuple(int(s) for s in rng.integers(0, r, size=3))
         if variant is Variant.TWO_TP:
-            transcript, _ = run_two_tp_protocol(params, secrets, None, rng)
+            transcript, _ = run_two_tp_protocol(params, secrets, None, seeded_draws(params, None, int(rng.integers(2**32))))
         else:
-            transcript, _ = run_one_tp_protocol(params, secrets, int(rng.integers(0, r)), None, rng)
+            key = int(rng.integers(0, r))
+            draws = seeded_draws(params, None, int(rng.integers(2**32)))
+            transcript, _ = run_one_tp_protocol(params, secrets, key, None, draws)
         for target in range(3):
             supports = {
                 c.members: secret_support(coalition_view(transcript, c), params).candidates

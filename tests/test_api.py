@@ -10,13 +10,12 @@ import re
 import types
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qpc_sim
-from conftest import ANY_VALUE
+from conftest import ANY_VALUE, seeded_draws
 from qpc_sim import (
     Coalition,
     ExperimentConfig,
@@ -71,7 +70,7 @@ _TRANSCRIPT = run_trial(_CONFIG, 0).transcript
 _COALITION = Coalition(frozenset({"TP2"}), 0)
 _TAPPER = strategy_from_id("ir-random")
 
-#: One valid call of each callable export, as its positional arguments (a fresh generator each time).
+#: One valid call of each callable export, as its positional arguments (fresh draws each time).
 #: ATTACK_IDS is the one export that is not called.
 CALLS = {
     "Coalition": lambda: (frozenset({"TP2"}), 0),
@@ -88,9 +87,9 @@ CALLS = {
     "strategy_from_id": lambda: ("ir-random",),
     "tapped_checked_decoys": lambda: (_TAPPER, _TWO_TP),
     "run_experiment": lambda: (_CONFIG,),
-    "run_one_tp_protocol": lambda: (_ONE_TP, (0, 1), 1, _TAPPER, np.random.default_rng(0)),
+    "run_one_tp_protocol": lambda: (_ONE_TP, (0, 1), 1, _TAPPER, seeded_draws(_ONE_TP, _TAPPER, 0)),
     "run_trial": lambda: (_CONFIG, 0),
-    "run_two_tp_protocol": lambda: (_TWO_TP, (0, 1), _TAPPER, np.random.default_rng(0)),
+    "run_two_tp_protocol": lambda: (_TWO_TP, (0, 1), _TAPPER, seeded_draws(_TWO_TP, _TAPPER, 0)),
     "sweep": lambda: (_CONFIG, "d", (5, 7)),
 }
 _CASES = [(name, position) for name, args in CALLS.items() for position in range(len(args()))]
@@ -107,7 +106,7 @@ def test_the_contract_calls_every_export():
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_every_export_runs_or_refuses_junk_in_each_argument(name, position, data):
-    # a non-config passed to run_experiment, run_trial or sweep, a bad params, adversary or rng passed
+    # a non-config passed to run_experiment, run_trial or sweep, a bad params, adversary or draws passed
     # to either runner, and a non-iterable sweep axis or values used to end in AttributeError or TypeError
     args = list(CALLS[name]())
     args[position] = data.draw(_SMALL_N if (name, position) == ("allowed_coalitions", 1) else ANY_VALUE)

@@ -344,7 +344,7 @@ def test_run_draws_redraw_a_rejected_run_as_numpy_does(d, l, seeds):
 
 @pytest.mark.parametrize("kind", (np.random.PCG64DXSM, np.random.Philox, np.random.SFC64), ids=lambda k: k.__name__)
 def test_run_draws_are_numpys_on_the_other_bit_generators_of_64_bit_words(kind):
-    # a runner given a Generator draws from its bit generator's spawn, whatever its kind
+    # run_draws reads raw 64-bit words, so its draws are a Generator's on any bit generator of such words, not only PCG64
     params = SimpleNamespace(n=3, d=13, r=5, l=8)
     for seed in range(8):
         root = np.random.SeedSequence(seed)

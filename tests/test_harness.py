@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ANY_VALUE, int_texts, unparsable
+from conftest import ANY_VALUE, int_texts, seeded_draws, unparsable
 from qpc_sim import (
     ATTACK_IDS,
     ExperimentConfig,
@@ -154,12 +154,12 @@ def test_the_runners_run_or_refuse_any_secrets_and_key(secrets, key):
     # a float or bool secret or key used to be truncated by int()
     two_tp, one_tp = ProtocolParams(Variant.TWO_TP, 2, 9, 5, 2), ProtocolParams(Variant.ONE_TP, 2, 14, 5, 2)
     runs = (
-        lambda rng: run_two_tp_protocol(two_tp, secrets, None, rng),
-        lambda rng: run_one_tp_protocol(one_tp, secrets, key, None, rng),
+        lambda: run_two_tp_protocol(two_tp, secrets, None, seeded_draws(two_tp, None, 0)),
+        lambda: run_one_tp_protocol(one_tp, secrets, key, None, seeded_draws(one_tp, None, 0)),
     )
     for run in runs:
         try:
-            transcript, _ = run(np.random.default_rng(0))
+            transcript, _ = run()
         except ParameterError:
             continue
         transcript.to_json()
@@ -175,9 +175,9 @@ def test_protocol_params_take_a_variant_and_a_real_threshold_or_refuse(variant, 
         return
     assert type(params.variant) is Variant and type(params.error_threshold) is float and d == 14
     if params.variant is Variant.TWO_TP:
-        transcript, _ = run_two_tp_protocol(params, (1, 4), None, np.random.default_rng(0))
+        transcript, _ = run_two_tp_protocol(params, (1, 4), None, seeded_draws(params, None, 0))
     else:
-        transcript, _ = run_one_tp_protocol(params, (1, 4), 3, None, np.random.default_rng(0))
+        transcript, _ = run_one_tp_protocol(params, (1, 4), 3, None, seeded_draws(params, None, 0))
     transcript.to_json()
 
 
@@ -403,25 +403,6 @@ def test_an_audited_replay_compares_no_params_by_value():
     assert counts["python", "qpc_sim.adversary.secret_support"] > 0
     # the dataclass __eq__ is named by the code it is made from, qpc_sim.protocol.__create_fn__.<locals>.__eq__
     assert not [name for _, name in counts if name.startswith("qpc_sim.protocol.") and name.endswith(".__eq__")]
-
-
-@pytest.mark.parametrize("attack", ("none", "ir-random", "ir-fixed-t1", "tp1-mr"))
-def test_a_fresh_equal_config_pays_no_python_eq_or_hash_for_its_run_shape(attack):
-    # cli.main builds a fresh config per call, so each trial's run_links and tap_plan hit an equal params object
-    # left by an earlier config; by value they called the dataclass __eq__ and __hash__ and Enum.__hash__. The
-    # Enum.__hash__ calls left are the wiring lookups: one per trial, as a run of the warmed config makes, and one
-    # in the fresh config's own validation
-    call_counts = _load_script("call_counts")
-    config = ExperimentConfig(variant="two-tp", n=2, d=4, r=2, l=8, attack=attack, trials=6, seed=3)
-    fresh = call_counts.count_calls(config)
-    same = call_counts._counted(run_experiment, (config,), (config,))
-    assert fresh["python", "qpc_sim.protocol.ProtocolParams.__post_init__"] == 1  # the counted config is fresh
-
-    def eq_and_hash(counts):
-        return {name: calls for (kind, name), calls in counts.items() if name.endswith(("__eq__", "__hash__"))}
-
-    assert eq_and_hash(same) == {"enum.Enum.__hash__": config.trials}
-    assert eq_and_hash(fresh) == {"enum.Enum.__hash__": config.trials + 1}
 
 
 @pytest.mark.parametrize("config", (HONEST, ATTACKED, ONE_TP), ids=("honest", "attacked", "one-tp"))

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ranking_oracle
+from conftest import ranking_oracle, seeded_draws
 from dense_oracle import basis_state, overlap
 from qpc_sim import (
     ExperimentConfig,
@@ -183,17 +183,18 @@ def test_the_runners_refuse_secrets_in_no_party_order(secrets):
     # a mapping ran with its keys (1, 0) as the secrets, and a set in hash order
     two_tp, one_tp = ProtocolParams(Variant.TWO_TP, 2, 13, 5, 2), ProtocolParams(Variant.ONE_TP, 2, 14, 5, 2)
     with pytest.raises(ParameterError, match="secrets must be a sequence of integers"):
-        run_two_tp_protocol(two_tp, secrets, None, np.random.default_rng(0))
+        run_two_tp_protocol(two_tp, secrets, None, seeded_draws(two_tp, None, 0))
     with pytest.raises(ParameterError, match="secrets must be a sequence of integers"):
-        run_one_tp_protocol(one_tp, secrets, 1, None, np.random.default_rng(0))
+        run_one_tp_protocol(one_tp, secrets, 1, None, seeded_draws(one_tp, None, 0))
 
 
-def test_the_runners_refuse_a_generator_of_32_bit_words():
-    # the draw model reads 64-bit words; MT19937's are 32 bits, so its integers and uniforms differ
-    with pytest.raises(ParameterError, match="64-bit words"):
-        run_two_tp_protocol(TWO_TP, (1, 4, 0), None, np.random.Generator(np.random.MT19937(0)))
-    with pytest.raises(ParameterError, match="64-bit words"):
-        run_one_tp_protocol(ONE_TP, (1, 4, 0), 2, None, np.random.Generator(np.random.MT19937(0)))
+def test_the_runners_refuse_a_generator_as_draws():
+    # a run reads a trial's RunDraws only; a Generator, of any bit generator, is refused before any stage runs
+    for generator in (np.random.default_rng(3), np.random.Generator(np.random.MT19937(0))):
+        with pytest.raises(ParameterError, match="^draws must be of type RunDraws"):
+            run_two_tp_protocol(TWO_TP, (1, 4, 0), None, generator)
+        with pytest.raises(ParameterError, match="^draws must be of type RunDraws"):
+            run_one_tp_protocol(ONE_TP, (1, 4, 0), 2, None, generator)
 
 
 @pytest.mark.parametrize(
@@ -212,23 +213,6 @@ def test_the_runners_refuse_draws_made_for_another_tap_plan(drawn_for, attack):
         with pytest.raises(ParameterError, match="adversary draws do not fit"):
             runner(params, (1, 0), *key, strategy_from_id(attack), given)
         runner(params, (1, 0), *key, strategy_from_id(attack), own)
-
-
-def test_the_runners_draw_through_no_generator_method():
-    # a plain Generator's run draws from its first spawn's bit generators, its taps' coins and uniforms included
-    class Refusing(np.random.Generator):
-        def integers(self, *args, **kwargs):
-            raise AssertionError("a runner called Generator.integers")
-
-        def random(self, *args, **kwargs):
-            raise AssertionError("a runner called Generator.random")
-
-    for attack in ("none", "ir-random"):
-        strategy = strategy_from_id(attack)
-        want = run_two_tp_protocol(TWO_TP, (1, 4, 0), strategy, np.random.default_rng(3))
-        got = run_two_tp_protocol(TWO_TP, (1, 4, 0), strategy, Refusing(np.random.PCG64(3)))
-        assert got[0].to_json() == want[0].to_json() and got[1] == want[1]
-        run_one_tp_protocol(ONE_TP, (1, 4, 0), 2, strategy, Refusing(np.random.PCG64(3)))
 
 
 @pytest.mark.parametrize("attack", ["none", "ir-random", "tp2-mr"])
@@ -480,7 +464,7 @@ def test_honest_two_tp_runs_rank_correctly_and_add_exactly():
     for seed in range(150):
         rng = np.random.default_rng(seed)
         secrets = tuple(int(s) for s in rng.integers(0, TWO_TP.r, size=TWO_TP.n))
-        transcript, outcome = run_two_tp_protocol(TWO_TP, secrets, None, rng)
+        transcript, outcome = run_two_tp_protocol(TWO_TP, secrets, None, seeded_draws(TWO_TP, None, seed))
         assert outcome.completed
         assert outcome.ranking == ranking_oracle(secrets)
         [prep] = _event(transcript, "carrier_prep")
@@ -496,7 +480,7 @@ def test_honest_one_tp_runs_rank_correctly_and_add_exactly():
         rng = np.random.default_rng(seed)
         secrets = tuple(int(s) for s in rng.integers(0, ONE_TP.r, size=ONE_TP.n))
         key = int(rng.integers(0, ONE_TP.r))
-        transcript, outcome = run_one_tp_protocol(ONE_TP, secrets, key, None, rng)
+        transcript, outcome = run_one_tp_protocol(ONE_TP, secrets, key, None, seeded_draws(ONE_TP, None, seed))
         assert outcome.completed
         assert outcome.ranking == ranking_oracle(secrets)
         [prep] = _event(transcript, "carrier_prep")
@@ -505,11 +489,11 @@ def test_honest_one_tp_runs_rank_correctly_and_add_exactly():
 
 def test_extreme_values_fit_at_the_minimum_dimension():
     params = ProtocolParams(Variant.TWO_TP, n=2, d=9, r=5, l=4)
-    _, outcome = run_two_tp_protocol(params, (4, 4), None, np.random.default_rng(0))
+    _, outcome = run_two_tp_protocol(params, (4, 4), None, seeded_draws(params, None, 0))
     assert outcome.completed and outcome.ranking == ((0, 1),)
 
     params1 = ProtocolParams(Variant.ONE_TP, n=2, d=14, r=5, l=4)
-    _, outcome1 = run_one_tp_protocol(params1, (4, 0), 4, None, np.random.default_rng(0))
+    _, outcome1 = run_one_tp_protocol(params1, (4, 0), 4, None, seeded_draws(params1, None, 0))
     assert outcome1.completed and outcome1.ranking == ((0,), (1,))
 
 
@@ -525,10 +509,10 @@ def test_honest_runs_rank_correctly_on_sampled_small_instances(data):
     seed = data.draw(st.integers(0, 2**32 - 1))
     params = ProtocolParams(variant, n=n, d=d, r=r, l=2)
     if variant is Variant.TWO_TP:
-        _, outcome = run_two_tp_protocol(params, secrets, None, np.random.default_rng(seed))
+        _, outcome = run_two_tp_protocol(params, secrets, None, seeded_draws(params, None, seed))
     else:
         key = data.draw(st.integers(0, r - 1))
-        _, outcome = run_one_tp_protocol(params, secrets, key, None, np.random.default_rng(seed))
+        _, outcome = run_one_tp_protocol(params, secrets, key, None, seeded_draws(params, None, seed))
     assert outcome.completed
     assert outcome.ranking == ranking_oracle(secrets)
     assert outcome.ranking == rank_descending(outcome.scores)
@@ -540,11 +524,11 @@ def test_honest_runs_rank_correctly_on_sampled_small_instances(data):
 
 def test_runners_validate_secret_vectors():
     with pytest.raises(ParameterError):
-        run_two_tp_protocol(TWO_TP, (1, 2), None, np.random.default_rng(0))
+        run_two_tp_protocol(TWO_TP, (1, 2), None, seeded_draws(TWO_TP, None, 0))
     with pytest.raises(ParameterError):
-        run_two_tp_protocol(TWO_TP, (1, 2, 5), None, np.random.default_rng(0))
+        run_two_tp_protocol(TWO_TP, (1, 2, 5), None, seeded_draws(TWO_TP, None, 0))
     with pytest.raises(ParameterError):
-        run_one_tp_protocol(ONE_TP, (1, 2, 3), 5, None, np.random.default_rng(0))
+        run_one_tp_protocol(ONE_TP, (1, 2, 3), 5, None, seeded_draws(ONE_TP, None, 0))
 
 
 @pytest.mark.parametrize(
@@ -553,30 +537,30 @@ def test_runners_validate_secret_vectors():
 def test_runners_refuse_a_secret_that_is_not_an_integer(secrets):
     # (0.7, 1.2, 3) used to run as (0, 1, 3), and (True, False, 1) as (1, 0, 1)
     with pytest.raises(ParameterError, match="^secrets must be"):
-        run_two_tp_protocol(TWO_TP, secrets, None, np.random.default_rng(0))
+        run_two_tp_protocol(TWO_TP, secrets, None, seeded_draws(TWO_TP, None, 0))
     with pytest.raises(ParameterError, match="^secrets must be"):
-        run_one_tp_protocol(ONE_TP, secrets, 1, None, np.random.default_rng(0))
+        run_one_tp_protocol(ONE_TP, secrets, 1, None, seeded_draws(ONE_TP, None, 0))
 
 
 @pytest.mark.parametrize("key", [1.7, 1.0, True, "1", None, [1]], ids=repr)
 def test_the_one_tp_runner_refuses_a_key_that_is_not_an_integer(key):
     # a key of 1.7 used to run as 1
     with pytest.raises(ParameterError, match="^shared_key must be"):
-        run_one_tp_protocol(ONE_TP, (1, 2, 3), key, None, np.random.default_rng(0))
+        run_one_tp_protocol(ONE_TP, (1, 2, 3), key, None, seeded_draws(ONE_TP, None, 0))
 
 
 def test_runners_take_numpy_integers_as_ints():
     def run(secrets, key):
-        return run_one_tp_protocol(ONE_TP, secrets, key, None, np.random.default_rng(4))[0].to_json()
+        return run_one_tp_protocol(ONE_TP, secrets, key, None, seeded_draws(ONE_TP, None, 4))[0].to_json()
 
     assert run(np.array([1, 2, 3]), np.int64(2)) == run((1, 2, 3), 2)
 
 
 def test_runners_reject_params_for_the_other_variant():
     with pytest.raises(ParameterError):
-        run_two_tp_protocol(ONE_TP, (1, 2, 3), None, np.random.default_rng(0))
+        run_two_tp_protocol(ONE_TP, (1, 2, 3), None, seeded_draws(ONE_TP, None, 0))
     with pytest.raises(ParameterError):
-        run_one_tp_protocol(TWO_TP, (1, 2, 3), 0, None, np.random.default_rng(0))
+        run_one_tp_protocol(TWO_TP, (1, 2, 3), 0, None, seeded_draws(TWO_TP, None, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +572,7 @@ def test_same_seed_gives_byte_identical_transcripts(attack):
     strategy = strategy_from_id(attack)
 
     def run():
-        transcript, _ = run_two_tp_protocol(TWO_TP, (2, 4, 1), strategy, np.random.default_rng(99))
+        transcript, _ = run_two_tp_protocol(TWO_TP, (2, 4, 1), strategy, seeded_draws(TWO_TP, strategy, 99))
         return transcript.to_json()
 
     assert run() == run()
@@ -596,7 +580,7 @@ def test_same_seed_gives_byte_identical_transcripts(attack):
 
 def test_one_tp_same_seed_gives_byte_identical_transcripts():
     def run():
-        transcript, _ = run_one_tp_protocol(ONE_TP, (2, 4, 1), 3, None, np.random.default_rng(99))
+        transcript, _ = run_one_tp_protocol(ONE_TP, (2, 4, 1), 3, None, seeded_draws(ONE_TP, None, 99))
         return transcript.to_json()
 
     assert run() == run()
@@ -606,7 +590,7 @@ def test_aborts_trace_back_to_a_failed_check():
     strategy = strategy_from_id("ir-random")
     aborted = 0
     for seed in range(30):
-        transcript, outcome = run_two_tp_protocol(TWO_TP, (2, 4, 1), strategy, np.random.default_rng(seed))
+        transcript, outcome = run_two_tp_protocol(TWO_TP, (2, 4, 1), strategy, seeded_draws(TWO_TP, strategy, seed))
         if outcome.completed:
             continue
         aborted += 1
@@ -625,13 +609,13 @@ def test_full_tolerance_threshold_never_aborts():
     params = ProtocolParams(Variant.TWO_TP, n=2, d=5, r=2, l=4, error_threshold=1.0)
     strategy = strategy_from_id("ir-random")
     for seed in range(10):
-        _, outcome = run_two_tp_protocol(params, (1, 0), strategy, np.random.default_rng(seed))
+        _, outcome = run_two_tp_protocol(params, (1, 0), strategy, seeded_draws(params, strategy, seed))
         assert outcome.completed
 
 
 def test_honest_runs_never_abort_even_at_zero_threshold():
     for seed in range(40):
-        _, outcome = run_two_tp_protocol(TWO_TP, (0, 4, 2), None, np.random.default_rng(seed))
+        _, outcome = run_two_tp_protocol(TWO_TP, (0, 4, 2), None, seeded_draws(TWO_TP, None, seed))
         assert outcome.aborted_at is None
 
 
@@ -640,7 +624,7 @@ def test_honest_runs_never_abort_even_at_zero_threshold():
 # ---------------------------------------------------------------------------
 
 def test_role_views_do_not_leak_other_roles_private_events():
-    transcript, _ = run_two_tp_protocol(TWO_TP, (2, 4, 1), None, np.random.default_rng(5))
+    transcript, _ = run_two_tp_protocol(TWO_TP, (2, 4, 1), None, seeded_draws(TWO_TP, None, 5))
 
     p1 = transcript.view("P1")
     assert all(e["kind"] != "carrier_prep" for e in p1)
@@ -662,7 +646,7 @@ def test_role_views_do_not_leak_other_roles_private_events():
 
 
 def test_second_hop_checks_are_fourier_then_computational():
-    transcript, _ = run_two_tp_protocol(TWO_TP, (2, 4, 1), None, np.random.default_rng(8))
+    transcript, _ = run_two_tp_protocol(TWO_TP, (2, 4, 1), None, seeded_draws(TWO_TP, None, 8))
     phases = [
         e["message"]["phase"]
         for e in transcript.view()
