@@ -405,6 +405,20 @@ def test_an_audited_replay_compares_no_params_by_value():
     assert not [name for _, name in counts if name.startswith("qpc_sim.protocol.") and name.endswith(".__eq__")]
 
 
+@pytest.mark.parametrize("attack", ("none", "ir-random", "ir-fixed-t1", "tp1-mr"))
+def test_a_fresh_equal_config_reuses_the_run_shape_of_an_earlier_one(attack):
+    # cli.main builds a fresh config per call, so its trials look up run_links and tap_plan under an equal
+    # params object and strategy, not the same ones; the caches key by value, so nothing is built again
+    config = ExperimentConfig(variant="two-tp", n=2, d=4, r=2, l=8, attack=attack, trials=6, seed=3)
+    expected = run_experiment(config).canonical_json()
+    before = run_links.cache_info(), tap_plan.cache_info()
+    fresh = ExperimentConfig(variant="two-tp", n=2, d=4, r=2, l=8, attack=attack, trials=6, seed=3)
+    assert run_experiment(fresh).canonical_json() == expected
+    for cache, then in zip((run_links, tap_plan), before):
+        now = cache.cache_info()
+        assert now.misses == then.misses and now.hits >= then.hits + config.trials
+
+
 @pytest.mark.parametrize("config", (HONEST, ATTACKED, ONE_TP), ids=("honest", "attacked", "one-tp"))
 def test_an_experiment_never_hashes_a_stream_through_numpy(monkeypatch, config):
     # every trial's first spawn is the one hashed in its chunk; numpy's SeedSequence is the fallback only

@@ -188,13 +188,14 @@ def test_the_runners_refuse_secrets_in_no_party_order(secrets):
         run_one_tp_protocol(one_tp, secrets, 1, None, seeded_draws(one_tp, None, 0))
 
 
-def test_the_runners_refuse_a_generator_as_draws():
+@pytest.mark.parametrize("bit_generator", (np.random.PCG64, np.random.MT19937), ids=("pcg64", "mt19937"))
+def test_the_runners_refuse_a_generator_as_draws(bit_generator):
     # a run reads a trial's RunDraws only; a Generator, of any bit generator, is refused before any stage runs
-    for generator in (np.random.default_rng(3), np.random.Generator(np.random.MT19937(0))):
-        with pytest.raises(ParameterError, match="^draws must be of type RunDraws"):
-            run_two_tp_protocol(TWO_TP, (1, 4, 0), None, generator)
-        with pytest.raises(ParameterError, match="^draws must be of type RunDraws"):
-            run_one_tp_protocol(ONE_TP, (1, 4, 0), 2, None, generator)
+    generator = np.random.Generator(bit_generator(3))
+    with pytest.raises(ParameterError, match="^draws must be of type RunDraws"):
+        run_two_tp_protocol(TWO_TP, (1, 4, 0), None, generator)
+    with pytest.raises(ParameterError, match="^draws must be of type RunDraws"):
+        run_one_tp_protocol(ONE_TP, (1, 4, 0), 2, None, generator)
 
 
 @pytest.mark.parametrize(
