@@ -17,6 +17,10 @@ Neither tree is written to.
 The script prints one JSON line: each side's median trials/s, the median of
 the per-round ratios change/base, the rounds the change won, whether every
 repeat of both sides gave one digest, and the failed checks of all repeats.
+It also gives the inclusive quartiles, as scripts/bench_record.py takes them,
+of the base's trials/s (``base_q1``, ``base_q3``) and of the ratios
+(``ratio_q1``, ``ratio_q3``), so that a verdict can be read against the spread
+of the base's own rounds.
 
 Example:
     python3 scripts/interleave.py --base ../parent --change . --workload privacy-audit --rounds 100
@@ -93,6 +97,11 @@ def load_workload(tree: Path, package: str, scratch: Path, workload: str, seed: 
     return workloads.build(workload, seed, part)
 
 
+def _quartiles(values: list[float]) -> list[float]:
+    """Q1, median and Q3, inclusive; one value is all three."""
+    return statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+
+
 def interleave(sides: dict, rounds: int) -> dict:
     """Time ``rounds`` repeats of each side's workload, alternating which goes first; the summary line's fields."""
     for workload in sides.values():
@@ -106,9 +115,15 @@ def interleave(sides: dict, rounds: int) -> dict:
             digests.add(repeat.digest)
             failed += repeat.failed
     ratios = [change / base for base, change in zip(rates["base"], rates["change"])]
+    base_q1, _, base_q3 = _quartiles(rates["base"])
+    ratio_q1, _, ratio_q3 = _quartiles(ratios)
     return {
         **{f"{side}_trials_per_s": statistics.median(rates[side]) for side in SIDES},
+        "base_q1": base_q1,
+        "base_q3": base_q3,
         "median_ratio": statistics.median(ratios),
+        "ratio_q1": ratio_q1,
+        "ratio_q3": ratio_q3,
         "change_won": sum(ratio > 1 for ratio in ratios),
         "same_digest": len(digests) == 1,
         "failed": failed,

@@ -4,7 +4,7 @@ Each attack id is one row of data: whether it is active, the basis it
 measures in (or a fair coin per qudit) and its owner, the role whose view
 records its taps. Active rows measure qudits in flight and resend the
 collapsed state, on the links ``protocol.run_links`` gives them from the
-wiring; passive rows just read the public classical bus. A two-tp insider is
+wiring; passive rows just read the public broadcasts. A two-tp insider is
 rejected on one-tp because its owner is not a role of that wiring. Coalition
 views and a closed-form support interval quantify what any allowed group of
 roles can infer about a single party's secret; the brute-force enumeration

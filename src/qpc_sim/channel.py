@@ -1,5 +1,5 @@
-"""Transport layer: quantum links with a single tap point, an authenticated
-classical broadcast bus, and the per-role transcript of everything observable.
+"""Transport layer: quantum links with a single tap point, and the per-role
+transcript of everything observable, authenticated classical broadcasts included.
 
 A transmission is a plain tuple of qudits, addressed by position. Every
 qudit is prepared once, sent once per hop and measured once: the sender's
@@ -92,20 +92,17 @@ class Transcript:
         seen = {PUBLIC, *roles}
         return [event for event in self._events if not seen.isdisjoint(event["observers"])]
 
+    def broadcast(self, sender: str, kind: str, **payload) -> None:
+        """Record a public ``kind`` message with ``payload``, under ``sender``'s authenticated identity."""
+        payload["kind"] = kind
+        self.record(PUBLIC, "classical", sender=sender, message=Event(payload))
+
     def to_json(self) -> str:
         return json.dumps(self._events, sort_keys=True, separators=(",", ":"))
 
 
-@dataclass
-class ClassicalBus:
-    """Authenticated append-only broadcast channel; everyone (outsiders included) reads it."""
-
-    transcript: Transcript
-
-    def broadcast(self, sender: str, kind: str, **payload) -> None:
-        """Append a ``kind`` message with ``payload`` to the transcript, under ``sender``'s authenticated identity."""
-        payload["kind"] = kind
-        self.transcript.record(PUBLIC, "classical", sender=sender, message=Event(payload))
+#: Another name for Transcript, kept only because perfbench's tracer patches it; ROADMAP item 16 drops it.
+ClassicalBus = Transcript
 
 
 @dataclass(frozen=True)
@@ -147,7 +144,6 @@ def transmit(
 __all__ = [
     "PUBLIC",
     "OUTSIDER",
-    "ClassicalBus",
     "Event",
     "QuantumLink",
     "Transcript",

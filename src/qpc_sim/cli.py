@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Single-run mode writes one experiment report; adding ``--axis``/``--values``
-turns the same invocation into a sweep. Exit codes: 0 success, 2 bad
-configuration, 3 I/O failure. A sweep is a bad configuration only when none
-of its cells is valid; it runs the others and skips the invalid ones.
+turns the same invocation into a sweep. This module renders every text form
+of the output: the indented JSON of ``to_dict``, or CSV. Exit codes: 0
+success, 2 bad configuration, 3 I/O failure. A sweep is a bad configuration
+only when none of its cells is valid; it runs the others and skips the
+invalid ones.
 """
 from __future__ import annotations
 
@@ -17,20 +19,30 @@ import sys
 from typing import Sequence
 
 from .adversary import ATTACK_IDS
-from .harness import (
-    CSV_COLUMNS,
-    ExperimentConfig,
-    ExperimentReport,
-    SweepCell,
-    run_experiment,
-    sweep,
-)
+from .harness import ExperimentConfig, ExperimentReport, SweepCell, run_experiment, sweep
 from .protocol import MAX_DIM, Variant
 from .qudit import ParameterError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
+
+#: Fixed column order of CSV output (the trailing note column carries sweep-skip reasons).
+CSV_COLUMNS = (
+    "variant",
+    "n",
+    "d",
+    "r",
+    "l",
+    "attack",
+    "trials",
+    "correct",
+    "aborts",
+    "rate",
+    "stderr",
+    "analytic",
+    "note",
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,6 +121,16 @@ def _check_cells(base: ExperimentConfig, axis: str, values: list) -> None:
     raise errors[0]
 
 
+def _csv_row(config: dict, report: ExperimentReport | None, skipped: str | None = None) -> list[str]:
+    """One line in CSV_COLUMNS order: seven config columns, five results (empty if skipped), the skip note."""
+    results = [""] * 5
+    if report is not None:
+        rates = (report.abort_rate, report.abort_stderr, report.analytic_abort)
+        results = [str(report.n_correct), str(report.n_aborted), *("" if x is None else f"{x:.12g}" for x in rates)]
+    note = "" if skipped is None else f"skipped: {skipped}"
+    return [str(config[name]) for name in CSV_COLUMNS[:7]] + [*results, note]
+
+
 def _csv_text(rows: list[list[str]]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -119,13 +141,13 @@ def _csv_text(rows: list[list[str]]) -> str:
 
 def _render_report(report: ExperimentReport, fmt: str) -> str:
     if fmt == "csv":
-        return _csv_text([report.csv_row()])
-    return report.to_json()
+        return _csv_text([_csv_row(report.config, report)])
+    return json.dumps(report.to_dict(), indent=2)
 
 
 def _render_sweep(cells: list[SweepCell], fmt: str) -> str:
     if fmt == "csv":
-        return _csv_text([cell.csv_row() for cell in cells])
+        return _csv_text([_csv_row(cell.config, cell.report, cell.skipped) for cell in cells])
     return json.dumps([cell.to_dict() for cell in cells], indent=2)
 
 

@@ -43,23 +43,6 @@ from .protocol import (
 from .qudit import ParameterError, _expect, _expect_int, _plain_int
 from .streams import RunDraws, trial_streams
 
-#: Fixed column order of CSV output (the trailing note column carries sweep-skip reasons).
-CSV_COLUMNS = (
-    "variant",
-    "n",
-    "d",
-    "r",
-    "l",
-    "attack",
-    "trials",
-    "correct",
-    "aborts",
-    "rate",
-    "stderr",
-    "analytic",
-    "note",
-)
-
 _SWEEP_TAG = 0x53574545
 
 
@@ -235,17 +218,11 @@ class ExperimentReport:
     def to_dict(self) -> dict:
         return _field_dict(self)
 
-    def canonical_dict(self) -> dict:
-        out = self.to_dict()
-        del out["wall_clock_s"], out["env"]
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
     def canonical_json(self) -> str:
         """Deterministic byte form: identical (config, seed) gives identical bytes."""
-        return json.dumps(self.canonical_dict(), sort_keys=True, separators=(",", ":"))
+        out = self.to_dict()
+        del out["wall_clock_s"], out["env"]
+        return json.dumps(out, sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentReport":
@@ -254,10 +231,6 @@ class ExperimentReport:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentReport":
         return cls.from_dict(json.loads(text))
-
-    def csv_row(self) -> list[str]:
-        rates = (self.abort_rate, self.abort_stderr, self.analytic_abort)
-        return _csv_row(self.config, [str(self.n_correct), str(self.n_aborted), *map(_fmt_float, rates)])
 
 
 @lru_cache(maxsize=1)
@@ -268,18 +241,9 @@ def _environment() -> tuple[tuple[str, str], ...]:
     return ("qpc_sim", __version__), ("numpy", np.__version__), ("python", "%d.%d.%d" % sys.version_info[:3])
 
 
-def _fmt_float(x: float | None) -> str:
-    return "" if x is None else f"{x:.12g}"
-
-
 def _field_dict(record: object) -> dict:
     """A dataclass's fields by name, in declaration order: the JSON key order of the output."""
     return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
-
-
-def _csv_row(config: dict, results: Sequence[str] = ("",) * 5, note: str = "") -> list[str]:
-    """One line in CSV_COLUMNS order: the seven config columns, the five results, then the note."""
-    return [str(config[name]) for name in CSV_COLUMNS[:7]] + [*results, note]
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -350,11 +314,6 @@ class SweepCell:
     def to_dict(self) -> dict:
         return {**_field_dict(self), "report": self.report.to_dict() if self.report else None}
 
-    def csv_row(self) -> list[str]:
-        if self.report is not None:
-            return self.report.csv_row()
-        return _csv_row(self.config, note=f"skipped: {self.skipped}")
-
 
 #: The config fields a sweep may set: every one but the seed, which each cell derives.
 _SWEEP_FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "seed")
@@ -364,11 +323,11 @@ def sweep(base: ExperimentConfig, axis: str | tuple[str, ...], values: Sequence)
     """Run ``base`` once per value of ``axis``, in order.
 
     ``axis`` names one config field other than ``seed``, or is a tuple of
-    them; then each value is a tuple of the same length, and its items set
-    those fields together. Cell i reseeds deterministically from (base seed,
-    i). Cells whose configuration is invalid are returned as skipped, with
-    the reason, instead of failing the whole sweep. An empty value list is an
-    empty sweep.
+    distinct ones; then each value is a tuple of the same length, and its
+    items set those fields together. Cell i reseeds deterministically from
+    (base seed, i). Cells whose configuration is invalid are returned as
+    skipped, with the reason, instead of failing the whole sweep. An empty
+    value list is an empty sweep.
     """
     _expect(base, ExperimentConfig, "base")
     base_seed = _check_seed(base.seed)  # only the seed: a sweep may set any other field to a valid value
@@ -377,8 +336,8 @@ def sweep(base: ExperimentConfig, axis: str | tuple[str, ...], values: Sequence)
         settings = [(value,) if isinstance(axis, str) else value for value in values]
     except TypeError:  # not iterable
         raise ParameterError(f"a sweep takes an axis and an iterable of values, got {axis!r} and {values!r}") from None
-    if not names or any(name not in _SWEEP_FIELDS for name in names):
-        raise ParameterError(f"sweep axis must name fields among {', '.join(_SWEEP_FIELDS)}; got {axis!r}")
+    if not names or any(name not in _SWEEP_FIELDS for name in names) or len(set(names)) != len(names):
+        raise ParameterError(f"sweep axis must name distinct fields among {', '.join(_SWEEP_FIELDS)}; got {axis!r}")
     for setting in settings:
         if not isinstance(setting, tuple) or len(setting) != len(names):
             raise ParameterError(f"a value of sweep axis {axis!r} is a tuple of {len(names)} items, got {setting!r}")

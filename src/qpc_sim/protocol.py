@@ -36,7 +36,6 @@ from . import adversary as adversary_module  # a cycle: adversary.py imports thi
 from .channel import (
     OUTSIDER,
     PUBLIC,
-    ClassicalBus,
     QuantumLink,
     Transcript,
     transmit,
@@ -228,16 +227,6 @@ def build_transmission(
     return tuple(states), DecoySpec(entries, carrier_position)
 
 
-def encode_secret(carrier_state: BasisLabel, secret: int, offset: int) -> BasisLabel:
-    """Shift-encode ``secret`` (plus a fixed ``offset``) onto the carrier.
-
-    The protocol's dimension bounds guarantee secret + offset never reaches d
-    on the honest path, so the encoded value adds without wraparound; a shift
-    outside [0, d) is refused by ``apply_shift``.
-    """
-    return apply_shift(carrier_state, secret + offset)
-
-
 def two_phase_disclosure(spec: DecoySpec) -> tuple[tuple[Decoy, ...], tuple[Decoy, ...]]:
     """Split a decoy recipe into its two disclosure phases: Fourier first, then computational.
 
@@ -331,7 +320,7 @@ def run_links(
 
 
 def _disclose_and_check(
-    bus: ClassicalBus,
+    transcript: Transcript,
     step: str,
     phase: str,
     link: QuantumLink,
@@ -354,10 +343,10 @@ def _disclose_and_check(
         value = measure(received[position], DECOY_BASES[fourier], u)[0]
         outcomes.append([position, value])
         mismatched += value != index
-    bus.broadcast(sender, "decoy_disclosure", transmission=label, phase=phase, entries=disclosed)
-    bus.broadcast(link.receiver, "measurement_report", transmission=label, outcomes=outcomes)
+    transcript.broadcast(sender, "decoy_disclosure", transmission=label, phase=phase, entries=disclosed)
+    transcript.broadcast(link.receiver, "measurement_report", transmission=label, outcomes=outcomes)
     error_rate = mismatched / len(entries) if entries else 0.0
-    bus.transcript.record(
+    transcript.record(
         sender,
         "decoy_check",
         step=step,
@@ -367,7 +356,7 @@ def _disclose_and_check(
         error_rate=error_rate,
     )
     if error_rate > threshold:
-        bus.broadcast(sender, "abort", step=step)
+        transcript.broadcast(sender, "abort", step=step)
         return True
     return False
 
@@ -385,7 +374,6 @@ def _run_protocol(
     first_links, second_links = run_links(params, adversary)
 
     transcript = Transcript()
-    bus = ClassicalBus(transcript)
     prep_draws, measure_draws = iter(draws.preparer), iter(draws.measurer)
     party_draws = [iter(own) for own in draws.parties]
     tap_draws = tuple(map(iter, draws.adversary))
@@ -439,14 +427,14 @@ def _run_protocol(
     # stage 3: full decoy check of every first hop
     step = CHECK_STEPS[0]
     for link, (received, spec), draws in zip(first_links, first_hop, party_draws):
-        if _disclose_and_check(bus, step, "all", link, spec.entries, received, draws, threshold):
+        if _disclose_and_check(transcript, step, "all", link, spec.entries, received, draws, threshold):
             return aborted(step)
 
-    # stage 4: the party takes the carrier from the one slot its recipe left
-    # undisclosed, shift-encodes, and ships it under fresh decoys
+    # stage 4: the party takes the carrier from the one slot its recipe left undisclosed,
+    # shifts it by secret + offset (the bounds keep that below d), and ships it under fresh decoys
     second_hop = []
     for i, (link, (received, spec)) in enumerate(zip(second_links, first_hop)):
-        encoded = encode_secret(received[spec.carrier_position], secrets[i], offset)
+        encoded = apply_shift(received[spec.carrier_position], secrets[i] + offset)
         transcript.record(link.sender, "encode", step="step4", party=i, shift=secrets[i] + offset)
         received, spec = hop(link, "step4", encoded, party_draws[i])
         second_hop.append((received, spec.carrier_position, two_phase_disclosure(spec)))
@@ -454,7 +442,7 @@ def _run_protocol(
     # stages 5 and 6: two-phase second-hop check, Fourier decoys strictly first (two_phase_disclosure's order)
     for selector, (step, phase) in enumerate(zip(CHECK_STEPS[1:], reversed(DECOY_BASIS_NAMES))):
         for link, (received, _, phases) in zip(second_links, second_hop):
-            if _disclose_and_check(bus, step, phase, link, phases[selector], received, measure_draws, threshold):
+            if _disclose_and_check(transcript, step, phase, link, phases[selector], received, measure_draws, threshold):
                 return aborted(step)
 
     # stage 7: measure carriers, form scores, announce the ordering only
@@ -465,10 +453,10 @@ def _run_protocol(
         measured.append(outcome.value)
 
     if preparer != measurer:
-        bus.broadcast(preparer, "pad_announcement", values=list(complements))
+        transcript.broadcast(preparer, "pad_announcement", values=list(complements))
     result = tp_compute_result(measured, complements)
     transcript.record(measurer, "score_computation", step="step7", scores=list(result.scores))
-    bus.broadcast(measurer, "ordering_announcement", ranking=[list(group) for group in result.ranking])
+    transcript.broadcast(measurer, "ordering_announcement", ranking=[list(group) for group in result.ranking])
     return transcript, result
 
 
@@ -482,7 +470,7 @@ def run_two_tp_protocol(
 
     The preparing TP knows pads and the run constant but never sees a carrier
     after encoding; the measuring TP sees encoded values but no pads. The pad
-    complements travel over the public bus so the measuring TP can rank.
+    complements are broadcast publicly so the measuring TP can rank.
     """
     _check_run(params, Variant.TWO_TP, adversary, draws)
     return _run_protocol(params, _normalize_secrets(secrets, params), None, adversary, draws)

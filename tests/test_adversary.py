@@ -38,7 +38,7 @@ from qpc_sim import (
     tapped_checked_decoys,
 )
 from qpc_sim.adversary import MAX_AUDIT_PARTIES, AttackStrategy, View, tap_plan
-from qpc_sim.channel import OUTSIDER, PUBLIC, ClassicalBus, Transcript
+from qpc_sim.channel import OUTSIDER, PUBLIC, Transcript
 from qpc_sim.harness import _trial_runs
 from qpc_sim.protocol import pad_sum_range, run_links
 from qpc_sim.qudit import Basis, BasisLabel
@@ -867,7 +867,7 @@ def _synthetic_view(params: ProtocolParams, facts: dict) -> tuple[View, dict[str
         transcript.record(PUBLIC, "carrier_measurement", party=1, value=0)
         obs["measured"] = facts["carrier_measurement"]
     if "pad_announcement" in facts:
-        ClassicalBus(transcript).broadcast("TP1", "pad_announcement", values=[facts["pad_announcement"], 0])
+        transcript.broadcast("TP1", "pad_announcement", values=[facts["pad_announcement"], 0])
         obs["complement"] = facts["pad_announcement"]
     if "score_computation" in facts:
         transcript.record(PUBLIC, "score_computation", scores=[facts["score_computation"], 0])

@@ -28,7 +28,6 @@ from qpc_sim import adversary, channel, harness, protocol, secret_support, strea
 from qpc_sim.channel import (
     OUTSIDER,
     PUBLIC,
-    ClassicalBus,
     Event,
     QuantumLink,
     Transcript,
@@ -164,14 +163,15 @@ def test_views_contain_exactly_the_observable_events():
 
 def test_broadcast_is_append_only_and_public():
     transcript = Transcript()
-    bus = ClassicalBus(transcript)
-    bus.broadcast("TP1", "pad_announcement", values=[1, 2])
-    bus.broadcast("TP2", "ordering_announcement", ranking=[[0], [1]])
+    transcript.broadcast("TP1", "pad_announcement", values=[1, 2])
+    transcript.broadcast("TP2", "ordering_announcement", ranking=[[0], [1]])
     seen_by_outsider = [e for e in transcript.view() if e["kind"] == "classical"]
     assert [e["sender"] for e in seen_by_outsider] == ["TP1", "TP2"]
     assert [e["seq"] for e in seen_by_outsider] == [0, 1]
     # delivered unmodified
     assert seen_by_outsider[0]["message"] == {"kind": "pad_announcement", "values": [1, 2]}
+    # the broadcast's old owner is only a name for the transcript, kept for perfbench's tracer
+    assert channel.ClassicalBus is channel.Transcript
 
 
 def test_view_json_is_deterministic():
@@ -191,7 +191,7 @@ def test_view_json_is_deterministic():
 
 def _announced() -> Transcript:
     transcript = Transcript()
-    ClassicalBus(transcript).broadcast("TP1", "pad_announcement", values=[1, 2])
+    transcript.broadcast("TP1", "pad_announcement", values=[1, 2])
     transcript.record({"P1", "TP1"}, "transmit", step="step2", link="TP1->P1", count=2)
     return transcript
 
@@ -386,7 +386,6 @@ def _naive(transcript: Transcript, roles) -> list[dict]:
 @given(st.data())
 def test_every_read_equals_a_naive_filter_over_the_json(data):
     transcript = Transcript()
-    bus = ClassicalBus(transcript)
     for _ in range(data.draw(st.integers(0, 30), label="steps")):
         action = data.draw(st.sampled_from(["record", "broadcast", "view", "public", "events", "coalition", "json"]))
         if action == "record":
@@ -394,7 +393,7 @@ def test_every_read_equals_a_naive_filter_over_the_json(data):
             step = data.draw(st.sampled_from([None, "step3"]))
             transcript.record(observers, "probe", step=step, value=data.draw(st.integers(0, 9)))
         elif action == "broadcast":
-            bus.broadcast(data.draw(st.sampled_from(_OBSERVERS[2:])), "note", values=[1, 2])
+            transcript.broadcast(data.draw(st.sampled_from(_OBSERVERS[2:])), "note", values=[1, 2])
         elif action == "view":
             roles = data.draw(st.lists(st.sampled_from(_OBSERVERS), max_size=4))
             assert transcript.view(*roles) == _naive(transcript, roles)

@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 
 from qpc_sim import ATTACK_IDS, ExperimentConfig, ParameterError, run_experiment, run_trial, strategy_from_id
 from qpc_sim.adversary import tap_plan
-from qpc_sim.channel import ClassicalBus, QuantumLink, Transcript
+from qpc_sim.channel import QuantumLink, Transcript
 from qpc_sim.protocol import (
     DECOY_BASES,
     DECOY_BASIS_NAMES,
@@ -539,7 +539,7 @@ def test_measurement_consumes_one_draw_regardless_of_outcome(k):
         uniforms = np.random.default_rng(seed).random(k + 3).tolist()
         for received in (as_prepared, conjugate):
             draws = iter(uniforms)
-            _disclose_and_check(ClassicalBus(Transcript()), "step3", "all", link, entries, received, draws, 1.0)
+            _disclose_and_check(Transcript(), "step3", "all", link, entries, received, draws, 1.0)
             assert list(draws) == uniforms[k:]
 
 

@@ -38,8 +38,8 @@ from qpc_sim import (
 )
 import qpc_sim
 from qpc_sim import cli, harness
-from qpc_sim.cli import main
-from qpc_sim.harness import CSV_COLUMNS, derive_cell_seed
+from qpc_sim.cli import CSV_COLUMNS, _csv_row, main
+from qpc_sim.harness import derive_cell_seed
 from qpc_sim.channel import OUTSIDER
 from qpc_sim.adversary import tap_plan
 from qpc_sim.protocol import MAX_DIM, MAX_QUDITS, rank_descending, run_links
@@ -438,14 +438,14 @@ def test_reports_are_canonically_byte_deterministic():
 
 def test_report_round_trips_through_json():
     report = run_experiment(HONEST)
-    assert ExperimentReport.from_json(report.to_json()) == report
+    assert ExperimentReport.from_json(json.dumps(report.to_dict(), indent=2)) == report
 
 
 def test_a_report_names_the_versions_that_made_it_outside_its_canonical_bytes():
     report = run_experiment(HONEST)
     python = "%d.%d.%d" % sys.version_info[:3]
     assert report.env == {"qpc_sim": qpc_sim.__version__, "numpy": np.__version__, "python": python}
-    assert "env" not in json.loads(report.canonical_json()) and "env" in json.loads(report.to_json())
+    assert "env" not in json.loads(report.canonical_json()) and "env" in report.to_dict()
     # each report owns its dict; the versions are read once per process
     assert report.env is not run_experiment(HONEST).env
     assert harness._environment.cache_info().currsize == 1
@@ -523,12 +523,12 @@ def test_nonzero_threshold_has_no_analytic_form():
     )
     report = run_experiment(cfg)
     assert report.analytic_abort is None
-    assert report.csv_row()[CSV_COLUMNS.index("analytic")] == ""
+    assert _csv_row(report.config, report)[CSV_COLUMNS.index("analytic")] == ""
 
 
 def test_csv_row_matches_the_column_contract():
     report = run_experiment(HONEST)
-    row = report.csv_row()
+    row = _csv_row(report.config, report)
     assert len(row) == len(CSV_COLUMNS)
     assert row[: len(CSV_COLUMNS) - 7] == ["two-tp", "3", "13", "5", "8", "none"]
     assert row[CSV_COLUMNS.index("trials")] == "20"
@@ -568,7 +568,7 @@ def test_sweep_skips_invalid_cells_with_the_reason():
     cells = sweep(base, "d", [2, 13])
     assert cells[0].report is None
     assert "two-tp requires" in cells[0].skipped
-    row = cells[0].csv_row()
+    row = _csv_row(cells[0].config, cells[0].report, cells[0].skipped)
     assert len(row) == len(CSV_COLUMNS)
     assert row[:7] == ["two-tp", "2", "2", "5", "2", "none", "3"]  # the seven config columns
     assert row[7:12] == [""] * 5  # no results for a skipped cell
@@ -604,7 +604,7 @@ def test_sweep_cells_store_the_value_as_their_config_does():
 def test_sweep_edge_cases():
     base = ExperimentConfig(variant="two-tp", n=2, d=5, r=2, l=2, trials=3, seed=0)
     assert sweep(base, "l", []) == []
-    for axis in ("q", "seed", (), ("d", "q")):  # not config fields a sweep may set
+    for axis in ("q", "seed", (), ("d", "q"), ("d", "d")):  # not distinct config fields a sweep may set
         with pytest.raises(ParameterError, match="axis"):
             sweep(base, axis, [1, 2])
     for value in ((5,), (5, 2, 1), 5):  # a tuple axis takes tuples of its own length
@@ -693,6 +693,53 @@ def test_cli_sweep_canonical_bytes_are_pinned(capsys):
     ]
     digest = hashlib.sha256(json.dumps(canonical, sort_keys=True).encode()).hexdigest()
     assert digest == "7f21aea8881c26fb3eba7467766a1d87f6973c37cb6e1d027bcbfd92323fe07f"
+
+
+ONE_TP_ARGS = ["--variant", "one-tp", "--n", "2", "--d", "5", "--r", "2", "--l", "1", "--trials", "10"]
+ATTACKED_ARGS = BASE_ARGS + ["--attack", "ir-random", "--l", "1", "--trials", "10", "--seed", "3"]
+
+# sha256 of the CLI's stdout, with the values of wall_clock_s and env masked
+# (they vary by run and by installed numpy); every other byte is pinned
+STDOUT_SHA256 = {
+    "report-json": (ATTACKED_ARGS, "df154f4d96bfd5de7e2761a6ffb0fea424186ede22ecc51316c58328ef487478"),
+    "report-csv": (
+        ATTACKED_ARGS + ["--format", "csv"],
+        "6b9283c971e8633ae7ed7a92e65b8221da91fef338d31121960fb1fed569d2dc",
+    ),
+    "threshold-csv": (
+        ONE_TP_ARGS + ["--attack", "ir-random", "--threshold", "0.3", "--format", "csv"],
+        "b4611a60b03e42232bd90f7fda18afcd2e0b832375e9291abdc74f4f588e6f6a",
+    ),
+    "sweep-d-json": (
+        BASE_ARGS + ["--seed", "4", "--axis", "d", "--values", "5,2,7"],
+        "0b085b3b9b7c83f08e3b5f8729f36136124dc3f1bcbe7876a4b5d2a72831127f",
+    ),
+    "sweep-d-csv": (
+        BASE_ARGS + ["--seed", "4", "--axis", "d", "--values", "5,2,7", "--format", "csv"],
+        "346466a46daf063f4cbab462767fe65a02ae60bd0f76c06fa7f620df1d2ec016",
+    ),
+    "sweep-attack-csv": (
+        ONE_TP_ARGS + ["--axis", "attack", "--values", "none,ir-random,tp1-mr", "--format", "csv"],
+        "2bc83f27e36dd9d1993ac76523c7db79d2017f82b897f9327fb226d4f3ddecd1",
+    ),
+}
+
+
+def _masked_stdout(text: str) -> str:
+    text = re.sub(r'"wall_clock_s": [^,\n]+', '"wall_clock_s": 0', text)
+    return re.sub(r'"env": \{[^{}]*\}', '"env": {}', text)
+
+
+@pytest.mark.parametrize("shape", sorted(STDOUT_SHA256))
+def test_cli_stdout_bytes_are_pinned(shape, capsys):
+    args, expected = STDOUT_SHA256[shape]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    if shape == "threshold-csv":
+        assert out.splitlines()[1].split(",")[CSV_COLUMNS.index("analytic")] == ""  # no closed form at threshold 0.3
+    if shape.startswith("sweep"):
+        assert "skipped: " in out or '"skipped": "' in out
+    assert hashlib.sha256(_masked_stdout(out).encode()).hexdigest() == expected
 
 
 def test_cli_exit_codes_for_bad_configs(capsys):

@@ -30,15 +30,15 @@ from qpc_sim import (
     strategy_from_id,
 )
 from qpc_sim.adversary import tap_plan
-from qpc_sim.channel import ClassicalBus, QuantumLink, Transcript, transmit
+from qpc_sim.channel import QuantumLink, Transcript, transmit
 from qpc_sim.protocol import (
     DECOY_BASES,
     MAX_DIM,
     MAX_QUDITS,
     DecoySpec,
     _disclose_and_check,
+    apply_shift,
     build_transmission,
-    encode_secret,
     pad_sum_range,
     rank_descending,
     run_links,
@@ -252,8 +252,8 @@ def _check(entries, threshold: float):
     for position, (fourier, index) in ARRIVED.items():
         received[position] = BasisLabel.prepare(7, DECOY_BASES[fourier], index)
     transcript, draws = Transcript(), iter([0.25] * (len(entries) + 1))
-    bus, link = ClassicalBus(transcript), QuantumLink("P1", "TP2")
-    aborted = _disclose_and_check(bus, "step5", "all", link, entries, tuple(received), draws, threshold)
+    link = QuantumLink("P1", "TP2")
+    aborted = _disclose_and_check(transcript, "step5", "all", link, entries, tuple(received), draws, threshold)
     assert list(draws) == [0.25]  # one uniform per decoy
     return aborted, transcript.events()
 
@@ -396,24 +396,26 @@ def test_decoy_check_flags_replaced_fourier_decoys():
 # encoding and scoring
 # ---------------------------------------------------------------------------
 
+# stage 4 encodes a secret plus its offset as one apply_shift by their sum
+
 def test_encode_secret_shifts_the_carrier():
     carrier = BasisLabel.prepare(13, Basis.COMPUTATIONAL, 3)
-    assert overlap(encode_secret(carrier, 2, 0), basis_state(13, Basis.COMPUTATIONAL, 5)) == pytest.approx(1.0)
+    assert overlap(apply_shift(carrier, 2 + 0), basis_state(13, Basis.COMPUTATIONAL, 5)) == pytest.approx(1.0)
     carrier17 = BasisLabel.prepare(17, Basis.COMPUTATIONAL, 3)
-    assert overlap(encode_secret(carrier17, 2, 4), basis_state(17, Basis.COMPUTATIONAL, 9)) == pytest.approx(1.0)
+    assert overlap(apply_shift(carrier17, 2 + 4), basis_state(17, Basis.COMPUTATIONAL, 9)) == pytest.approx(1.0)
 
 
 def test_encode_zero_is_identity():
     carrier = BasisLabel.prepare(5, Basis.COMPUTATIONAL, 4)
-    assert overlap(encode_secret(carrier, 0, 0), carrier) == pytest.approx(1.0)
+    assert overlap(apply_shift(carrier, 0 + 0), carrier) == pytest.approx(1.0)
 
 
 def test_encode_rejects_wraparound_and_negatives():
     carrier = basis_state(5, Basis.COMPUTATIONAL, 0)
     with pytest.raises(ParameterError):
-        encode_secret(carrier, 3, 2)
+        apply_shift(carrier, 3 + 2)
     with pytest.raises(ParameterError):
-        encode_secret(carrier, -1, 0)
+        apply_shift(carrier, -1 + 0)
 
 
 def test_two_phase_disclosure_orders_fourier_first():

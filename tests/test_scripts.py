@@ -350,6 +350,8 @@ def test_interleave_compares_the_checkout_with_itself(capsys):
     assert (summary["workload"], summary["rounds"], summary["same_digest"], summary["failed"]) == ("honest-two-tp", 2, True, 0)
     assert summary["base_trials_per_s"] > 0 and summary["change_trials_per_s"] > 0
     assert summary["median_ratio"] > 0 and 0 <= summary["change_won"] <= 2
+    assert 0 < summary["base_q1"] <= summary["base_trials_per_s"] <= summary["base_q3"]
+    assert 0 < summary["ratio_q1"] <= summary["median_ratio"] <= summary["ratio_q3"]
     # both copies are gone from the import system, and the checkout's own package is still the one imported
     assert not [name for name in sys.modules if name.split(".")[0] in ("qpc_base", "qpc_change")]
     assert sys.modules["qpc_sim"].__file__ == str(ROOT / "src" / "qpc_sim" / "__init__.py")
