@@ -14,11 +14,14 @@ collector paused, so no ``gc.callbacks`` hook is counted. The counted run pays
 what a benchmark repeat pays: ``cli.main`` builds a fresh config on every call,
 so a CLI workload counts a fresh config equal to the warmed one, and the audit
 counts the configs it warmed, which the benchmark's audit keeps across its
-repeats. The script prints one JSON line: the Python and C calls per trial in
-total, and the ``TOP``
-functions by calls per trial, each named by its module and qualified name. Two
-runs of one version of the code and numpy give identical counts, so a change in
-them is a change in the work a trial does.
+repeats. The work then runs once more with the collector on and no profiler,
+from just after a full collection, which also empties the free lists, for the
+cyclic collector's work: its gen0, gen1 and gen2 collections. The script prints
+one JSON line: the Python and C calls per trial in total, the ``TOP``
+functions by calls per trial, each named by its module and qualified name, and
+the collections per 1000 trials. Two runs of one version of the code, Python
+and numpy give identical counts, so a change in them is a change in the work a
+trial does.
 
 Example:
     python3 scripts/call_counts.py --workload privacy-audit
@@ -73,8 +76,9 @@ def _name(frame, event: str, arg) -> str:
     return f"{module}.{qualname}" if module else qualname
 
 
-def _counted(work, warm: tuple, args: tuple) -> collections.Counter:
-    """(kind, name) -> calls made by ``work(*args)`` after a warm-up call ``work(*warm)``, GC paused.
+def _counted(work, warm: tuple, fresh) -> tuple[collections.Counter, tuple[int, ...]]:
+    """(kind, name) -> calls made by ``work(*fresh())`` after a warm-up call ``work(*warm)``, GC paused; and the
+    collections of each generation during another ``work(*fresh())``, GC on, started after a full collection.
 
     kind is ``python`` or ``c``.
     """
@@ -85,6 +89,7 @@ def _counted(work, warm: tuple, args: tuple) -> collections.Counter:
         if event == "call" or event == "c_call":
             counts["python" if event == "call" else "c", _name(frame, event, arg)] += 1
 
+    args = fresh()
     gc.collect()
     enabled = gc.isenabled()
     gc.disable()
@@ -96,13 +101,23 @@ def _counted(work, warm: tuple, args: tuple) -> collections.Counter:
         if enabled:
             gc.enable()
     del counts["c", "sys.setprofile"]  # the call that ends the count
-    return counts
+
+    args = fresh()
+    gc.collect()  # a full collection also empties the free lists, so every run starts from the same state
+    before = [generation["collections"] for generation in gc.get_stats()]
+    gc.enable()
+    try:
+        work(*args)
+    finally:
+        if not enabled:
+            gc.disable()
+    return counts, tuple(generation["collections"] - b for generation, b in zip(gc.get_stats(), before))
 
 
-def count_calls(config: ExperimentConfig) -> collections.Counter:
+def count_calls(config: ExperimentConfig) -> tuple[collections.Counter, tuple[int, ...]]:
     """(kind, name) -> calls made by ``run_experiment`` of a fresh config equal to ``config``, after a warm-up run
-    of ``config``; kind is ``python`` or ``c``."""
-    return _counted(run_experiment, (config,), (dataclasses.replace(config),))
+    of ``config``, kind ``python`` or ``c``; and the collections per generation of another fresh run."""
+    return _counted(run_experiment, (config,), lambda: (dataclasses.replace(config),))
 
 
 def _audit(plans: list, trials: int) -> None:
@@ -113,14 +128,15 @@ def _audit(plans: list, trials: int) -> None:
                 secret_support(coalition_view(transcript, Coalition(members, target)), params)
 
 
-def count_audit_calls(configs: list[ExperimentConfig], trials: int) -> collections.Counter:
-    """(kind, name) -> calls made by auditing trials 0..trials-1 of each config, after a warm-up audit."""
+def count_audit_calls(configs: list[ExperimentConfig], trials: int) -> tuple[collections.Counter, tuple[int, ...]]:
+    """(kind, name) -> calls made by auditing trials 0..trials-1 of each config, after a warm-up audit; and the
+    collections per generation of another such audit."""
     plans = []
     for config in configs:
         params, _ = config.validate()
         coalitions = [c for t in range(params.n) for c in allowed_coalitions(params.variant, params.n, t)]
         plans.append((config, params, [(c.members, c.target) for c in coalitions]))
-    return _counted(_audit, (plans, trials), (plans, trials))
+    return _counted(_audit, (plans, trials), lambda: (plans, trials))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -129,9 +145,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.workload == "privacy-audit":
         configs = workloads.build(args.workload, 0).configs
-        counts, trials = count_audit_calls(configs, AUDIT_TRIALS), AUDIT_TRIALS * len(configs)
+        (counts, collected), trials = count_audit_calls(configs, AUDIT_TRIALS), AUDIT_TRIALS * len(configs)
     else:
-        counts, trials = count_calls(shape(args.workload)), TRIALS
+        (counts, collected), trials = count_calls(shape(args.workload)), TRIALS
     totals = collections.Counter()
     for (kind, _), calls in counts.items():
         totals[kind] += calls
@@ -145,6 +161,7 @@ def main(argv: list[str] | None = None) -> int:
         "python_calls_per_trial": totals["python"] / trials,
         "c_calls_per_trial": totals["c"] / trials,
         "top": [{"kind": kind, "function": name, "calls_per_trial": calls / trials} for (kind, name), calls in top],
+        "gc_collections_per_1000_trials": [1000 * n / trials for n in collected],
     }))
     return 0
 

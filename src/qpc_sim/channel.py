@@ -12,7 +12,8 @@ rules are strict: an event is visible to a role if and only if that role
 legitimately observes it (its own preparations, its own measurement results,
 its own tap, or any classical broadcast). Classical broadcasts are public —
 a passive outsider reads them all — but are delivered unmodified and with
-authenticated sender identity.
+authenticated sender identity. An event holds scalars, strings, tuples of them
+and a read-only classical ``message``; its observers are one sorted tuple.
 """
 from __future__ import annotations
 
@@ -37,7 +38,8 @@ class Event(dict):
 
     The transcript stores each event once and hands the same object to every
     read, so a reader cannot edit what another role sees. ``dict(event)`` is a
-    mutable private copy. Nested lists are not frozen.
+    mutable private copy. Nested values are tuples or a read-only ``message``,
+    so no leaf can be edited either; a JSON load holds lists for the tuples.
     """
 
     __slots__ = ()
@@ -66,13 +68,13 @@ class Transcript:
         self._facts: tuple | None = None  # the audit's index of the log (adversary._fact_index), set by the first audit
 
     def record(self, observers: Iterable[str] | str, kind: str, step: str | None = None, **payload) -> None:
-        """Append a ``kind`` event seen by ``observers``: a role, a sorted tuple of distinct roles, or any roles."""
+        """Append a ``kind`` event; its observers (a role, a sorted tuple or any roles) are stored as a sorted tuple."""
         payload["seq"] = len(self._events)
         payload["kind"] = kind
         if isinstance(observers, str):
-            payload["observers"] = [observers]
+            payload["observers"] = (observers,)
         else:
-            payload["observers"] = list(observers) if type(observers) is tuple else sorted(set(observers))
+            payload["observers"] = observers if type(observers) is tuple else tuple(sorted(set(observers)))
         if step is not None:
             payload["step"] = step
         self._events.append(Event(payload))

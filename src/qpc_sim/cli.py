@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import io
 import json
 import sys
@@ -46,6 +47,7 @@ CSV_COLUMNS = (
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser of the CLI's flags; ``main`` parses with one built on its first call."""
     parser = argparse.ArgumentParser(
         prog="qpc-sim",
         description="Monte-Carlo simulator for d-level single-particle private-comparison protocols.",
@@ -75,6 +77,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--axis", choices=["d", "l", "attack"], default=None, help="sweep this parameter")
     parser.add_argument("--values", default=None, help="comma-separated values for --axis")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call: parsing leaves it unchanged, and each build leaves cycles to collect."""
+    return build_parser()
 
 
 def _parse_secrets(text: str) -> tuple[int, ...] | str:
@@ -170,9 +178,8 @@ def _run(config: ExperimentConfig, axis: str | None, values: list, fmt: str) -> 
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed the message; code 2 on bad flags
         return int(exc.code or 0)
     try:

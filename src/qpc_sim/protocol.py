@@ -339,12 +339,12 @@ def _disclose_and_check(
     label, sender = link.label, link.sender
     disclosed, outcomes, mismatched = [], [], 0
     for (position, fourier, index), u in zip(entries, islice(draws, len(entries))):
-        disclosed.append([position, DECOY_BASIS_NAMES[fourier]])
+        disclosed.append((position, DECOY_BASIS_NAMES[fourier]))
         value = measure(received[position], DECOY_BASES[fourier], u)[0]
-        outcomes.append([position, value])
+        outcomes.append((position, value))
         mismatched += value != index
-    transcript.broadcast(sender, "decoy_disclosure", transmission=label, phase=phase, entries=disclosed)
-    transcript.broadcast(link.receiver, "measurement_report", transmission=label, outcomes=outcomes)
+    transcript.broadcast(sender, "decoy_disclosure", transmission=label, phase=phase, entries=tuple(disclosed))
+    transcript.broadcast(link.receiver, "measurement_report", transmission=label, outcomes=tuple(outcomes))
     error_rate = mismatched / len(entries) if entries else 0.0
     transcript.record(
         sender,
@@ -405,19 +405,19 @@ def _run_protocol(
             step=step,
             link=link.label,
             carrier_position=spec.carrier_position,
-            decoys=[[position, DECOY_BASIS_NAMES[fourier], index] for position, fourier, index in spec.entries],
+            decoys=tuple([(position, DECOY_BASIS_NAMES[fourier], index) for position, fourier, index in spec.entries]),
         )
         return transmit(link, seq, transcript, tap_draws), spec
 
     # stage 1: carriers
     pad_sum, pads, carrier_states = tp_prepare_carriers(params, prep_draws)
-    complements = [pad_sum - pad for pad in pads]
+    complements = tuple([pad_sum - pad for pad in pads])
     transcript.record(
         preparer,
         "carrier_prep",
         step="step1",
         pad_sum=pad_sum,
-        pads=list(pads),
+        pads=pads,
         complements=complements,
     )
 
@@ -453,10 +453,10 @@ def _run_protocol(
         measured.append(outcome.value)
 
     if preparer != measurer:
-        transcript.broadcast(preparer, "pad_announcement", values=list(complements))
+        transcript.broadcast(preparer, "pad_announcement", values=complements)  # a tuple, so the two events share it
     result = tp_compute_result(measured, complements)
-    transcript.record(measurer, "score_computation", step="step7", scores=list(result.scores))
-    transcript.broadcast(measurer, "ordering_announcement", ranking=[list(group) for group in result.ranking])
+    transcript.record(measurer, "score_computation", step="step7", scores=result.scores)
+    transcript.broadcast(measurer, "ordering_announcement", ranking=result.ranking)
     return transcript, result
 
 

@@ -41,6 +41,15 @@ def ranking_oracle(values) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(levels[k]) for k in sorted(levels))
 
 
+def thaw(value):
+    """``value`` as a JSON load of it reads: tuples become lists and dicts (events too) plain dicts, at every depth."""
+    if isinstance(value, dict):
+        return {key: thaw(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [thaw(item) for item in value]
+    return value
+
+
 def shift_matrix_oracle(d: int, m: int) -> np.ndarray:
     """Explicit permutation matrix sum_k |k+m mod d><k| built element by element."""
     mat = np.zeros((d, d), dtype=np.complex128)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import dataclasses
+import gc
 import hashlib
 import importlib.util
 import io
@@ -399,7 +400,7 @@ def test_an_audited_replay_compares_no_params_by_value():
     configs = call_counts.workloads.build("privacy-audit", 0).configs
     tap_plan.cache_clear()
     run_links.cache_clear()
-    counts = call_counts.count_audit_calls([dataclasses.replace(c) for c in configs], 2)
+    counts, _ = call_counts.count_audit_calls([dataclasses.replace(c) for c in configs], 2)
     assert counts["python", "qpc_sim.adversary.secret_support"] > 0
     # the dataclass __eq__ is named by the code it is made from, qpc_sim.protocol.__create_fn__.<locals>.__eq__
     assert not [name for _, name in counts if name.startswith("qpc_sim.protocol.") and name.endswith(".__eq__")]
@@ -795,6 +796,37 @@ def test_cli_exit_codes_for_bad_flags(capsys):
     assert main(BASE_ARGS + ["--bogus"]) == 2
     assert main(["--n", "2", "--d", "5", "--r", "2"]) == 2  # --variant is required
     assert main(BASE_ARGS + ["--attack", "phish"]) == 2
+    capsys.readouterr()
+
+
+def test_cli_main_builds_its_parser_once(monkeypatch, capsys):
+    builds, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(None) or build())
+    cli._parser.cache_clear()
+    outputs = []
+    for _ in range(2):
+        assert main(BASE_ARGS + ["--format", "csv"]) == 0  # CSV carries no wall clock
+        outputs.append(capsys.readouterr().out)
+    assert len(builds) == 1
+    assert outputs[0] == outputs[1]
+
+
+def test_a_cli_call_leaves_no_argparse_object_for_the_collector(capsys):
+    assert main(BASE_ARGS) == 0  # the process's one parser is built by now, and stays reachable
+    enabled, flags, kept = gc.isenabled(), gc.get_debug(), len(gc.garbage)
+    gc.disable()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)  # what a collection finds unreachable goes to gc.garbage, not freed
+    try:
+        assert main(BASE_ARGS) == 0
+        gc.collect()
+        left = [type(obj).__qualname__ for obj in gc.garbage[kept:] if type(obj).__module__ == "argparse"]
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[kept:]
+        if enabled:
+            gc.enable()
+    assert left == []
     capsys.readouterr()
 
 

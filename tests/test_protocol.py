@@ -237,7 +237,7 @@ def test_a_transmit_event_is_seen_by_the_sorted_endpoints(sender, receiver):
     link = QuantumLink(sender, receiver)
     transmit(link, (BasisLabel.prepare(4, Basis.FOURIER, 1),), transcript, None)
     [event] = transcript.events()
-    assert event["observers"] == sorted({sender, receiver}) == list(link.endpoints)
+    assert event["observers"] == tuple(sorted({sender, receiver})) and event["observers"] is link.endpoints
     assert event["link"] == link.label == f"{sender}->{receiver}"
 
 
@@ -265,10 +265,10 @@ def test_a_decoy_check_passes_at_exactly_its_threshold(entries, threshold, count
     [check] = [e for e in events if e["kind"] == "decoy_check"]
     assert not aborted
     assert (check["checked"], check["mismatched"], check["error_rate"]) == counts
-    assert check["observers"] == ["P1"] and check["link"] == "P1->TP2"
+    assert check["observers"] == ("P1",) and check["link"] == "P1->TP2"
     disclosure, report = [e["message"] for e in events if e["kind"] == "classical"]
-    assert disclosure["entries"] == [[position, ("computational", "fourier")[f]] for position, f, _ in entries]
-    assert report["outcomes"] == [[position, ARRIVED[position][1]] for position, _, _ in entries]
+    assert disclosure["entries"] == tuple((position, ("computational", "fourier")[f]) for position, f, _ in entries)
+    assert report["outcomes"] == tuple((position, ARRIVED[position][1]) for position, _, _ in entries)
 
 
 @pytest.mark.parametrize("threshold", [0.0, 1 / 5, 0.3999])

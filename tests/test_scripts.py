@@ -268,8 +268,9 @@ def test_bench_record_refuses_runs_made_at_different_seeds(tmp_path, capsys, tra
 def test_call_counts_are_the_same_in_two_runs(workload):
     call_counts = _load("call_counts")
     config = dataclasses.replace(call_counts.shape(workload), trials=20)
-    first, second = call_counts.count_calls(config), call_counts.count_calls(config)
+    (first, first_gc), (second, second_gc) = call_counts.count_calls(config), call_counts.count_calls(config)
     assert first == second
+    assert first_gc == second_gc and len(first_gc) == 3  # gen0, gen1 and gen2 collections, from a full collection
     assert first["python", "qpc_sim.harness._run_trial"] == 20 and first["c", "sys.setprofile"] == 0
     # the counted run is of a fresh config equal to the warmed one, as cli.main builds per benchmark repeat,
     # so it resolves its own params once
@@ -289,7 +290,7 @@ def test_call_counts_count_no_gc_callback():
     gc.callbacks.append(hook)
     gc.set_threshold(5)
     try:
-        first, second = call_counts.count_calls(config), call_counts.count_calls(config)
+        (first, _), (second, _) = call_counts.count_calls(config), call_counts.count_calls(config)
     finally:
         gc.callbacks.remove(hook)
         gc.set_threshold(*threshold)
@@ -301,8 +302,9 @@ def test_call_counts_count_no_gc_callback():
 def test_audit_call_counts_are_the_same_in_two_runs():
     call_counts = _load("call_counts")
     configs = call_counts.workloads.build("privacy-audit", 0).configs
-    first, second = call_counts.count_audit_calls(configs, 2), call_counts.count_audit_calls(configs, 2)
+    (first, first_gc), (second, second_gc) = (call_counts.count_audit_calls(configs, 2) for _ in range(2))
     assert first == second
+    assert first_gc == second_gc and len(first_gc) == 3
     # two trials of each config, then every coalition of both: 85 of the two-tp n=5 run and 80 of the one-tp one
     assert first["python", "qpc_sim.harness.run_trial"] == 4
     for name in ("Coalition.__init__", "coalition_view", "secret_support"):
@@ -319,6 +321,7 @@ def test_call_counts_prints_one_json_line_of_the_workloads_shape(capsys):
     assert counts["workload"] == "intercept-abort" and counts["trials"] == call_counts.TRIALS
     assert len(counts["top"]) == call_counts.TOP
     assert counts["python_calls_per_trial"] > 0 and counts["c_calls_per_trial"] > 0
+    assert len(counts["gc_collections_per_1000_trials"]) == 3
     per_trial = [entry["calls_per_trial"] for entry in counts["top"]]
     assert per_trial == sorted(per_trial, reverse=True)
 
