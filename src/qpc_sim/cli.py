@@ -2,10 +2,12 @@
 
 Single-run mode writes one experiment report; adding ``--axis``/``--values``
 turns the same invocation into a sweep. This module renders every text form
-of the output: the indented JSON of ``to_dict``, or CSV. Exit codes: 0
-success, 2 bad configuration, 3 I/O failure. A sweep is a bad configuration
-only when none of its cells is valid; it runs the others and skips the
-invalid ones.
+of the output, the indented JSON of ``to_dict`` or CSV, in one place, and
+writes it through one path to stdout or to ``--out``: the same bytes, ending
+in one newline. Exit codes: 0 success, 2 bad configuration, 3 I/O failure (a
+failed write to stdout or to ``--out``). A sweep is a bad configuration only
+when none of its cells is valid; it runs the others and skips the invalid
+ones.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import sys
 from typing import Sequence
 
 from .adversary import ATTACK_IDS
-from .harness import ExperimentConfig, ExperimentReport, SweepCell, run_experiment, sweep
+from .harness import ExperimentConfig, ExperimentReport, run_experiment, sweep
 from .protocol import MAX_DIM, Variant
 from .qudit import ParameterError
 
@@ -46,8 +48,9 @@ CSV_COLUMNS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """A fresh parser of the CLI's flags; ``main`` parses with one built on its first call."""
+    """The CLI's parser, built once and shared: parsing leaves it unchanged, and each build leaves cycles to collect."""
     parser = argparse.ArgumentParser(
         prog="qpc-sim",
         description="Monte-Carlo simulator for d-level single-particle private-comparison protocols.",
@@ -79,28 +82,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of every ``main`` call: parsing leaves it unchanged, and each build leaves cycles to collect."""
-    return build_parser()
-
-
-def _parse_secrets(text: str) -> tuple[int, ...] | str:
+def _random_or_ints(text: str, expects: str, many: bool = False) -> tuple[int, ...] | int | str:
+    """``"random"`` in any case, else an integer, or comma-separated ones if ``many``; ``expects`` names the flag."""
     if text.strip().lower() == "random":
         return "random"
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(",")) if many else int(text)
     except ValueError:
-        raise ParameterError(f"--secrets expects comma-separated integers or 'random', got {text!r}") from None
-
-
-def _parse_shared_key(text: str) -> int | str:
-    if text.strip().lower() == "random":
-        return "random"
-    try:
-        return int(text)
-    except ValueError:
-        raise ParameterError(f"--c expects an integer or 'random', got {text!r}") from None
+        raise ParameterError(f"{expects} or 'random', got {text!r}") from None
 
 
 def _parse_axis_values(axis: str, text: str | None) -> list:
@@ -139,47 +128,30 @@ def _csv_row(config: dict, report: ExperimentReport | None, skipped: str | None 
     return [str(config[name]) for name in CSV_COLUMNS[:7]] + [*results, note]
 
 
-def _csv_text(rows: list[list[str]]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows(rows)
-    return buffer.getvalue()
-
-
-def _render_report(report: ExperimentReport, fmt: str) -> str:
-    if fmt == "csv":
-        return _csv_text([_csv_row(report.config, report)])
-    return json.dumps(report.to_dict(), indent=2)
-
-
-def _render_sweep(cells: list[SweepCell], fmt: str) -> str:
-    if fmt == "csv":
-        return _csv_text([_csv_row(cell.config, cell.report, cell.skipped) for cell in cells])
-    return json.dumps([cell.to_dict() for cell in cells], indent=2)
-
-
-def _summary(report: ExperimentReport) -> str:
-    analytic = "n/a" if report.analytic_abort is None else f"{report.analytic_abort:.6g}"
-    return (
-        f"trials={report.n_trials} completed={report.n_completed} aborted={report.n_aborted} "
-        f"correct={report.n_correct} abort_rate={report.abort_rate:.6g} analytic={analytic}"
-    )
-
-
 def _run(config: ExperimentConfig, axis: str | None, values: list, fmt: str) -> tuple[str, str]:
-    """The rendered output and its one-line summary, for one report or a sweep over ``axis``."""
+    """The output in ``fmt`` and its one-line summary, for one report or a sweep over ``axis``."""
     if axis is None:
         report = run_experiment(config)
-        return _render_report(report, fmt), _summary(report)
-    cells = sweep(config, axis, values)
-    done = sum(1 for c in cells if c.report is not None)
-    return _render_sweep(cells, fmt), f"sweep over {axis}: {done}/{len(cells)} cells run"
+        data, rows = report.to_dict(), [_csv_row(report.config, report)]
+        analytic = "n/a" if report.analytic_abort is None else f"{report.analytic_abort:.6g}"
+        summary = (
+            f"trials={report.n_trials} completed={report.n_completed} aborted={report.n_aborted} "
+            f"correct={report.n_correct} abort_rate={report.abort_rate:.6g} analytic={analytic}"
+        )
+    else:
+        cells = sweep(config, axis, values)
+        data, rows = [c.to_dict() for c in cells], [_csv_row(c.config, c.report, c.skipped) for c in cells]
+        summary = f"sweep over {axis}: {sum(c.report is not None for c in cells)}/{len(cells)} cells run"
+    if fmt == "json":
+        return json.dumps(data, indent=2), summary
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows([CSV_COLUMNS, *rows])
+    return buffer.getvalue(), summary
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed the message; code 2 on bad flags
         return int(exc.code or 0)
     try:
@@ -189,8 +161,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             d=args.d,
             r=args.r,
             l=args.l,
-            secrets=_parse_secrets(args.secrets),
-            shared_key=_parse_shared_key(args.shared_key),
+            secrets=_random_or_ints(args.secrets, "--secrets expects comma-separated integers", many=True),
+            shared_key=_random_or_ints(args.shared_key, "--c expects an integer"),
             attack=args.attack,
             trials=args.trials,
             seed=args.seed,
@@ -210,15 +182,22 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     # --out opens before the run, so an unwritable path fails before any trial is spent
     try:
-        out = None if args.out is None else open(args.out, "w", encoding="utf-8")
-        with out or contextlib.nullcontext():
+        stream = contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="utf-8")
+        with stream as out:
+            if out is None:  # python's sys.stdout when file descriptor 1 was closed at start
+                raise OSError("stdout is closed")
             text, summary = _run(config, args.axis, values, args.fmt)
-            if out is not None:
-                out.write(text if text.endswith("\n") else text + "\n")
+            out.write(text)
+            out.write("" if text.endswith("\n") else "\n")
+            out.flush()
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        if args.out is None and sys.stdout is not None:
+            with contextlib.suppress(OSError):
+                sys.stdout.close()  # else python retries the unwritten rest at exit and reports that failure too
+        print(f"error: cannot write {'stdout' if args.out is None else args.out}: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(text if out is None else f"{summary} -> {args.out}")
+    if args.out is not None:
+        print(f"{summary} -> {args.out}")
     return EXIT_OK
 
 

@@ -279,10 +279,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             }
         )
     abort_rate = n_aborted / config.trials
-    try:
-        analytic = analytic_abort_probability(strategy, params)
-    except ParameterError:
-        analytic = None  # no closed form at a non-zero threshold
+    analytic = None if params.error_threshold else analytic_abort_probability(strategy, params)
     return ExperimentReport(
         config=config.to_dict(),
         trials=trial_rows,

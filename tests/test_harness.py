@@ -5,11 +5,13 @@ from __future__ import annotations
 import contextlib
 import copy
 import dataclasses
+import errno
 import gc
 import hashlib
 import importlib.util
 import io
 import json
+import os
 import pickle
 import re
 import shutil
@@ -700,16 +702,17 @@ ONE_TP_ARGS = ["--variant", "one-tp", "--n", "2", "--d", "5", "--r", "2", "--l",
 ATTACKED_ARGS = BASE_ARGS + ["--attack", "ir-random", "--l", "1", "--trials", "10", "--seed", "3"]
 
 # sha256 of the CLI's stdout, with the values of wall_clock_s and env masked
-# (they vary by run and by installed numpy); every other byte is pinned
+# (they vary by run and by installed numpy); every other byte is pinned, and
+# --out writes the same bytes
 STDOUT_SHA256 = {
     "report-json": (ATTACKED_ARGS, "df154f4d96bfd5de7e2761a6ffb0fea424186ede22ecc51316c58328ef487478"),
     "report-csv": (
         ATTACKED_ARGS + ["--format", "csv"],
-        "6b9283c971e8633ae7ed7a92e65b8221da91fef338d31121960fb1fed569d2dc",
+        "bb79e9a7fc2537c38a311e071dab22dde9c0ed9e61480a5e5a14096b288e2070",
     ),
     "threshold-csv": (
         ONE_TP_ARGS + ["--attack", "ir-random", "--threshold", "0.3", "--format", "csv"],
-        "b4611a60b03e42232bd90f7fda18afcd2e0b832375e9291abdc74f4f588e6f6a",
+        "7cdd852204fec5fb4f36045e4fae1e47e1d5d53568c3c3b6c8933eda6cfb1503",
     ),
     "sweep-d-json": (
         BASE_ARGS + ["--seed", "4", "--axis", "d", "--values", "5,2,7"],
@@ -717,11 +720,11 @@ STDOUT_SHA256 = {
     ),
     "sweep-d-csv": (
         BASE_ARGS + ["--seed", "4", "--axis", "d", "--values", "5,2,7", "--format", "csv"],
-        "346466a46daf063f4cbab462767fe65a02ae60bd0f76c06fa7f620df1d2ec016",
+        "5c8ee3f995cd14729befb2df6de535a4fa2e01a3eabb362ee3ff575fdb18c7fb",
     ),
     "sweep-attack-csv": (
         ONE_TP_ARGS + ["--axis", "attack", "--values", "none,ir-random,tp1-mr", "--format", "csv"],
-        "2bc83f27e36dd9d1993ac76523c7db79d2017f82b897f9327fb226d4f3ddecd1",
+        "49ac67669b5df6b773ada1c976da832aba35f08eaefbf5b6f107e1ec3e00eb1e",
     ),
 }
 
@@ -732,7 +735,7 @@ def _masked_stdout(text: str) -> str:
 
 
 @pytest.mark.parametrize("shape", sorted(STDOUT_SHA256))
-def test_cli_stdout_bytes_are_pinned(shape, capsys):
+def test_cli_stdout_bytes_are_pinned(shape, capsys, tmp_path):
     args, expected = STDOUT_SHA256[shape]
     assert main(args) == 0
     out = capsys.readouterr().out
@@ -741,6 +744,9 @@ def test_cli_stdout_bytes_are_pinned(shape, capsys):
     if shape.startswith("sweep"):
         assert "skipped: " in out or '"skipped": "' in out
     assert hashlib.sha256(_masked_stdout(out).encode()).hexdigest() == expected
+    assert main(args + ["--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert _masked_stdout((tmp_path / "out").read_bytes().decode()) == _masked_stdout(out)
 
 
 def test_cli_exit_codes_for_bad_configs(capsys):
@@ -799,15 +805,13 @@ def test_cli_exit_codes_for_bad_flags(capsys):
     capsys.readouterr()
 
 
-def test_cli_main_builds_its_parser_once(monkeypatch, capsys):
-    builds, build = [], cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(None) or build())
-    cli._parser.cache_clear()
+def test_cli_main_builds_its_parser_once(capsys):
+    cli.build_parser.cache_clear()
     outputs = []
     for _ in range(2):
         assert main(BASE_ARGS + ["--format", "csv"]) == 0  # CSV carries no wall clock
         outputs.append(capsys.readouterr().out)
-    assert len(builds) == 1
+    assert cli.build_parser.cache_info().misses == 1
     assert outputs[0] == outputs[1]
 
 
@@ -877,10 +881,41 @@ def test_cli_bad_flag_values_exit_2_with_one_error_line(case):
     assert len([line for line in err.getvalue().splitlines() if "error:" in line]) == 1, err.getvalue()
 
 
-def test_cli_io_failure_exit_code(tmp_path, capsys):
+class _FullStdout(io.StringIO):
+    def write(self, text: str) -> int:
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_cli_io_failure_exit_code(tmp_path, capsys, monkeypatch):
     missing_dir = tmp_path / "nope" / "report.json"
     assert main(BASE_ARGS + ["--out", str(missing_dir)]) == 3
     assert "cannot write" in capsys.readouterr().err
+
+    # stdout is a destination like --out: a failed write is exit 3 with one line;
+    # python's sys.stdout is None when file descriptor 1 was closed at start
+    for stdout in (_FullStdout(), None):
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", stdout)
+            assert main(BASE_ARGS) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: cannot write stdout: ")
+
+    # a pipe whose reader is gone, with stdout buffered as by default, so that
+    # the exit's flush would retry an unwritten rest
+    read, write = os.pipe()
+    os.close(read)
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qpc_sim.cli", *BASE_ARGS], stdout=write, stderr=subprocess.PIPE, text=True,
+            env=env, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 3, proc.stderr
+    assert [line for line in proc.stderr.splitlines() if "error:" in line] == [proc.stderr.strip()]
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
 @pytest.mark.parametrize("extra", ([], ["--axis", "d", "--values", "5,7"]), ids=("single", "sweep"))
