@@ -9,7 +9,7 @@ cell of ``harness.sweep`` over (variant, attack, d, r), and its seed column is
 the cell's, so any trial of any row replays with ``run_trial``. Insider attacks
 model the two-TP wiring and are skipped for ``one-tp``, as are dimensions below
 a variant's bound. Bad input exits 2; an unwritable ``--out`` exits 3 before
-any cell runs.
+any cell runs, and a failed write to stdout or ``--out`` exits 3 too.
 
 Example:
     python3 scripts/detection_sweep.py --trials 400 --dims 2,4,8,13 --l 8
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import math
 import sys
 
@@ -32,6 +33,7 @@ from qpc_sim import (
     sweep,
     tapped_checked_decoys,
 )
+from qpc_sim.cli import write_out
 
 # registry order: a cell's index, and so its seed, follows this tuple
 ACTIVE_ATTACKS = tuple(a for a in ATTACK_IDS if strategy_from_id(a).active)
@@ -98,6 +100,23 @@ def _dims(text: str) -> list[int]:
     return dims
 
 
+def _report(table: list[dict], trials: int, out: str | None) -> str:
+    """The table as text, the worst deviation from the closed form, and where the CSV went, if anywhere."""
+    header = f"{'variant':8} {'attack':12} {'d':>3} {'l':>3} {'p/decoy':>8} {'tapped':>6} {'analytic':>9} {'observed':>9} {'stderr':>8}"
+    lines = [header, "-" * len(header)]
+    for row in table:
+        lines.append(
+            f"{row['variant']:8} {row['attack']:12} {row['d']:>3} {row['l']:>3} "
+            f"{row['per_decoy']:>8.4f} {row['tapped']:>6} {row['analytic']:>9.4f} "
+            f"{row['observed']:>9.4f} {row['stderr']:>8.4f}"
+        )
+    worst = max((deviation(r["observed"], r["analytic"], trials) for r in table), default=0.0)
+    lines += ["", f"cells: {len(table)}, trials per cell: {trials}, worst |observed-analytic|: {worst:.2f} analytic sigma"]
+    if out:
+        lines.append(f"table written to {out}")
+    return "\n".join(lines) + "\n"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--trials", type=int, default=400, help="runs per cell (default 400)")
@@ -119,35 +138,26 @@ def main(argv: list[str] | None = None) -> int:
             dataclasses.replace(base, d=d, r=r).validate()
     except ParameterError as exc:
         parser.error(str(exc))
-    out = None
+
+    table = []
+
+    def run() -> str:
+        """Run the sweep into ``table`` and give it as CSV."""
+        table.extend(rows(sweep(base, AXIS, values)))
+        buffer = io.StringIO()
+        writer = csv.DictWriter(buffer, fieldnames=COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(table)
+        return buffer.getvalue()
+
     if args.out:
-        try:
-            out = open(args.out, "w", encoding="utf-8", newline="")
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 3
-    table = rows(sweep(base, AXIS, values))
-
-    header = f"{'variant':8} {'attack':12} {'d':>3} {'l':>3} {'p/decoy':>8} {'tapped':>6} {'analytic':>9} {'observed':>9} {'stderr':>8}"
-    print(header)
-    print("-" * len(header))
-    for row in table:
-        print(
-            f"{row['variant']:8} {row['attack']:12} {row['d']:>3} {row['l']:>3} "
-            f"{row['per_decoy']:>8.4f} {row['tapped']:>6} {row['analytic']:>9.4f} "
-            f"{row['observed']:>9.4f} {row['stderr']:>8.4f}"
-        )
-
-    worst = max((deviation(r["observed"], r["analytic"], args.trials) for r in table), default=0.0)
-    print(f"\ncells: {len(table)}, trials per cell: {args.trials}, worst |observed-analytic|: {worst:.2f} analytic sigma")
-
-    if out:
-        with out:
-            writer = csv.DictWriter(out, fieldnames=COLUMNS, lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(table)
-        print(f"table written to {args.out}")
-    return 0
+        # --out opens before the sweep, so an unwritable path fails before any cell runs
+        status = write_out(args.out, run)
+        if status:
+            return status
+    else:
+        run()
+    return write_out(None, lambda: _report(table, args.trials, args.out))
 
 
 if __name__ == "__main__":

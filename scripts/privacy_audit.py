@@ -18,7 +18,8 @@ The runs of each variant are trials 0..runs-1 of one harness experiment
 seeded by ``--seed``, drawn in one pass, and any of them replays alone with
 ``run_trial``. A support that excludes the true secret is a bug in the audit,
 not a finding: the script then prints one ``error:`` line per variant naming
-the run and target, and exits 1.
+the run and target, and exits 1. A failed write to stdout exits 3 with one
+``error:`` line.
 
 Example:
     python3 scripts/privacy_audit.py --runs 200 --seed 7
@@ -36,6 +37,7 @@ from qpc_sim import (
     coalition_view,
     secret_support,
 )
+from qpc_sim.cli import write_out
 from qpc_sim.harness import _trial_runs
 from qpc_sim.protocol import WIRING
 
@@ -46,8 +48,8 @@ def _histogram(sizes: list[int], r: int) -> str:
     return "  ".join(f"|S|={k}: {counts.get(k, 0) / total:.2%}" for k in range(1, r + 1))
 
 
-def audit(config: ExperimentConfig) -> str | None:
-    """Truth-check every allowed coalition and print the report; return the first inconsistency instead."""
+def audit(config: ExperimentConfig) -> tuple[str | None, str | None]:
+    """Truth-check every allowed coalition: the report's text, or else (None, the first inconsistency)."""
     params, _ = config.validate()
     n, runs = params.n, config.trials
     preparer, measurer = WIRING[params.variant]
@@ -62,7 +64,7 @@ def audit(config: ExperimentConfig) -> str | None:
                 name = "parties" if coalition is plan[-1] else "+".join(sorted(coalition.members))
                 support = secret_support(coalition_view(run.transcript, coalition), params).candidates
                 if run.secrets[target] not in support:
-                    return f"{config.variant} trial {t} target {target}: the {name} support excludes the true secret"
+                    return None, f"{config.variant} trial {t} target {target}: the {name} support excludes the true secret"
                 if name in sizes:
                     sizes[name].append(len(support))
         if preparer == measurer:
@@ -72,15 +74,14 @@ def audit(config: ExperimentConfig) -> str | None:
             [prep] = [e for e in events if e["kind"] == "carrier_prep"]
             measured = [e for e in events if e["kind"] == "carrier_measurement"]
             diffs_exact += len({e["value"] - prep["pads"][e["party"]] - run.secrets[e["party"]] for e in measured}) == 1
-    print(f"{config.variant} (n={n}, d={params.d}, r={params.r}, seed={config.seed}), {runs} runs x {n} targets:")
-    for name, found in sizes.items():
-        print(f"  {name:8} {_histogram(found, params.r)}")
+    lines = [f"{config.variant} (n={n}, d={params.d}, r={params.r}, seed={config.seed}), {runs} runs x {n} targets:"]
+    lines += [f"  {name:8} {_histogram(found, params.r)}" for name, found in sizes.items()]
     if preparer == measurer:
-        print(f"  pairwise secret differences were exactly recoverable by the {measurer} in {diffs_exact}/{runs} runs.")
+        lines.append(f"  pairwise secret differences were exactly recoverable by the {measurer} in {diffs_exact}/{runs} runs.")
     else:
         pinned = sizes[measurer].count(1)
-        print(f"  {measurer} pinned a secret exactly in {pinned} of {runs * n} cases (extreme measured values).")
-    return None
+        lines.append(f"  {measurer} pinned a secret exactly in {pinned} of {runs * n} cases (extreme measured values).")
+    return "\n".join(lines) + "\n", None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -97,15 +98,14 @@ def main(argv: list[str] | None = None) -> int:
             config.validate()
         except ParameterError as exc:
             parser.error(str(exc))
-    status = 0
-    for i, config in enumerate((two_tp, one_tp)):
-        if i:
-            print()
-        error = audit(config)
+    reports, status = [], 0
+    for config in (two_tp, one_tp):
+        report, error = audit(config)
         if error is not None:
             print(f"error: {error}", file=sys.stderr)
             status = 1
-    return status
+        reports.append(report or "")
+    return write_out(None, lambda: "\n".join(reports)) or status
 
 
 if __name__ == "__main__":

@@ -67,17 +67,16 @@ class AttackStrategy:
     ) -> BasisLabel:
         """Measure-and-resend one in-flight qudit; passive strategies forward untouched.
 
-        ``draws`` holds an iterator over each of the run's ``RunDraws.adversary``
-        lists, its coins and its uniforms: a fair-coin tap reads its basis bit
-        from the coins, and every active tap its measurement's uniform.
+        ``draws`` is an iterator over the run's ``RunDraws.adversary``: a
+        fair-coin tap reads its basis bit from it, then every active tap its
+        measurement's uniform.
         """
         if not self.active:
             return state
-        coins, uniforms = draws
         basis = self.basis
         if basis is None:
-            basis = DECOY_BASES[next(coins)]
-        outcome = measure(state, basis, next(uniforms))
+            basis = DECOY_BASES[next(draws)]
+        outcome = measure(state, basis, next(draws))
         # _value_ and a plain owner string: the enum's value property and a set cost more per tap
         transcript.record(
             self.owner,

@@ -127,14 +127,14 @@ class QuantumLink:
 
 
 def transmit(
-    link: QuantumLink, seq: tuple[BasisLabel, ...], transcript: Transcript, draws: tuple[Iterator, Iterator]
+    link: QuantumLink, seq: tuple[BasisLabel, ...], transcript: Transcript, draws: Iterator
 ) -> tuple[BasisLabel, ...]:
     """Move a transmission through ``link``, passing each qudit through the tapper once, in order.
 
     With no tapper ``seq`` itself is delivered, since the channel is
     noiseless; a tapped link delivers a new tuple of the tapped states. The
     transmission is recorded for both endpoints, after any tap records. The
-    tapper reads its coins and uniforms from ``draws``, the run's iterators over them.
+    tapper reads each tap's coin, if any, then its uniform from ``draws``, the run's iterator over them.
     """
     label, tapper = link.label, link.tapper
     if tapper is not None:

@@ -19,7 +19,7 @@ import functools
 import io
 import json
 import sys
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from .adversary import ATTACK_IDS
 from .harness import ExperimentConfig, ExperimentReport, run_experiment, sweep
@@ -128,8 +128,8 @@ def _csv_row(config: dict, report: ExperimentReport | None, skipped: str | None 
     return [str(config[name]) for name in CSV_COLUMNS[:7]] + [*results, note]
 
 
-def _run(config: ExperimentConfig, axis: str | None, values: list, fmt: str) -> tuple[str, str]:
-    """The output in ``fmt`` and its one-line summary, for one report or a sweep over ``axis``."""
+def _run(config: ExperimentConfig, axis: str | None, values: list, fmt: str) -> Iterator[str]:
+    """The output in ``fmt``, then its one-line summary, for one report or a sweep over ``axis``; runs on the first."""
     if axis is None:
         report = run_experiment(config)
         data, rows = report.to_dict(), [_csv_row(report.config, report)]
@@ -142,11 +142,31 @@ def _run(config: ExperimentConfig, axis: str | None, values: list, fmt: str) -> 
         cells = sweep(config, axis, values)
         data, rows = [c.to_dict() for c in cells], [_csv_row(c.config, c.report, c.skipped) for c in cells]
         summary = f"sweep over {axis}: {sum(c.report is not None for c in cells)}/{len(cells)} cells run"
-    if fmt == "json":
-        return json.dumps(data, indent=2), summary
     buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerows([CSV_COLUMNS, *rows])
-    return buffer.getvalue(), summary
+    if fmt == "csv":
+        csv.writer(buffer, lineterminator="\n").writerows([CSV_COLUMNS, *rows])
+    yield json.dumps(data, indent=2) if fmt == "json" else buffer.getvalue()
+    yield summary
+
+
+def write_out(path: str | None, render: Callable[[], str]) -> int:
+    """Write ``render()`` and a final newline to ``path``, opened first, or stdout: EXIT_OK, or EXIT_IO and an error."""
+    try:
+        stream = contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8")
+        with stream as out:
+            if out is None:  # python's sys.stdout when file descriptor 1 was closed at start
+                raise OSError("stdout is closed")
+            text = render()
+            out.write(text)
+            out.write("" if text.endswith("\n") else "\n")
+            out.flush()
+    except OSError as exc:
+        if path is None and sys.stdout is not None:
+            with contextlib.suppress(OSError):
+                sys.stdout.close()  # else python retries the unwritten rest at exit and reports that failure too
+        print(f"error: cannot write {'stdout' if path is None else path}: {exc}", file=sys.stderr)
+        return EXIT_IO
+    return EXIT_OK
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -180,25 +200,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    texts = _run(config, args.axis, values, args.fmt)
     # --out opens before the run, so an unwritable path fails before any trial is spent
-    try:
-        stream = contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="utf-8")
-        with stream as out:
-            if out is None:  # python's sys.stdout when file descriptor 1 was closed at start
-                raise OSError("stdout is closed")
-            text, summary = _run(config, args.axis, values, args.fmt)
-            out.write(text)
-            out.write("" if text.endswith("\n") else "\n")
-            out.flush()
-    except OSError as exc:
-        if args.out is None and sys.stdout is not None:
-            with contextlib.suppress(OSError):
-                sys.stdout.close()  # else python retries the unwritten rest at exit and reports that failure too
-        print(f"error: cannot write {'stdout' if args.out is None else args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    if args.out is not None:
-        print(f"{summary} -> {args.out}")
-    return EXIT_OK
+    status = write_out(args.out, lambda: next(texts))
+    return write_out(None, lambda: f"{next(texts)} -> {args.out}") if args.out and not status else status
 
 
 if __name__ == "__main__":

@@ -294,7 +294,7 @@ def _check_run(params: ProtocolParams, variant: Variant, adversary: object, draw
         _expect(adversary, adversary_module.AttackStrategy, "adversary")
     _expect(draws, RunDraws, "draws")
     taps, per_tap = adversary_module.tap_plan(params, adversary)
-    if tuple(map(len, draws.adversary)) != (taps * per_tap.count(2), taps * per_tap.count(0)):
+    if len(draws.adversary) != taps * len(per_tap):
         raise ParameterError(f"the adversary draws do not fit this run's {taps} taps, each drawing {per_tap}")
 
 
@@ -376,7 +376,7 @@ def _run_protocol(
     transcript = Transcript()
     prep_draws, measure_draws = iter(draws.preparer), iter(draws.measurer)
     party_draws = [iter(own) for own in draws.parties]
-    tap_draws = tuple(map(iter, draws.adversary))
+    tap_draws = iter(draws.adversary)
 
     transcript.record(
         PUBLIC,

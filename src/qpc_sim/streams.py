@@ -21,10 +21,10 @@ from the streams' raw 64-bit words, as numpy's ``Generator`` does:
   and draws again: a run with a rejected draw is redrawn by the scalar model
   :func:`_scalar_draws`, so the values never depend on the fast path.
 
-The adversary's taps draw on its own stream too: a coin per tap is an integer
-below 2, whose threshold is 0, so it is never rejected, and a tap's uniform is
-a whole word. So the plan that ``adversary.tap_plan`` reads off a run's links
-places them, and a run never builds a ``Generator``.
+The adversary's taps draw on its own stream too: each its coin, an integer
+below 2 that is never rejected, if it draws one, then its uniform. So
+:func:`_run_layout` places them from the plan that ``adversary.tap_plan`` reads
+off a run's links, and a run never builds a ``Generator``.
 
 numpy's NEP 19 lets these streams change between releases; the pins in
 tests/test_determinism.py fail if they do.
@@ -58,15 +58,10 @@ def run_streams(n: int) -> int:
     return n + 3
 
 
-def chunk_trials(params: ProtocolParams, plan: tuple[int, tuple[int, ...]]) -> int:
-    """Trials per chunk of :func:`trial_streams`: at most 1024 streams and 2**13 draws, and at least one trial.
-
-    A run draws at most three values per qudit it moves, 6n(l+1): a decoy's basis bit, index and check uniform.
-    Each tap of ``plan`` (tap count, each tap's draws) adds its uniform and any coin, so at most five per qudit.
-    """
-    n, l = params.n, params.l
-    taps, per_tap = plan
-    return max(1, min(_CHUNK_STREAMS // (run_streams(n) + 1), _CHUNK_DRAWS // (6 * n * (l + 1) + taps * len(per_tap))))
+def chunk_trials(params: ProtocolParams, root_draws: int, plan: tuple[int, tuple[int, ...]]) -> int:
+    """Trials per chunk of :func:`trial_streams`: at least one, at most 1024 streams and 2**13 of the layout's draws."""
+    draws = _run_layout(params.n, params.d, params.r, params.l, root_draws, *plan).slices[-1].stop
+    return max(1, min(_CHUNK_STREAMS // (run_streams(params.n) + 1), _CHUNK_DRAWS // draws))
 
 
 def _words(value: int) -> list[int]:
@@ -252,62 +247,72 @@ def _scalar_draws(words: Iterator[int], bounds: Sequence[int]) -> tuple[list, in
     return out, kept
 
 
-@lru_cache(maxsize=4)
-def _run_layout(n: int, d: int, r: int, l: int, root_draws: int, taps: int, per_tap: tuple[int, ...]) -> tuple:
-    """A run's draws per stream, and where each lies in a row that joins its streams' blocks of raw words.
+class _Layout(NamedTuple):
+    """Where a run's draws lie: per stream, and per draw in the run's row of draws and in its row of raw words."""
 
-    In order: each stream's draws in draw order, as bounds (0 asks for a
-    uniform), its block of the row, the word of each uniform, the half word of
-    each integer, and each integer's bound and rejection threshold. The
-    streams are the root, the preparer, the n parties, the measurer and the
-    adversary, whose ``taps`` taps each draw the bounds ``per_tap``.
+    bounds: tuple[list[int], ...]  # each stream's draws in draw order: 0 asks for a uniform, b an integer below b
+    slices: tuple[slice, ...]  # each stream's span of the row of draws
+    blocks: tuple[slice, ...]  # each stream's block of the row of raw words
+    uniform_slots: np.ndarray
+    uniform_words: np.ndarray  # the word of each uniform
+    integer_slots: np.ndarray
+    integer_halves: np.ndarray  # the uint32 half of each integer
+    integer_bounds: np.ndarray
+
+
+@lru_cache(maxsize=4)
+def _run_layout(n: int, d: int, r: int, l: int, root_draws: int, taps: int, per_tap: tuple[int, ...]) -> _Layout:
+    """The one statement of a run's draws: which stream draws what, in which order, and where each draw lies.
+
+    The streams are :class:`RunDraws`' fields; the adversary's ``taps`` taps each draw the bounds ``per_tap``.
     One walk places every draw by :func:`_scalar_draws`' rule.
     """
     recipe = [2, d] * l + [l + 1]
     # the preparer's first bound, d - r + 1, is the length of pad_sum_range
     preparer, adversary = [d - r + 1] + [r] * n + recipe * n, list(per_tap) * taps
     streams = ([r] * root_draws, preparer, *[[0] * l + recipe] * n, [0] * (n * (l + 1)), adversary)
-    blocks, uniform_words, integer_halves, bounds = [], [], [], []
+    slices, blocks, sources = [], [], []  # each draw's source: a uniform's word, an integer's uint32 half
+    word = 0
     for stream_bounds in streams:
-        word = start = blocks[-1].stop if blocks else 0
-        kept = None
+        start, kept = word, None
         for b in stream_bounds:
             if not b:
-                uniform_words.append(word)
+                sources.append(word)
                 word += 1
-                continue
-            bounds.append(b)
-            if b == 1:  # any half times 1 is below 2**32: it gives 0 and is never rejected, so it draws nothing
-                integer_halves.append(0)
+            elif b == 1:  # any half times 1 is below 2**32: it gives 0 and is never rejected, so it draws nothing
+                sources.append(0)
             elif kept is None:
-                integer_halves.append(2 * word)
+                sources.append(2 * word)
                 kept, word = 2 * word + 1, word + 1
             else:
-                integer_halves.append(kept)
+                sources.append(kept)
                 kept = None
+        slices.append(slice(len(sources) - len(stream_bounds), len(sources)))
         blocks.append(slice(start, word))
-    b = np.array(bounds, dtype=np.uint64)
-    uniform_words, integer_halves = np.array(uniform_words, dtype=np.intp), np.array(integer_halves, dtype=np.intp)
-    return streams, blocks, uniform_words, integer_halves, b, (2**32 - b) % b
+    sources, bounds = np.array(sources, dtype=np.intp), np.fromiter(chain(*streams), np.uint64)
+    uniforms, integers = np.flatnonzero(bounds == 0), np.flatnonzero(bounds)
+    return _Layout(
+        streams, (*slices,), (*blocks,), uniforms, sources[uniforms], integers, sources[integers], bounds[integers]
+    )
 
 
 class RunDraws(NamedTuple):
-    """Every draw one run makes from its role streams, each role's in its draw order.
+    """Every draw one run makes: one list per stream, in :func:`_run_layout`'s draw order.
 
     ``root`` holds the random secrets, then the random key, as the run asks.
     ``preparer`` holds the run constant, as an offset into ``pad_sum_range``,
     the n pads and the n first-hop recipes; ``parties`` each party's l step-3
     uniforms, then its step-4 recipe; ``measurer`` the n(l+1) uniforms of
     stages 5 to 7. A recipe is 2l+1 integers: a basis bit and an index per
-    decoy, then the carrier slot. ``adversary`` is its taps' coins and their
-    uniforms, in transmit order: first hops, then second hops.
+    decoy, then the carrier slot. ``adversary`` holds each tap's coin, if any,
+    then its uniform, in transmit order: first hops, then second hops.
     """
 
     root: list[int]
     preparer: list[int]
     parties: list[list]
     measurer: list[float]
-    adversary: tuple[list[int], list[float]]
+    adversary: list
 
 
 def run_draws(
@@ -318,40 +323,30 @@ def run_draws(
     Each run's ``streams`` are its root's bit generator, then the fresh ones of
     its preparer, its n parties, its measurer and its adversary, in that order;
     an untapped ``plan`` (tap count, each tap's draws) reads nothing of the last,
-    which may be left out. The root draws ``root_draws`` integers below r, and
-    no raw word if none. One block of raw words per stream holds its draws when
-    no integer is rejected; a run with a rejected integer is redrawn by
-    :func:`_scalar_draws`, which reads on past each block.
+    which may be left out. The root draws ``root_draws`` integers below r. Each
+    draw fills its slot of the run's row from one block of raw words per stream,
+    and each field is its stream's slice of the row; a run with a rejected
+    integer is refilled by :func:`_scalar_draws`, which reads on past each block.
     """
-    n, d, r, l = params.n, params.d, params.r, params.l
-    layout, blocks, uniform_words, integer_halves, bounds, thresholds = _run_layout(n, d, r, l, root_draws, *plan)
-    sizes = [block.stop - block.start for block in blocks]
+    layout = _run_layout(params.n, params.d, params.r, params.l, root_draws, *plan)
+    sizes = [block.stop - block.start for block in layout.blocks]
     raw = [bg.random_raw(size) for run in streams for bg, size in zip(run, sizes)]
-    words = np.concatenate(raw).reshape(len(streams), blocks[-1].stop)
-    floats = ((words[:, uniform_words] >> 11) * 2.0**-53).tolist()
+    words = np.concatenate(raw).reshape(len(streams), layout.blocks[-1].stop)
+    # an object row holds each draw as the Python float or int that numpy's tolist gives
+    rows = np.empty((len(streams), layout.slices[-1].stop), dtype=object)
+    rows[:, layout.uniform_slots] = (words[:, layout.uniform_words] >> 11) * 2.0**-53
     # numpy reads a word's halves low first, whatever the host order
-    products = words.astype("<u8", copy=False).view("<u4")[:, integer_halves] * bounds
-    ints = (products >> 32).tolist()
-    for i in np.flatnonzero(((products & _MASK32) < thresholds).any(axis=1)).tolist():
-        floats[i], ints[i] = [], []
-        for bg, stream_bounds, block in zip(streams[i], layout, blocks):
+    b = layout.integer_bounds
+    products = words.astype("<u8", copy=False).view("<u4")[:, layout.integer_halves] * b
+    rows[:, layout.integer_slots] = products >> 32
+    rows = rows.tolist()
+    for i in np.flatnonzero(((products & _MASK32) < (2**32 - b) % b).any(axis=1)).tolist():
+        rows[i] = []
+        for bg, stream_bounds, block in zip(streams[i], layout.bounds, layout.blocks):
             more = iter(bg.random_raw, None)  # the words past the block, one at a time
-            drawn, _ = _scalar_draws(chain(words[i, block].tolist(), more), stream_bounds)
-            floats[i] += [value for b, value in zip(stream_bounds, drawn) if not b]
-            ints[i] += [value for b, value in zip(stream_bounds, drawn) if b]
-    recipe = 2 * l + 1
-    second_hops = root_draws + n + 1 + n * recipe
-    coins = second_hops + n * recipe
-    return [
-        RunDraws(
-            row[:root_draws],
-            row[root_draws:second_hops],
-            [u[p * l : (p + 1) * l] + row[second_hops + p * recipe : second_hops + (p + 1) * recipe] for p in range(n)],
-            u[n * l : n * recipe],
-            (row[coins:], u[n * recipe :]),
-        )
-        for u, row in zip(floats, ints)
-    ]
+            rows[i] += _scalar_draws(chain(words[i, block].tolist(), more), stream_bounds)[0]
+    root, prep, *parties, measurer, adversary = layout.slices
+    return [RunDraws(row[root], row[prep], [row[p] for p in parties], row[measurer], row[adversary]) for row in rows]
 
 
 def trial_streams(
@@ -365,5 +360,5 @@ def trial_streams(
     hashed and drawn a chunk of :func:`chunk_trials` trials at a time.
     """
     n_children = run_streams(params.n) - (not plan[0])
-    for chunk in _bit_generators(seed, trials, n_children, chunk_trials(params, plan)):
+    for chunk in _bit_generators(seed, trials, n_children, chunk_trials(params, root_draws, plan)):
         yield from run_draws(params, chunk, root_draws, plan)

@@ -1,6 +1,11 @@
 """Shared test helpers: independent oracles, state constructors and bad-flag strategies."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -91,3 +96,26 @@ def unparsable(parse) -> st.SearchStrategy[str]:
 def int_texts(**bounds) -> st.SearchStrategy[str]:
     """Decimal texts of integers within ``bounds`` (st.integers keywords)."""
     return st.integers(**bounds).map(str)
+
+
+def closed_pipe_stderr(argv: list[str]) -> str:
+    """Run ``python *argv`` on the repo's src with stdout a pipe whose reader is gone; its stderr.
+
+    ``PYTHONUNBUFFERED`` is dropped, so stdout is buffered as by default and the
+    exit's flush would retry an unwritten rest. The run must exit 3 with one
+    ``error:`` line and no traceback.
+    """
+    read, write = os.pipe()
+    os.close(read)
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    try:
+        proc = subprocess.run(
+            [sys.executable, *argv], stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=120
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 3, proc.stderr
+    assert [line for line in proc.stderr.splitlines() if "error:" in line] == [proc.stderr.strip()]
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    return proc.stderr

@@ -176,7 +176,7 @@ def test_active_tap_fires_only_on_the_links_it_taps():
 
 
 def test_measure_resend_collapses_to_the_measured_basis():
-    draws = iter(()), iter(np.random.default_rng(7).random(1).tolist())  # a fixed basis draws no coin
+    draws = iter(np.random.default_rng(7).random(1).tolist())  # a fixed basis draws no coin
     state = BasisLabel.prepare(4, Basis.FOURIER, 1)
     out = strategy_from_id("ir-fixed-t1").tap(state, "TP1->P1", 0, draws, Transcript())
     # the resent state is some computational eigenstate
@@ -186,7 +186,7 @@ def test_measure_resend_collapses_to_the_measured_basis():
 
 
 def test_measure_resend_in_the_preparation_basis_is_invisible():
-    draws = iter(()), iter(np.random.default_rng(7).random(1).tolist())
+    draws = iter(np.random.default_rng(7).random(1).tolist())
     state = BasisLabel.prepare(4, Basis.COMPUTATIONAL, 2)
     out = strategy_from_id("ir-fixed-t1").tap(state, "TP1->P1", 0, draws, Transcript())
     assert overlap(out, state) == pytest.approx(1.0)

@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 
 from qpc_sim import ATTACK_IDS, ExperimentConfig, ParameterError, run_experiment, run_trial, strategy_from_id
 from qpc_sim.adversary import tap_plan
-from qpc_sim.channel import QuantumLink, Transcript
+from qpc_sim.channel import OUTSIDER, QuantumLink, Transcript
 from qpc_sim.protocol import (
     DECOY_BASES,
     DECOY_BASIS_NAMES,
@@ -47,8 +47,10 @@ from qpc_sim.protocol import (
 )
 from qpc_sim.qudit import Basis
 from qpc_sim.streams import (
+    _CHUNK_DRAWS,
     _bit_generators,
     _chunk_states,
+    _run_layout,
     _scalar_draws,
     _words,
     chunk_trials,
@@ -103,7 +105,7 @@ _WORD_EDGES = (0, 2**32, 2**64)
 @settings(max_examples=40, deadline=None)
 @given(seed=_SEEDS, n=st.integers(2, 6), data=st.data())
 def test_trial_streams_of_a_range_are_numpys_across_chunks_and_word_edges(seed, n, data):
-    size = chunk_trials(ProtocolParams(Variant.TWO_TP, n=n, d=2, r=1, l=1), (0, ()))
+    size = chunk_trials(ProtocolParams(Variant.TWO_TP, n=n, d=2, r=1, l=1), 0, (0, ()))
     edge = data.draw(st.sampled_from(_WORD_EDGES), label="edge")
     start = data.draw(st.integers(max(edge - size - 2, 0), edge + 2), label="start")
     # either a few trials or more than a chunk
@@ -236,14 +238,14 @@ def test_the_scalar_model_takes_the_rejection_branch_as_numpy_does():
         assert redrawn or b == 65281  # at 65281 a rejection needs about 2**16 draws, as in the run pins below
 
 
-def _numpy_taps(rng: np.random.Generator, taps: int, coin: bool) -> tuple[list[int], list[float]]:
-    """A run's tap draws by numpy's Generator: per tap, ``integers(0, 2)`` if ``coin``, then ``random()``."""
-    coins, uniforms = [], []
+def _numpy_taps(rng: np.random.Generator, taps: int, coin: bool) -> list:
+    """A run's tap draws by numpy's Generator, in its call order: per tap, ``integers(0, 2)`` if ``coin``, then ``random()``."""
+    out = []
     for _ in range(taps):
         if coin:
-            coins.append(int(rng.integers(0, 2)))
-        uniforms.append(rng.random())
-    return coins, uniforms
+            out.append(int(rng.integers(0, 2)))
+        out.append(rng.random())
+    return out
 
 
 def _tap_kept(words: list[int], taps: int, coin: bool) -> int | None:
@@ -274,7 +276,7 @@ def _numpy_run_draws(
     preparer = [constant - (r - 1), *pads, *recipes(prep, n)]
     taps, coin = plan
     # a batch of taps is one random(k) when no tap draws a coin; coins interleave, so they stay scalar calls
-    adversary = ([], draw(adversary, taps)) if batched and not coin else _numpy_taps(adversary, taps, coin)
+    adversary = draw(adversary, taps) if batched and not coin else _numpy_taps(adversary, taps, coin)
     measured = draw(measurer, n * (l + 1))
     return secrets, preparer, [draw(g, l) + recipes(g, 1) for g in parties], measured, adversary
 
@@ -358,10 +360,33 @@ def test_run_draws_are_numpys_on_the_other_bit_generators_of_64_bit_words(kind):
 def test_a_chunk_draws_what_its_runs_draw_one_at_a_time(attack):
     params = ProtocolParams(Variant.ONE_TP, n=3, d=13, r=4, l=5)
     plan = tap_plan(params, strategy_from_id(attack))
-    size = chunk_trials(params, plan)
+    size = chunk_trials(params, params.n + 1, plan)
     chunked = list(trial_streams(9, range(size + 2), params, params.n + 1, plan))
     alone = [next(trial_streams(9, range(t, t + 1), params, params.n + 1, plan)) for t in (0, size - 1, size, size + 1)]
     assert [chunked[t] for t in (0, size - 1, size, size + 1)] == alone
+
+
+@pytest.mark.parametrize("l", (1, 5, 700))
+@pytest.mark.parametrize("variant", Variant)
+def test_a_runs_draws_fill_their_layout_as_ints_and_floats(variant, l):
+    # each list is its stream's slice of the layout; each integer is an int and each uniform a float, as numpy's
+    # tolist boxes them; a chunk holds at most _CHUNK_DRAWS draws unless it is one trial, as at l=700
+    params = ProtocolParams(variant, n=3, d=13, r=4, l=l)
+    for attack in ATTACK_IDS:
+        strategy = strategy_from_id(attack)
+        if variant is Variant.ONE_TP and strategy.owner != OUTSIDER:
+            continue  # an insider attack models two-tp only
+        plan = tap_plan(params, strategy)
+        for root_draws in range(params.n + 2):
+            layout = _run_layout(params.n, params.d, params.r, l, root_draws, *plan)
+            size = chunk_trials(params, root_draws, plan)
+            assert size == 1 or size * layout.slices[-1].stop <= _CHUNK_DRAWS
+            for run in trial_streams(5, range(2), params, root_draws, plan):
+                lists = [run.root, run.preparer, *run.parties, run.measurer, run.adversary]
+                assert [len(drawn) for drawn in lists] == [len(bounds) for bounds in layout.bounds]
+                assert [len(bounds) for bounds in layout.bounds] == [s.stop - s.start for s in layout.slices]
+                for drawn, bounds in zip(lists, layout.bounds):
+                    assert [type(value) for value in drawn] == [int if b else float for b in bounds]
 
 
 # --------------------------------------------------------------------------
@@ -465,8 +490,8 @@ def test_random_of_k_draws_what_k_scalar_calls_draw(k):
         _assert_same_end_state(stream.words, stream.start, None, batched)
 
 
-def _adversary_draws(seq, taps: int, coin: bool) -> tuple[tuple[list, list], _Recorder]:
-    """``run_draws``' adversary lists for one run whose adversary stream is ``seq``'s, and that stream."""
+def _adversary_draws(seq, taps: int, coin: bool) -> tuple[list, _Recorder]:
+    """``run_draws``' adversary list for one run whose adversary stream is ``seq``'s, and that stream."""
     params = SimpleNamespace(n=3, d=5, r=2, l=2)
     stream = _Recorder(seq)
     (got,) = run_draws(params, [[*map(np.random.PCG64, range(run_streams(params.n))), stream]], 0, _plan(taps, coin))
@@ -489,9 +514,10 @@ def test_tap_draws_are_integers_and_random_interleaved(taps, coin):
 def test_tap_draws_frozen_example():
     # literal values and end state: a numpy change to the taps' draws, or to the model of them, must fail here
     rng = np.random.default_rng(5324)
-    assert _numpy_taps(rng, 3, True) == ([1, 0, 1], [0.8207246403666033, 0.04740025757535893, 0.1829746130928649])
+    drawn = [1, 0.8207246403666033, 0, 0.04740025757535893, 1, 0.1829746130928649]  # each tap's coin, then its uniform
+    assert _numpy_taps(rng, 3, True) == drawn
     got, stream = _adversary_draws(np.random.SeedSequence(5324), 3, True)
-    assert got == ([1, 0, 1], [0.8207246403666033, 0.04740025757535893, 0.1829746130928649])
+    assert got == drawn
     _assert_same_end_state(stream.words, stream.start, _tap_kept(stream.words, 3, True), rng)
     assert rng.random(3).tolist() == [0.2976649062402089, 0.8949163849049764, 0.3106553712377148]
     assert rng.bit_generator.state == {
@@ -520,8 +546,8 @@ def test_a_runs_taps_read_its_adversary_stream_in_transmit_order(attack):
     for t in range(config.trials):
         events = [e for e in run_trial(config, t).transcript.events() if e["kind"] == "tap"]
         stream = np.random.SeedSequence((config.seed, t)).spawn(run_streams(params.n))[-1]
-        coins, _ = _numpy_taps(np.random.default_rng(stream), taps, coin)
-        bases = [DECOY_BASIS_NAMES[c] for c in coins] if coin else [strategy.basis.value] * taps
+        drawn = _numpy_taps(np.random.default_rng(stream), taps, coin)  # each tap's coin, then its uniform
+        bases = [DECOY_BASIS_NAMES[c] for c in drawn[::2]] if coin else [strategy.basis.value] * taps
         assert [e["basis"] for e in events] == bases
         # in transmit order: each tapped link's l+1 qudits, the first hops before the second hops
         assert [(e["link"], e["position"]) for e in events] == [(x, i) for x in tapped for i in range(params.l + 1)]

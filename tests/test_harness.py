@@ -11,7 +11,6 @@ import hashlib
 import importlib.util
 import io
 import json
-import os
 import pickle
 import re
 import shutil
@@ -24,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ANY_VALUE, int_texts, seeded_draws, unparsable
+from conftest import ANY_VALUE, closed_pipe_stderr, int_texts, seeded_draws, unparsable
 from qpc_sim import (
     ATTACK_IDS,
     ExperimentConfig,
@@ -226,8 +225,15 @@ def test_trials_replay_byte_identically():
     assert c.transcript.to_json() != a.transcript.to_json()
 
 
+def _chunk(config: ExperimentConfig) -> int:
+    """Trials per chunk of ``config``'s draw pass, whose roots draw the random secrets, then a random one-tp key."""
+    params, strategy = config.validate()
+    random_key = params.variant is Variant.ONE_TP and config.shared_key == "random"
+    return chunk_trials(params, params.n * (config.secrets == "random") + random_key, tap_plan(params, strategy))
+
+
 # a trial of n=2 hashes (n + 3) + 1 streams; this config's last two trials are in a second chunk
-CHUNK = chunk_trials(ProtocolParams(Variant.TWO_TP, n=2, d=2, r=1, l=1), (0, ()))
+CHUNK = _chunk(ExperimentConfig(variant="two-tp", n=2, d=2, r=1, l=1, seed=11))
 MANY = ExperimentConfig(variant="two-tp", n=2, d=2, r=1, l=1, trials=CHUNK + 2, seed=11)
 
 
@@ -253,8 +259,7 @@ def test_run_trial_reproduces_the_experiment_rows(config, trials):
 )
 def test_a_range_of_trial_runs_is_each_trial_run_alone(config):
     # one draw pass over a range that starts past 0 and crosses a chunk edge
-    params, strategy = config.validate()
-    trials = range(3, 5 + chunk_trials(params, tap_plan(params, strategy)))
+    trials = range(3, 5 + _chunk(config))
 
     def replay(run):
         return run.trial_index, run.transcript.to_json(), run.secrets, run.shared_key, run.outcome
@@ -289,8 +294,7 @@ def test_every_row_of_a_chunked_experiment_is_its_trial_run_alone(attack, thresh
     secrets = data.draw(st.one_of(st.just("random"), st.tuples(*[st.integers(0, r - 1)] * n)), label="secrets")
     key = data.draw(st.just("random") | st.integers(0, r - 1), label="key") if variant == "one-tp" else "random"
     config = ExperimentConfig(variant, n, d, r, l, secrets, key, attack, 1, seed, threshold)
-    params, strategy = config.validate()
-    size = chunk_trials(params, tap_plan(params, strategy))
+    size = _chunk(config)
     trials = size + 1 if l == 200 else data.draw(st.integers(1, 4), label="trials")
     config = dataclasses.replace(config, trials=trials)
     report = run_experiment(config)
@@ -900,22 +904,17 @@ def test_cli_io_failure_exit_code(tmp_path, capsys, monkeypatch):
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("error: cannot write stdout: ")
 
-    # a pipe whose reader is gone, with stdout buffered as by default, so that
-    # the exit's flush would retry an unwritten rest
-    read, write = os.pipe()
-    os.close(read)
-    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "qpc_sim.cli", *BASE_ARGS], stdout=write, stderr=subprocess.PIPE, text=True,
-            env=env, timeout=120,
-        )
-    finally:
-        os.close(write)
-    assert proc.returncode == 3, proc.stderr
-    assert [line for line in proc.stderr.splitlines() if "error:" in line] == [proc.stderr.strip()]
-    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    # with --out the report is written, and the summary line on stdout fails the same way
+    out = tmp_path / "report.json"
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", _FullStdout())
+        assert main(BASE_ARGS + ["--out", str(out)]) == 3
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: cannot write stdout: ")
+    assert json.loads(out.read_text())["n_trials"] == 4
+
+    # a pipe whose reader is gone
+    assert closed_pipe_stderr(["-m", "qpc_sim.cli", *BASE_ARGS]).startswith("error: cannot write stdout: ")
 
 
 @pytest.mark.parametrize("extra", ([], ["--axis", "d", "--values", "5,7"]), ids=("single", "sweep"))

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import int_texts, unparsable
+from conftest import closed_pipe_stderr, int_texts, unparsable
 from qpc_sim.protocol import MAX_DIM, MAX_QUDITS
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -144,6 +144,14 @@ def test_detection_sweep_unwritable_out_exits_3_before_the_sweep(detection_sweep
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines() == [f"error: cannot write {missing}: [Errno 2] No such file or directory: '{missing}'"]
+
+
+@pytest.mark.parametrize(
+    "script, argv",
+    [("privacy_audit", ["--runs", "3", "--seed", "7"]), ("detection_sweep", ["--trials", "5", "--dims", "2,4", "--l", "2"])],
+)
+def test_a_script_writing_to_a_closed_pipe_exits_3_with_one_error_line(script, argv):
+    assert closed_pipe_stderr([str(SCRIPTS / f"{script}.py"), *argv]).startswith("error: cannot write stdout: ")
 
 
 _BAD_SEED = st.one_of(int_texts(max_value=-1), int_texts(min_value=2**64), unparsable(int))
