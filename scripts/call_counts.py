@@ -152,7 +152,7 @@ def main(argv: list[str] | None = None) -> int:
     for (kind, _), calls in counts.items():
         totals[kind] += calls
     top = sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:TOP]
-    print(json.dumps({
+    return cli.write_out(None, lambda write: write(json.dumps({
         "workload": args.workload,
         "trials": trials,
         "seed": None if args.workload == "privacy-audit" else SEED,
@@ -162,8 +162,7 @@ def main(argv: list[str] | None = None) -> int:
         "c_calls_per_trial": totals["c"] / trials,
         "top": [{"kind": kind, "function": name, "calls_per_trial": calls / trials} for (kind, name), calls in top],
         "gc_collections_per_1000_trials": [1000 * n / trials for n in collected],
-    }))
-    return 0
+    })))
 
 
 if __name__ == "__main__":

@@ -114,7 +114,7 @@ def _report(table: list[dict], trials: int, out: str | None) -> str:
     lines += ["", f"cells: {len(table)}, trials per cell: {trials}, worst |observed-analytic|: {worst:.2f} analytic sigma"]
     if out:
         lines.append(f"table written to {out}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -148,16 +148,16 @@ def main(argv: list[str] | None = None) -> int:
         writer = csv.DictWriter(buffer, fieldnames=COLUMNS, lineterminator="\n")
         writer.writeheader()
         writer.writerows(table)
-        return buffer.getvalue()
+        return buffer.getvalue().removesuffix("\n")
 
     if args.out:
         # --out opens before the sweep, so an unwritable path fails before any cell runs
-        status = write_out(args.out, run)
+        status = write_out(args.out, lambda write: write(run()))
         if status:
             return status
     else:
         run()
-    return write_out(None, lambda: _report(table, args.trials, args.out))
+    return write_out(None, lambda write: write(_report(table, args.trials, args.out)))
 
 
 if __name__ == "__main__":

@@ -39,7 +39,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-#: The workloads perfbench/workloads.py builds, named here so that no package is imported before the trees'.
+from qpc_sim.cli import write_out
+
+#: The workloads perfbench/workloads.py builds, named here so that no tree's workloads.py is imported to list them.
 WORKLOADS = ("honest-two-tp", "intercept-abort", "d-sweep", "privacy-audit")
 #: The two sides, as their package names end.
 SIDES = ("base", "change")
@@ -152,8 +154,8 @@ def main(argv: list[str] | None = None) -> int:
             undo.callback(_forget, f"qpc_{side}")
             sides[side] = load_workload(trees[side], f"qpc_{side}", Path(scratch), args.workload, SEED, PART)
         summary = interleave(sides, args.rounds)
-    print(json.dumps({"workload": args.workload, "seed": SEED, "part": PART, "rounds": args.rounds, **summary}))
-    return 0
+    summary = {"workload": args.workload, "seed": SEED, "part": PART, "rounds": args.rounds, **summary}
+    return write_out(None, lambda write: write(json.dumps(summary)))
 
 
 if __name__ == "__main__":

@@ -105,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {error}", file=sys.stderr)
             status = 1
         reports.append(report or "")
-    return write_out(None, lambda: "\n".join(reports)) or status
+    return write_out(None, lambda write: write("\n".join(reports).removesuffix("\n"))) or status
 
 
 if __name__ == "__main__":

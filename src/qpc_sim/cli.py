@@ -4,8 +4,11 @@ Single-run mode writes one experiment report; adding ``--axis``/``--values``
 turns the same invocation into a sweep. This module renders every text form
 of the output, the indented JSON of ``to_dict`` or CSV, in one place, and
 writes it through one path to stdout or to ``--out``: the same bytes, ending
-in one newline. Exit codes: 0 success, 2 bad configuration, 3 I/O failure (a
-failed write to stdout or to ``--out``). A sweep is a bad configuration only
+in one newline. A single report is written row by row as its trials run and
+keeps no row, so memory is flat in ``--trials`` for JSON and CSV; a sweep
+still holds every cell, rows included, until all have run. Exit codes: 0
+success, 2 bad configuration, 3 I/O failure (a failed write to stdout or to
+``--out``, which also stops the run). A sweep is a bad configuration only
 when none of its cells is valid; it runs the others and skips the invalid
 ones.
 """
@@ -19,10 +22,10 @@ import functools
 import io
 import json
 import sys
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .adversary import ATTACK_IDS
-from .harness import ExperimentConfig, ExperimentReport, run_experiment, sweep
+from .harness import ExperimentConfig, ExperimentReport, SweepCell, run_experiment, sweep
 from .protocol import MAX_DIM, Variant
 from .qudit import ParameterError
 
@@ -128,11 +131,58 @@ def _csv_row(config: dict, report: ExperimentReport | None, skipped: str | None 
     return [str(config[name]) for name in CSV_COLUMNS[:7]] + [*results, note]
 
 
-def _run(config: ExperimentConfig, axis: str | None, values: list, fmt: str) -> Iterator[str]:
-    """The output in ``fmt``, then its one-line summary, for one report or a sweep over ``axis``; runs on the first."""
+def _nested(value: object, depth: int) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it ``depth`` levels deep, its first line unindented."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def _json_row(row: dict, depth: int) -> str:
+    """A trial row as the report's indent=2 JSON writes it ``depth`` levels deep, after a comma unless it is trial 0;
+    for ``run_experiment``'s rows: ints, non-empty lists of ints, a ``CHECK_STEPS`` name, bools, or None."""
+    p0 = "\n" + "  " * depth
+    p1, p2, p3 = p0 + "  ", p0 + "    ", p0 + "      "
+    key, step, ranking = row["shared_key"], row["aborted_at"], row["ranking"]
+    step = "null" if step is None else f'"{step}"'
+    if ranking is not None:
+        ranking = "[" + ",".join([f"{p2}[{p3}{(',' + p3).join(map(str, g))}{p2}]" for g in ranking]) + p1 + "]"
+    secrets, literal = ("," + p2).join(map(str, row["secrets"])), {None: "null", True: "true", False: "false"}
+    return (
+        f'{"," if row["trial"] else ""}{p0}{{{p1}"trial": {row["trial"]},{p1}"secrets": [{p2}{secrets}{p1}],'
+        f'{p1}"shared_key": {"null" if key is None else key},{p1}"aborted_at": {step},'
+        f'{p1}"ranking": {"null" if ranking is None else ranking},{p1}"correct": {literal[row["correct"]]}{p0}}}'
+    )
+
+
+def _report_head(config: dict, depth: int) -> str:
+    """A report's JSON ``depth`` levels deep, from its opening brace to its rows' opening bracket."""
+    pad = "\n" + "  " * (depth + 1)
+    return f'{{{pad}"config": {_nested(config, depth + 1)},{pad}"trials": ['
+
+
+def _report_tail(report: ExperimentReport, depth: int) -> str:
+    """A report's JSON ``depth`` levels deep from the rows it holds (none if a sink took them) to its closing brace."""
+    rows = "".join(_json_row(row, depth + 2) for row in report.trials)
+    summary = {key: value for key, value in report.to_dict().items() if key not in ("config", "trials")}
+    return rows + "\n" + "  " * (depth + 1) + "]," + _nested(summary, depth)[1:]
+
+
+def _cell_json(cell: SweepCell) -> str:
+    """A sweep cell as the sweep's indent=2 JSON writes it, one level deep."""
+    report = "null" if cell.report is None else _report_head(cell.config, 2) + _report_tail(cell.report, 2)
+    text = {key: report if key == "report" else _nested(value, 2) for key, value in cell.to_dict().items()}
+    return "{" + ",".join(f'\n    "{key}": {value}' for key, value in text.items()) + "\n  }"
+
+
+def _run(config: ExperimentConfig, axis: str | None, values: list, fmt: str, write: Callable[[str], object]) -> str:
+    """Write the output in ``fmt`` through ``write``, for one report or a sweep over ``axis``; give its summary line.
+    A report's rows are written as the run makes them and not kept; a sweep holds its cells until all have run."""
     if axis is None:
-        report = run_experiment(config)
-        data, rows = report.to_dict(), [_csv_row(report.config, report)]
+        if fmt == "json":
+            write(_report_head(config.to_dict(), 0))
+        report = run_experiment(config, (lambda row: write(_json_row(row, 2))) if fmt == "json" else lambda row: None)
+        if fmt == "json":
+            write(_report_tail(report, 0))
+        rows = [_csv_row(report.config, report)]
         analytic = "n/a" if report.analytic_abort is None else f"{report.analytic_abort:.6g}"
         summary = (
             f"trials={report.n_trials} completed={report.n_completed} aborted={report.n_aborted} "
@@ -140,25 +190,27 @@ def _run(config: ExperimentConfig, axis: str | None, values: list, fmt: str) -> 
         )
     else:
         cells = sweep(config, axis, values)
-        data, rows = [c.to_dict() for c in cells], [_csv_row(c.config, c.report, c.skipped) for c in cells]
+        if fmt == "json":
+            write("[" + ",".join("\n  " + _cell_json(cell) for cell in cells) + "\n]")
+        rows = [_csv_row(c.config, c.report, c.skipped) for c in cells]
         summary = f"sweep over {axis}: {sum(c.report is not None for c in cells)}/{len(cells)} cells run"
-    buffer = io.StringIO()
     if fmt == "csv":
+        buffer = io.StringIO()
         csv.writer(buffer, lineterminator="\n").writerows([CSV_COLUMNS, *rows])
-    yield json.dumps(data, indent=2) if fmt == "json" else buffer.getvalue()
-    yield summary
+        write(buffer.getvalue().removesuffix("\n"))
+    return summary
 
 
-def write_out(path: str | None, render: Callable[[], str]) -> int:
-    """Write ``render()`` and a final newline to ``path``, opened first, or stdout: EXIT_OK, or EXIT_IO and an error."""
+def write_out(path: str | None, emit: Callable[[Callable[[str], object]], object]) -> int:
+    """Open ``path`` first, or take stdout, and call ``emit(write)``, which writes the text in chunks but not its final
+    newline, then add that: EXIT_OK, or EXIT_IO and one error line, and a failed write ends ``emit`` where it stands."""
     try:
         stream = contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8")
         with stream as out:
             if out is None:  # python's sys.stdout when file descriptor 1 was closed at start
                 raise OSError("stdout is closed")
-            text = render()
-            out.write(text)
-            out.write("" if text.endswith("\n") else "\n")
+            emit(out.write)
+            out.write("\n")
             out.flush()
     except OSError as exc:
         if path is None and sys.stdout is not None:
@@ -200,10 +252,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    texts = _run(config, args.axis, values, args.fmt)
+    summary: list[str] = []
     # --out opens before the run, so an unwritable path fails before any trial is spent
-    status = write_out(args.out, lambda: next(texts))
-    return write_out(None, lambda: f"{next(texts)} -> {args.out}") if args.out and not status else status
+    status = write_out(args.out, lambda write: summary.append(_run(config, args.axis, values, args.fmt, write)))
+    return write_out(None, lambda write: write(f"{summary[0]} -> {args.out}")) if args.out and not status else status
 
 
 if __name__ == "__main__":

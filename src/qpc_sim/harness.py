@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -246,13 +246,17 @@ def _field_dict(record: object) -> dict:
     return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Run all trials of ``config`` and fold the outcomes into a report."""
+def run_experiment(config: ExperimentConfig, sink: Callable[[dict], object] | None = None) -> ExperimentReport:
+    """Run all trials of ``config`` and fold the outcomes into a report, which keeps every row unless a ``sink`` is
+    given: then each row goes to it as it is made, trial 0 first, and the report's ``trials`` is empty."""
     _expect(config, ExperimentConfig, "config")
+    if sink is not None and not callable(sink):
+        raise ParameterError(f"sink must be callable or None, got {sink!r}")
     params, strategy = config.validate()
     start = time.perf_counter()
     decoy_stats = {step: {"checked": 0, "mismatched": 0} for step in CHECK_STEPS}
     trial_rows: list[dict] = []
+    emit_row = trial_rows.append if sink is None else sink
     n_completed = n_aborted = n_correct = 0
     for run in _trial_runs(config, range(config.trials)):
         for event in run.transcript.events():
@@ -268,7 +272,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         else:
             n_aborted += 1
             correct = None
-        trial_rows.append(
+        emit_row(
             {
                 "trial": run.trial_index,
                 "secrets": list(run.secrets),

@@ -62,9 +62,9 @@ SOLO_TP_ROLE = "TP"
 MAX_DIM = 2**16
 
 #: Most qudits one run may move, 2n(l+1). Memory grows with it: one two-tp
-#: trial at the cap (n=2, d=4, l=65535) peaks at 197 MB RSS (``ru_maxrss``)
-#: with no attack, at 216 MB with ir-random, which aborts at step 3, and at
-#: 332 MB with ir-random at threshold 1, which completes (CPython 3.11, numpy 2.4).
+#: trial at the cap (n=2, d=4, l=65535) peaks at 177 MB RSS (``ru_maxrss``)
+#: with no attack, at 199 MB with ir-random, which aborts at step 3, and at
+#: 303 MB with ir-random at threshold 1, which completes (CPython 3.11, numpy 2.4).
 MAX_QUDITS = 2**18
 
 

@@ -86,7 +86,7 @@ CALLS = {
     "secret_support": lambda: (coalition_view(_TRANSCRIPT, _COALITION), _TWO_TP),
     "strategy_from_id": lambda: ("ir-random",),
     "tapped_checked_decoys": lambda: (_TAPPER, _TWO_TP),
-    "run_experiment": lambda: (_CONFIG,),
+    "run_experiment": lambda: (_CONFIG, None),
     "run_one_tp_protocol": lambda: (_ONE_TP, (0, 1), 1, _TAPPER, seeded_draws(_ONE_TP, _TAPPER, 0)),
     "run_trial": lambda: (_CONFIG, 0),
     "run_two_tp_protocol": lambda: (_TWO_TP, (0, 1), _TAPPER, seeded_draws(_TWO_TP, _TAPPER, 0)),

@@ -16,6 +16,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,7 @@ from qpc_sim.cli import CSV_COLUMNS, _csv_row, main
 from qpc_sim.harness import derive_cell_seed
 from qpc_sim.channel import OUTSIDER
 from qpc_sim.adversary import tap_plan
-from qpc_sim.protocol import MAX_DIM, MAX_QUDITS, rank_descending, run_links
+from qpc_sim.protocol import CHECK_STEPS, MAX_DIM, MAX_QUDITS, rank_descending, run_links
 from qpc_sim.streams import chunk_trials, trial_streams
 
 HONEST = ExperimentConfig(variant="two-tp", n=3, d=13, r=5, l=8, trials=20, seed=11)
@@ -496,6 +497,37 @@ def test_attacked_experiment_aggregates():
             assert row["ranking"] is None and row["correct"] is None
 
 
+@pytest.mark.parametrize("config", [HONEST, ATTACKED], ids=("honest", "ir-random"))
+def test_a_sink_takes_each_row_in_trial_order_and_the_report_keeps_none(config):
+    kept, rows = run_experiment(config), []
+    report = run_experiment(config, rows.append)
+    assert rows == kept.trials and report.trials == []
+    assert report.canonical_json() == dataclasses.replace(kept, trials=[]).canonical_json()
+
+
+class _SinkFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("k", [0, 3, CHUNK - 1, CHUNK])
+def test_a_sink_that_raises_on_row_k_leaves_the_later_trials_unrun(k, monkeypatch):
+    calls = []
+    run_trial_alone = harness._run_trial
+
+    def counted(*args):
+        calls.append(args[3])  # the trial index
+        return run_trial_alone(*args)
+
+    def sink(row):
+        if row["trial"] == k:
+            raise _SinkFailed
+
+    monkeypatch.setattr(harness, "_run_trial", counted)
+    with pytest.raises(_SinkFailed):
+        run_experiment(MANY, sink)
+    assert calls == list(range(k + 1))
+
+
 def test_fixed_secrets_hold_while_random_secrets_vary():
     fixed = run_experiment(
         ExperimentConfig(variant="two-tp", n=3, d=13, r=5, l=4, secrets=(3, 0, 2), trials=10, seed=2)
@@ -886,8 +918,17 @@ def test_cli_bad_flag_values_exit_2_with_one_error_line(case):
 
 
 class _FullStdout(io.StringIO):
+    """A stdout whose ``fails_at``-th write, and every later one, fails as a full device does."""
+
+    def __init__(self, fails_at: int = 1) -> None:
+        super().__init__()
+        self.writes, self.fails_at = 0, fails_at
+
     def write(self, text: str) -> int:
-        raise OSError(errno.ENOSPC, "No space left on device")
+        self.writes += 1
+        if self.writes >= self.fails_at:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write(text)
 
 
 def test_cli_io_failure_exit_code(tmp_path, capsys, monkeypatch):
@@ -915,6 +956,91 @@ def test_cli_io_failure_exit_code(tmp_path, capsys, monkeypatch):
 
     # a pipe whose reader is gone
     assert closed_pipe_stderr(["-m", "qpc_sim.cli", *BASE_ARGS]).startswith("error: cannot write stdout: ")
+
+
+def test_cli_a_write_that_fails_mid_stream_exits_3_and_runs_no_later_trial(monkeypatch, capsys):
+    calls = []
+    run_trial_alone = harness._run_trial
+    monkeypatch.setattr(harness, "_run_trial", lambda *args: calls.append(args[3]) or run_trial_alone(*args))
+    stdout = _FullStdout(fails_at=3)  # the header and trial 0's row are written, trial 1's row is not
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", stdout)
+        assert main(BASE_ARGS + ["--trials", "50"]) == 3
+    assert capsys.readouterr().err == "error: cannot write stdout: [Errno 28] No space left on device\n"
+    assert calls == [0, 1]  # the run stopped at the row whose write failed
+    assert stdout.closed  # closed, so the exit flushes nothing more
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_cli_out_to_a_full_device_exits_3_with_one_error_line(fmt, capsys):
+    # 200 JSON rows overflow the file's buffer, so the failing write comes mid-run
+    assert main(BASE_ARGS + ["--trials", "200", "--format", fmt, "--out", "/dev/full"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: cannot write /dev/full: [Errno 28] No space left on device\n"
+
+
+class _Discard(io.TextIOBase):
+    def write(self, text: str) -> int:
+        return len(text)
+
+
+def _cli_peak_bytes(args: list[str]) -> int:
+    """The tracemalloc peak of one ``main(args)`` writing to a stdout that keeps nothing."""
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(_Discard()):
+            assert main(args) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_cli_memory_is_flat_in_the_trial_count(fmt):
+    # two-tp n=2 d=3 r=2 l=1, the cheapest run; 500 trials are past the first draw chunk
+    args = ["--variant", "two-tp", "--n", "2", "--d", "3", "--r", "2", "--l", "1", "--format", fmt, "--trials"]
+    _cli_peak_bytes(args + ["50"])  # warm the process's caches
+    few, many = (_cli_peak_bytes(args + [str(trials)]) for trials in (500, 5000))
+    assert many - few < 512 * 1024, (few, many)
+
+
+@st.composite
+def _trial_rows(draw) -> list[dict]:
+    """Rows as a report holds them, trial 0 first, with every value each field can take."""
+    rows = []
+    for trial in range(draw(st.integers(1, 4))):
+        n, r = draw(st.integers(2, 16)), draw(st.integers(1, 40))
+        order = draw(st.permutations(range(n)))
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1))))
+        groups = [list(order[i:j]) for i, j in zip([0, *cuts], [*cuts, n])]
+        rows.append({
+            "trial": trial,
+            "secrets": draw(st.lists(st.integers(0, r - 1), min_size=n, max_size=n)),
+            "shared_key": draw(st.none() | st.integers(0, 2**16)),
+            "aborted_at": draw(st.none() | st.sampled_from(CHECK_STEPS)),
+            "ranking": draw(st.none() | st.just(groups)),
+            "correct": draw(st.sampled_from([True, False, None])),
+        })
+    return rows
+
+
+_REPORT = run_experiment(dataclasses.replace(HONEST, trials=1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=_trial_rows())
+def test_the_cli_renders_any_rows_as_json_dumps_does_at_report_and_sweep_depth(rows):
+    report = dataclasses.replace(_REPORT, trials=rows)
+    # a report's text, as streamed: its head, then each row as the run makes it, then its tail
+    streamed = cli._report_head(report.config, 0) + "".join(cli._json_row(row, 2) for row in rows)
+    streamed += cli._report_tail(dataclasses.replace(report, trials=[]), 0)
+    assert streamed == json.dumps(report.to_dict(), indent=2)
+    # the same rows inside a sweep cell, two levels deeper
+    cells = [harness.SweepCell("d", 13, 1, report.config, report), harness.SweepCell("d", 2, 2, report.config, None, "x")]
+    expected = json.dumps([cell.to_dict() for cell in cells], indent=2)
+    assert "[" + ",".join("\n  " + cli._cell_json(cell) for cell in cells) + "\n]" == expected
 
 
 @pytest.mark.parametrize("extra", ([], ["--axis", "d", "--values", "5,7"]), ids=("single", "sweep"))

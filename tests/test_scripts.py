@@ -148,7 +148,14 @@ def test_detection_sweep_unwritable_out_exits_3_before_the_sweep(detection_sweep
 
 @pytest.mark.parametrize(
     "script, argv",
-    [("privacy_audit", ["--runs", "3", "--seed", "7"]), ("detection_sweep", ["--trials", "5", "--dims", "2,4", "--l", "2"])],
+    [
+        ("privacy_audit", ["--runs", "3", "--seed", "7"]),
+        ("detection_sweep", ["--trials", "5", "--dims", "2,4", "--l", "2"]),
+        ("call_counts", ["--workload", "intercept-abort"]),
+        # the checkout against itself, one round
+        ("interleave", ["--base", str(SCRIPTS.parent), "--change", str(SCRIPTS.parent), "--workload", "honest-two-tp",
+                        "--rounds", "1"]),
+    ],
 )
 def test_a_script_writing_to_a_closed_pipe_exits_3_with_one_error_line(script, argv):
     assert closed_pipe_stderr([str(SCRIPTS / f"{script}.py"), *argv]).startswith("error: cannot write stdout: ")
