@@ -3,12 +3,11 @@
 Each attack id is one row of data: whether it is active, the basis it
 measures in (or a fair coin per qudit) and its owner, the role whose view
 records its taps. Active rows measure qudits in flight and resend the
-collapsed state, on the links ``protocol.run_links`` gives them from the
-wiring; passive rows just read the public broadcasts. A two-tp insider is
-rejected on one-tp because its owner is not a role of that wiring. Coalition
-views and a closed-form support interval quantify what any allowed group of
-roles can infer about a single party's secret; the brute-force enumeration
-of that support is the test oracle.
+collapsed state; passive rows just read the public broadcasts. Who may own a
+row, which links it taps and who may collude follow ``protocol.run_roles``.
+Coalition views and a closed-form support interval quantify what any allowed
+group of roles can infer about a single party's secret; the brute-force
+enumeration of that support is the test oracle.
 """
 from __future__ import annotations
 
@@ -22,23 +21,20 @@ from typing import NamedTuple
 from .channel import OUTSIDER, PUBLIC, Event, Transcript
 from .protocol import (
     DECOY_BASES,
-    WIRING,
     ProtocolParams,
-    TP1_ROLE,
-    TP2_ROLE,
     Variant,
     pad_sum_range,
-    party_role,
     run_links,
+    run_roles,
 )
 from .qudit import Basis, BasisLabel, ParameterError, _expect, _expect_int, _new
 
 # taps collapse basis labels; tests plug the dense oracle's measure in here
 measure = BasisLabel.measure
 
-_TP_ROLES = frozenset().union(*WIRING.values())
+_TP_ROLES = frozenset().union(*(run_roles(variant, 2).tps for variant in Variant))  # a wiring's TPs, whatever n
 _PARTY_RE = re.compile(r"P[1-9]\d*")
-#: Entries each coalition memo keeps (member sets, run role sets): every role set of an n=7 audit.
+#: Entries each coalition memo keeps (member sets): every member set of an n=7 audit.
 _MEMO_SIZE = 128
 #: Most parties ``allowed_coalitions`` enumerates: a two-tp target has 2**(n-1) + 1 coalitions, 32,769 at the cap.
 MAX_AUDIT_PARTIES = 16
@@ -48,8 +44,8 @@ MAX_AUDIT_PARTIES = 16
 class AttackStrategy:
     """One adversary as a row: whether it taps, in which basis, and who owns it and sees the results.
 
-    ``protocol.run_links`` decides which links an active strategy taps from
-    its owner. ``basis`` ``None`` means a fair coin per qudit.
+    An active strategy taps the links that the tap rule of ``protocol.run_roles``
+    gives its owner. ``basis`` ``None`` means a fair coin per qudit.
     """
 
     id: str
@@ -106,8 +102,8 @@ _STRATEGIES: dict[str, AttackStrategy] = {
         AttackStrategy("ir-fixed-t1", True, Basis.COMPUTATIONAL),
         AttackStrategy("ir-fixed-t2", True, Basis.FOURIER),
         AttackStrategy("ir-random", True),
-        AttackStrategy("tp1-mr", True, Basis.COMPUTATIONAL, TP1_ROLE),
-        AttackStrategy("tp2-mr", True, Basis.COMPUTATIONAL, TP2_ROLE),
+        AttackStrategy("tp1-mr", True, Basis.COMPUTATIONAL, "TP1"),
+        AttackStrategy("tp2-mr", True, Basis.COMPUTATIONAL, "TP2"),
         AttackStrategy("outsider-classical"),
     )
 }
@@ -193,7 +189,7 @@ def analytic_abort_probability(strategy: AttackStrategy, params: ProtocolParams)
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _check_members(members: frozenset[str]) -> frozenset[int]:
-    """Refuse an empty set, an unknown role or a colluding TP; a set that passes gives its party indices, remembered."""
+    """Refuse what the coalition rule of ``protocol.run_roles`` refuses on every wiring; else give the party indices."""
     if not members:
         raise ParameterError("a coalition needs at least one member")
     for role in members:
@@ -206,12 +202,8 @@ def _check_members(members: frozenset[str]) -> frozenset[int]:
 
 @dataclass(frozen=True, init=False)
 class Coalition:
-    """A set of colluding roles trying to learn one party's secret.
-
-    Third parties are assumed not to collude with anyone (neither with each
-    other nor with a party), so any coalition containing a TP role is that TP
-    alone. The target is a 0-based party index outside the coalition.
-    """
+    """A set of colluding roles, as the coalition rule of ``protocol.run_roles`` allows, trying to learn one party's
+    secret: the target, a 0-based party index outside the coalition."""
 
     __slots__ = ("members", "target")  # not dataclass(slots=True): its class raises TypeError on writes in Python 3.11
     members: frozenset[str]
@@ -228,7 +220,7 @@ class Coalition:
         if type(target) is not int or target < 0:  # numpy integers are stored as int; a bool is no index
             target = _expect_int(target, "target", "a 0-based party index", 0)
         if target in _check_members(members):
-            raise ParameterError(f"party {party_role(target)} cannot audit its own secret")
+            raise ParameterError(f"party P{target + 1} cannot audit its own secret")
         _set_members(self, members)  # the slots' own setters, past the frozen __setattr__
         _set_target(self, target)
 
@@ -254,17 +246,11 @@ def allowed_coalitions(variant: Variant, n: int, target: int) -> tuple[Coalition
     target = _expect_int(target, "target", "a 0-based party index")
     if not 0 <= target < n:
         raise ParameterError(f"target index {target} out of range for n={n}")
-    others = [party_role(i) for i in range(n) if i != target]
-    groups = [(tp,) for tp in dict.fromkeys(WIRING[variant])]
+    roles = run_roles(variant, n)
+    others = roles.parties[:target] + roles.parties[target + 1:]
+    groups = [(tp,) for tp in roles.tps]
     groups += [group for size in range(1, n) for group in itertools.combinations(others, size)]
     return tuple(Coalition(frozenset(group), target) for group in groups)
-
-
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _run_roles(variant: str, n: int) -> frozenset[str]:
-    """Every role of a ``variant`` run with n parties: its wiring's third parties (none if unknown) and P1..Pn."""
-    tps = next((roles for wiring, roles in WIRING.items() if wiring.value == variant), ())
-    return frozenset((*tps, *map(party_role, range(n))))
 
 
 class View(NamedTuple):
@@ -339,7 +325,7 @@ def _fact_index(transcript: Transcript) -> tuple[list[Event], dict, tuple[tuple,
     public = roles.get(PUBLIC, set())
     roles = {role: frozenset(public | seqs) for role, seqs in roles.items()}
     run = next(iter(headers), None)  # every header must equal the first, so its roles are the run's
-    entry = transcript._facts = (events, roles, tuple(headers), run and _run_roles(*run[:2]), {}, {})
+    entry = transcript._facts = (events, roles, tuple(headers), run and run_roles(*run[:2]).members, {}, {})
     return entry
 
 
@@ -375,7 +361,7 @@ def secret_support(view: View, params: ProtocolParams) -> SecretSupport:
     for ran in entry[2]:
         if ran != given:
             raise ParameterError(f"params (variant, n, d, r) = {given} disagree with the view's run header {ran}")
-    if not isinstance(members, frozenset) or not members <= (entry[3] or _run_roles(given[0], n)):
+    if not isinstance(members, frozenset) or not members <= (entry[3] or run_roles(params.variant, n).members):
         raise ParameterError(f"view members must be a frozenset of {given[0]} n={n} roles, got {members!r}")
     if type(target) is not int or not 0 <= target < n:
         raise ParameterError(f"view target must be a party index in [0, {n}), got {target!r}")

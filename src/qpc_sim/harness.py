@@ -27,10 +27,9 @@ from .adversary import (
     strategy_from_id,
     tap_plan,
 )
-from .channel import OUTSIDER, Transcript
+from .channel import Transcript
 from .protocol import (
     CHECK_STEPS,
-    WIRING,
     ComparisonOutcome,
     ProtocolParams,
     Variant,
@@ -38,6 +37,7 @@ from .protocol import (
     _normalize_secrets,
     rank_descending,
     run_one_tp_protocol,
+    run_roles,
     run_two_tp_protocol,
 )
 from .qudit import ParameterError, _expect, _expect_int, _plain_int
@@ -115,10 +115,8 @@ class ExperimentConfig:
             variant=variant, n=self.n, d=self.d, r=self.r, l=self.l, error_threshold=self.threshold
         )
         strategy = strategy_from_id(self.attack)
-        if strategy.owner not in (OUTSIDER, *WIRING[variant]):
-            raise ParameterError(
-                f"attack {self.attack!r} models a two-tp insider and does not apply to {variant.value}"
-            )
+        if strategy.owner not in run_roles(variant, params.n).owners:
+            raise ParameterError(f"attack {self.attack!r} models a two-tp insider and does not apply to {self.variant}")
         if self.secrets != "random":
             _normalize_secrets(self.secrets, params)
         if not (isinstance(self.shared_key, str) and self.shared_key == "random"):  # an array compares elementwise

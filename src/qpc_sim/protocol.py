@@ -53,10 +53,6 @@ measure = BasisLabel.measure
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
     from .adversary import AttackStrategy
 
-TP1_ROLE = "TP1"
-TP2_ROLE = "TP2"
-SOLO_TP_ROLE = "TP"
-
 #: Largest accepted qudit dimension. An honest run is O(1) in d, but a
 #: measurement across bases builds the O(d) uniform table.
 MAX_DIM = 2**16
@@ -68,11 +64,6 @@ MAX_DIM = 2**16
 MAX_QUDITS = 2**18
 
 
-def party_role(index: int) -> str:
-    """Role id of the index-th comparing party (0-based index, 1-based label)."""
-    return f"P{index + 1}"
-
-
 class Variant(enum.Enum):
     TWO_TP = "two-tp"
     ONE_TP = "one-tp"
@@ -80,9 +71,36 @@ class Variant(enum.Enum):
 
 #: (preparer, measurer) of each wiring: carriers travel preparer -> party -> measurer.
 WIRING: dict[Variant, tuple[str, str]] = {
-    Variant.TWO_TP: (TP1_ROLE, TP2_ROLE),
-    Variant.ONE_TP: (SOLO_TP_ROLE, SOLO_TP_ROLE),
+    Variant.TWO_TP: ("TP1", "TP2"),
+    Variant.ONE_TP: ("TP", "TP"),
 }
+
+
+class RunRoles(NamedTuple):
+    """A run's roles, grouped for the rules that :func:`run_roles` states, with its tap rule as ``taps``."""
+
+    tps: tuple[str, ...]  # the wiring's third parties, each once, in ``WIRING`` order
+    parties: tuple[str, ...]  # P1..Pn: the party of 0-based index i is P(i+1)
+    members: frozenset[str]  # the roles a coalition or a view may hold: the third parties and the parties
+    owners: frozenset[str]  # the roles an attack may belong to: the members and EVE
+
+    def taps(self, owner: str, sender: str, receiver: str) -> bool:
+        return owner in self.owners and owner not in (sender, receiver)
+
+
+@functools.lru_cache(maxsize=64)
+def run_roles(variant: Variant | str, n: int) -> RunRoles:
+    """The role rules of a run of ``variant`` (a Variant or its value) with n parties, stated once.
+
+    Roles: the wiring's third parties, P1..Pn and EVE; an attack's owner must be one. Taps (``taps``): an active
+    attack whose owner is a role of the run taps every link of the run its owner is not an end of, and no other
+    attack taps: so EVE taps every link, a TP the hops it neither sends nor receives (one-tp's TP none), and a
+    party the 2(n-1) links of the others. Coalitions: one third party alone, or parties; EVE is in none, nor a view.
+    """
+    ends = next((ends for key, ends in WIRING.items() if variant in (key, key.value)), ())  # none: a hand-built header
+    tps, parties = tuple(dict.fromkeys(ends)), tuple(f"P{i + 1}" for i in range(n))
+    members = frozenset((*tps, *parties))
+    return RunRoles(tps, parties, members, members | {OUTSIDER})
 
 
 @dataclass(frozen=True)
@@ -304,19 +322,17 @@ def run_links(
 ) -> tuple[tuple[QuantumLink, ...], tuple[QuantumLink, ...]]:
     """The run's n preparer->party links and n party->measurer links, each in party order.
 
-    Only an active adversary taps, and only from the wiring: an outsider taps
-    every link, and a third party of this wiring taps exactly the links it is
-    not an end of. Any other owner taps nothing. The links are frozen and
-    built once per ``(params, adversary)``; every run of that shape shares them.
+    An active adversary taps the links that the tap rule of :func:`run_roles` gives its owner.
+    The links are frozen and built once per ``(params, adversary)``; every run of that shape shares them.
     """
-    preparer, measurer = wiring = WIRING[params.variant]
-    taps = adversary is not None and adversary.active and adversary.owner in (OUTSIDER, *wiring)
+    preparer, measurer = WIRING[params.variant]
+    roles = run_roles(params.variant, params.n)
+    taps = adversary is not None and adversary.active and roles.taps
 
     def link(sender: str, receiver: str) -> QuantumLink:
-        return QuantumLink(sender, receiver, adversary if taps and adversary.owner not in (sender, receiver) else None)
+        return QuantumLink(sender, receiver, adversary if taps and taps(adversary.owner, sender, receiver) else None)
 
-    parties = [party_role(i) for i in range(params.n)]
-    return tuple(link(preparer, p) for p in parties), tuple(link(p, measurer) for p in parties)
+    return tuple(link(preparer, p) for p in roles.parties), tuple(link(p, measurer) for p in roles.parties)
 
 
 def _disclose_and_check(

@@ -17,6 +17,7 @@ from scipy import stats
 from conftest import ranking_oracle, seeded_draws
 from dense_oracle import QuditState, apply_shift, basis_state, measure, overlap, qft
 from qpc_sim import (
+    ATTACK_IDS,
     Coalition,
     ExperimentConfig,
     ProtocolParams,
@@ -286,5 +287,49 @@ def test_criterion_10_exhaustive_small_instances():
         10,
         "exhaustive minimum-dimension sweep matches the sort oracle",
         wrong == 0 and runs == 584,
+        f"runs={runs} wrong={wrong}",
+    )
+
+
+#: Role ids of a four-party run, written out independently of src; "*" marks a public event.
+_PARTIES4 = frozenset({"P1", "P2", "P3", "P4"})
+
+
+def _party_private_events(config: ExperimentConfig):
+    """For each trial of ``config``: its events that no broadcast carries and that two or more parties observe."""
+    for t in range(config.trials):
+        events = run_trial(config, t).transcript.events()
+        yield [e for e in events if "*" not in e["observers"] and len(_PARTIES4 & set(e["observers"])) >= 2]
+
+
+def test_criterion_11_two_tp_parties_share_no_channel():
+    # "no communication and no pre-shared key between each pair of party": nothing is private to two parties
+    runs = shared = 0
+    for attack in ATTACK_IDS:
+        config = ExperimentConfig("two-tp", n=4, d=5, r=3, l=2, threshold=1.0, attack=attack, trials=200, seed=1111)
+        for private in _party_private_events(config):
+            runs += 1
+            shared += len(private)
+    _report(
+        11,
+        "two-tp: no event is private to two or more parties, under every attack",
+        runs == 200 * len(ATTACK_IDS) and shared == 0,
+        f"runs={runs} party-private events={shared}",
+    )
+
+
+def test_criterion_12_one_tp_parties_share_only_their_key():
+    # "common private key": the one event only the parties see is the key, and no third party sees it
+    attacks = [a for a in ATTACK_IDS if strategy_from_id(a).owner in ("EVE", "TP")]
+    runs = wrong = 0
+    for attack in attacks:
+        config = ExperimentConfig("one-tp", n=4, d=8, r=3, l=2, threshold=1.0, attack=attack, trials=200, seed=1212)
+        for private in _party_private_events(config):
+            runs += 1
+            wrong += [(e["kind"], e["observers"]) for e in private] != [("shared_key", ("P1", "P2", "P3", "P4"))]
+    _report(
+        12,
+        "one-tp: the shared key is the only party-private event and reaches no TP",
+        len(attacks) == 5 and runs == 200 * len(attacks) and wrong == 0,
         f"runs={runs} wrong={wrong}",
     )

@@ -37,6 +37,7 @@ from qpc_sim import (
     strategy_from_id,
     tapped_checked_decoys,
 )
+from qpc_sim import harness
 from qpc_sim.adversary import MAX_AUDIT_PARTIES, AttackStrategy, View, tap_plan
 from qpc_sim.channel import OUTSIDER, PUBLIC, Transcript
 from qpc_sim.harness import _trial_runs
@@ -151,6 +152,72 @@ def test_the_run_shape_memos_tell_strategies_apart_by_every_field():
     assert plans == [(16, (2, 0)), (16, (0,)), (16, (0,)), (0, ()), (8, (2, 0))]
     for strategy in variants:
         assert all(link.tapper in (None, strategy) for link in itertools.chain(*run_links(params, strategy)))
+
+
+def _roles_of(variant: Variant, n: int) -> set[str]:
+    """Every role of a run, written out independently of src: the wiring's ends, P1..Pn and EVE."""
+    return {*_ENDS[variant], *(f"P{i}" for i in range(1, n + 1)), "EVE"}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+@pytest.mark.parametrize("owner", ["EVE", "TP1", "TP2", "TP", "P1", "P<n+1>", "MALLORY"])
+def test_one_role_table_holds_at_every_site(owner, variant, n, monkeypatch):
+    # an owner that is a role of the run taps every link it is not an end of, and any other owner no link;
+    # validate accepts exactly a role, and a coalition holds exactly a role other than EVE
+    owner = f"P{n + 1}" if owner == "P<n+1>" else owner
+    params = ProtocolParams(variant, n=n, d=17, r=5, l=2, error_threshold=1.0)
+    preparer, measurer = _ENDS[variant]
+    parties = [f"P{i}" for i in range(1, n + 1)]
+    ends = [(preparer, p) for p in parties] + [(p, measurer) for p in parties]
+    is_role = owner in _roles_of(variant, n)
+    expected = {f"{sender}->{receiver}" for sender, receiver in ends if is_role and owner not in (sender, receiver)}
+    counts = {"EVE": 2 * n, "P1": 2 * (n - 1), **dict.fromkeys(("TP1", "TP2"), n * (variant is Variant.TWO_TP))}
+    assert len(expected) == counts.get(owner, 0)
+
+    strategy = AttackStrategy("hand-built", True, None, owner)
+    links = list(itertools.chain(*run_links(params, strategy)))
+    assert {link.label for link in links if link.tapper is strategy} == expected
+    assert all(link.tapper is None for link in links if link.label not in expected)
+    assert tap_plan(params, strategy) == ((params.l + 1) * len(expected), (2, 0) if expected else ())
+
+    # the run itself: every tapped qudit is recorded to the owner alone
+    draws = seeded_draws(params, strategy, 5)
+    if variant is Variant.TWO_TP:
+        transcript, outcome = run_two_tp_protocol(params, (1,) * n, strategy, draws)
+    else:
+        transcript, outcome = run_one_tp_protocol(params, (1,) * n, 2, strategy, draws)
+    taps = [e for e in transcript.events() if e["kind"] == "tap"]
+    assert outcome.completed and len(taps) == (params.l + 1) * len(expected)
+    assert {e["link"] for e in taps} == expected and all(e["observers"] == (owner,) for e in taps)
+
+    monkeypatch.setattr(harness, "strategy_from_id", lambda attack_id: strategy)
+    config = ExperimentConfig(variant=variant.value, n=n, d=17, r=5, l=2)
+    if is_role:
+        assert config.validate()[1] is strategy
+    else:
+        with pytest.raises(ParameterError, match=f"does not apply to {variant.value}"):
+            config.validate()
+
+    try:
+        coalition_view(transcript, Coalition(frozenset({owner}), n - 1))
+    except ParameterError:
+        joined = False
+    else:
+        joined = True
+    assert joined == (is_role and owner != "EVE")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+@pytest.mark.parametrize("attack_id", ATTACK_IDS)
+def test_validate_accepts_an_attack_id_exactly_when_its_owner_is_a_role_of_the_wiring(attack_id, variant, n):
+    config = ExperimentConfig(variant=variant.value, n=n, d=17, r=5, l=2, attack=attack_id)
+    if strategy_from_id(attack_id).owner in _roles_of(variant, n):
+        assert config.validate()[1] is strategy_from_id(attack_id)
+    else:
+        with pytest.raises(ParameterError, match=f"does not apply to {variant.value}"):
+            config.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -653,6 +720,9 @@ def test_every_refusal_still_fires_once_the_transcript_is_audited():
         (lambda: secret_support(View(transcript, {"TP2"}, 0), TWO_TP), "view members must be a frozenset"),
         (lambda: coalition_view(transcript, Coalition(frozenset({"P4"}), 0)), "member P4 does not exist in a two-tp"),
         (lambda: coalition_view(transcript, Coalition(frozenset({"P2"}), 3)), "target index 3 out of range for n=3"),
+        # EVE is a role of every run but no coalition member: it stays out of an audit until it may collude
+        (lambda: secret_support(View(transcript, frozenset({"EVE"}), 0), TWO_TP), "view members must be a frozenset"),
+        (lambda: Coalition(frozenset({"EVE"}), 0), "unknown coalition role 'EVE'"),
     ]
     for target in (7, -1, "0"):
         cases.append((lambda target=target: secret_support(View(transcript, frozenset({"TP2"}), target), TWO_TP),

@@ -396,8 +396,12 @@ def test_audit_memos_stay_within_their_fixed_size_over_many_transcripts():
         for coalition in itertools.chain(*plans):
             assert run.secrets[coalition.target] in secret_support(coalition_view(run.transcript, coalition), params).candidates
     assert _module_sizes() == sizes
-    assert adversary._check_members.cache_info().currsize <= adversary._MEMO_SIZE
-    assert adversary._run_roles.cache_info().currsize <= adversary._MEMO_SIZE
+    # every memo of the modules the audit reaches, found by attribute: a memo renamed or added stays bounded
+    memos = {f for module in (adversary, protocol) for f in vars(module).values() if hasattr(f, "cache_info")}
+    assert {"_check_members", "run_roles"} <= {memo.__name__ for memo in memos}
+    for memo in memos:
+        info = memo.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize <= adversary._MEMO_SIZE, memo.__name__
 
 
 _OBSERVERS = (PUBLIC, OUTSIDER, "TP1", "TP2", "P1", "P2", "P3", "P4")
