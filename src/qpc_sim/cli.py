@@ -4,20 +4,19 @@ Single-run mode writes one experiment report; adding ``--axis``/``--values``
 turns the same invocation into a sweep. This module renders every text form
 of the output, the indented JSON of ``to_dict`` or CSV, in one place, and
 writes it through one path to stdout or to ``--out``: the same bytes, ending
-in one newline. A single report is written row by row as its trials run and
-keeps no row, so memory is flat in ``--trials`` for JSON and CSV; a sweep
-still holds every cell, rows included, until all have run. Exit codes: 0
-success, 2 bad configuration, 3 I/O failure (a failed write to stdout or to
-``--out``, which also stops the run). A sweep is a bad configuration only
-when none of its cells is valid; it runs the others and skips the invalid
-ones.
+in one newline. A report is written row by row as its trials run, and a
+sweep cell by cell, each cell's report as a single one is; no row and no
+finished cell is kept, so memory is flat in ``--trials`` and in the number of
+cells, for JSON and CSV. Exit codes: 0 success, 2 bad configuration, 3 I/O
+failure (a failed write to stdout or to ``--out``, which also stops the run).
+A sweep is a bad configuration only when none of its cells is valid; it runs
+the others and skips the invalid ones.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import csv
-import dataclasses
 import functools
 import io
 import json
@@ -25,7 +24,8 @@ import sys
 from typing import Callable, Sequence
 
 from .adversary import ATTACK_IDS
-from .harness import ExperimentConfig, ExperimentReport, SweepCell, run_experiment, sweep
+# ``sweep`` is not called here, only kept because perfbench's tracer patches ``cli.sweep``; ROADMAP item 16 drops it.
+from .harness import ExperimentConfig, ExperimentReport, _sweep_cells, run_experiment, sweep  # noqa: F401
 from .protocol import MAX_DIM, Variant
 from .qudit import ParameterError
 
@@ -109,18 +109,6 @@ def _parse_axis_values(axis: str, text: str | None) -> list:
         raise ParameterError(f"--values for axis {axis!r} expects integers, got {text!r}") from None
 
 
-def _check_cells(base: ExperimentConfig, axis: str, values: list) -> None:
-    """Refuse a sweep none of whose cells is valid, with the first cell's reason; a cell is ``base`` with ``axis`` set."""
-    errors = []
-    for value in values:
-        try:
-            dataclasses.replace(base, **{axis: value}).validate()
-            return
-        except ParameterError as exc:
-            errors.append(exc)
-    raise errors[0]
-
-
 def _csv_row(config: dict, report: ExperimentReport | None, skipped: str | None = None) -> list[str]:
     """One line in CSV_COLUMNS order: seven config columns, five results (empty if skipped), the skip note."""
     results = [""] * 5
@@ -129,6 +117,13 @@ def _csv_row(config: dict, report: ExperimentReport | None, skipped: str | None 
         results = [str(report.n_correct), str(report.n_aborted), *("" if x is None else f"{x:.12g}" for x in rates)]
     note = "" if skipped is None else f"skipped: {skipped}"
     return [str(config[name]) for name in CSV_COLUMNS[:7]] + [*results, note]
+
+
+def _csv_line(row: list[str]) -> str:
+    """``row`` as csv.writer quotes it, after a newline: the text after the header ends in no newline."""
+    line = io.StringIO()
+    csv.writer(line, lineterminator="").writerow(row)
+    return "\n" + line.getvalue()
 
 
 def _nested(value: object, depth: int) -> str:
@@ -153,52 +148,44 @@ def _json_row(row: dict, depth: int) -> str:
     )
 
 
-def _report_head(config: dict, depth: int) -> str:
-    """A report's JSON ``depth`` levels deep, from its opening brace to its rows' opening bracket."""
+def _report(config: ExperimentConfig, fmt: str, write: Callable[[str], object], depth: int = 0) -> ExperimentReport:
+    """Run ``config``; in JSON, write its report ``depth`` levels deep as it runs: the config, each row as the run makes
+    it, then the fields after the rows. The report keeps no row."""
+    if fmt == "csv":
+        return run_experiment(config, lambda row: None)
     pad = "\n" + "  " * (depth + 1)
-    return f'{{{pad}"config": {_nested(config, depth + 1)},{pad}"trials": ['
-
-
-def _report_tail(report: ExperimentReport, depth: int) -> str:
-    """A report's JSON ``depth`` levels deep from the rows it holds (none if a sink took them) to its closing brace."""
-    rows = "".join(_json_row(row, depth + 2) for row in report.trials)
+    write(f'{{{pad}"config": {_nested(config.to_dict(), depth + 1)},{pad}"trials": [')
+    report = run_experiment(config, lambda row: write(_json_row(row, depth + 2)))
     summary = {key: value for key, value in report.to_dict().items() if key not in ("config", "trials")}
-    return rows + "\n" + "  " * (depth + 1) + "]," + _nested(summary, depth)[1:]
+    write(pad + "]," + _nested(summary, depth)[1:])
+    return report
 
 
-def _cell_json(cell: SweepCell) -> str:
-    """A sweep cell as the sweep's indent=2 JSON writes it, one level deep."""
-    report = "null" if cell.report is None else _report_head(cell.config, 2) + _report_tail(cell.report, 2)
-    text = {key: report if key == "report" else _nested(value, 2) for key, value in cell.to_dict().items()}
-    return "{" + ",".join(f'\n    "{key}": {value}' for key, value in text.items()) + "\n  }"
-
-
-def _run(config: ExperimentConfig, axis: str | None, values: list, fmt: str, write: Callable[[str], object]) -> str:
-    """Write the output in ``fmt`` through ``write``, for one report or a sweep over ``axis``; give its summary line.
-    A report's rows are written as the run makes them and not kept; a sweep holds its cells until all have run."""
-    if axis is None:
-        if fmt == "json":
-            write(_report_head(config.to_dict(), 0))
-        report = run_experiment(config, (lambda row: write(_json_row(row, 2))) if fmt == "json" else lambda row: None)
-        if fmt == "json":
-            write(_report_tail(report, 0))
-        rows = [_csv_row(report.config, report)]
+def _run(config: ExperimentConfig, cells: list | None, fmt: str, write: Callable[[str], object]) -> str:
+    """Write the output in ``fmt`` through ``write``: one report of ``config``, or the sweep of ``cells`` from
+    ``_sweep_cells``; give its summary line. Each report is written as it runs, each cell before the next runs."""
+    if fmt == "csv":
+        write(",".join(CSV_COLUMNS))
+    if cells is None:
+        report = _report(config, fmt, write)
+        if fmt == "csv":
+            write(_csv_line(_csv_row(report.config, report)))
         analytic = "n/a" if report.analytic_abort is None else f"{report.analytic_abort:.6g}"
-        summary = (
+        return (
             f"trials={report.n_trials} completed={report.n_completed} aborted={report.n_aborted} "
             f"correct={report.n_correct} abort_rate={report.abort_rate:.6g} analytic={analytic}"
         )
-    else:
-        cells = sweep(config, axis, values)
-        if fmt == "json":
-            write("[" + ",".join("\n  " + _cell_json(cell) for cell in cells) + "\n]")
-        rows = [_csv_row(c.config, c.report, c.skipped) for c in cells]
-        summary = f"sweep over {axis}: {sum(c.report is not None for c in cells)}/{len(cells)} cells run"
-    if fmt == "csv":
-        buffer = io.StringIO()
-        csv.writer(buffer, lineterminator="\n").writerows([CSV_COLUMNS, *rows])
-        write(buffer.getvalue().removesuffix("\n"))
-    return summary
+    if fmt == "json":
+        write("[")
+    for index, (cell, cfg) in enumerate(cells):
+        if fmt == "json":  # the cell's own fields in one dump, cut where its report goes
+            head, _, tail = _nested(cell.to_dict(), 1).partition('"report": null')
+            write(("," if index else "") + "\n  " + head + '"report": ' + ("null" if cell.skipped else ""))
+        report = None if cell.skipped else _report(cfg, fmt, write, 2)
+        write(tail if fmt == "json" else _csv_line(_csv_row(cell.config, report, cell.skipped)))
+    if fmt == "json":
+        write("\n]")
+    return f"sweep over {cells[0][0].axis}: {sum(not cell.skipped for cell, _ in cells)}/{len(cells)} cells run"
 
 
 def write_out(path: str | None, emit: Callable[[Callable[[str], object]], object]) -> int:
@@ -240,10 +227,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             seed=args.seed,
             threshold=args.threshold,
         )
-        values = []
-        if args.axis is not None:
-            values = _parse_axis_values(args.axis, args.values)
-            _check_cells(config, args.axis, values)
+        cells = None
+        if args.axis is not None:  # every cell is built and checked before any runs
+            cells = _sweep_cells(config, args.axis, _parse_axis_values(args.axis, args.values))
+            if all(cell.skipped for cell, _ in cells):
+                raise ParameterError(cells[0][0].skipped)
         else:
             config.validate()
             if args.values is not None:
@@ -254,7 +242,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     summary: list[str] = []
     # --out opens before the run, so an unwritable path fails before any trial is spent
-    status = write_out(args.out, lambda write: summary.append(_run(config, args.axis, values, args.fmt, write)))
+    status = write_out(args.out, lambda write: summary.append(_run(config, cells, args.fmt, write)))
     return write_out(None, lambda write: write(f"{summary[0]} -> {args.out}")) if args.out and not status else status
 
 

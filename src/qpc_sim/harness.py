@@ -328,6 +328,15 @@ def sweep(base: ExperimentConfig, axis: str | tuple[str, ...], values: Sequence)
     skipped, with the reason, instead of failing the whole sweep. An empty
     value list is an empty sweep.
     """
+    cells = _sweep_cells(base, axis, values)
+    for cell, cfg in cells:
+        cell.report = None if cell.skipped else run_experiment(cfg)
+    return [cell for cell, _ in cells]
+
+
+def _sweep_cells(base: ExperimentConfig, axis: str | tuple[str, ...], values: Sequence) -> list[tuple]:
+    """The cells of ``sweep(base, axis, values)``, none run yet, each with its config, checked: a cell whose config is
+    invalid has its ``skipped`` reason set. Raises ParameterError, before any cell runs, for a malformed axis."""
     _expect(base, ExperimentConfig, "base")
     base_seed = _check_seed(base.seed)  # only the seed: a sweep may set any other field to a valid value
     try:
@@ -340,7 +349,7 @@ def sweep(base: ExperimentConfig, axis: str | tuple[str, ...], values: Sequence)
     for setting in settings:
         if not isinstance(setting, tuple) or len(setting) != len(names):
             raise ParameterError(f"a value of sweep axis {axis!r} is a tuple of {len(names)} items, got {setting!r}")
-    cells: list[SweepCell] = []
+    cells = []
     for index, setting in enumerate(settings):
         cell_seed = derive_cell_seed(base_seed, index)
         cfg = dataclasses.replace(base, **dict(zip(names, setting)), seed=cell_seed)
@@ -350,7 +359,5 @@ def sweep(base: ExperimentConfig, axis: str | tuple[str, ...], values: Sequence)
             cfg.validate()
         except ParameterError as exc:
             cell.skipped = str(exc)
-        else:
-            cell.report = run_experiment(cfg)
-        cells.append(cell)
+        cells.append((cell, cfg))
     return cells

@@ -333,3 +333,31 @@ def test_criterion_12_one_tp_parties_share_only_their_key():
         len(attacks) == 5 and runs == 200 * len(attacks) and wrong == 0,
         f"runs={runs} wrong={wrong}",
     )
+
+
+def test_criterion_13_one_tp_tp_learns_every_difference_of_secrets():
+    # "kept unknown to ... the third parties" holds for each secret alone, not for their differences:
+    # the lone TP reads secret + key for every party, so measured - pad - secret is the key, the same for all
+    config = ExperimentConfig("one-tp", n=4, d=8, r=3, l=2, trials=200, seed=1313)
+    params, r = ProtocolParams(Variant.ONE_TP, n=4, d=8, r=3, l=2), 3
+    completed = exact = windows = wide = 0
+    for t in range(config.trials):
+        run = run_trial(config, t)
+        events = run.transcript.view("TP")
+        [prep] = [e for e in events if e["kind"] == "carrier_prep"]
+        measured = {e["party"]: e["value"] for e in events if e["kind"] == "carrier_measurement"}
+        completed += run.outcome.completed
+        exact += len({measured[i] - prep["pads"][i] - s for i, s in enumerate(run.secrets)}) == 1
+        for target, secret in enumerate(run.secrets):
+            # the secrets s in [0, r) for which some key in [0, r) gives the true secret + key
+            total = secret + run.shared_key
+            window = frozenset(s for s in range(r) if 0 <= total - s < r)
+            support = secret_support(coalition_view(run.transcript, Coalition(frozenset({"TP"}), target)), params)
+            windows += support.candidates == window
+            wide += len(window) > 1
+    _report(
+        13,
+        "one-tp: the TP learns every difference of secrets exactly, each secret only to the key's window",
+        completed == exact == config.trials and windows == 4 * config.trials and wide > 0,
+        f"runs={completed} exact differences={exact} windows={windows}/{4 * config.trials} wider than one={wide}",
+    )

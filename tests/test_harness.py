@@ -958,6 +958,30 @@ def test_cli_io_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert closed_pipe_stderr(["-m", "qpc_sim.cli", *BASE_ARGS]).startswith("error: cannot write stdout: ")
 
 
+@pytest.mark.parametrize(
+    "fmt, fails_at, ran",
+    [
+        # "[", then cell 0's fields, its report's head, 4 rows and tail, and its last fields; then cell 1's fields,
+        # its report's head and row 0: the write of row 1 fails
+        ("json", 13, [(5, t) for t in range(4)] + [(7, 0), (7, 1)]),
+        # the header, then each cell's line once the cell has run: cell 1's line fails
+        ("csv", 3, [(d, t) for d in (5, 7) for t in range(4)]),
+    ],
+)
+def test_cli_a_write_that_fails_mid_sweep_exits_3_and_runs_no_later_cell(monkeypatch, capsys, fmt, fails_at, ran):
+    calls = []
+    run_trial_alone = harness._run_trial
+    counted = lambda *args: calls.append((args[0].d, args[3])) or run_trial_alone(*args)  # (cell's d, trial)
+    monkeypatch.setattr(harness, "_run_trial", counted)
+    stdout = _FullStdout(fails_at=fails_at)
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", stdout)
+        assert main(BASE_ARGS + ["--axis", "d", "--values", "5,7,9", "--format", fmt]) == 3
+    assert capsys.readouterr().err == "error: cannot write stdout: [Errno 28] No space left on device\n"
+    assert calls == ran  # cell 2 (d=9) never ran
+    assert stdout.closed
+
+
 def test_cli_a_write_that_fails_mid_stream_exits_3_and_runs_no_later_trial(monkeypatch, capsys):
     calls = []
     run_trial_alone = harness._run_trial
@@ -1005,6 +1029,16 @@ def test_cli_memory_is_flat_in_the_trial_count(fmt):
     few, many = (_cli_peak_bytes(args + [str(trials)]) for trials in (500, 5000))
     assert many - few < 512 * 1024, (few, many)
 
+    # a sweep of that run over d, its one value repeated, is flat in its trials and in its cells too
+    def sweep_peak(cells: int, trials: int) -> int:
+        return _cli_peak_bytes(args + [str(trials), "--axis", "d", "--values", ",".join(["3"] * cells)])
+
+    sweep_peak(2, 50)
+    few = sweep_peak(2, 500)
+    longer, wider = sweep_peak(2, 5000), sweep_peak(8, 500)
+    assert longer - few < 512 * 1024, (few, longer)
+    assert wider - few < 512 * 1024, (few, wider)
+
 
 @st.composite
 def _trial_rows(draw) -> list[dict]:
@@ -1026,34 +1060,50 @@ def _trial_rows(draw) -> list[dict]:
     return rows
 
 
-_REPORT = run_experiment(dataclasses.replace(HONEST, trials=1))
+_CONFIG = dataclasses.replace(HONEST, trials=1)
+_REPORT = run_experiment(_CONFIG)
 
 
 @settings(max_examples=150, deadline=None)
 @given(rows=_trial_rows())
 def test_the_cli_renders_any_rows_as_json_dumps_does_at_report_and_sweep_depth(rows):
     report = dataclasses.replace(_REPORT, trials=rows)
-    # a report's text, as streamed: its head, then each row as the run makes it, then its tail
-    streamed = cli._report_head(report.config, 0) + "".join(cli._json_row(row, 2) for row in rows)
-    streamed += cli._report_tail(dataclasses.replace(report, trials=[]), 0)
-    assert streamed == json.dumps(report.to_dict(), indent=2)
-    # the same rows inside a sweep cell, two levels deeper
-    cells = [harness.SweepCell("d", 13, 1, report.config, report), harness.SweepCell("d", 2, 2, report.config, None, "x")]
-    expected = json.dumps([cell.to_dict() for cell in cells], indent=2)
-    assert "[" + ",".join("\n  " + cli._cell_json(cell) for cell in cells) + "\n]" == expected
+    ran, skipped = harness.SweepCell("d", 13, 1, report.config), harness.SweepCell("d", 2, 2, report.config, None, "x")
+
+    def run_experiment_with_these_rows(config, sink):
+        for row in rows:
+            sink(row)
+        return dataclasses.replace(_REPORT, trials=[])
+
+    texts = []
+    with pytest.MonkeyPatch.context() as patch:
+        # the CLI's rows reach its text only through run_experiment's sink, for a report and for each sweep cell
+        patch.setattr(cli, "run_experiment", run_experiment_with_these_rows)
+        for cells in (None, [(ran, _CONFIG), (skipped, _CONFIG)]):
+            chunks = []
+            cli._run(_CONFIG, cells, "json", chunks.append)
+            texts.append("".join(chunks))
+    assert texts[0] == json.dumps(report.to_dict(), indent=2)
+    # the same rows inside a sweep cell, two levels deeper, beside a skipped cell
+    expected = json.dumps([dataclasses.replace(ran, report=report).to_dict(), skipped.to_dict()], indent=2)
+    assert texts[1] == expected
 
 
 @pytest.mark.parametrize("extra", ([], ["--axis", "d", "--values", "5,7"]), ids=("single", "sweep"))
 def test_cli_unwritable_out_exits_3_before_any_run(monkeypatch, tmp_path, capsys, extra):
     calls = []
-    monkeypatch.setattr(cli, "run_experiment", lambda *args: calls.append(("run_experiment", args)))
-    monkeypatch.setattr(cli, "sweep", lambda *args: calls.append(("sweep", args)))
+    run_alone = cli.run_experiment
+    # the CLI runs a report, and each cell of a sweep, through this one name
+    monkeypatch.setattr(cli, "run_experiment", lambda *args: calls.append(args[0]) or run_alone(*args))
     assert main(BASE_ARGS + extra + ["--out", str(tmp_path / "nope" / "report.json")]) == 3
     out, err = capsys.readouterr()
     assert out == ""
     [line] = err.splitlines()
     assert line.startswith("error: cannot write ")
     assert calls == []
+    # with a writable --out the same command reaches that name once per report
+    assert main(BASE_ARGS + extra + ["--out", str(tmp_path / "report.json")]) == 0
+    assert len(calls) == (2 if extra else 1)
 
 
 def test_cli_seed_defaults_to_0_and_reads_no_environment(monkeypatch, capsys):
